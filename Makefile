@@ -39,23 +39,21 @@ quick-bench:
 	REJSCHED_QUICK=1 dune exec --profile release bench/main.exe
 
 # Regression gate: tier-1 tests plus the indexed-vs-scan performance
-# baseline.  Writes BENCH_pr10.json (telemetry counter snapshot and pool
+# baseline.  Writes BENCH_pr12.json (telemetry counter snapshot and pool
 # scaling curve embedded) and compares throughput against the newest
-# previous BENCH_*.json; fails if the driver-event microbenchmark
+# previous BENCH_prN.json; fails if the driver-event microbenchmark
 # speedup — bare or with telemetry recording — drops below 2x, if the
 # flat-core gates fail (events/sec < 2x the PR-4 recorded baseline;
-# allocations/event over the ceiling; flat-vs-boxed schedules not
-# byte-identical), if the pool gates fail (width-1 overhead > 2x; on
+# allocations/event over the ceiling), if the flight recorder costs
+# more than 5%, if the pool gates fail (width-1 overhead > 2x; on
 # >=4-core hosts, 4 domains < 2x over sequential; any
-# non-byte-identical output), if the sharded driver diverges from the
-# flat core at any S in {1,2,4} or (on >=4-core hosts) S=4 falls below
-# 2x over S=1, if a streamed session diverges from the batch run or
-# the rolling-retirement stream breaches its resident-memory gates,
-# or any test regresses.
+# non-byte-identical output), if a streamed session diverges from the
+# batch run or the rolling-retirement stream breaches its
+# resident-memory gates, or any test regresses.
 bench-check:
 	dune build @all
 	dune runtest
-	dune exec --profile release bench/main.exe -- --regression --out BENCH_pr10.json
+	dune exec --profile release bench/main.exe -- --regression --out BENCH_pr12.json
 
 examples:
 	dune exec examples/quickstart.exe

@@ -9,37 +9,30 @@
    computation, plus a simulator-throughput benchmark (E10).
 
    Part 3 (selected with --regression, output file via --out, default
-   BENCH_pr10.json) is the regression harness behind `make bench-check`:
-   it times the indexed driver fast path against the scan-based seed
-   references on an overloaded instance — once bare and once with the
-   telemetry layer recording — times the flat (struct-of-arrays) core
-   against the boxed reference core on the same workload (byte-identical
-   schedules, >= 2x the PR-4 recorded events/sec, an allocations-per-
-   event ceiling), gates the flight recorder's hot-loop ring writes at
-   <= 5% overhead versus the recorder-off flat run — records
-   end-to-end wall time and
-   sequential-vs-parallel scaling, runs the experiment suite on domain
-   pools of increasing width (checking byte-identical tables and
-   telemetry at every width and recording the speedup curve), exercises
-   the sharded within-run driver (canonical-schedule byte-identity at
-   S in {1,2,4} over the fuzz corpus x every registry policy, sharded
-   vs sequential throughput on a cluster-shaped workload, and a
-   memory-gated cluster-scale point at n=10^6 x m=10^3), exercises the
-   streaming session engine behind `rejsched serve` (stream-vs-batch
-   canonical-schedule byte-identity over the fuzz corpus, session
-   overhead versus the batch entry point, and a resident-memory gate on
-   an n=10^6 rolling-retirement stream against the identical
-   keep-everything stream), embeds the
-   telemetry counter snapshot, records GC work (minor/major collections,
-   minor words) next to every events/sec figure, writes the numbers to
-   a JSON baseline, compares the throughput against the newest previous
-   BENCH_*.json, and exits non-zero if either driver-event
-   microbenchmark speedup (bare or telemetry-on) falls below 2x, if the
-   width-1 pool costs more than 2x sequential, if the retirement
-   stream's peak live words per job breach their ceiling or fail to
-   undercut the keep-everything stream, or — on hosts with at
-   least 4 cores — if 4 domains fail to reach 2x over sequential or the
-   sharded run at S=4 fails to reach 2x over S=1.
+   BENCH_pr12.json) is the regression harness behind `make bench-check`.
+   Every section ends in a gate or a byte-identity fail-fast:
+
+   - an oracle fuzz pre-flight, clean and byte-identical at pool widths
+     1, 2 and 4;
+   - the driver-event microbenchmark: indexed pending queues >= 2x the
+     scan-based seed references, bare and with telemetry recording;
+   - the flat core: >= 2x the PR-4 recorded events/sec and an
+     allocations-per-event ceiling;
+   - the flight recorder: <= 5% overhead on flow-reject, schedules
+     byte-identical with the recorder on or off;
+   - domain-pool scaling on the experiment suite: tables and telemetry
+     byte-identical at every width, width 1 <= 2x sequential, and (on
+     hosts with >= 4 recommended domains) 4 domains >= 2x sequential;
+   - a memory-gated cluster-scale point (n=10^6 x m=10^3, skipped in
+     quick mode);
+   - the streaming session engine behind `rejsched serve`: stream vs
+     batch byte-identity over the fuzz corpus, session overhead, and a
+     resident-memory gate on an n=10^6 rolling-retirement stream.
+
+   It records GC work next to every events/sec figure, writes the numbers
+   to a JSON baseline, and compares the driver-event throughput against
+   the newest previous BENCH_prN.json (largest N).  Exits non-zero on any
+   failed gate.
 
    Run with: dune exec bench/main.exe
    (set REJSCHED_QUICK=1 for a fast smoke run) *)
@@ -158,19 +151,7 @@ let run_benchmarks () =
           | Some [ est ] -> Printf.printf "  %-36s %12.3f ms/run\n%!" name (est /. 1e6)
           | _ -> Printf.printf "  %-36s (no estimate)\n%!" name)
         analyzed)
-    tests;
-  (* A direct jobs/second figure for the throughput story (E10). *)
-  let inst = make_flow_instance (if quick then 20_000 else 100_000) 16 3 in
-  let module FR = Rejection.Flow_reject in
-  let t0 = Sys.time () in
-  let schedule, _ = FR.run (FR.config ~eps:0.25 ()) inst in
-  let dt = Sys.time () -. t0 in
-  let n = float_of_int (Sched_model.Instance.n inst) in
-  Printf.printf "\n== E10: simulator throughput ==\n";
-  Printf.printf "  %d jobs on 16 machines in %.3f s -> %.0f jobs/s (~%.0f events/s)\n"
-    (int_of_float n) dt (n /. dt)
-    (n *. 3. /. dt);
-  ignore schedule
+    tests
 
 (* ------------------------------------------------------------------ *)
 (* Part 3: regression harness (--regression)                           *)
@@ -255,22 +236,27 @@ let count_events (s : Sched_model.Schedule.t) =
   Sched_model.Instance.n s.Sched_model.Schedule.instance
   + (2 * List.length s.Sched_model.Schedule.segments)
 
-(* Newest previous baseline by name: the PR number in BENCH_prN.json sorts. *)
+(* Newest previous baseline: the BENCH_prN.json with the largest PR
+   number N (compared as an integer, so pr10 outranks pr9). *)
 let newest_baseline ~excluding =
-  let keep f =
-    String.length f > 6
-    && String.sub f 0 6 = "BENCH_"
-    && Filename.check_suffix f ".json"
-    && f <> excluding
-    && f <> Filename.basename excluding
+  let pr_number f =
+    if
+      f <> excluding
+      && f <> Filename.basename excluding
+      && String.length f > 8
+      && String.sub f 0 8 = "BENCH_pr"
+      && Filename.check_suffix f ".json"
+    then int_of_string_opt (String.sub f 8 (String.length f - 13))
+    else None
   in
-  match
-    List.sort
-      (fun a b -> String.compare b a)
-      (List.filter keep (Array.to_list (Sys.readdir ".")))
-  with
-  | [] -> None
-  | f :: _ -> Some f
+  Array.fold_left
+    (fun best f ->
+      match (pr_number f, best) with
+      | Some n, Some (bn, _) when n <= bn -> best
+      | Some n, _ -> Some (n, f)
+      | None, _ -> best)
+    None (Sys.readdir ".")
+  |> Option.map snd
 
 (* Pull one scalar field ("key": value) out of a baseline file without a
    JSON parser; returns the raw token after the colon. *)
@@ -295,7 +281,7 @@ let scan_json_field ~key content =
       if fin > start then Some (String.sub content start (fin - start)) else None
 
 (* MemAvailable from /proc/meminfo in GiB, 0 when unreadable.  Gates the
-   cluster-scale sharded point: its instance alone carries n*m = 10^9
+   cluster-scale point: its instance alone carries n*m = 10^9
    processing times (~8 GiB) and the flat core mirrors per-(machine,job)
    columns of the same extent, so the point needs ~25-30 GiB to run
    without thrashing. *)
@@ -354,8 +340,12 @@ let run_regression out_path =
   let n = 10_000 and m = 8 in
   let inst = burst_instance ~n ~m ~seed:7 in
   let spt = Option.get (PR.find "greedy-spt") in
-  let s_opt = spt.PR.run inst in
-  let s_ref = D.run_schedule SR.greedy_spt inst in
+  let schedule_of policy =
+    let s, _, _ = D.run policy inst in
+    s
+  in
+  let s_opt = fst (spt.PR.run inst) in
+  let s_ref = schedule_of SR.greedy_spt in
   if
     Sched_model.Serialize.schedule_to_string s_opt
     <> Sched_model.Serialize.schedule_to_string s_ref
@@ -365,9 +355,9 @@ let run_regression out_path =
   end;
   let events = count_events s_opt in
   let t_opt = best_of reps (fun () -> ignore (spt.PR.run inst)) in
-  let t_ref = best_of 1 (fun () -> ignore (D.run_schedule SR.greedy_spt inst)) in
+  let t_ref = best_of 1 (fun () -> ignore (D.run SR.greedy_spt inst)) in
   let gc_opt = gc_of (fun () -> ignore (spt.PR.run inst)) in
-  let gc_ref = gc_of (fun () -> ignore (D.run_schedule SR.greedy_spt inst)) in
+  let gc_ref = gc_of (fun () -> ignore (D.run SR.greedy_spt inst)) in
   let speedup = t_ref /. t_opt in
   Printf.printf
     "  driver events (greedy-spt, n=%d m=%d): indexed %.0f ev/s, seed scans %.0f ev/s, speedup %.1fx\n%!"
@@ -382,7 +372,7 @@ let run_regression out_path =
      against the seed scans.  One instrumented run's counter snapshot is
      embedded in the JSON baseline below. *)
   let obs = Sched_obs.Obs.timed () in
-  let s_tel = D.run_schedule ~obs Sched_baselines.Greedy_dispatch.spt inst in
+  let s_tel, _, _ = D.run ~obs Sched_baselines.Greedy_dispatch.spt inst in
   if
     Sched_model.Serialize.schedule_to_string s_tel
     <> Sched_model.Serialize.schedule_to_string s_opt
@@ -392,11 +382,11 @@ let run_regression out_path =
   end;
   let t_tel =
     best_of reps (fun () ->
-        ignore (D.run_schedule ~obs:(Sched_obs.Obs.timed ()) Sched_baselines.Greedy_dispatch.spt inst))
+        ignore (D.run ~obs:(Sched_obs.Obs.timed ()) Sched_baselines.Greedy_dispatch.spt inst))
   in
   let gc_tel =
     gc_of (fun () ->
-        ignore (D.run_schedule ~obs:(Sched_obs.Obs.timed ()) Sched_baselines.Greedy_dispatch.spt inst))
+        ignore (D.run ~obs:(Sched_obs.Obs.timed ()) Sched_baselines.Greedy_dispatch.spt inst))
   in
   let tel_speedup = t_ref /. t_tel in
   Printf.printf
@@ -404,28 +394,14 @@ let run_regression out_path =
     (float_of_int events /. t_tel)
     (t_tel /. t_opt) tel_speedup;
 
-  (* 3a'': the flat (struct-of-arrays) core against the boxed reference
-     core on the same burst workload — the PR-6 tentpole.  Three checks:
-     the schedules are byte-identical, the flat core clears 2x the
-     events/sec recorded in BENCH_pr4.json, and the steady state stays
-     under an allocations-per-event ceiling read back from the driver's
-     own [Gc.minor_words] loop counters. *)
-  let flat_run impl () =
-    ignore (D.run_schedule ~impl Sched_baselines.Greedy_dispatch.spt inst)
-  in
-  let s_boxed = D.run_schedule ~impl:D.Boxed Sched_baselines.Greedy_dispatch.spt inst in
-  let s_flat = D.run_schedule ~impl:D.Flat Sched_baselines.Greedy_dispatch.spt inst in
-  if
-    Sched_model.Serialize.schedule_to_canonical_string s_flat
-    <> Sched_model.Serialize.schedule_to_canonical_string s_boxed
-  then begin
-    prerr_endline "FAIL: flat core diverges from the boxed core on the burst instance";
-    exit 1
-  end;
-  let t_flat = best_of reps (flat_run D.Flat) in
-  let t_boxed = best_of reps (flat_run D.Boxed) in
-  let gc_flat = gc_of (flat_run D.Flat) in
-  let gc_boxed = gc_of (flat_run D.Boxed) in
+  (* 3a'': the flat (struct-of-arrays) core on the same burst workload.
+     Two gates: it clears 2x the events/sec recorded in BENCH_pr4.json,
+     and the steady state stays under an allocations-per-event ceiling
+     read back from the driver's own [Gc.minor_words] loop counters. *)
+  let flat_run () = ignore (D.run Sched_baselines.Greedy_dispatch.spt inst) in
+  let s_flat = schedule_of Sched_baselines.Greedy_dispatch.spt in
+  let t_flat = best_of reps flat_run in
+  let gc_flat = gc_of flat_run in
   let flat_eps = float_of_int events /. t_flat in
   (* The PR-4 recorded throughput this PR promises to double.  Read from
      the checked-in baseline; the literal is the recorded value, kept as
@@ -445,7 +421,7 @@ let run_regression out_path =
      words and the event count as counters. *)
   let flat_registry = Sched_obs.Registry.create () in
   let flat_obs = Sched_obs.Obs.create ~registry:flat_registry () in
-  ignore (D.run_schedule ~obs:flat_obs ~impl:D.Flat Sched_baselines.Greedy_dispatch.spt inst);
+  ignore (D.run ~obs:flat_obs Sched_baselines.Greedy_dispatch.spt inst);
   let counter name =
     Sched_obs.Metric.Counter.value (Sched_obs.Registry.counter flat_registry name)
   in
@@ -459,13 +435,8 @@ let run_regression out_path =
      still catches any real regression.  dune runtest pins tighter
      gates (80/100) on bare-loop instances. *)
   let allocs_per_event_gate = 160.0 in
-  Printf.printf
-    "  flat core: %.0f ev/s (boxed core %.0f ev/s), %.2fx over PR-4 baseline %.0f ev/s, %.1f \
-     words/event\n\
-     %!"
-    flat_eps
-    (float_of_int events /. t_boxed)
-    flat_gain pr4_indexed_events_per_sec allocs_per_event;
+  Printf.printf "  flat core: %.0f ev/s, %.2fx over PR-4 baseline %.0f ev/s, %.1f words/event\n%!"
+    flat_eps flat_gain pr4_indexed_events_per_sec allocs_per_event;
 
   (* 3a''': the flat core with the flight recorder attached — the PR-8
      tentpole.  Two measurements share one forensics-grade ring (4096
@@ -484,7 +455,7 @@ let run_regression out_path =
        rides here. *)
   let recorder = Sched_obs.Recorder.create ~capacity:4096 () in
   let recorder_capacity = Sched_obs.Recorder.capacity recorder in
-  let s_rec = D.run_schedule ~recorder ~impl:D.Flat Sched_baselines.Greedy_dispatch.spt inst in
+  let s_rec, _, _ = D.run ~recorder Sched_baselines.Greedy_dispatch.spt inst in
   if
     Sched_model.Serialize.schedule_to_canonical_string s_rec
     <> Sched_model.Serialize.schedule_to_canonical_string s_flat
@@ -499,18 +470,18 @@ let run_regression out_path =
   let rec_reps = max reps 7 in
   let t_norec = ref infinity and t_rec = ref infinity in
   for _ = 1 to rec_reps do
-    let dt_off = best_of 1 (flat_run D.Flat) in
+    let dt_off = best_of 1 flat_run in
     if dt_off < !t_norec then t_norec := dt_off;
     let dt_on =
       best_of 1 (fun () ->
-          ignore (D.run_schedule ~recorder ~impl:D.Flat Sched_baselines.Greedy_dispatch.spt inst))
+          ignore (D.run ~recorder Sched_baselines.Greedy_dispatch.spt inst))
     in
     if dt_on < !t_rec then t_rec := dt_on
   done;
   let t_norec = !t_norec and t_rec = !t_rec in
   let gc_rec_on =
     gc_of (fun () ->
-        ignore (D.run_schedule ~recorder ~impl:D.Flat Sched_baselines.Greedy_dispatch.spt inst))
+        ignore (D.run ~recorder Sched_baselines.Greedy_dispatch.spt inst))
   in
   let rec_overhead_spt = t_rec /. t_norec in
   Printf.printf
@@ -528,10 +499,10 @@ let run_regression out_path =
      flaking both directions (ratios 0.92-1.25 for identical code) on a
      busy host. *)
   let fr_gate = Option.get (PR.find "flow-reject") in
-  let fr_off () = ignore (fr_gate.PR.run_impl ~impl:D.Flat ~check:false inst) in
-  let fr_on () = ignore (fr_gate.PR.run_impl ~recorder ~impl:D.Flat ~check:false inst) in
-  let s_fr_off = fst (fr_gate.PR.run_impl ~impl:D.Flat ~check:false inst) in
-  let s_fr_on = fst (fr_gate.PR.run_impl ~recorder ~impl:D.Flat ~check:false inst) in
+  let fr_off () = ignore (fr_gate.PR.run inst) in
+  let fr_on () = ignore (fr_gate.PR.run ~recorder inst) in
+  let s_fr_off = fst (fr_gate.PR.run inst) in
+  let s_fr_on = fst (fr_gate.PR.run ~recorder inst) in
   if
     Sched_model.Serialize.schedule_to_canonical_string s_fr_on
     <> Sched_model.Serialize.schedule_to_canonical_string s_fr_off
@@ -568,45 +539,6 @@ let run_regression out_path =
     (float_of_int fr_gate_events /. !t_fr_rec)
     (float_of_int fr_gate_events /. !t_fr_norec)
     rec_overhead rec_pairs;
-
-  (* Secondary (non-gating): flow-reject, whose lambda pass is O(m k) on
-     both sides — the index only accelerates dispatch/select/accounting. *)
-  let fr = Option.get (PR.find "flow-reject") in
-  let fr_inst = burst_instance ~n:(if quick then 3_000 else 10_000) ~m ~seed:11 in
-  let t_fr_opt = best_of 1 (fun () -> ignore (fr.PR.run fr_inst)) in
-  let t_fr_ref =
-    best_of 1 (fun () ->
-        ignore (D.run_schedule (SR.flow_reject (Rejection.Flow_reject.config ~eps:PR.eps ())) fr_inst))
-  in
-  Printf.printf "  flow-reject (n=%d): indexed %.3f s, seed scans %.3f s, speedup %.1fx\n%!"
-    (Sched_model.Instance.n fr_inst) t_fr_opt t_fr_ref (t_fr_ref /. t_fr_opt);
-
-  (* 3b: end-to-end wall time on the E10-style throughput workload. *)
-  let e2e_inst = make_flow_instance (if quick then 20_000 else 50_000) 16 3 in
-  let module FR = Rejection.Flow_reject in
-  let (_ : Sched_model.Schedule.t * FR.state), t_e2e, gc_e2e =
-    time_gc (fun () -> FR.run (FR.config ~eps:0.25 ()) e2e_inst)
-  in
-  let e2e_n = Sched_model.Instance.n e2e_inst in
-  Printf.printf "  end-to-end flow-reject: %d jobs on 16 machines in %.3f s (%.0f jobs/s)\n%!"
-    e2e_n t_e2e
-    (float_of_int e2e_n /. t_e2e);
-
-  (* 3c: sequential vs Stats.Parallel over a batch of instances. *)
-  let batch =
-    Array.init 8 (fun k -> burst_instance ~n:(if quick then 800 else 2_000) ~m:4 ~seed:(100 + k))
-  in
-  let par_times =
-    List.map
-      (fun domains ->
-        let dt =
-          best_of 1 (fun () ->
-              ignore (Sched_stats.Parallel.map_array ~domains (fun i -> fr.PR.run i) batch))
-        in
-        Printf.printf "  parallel batch (8 runs): domains=%d -> %.3f s\n%!" domains dt;
-        (domains, dt))
-      [ 1; 2; 4 ]
-  in
 
   (* 3e: domain-pool scaling on the experiment suite.  The suite is the
      pool's real workload — run_all fans experiments out as tasks and
@@ -665,93 +597,10 @@ let run_regression out_path =
       widths
   in
 
-  (* 3f: the sharded within-run driver — the PR-9 tentpole.  Three parts.
-
-     (a) Unobservability smoke: every fuzz-corpus case under every
-         registry policy must reproduce the flat core's canonical
-         schedule at S in {1, 2, 4}.  The full differential (bit-equal
-         metrics, recorder rings, oracle on both sides, pooled phase 1)
-         lives in test_shard_differential.ml; the bench repeats the
-         schedule-identity core so a perf-motivated edit cannot ship a
-         divergence past `make bench-check` either.
-
-     (b) Sharded throughput on a cluster-shaped workload — wide (many
-         machines), so the per-arrival phase-1 cost scan is the bulk of
-         the work and sharding has something to parallelize.  S=4 on a
-         4-domain pool against S=1 (no pool, pure sequential tick).
-         The >= 2x gate below only applies on hosts with >= 4
-         recommended domains; elsewhere the figure is recorded.
-
-     (c) The cluster-scale point (n=10^6, m=10^3): the E15 regime at
-         full size.  Memory-gated on MemAvailable and skipped in quick
-         mode; S-identity at this scale is not re-proven (it would
-         double a multi-minute run) — it is the same code path part (a)
-         just proved exhaustively at every shard boundary shape. *)
-  let shard_counts = [ 1; 2; 4 ] in
-  let shard_cases = ref 0 in
-  List.iter
-    (fun (c : Sched_fuzz.Corpus.case) ->
-      let s_inst = c.Sched_fuzz.Corpus.instance in
-      let check = not (Sched_model.Instance.has_deadlines s_inst) in
-      List.iter
-        (fun (e : PR.entry) ->
-          let reference =
-            Sched_model.Serialize.schedule_to_canonical_string
-              (fst (e.PR.run_impl ~impl:D.Flat ~check s_inst))
-          in
-          List.iter
-            (fun s ->
-              incr shard_cases;
-              let sch, _ = e.PR.run_sharded ~check ~shards:s s_inst in
-              if Sched_model.Serialize.schedule_to_canonical_string sch <> reference then begin
-                Printf.eprintf "FAIL: sharded %s diverges from the flat core on %s at shards=%d\n%!"
-                  e.PR.name c.Sched_fuzz.Corpus.name s;
-                exit 1
-              end)
-            shard_counts)
-        PR.all)
-    (Sched_fuzz.Corpus.seeds ());
-  Printf.printf
-    "  sharded byte-identity: %d corpus x policy x S runs identical to the flat core\n%!"
-    !shard_cases;
-  let cl_n = if quick then 4_000 else 40_000 and cl_m = if quick then 64 else 512 in
-  let cl_inst =
-    Sched_workload.Gen.instance (Sched_workload.Suite.flow_uniform ~n:cl_n ~m:cl_m) ~seed:11
-  in
-  let fr_sh = Option.get (PR.find "flow-reject") in
-  let shard_reps = if quick then 1 else 2 in
-  let s_cl1, _ = fr_sh.PR.run_sharded ~check:false ~shards:1 cl_inst in
-  let cl_events = count_events s_cl1 in
-  let c_cl1 = Sched_model.Serialize.schedule_to_canonical_string s_cl1 in
-  let t_s1 =
-    best_of shard_reps (fun () -> ignore (fr_sh.PR.run_sharded ~check:false ~shards:1 cl_inst))
-  in
-  let gc_s1 = gc_of (fun () -> ignore (fr_sh.PR.run_sharded ~check:false ~shards:1 cl_inst)) in
-  let t_s4, gc_s4 =
-    Sched_stats.Pool.with_pool ~domains:4 (fun pool ->
-        let s_cl4, _ = fr_sh.PR.run_sharded ~pool ~check:false ~shards:4 cl_inst in
-        if Sched_model.Serialize.schedule_to_canonical_string s_cl4 <> c_cl1 then begin
-          Printf.eprintf "FAIL: cluster workload diverges at shards=4 on a 4-domain pool\n%!";
-          exit 1
-        end;
-        let t =
-          best_of shard_reps (fun () ->
-              ignore (fr_sh.PR.run_sharded ~pool ~check:false ~shards:4 cl_inst))
-        in
-        let gc =
-          gc_of (fun () -> ignore (fr_sh.PR.run_sharded ~pool ~check:false ~shards:4 cl_inst))
-        in
-        (t, gc))
-  in
-  let shard_speedup = t_s1 /. t_s4 in
-  Printf.printf
-    "  sharded cluster workload (flow-reject, n=%d m=%d): S=1 %.0f ev/s, S=4 on 4 domains %.0f \
-     ev/s, speedup %.2fx\n\
-     %!"
-    cl_n cl_m
-    (float_of_int cl_events /. t_s1)
-    (float_of_int cl_events /. t_s4)
-    shard_speedup;
+  (* 3f: the cluster-scale point (n=10^6, m=10^3): flow-reject at full
+     size on the sequential core.  Memory-gated on MemAvailable and
+     skipped in quick mode. *)
+  let fr_cl = Option.get (PR.find "flow-reject") in
   let cluster_mem_need_gib = 34. in
   let mem_gib = mem_available_gib () in
   let cluster_point =
@@ -767,22 +616,16 @@ let run_regression out_path =
             Sched_workload.Gen.instance (Sched_workload.Suite.flow_uniform ~n:cn ~m:cm) ~seed:11)
       in
       let lb = (Sched_baselines.Lower_bounds.volume big_inst).Sched_baselines.Lower_bounds.value in
-      let pool_domains = min 4 recommended in
-      let (big_sched, big_live), t_big, gc_big =
-        Sched_stats.Pool.with_pool ~domains:pool_domains (fun pool ->
-            time_gc (fun () -> fr_sh.PR.run_sharded ~pool ~check:false ~shards:4 big_inst))
-      in
+      let (big_sched, big_live), t_big, gc_big = time_gc (fun () -> fr_cl.PR.run big_inst) in
       let big_events = count_events big_sched in
       let ratio = big_live.D.flow.Sched_model.Metrics.total_with_rejected /. lb in
       let rej_pct = 100. *. big_live.D.rejection.Sched_model.Metrics.fraction in
       Printf.printf
-        "  cluster-scale point: gen %.1f s, run %.1f s (%.0f ev/s, %d domains), ratio %.3f, \
-         rejected %.1f%%\n\
-         %!"
+        "  cluster-scale point: gen %.1f s, run %.1f s (%.0f ev/s), ratio %.3f, rejected %.1f%%\n%!"
         t_gen t_big
         (float_of_int big_events /. t_big)
-        pool_domains ratio rej_pct;
-      Ok (cn, cm, t_gen, t_big, gc_big, big_events, ratio, rej_pct, pool_domains)
+        ratio rej_pct;
+      Ok (cn, cm, t_gen, t_big, gc_big, big_events, ratio, rej_pct)
     end
   in
   (match cluster_point with
@@ -805,7 +648,7 @@ let run_regression out_path =
 
      (b) Session overhead: the same flow-uniform workload through the
          batch entry point and through a chunked session.  The session
-         is run_flat's event loop behind a feed/drain surface, so the
+         is the batch run's event loop behind a feed/drain surface, so the
          gap is the price of the incremental surface itself (bounded
          drains, horizon checks, fed-list upkeep) — recorded, not
          gated.
@@ -843,7 +686,7 @@ let run_regression out_path =
           let s_inst = c.Sched_fuzz.Corpus.instance in
           let reference =
             Sched_model.Serialize.schedule_to_canonical_string
-              (fst (e.PR.run_impl ~impl:D.Flat ~check:false s_inst))
+              (fst (e.PR.run s_inst))
           in
           List.iter
             (fun chunk ->
@@ -875,11 +718,11 @@ let run_regression out_path =
     Sched_workload.Gen.instance (Sched_workload.Suite.flow_uniform ~n:so_n ~m:so_m) ~seed:13
   in
   let fr_st = Option.get (PR.find "flow-reject") in
-  let so_sched, _ = fr_st.PR.run_impl ~impl:D.Flat ~check:false so_inst in
+  let so_sched, _ = fr_st.PR.run so_inst in
   let so_events = count_events so_sched in
   let c_so = Sched_model.Serialize.schedule_to_canonical_string so_sched in
   let t_so_batch =
-    best_of reps (fun () -> ignore (fr_st.PR.run_impl ~impl:D.Flat ~check:false so_inst))
+    best_of reps (fun () -> ignore (fr_st.PR.run so_inst))
   in
   let stream_once () =
     let s =
@@ -984,7 +827,7 @@ let run_regression out_path =
 
   (* JSON baseline. *)
   Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"pr\": \"pr10\",\n";
+  Printf.bprintf buf "  \"pr\": \"pr12\",\n";
   Printf.bprintf buf "  \"quick\": %b,\n" quick;
   Printf.bprintf buf "  \"driver_event_microbench\": {\n";
   Printf.bprintf buf "    \"policy\": \"greedy-spt\",\n";
@@ -1008,16 +851,12 @@ let run_regression out_path =
   Printf.bprintf buf "    \"policy\": \"greedy-spt\",\n";
   Printf.bprintf buf "    \"events\": %d,\n" events;
   Printf.bprintf buf "    \"flat_seconds\": %.6f,\n" t_flat;
-  Printf.bprintf buf "    \"boxed_seconds\": %.6f,\n" t_boxed;
   Printf.bprintf buf "    \"flat_events_per_sec\": %.1f,\n" flat_eps;
   bprintf_gc buf ~indent:"    " ~key:"flat_gc" gc_flat;
-  Printf.bprintf buf "    \"boxed_events_per_sec\": %.1f,\n" (float_of_int events /. t_boxed);
-  bprintf_gc buf ~indent:"    " ~key:"boxed_gc" gc_boxed;
   Printf.bprintf buf "    \"pr4_baseline_events_per_sec\": %.1f,\n" pr4_indexed_events_per_sec;
   Printf.bprintf buf "    \"gain_vs_pr4_baseline\": %.3f,\n" flat_gain;
   Printf.bprintf buf "    \"allocs_per_event\": %.2f,\n" allocs_per_event;
-  Printf.bprintf buf "    \"allocs_per_event_gate\": %.1f,\n" allocs_per_event_gate;
-  Printf.bprintf buf "    \"byte_identical\": true\n  },\n";
+  Printf.bprintf buf "    \"allocs_per_event_gate\": %.1f\n  },\n" allocs_per_event_gate;
   Printf.bprintf buf "  \"recorder\": {\n";
   Printf.bprintf buf "    \"ring_capacity\": %d,\n" recorder_capacity;
   Printf.bprintf buf "    \"spt_informational\": {\n";
@@ -1046,11 +885,6 @@ let run_regression out_path =
   Printf.bprintf buf "      \"overhead_ratio\": %.4f,\n" rec_overhead;
   Printf.bprintf buf "      \"overhead_gate\": %.2f\n    },\n" rec_overhead_gate;
   Printf.bprintf buf "    \"byte_identical\": true\n  },\n";
-  Printf.bprintf buf "  \"flow_reject_microbench\": {\n";
-  Printf.bprintf buf "    \"n\": %d,\n" (Sched_model.Instance.n fr_inst);
-  Printf.bprintf buf "    \"indexed_seconds\": %.6f,\n" t_fr_opt;
-  Printf.bprintf buf "    \"seed_scan_seconds\": %.6f,\n" t_fr_ref;
-  Printf.bprintf buf "    \"speedup\": %.3f\n  },\n" (t_fr_ref /. t_fr_opt);
   Printf.bprintf buf "  \"fuzz_preflight\": {\n";
   Printf.bprintf buf "    \"budget\": %d,\n" fuzz_budget;
   Printf.bprintf buf "    \"evaluated\": %d,\n" fuzz_head.Sched_fuzz.Fuzz.evaluated;
@@ -1059,21 +893,6 @@ let run_regression out_path =
   Printf.bprintf buf "    \"widths\": \"%s\",\n"
     (String.concat "," (List.map string_of_int fuzz_widths));
   Printf.bprintf buf "    \"byte_identical\": true\n  },\n";
-  Printf.bprintf buf "  \"end_to_end\": {\n";
-  Printf.bprintf buf "    \"policy\": \"flow-reject\",\n";
-  Printf.bprintf buf "    \"n\": %d,\n    \"m\": 16,\n" e2e_n;
-  Printf.bprintf buf "    \"wall_seconds\": %.6f,\n" t_e2e;
-  Printf.bprintf buf "    \"jobs_per_sec\": %.1f,\n" (float_of_int e2e_n /. t_e2e);
-  bprintf_gc buf ~indent:"    " ~key:"gc" gc_e2e;
-  Printf.bprintf buf "    \"gc_note\": \"gc deltas are Gc.quick_stat on the submitting domain\"\n  },\n";
-  Printf.bprintf buf "  \"parallel_batch\": {\n";
-  Printf.bprintf buf "    \"runs\": 8,\n";
-  List.iteri
-    (fun k (domains, dt) ->
-      Printf.bprintf buf "    \"domains_%d_seconds\": %.6f%s\n" domains dt
-        (if k = List.length par_times - 1 then "" else ","))
-    par_times;
-  Buffer.add_string buf "  },\n";
   Printf.bprintf buf "  \"pool_scaling\": {\n";
   Printf.bprintf buf "    \"suite\": \"%s\",\n" (String.concat "," suite_ids);
   Printf.bprintf buf "    \"recommended_domains\": %d,\n" recommended;
@@ -1092,44 +911,23 @@ let run_regression out_path =
     "    \"regression_note\": \"BENCH_pr6.json recorded domains_4 at 496278 ev/s vs 1085708 ev/s \
      sequential on this suite.  The gc fields (submitting-domain Gc.quick_stat deltas) attribute \
      the within-run gap to per-seed tasks too small to amortize submission while every extra \
-     domain multiplies minor-heap pressure — not to slower code.  The sharded section \
-     parallelizes inside one run instead of across seeds, which is the fix for this regime.\",\n";
+     domain multiplies minor-heap pressure — not to slower code.\",\n";
   Printf.bprintf buf "    \"byte_identical\": true\n  },\n";
-  Printf.bprintf buf "  \"sharded\": {\n";
-  Printf.bprintf buf "    \"identity_runs\": %d,\n" !shard_cases;
-  Printf.bprintf buf "    \"shard_counts\": \"%s\",\n"
-    (String.concat "," (List.map string_of_int shard_counts));
-  Printf.bprintf buf "    \"byte_identical\": true,\n";
-  Printf.bprintf buf "    \"cluster\": {\n";
-  Printf.bprintf buf "      \"policy\": \"flow-reject\",\n";
-  Printf.bprintf buf "      \"n\": %d,\n      \"m\": %d,\n      \"events\": %d,\n" cl_n cl_m
-    cl_events;
-  Printf.bprintf buf "      \"seq_seconds\": %.6f,\n" t_s1;
-  Printf.bprintf buf "      \"seq_events_per_sec\": %.1f,\n" (float_of_int cl_events /. t_s1);
-  bprintf_gc buf ~indent:"      " ~key:"seq_gc" gc_s1;
-  Printf.bprintf buf "      \"s4_seconds\": %.6f,\n" t_s4;
-  Printf.bprintf buf "      \"s4_events_per_sec\": %.1f,\n" (float_of_int cl_events /. t_s4);
-  bprintf_gc buf ~indent:"      " ~key:"s4_gc" gc_s4;
-  Printf.bprintf buf "      \"speedup\": %.3f,\n" shard_speedup;
-  Printf.bprintf buf "      \"speedup_gate\": 2.0,\n";
-  Printf.bprintf buf "      \"gated\": %b\n    },\n" (recommended >= 4);
   (match cluster_point with
   | Error reason ->
-      Printf.bprintf buf
-        "    \"cluster_scale_point\": { \"skipped\": true, \"reason\": \"%s\" }\n" reason
-  | Ok (cn, cm, t_gen, t_big, gc_big, big_events, ratio, rej_pct, pool_domains) ->
-      Printf.bprintf buf "    \"cluster_scale_point\": {\n";
-      Printf.bprintf buf "      \"policy\": \"flow-reject\",\n";
-      Printf.bprintf buf "      \"n\": %d,\n      \"m\": %d,\n      \"shards\": 4,\n" cn cm;
-      Printf.bprintf buf "      \"pool_domains\": %d,\n" pool_domains;
-      Printf.bprintf buf "      \"gen_seconds\": %.3f,\n" t_gen;
-      Printf.bprintf buf "      \"run_seconds\": %.3f,\n" t_big;
-      Printf.bprintf buf "      \"events\": %d,\n" big_events;
-      Printf.bprintf buf "      \"events_per_sec\": %.1f,\n" (float_of_int big_events /. t_big);
-      bprintf_gc buf ~indent:"      " ~key:"gc" gc_big;
-      Printf.bprintf buf "      \"ratio_vs_volume_lb\": %.4f,\n" ratio;
-      Printf.bprintf buf "      \"rejected_pct\": %.2f\n    }\n" rej_pct);
-  Printf.bprintf buf "  },\n";
+      Printf.bprintf buf "  \"cluster_scale_point\": { \"skipped\": true, \"reason\": \"%s\" },\n"
+        reason
+  | Ok (cn, cm, t_gen, t_big, gc_big, big_events, ratio, rej_pct) ->
+      Printf.bprintf buf "  \"cluster_scale_point\": {\n";
+      Printf.bprintf buf "    \"policy\": \"flow-reject\",\n";
+      Printf.bprintf buf "    \"n\": %d,\n    \"m\": %d,\n" cn cm;
+      Printf.bprintf buf "    \"gen_seconds\": %.3f,\n" t_gen;
+      Printf.bprintf buf "    \"run_seconds\": %.3f,\n" t_big;
+      Printf.bprintf buf "    \"events\": %d,\n" big_events;
+      Printf.bprintf buf "    \"events_per_sec\": %.1f,\n" (float_of_int big_events /. t_big);
+      bprintf_gc buf ~indent:"    " ~key:"gc" gc_big;
+      Printf.bprintf buf "    \"ratio_vs_volume_lb\": %.4f,\n" ratio;
+      Printf.bprintf buf "    \"rejected_pct\": %.2f\n  },\n" rej_pct);
   Printf.bprintf buf "  \"streaming\": {\n";
   Printf.bprintf buf "    \"identity_runs\": %d,\n" !stream_cases;
   Printf.bprintf buf "    \"chunk_sizes\": \"1,7\",\n";
@@ -1171,8 +969,8 @@ let run_regression out_path =
   close_out oc;
   Printf.printf "  wrote %s\n%!" out_path;
 
-  (* 3d: compare against the newest previous baseline (BENCH_*.json other
-     than the file just written, newest by name — the PR number sorts).
+  (* 3d: compare against the newest previous baseline (the BENCH_prN.json
+     with the largest N other than the file just written).
      Skipped in quick mode and against quick-mode baselines: those wall
      times are not comparable.  A >2x throughput drop fails the check. *)
   (match newest_baseline ~excluding:out_path with
@@ -1272,34 +1070,6 @@ let run_regression out_path =
   Printf.printf "  PASS: width-1 pool overhead %.2fx <= 2x sequential; tables and telemetry \
                  byte-identical at every width\n%!"
     (t_pool1 /. t_suite_seq);
-  (* Sharded gate: within-run sharding at S=4 on a 4-domain pool must
-     halve the sequential tick's wall time on the cluster-shaped
-     workload — but only where 4 cores exist to halve it with.  On
-     narrower hosts (this includes single-core CI runners, where the
-     4-domain pool is pure oversubscription) the measured figure is
-     recorded in the JSON and the gate reports itself skipped.
-     Byte-identity at every S was already enforced above, fail-fast. *)
-  if recommended >= 4 then
-    if shard_speedup < 2.0 then begin
-      Printf.eprintf "FAIL: sharded S=4 speedup %.2fx is below the 2x gate (%.0f ev/s vs %.0f \
-                      ev/s sequential)\n\
-                      %!"
-        shard_speedup
-        (float_of_int cl_events /. t_s4)
-        (float_of_int cl_events /. t_s1);
-      exit 1
-    end
-    else
-      Printf.printf "  PASS: sharded S=4 speedup %.1fx >= 2x gate (%d identity runs byte-identical)\n%!"
-        shard_speedup !shard_cases
-  else
-    Printf.printf
-      "  (sharded 2x gate skipped: host has %d recommended domain%s; measured %.2fx, %d identity \
-       runs byte-identical)\n\
-       %!"
-      recommended
-      (if recommended = 1 then "" else "s")
-      shard_speedup !shard_cases;
   (* Streaming gates.  Byte-identity and metric-identity were enforced
      fail-fast above; here the resident-memory claim: the retire-mode
      stream's peak live words per fed job must stay under an absolute
@@ -1343,7 +1113,7 @@ let () =
             List.filter (fun a -> not (String.length a > 0 && a.[0] = '-')) (List.tl argv)
           with
           | [ path ] -> path
-          | _ -> "BENCH_pr10.json")
+          | _ -> "BENCH_pr12.json")
     in
     run_regression out
   else begin

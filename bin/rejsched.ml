@@ -63,37 +63,6 @@ let apply_domains = function
       if d < 1 then invalid_arg (Printf.sprintf "--domains must be >= 1 (got %d)" d);
       Sched_stats.Pool.set_default_domains d
 
-let shards_arg =
-  Arg.(value & opt (some int) None
-       & info [ "shards" ] ~docv:"S"
-           ~doc:"Run the sharded within-run driver with S machine shards (deterministic \
-                 two-phase tick; schedules and metrics are byte-identical for every S).  \
-                 Phase-1 dispatch proposals run on the domain pool when S > 1; see --domains.")
-
-let validate_shards = function
-  | Some s when s < 1 -> invalid_arg (Printf.sprintf "--shards must be >= 1 (got %d)" s)
-  | v -> v
-
-let impl_arg =
-  Arg.(
-    value
-    & vflag None
-        [
-          ( Some Sched_sim.Driver.Flat,
-            info [ "flat" ]
-              ~doc:"Run on the flat (struct-of-arrays) driver core.  The default." );
-          ( Some Sched_sim.Driver.Boxed,
-            info [ "no-flat" ]
-              ~doc:"Run on the boxed reference driver core instead of the flat one — the \
-                    escape hatch for bisecting a suspected flat-core divergence.  Schedules, \
-                    traces and metrics are byte-identical on both cores; only throughput \
-                    differs." );
-        ])
-
-let apply_impl = function
-  | None -> ()
-  | Some impl -> Sched_sim.Driver.set_default_impl impl
-
 let sizes_arg =
   let names = List.map fst Suite.dist_menu in
   let doc = "Override the workload's size distribution: " ^ String.concat ", " names ^ "." in
@@ -162,10 +131,8 @@ let run_cmd =
                    schema-tagged object per event), or to stdout when FILE is '-'.")
   in
   let action policy workload n m seed eps csv gantt svg load swf save segments sizes telemetry
-      trace_ndjson domains shards impl =
+      trace_ndjson domains =
     apply_domains domains;
-    let shards = validate_shards shards in
-    apply_impl impl;
     let gen = apply_sizes (workload_of_name ~n ~m workload) sizes in
     let inst =
       match (load, swf) with
@@ -188,42 +155,23 @@ let run_cmd =
     let trace = match trace_ndjson with None -> None | Some _ -> Some (Sched_sim.Trace.create ()) in
     let module FR = Rejection.Flow_reject in
     let module GD = Sched_baselines.Greedy_dispatch in
+    let schedule_of p =
+      let sch, _, _ = Sched_sim.Driver.run ?trace ?obs p inst in
+      sch
+    in
     let schedule =
-      match shards with
-      | None -> (
-          match policy with
-          | "thm1" -> fst (FR.run ?trace ?obs (FR.config ~eps ()) inst)
-          | "thm1-rule1" -> fst (FR.run ?trace ?obs (FR.config ~eps ~rule2:false ()) inst)
-          | "thm1-rule2" -> fst (FR.run ?trace ?obs (FR.config ~eps ~rule1:false ()) inst)
-          | "fifo" -> Sched_sim.Driver.run_schedule ?trace ?obs GD.fifo inst
-          | "spt" -> Sched_sim.Driver.run_schedule ?trace ?obs GD.spt inst
-          | "immediate" ->
-              Sched_sim.Driver.run_schedule ?trace ?obs
-                (Sched_baselines.Immediate_reject.policy ~eps
-                   (Sched_baselines.Immediate_reject.Largest_over 2.))
-                inst
-          | "esa" -> Sched_baselines.Speed_augmented.run ?trace ?obs ~eps_s:0.5 ~eps_r:eps inst
-          | other -> invalid_arg (Printf.sprintf "unknown policy %S" other))
-      | Some s -> (
-          let sharded ?hooks p =
-            let sch, _, _ =
-              Sched_sim.Driver.run_sharded ?trace ?obs ?hooks
-                ~pool:(Sched_stats.Pool.default ()) ~shards:s p inst
-            in
-            sch
-          in
-          match policy with
-          | "thm1" -> sharded ~hooks:FR.hooks (FR.policy (FR.config ~eps ()))
-          | "thm1-rule1" -> sharded ~hooks:FR.hooks (FR.policy (FR.config ~eps ~rule2:false ()))
-          | "thm1-rule2" -> sharded ~hooks:FR.hooks (FR.policy (FR.config ~eps ~rule1:false ()))
-          | "fifo" -> sharded ~hooks:GD.hooks GD.fifo
-          | "spt" -> sharded ~hooks:GD.hooks GD.spt
-          | "immediate" ->
-              sharded
-                (Sched_baselines.Immediate_reject.policy ~eps
-                   (Sched_baselines.Immediate_reject.Largest_over 2.))
-          | "esa" -> invalid_arg "--shards is not supported with policy \"esa\" (custom runner)"
-          | other -> invalid_arg (Printf.sprintf "unknown policy %S" other))
+      match policy with
+      | "thm1" -> fst (FR.run ?trace ?obs (FR.config ~eps ()) inst)
+      | "thm1-rule1" -> fst (FR.run ?trace ?obs (FR.config ~eps ~rule2:false ()) inst)
+      | "thm1-rule2" -> fst (FR.run ?trace ?obs (FR.config ~eps ~rule1:false ()) inst)
+      | "fifo" -> schedule_of GD.fifo
+      | "spt" -> schedule_of GD.spt
+      | "immediate" ->
+          schedule_of
+            (Sched_baselines.Immediate_reject.policy ~eps
+               (Sched_baselines.Immediate_reject.Largest_over 2.))
+      | "esa" -> Sched_baselines.Speed_augmented.run ?trace ?obs ~eps_s:0.5 ~eps_r:eps inst
+      | other -> invalid_arg (Printf.sprintf "unknown policy %S" other)
     in
     (match (telemetry, obs) with
     | Some target, Some o -> write_output target (Sched_obs.Export.json (Sched_obs.Obs.registry o))
@@ -270,7 +218,7 @@ let run_cmd =
     Term.(
       const action $ policy_arg $ workload_arg $ n_arg $ m_arg $ seed_arg $ eps_arg $ csv_arg
       $ gantt_arg $ svg_arg $ load_arg $ swf_arg $ save_arg $ segments_arg $ sizes_arg
-      $ telemetry_arg $ trace_ndjson_arg $ domains_arg $ shards_arg $ impl_arg)
+      $ telemetry_arg $ trace_ndjson_arg $ domains_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one policy on one synthetic workload and print its metrics.") term
 
@@ -293,9 +241,8 @@ let experiment_cmd =
          & info [ "out" ] ~docv:"DIR"
              ~doc:"Also write every table as a CSV file into DIR (created if missing), plus a MANIFEST.")
   in
-  let action id all quick csv out domains impl =
+  let action id all quick csv out domains =
     apply_domains domains;
-    apply_impl impl;
     let id = if all then "all" else id in
     let manifest = Buffer.create 256 in
     let slugify s =
@@ -361,7 +308,7 @@ let experiment_cmd =
   in
   let term =
     Term.(
-      const action $ id_arg $ all_arg $ quick_arg $ csv_arg $ out_arg $ domains_arg $ impl_arg)
+      const action $ id_arg $ all_arg $ quick_arg $ csv_arg $ out_arg $ domains_arg)
   in
   Cmd.v
     (Cmd.info "experiment"
@@ -380,9 +327,12 @@ let adversary_cmd =
     match game with
     | "flow" ->
         let run_imm inst =
-          Sched_sim.Driver.run_schedule
-            (Sched_baselines.Immediate_reject.policy ~eps Sched_baselines.Immediate_reject.Never)
-            inst
+          let s, _, _ =
+            Sched_sim.Driver.run
+              (Sched_baselines.Immediate_reject.policy ~eps Sched_baselines.Immediate_reject.Never)
+              inst
+          in
+          s
         in
         let run_thm1 inst =
           fst (Rejection.Flow_reject.run (Rejection.Flow_reject.config ~eps ()) inst)
@@ -481,8 +431,7 @@ let fuzz_cmd =
       (Filename.concat dir (Sched_fuzz.Corpus.filename c))
       (fun oc -> Out_channel.output_string oc (Sched_fuzz.Corpus.render c))
   in
-  let action seed budget domains impl telemetry write_corpus write_seed_corpus forensics quiet =
-    apply_impl impl;
+  let action seed budget domains telemetry write_corpus write_seed_corpus forensics quiet =
     apply_domains domains;
     match write_seed_corpus with
     | Some dir ->
@@ -543,7 +492,7 @@ let fuzz_cmd =
   in
   let term =
     Term.(
-      const action $ seed_arg $ budget_arg $ domains_arg $ impl_arg $ telemetry_arg $ write_corpus_arg
+      const action $ seed_arg $ budget_arg $ domains_arg $ telemetry_arg $ write_corpus_arg
       $ write_seed_corpus_arg $ forensics_arg $ quiet_arg)
   in
   Cmd.v
@@ -594,8 +543,7 @@ let trace_cmd =
              ~doc:"Write the Chrome trace_event JSON (load in Perfetto / chrome://tracing) to \
                    FILE, or to stdout when FILE is '-'.")
   in
-  let action policy case load workload n m seed sizes ring_cap last out_ndjson out_chrome impl =
-    apply_impl impl;
+  let action policy case load workload n m seed sizes ring_cap last out_ndjson out_chrome =
     if ring_cap < 1 then begin
       prerr_endline "rejsched: --ring-cap must be >= 1";
       exit 2
@@ -632,9 +580,7 @@ let trace_cmd =
           exit 2
     in
     let recorder = Sched_obs.Recorder.create ~capacity:ring_cap () in
-    ignore
-      (entry.Sched_experiments.Policy_registry.run_impl ~recorder
-         ~impl:(Sched_sim.Driver.default_impl ()) ~check:false inst);
+    ignore (entry.Sched_experiments.Policy_registry.run ~recorder inst);
     let ndjson = Sched_sim.Trace_export.recorder_to_ndjson ?last recorder in
     let chrome = Sched_sim.Perfetto.to_chrome ~machines:(Instance.m inst) recorder in
     (match Sched_sim.Perfetto.validate chrome with
@@ -653,7 +599,7 @@ let trace_cmd =
   let term =
     Term.(
       const action $ policy_arg $ case_arg $ load_arg $ workload_arg $ n_arg $ m_arg $ seed_arg
-      $ sizes_arg $ ring_cap_arg $ last_arg $ out_ndjson_arg $ out_chrome_arg $ impl_arg)
+      $ sizes_arg $ ring_cap_arg $ last_arg $ out_ndjson_arg $ out_chrome_arg)
   in
   Cmd.v
     (Cmd.info "trace"
@@ -933,12 +879,17 @@ let () =
   let info = Cmd.info "rejsched" ~version:"1.0.0" ~doc in
   (* Usage errors raised as Invalid_argument (unknown policy / workload,
      ill-formed policy decisions surfaced by the driver) are user input
-     problems, not crashes: report on stderr and exit 2, no backtrace. *)
+     problems, not crashes: report on stderr and exit 2, no backtrace.
+     Command-line parse errors (unknown flags, ill-typed values) exit 2
+     too, instead of cmdliner's own code. *)
   exit
     (try
-       Cmd.eval ~catch:false
-         (Cmd.group info
-            [ run_cmd; serve_cmd; experiment_cmd; adversary_cmd; fuzz_cmd; trace_cmd; bounds_cmd; gen_cmd; list_cmd ])
+       let code =
+         Cmd.eval ~catch:false
+           (Cmd.group info
+              [ run_cmd; serve_cmd; experiment_cmd; adversary_cmd; fuzz_cmd; trace_cmd; bounds_cmd; gen_cmd; list_cmd ])
+       in
+       if code = Cmd.Exit.cli_error then 2 else code
      with Invalid_argument msg ->
        prerr_endline ("rejsched: " ^ msg);
        2)

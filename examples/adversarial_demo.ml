@@ -25,9 +25,12 @@ let () =
   List.iter
     (fun l ->
       let run_immediate inst =
-        Sched_sim.Driver.run_schedule
-          (Sched_baselines.Immediate_reject.policy ~eps Sched_baselines.Immediate_reject.Never)
-          inst
+        let s, _, _ =
+          Sched_sim.Driver.run
+            (Sched_baselines.Immediate_reject.policy ~eps Sched_baselines.Immediate_reject.Never)
+            inst
+        in
+        s
       in
       let run_thm1 inst =
         fst (Rejection.Flow_reject.run (Rejection.Flow_reject.config ~eps ()) inst)

@@ -17,7 +17,7 @@ let n = 400
 let m = 8
 
 let run_policy policy inst =
-  let s = Sched_sim.Driver.run_schedule policy inst in
+  let s, _, _ = Sched_sim.Driver.run policy inst in
   Schedule.assert_valid ~check_deadlines:false s;
   s
 

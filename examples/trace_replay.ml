@@ -35,8 +35,12 @@ let () =
       ];
     schedule
   in
-  let fifo = run "greedy-fifo" (Sched_sim.Driver.run_schedule Sched_baselines.Greedy_dispatch.fifo inst) in
-  let _spt = run "greedy-spt" (Sched_sim.Driver.run_schedule Sched_baselines.Greedy_dispatch.spt inst) in
+  let schedule_of policy =
+    let s, _, _ = Sched_sim.Driver.run policy inst in
+    s
+  in
+  let fifo = run "greedy-fifo" (schedule_of Sched_baselines.Greedy_dispatch.fifo) in
+  let _spt = run "greedy-spt" (schedule_of Sched_baselines.Greedy_dispatch.spt) in
   let rej =
     run "thm1 eps=0.25"
       (fst (Rejection.Flow_reject.run (Rejection.Flow_reject.config ~eps:0.25 ()) inst))

@@ -126,13 +126,10 @@ let sort_family path =
 (* Heap constructors take their order as a labelled argument; a
    polymorphic comparator there is the same RJL002 hazard as in a sort
    (the simulator's heaps key on floats, where polymorphic compare
-   disagrees with the primitive comparisons the drivers use on NaN and
+   disagrees with the primitive comparisons the driver uses on NaN and
    [-0.]).  Matched with or without the [Pqueue] prefix. *)
 let heap_cmp_label path =
-  match List.rev path with
-  | "create" :: "Indexed" :: _ -> Some "cmp"
-  | "create" :: "Iheap" :: _ -> Some "less"
-  | _ -> None
+  match List.rev path with "create" :: "Iheap" :: _ -> Some "less" | _ -> None
 
 let poly_compare_name = function
   | [ ("compare" | "=" | "<" | ">" | "<=" | ">=" | "<>" | "min" | "max") ] -> true

@@ -4,16 +4,6 @@ open Sched_sim
 let estimated_completion view i (j : Job.t) =
   Driver.remaining_time view i +. Driver.pending_work view i +. Job.size j i
 
-(* Two-phase split for the sharded driver: the cost is the estimated
-   completion time (pure load reads), the resolve just dispatches to the
-   winning machine — both greedy variants are stateless at arrival, so
-   one hooks value serves fifo and spt alike. *)
-let hooks =
-  {
-    Driver.shard_cost = (fun () view i j -> estimated_completion view i j);
-    shard_resolve = (fun () _view _j ~target ~score:_ -> Driver.dispatch target);
-  }
-
 (* [head] picks the next job to serve: one of the driver's O(1) indexed
    head accessors, replacing the seed's linear pending scan. *)
 let make name head =

@@ -14,9 +14,3 @@ val fifo : unit Driver.policy
 val spt : unit Driver.policy
 (** Shortest-processing-time service order (the paper's service order
     without the rejection rules). *)
-
-val hooks : unit Driver.sharded_hooks
-(** Two-phase split for {!Sched_sim.Driver.run_sharded}: the cost is the
-    estimated completion time, the resolve dispatches to the winner.
-    Arrival handling is identical for both variants, so one value serves
-    {!fifo} and {!spt}. *)

@@ -21,6 +21,6 @@ let augment_instance ~factor instance =
 
 let run ~factor instance =
   let augmented = augment_instance ~factor instance in
-  let schedule = Sched_sim.Driver.run_schedule Greedy_dispatch.spt augmented in
+  let schedule, _, _ = Sched_sim.Driver.run Greedy_dispatch.spt augmented in
   Schedule.assert_valid ~check_deadlines:false schedule;
   schedule

@@ -69,7 +69,7 @@ let policy cfg = { Driver.name = "restart-spt"; init = init cfg; on_arrival; sel
 let restarts st = st.total_restarts
 
 let run ?trace cfg instance =
-  let schedule, st = Driver.run ?trace (policy cfg) instance in
+  let schedule, st, _ = Driver.run ?trace (policy cfg) instance in
   Schedule.assert_valid ~allow_restarts:true ~check_deadlines:false schedule;
   (schedule, st)
 

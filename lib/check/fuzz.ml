@@ -27,8 +27,7 @@ let forensics_last = 64
 let capture_forensics (entry : P.entry) inst =
   let recorder = Sched_obs.Recorder.create ~capacity:4096 () in
   (try
-     ignore
-       (entry.P.run_impl ~recorder ~impl:(Sched_sim.Driver.default_impl ()) ~check:false inst)
+     ignore (entry.P.run ~recorder inst)
    with _ -> ());
   Sched_sim.Trace_export.recorder_to_ndjson ~last:forensics_last recorder
 
@@ -62,7 +61,7 @@ let snapshot (lm : Sched_sim.Driver.live_metrics) =
   }
 
 let audit (entry : P.entry) inst =
-  let sched, lm = entry.P.run_live inst in
+  let sched, lm = entry.P.run inst in
   let vs =
     Oracle.check ~mode:(oracle_mode entry) ?budget:entry.P.budget ~live:(snapshot lm) sched
   in
@@ -79,10 +78,12 @@ let check_oracle entry inst =
   match vs with [] -> None | vs -> Some (Oracle.report vs)
 
 let check_permute entry inst =
-  let base = Serialize.schedule_to_string (entry.P.run inst) in
+  let base = Serialize.schedule_to_string (fst (entry.P.run inst)) in
   let permuted =
     Serialize.schedule_to_string
-      (entry.P.run (Sched_workload.Transform.permute_jobs (Sched_stats.Rng.create permute_rng_seed) inst))
+      (fst
+         (entry.P.run
+            (Sched_workload.Transform.permute_jobs (Sched_stats.Rng.create permute_rng_seed) inst)))
   in
   if String.equal base permuted then None
   else Some "schedule depends on job presentation order"
@@ -98,8 +99,8 @@ let check_relabel entry inst =
   end
 
 let check_scale entry inst =
-  let _, lm1 = entry.P.run_live inst in
-  let _, lm2 = entry.P.run_live (Sched_workload.Transform.scale_time 2. inst) in
+  let _, lm1 = entry.P.run inst in
+  let _, lm2 = entry.P.run (Sched_workload.Transform.scale_time 2. inst) in
   let f1 = lm1.Sched_sim.Driver.flow and f2 = lm2.Sched_sim.Driver.flow in
   let r1 = lm1.Sched_sim.Driver.rejection and r2 = lm2.Sched_sim.Driver.rejection in
   if not (rel_close ~tol:1e-6 f2.Metrics.total (2. *. f1.Metrics.total)) then
@@ -125,7 +126,7 @@ let rebatch_patterns =
   [ ("chunk=1", fun _ -> 1); ("chunk=3", fun _ -> 3); ("chunk=1+(k mod 4)", fun k -> 1 + (k mod 4)) ]
 
 let check_rebatch (entry : P.entry) inst =
-  let base = Serialize.schedule_to_string (entry.P.run inst) in
+  let base = Serialize.schedule_to_string (fst (entry.P.run inst)) in
   let jobs = Instance.jobs_by_release inst in
   let n = Array.length jobs in
   List.fold_left

@@ -93,9 +93,10 @@ let ensure st id =
     st.lambda <- nl
   end
 
-(* The sequential tail of [on_arrival]: fix the dual variable and apply
-   the weighted Rule 1; shared with the sharded resolve below. *)
-let commit st view (j : Job.t) ~target ~best =
+let on_arrival st view (j : Job.t) =
+  let target, best =
+    argmin_machine st.instance j (fun i -> lambda_ij st i j (Driver.pending view i))
+  in
   ensure st j.id;
   st.lambda.(j.id) <- st.cfg.eps /. (1. +. st.cfg.eps) *. best;
   let rejections = ref [] in
@@ -109,23 +110,6 @@ let commit st view (j : Job.t) ~target ~best =
       end
   | None -> ());
   { Driver.dispatch_to = target; reject = !rejections; restart = [] }
-
-let on_arrival st view (j : Job.t) =
-  let target, best =
-    argmin_machine st.instance j (fun i -> lambda_ij st i j (Driver.pending view i))
-  in
-  commit st view j ~target ~best
-
-(* Two-phase split for the sharded driver: the cost materializes the
-   machine's pending list ([Driver.pending] reads only the primary SPT
-   order, no lazy wakes) and evaluates the energy-aware lambda; the
-   resolve uses the argmin score as the dual variable and replays the
-   rule tail sequentially. *)
-let hooks =
-  {
-    Driver.shard_cost = (fun st view i j -> lambda_ij st i j (Driver.pending view i));
-    shard_resolve = (fun st view j ~target ~score -> commit st view j ~target ~best:score);
-  }
 
 let select st view i =
   match Driver.pending_densest view i with
@@ -143,4 +127,6 @@ let lambdas st = Array.copy st.lambda
 let rejections st = st.rej
 let gamma_of_machine st i = st.gammas.(i)
 
-let run ?trace cfg instance = Driver.run ?trace (policy cfg) instance
+let run ?trace cfg instance =
+  let schedule, st, _ = Driver.run ?trace (policy cfg) instance in
+  (schedule, st)

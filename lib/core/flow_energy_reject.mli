@@ -41,12 +41,6 @@ type state
 
 val policy : config -> state Driver.policy
 
-val hooks : state Driver.sharded_hooks
-(** Two-phase split for {!Sched_sim.Driver.run_sharded}: the energy-aware
-    [lambda_ij] (materializing the pending list, primary order only) as
-    the parallel cost; the resolve fixes the dual from the argmin score
-    and replays weighted Rule 1 sequentially. *)
-
 val lambdas : state -> float array
 (** Dual variables [lambda_j = eps/(1+eps) min_i lambda_ij], by job id. *)
 

@@ -101,13 +101,18 @@ let ensure st id =
     st.lambda <- nl
   end
 
-(* The sequential tail of [on_arrival]: fix the dual variable and apply
-   the rejection rules, given the argmin machine and its lambda.  Shared
-   verbatim between the plain entry point and the sharded resolve so the
-   two cannot drift. *)
-let commit st view (j : Job.t) ~target ~best_lambda =
-  ensure st j.id;
+let on_arrival st view (j : Job.t) =
   let eps = st.eps_eff in
+  let target, best_lambda =
+    match st.cfg.dispatch with
+    | Dual_lambda -> argmin_machine st.instance j (fun i -> lambda_ij eps view i j)
+    | Greedy_load ->
+        let i, _ = argmin_machine st.instance j (fun i -> greedy_load_cost view i j) in
+        (* The dual variable is defined from lambda_ij regardless of how we
+           dispatched, so the instrumentation stays meaningful in E8. *)
+        (i, snd (argmin_machine st.instance j (fun i -> lambda_ij eps view i j)))
+  in
+  ensure st j.id;
   st.lambda.(j.id) <- eps /. (1. +. eps) *. best_lambda;
   (* Rejection Rule 1: bump the running job's counter. *)
   st.c.(target) <- st.c.(target) + 1;
@@ -130,43 +135,6 @@ let commit st view (j : Job.t) ~target ~best_lambda =
   end;
   { Driver.dispatch_to = target; reject = List.rev !rejections; restart = [] }
 
-let on_arrival st view (j : Job.t) =
-  let eps = st.eps_eff in
-  let target, best_lambda =
-    match st.cfg.dispatch with
-    | Dual_lambda -> argmin_machine st.instance j (fun i -> lambda_ij eps view i j)
-    | Greedy_load ->
-        let i, _ = argmin_machine st.instance j (fun i -> greedy_load_cost view i j) in
-        (* The dual variable is defined from lambda_ij regardless of how we
-           dispatched, so the instrumentation stays meaningful in E8. *)
-        (i, snd (argmin_machine st.instance j (fun i -> lambda_ij eps view i j)))
-  in
-  commit st view j ~target ~best_lambda
-
-(* Two-phase split for the sharded driver.  The cost is the dispatch
-   metric of the configured rule — pure reads of the primary pending
-   order ([pending_iter] / the load accessors), so it is safe to
-   evaluate from parallel shard proposers.  The resolve receives the
-   leftmost strict argmin and replays [on_arrival]'s tail; under
-   [Greedy_load] the dual variable still comes from the lambda argmin,
-   which the resolve recomputes sequentially (it is instrumentation,
-   not dispatch, so it stays out of the parallel phase). *)
-let shard_cost st view i (j : Job.t) =
-  match st.cfg.dispatch with
-  | Dual_lambda -> lambda_ij st.eps_eff view i j
-  | Greedy_load -> greedy_load_cost view i j
-
-let shard_resolve st view (j : Job.t) ~target ~score =
-  let best_lambda =
-    match st.cfg.dispatch with
-    | Dual_lambda -> score
-    | Greedy_load ->
-        snd (argmin_machine st.instance j (fun i -> lambda_ij st.eps_eff view i j))
-  in
-  commit st view j ~target ~best_lambda
-
-let hooks = { Driver.shard_cost; shard_resolve }
-
 let select st view i =
   match Driver.pending_shortest view i with
   | None -> None
@@ -183,4 +151,6 @@ let effective_eps st = st.eps_eff
 let rule1_rejections st = st.rej1
 let rule2_rejections st = st.rej2
 
-let run ?trace ?obs cfg instance = Driver.run ?trace ?obs (policy cfg) instance
+let run ?trace ?obs cfg instance =
+  let schedule, st, _ = Driver.run ?trace ?obs (policy cfg) instance in
+  (schedule, st)

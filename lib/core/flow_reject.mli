@@ -47,14 +47,6 @@ type state
 val policy : config -> state Driver.policy
 (** The online policy, to be run with {!Sched_sim.Driver.run}. *)
 
-val hooks : state Driver.sharded_hooks
-(** Two-phase split for {!Sched_sim.Driver.run_sharded}: the cost is the
-    configured dispatch metric ([lambda_ij] or the greedy load), pure
-    reads of the primary pending order; the resolve replays the
-    sequential tail (dual fix, Rules 1 and 2).  Under [Greedy_load] the
-    resolve recomputes the lambda argmin sequentially for the dual
-    instrumentation. *)
-
 val lambdas : state -> float array
 (** After a run: the dual variables [lambda_j = eps/(1+eps) min_i lambda_ij]
     fixed at each job's arrival (Lemma 4 instrumentation), indexed by job

@@ -76,9 +76,8 @@ let ensure st id =
     st.v <- nv
   end
 
-(* The sequential tail of [on_arrival] given the argmin machine; shared
-   with the sharded resolve below. *)
-let commit st view (j : Job.t) ~target =
+let on_arrival st view (j : Job.t) =
+  let target = argmin_machine st.instance j (fun i -> lambda_ij st.cfg.eps view i j) in
   ensure st j.id;
   let eps = st.cfg.eps in
   st.c.(target) <- st.c.(target) +. j.weight;
@@ -102,19 +101,6 @@ let commit st view (j : Job.t) ~target =
   end;
   { Driver.dispatch_to = target; reject = List.rev !rejections; restart = [] }
 
-let on_arrival st view (j : Job.t) =
-  let target = argmin_machine st.instance j (fun i -> lambda_ij st.cfg.eps view i j) in
-  commit st view j ~target
-
-(* Two-phase split for the sharded driver: the weighted lambda is pure
-   reads of the primary pending order; the resolve ignores the score
-   (no dual instrumentation here) and replays the tail. *)
-let hooks =
-  {
-    Driver.shard_cost = (fun st view i j -> lambda_ij st.cfg.eps view i j);
-    shard_resolve = (fun st view j ~target ~score:_ -> commit st view j ~target);
-  }
-
 let select st view i =
   match Driver.pending_densest view i with
   | None -> None
@@ -126,4 +112,6 @@ let policy cfg = { Driver.name = "flow-reject-weighted"; init = init cfg; on_arr
 
 let rejections st = (st.rej1, st.rej2)
 
-let run ?trace cfg instance = Driver.run ?trace (policy cfg) instance
+let run ?trace cfg instance =
+  let schedule, st, _ = Driver.run ?trace (policy cfg) instance in
+  (schedule, st)

@@ -31,11 +31,6 @@ type state
 
 val policy : config -> state Driver.policy
 
-val hooks : state Driver.sharded_hooks
-(** Two-phase split for {!Sched_sim.Driver.run_sharded}: the weighted
-    [lambda_ij] as the parallel cost, the rule tail as the sequential
-    resolve. *)
-
 val rejections : state -> int * int
 (** (Rule 1w, Rule 2w) counts. *)
 

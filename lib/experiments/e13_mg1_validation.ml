@@ -31,8 +31,8 @@ let run ~obs:_ ~quick =
             Exp_util.mean
               (Exp_util.per_seed ~quick (fun seed ->
                    let inst = Sched_workload.Gen.instance gen ~seed in
-                   let s =
-                     Sched_sim.Driver.run_schedule Sched_baselines.Greedy_dispatch.fifo inst
+                   let s, _, _ =
+                     Sched_sim.Driver.run Sched_baselines.Greedy_dispatch.fifo inst
                    in
                    let f = Metrics.flow s in
                    f.Metrics.total /. float_of_int n))

@@ -3,18 +3,14 @@ open Sched_sim
 module LB = Sched_baselines.Lower_bounds
 module FR = Rejection.Flow_reject
 
-(* E15: the sharded driver at cluster scale.  One instance per point (no
-   seed replication — the instances are the cost), run through
-   [Driver.run_sharded] with the flow-reject hooks; the table reports
-   the empirical ratio against the volume lower bound, the rejection
-   fraction, and an S-unobservability bit: the canonical schedule at
-   S = [shards] must be byte-identical to S = 1 on the same instance.
-   Throughput (events/sec, GC pressure) for these shapes — and the
-   memory-gated n = 10^6 x m = 10^3 point — live in the bench harness
-   (BENCH_pr9.json), not here: experiment tables stay deterministic. *)
+(* E15: flow-reject at cluster scale.  One instance per point (no seed
+   replication — the instances are the cost), run through [Driver.run];
+   the table reports the empirical ratio against the volume lower bound
+   and the rejection fraction.  Throughput (events/sec, GC pressure) for
+   these shapes lives in the bench harness, not here: experiment tables
+   stay deterministic. *)
 
 let eps = 0.25
-let shards = 4
 
 let points ~quick =
   if quick then [ ("uniform", 2_000, 20); ("pareto", 1_000, 16) ]
@@ -28,25 +24,14 @@ let gen name ~n ~m =
 let run ~obs:_ ~quick =
   let table =
     Table.create
-      ~title:
-        (Printf.sprintf
-           "E15: cluster-scale sharded runs (flow-reject, eps=%.2f, S=%d vs S=1)" eps shards)
-      ~columns:[ "workload"; "n"; "m"; "ratio"; "ratio(compl)"; "rej%"; "S-id" ]
+      ~title:(Printf.sprintf "E15: cluster-scale runs (flow-reject, eps=%.2f)" eps)
+      ~columns:[ "workload"; "n"; "m"; "ratio"; "ratio(compl)"; "rej%" ]
   in
   List.iter
     (fun (name, n, m) ->
       let inst = Sched_workload.Gen.instance (gen name ~n ~m) ~seed:11 in
       let lb = (LB.volume inst).LB.value in
-      let run_at shards =
-        Driver.run_sharded ~hooks:FR.hooks ~shards (FR.policy (FR.config ~eps ())) inst
-      in
-      let s_sharded, _, live = run_at shards in
-      let s_seq, _, _ = run_at 1 in
-      let identical =
-        String.equal
-          (Sched_model.Serialize.schedule_to_canonical_string s_sharded)
-          (Sched_model.Serialize.schedule_to_canonical_string s_seq)
-      in
+      let _, _, live = Driver.run (FR.policy (FR.config ~eps ())) inst in
       let open Sched_model in
       Table.add_row table
         [
@@ -56,7 +41,6 @@ let run ~obs:_ ~quick =
           Table.cell_float (live.Driver.flow.Metrics.total_with_rejected /. lb);
           Table.cell_float (live.Driver.flow.Metrics.total /. lb);
           Table.cell_float (100. *. live.Driver.rejection.Metrics.fraction);
-          Table.cell_bool identical;
         ])
     (points ~quick);
   table

@@ -1,12 +1,10 @@
-(** E15 (methodology): the sharded within-run driver at cluster scale.
+(** E15 (methodology): flow-reject at cluster scale.
 
     Single large instances (n up to 5 x 10^4, m up to 128 in full mode)
-    run through {!Sched_sim.Driver.run_sharded} with the flow-reject
-    two-phase hooks at S = 4, reporting the empirical flow-time ratio
-    against the volume lower bound, the rejection fraction, and the
-    S-unobservability bit (canonical schedule at S = 4 byte-identical to
-    S = 1).  Throughput and GC figures for these shapes — and the
-    memory-gated n = 10^6 x m = 10^3 cluster point — are measured by the
-    bench harness, keeping the experiment tables deterministic. *)
+    run through {!Sched_sim.Driver.run}, reporting the empirical
+    flow-time ratio against the volume lower bound (with and without the
+    rejected jobs' flow) and the rejection fraction.  Throughput and GC
+    figures for these shapes are measured by the bench harness, keeping
+    the experiment tables deterministic. *)
 
 val run : obs:Sched_obs.Obs.t option -> quick:bool -> Sched_stats.Table.t list

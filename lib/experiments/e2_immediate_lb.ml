@@ -25,7 +25,10 @@ let run ~obs:_ ~quick =
   in
   List.iter
     (fun l ->
-      let imm h i = Sched_sim.Driver.run_schedule (IR.policy ~eps h) i in
+      let imm h i =
+        let s, _, _ = Sched_sim.Driver.run (IR.policy ~eps h) i in
+        s
+      in
       let rej i = fst (FR.run (FR.config ~eps ()) i) in
       (* Rule 1 (mid-run revocation) alone suffices against this adversary:
          the blocking elephant is the running job. *)

@@ -36,7 +36,7 @@ let mean = function
   | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 
 let run_policy ?obs policy instance =
-  let schedule = Driver.run_schedule ?obs policy instance in
+  let schedule, _, _ = Driver.run ?obs policy instance in
   Schedule.assert_valid ~check_deadlines:false schedule;
   schedule
 

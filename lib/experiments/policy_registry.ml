@@ -23,21 +23,8 @@ type stream_session = {
 type entry = {
   name : string;
   allow_restarts : bool;
-  run : Instance.t -> Schedule.t;
-  run_live : Instance.t -> Schedule.t * Driver.live_metrics;
-  run_impl :
-    ?recorder:Sched_obs.Recorder.t ->
-    impl:Driver.impl ->
-    check:bool ->
-    Instance.t ->
-    Schedule.t * Driver.live_metrics;
-  run_sharded :
-    ?recorder:Sched_obs.Recorder.t ->
-    ?pool:Sched_stats.Pool.t ->
-    check:bool ->
-    shards:int ->
-    Instance.t ->
-    Schedule.t * Driver.live_metrics;
+  run :
+    ?recorder:Sched_obs.Recorder.t -> ?check:bool -> Instance.t -> Schedule.t * Driver.live_metrics;
   open_stream :
     ?trace:Trace.t ->
     ?obs:Sched_obs.Obs.t ->
@@ -65,24 +52,13 @@ let wrap_session s =
     ss_trace = (fun () -> Driver.Session.trace s);
   }
 
-let pack ?reference ?budget ?(allow_restarts = false) ?hooks make_policy name =
+let pack ?reference ?budget ?(allow_restarts = false) make_policy name =
   {
     name;
     allow_restarts;
-    run = (fun instance -> Driver.run_schedule (make_policy ()) instance);
-    run_live =
-      (fun instance ->
-        let s, _, live = Driver.run_live (make_policy ()) instance in
-        (s, live));
-    run_impl =
-      (fun ?recorder ~impl ~check instance ->
-        let s, _, live = Driver.run_live ?recorder ~check ~impl (make_policy ()) instance in
-        (s, live));
-    run_sharded =
-      (fun ?recorder ?pool ~check ~shards instance ->
-        let s, _, live =
-          Driver.run_sharded ?recorder ~check ?hooks ?pool ~shards (make_policy ()) instance
-        in
+    run =
+      (fun ?recorder ?check instance ->
+        let s, _, live = Driver.run ?recorder ?check (make_policy ()) instance in
         (s, live));
     open_stream =
       (fun ?trace ?obs ?recorder ?check ?retire ?name ~machines () ->
@@ -92,7 +68,11 @@ let pack ?reference ?budget ?(allow_restarts = false) ?hooks make_policy name =
     restore_stream =
       (fun ?obs payload -> wrap_session (Driver.Session.thaw ?obs (make_policy ()) payload));
     reference =
-      Option.map (fun mk instance -> Driver.run_schedule (mk ()) instance) reference;
+      Option.map
+        (fun mk instance ->
+          let s, _, _ = Driver.run (mk ()) instance in
+          s)
+        reference;
     budget;
   }
 
@@ -108,34 +88,34 @@ let all =
       (fun () -> FR.policy (FR.config ~eps ()))
       ~reference:(fun () -> B.Seed_reference.flow_reject (FR.config ~eps ()))
       ~budget:(Sched_check.Oracle.Count_fraction (2. *. eps))
-      ~hooks:FR.hooks "flow-reject";
+      "flow-reject";
     pack
       (fun () ->
         FR.policy (FR.config ~dispatch:FR.Greedy_load ~eps ()))
       ~reference:(fun () ->
         B.Seed_reference.flow_reject (FR.config ~dispatch:FR.Greedy_load ~eps ()))
       ~budget:(Sched_check.Oracle.Count_fraction (2. *. eps))
-      ~hooks:FR.hooks "flow-reject-greedy";
+      "flow-reject-greedy";
     pack
       (fun () -> FRW.policy (FRW.config ~eps ()))
       ~reference:(fun () ->
         B.Seed_reference.flow_reject_weighted (FRW.config ~eps ()))
       ~budget:(Sched_check.Oracle.Weight_fraction (2. *. eps))
-      ~hooks:FRW.hooks "flow-reject-weighted";
+      "flow-reject-weighted";
     pack
       (fun () -> FER.policy (FER.config ~eps ()))
       ~reference:(fun () ->
         B.Seed_reference.flow_energy_reject (FER.config ~eps ()))
       ~budget:(Sched_check.Oracle.Weight_fraction eps)
-      ~hooks:FER.hooks "flow-energy-reject";
+      "flow-energy-reject";
     pack
       (fun () -> B.Greedy_dispatch.fifo)
       ~reference:(fun () -> B.Seed_reference.greedy_fifo)
-      ~budget:no_rejection ~hooks:B.Greedy_dispatch.hooks "greedy-fifo";
+      ~budget:no_rejection "greedy-fifo";
     pack
       (fun () -> B.Greedy_dispatch.spt)
       ~reference:(fun () -> B.Seed_reference.greedy_spt)
-      ~budget:no_rejection ~hooks:B.Greedy_dispatch.hooks "greedy-spt";
+      ~budget:no_rejection "greedy-spt";
     pack
       (fun () -> B.Immediate_reject.policy ~eps B.Immediate_reject.Never)
       ~reference:(fun () ->

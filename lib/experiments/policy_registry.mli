@@ -1,5 +1,5 @@
 (** The policy registry: every shipped scheduling policy packaged as a
-    plain [Instance.t -> Schedule.t] runner, with its validation mode and —
+    plain instance runner, with its validation mode and —
     where one exists — its scan-based seed-reference mirror.
 
     The registry powers the cross-cutting test layers: the validator suite
@@ -31,32 +31,12 @@ type entry = {
   allow_restarts : bool;
       (** Whether schedules need the validator's [allow_restarts]
           relaxation (the policy kills and re-runs jobs). *)
-  run : Instance.t -> Schedule.t;
-  run_live : Instance.t -> Schedule.t * Driver.live_metrics;
-      (** [run] also returning the driver's incremental metrics. *)
-  run_impl :
-    ?recorder:Sched_obs.Recorder.t ->
-    impl:Driver.impl ->
-    check:bool ->
-    Instance.t ->
-    Schedule.t * Driver.live_metrics;
-      (** [run_live] with the driver core pinned explicitly, the oracle
-          audit togglable and an optional flight recorder attached — the
-          hook the flat-vs-boxed differential suite drives every entry
-          through, and the replay path forensics capture rides on. *)
-  run_sharded :
-    ?recorder:Sched_obs.Recorder.t ->
-    ?pool:Sched_stats.Pool.t ->
-    check:bool ->
-    shards:int ->
-    Instance.t ->
-    Schedule.t * Driver.live_metrics;
-      (** {!Sched_sim.Driver.run_sharded} with the entry's two-phase
-          hooks wired in where the policy exports them (the flow/greedy
-          families); entries without hooks still run sharded, with
-          [on_arrival] evaluated sequentially in phase 2.  Bit-identical
-          to [run_impl ~impl:Flat] at every shard count — the shard
-          differential suite pins S in [{1,2,4}]. *)
+  run :
+    ?recorder:Sched_obs.Recorder.t -> ?check:bool -> Instance.t -> Schedule.t * Driver.live_metrics;
+      (** {!Sched_sim.Driver.run} on a fresh policy value, returning the
+          schedule and the driver's incremental metrics.  [?check]
+          (default [false]) runs the oracle audit; [?recorder] attaches a
+          flight recorder — the replay path forensics capture rides on. *)
   open_stream :
     ?trace:Trace.t ->
     ?obs:Sched_obs.Obs.t ->

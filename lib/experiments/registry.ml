@@ -87,8 +87,8 @@ let all =
     };
     {
       id = "e15";
-      title = "Cluster-scale sharded simulation";
-      reproduces = "Methodology (sharded driver S-unobservability at scale)";
+      title = "Cluster-scale simulation";
+      reproduces = "Methodology (flow-reject at cluster scale)";
       run = E15_cluster_scale.run;
     };
   ]

@@ -19,38 +19,22 @@
     suite checks exactly this for every shipped policy, so all policies are
     measured on equal terms.
 
-    {b Performance.}  Per-machine pending sets are indexed heaps
-    ({!Sched_sim.Pqueue.Indexed}), one per ordering the paper's policies
+    {b Performance.}  The state lives in {!Flat_state}'s struct-of-arrays
+    columns, so the event loop's steady state allocates nothing on the
+    minor heap.  Per-machine pending sets are indexed heaps
+    ({!Sched_sim.Pqueue.Iheap}), one per ordering the paper's policies
     query (SPT, weighted density, size-for-victim-selection, FIFO), so
     dispatch, start and arbitrary-id rejection are all O(log k) in the queue
     length; aggregate pending work/weight are maintained incrementally and
     read in O(1).  Policies should use the [pending_*] accessors below
     rather than scanning {!pending}.
 
-    The driver ships two interchangeable cores (see {!impl}): the boxed
-    original and a struct-of-arrays rewrite ({!Flat_state}, the default)
-    whose steady state allocates nothing on the minor heap.  They produce
-    byte-identical schedules, traces and telemetry — the differential
-    suite pins this across the fuzz corpus and every registry policy —
-    and policies cannot observe which one is running. *)
+    {b Behaviour pin.}  The corpus x policy goldens
+    ([test/golden/golden.expected]) record every fuzz-corpus case's
+    canonical schedule, recorder NDJSON and live metrics under every
+    registry policy; [dune runtest] diffs a fresh run against them. *)
 
 open Sched_model
-
-(** {1 Implementation selection} *)
-
-type impl =
-  | Boxed  (** The original boxed-record core — the differential reference. *)
-  | Flat
-      (** The flat core: [Flat_state] struct-of-arrays state with a
-          zero-allocation steady state.  The default. *)
-
-val set_default_impl : impl -> unit
-(** Sets the core used when [?impl] is not passed — the [--no-flat]
-    escape hatch for bisecting a suspected flat-core divergence.  Global
-    and not synchronized: set it before spawning pool domains, not
-    concurrently with runs. *)
-
-val default_impl : unit -> impl
 
 (** {1 Read-only view of the driver state} *)
 
@@ -179,25 +163,28 @@ type 'a policy = {
       (dispatched, not yet completed or rejected);
     - when the handle's sink aggregates spans ({!Sched_obs.Obs.timed}), a
       duration histogram [obs_phase_seconds{phase=...}] over phases
-      [on_arrival], [select], [segment] and [heap].
+      [on_arrival], [select], [segment] and [heap];
+    - counters [sched_flat_loop_minor_words_total] /
+      [sched_flat_loop_events_total] — the [Gc.minor_words] delta across
+      the event loop and the events processed, whose ratio is the
+      allocations-per-event figure the bench and the allocation-regression
+      test gate on.
 
     Telemetry is strictly observational: the schedule, policy state and
-    trace are byte-identical with and without [?obs] (pinned by the
-    differential tests), and the default {!Sched_obs.Sink.null} sink never
-    reads a clock.
+    trace are byte-identical with and without [?obs], and the default
+    {!Sched_obs.Sink.null} sink never reads a clock.
 
     {b Flight recorder.}  Passing [?recorder] (a {!Sched_obs.Recorder.t})
     makes the driver write one ring entry per dispatch / start / complete
     / reject / restart event, carrying decision provenance the counters
     lose: the candidate machine set and queue score behind each dispatch,
     and the theorem-budget counters (rejections and rejected weight so
-    far) at each rejection.  Both cores record at the same sites with the
-    same float-operation order, so recorder contents — like schedules —
-    are byte-identical across cores and with the recorder on or off
-    (differential-gated).  The write path is allocation-free and
-    [\@rejlint.hot]-proven, so attaching a recorder keeps the flat core's
-    words-per-event ceilings.  Export with {!Trace_export} (NDJSON,
-    [rejsched.trace/2]) or {!Perfetto} (Chrome [trace_event] JSON). *)
+    far) at each rejection.  Recorder contents are pinned by the goldens,
+    and schedules are byte-identical with the recorder on or off.  The
+    write path is allocation-free and [\@rejlint.hot]-proven, so attaching
+    a recorder keeps the words-per-event ceilings.  Export with
+    {!Trace_export} (NDJSON, [rejsched.trace/2]) or {!Perfetto} (Chrome
+    [trace_event] JSON). *)
 
 (** {b Oracle auditing.}  Passing [?check:true] runs the independent
     {!Sched_check.Oracle} over the finished schedule before it is returned:
@@ -218,54 +205,25 @@ val run :
   ?obs:Sched_obs.Obs.t ->
   ?recorder:Sched_obs.Recorder.t ->
   ?check:bool ->
-  ?impl:impl ->
-  'a policy ->
-  Instance.t ->
-  Schedule.t * 'a
-(** Simulates the policy on the instance.  Raises [Invalid_argument] on an
-    ill-formed policy decision (dispatch to an ineligible machine, rejecting
-    an unknown job, starting a non-pending job, non-positive speed).  The
-    returned ['a] is the policy's final state, which instrumented policies
-    use to expose analysis data (e.g. the dual variables of Lemma 4).
-
-    [?impl] picks the core for this run (default: {!default_impl}).  The
-    result does not depend on it; the flat core is ~2x+ faster and, with
-    [?obs], additionally exports counters
-    [sched_flat_loop_minor_words_total] / [sched_flat_loop_events_total] —
-    the [Gc.minor_words] delta across the event loop and the events
-    processed, whose ratio is the allocations-per-event figure the bench
-    and the allocation-regression test gate on. *)
-
-val run_live :
-  ?trace:Trace.t ->
-  ?obs:Sched_obs.Obs.t ->
-  ?recorder:Sched_obs.Recorder.t ->
-  ?check:bool ->
-  ?impl:impl ->
   'a policy ->
   Instance.t ->
   Schedule.t * 'a * live_metrics
-(** [run] additionally returning the final incremental-metrics snapshot. *)
-
-val run_schedule :
-  ?trace:Trace.t ->
-  ?obs:Sched_obs.Obs.t ->
-  ?recorder:Sched_obs.Recorder.t ->
-  ?check:bool ->
-  ?impl:impl ->
-  'a policy ->
-  Instance.t ->
-  Schedule.t
-(** [run] dropping the policy state. *)
+(** Simulates the policy on the instance: opens a {!Session}, feeds every
+    job in release order and closes it.  Returns the schedule, the
+    policy's final state (which instrumented policies use to expose
+    analysis data, e.g. the dual variables of Lemma 4) and the final
+    incremental-metrics snapshot.  Raises [Invalid_argument] on an
+    ill-formed policy decision (dispatch to an ineligible machine,
+    rejecting an unknown job, starting a non-pending job, non-positive
+    speed). *)
 
 (** {1 Incremental sessions}
 
-    The flat core as a long-lived engine: open a session over the
-    machine fleet alone, feed arrivals as they become known, drain the
-    event loop up to a horizon, and close to materialize the schedule.
-    {!run} on the flat core {e is} a session — open, feed every job,
-    close — so the batch path is a verbatim replay of the session path
-    and all batch differential gates pin this machinery too.
+    The driver as a long-lived engine: open a session over the machine
+    fleet alone, feed arrivals as they become known, drain the event loop
+    up to a horizon, and close to materialize the schedule.  {!run} {e is}
+    a session — open, feed every job, close — so the batch path is a
+    verbatim replay of the session path.
 
     {b Byte-identity.}  Provided jobs are fed in strictly increasing
     [(release, id)] order (the order {!Sched_model.Instance.jobs_by_release}
@@ -382,62 +340,3 @@ module Session : sig
       non-replayed observable.  Raises [Invalid_argument] on a
       truncated/corrupt payload or a policy mismatch. *)
 end
-
-(** {1 Sharded execution}
-
-    A single run parallelized {e within} the event loop: machines are
-    partitioned into [shards] contiguous shards, each owning its slice
-    of the flat columns and its own completion-event heap, and every
-    event is processed as a deterministic two-phase tick — phase 1,
-    shards scan their own machines in parallel and {e propose} the
-    arriving job's cheapest candidate against the read-only view; phase
-    2, the proposals are folded in fixed (shard-index, then event-key)
-    order and committed sequentially in canonical event order.  The
-    schedule is therefore {b provably independent of [shards]}: results
-    — schedule, trace, recorder ring, live metrics — are bit-identical
-    to {!run} at every shard count (the shard differential suite pins
-    S in [{1,2,4}] across the fuzz corpus and every registry policy).
-
-    Phase 1 only pays off when the per-arrival machine scan dominates —
-    the regime E15 targets (m in the thousands).  Policies opt in by
-    exporting {!sharded_hooks}; without hooks, [on_arrival] runs
-    sequentially in phase 2 and sharding only splits the event heaps. *)
-
-type 'a sharded_hooks = {
-  shard_cost : 'a -> view -> Machine.id -> Job.t -> float;
-      (** Dispatch cost of a machine for the arriving job, evaluated
-          against the read-only view.  Must be pure reads (no lazy
-          structure wakes — the primary pending order only), never NaN
-          for an eligible machine, and must reproduce the policy's own
-          [on_arrival] argmin cost exactly. *)
-  shard_resolve : 'a -> view -> Job.t -> target:Machine.id -> score:float -> decision;
-      (** Phase-2 completion of [on_arrival] given the winning machine
-          (the leftmost strict cost minimum over all machines) and its
-          cost.  Runs sequentially and may mutate policy state; the
-          contract is [shard_resolve st v j ~target ~score =
-          on_arrival st v j] whenever [target]/[score] are that argmin. *)
-}
-(** The decomposition of a policy's [on_arrival] into a parallelizable
-    read-only argmin (phase 1) and a sequential remainder (phase 2). *)
-
-val run_sharded :
-  ?trace:Trace.t ->
-  ?obs:Sched_obs.Obs.t ->
-  ?recorder:Sched_obs.Recorder.t ->
-  ?check:bool ->
-  ?hooks:'a sharded_hooks ->
-  ?pool:Sched_stats.Pool.t ->
-  shards:int ->
-  'a policy ->
-  Instance.t ->
-  Schedule.t * 'a * live_metrics
-(** Runs the policy on the flat core with [shards] machine shards.
-    Raises [Invalid_argument] when [shards < 1].  With [?hooks] and
-    [shards > 1], phase 1 runs on [?pool] — or on the ambient
-    {!Sched_stats.Pool} when the caller is already inside a pool task;
-    with neither, proposals are evaluated sequentially (the process-wide
-    default pool is deliberately not consulted: policy execution stays
-    free of global state).  Shard regions nest safely inside pool tasks.
-    [shards = 1] (or no hooks) never touches a pool.  All choices are
-    bit-identical; only wall time differs.  Always uses the flat core
-    regardless of {!default_impl}. *)

@@ -12,13 +12,12 @@ open Sched_model
    ([of_instance], [to_schedule], and the [Job.t] handles policies read
    through the driver's view accessors.
 
-   Byte-identity with the boxed driver is a hard requirement, so every
-   float expression below copies the boxed code's operation order
-   verbatim (float addition is not associative), the pending heaps
-   replicate [Pqueue.Indexed]'s slot layout (policies fold floats over
-   [pending_iter]'s heap-array order), and the aggregate work/weight
-   sums are pinned back to exactly [0.] when a queue empties, as the
-   boxed [pend] does. *)
+   Schedules are pinned byte-for-byte by the corpus x policy goldens, so
+   the float operation order below is load-bearing (float addition is
+   not associative), as is the pending heaps' slot layout (policies fold
+   floats over [pending_iter]'s heap-array order); the aggregate
+   work/weight sums are pinned back to exactly [0.] when a queue
+   empties. *)
 
 (* Indices into the [facc] float-accumulator array.  A [mutable float]
    field of a mixed record would be boxed and re-allocated on every
@@ -42,7 +41,7 @@ let f_rej_weight = 9
 let f_total_weight = 10
 let facc_len = 11
 
-(* [loc] codes, mirroring the boxed driver's [location]: *)
+(* [loc] codes: *)
 let loc_unreleased = -1
 let loc_settled = -2
 
@@ -142,10 +141,9 @@ type t = {
   mutable seg_len : int;
 }
 
-(* The strict orders of the five pending heaps.  Each mirrors the boxed
-   driver's [Pqueue.Indexed] order exactly: the comparator's branches in
-   the same sequence (primitive float [<]/[>], so [-0. = 0.] and
-   incomparable infinities fall through), then the id tie-break. *)
+(* The strict orders of the five pending heaps: primitive float [<]/[>]
+   branches (so [-0. = 0.] and incomparable infinities fall through),
+   then the id tie-break. *)
 
 let less_spt sz rel base a b =
   let pa = sz.(base + a) and pb = sz.(base + b) in
@@ -533,23 +531,9 @@ let[@rejlint.hot] set_running t i ~job ~started ~rate ~finish =
 let[@rejlint.hot] clear_running t i = t.run_job.(i) <- -1
 
 (* ------------------------------------------------------------------ *)
-(* Events.  The shared [seq] counter mirrors the boxed driver's: arrivals
-   are seeded first (in release order), completions take the next values
-   as starts happen, so tags — and therefore equal-time ordering — come
-   out identical. *)
-
-let seed_arrivals t =
-  (* One allocation instead of a doubling cascade: the queue holds all
-     [n] arrivals at once before the first pop, and completions reuse
-     the slots arrivals free up. *)
-  Pqueue.Events.ensure_capacity t.events t.n;
-  Array.iter
-    (fun (j : Job.t) ->
-      t.seq <- t.seq + 1;
-      Pqueue.Events.push t.events ~key:j.Job.release
-        ~tag:(Pqueue.Events.Key.arrival_tag ~seq:t.seq)
-        ~payload:j.Job.id)
-    (Instance.jobs_by_release t.instance)
+(* Events.  One shared [seq] counter numbers arrivals (as they are fed,
+   in release order) and completions (as starts happen), so tags — and
+   therefore equal-time ordering — are deterministic. *)
 
 let[@rejlint.hot] push_finish t ~machine ~time =
   t.seq <- t.seq + 1;
@@ -557,11 +541,9 @@ let[@rejlint.hot] push_finish t ~machine ~time =
     ~tag:(Pqueue.Events.Key.finish_tag ~seq:t.seq)
     ~payload:(Pqueue.Events.Key.finish_payload ~machine ~epoch:t.epoch.(machine))
 
-let[@rejlint.hot] next_event t = Pqueue.Events.pop t.events
-
 (* Bounded pop for [Driver.Session.drain_until]: stop at the horizon.
-   [~limit:infinity] behaves exactly like [next_event] (all queued keys
-   are finite), which is how a session's close drains the queue dry. *)
+   [~limit:infinity] pops unconditionally (all queued keys are finite),
+   which is how a session's close drains the queue dry. *)
 let[@rejlint.hot] next_event_before t ~limit = Pqueue.Events.pop_before t.events ~limit
 let[@rejlint.hot] events_pushed t = t.seq
 
@@ -574,10 +556,9 @@ let[@rejlint.hot] ev_tag t = Pqueue.Events.tag t.events
 let[@rejlint.hot] ev_payload t = Pqueue.Events.payload t.events
 
 (* ------------------------------------------------------------------ *)
-(* Segments and accounting.  Operation order copies the boxed driver's
-   [lay_segment_raw] / [account_completion] / [account_rejection]
-   verbatim — float addition is not associative, and the differential
-   tests demand byte-identity, not closeness. *)
+(* Segments and accounting.  The operation order is pinned by the
+   goldens — float addition is not associative, and they demand
+   byte-identity, not closeness. *)
 
 let grow_segments t =
   let cap = Array.length t.seg_job in
@@ -664,8 +645,7 @@ let[@rejlint.hot] outcome_rejected t ~job ~machine ~time ~was_running =
   if t.retire then t.jobs.(job) <- retired_job
 
 (* ------------------------------------------------------------------ *)
-(* Live metrics, read out of the accumulators.  The field-by-field
-   arithmetic matches the boxed driver's [live]. *)
+(* Live metrics, read out of the accumulators. *)
 
 let[@rejlint.hot] completed t = t.a_completed
 let[@rejlint.hot] rejected t = t.a_rejected
@@ -682,8 +662,8 @@ let[@rejlint.hot] rej_weight t = t.facc.(f_rej_weight)
 
 (* ------------------------------------------------------------------ *)
 (* Materialization: the one deliberately boxing step, run once at the end
-   of a simulation.  Segments go to the builder in insertion order —
-   exactly the order the boxed driver laid them down — and outcomes by
+   of a simulation.  Segments go to the builder in insertion order and
+   outcomes by
    job id (the builder stores them in an id-indexed array, so the order
    of [set_outcome] calls is immaterial). *)
 

@@ -1,28 +1,23 @@
-(** Struct-of-arrays simulation state: the flat core behind
-    {!Driver}'s default implementation.
+(** Struct-of-arrays simulation state: the state behind {!Driver}.
 
     Everything the event loop touches per event — job columns, pending
     heaps, running slots, the event queue, metric accumulators — lives in
     unboxed [float array]s and [int array]s indexed by job/machine id, so
     the steady state allocates nothing on the minor heap once the
-    growable arrays have warmed up.  Boxed values appear only at the
+    growable arrays have warmed up.  Heap-allocated values appear only at the
     edges: {!of_instance} (once, at the start), {!to_schedule} (once, at
     the end), and the [Job.t] handles policies obtain through the
     driver's read-only view.
 
-    {b Byte-identity contract.}  The flat core must produce schedules
-    byte-identical to the boxed driver's (the differential suite runs
-    both over the whole fuzz corpus).  Three disciplines make that hold,
-    and must survive any edit here:
+    {b Byte-identity contract.}  Schedules are pinned byte-for-byte by
+    the corpus x policy goldens ([test/golden/]).  Three things decide
+    them, and an edit here that changes any of them changes the goldens:
 
-    - every float expression copies the boxed code's operation order
-      verbatim (float addition is not associative);
-    - the pending heaps are {!Pqueue.Iheap}s — a line-for-line clone of
-      {!Pqueue.Indexed}'s algorithm — driven by the same operation
-      sequence, so [pend_iter]'s heap-array order (which policies fold
-      floats over) coincides slot-for-slot;
-    - event tags come from the same shared sequence counter, seeded by
-      arrivals in release order, so equal-time event ordering matches.
+    - the float operation order (float addition is not associative);
+    - the {!Pqueue.Iheap} slot layout, which [pend_iter] exposes and
+      policies fold floats over;
+    - the event tags, drawn from one shared sequence counter as
+      arrivals are fed in release order and completions are scheduled.
 
     Mutators here do {e no} validation beyond array bounds; the driver
     enforces the policy-facing contract (and raises the user-facing
@@ -56,8 +51,7 @@ val of_stream : machines:Machine.t array -> t
 
 val add_job : t -> Job.t -> unit
 (** Registers the job's columns and queues its arrival event, consuming
-    the shared sequence counter — the streaming counterpart of one
-    {!seed_arrivals} step.  Jobs must be fed in ascending
+    the shared sequence counter.  Jobs must be fed in ascending
     [(release, id)] order for batch byte-identity (the driver's session
     layer enforces this; ids may be arbitrary non-negative ints).
     Raises [Invalid_argument] on a duplicate id or a sizes array that
@@ -84,7 +78,7 @@ val set_instance : t -> Instance.t -> unit
 
 (** {1 Status codes}
 
-    [loc] mirrors the boxed driver's location type as an int:
+    [loc] encodes a job's location as an int:
     [loc_unreleased], [loc_settled], or an even/odd encoding of
     pending/running on a machine. *)
 
@@ -139,7 +133,7 @@ val set_saw_restart : t -> unit
 (** {1 Pending sets}
 
     Five orders per machine (SPT, reverse SPT, weighted density,
-    size-then-id, FIFO — the same orders as the boxed driver's heaps)
+    size-then-id, FIFO)
     plus O(1) incremental work/weight aggregates, pinned to exactly [0.]
     when the queue empties. *)
 
@@ -154,8 +148,8 @@ val pend_work : t -> int -> float
 val pend_weight : t -> int -> float
 
 val pend_iter : t -> int -> f:(int -> unit) -> unit
-(** Heap-array order of the SPT heap — slot-for-slot the order the boxed
-    driver's [pending_iter] exposes. *)
+(** Heap-array order of the SPT heap — the order [Driver.pending_iter]
+    exposes. *)
 
 val head_spt : t -> int -> int
 (** Head job id of the given order, [-1] when the queue is empty. *)
@@ -183,19 +177,12 @@ val clear_running : t -> int -> unit
     Backed by {!Pqueue.Events}; the popped event is read back through the
     [ev_*] cursor accessors, so the loop never allocates an option. *)
 
-val seed_arrivals : t -> unit
-(** Pushes every job's arrival in release order, consuming the shared
-    sequence counter — call exactly once, before the first
-    {!push_finish}. *)
-
 val push_finish : t -> machine:int -> time:float -> unit
 (** Schedules a completion at [time] for the machine's {e current}
     epoch. *)
 
-val next_event : t -> bool
-
 val next_event_before : t -> limit:float -> bool
-(** {!next_event}, but refuses to pop an event beyond the horizon —
+(** Pops the next event unless its key is beyond the horizon —
     {!Pqueue.Events.pop_before} on the shared queue.  The session
     driver's bounded drain; callers box [limit] once per drain. *)
 
@@ -217,7 +204,7 @@ val ev_payload : t -> int
 val lay_segment :
   t -> job:int -> machine:int -> start:float -> stop:float -> speed:float -> unit
 (** Appends the segment and folds it into the energy/makespan
-    accumulators, in the boxed driver's float-operation order. *)
+    accumulators. *)
 
 val seg_count : t -> int
 val account_completion : t -> int -> float -> unit
@@ -247,8 +234,8 @@ val rej_weight : t -> float
 (** {1 Materialization} *)
 
 val to_schedule : t -> Schedule.t
-(** Builds the boxed schedule: segments in insertion order (the order the
-    boxed driver laid them down), outcomes by job id.  Raises
+(** Builds the boxed schedule: segments in insertion order, outcomes by
+    job id.  Raises
     [Invalid_argument] if some job has no outcome.  The one deliberately
     boxing step, run once per simulation. *)
 

@@ -1,85 +1,9 @@
-type 'a entry = { key : float; tag : int; payload : 'a }
-
-type 'a t = { mutable data : 'a entry array; mutable len : int }
-
-let create () = { data = [||]; len = 0 }
-let is_empty t = t.len = 0
-let size t = t.len
-
-let less a b = a.key < b.key || (a.key = b.key && a.tag < b.tag)
-
-let grow t entry =
-  let cap = Array.length t.data in
-  if t.len = cap then begin
-    let ncap = max 16 (2 * cap) in
-    let ndata = Array.make ncap entry in
-    Array.blit t.data 0 ndata 0 t.len;
-    t.data <- ndata
-  end
-
-let push t ~key ~tag payload =
-  let entry = { key; tag; payload } in
-  grow t entry;
-  t.data.(t.len) <- entry;
-  t.len <- t.len + 1;
-  (* Sift up. *)
-  let i = ref (t.len - 1) in
-  while
-    !i > 0
-    &&
-    let parent = (!i - 1) / 2 in
-    less t.data.(!i) t.data.(parent)
-  do
-    let parent = (!i - 1) / 2 in
-    let tmp = t.data.(!i) in
-    t.data.(!i) <- t.data.(parent);
-    t.data.(parent) <- tmp;
-    i := parent
-  done
-
-let sift_down t =
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < t.len && less t.data.(l) t.data.(!smallest) then smallest := l;
-    if r < t.len && less t.data.(r) t.data.(!smallest) then smallest := r;
-    if !smallest = !i then continue := false
-    else begin
-      let tmp = t.data.(!i) in
-      t.data.(!i) <- t.data.(!smallest);
-      t.data.(!smallest) <- tmp;
-      i := !smallest
-    end
-  done
-
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.data.(0) <- t.data.(t.len);
-      sift_down t
-    end;
-    Some (top.key, top.tag, top.payload)
-  end
-
-let peek t = if t.len = 0 then None else Some (t.data.(0).key, t.data.(0).tag, t.data.(0).payload)
-
-let clear t =
-  t.data <- [||];
-  t.len <- 0
-
-(* ------------------------------------------------------------------ *)
-(* Flat event queue: the allocation-free counterpart of the polymorphic
-   heap above.  Keys, tags and payloads live in parallel unboxed arrays;
+(* Event queue.  Keys, tags and payloads live in parallel unboxed arrays;
    [pop] writes the minimum into cursor fields instead of returning an
    option, so the driver's steady state never touches the minor heap.
-   The order is exactly the boxed heap's: [(key, tag)] lexicographic with
-   primitive float/int comparisons (so [-0. = 0.], as everywhere else in
-   the simulator).  Keys must be finite and tags unique while queued. *)
+   The order is [(key, tag)] lexicographic with primitive float/int
+   comparisons (so [-0. = 0.], as everywhere else in the simulator).
+   Keys must be finite and tags unique while queued. *)
 
 module Events = struct
   module Key = struct
@@ -229,13 +153,10 @@ module Events = struct
      caller, never per event. *)
   let pop_before t ~limit = if t.elen = 0 || t.ekey.(0) > limit then false else pop t
 
-  (* Non-destructive root reads, for the sharded driver's merge-pop: it
-     scans every shard heap's head before popping exactly one.  Both are
-     meaningless on an empty queue (the caller checks [is_empty]) and
-     allocation-free — [peek_key] returns a float already stored unboxed
-     in the key array. *)
+  (* Non-destructive root read: meaningless on an empty queue (the caller
+     checks [is_empty]) and allocation-free — the float is already stored
+     unboxed in the key array. *)
   let peek_key t = t.ekey.(0)
-  let peek_tag t = t.etag.(0)
 
   let ensure_capacity t n =
     let cap = Array.length t.ekey in
@@ -259,161 +180,17 @@ end
 
 (* ------------------------------------------------------------------ *)
 
-module Indexed = struct
-  type ('k, 'v) entry = { ikey : 'k; id : int; value : 'v }
-
-  type ('k, 'v) t = {
-    icmp : 'k -> 'k -> int;
-    mutable idata : ('k, 'v) entry array;
-    mutable ilen : int;
-    mutable pos : int array;  (* id -> heap slot, -1 when absent *)
-  }
-
-  let create ~cmp () = { icmp = cmp; idata = [||]; ilen = 0; pos = [||] }
-  let size t = t.ilen
-  let is_empty t = t.ilen = 0
-  let mem t ~id = id >= 0 && id < Array.length t.pos && t.pos.(id) >= 0
-
-  (* Ids are unique, so breaking key ties on the id keeps the order total:
-     the heap's answers never depend on the history of inserts/removals. *)
-  let less t a b =
-    let c = t.icmp a.ikey b.ikey in
-    if c <> 0 then c < 0 else a.id < b.id
-
-  let set t slot entry =
-    t.idata.(slot) <- entry;
-    t.pos.(entry.id) <- slot
-
-  let rec sift_up t slot =
-    if slot > 0 then begin
-      let parent = (slot - 1) / 2 in
-      if less t t.idata.(slot) t.idata.(parent) then begin
-        let a = t.idata.(slot) and b = t.idata.(parent) in
-        set t slot b;
-        set t parent a;
-        sift_up t parent
-      end
-    end
-
-  let rec sift_down t slot =
-    let l = (2 * slot) + 1 and r = (2 * slot) + 2 in
-    let smallest = ref slot in
-    if l < t.ilen && less t t.idata.(l) t.idata.(!smallest) then smallest := l;
-    if r < t.ilen && less t t.idata.(r) t.idata.(!smallest) then smallest := r;
-    if !smallest <> slot then begin
-      let a = t.idata.(slot) and b = t.idata.(!smallest) in
-      set t slot b;
-      set t !smallest a;
-      sift_down t !smallest
-    end
-
-  let ensure_pos t id =
-    let len = Array.length t.pos in
-    if id >= len then begin
-      let nlen = max 16 (max (id + 1) (2 * len)) in
-      let npos = Array.make nlen (-1) in
-      Array.blit t.pos 0 npos 0 len;
-      t.pos <- npos
-    end
-
-  let add t ~id ~key value =
-    if id < 0 then invalid_arg "Pqueue.Indexed.add: negative id";
-    ensure_pos t id;
-    if t.pos.(id) >= 0 then
-      invalid_arg (Printf.sprintf "Pqueue.Indexed.add: id %d already present" id);
-    let entry = { ikey = key; id; value } in
-    let cap = Array.length t.idata in
-    if t.ilen = cap then begin
-      let ndata = Array.make (max 16 (2 * cap)) entry in
-      Array.blit t.idata 0 ndata 0 t.ilen;
-      t.idata <- ndata
-    end;
-    t.idata.(t.ilen) <- entry;
-    t.pos.(id) <- t.ilen;
-    t.ilen <- t.ilen + 1;
-    sift_up t (t.ilen - 1)
-
-  let remove t ~id =
-    if not (mem t ~id) then None
-    else begin
-      let slot = t.pos.(id) in
-      let removed = t.idata.(slot) in
-      t.pos.(id) <- -1;
-      t.ilen <- t.ilen - 1;
-      if slot < t.ilen then begin
-        set t slot t.idata.(t.ilen);
-        (* The moved entry may violate the invariant in either direction;
-           exactly one of the two sifts does work. *)
-        sift_up t slot;
-        sift_down t slot
-      end;
-      Some (removed.ikey, removed.value)
-    end
-
-  let min_elt t =
-    if t.ilen = 0 then None
-    else
-      let e = t.idata.(0) in
-      Some (e.id, e.ikey, e.value)
-
-  let pop_min t =
-    match min_elt t with
-    | None -> None
-    | Some (id, _, _) as top ->
-        ignore (remove t ~id);
-        top
-
-  let iter t ~f =
-    for slot = 0 to t.ilen - 1 do
-      let e = t.idata.(slot) in
-      f e.id e.ikey e.value
-    done
-
-  let fold t ~init ~f =
-    let acc = ref init in
-    for slot = 0 to t.ilen - 1 do
-      let e = t.idata.(slot) in
-      acc := f !acc e.id e.ikey e.value
-    done;
-    !acc
-
-  let to_list t = List.rev (fold t ~init:[] ~f:(fun acc id k v -> (id, k, v) :: acc))
-
-  let clear t =
-    t.idata <- [||];
-    t.ilen <- 0;
-    t.pos <- [||]
-
-  let invariant t =
-    let ok = ref (t.ilen >= 0 && t.ilen <= Array.length t.idata) in
-    for slot = 1 to t.ilen - 1 do
-      let parent = (slot - 1) / 2 in
-      if less t t.idata.(slot) t.idata.(parent) then ok := false
-    done;
-    for slot = 0 to t.ilen - 1 do
-      let e = t.idata.(slot) in
-      if e.id < 0 || e.id >= Array.length t.pos || t.pos.(e.id) <> slot then ok := false
-    done;
-    let registered = ref 0 in
-    Array.iter (fun p -> if p >= 0 then incr registered) t.pos;
-    if !registered <> t.ilen then ok := false;
-    !ok
-end
-
-(* ------------------------------------------------------------------ *)
-
 module Iheap = struct
   (* The elements ARE the ids, so nothing is boxed: the heap and position
      tables are plain [int array]s and every operation is allocation-free
      once they have grown to size.
 
-     The algorithm is a line-for-line clone of [Indexed]'s (append +
-     sift-up on add; move-last + sift-up + sift-down on remove).  That is
-     deliberate, not incidental: [Driver.pending_iter] exposes heap-array
-     order to policies, and some of them fold floats over it, so the flat
-     core must reproduce [Indexed]'s slot layout exactly — same algorithm,
-     same operation history, same strict order — for schedules to stay
-     byte-identical. *)
+     Add appends and sifts up; remove moves the last element into the
+     hole and sifts up then down.  The resulting slot layout is
+     load-bearing: [Driver.pending_iter] exposes heap-array order to
+     policies, and some of them fold floats over it, so a change to this
+     algorithm can change schedules (the corpus x policy goldens pin
+     it). *)
 
   type t = {
     mutable hless : int -> int -> bool;  (* strict total order over ids *)
@@ -504,7 +281,6 @@ module Iheap = struct
     end
 
   let min_id t = if t.hlen = 0 then -1 else t.hdata.(0)
-  let get t slot = t.hdata.(slot)
 
   let iter t ~f =
     for slot = 0 to t.hlen - 1 do

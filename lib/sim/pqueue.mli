@@ -1,38 +1,23 @@
-(** Binary-heap priority queue keyed by [(float, int)].
+(** The simulator's two heaps, both keyed for deterministic ordering
+    and allocation-free once their arrays have grown.
 
-    The integer tag breaks ties deterministically (insertion sequence or an
-    event-kind rank), which the simulation relies on for reproducible event
-    ordering at equal times. *)
+    {!Events} is the event queue, ordered by [(key, tag)]
+    lexicographically with primitive float/int comparisons ([-0.] equals
+    [0.], as everywhere else in the simulator); the integer tag breaks
+    ties at equal times.  Keys, tags and payloads live in parallel
+    unboxed arrays and [pop] deposits the minimum into cursor fields
+    read back via {!Events.key}/{!Events.tag}/{!Events.payload}, so the
+    driver's steady state never touches the minor heap.  Keys must be
+    finite and tags unique while queued.
 
-type 'a t
+    {!Iheap} is the indexed min-heap behind the per-machine pending
+    sets. *)
 
-val create : unit -> 'a t
-val is_empty : 'a t -> bool
-val size : 'a t -> int
-
-val push : 'a t -> key:float -> tag:int -> 'a -> unit
-
-val pop : 'a t -> (float * int * 'a) option
-(** Removes and returns the minimum element ([(key, tag, payload)]),
-    comparing keys first and tags second. *)
-
-val peek : 'a t -> (float * int * 'a) option
-
-val clear : 'a t -> unit
-
-(** Flat event queue: the allocation-free counterpart of the polymorphic
-    heap above, ordered by the same [(key, tag)] lexicographic rule with
-    primitive float/int comparisons ([-0.] equals [0.], as everywhere else
-    in the simulator).  Keys, tags and payloads live in parallel unboxed
-    arrays and [pop] deposits the minimum into cursor fields read back via
-    {!Events.key}/{!Events.tag}/{!Events.payload}, so the driver's steady
-    state never touches the minor heap.  Keys must be finite and tags
-    unique while queued. *)
 module Events : sig
   (** Int-encoded event keys.  A tag is the insertion sequence plus, for
       arrivals, a high kind bit — so at equal times completions (bit
       clear) sort before arrivals (bit set), and within a kind the
-      sequence decides, exactly as the boxed driver's tags do.  A
+      sequence decides.  A
       completion payload packs [(machine, epoch)] into one int.  Encoders
       raise [Invalid_argument] out of range; within range, encode/decode
       is a bijection (property-tested). *)
@@ -92,10 +77,6 @@ module Events : sig
   (** Key of the current minimum, without removing it.  Meaningless when
       the queue is empty (check {!is_empty} first); allocation-free. *)
 
-  val peek_tag : t -> int
-  (** Tag of the current minimum, without removing it.  Same contract as
-      {!peek_key}. *)
-
   val ensure_capacity : t -> int -> unit
   (** Grows the backing arrays to hold at least [n] queued events, so a
       caller that knows the arrival count up front pays one allocation
@@ -104,62 +85,19 @@ module Events : sig
   val clear : t -> unit
 end
 
-(** Indexed min-heap: a binary heap that additionally tracks the heap slot
-    of every element by a caller-supplied non-negative integer id (job ids
-    in the simulator), giving O(log n) removal of {e arbitrary} elements —
-    the operation mid-run rejection needs — on top of the usual O(log n)
-    insert/extract-min.
+(** Indexed min-heap over bare ids: a binary heap that additionally
+    tracks the heap slot of every id, giving O(log n) removal of
+    {e arbitrary} elements — the operation mid-run rejection needs — on
+    top of the usual O(log n) insert/extract-min.  The elements {e are}
+    the ids, held in plain [int array]s, so add/remove/min are
+    allocation-free once the arrays have grown.  The strict order is a
+    closure over whatever flat state the caller keys on (it must be total
+    over the ids present — break ties on the id itself).
 
-    The comparison is supplied at creation time; key ties are broken by the
-    id, so the heap realizes a {e total} order and its answers are
-    independent of the insertion/removal history.  Ids must be unique while
-    present; the position table grows to the largest id seen (dense ids,
-    as job ids are, cost O(max id) words). *)
-module Indexed : sig
-  type ('k, 'v) t
-
-  val create : cmp:('k -> 'k -> int) -> unit -> ('k, 'v) t
-  val size : ('k, 'v) t -> int
-  val is_empty : ('k, 'v) t -> bool
-  val mem : ('k, 'v) t -> id:int -> bool
-
-  val add : ('k, 'v) t -> id:int -> key:'k -> 'v -> unit
-  (** Raises [Invalid_argument] if [id] is negative or already present. *)
-
-  val remove : ('k, 'v) t -> id:int -> ('k * 'v) option
-  (** Removes the element with the given id in O(log n); [None] when
-      absent. *)
-
-  val min_elt : ('k, 'v) t -> (int * 'k * 'v) option
-  (** Smallest element under [(cmp, id)], without removing it. *)
-
-  val pop_min : ('k, 'v) t -> (int * 'k * 'v) option
-
-  val iter : ('k, 'v) t -> f:(int -> 'k -> 'v -> unit) -> unit
-  (** Iterates in heap-array order: deterministic for a given operation
-      history, but {e not} sorted. *)
-
-  val fold : ('k, 'v) t -> init:'a -> f:('a -> int -> 'k -> 'v -> 'a) -> 'a
-  val to_list : ('k, 'v) t -> (int * 'k * 'v) list
-  val clear : ('k, 'v) t -> unit
-
-  val invariant : ('k, 'v) t -> bool
-  (** Structural check (heap property + position-table consistency), for
-      tests. *)
-end
-
-(** Flat indexed min-heap over bare ids: {!Indexed} with the boxing
-    stripped out.  The elements {e are} the ids, held in plain
-    [int array]s, so add/remove/min are allocation-free once the arrays
-    have grown.  The strict order is a closure over whatever flat state
-    the caller keys on (it must be total over the ids present — break
-    ties on the id itself).
-
-    The algorithm is a line-for-line clone of {!Indexed}'s.  That is
-    load-bearing: [Driver.pending_iter] exposes heap-array order to
-    policies, some of which fold floats over it, so the flat core must
-    reproduce {!Indexed}'s slot layout exactly for schedules to stay
-    byte-identical. *)
+    The slot layout is load-bearing: [Driver.pending_iter] exposes
+    heap-array order to policies, some of which fold floats over it, so
+    any change to the add/remove algorithm can change schedules (the
+    corpus x policy goldens pin it). *)
 module Iheap : sig
   type t
 
@@ -186,11 +124,9 @@ module Iheap : sig
   val min_id : t -> int
   (** Smallest id under [less], or [-1] when empty. *)
 
-  val get : t -> int -> int
-  (** [get t slot] is the id in heap-array slot [slot] (< {!size}). *)
-
   val iter : t -> f:(int -> unit) -> unit
-  (** Iterates in heap-array order, exactly as {!Indexed.iter} does. *)
+  (** Iterates in heap-array order: deterministic for a given operation
+      history, but {e not} sorted. *)
 
   val clear : t -> unit
 

@@ -213,17 +213,6 @@ let parallel_map ?chunk_size pool f a =
 let parallel_map_list ?chunk_size pool f l =
   Array.to_list (parallel_map ?chunk_size pool f (Array.of_list l))
 
-(* A shard region: one task per shard index, a barrier at the end.  This
-   is [parallel_for ~chunk_size:1] plus the width validation the sharded
-   driver relies on; it exists as a named entry point so the nesting
-   contract (shard regions submitted from inside pool tasks share the
-   ambient pool's domains and cannot deadlock — submitters help) is
-   documented and stress-tested in one place. *)
-let run_shards pool ~shards f =
-  if shards < 1 then
-    invalid_arg (Printf.sprintf "Sched_stats.Pool: shards must be >= 1 (got %d)" shards);
-  parallel_for ~chunk_size:1 pool shards f
-
 (* ------------------------------------------------------------------ *)
 (* The process-wide default pool                                       *)
 
@@ -261,11 +250,5 @@ let set_default_domains d =
   in
   match stale with Some pool -> shutdown pool | None -> ()
 
-(* The DLS-only half of [ambient]: no default-pool fallback, hence no
-   reach into the process-global mutable state — the lookup the sharded
-   driver uses from inside policy entry points (RJL102 keeps those free
-   of global reads; a [None] there just means sequential phase 1). *)
-let ambient_opt () =
-  match Domain.DLS.get current with Some pool when pool.live -> Some pool | _ -> None
-
-let ambient () = match ambient_opt () with Some pool -> pool | None -> default ()
+let ambient () =
+  match Domain.DLS.get current with Some pool when pool.live -> pool | _ -> default ()

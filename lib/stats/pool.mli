@@ -55,14 +55,6 @@ val parallel_for : ?chunk_size:int -> t -> int -> (int -> unit) -> unit
     exactly once.  [f] typically writes slot [i] of a preallocated
     array — distinct indices only, per the concurrency-safety rule. *)
 
-val run_shards : t -> shards:int -> (int -> unit) -> unit
-(** [run_shards pool ~shards f] runs [f 0 .. f (shards-1)], one task per
-    shard, and returns only when all have finished (a barrier).  Safe to
-    call from inside a pool task: the nested region shares the ambient
-    pool's domains (submitters help drain the queue), so shard regions
-    nest without deadlock or oversubscription.  Raises
-    [Invalid_argument] when [shards < 1]. *)
-
 (** {1 The process-wide default pool}
 
     [Sched_stats.Parallel] (and through it [Exp_util.per_seed]) submits
@@ -83,9 +75,3 @@ val set_default_domains : int -> unit
 
 val ambient : unit -> t
 (** The pool executing the current task, or {!default} outside any. *)
-
-val ambient_opt : unit -> t option
-(** The pool executing the current task, or [None] outside any — never
-    touches (or creates) the process-wide default.  The lookup for code
-    that must stay free of global state, e.g. the sharded driver's
-    phase-1 fan-out. *)

@@ -28,11 +28,11 @@ let load dir =
 (* The in-driver audit checks deadlines whenever the instance carries
    them, and most registry policies ignore deadlines, so deadline-bearing
    instances run un-audited. *)
-let line (c : Corpus.case) (e : P.entry) ~impl =
+let line (c : Corpus.case) (e : P.entry) =
   let inst = c.Corpus.instance in
   let check = not (Instance.has_deadlines inst) in
   let recorder = Rec.create ~capacity:65536 () in
-  let s, lm = e.P.run_impl ~recorder ~impl ~check inst in
+  let s, lm = e.P.run ~recorder ~check inst in
   if Rec.dropped recorder <> 0 then
     failwith (Printf.sprintf "%s/%s: recorder dropped entries" c.Corpus.name e.P.name);
   let f = lm.Driver.flow and r = lm.Driver.rejection in
@@ -50,14 +50,4 @@ let line (c : Corpus.case) (e : P.entry) ~impl =
 
 let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun e ->
-          (* Both cores must print the same line; the flat one is kept. *)
-          let boxed = line c e ~impl:Driver.Boxed and flat = line c e ~impl:Driver.Flat in
-          if not (String.equal boxed flat) then
-            failwith (Printf.sprintf "cores diverge:\n  boxed %s\n  flat  %s" boxed flat);
-          print_endline flat)
-        P.all)
-    (load dir)
+  List.iter (fun c -> List.iter (fun e -> print_endline (line c e)) P.all) (load dir)

@@ -1,6 +1,6 @@
 (* Fixture: heap-comparator RJL002 findings honour suppressions. *)
 
-let by_key () = Pqueue.Indexed.create ~cmp:compare () (* rejlint: allow RJL002 *)
+let by_key () = Pqueue.Iheap.create ~less:( < ) () (* rejlint: allow RJL002 *)
 
 let flat_order keys =
   (* rejlint: allow poly-compare *)

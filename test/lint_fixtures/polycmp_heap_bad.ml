@@ -1,10 +1,10 @@
 (* Fixture: polymorphic comparators handed to the simulator's heap
    constructors fire RJL002, exactly as they do in sorts. *)
 
-let by_key () = Pqueue.Indexed.create ~cmp:compare ()
+let by_key () = Pqueue.Iheap.create ~less:( < ) ()
 
-let by_key_lambda keys =
-  Pqueue.Indexed.create ~cmp:(fun a b -> compare keys.(a) keys.(b)) ()
+let by_key_desc keys =
+  Pqueue.Iheap.create ~less:(fun a b -> keys.(a) > keys.(b)) ()
 
 let flat_order keys =
   Pqueue.Iheap.create ~less:(fun a b -> keys.(a) < keys.(b)) ()

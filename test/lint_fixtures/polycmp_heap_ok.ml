@@ -1,12 +1,10 @@
 (* Fixture: typed or named heap comparators must NOT fire RJL002. *)
 
-let cmp_release (a : float) (b : float) = Float.compare a b
 let less_release releases a b = Float.compare releases.(a) releases.(b) < 0
-let by_release () = Pqueue.Indexed.create ~cmp:cmp_release ()
 let flat_by_release releases = Pqueue.Iheap.create ~less:(less_release releases) ()
 
 let lambda_typed keys =
-  Pqueue.Indexed.create ~cmp:(fun a b -> Float.compare keys.(a) keys.(b)) ()
+  Pqueue.Iheap.create ~less:(fun a b -> Int.equal (Float.compare keys.(a) keys.(b)) (-1)) ()
 
 (* [create] on anything that is not a heap module is none of our
    business. *)

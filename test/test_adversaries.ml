@@ -18,7 +18,7 @@ let test_flow_probe () =
   let probe = AF.big_jobs_only ~eps:0.25 ~l:4. in
   Alcotest.(check int) "probe has only big jobs" 4 (Instance.n probe);
   let run inst =
-    Sched_sim.Driver.run_schedule
+    Test_util.schedule_of
       (Sched_baselines.Immediate_reject.policy ~eps:0.25 Sched_baselines.Immediate_reject.Never)
       inst
   in
@@ -29,7 +29,7 @@ let test_flow_game_ratio_ordering () =
      adversarial instance. *)
   let eps = 0.2 and l = 16. in
   let run_imm i =
-    Sched_sim.Driver.run_schedule
+    Test_util.schedule_of
       (Sched_baselines.Immediate_reject.policy ~eps Sched_baselines.Immediate_reject.Never)
       i
   in
@@ -43,7 +43,7 @@ let test_flow_game_ratio_ordering () =
 let test_flow_blowup_grows () =
   let eps = 0.25 in
   let run i =
-    Sched_sim.Driver.run_schedule
+    Test_util.schedule_of
       (Sched_baselines.Immediate_reject.policy ~eps Sched_baselines.Immediate_reject.Never)
       i
   in

@@ -98,7 +98,7 @@ let test_huge_size_spread () =
 
 let test_driver_empty_instance () =
   let inst = Instance.create ~machines:(Machine.fleet 1) ~jobs:[] () in
-  let s = Sched_sim.Driver.run_schedule Sched_baselines.Greedy_dispatch.fifo inst in
+  let s = Test_util.schedule_of Sched_baselines.Greedy_dispatch.fifo inst in
   Alcotest.(check (float 0.)) "empty makespan" 0. (Metrics.makespan s)
 
 let test_work_conservation () =

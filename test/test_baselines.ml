@@ -1,10 +1,9 @@
 open Sched_model
-open Sched_sim
 
 let test_fifo_valid () =
   let gen = Sched_workload.Suite.flow_uniform ~n:60 ~m:3 in
   let inst = Sched_workload.Gen.instance gen ~seed:2 in
-  let s = Driver.run_schedule Sched_baselines.Greedy_dispatch.fifo inst in
+  let s = Test_util.schedule_of Sched_baselines.Greedy_dispatch.fifo inst in
   Schedule.assert_valid s;
   Alcotest.(check int) "no rejections" 0 (Metrics.rejection s).Metrics.count
 
@@ -12,14 +11,14 @@ let test_spt_beats_fifo_on_mixed () =
   (* SPT is typically better for total flow with mixed sizes. *)
   let gen = Sched_workload.Suite.flow_bimodal ~n:120 ~m:2 in
   let inst = Sched_workload.Gen.instance gen ~seed:5 in
-  let fifo = Driver.run_schedule Sched_baselines.Greedy_dispatch.fifo inst in
-  let spt = Driver.run_schedule Sched_baselines.Greedy_dispatch.spt inst in
+  let fifo = Test_util.schedule_of Sched_baselines.Greedy_dispatch.fifo inst in
+  let spt = Test_util.schedule_of Sched_baselines.Greedy_dispatch.spt inst in
   Alcotest.(check bool) "spt <= fifo" true
     (Test_util.total_flow spt <= Test_util.total_flow fifo +. 1e-6)
 
 let test_fifo_order () =
   let inst = Test_util.instance [ (0., [| 5. |]); (0.1, [| 1. |]) ] in
-  let s = Driver.run_schedule Sched_baselines.Greedy_dispatch.fifo inst in
+  let s = Test_util.schedule_of Sched_baselines.Greedy_dispatch.fifo inst in
   match (Schedule.outcome s 0, Schedule.outcome s 1) with
   | Outcome.Completed a, Outcome.Completed b ->
       Alcotest.(check bool) "fifo keeps arrival order" true (a.Outcome.start < b.Outcome.start)
@@ -35,7 +34,7 @@ let test_immediate_budget_property () =
       in
       let gen = Sched_workload.Suite.flow_pareto ~n:80 ~m:2 in
       let inst = Sched_workload.Gen.instance gen ~seed in
-      let s = Driver.run_schedule (Sched_baselines.Immediate_reject.policy ~eps h) inst in
+      let s = Test_util.schedule_of (Sched_baselines.Immediate_reject.policy ~eps h) inst in
       (match Schedule.validate ~check_deadlines:false s with Ok () -> true | Error _ -> false)
       && float_of_int (Metrics.rejection s).Metrics.count <= (eps *. 80.) +. 1e-9)
   |> QCheck_alcotest.to_alcotest
@@ -44,7 +43,7 @@ let test_immediate_never_rejects_nothing () =
   let gen = Sched_workload.Suite.flow_uniform ~n:50 ~m:2 in
   let inst = Sched_workload.Gen.instance gen ~seed:4 in
   let s =
-    Driver.run_schedule
+    Test_util.schedule_of
       (Sched_baselines.Immediate_reject.policy ~eps:0.5 Sched_baselines.Immediate_reject.Never)
       inst
   in
@@ -54,7 +53,7 @@ let test_immediate_rejections_at_arrival_only () =
   let gen = Sched_workload.Suite.flow_bimodal ~n:80 ~m:2 in
   let inst = Sched_workload.Gen.instance gen ~seed:6 in
   let s =
-    Driver.run_schedule
+    Test_util.schedule_of
       (Sched_baselines.Immediate_reject.policy ~eps:0.3
          (Sched_baselines.Immediate_reject.Largest_over 1.5))
       inst
@@ -135,8 +134,8 @@ let test_brute_below_any_policy_property () =
     (fun (seed, m) ->
       let inst = Sched_workload.Suite.tiny ~seed ~n:6 ~m in
       let opt = Option.get (Sched_baselines.Brute_force.optimal_flow inst) in
-      let fifo = Driver.run_schedule Sched_baselines.Greedy_dispatch.fifo inst in
-      let spt = Driver.run_schedule Sched_baselines.Greedy_dispatch.spt inst in
+      let fifo = Test_util.schedule_of Sched_baselines.Greedy_dispatch.fifo inst in
+      let spt = Test_util.schedule_of Sched_baselines.Greedy_dispatch.spt inst in
       opt <= Test_util.total_flow fifo +. 1e-6 && opt <= Test_util.total_flow spt +. 1e-6)
   |> QCheck_alcotest.to_alcotest
 
@@ -208,11 +207,11 @@ let test_fractional_flow () =
   (* Single job p=4 run immediately: waiting 0, execution contributes
      d/2 = 2. *)
   let inst = Test_util.instance [ (0., [| 4. |]) ] in
-  let s = Sched_sim.Driver.run_schedule Sched_baselines.Greedy_dispatch.fifo inst in
+  let s = Test_util.schedule_of Sched_baselines.Greedy_dispatch.fifo inst in
   Alcotest.(check (float 1e-9)) "d/2" 2. (Metrics.fractional_flow s);
   (* Two jobs at 0, FIFO: job 1 waits 2 then runs 3: 2 + 1.5; job 0: 1. *)
   let inst2 = Test_util.instance [ (0., [| 2. |]); (0., [| 3. |]) ] in
-  let s2 = Sched_sim.Driver.run_schedule Sched_baselines.Greedy_dispatch.fifo inst2 in
+  let s2 = Test_util.schedule_of Sched_baselines.Greedy_dispatch.fifo inst2 in
   Alcotest.(check (float 1e-9)) "waiting + halves" 4.5 (Metrics.fractional_flow s2)
 
 let test_fractional_flow_lp_relation () =
@@ -220,7 +219,7 @@ let test_fractional_flow_lp_relation () =
     QCheck.(int_bound 1000)
     (fun seed ->
       let inst = Sched_workload.Suite.tiny ~seed ~n:6 ~m:2 in
-      let s = Sched_sim.Driver.run_schedule Sched_baselines.Greedy_dispatch.spt inst in
+      let s = Test_util.schedule_of Sched_baselines.Greedy_dispatch.spt inst in
       let frac = Metrics.fractional_flow s in
       let volume =
         List.fold_left

@@ -158,7 +158,7 @@ let live_fixture () =
     | None -> Alcotest.fail "flow-reject not registered"
   in
   let inst = Test_util.random_instance ~seed:11 ~n:30 ~m:3 () in
-  let schedule, lm = entry.Sched_experiments.Policy_registry.run_live inst in
+  let schedule, lm = entry.Sched_experiments.Policy_registry.run inst in
   let snap =
     {
       Oracle.flow = lm.Sched_sim.Driver.flow;
@@ -249,11 +249,11 @@ let test_check_obs () =
    telemetry when an obs handle is supplied. *)
 let test_driver_check () =
   let inst = Test_util.random_instance ~seed:3 ~n:25 ~m:2 () in
-  let plain = Sched_sim.Driver.run_schedule Sched_baselines.Greedy_dispatch.spt inst in
+  let plain = Test_util.schedule_of Sched_baselines.Greedy_dispatch.spt inst in
   let reg = Sched_obs.Registry.create () in
   let obs = Sched_obs.Obs.create ~registry:reg () in
   let audited =
-    Sched_sim.Driver.run_schedule ~obs ~check:true Sched_baselines.Greedy_dispatch.spt inst
+    Test_util.schedule_of ~obs ~check:true Sched_baselines.Greedy_dispatch.spt inst
   in
   Alcotest.(check string) "audit is observational"
     (Serialize.schedule_to_string plain)

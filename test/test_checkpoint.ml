@@ -104,7 +104,7 @@ let resumed_run ~check (e : P.entry) instance ~cut =
 
 let check_all_boundaries ~what (e : P.entry) instance =
   let check = not (Instance.has_deadlines instance) in
-  let sb, lb = e.P.run_impl ~impl:(Driver.default_impl ()) ~check instance in
+  let sb, lb = e.P.run ~check instance in
   let cb = Serialize.schedule_to_canonical_string sb in
   let n = Array.length (Instance.jobs_by_release instance) in
   for cut = 0 to n do

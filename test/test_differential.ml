@@ -28,7 +28,7 @@ let test_schedules_match_reference () =
       | Some ref_run ->
           List.iter
             (fun inst ->
-              let opt = Serialize.schedule_to_string (e.run inst) in
+              let opt = Serialize.schedule_to_string (fst (e.run inst)) in
               let refd = Serialize.schedule_to_string (ref_run inst) in
               if opt <> refd then
                 Alcotest.failf "policy %s diverges from its seed reference on %s" e.name
@@ -49,7 +49,7 @@ let test_live_metrics_match_recompute () =
       List.iteri
         (fun k inst ->
           if k mod 3 = 0 then begin
-            let s, live = e.run_live inst in
+            let s, live = e.run inst in
             let f = Metrics.flow s in
             let name = Printf.sprintf "%s on %s" e.name inst.Instance.name in
             check_float "flow.total" name ~expected:f.Metrics.total
@@ -154,7 +154,7 @@ let probe_policy =
 
 let test_accessors_agree_with_scans () =
   List.iteri
-    (fun k inst -> if k mod 5 = 0 then ignore (Driver.run_schedule probe_policy inst))
+    (fun k inst -> if k mod 5 = 0 then ignore (Test_util.schedule_of probe_policy inst))
     instances
 
 let suite =

@@ -24,7 +24,7 @@ let fifo_policy ?(target = fun (j : Job.t) -> j.Job.id mod Array.length j.Job.si
 
 let test_single_job () =
   let inst = Test_util.instance [ (1., [| 3. |]) ] in
-  let s = Driver.run_schedule (fifo_policy ~target:(fun _ -> 0) ()) inst in
+  let s = Test_util.schedule_of (fifo_policy ~target:(fun _ -> 0) ()) inst in
   Schedule.assert_valid s;
   match Schedule.outcome s 0 with
   | Outcome.Completed c ->
@@ -34,7 +34,7 @@ let test_single_job () =
 
 let test_fifo_sequencing () =
   let inst = Test_util.instance [ (0., [| 2. |]); (0.5, [| 2. |]); (1., [| 2. |]) ] in
-  let s = Driver.run_schedule (fifo_policy ~target:(fun _ -> 0) ()) inst in
+  let s = Test_util.schedule_of (fifo_policy ~target:(fun _ -> 0) ()) inst in
   Schedule.assert_valid s;
   let finish id =
     match Schedule.outcome s id with
@@ -49,7 +49,7 @@ let test_machine_speed () =
   let machines = [| Machine.create ~id:0 ~speed:2. () |] in
   let jobs = [ Job.create ~id:0 ~release:0. ~sizes:[| 4. |] () ] in
   let inst = Instance.create ~machines ~jobs () in
-  let s = Driver.run_schedule (fifo_policy ~target:(fun _ -> 0) ()) inst in
+  let s = Test_util.schedule_of (fifo_policy ~target:(fun _ -> 0) ()) inst in
   match Schedule.outcome s 0 with
   | Outcome.Completed c -> Alcotest.(check (float 1e-9)) "speed-2 finish" 2. c.Outcome.finish
   | Outcome.Rejected _ -> Alcotest.fail "should complete"
@@ -69,7 +69,7 @@ let test_exec_speed () =
     }
   in
   let inst = Test_util.instance [ (0., [| 8. |]) ] in
-  let s = Driver.run_schedule policy inst in
+  let s = Test_util.schedule_of policy inst in
   match Schedule.outcome s 0 with
   | Outcome.Completed c ->
       Alcotest.(check (float 1e-9)) "finish" 2. c.Outcome.finish;
@@ -101,7 +101,7 @@ let reject_running_policy () =
 let test_midrun_rejection () =
   let inst = Test_util.instance [ (0., [| 10. |]); (3., [| 1. |]) ] in
   let trace = Trace.create () in
-  let s = Driver.run ~trace (reject_running_policy ()) inst |> fst in
+  let s = Test_util.schedule_of ~trace (reject_running_policy ()) inst in
   Schedule.assert_valid s;
   (match Schedule.outcome s 0 with
   | Outcome.Rejected r ->
@@ -144,7 +144,7 @@ let test_pending_rejection () =
     }
   in
   let inst = Test_util.instance [ (0., [| 10. |]); (1., [| 5. |]); (2., [| 5. |]) ] in
-  let s = Driver.run_schedule policy inst in
+  let s = Test_util.schedule_of policy inst in
   Schedule.assert_valid s;
   match Schedule.outcome s 1 with
   | Outcome.Rejected r ->
@@ -163,7 +163,7 @@ let test_self_rejection () =
     }
   in
   let inst = Test_util.instance [ (0., [| 1. |]) ] in
-  let s = Driver.run_schedule policy inst in
+  let s = Test_util.schedule_of policy inst in
   match Schedule.outcome s 0 with
   | Outcome.Rejected r -> Alcotest.(check (float 1e-9)) "at release" 0. r.Outcome.time
   | Outcome.Completed _ -> Alcotest.fail "should be rejected"
@@ -178,7 +178,7 @@ let test_invalid_dispatch_raises () =
   let inst = Test_util.instance [ (0., [| 1. |]) ] in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Driver.run_schedule policy inst);
+       ignore (Test_util.schedule_of policy inst);
        false
      with Invalid_argument _ -> true)
 
@@ -187,7 +187,7 @@ let test_ineligible_dispatch_raises () =
   let policy = fifo_policy ~target:(fun _ -> 0) () in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Driver.run_schedule policy inst);
+       ignore (Test_util.schedule_of policy inst);
        false
      with Invalid_argument _ -> true)
 
@@ -201,7 +201,7 @@ let test_unknown_rejection_raises () =
   let inst = Test_util.instance [ (0., [| 1. |]) ] in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Driver.run_schedule policy inst);
+       ignore (Test_util.schedule_of policy inst);
        false
      with Invalid_argument _ -> true)
 
@@ -230,8 +230,8 @@ let test_queue_profile () =
 let test_determinism () =
   let gen = Sched_workload.Suite.flow_uniform ~n:60 ~m:3 in
   let inst = Sched_workload.Gen.instance gen ~seed:4 in
-  let s1 = Driver.run_schedule (fifo_policy ()) inst in
-  let s2 = Driver.run_schedule (fifo_policy ()) inst in
+  let s1 = Test_util.schedule_of (fifo_policy ()) inst in
+  let s2 = Test_util.schedule_of (fifo_policy ()) inst in
   Alcotest.(check (float 0.)) "identical flow" (Test_util.total_flow s1) (Test_util.total_flow s2)
 
 let test_random_instances_valid () =
@@ -241,7 +241,7 @@ let test_random_instances_valid () =
       let n = max 1 (n mod 40) in
       let gen = Sched_workload.Suite.flow_uniform ~n ~m:3 in
       let inst = Sched_workload.Gen.instance gen ~seed in
-      let s = Driver.run_schedule (fifo_policy ()) inst in
+      let s = Test_util.schedule_of (fifo_policy ()) inst in
       match Schedule.validate s with Ok () -> true | Error _ -> false)
   |> QCheck_alcotest.to_alcotest
 

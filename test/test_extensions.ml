@@ -23,7 +23,7 @@ let test_augment_helps () =
   let gen = Sched_workload.Suite.flow_uniform ~n:60 ~m:2 in
   let inst = Sched_workload.Gen.instance gen ~seed:5 in
   let base =
-    Sched_sim.Driver.run_schedule Sched_baselines.Greedy_dispatch.spt inst
+    Test_util.schedule_of Sched_baselines.Greedy_dispatch.spt inst
   in
   let aug = MA.run ~factor:4 inst in
   Alcotest.(check bool) "augmentation reduces flow" true
@@ -32,7 +32,7 @@ let test_augment_helps () =
 let test_augment_factor_one_identity () =
   let gen = Sched_workload.Suite.flow_uniform ~n:40 ~m:2 in
   let inst = Sched_workload.Gen.instance gen ~seed:6 in
-  let base = Sched_sim.Driver.run_schedule Sched_baselines.Greedy_dispatch.spt inst in
+  let base = Test_util.schedule_of Sched_baselines.Greedy_dispatch.spt inst in
   let one = MA.run ~factor:1 inst in
   Alcotest.(check (float 1e-9)) "factor 1 is identity" (Test_util.total_flow base)
     (Test_util.total_flow one)
@@ -84,7 +84,7 @@ let test_grid_schedule_valid () =
 let test_gantt_renders () =
   let inst = Test_util.instance ~machines:2 [ (0., [| 2.; 2. |]); (0., [| 2.; 2. |]) ] in
   let s =
-    Sched_sim.Driver.run_schedule Sched_baselines.Greedy_dispatch.spt inst
+    Test_util.schedule_of Sched_baselines.Greedy_dispatch.spt inst
   in
   let out = Gantt.render ~width:40 s in
   Alcotest.(check bool) "has machine rows" true
@@ -188,7 +188,7 @@ let test_file_io () =
 
 let test_segments_csv () =
   let inst = Test_util.instance [ (0., [| 2. |]) ] in
-  let s = Sched_sim.Driver.run_schedule Sched_baselines.Greedy_dispatch.fifo inst in
+  let s = Test_util.schedule_of Sched_baselines.Greedy_dispatch.fifo inst in
   let csv = Serialize.segments_to_csv s in
   Alcotest.(check bool) "header" true (Test_util.contains csv "job,machine,start");
   Alcotest.(check bool) "row" true (Test_util.contains csv "0,0,0,2,1,completed")
@@ -249,7 +249,7 @@ let suite =
 
 let test_svg_renders () =
   let inst = Test_util.instance ~machines:2 [ (0., [| 2.; 2. |]); (0., [| 2.; 2. |]) ] in
-  let s = Sched_sim.Driver.run_schedule Sched_baselines.Greedy_dispatch.spt inst in
+  let s = Test_util.schedule_of Sched_baselines.Greedy_dispatch.spt inst in
   let out = Svg.render ~width:400 s in
   Alcotest.(check bool) "svg document" true
     (Test_util.contains out "<svg" && Test_util.contains out "</svg>");
@@ -266,7 +266,7 @@ let test_svg_marks_rejection () =
 
 let test_svg_save () =
   let inst = Test_util.instance [ (0., [| 1. |]) ] in
-  let s = Sched_sim.Driver.run_schedule Sched_baselines.Greedy_dispatch.fifo inst in
+  let s = Test_util.schedule_of Sched_baselines.Greedy_dispatch.fifo inst in
   let path = Filename.temp_file "rejsched" ".svg" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)

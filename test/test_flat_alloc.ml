@@ -38,7 +38,7 @@ let run_and_measure ?recorder ~n ~m policy =
   let instance = make_instance ~seed:7 ~n ~m in
   let registry = Registry.create () in
   let obs = Obs.create ~registry () in
-  ignore (Driver.run_schedule ?recorder ~obs ~impl:Driver.Flat policy instance);
+  ignore (Driver.run ?recorder ~obs policy instance);
   let words =
     Metric.Counter.value (Registry.counter registry "sched_flat_loop_minor_words_total")
   in
@@ -60,8 +60,7 @@ let check_gate ?recorder ~what ~gate policy =
       "%s: flat loop allocates %.1f minor words/event (gate %.1f): the hot path is boxing again"
       what per_event gate
 
-(* Measured ~58 words/event (all policy-interface cost; the boxed core
-   runs ~130 on the same instance). *)
+(* Measured ~58 words/event (all policy-interface cost). *)
 let test_steady_state_allocs () =
   check_gate ~what:"greedy-spt" ~gate:80. Sched_baselines.Greedy_dispatch.spt
 
@@ -92,19 +91,6 @@ let test_steady_state_allocs_reject_recorded () =
   check_gate ~recorder ~what:"flow-reject+recorder" ~gate:110.
     (FR.policy (FR.config ~eps:0.3 ()))
 
-(* Counters are absent unless the flat core actually ran: the boxed core
-   must not register them, so a dashboard can tell the cores apart. *)
-let test_counters_flat_only () =
-  let instance = make_instance ~seed:11 ~n:50 ~m:2 in
-  let registry = Registry.create () in
-  let obs = Obs.create ~registry () in
-  ignore
-    (Driver.run_schedule ~obs ~impl:Driver.Boxed Sched_baselines.Greedy_dispatch.spt instance);
-  let words =
-    Metric.Counter.value (Registry.counter registry "sched_flat_loop_minor_words_total")
-  in
-  Alcotest.(check (float 0.)) "boxed run registers no flat counters" 0. words
-
 let suite =
   [
     Alcotest.test_case "steady-state minor words/event under gate" `Quick test_steady_state_allocs;
@@ -113,5 +99,4 @@ let suite =
       test_steady_state_allocs_recorded;
     Alcotest.test_case "recorder attached, rejection path" `Quick
       test_steady_state_allocs_reject_recorded;
-    Alcotest.test_case "flat counters only on flat runs" `Quick test_counters_flat_only;
   ]

@@ -1,6 +1,6 @@
-(* Property tests for the flat core's data structures: Flat_state's
-   instance mirror, the int-encoded event keys, and the two flat heaps —
-   each checked against its boxed counterpart or an algebraic law. *)
+(* Property tests for the driver's data structures: Flat_state's
+   instance mirror, the int-encoded event keys, and the two heaps —
+   each checked against a model or an algebraic law. *)
 
 open Sched_model
 open Sched_sim
@@ -154,14 +154,14 @@ let prop_key_total_order =
 
 let test_key_negative_zero () =
   (* Primitive float comparison: -0. and 0. are the same key, so the tag
-     decides — matching the boxed heap's behaviour. *)
+     decides. *)
   Alcotest.(check int) "-0. = 0., tag decides" (-1) (Key.compare (-0.) 1 0. 2);
   Alcotest.(check int) "equal" 0 (Key.compare (-0.) 7 0. 7)
 
-(* --- Events pops in Key.compare order, agreeing with the boxed heap ----- *)
+(* --- Events pops in Key.compare order: model check ----------------------- *)
 
-let prop_events_matches_boxed =
-  QCheck.Test.make ~name:"Events pops the boxed heap's exact sequence" ~count:300
+let prop_events_sorted_model =
+  QCheck.Test.make ~name:"Events pops in the (key, tag) order of a sorted list" ~count:300
     QCheck.(pair (list_of_size Gen.(int_bound 60) ev_arb) (int_bound 1_000_000))
     (fun (evs, salt) ->
       (* Tags must be unique while queued: replace the generated tag by a
@@ -170,83 +170,80 @@ let prop_events_matches_boxed =
       let rng = Rng.create salt in
       let order = Array.init (Array.length evs) Fun.id in
       Rng.shuffle rng order;
-      let boxed = Pqueue.create () and flat = Pqueue.Events.create () in
+      let q = Pqueue.Events.create () in
+      let model = ref [] in
       Array.iteri
         (fun k i ->
-          let key, _ = evs.(i) in
-          let tag = order.(k) in
-          Pqueue.push boxed ~key ~tag k;
-          Pqueue.Events.push flat ~key ~tag ~payload:k)
+          let key, _ = evs.(i) and tag = order.(k) in
+          Pqueue.Events.push q ~key ~tag ~payload:k;
+          model := (key, tag, k) :: !model)
         order;
-      let rec drain () =
-        match Pqueue.pop boxed with
-        | None -> Pqueue.Events.is_empty flat
-        | Some (k, t, p) ->
-            Pqueue.Events.pop flat
-            && Float.equal (Pqueue.Events.key flat) k
-            && Pqueue.Events.tag flat = t
-            && Pqueue.Events.payload flat = p
-            && drain ()
-      in
-      Array.length evs = Pqueue.Events.size flat && drain ())
+      let sorted = List.sort (fun (k1, t1, _) (k2, t2, _) -> Key.compare k1 t1 k2 t2) !model in
+      Pqueue.Events.size q = Array.length evs
+      && List.for_all
+           (fun (k, t, p) ->
+             Pqueue.Events.pop q
+             && Float.equal (Pqueue.Events.key q) k
+             && Pqueue.Events.tag q = t
+             && Pqueue.Events.payload q = p)
+           sorted
+      && Pqueue.Events.is_empty q)
 
-(* --- Iheap reproduces Indexed's slot layout exactly ---------------------- *)
+(* --- Iheap agrees with a present-set model ------------------------------ *)
 
-(* The driver exposes heap-array order to policies (pending_iter), so the
-   flat heap must not merely agree on the minimum: after any operation
-   sequence the two heap arrays must match slot for slot. *)
 (* Named comparators (RJL002 trusts audited named functions, and the
-   primitive float comparisons are deliberate: this is the drivers'
+   primitive float comparisons are deliberate: this is the driver's
    comparison semantics). *)
-let float_cmp (a : float) (b : float) = if a < b then -1 else if a > b then 1 else 0
-
 let keyed_less (keys : float array) a b =
   let ka = keys.(a) and kb = keys.(b) in
   if ka < kb then true else if ka > kb then false else a < b
 
 let int_less (a : int) (b : int) = a < b
 
-let prop_iheap_layout_identity =
-  QCheck.Test.make ~name:"Iheap slot layout = Indexed slot layout, always" ~count:150
+let prop_iheap_model =
+  QCheck.Test.make ~name:"Iheap min_id/iter/invariant agree with a present-set model"
+    ~count:150
     QCheck.(int_bound 1_000_000)
     (fun salt ->
       let rng = Rng.create salt in
       let nids = 2 + Rng.int rng 40 in
       (* Keys from a coarse dyadic grid: collisions are the interesting case. *)
       let keys = Array.init nids (fun _ -> float_of_int (Rng.int rng 8) /. 4.) in
-      let boxed = Pqueue.Indexed.create ~cmp:float_cmp () in
-      let flat = Pqueue.Iheap.create ~less:(keyed_less keys) () in
+      let less = keyed_less keys in
+      let h = Pqueue.Iheap.create ~less () in
       let present = Array.make nids false in
-      let layouts_match () =
-        Pqueue.Iheap.size flat = Pqueue.Indexed.size boxed
-        && begin
-             let slots = ref [] in
-             Pqueue.Indexed.iter boxed ~f:(fun id _ () -> slots := id :: !slots);
-             let expect = Array.of_list (List.rev !slots) in
-             let ok = ref true in
-             Array.iteri (fun s id -> if Pqueue.Iheap.get flat s <> id then ok := false) expect;
-             !ok
-           end
-        && Pqueue.Iheap.min_id flat
-           = (match Pqueue.Indexed.min_elt boxed with Some (id, _, ()) -> id | None -> -1)
-        && Pqueue.Iheap.invariant flat
-        && Pqueue.Indexed.invariant boxed
+      let agrees () =
+        let visits = Array.make nids 0 in
+        Pqueue.Iheap.iter h ~f:(fun id -> visits.(id) <- visits.(id) + 1);
+        let expected_min = ref (-1) and count = ref 0 in
+        Array.iteri
+          (fun id p ->
+            if p then begin
+              incr count;
+              if !expected_min < 0 || less id !expected_min then expected_min := id
+            end)
+          present;
+        let ok = ref (Pqueue.Iheap.size h = !count) in
+        Array.iteri
+          (fun id p ->
+            if visits.(id) <> (if p then 1 else 0) || Pqueue.Iheap.mem h ~id <> p then
+              ok := false)
+          present;
+        !ok && Pqueue.Iheap.min_id h = !expected_min && Pqueue.Iheap.invariant h
       in
       let steps = 30 + Rng.int rng 200 in
-      let ok = ref (layouts_match ()) in
+      let ok = ref (agrees ()) in
       for _ = 1 to steps do
         let id = Rng.int rng nids in
         if present.(id) then begin
-          assert (Pqueue.Iheap.remove flat ~id);
-          assert (Pqueue.Indexed.remove boxed ~id <> None);
+          assert (Pqueue.Iheap.remove h ~id);
           present.(id) <- false
         end
         else begin
-          Pqueue.Iheap.add flat ~id;
-          Pqueue.Indexed.add boxed ~id ~key:keys.(id) ();
+          Pqueue.Iheap.add h ~id;
           present.(id) <- true
         end;
-        if not (layouts_match ()) then ok := false
+        if not (agrees ()) then ok := false
       done;
       !ok)
 
@@ -277,7 +274,7 @@ let test_pending_zero_pin () =
   Alcotest.(check bool) "remove" true (Flat_state.pend_remove fs 0 1);
   Alcotest.(check bool) "remove" true (Flat_state.pend_remove fs 0 0);
   (* Emptying the queue pins work/weight to exactly 0., not a rounding
-     residue — same discipline as the boxed driver. *)
+     residue. *)
   Alcotest.(check bool) "work pinned" true (Float.equal 0. (Flat_state.pend_work fs 0));
   Alcotest.(check bool) "weight pinned" true (Float.equal 0. (Flat_state.pend_weight fs 0));
   Alcotest.(check int) "empty heads" (-1) (Flat_state.head_spt fs 0);
@@ -292,8 +289,8 @@ let suite =
     Alcotest.test_case "key range edges + out-of-range raises" `Quick test_key_edges;
     qtest prop_key_total_order;
     Alcotest.test_case "-0. keys equal 0. keys" `Quick test_key_negative_zero;
-    qtest prop_events_matches_boxed;
-    qtest prop_iheap_layout_identity;
+    qtest prop_events_sorted_model;
+    qtest prop_iheap_model;
     Alcotest.test_case "Iheap id errors" `Quick test_iheap_errors;
     Alcotest.test_case "pending aggregates pin to zero" `Quick test_pending_zero_pin;
   ]

@@ -144,8 +144,8 @@ let test_repo_is_typed_clean () =
       let errors =
         List.filter (fun f -> f.RL.Finding.severity = RL.Rule.Error) r.RL.Typed_lint.findings
       in
-      (* The one expected reach — the impl selector in run_view — is
-         suppressed in the source; everything else must be clean. *)
+      (* Any expected reach is suppressed in the source; everything
+         else must be clean. *)
       let unsuppressed =
         List.filter
           (fun (f : RL.Finding.t) ->
@@ -176,11 +176,8 @@ let test_hot_annotations_guarded () =
   List.iter
     (fun name ->
       Alcotest.(check bool) ("driver hot: " ^ name) true (List.mem name driver_hot))
-    [ "loop"; "try_start"; "reject_job"; "restart_job"; "cand_mask_boxed"; "cand_count_boxed";
-      "popcount";
-      (* The sharded two-phase tick: commit handlers shared with run_flat
-         plus the merge-pop and per-shard proposal scan. *)
-      "commit_arrival"; "commit_finish"; "next_source"; "propose_shard" ];
+    [ "loop"; "try_start"; "reject_job"; "restart_job"; "commit_arrival"; "commit_finish";
+      "popcount" ];
   let flat_hot =
     RL.Typed_lint.hot_functions_of_cmt
       (cmt "lib/sim/.sched_sim.objs/byte/sched_sim__Flat_state.cmt")
@@ -188,7 +185,7 @@ let test_hot_annotations_guarded () =
   List.iter
     (fun name ->
       Alcotest.(check bool) ("flat_state hot: " ^ name) true (List.mem name flat_hot))
-    [ "clock"; "set_clock"; "pend_add"; "pend_remove"; "next_event"; "lay_segment";
+    [ "clock"; "set_clock"; "pend_add"; "pend_remove"; "next_event_before"; "lay_segment";
       "account_completion"; "account_rejection"; "outcome_completed"; "outcome_rejected";
       (* The flight recorder's dispatch-provenance scans: same-module reads
          so the release build boxes nothing. *)

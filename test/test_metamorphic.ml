@@ -40,8 +40,8 @@ let check_policy (entry : P.entry) () =
 let check_shift (entry : P.entry) () =
   List.iter
     (fun inst ->
-      let base = entry.P.run inst in
-      let shifted = entry.P.run (Transform.shift_releases 4. inst) in
+      let base = fst (entry.P.run inst) in
+      let shifted = fst (entry.P.run (Transform.shift_releases 4. inst)) in
       let f s = (Metrics.flow s).Metrics.total_with_rejected in
       Alcotest.(check (float 1e-6))
         (entry.P.name ^ " flow shift-invariant on " ^ inst.Instance.name)

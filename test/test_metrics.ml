@@ -111,7 +111,7 @@ let test_fractional_below_integral () =
   (* Fractional flow is always at most the integral flow. *)
   let gen = Sched_workload.Suite.flow_pareto ~n:60 ~m:2 in
   let inst = Sched_workload.Gen.instance gen ~seed:11 in
-  let s = Sched_sim.Driver.run_schedule Sched_baselines.Greedy_dispatch.spt inst in
+  let s = Test_util.schedule_of Sched_baselines.Greedy_dispatch.spt inst in
   let frac = Metrics.fractional_flow s in
   let full = (Metrics.flow s).Metrics.total in
   Alcotest.(check bool)

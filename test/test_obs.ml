@@ -312,7 +312,7 @@ let instances =
 
 let run_spt obs inst =
   let trace = Sched_sim.Trace.create () in
-  let s = Sched_sim.Driver.run_schedule ~trace ?obs Sched_baselines.Greedy_dispatch.spt inst in
+  let s = Test_util.schedule_of ~trace ?obs Sched_baselines.Greedy_dispatch.spt inst in
   (Serialize.schedule_to_string s, Sched_sim.Trace_export.to_ndjson trace)
 
 let run_fr obs inst =
@@ -324,7 +324,7 @@ let run_fr obs inst =
 let run_restart obs inst =
   let module RS = Sched_baselines.Restart_spt in
   let trace = Sched_sim.Trace.create () in
-  let s, _ = Sched_sim.Driver.run ~trace ?obs (RS.policy (RS.config ~max_restarts:1 ())) inst in
+  let s, _, _ = Sched_sim.Driver.run ~trace ?obs (RS.policy (RS.config ~max_restarts:1 ())) inst in
   (Serialize.schedule_to_string s, Sched_sim.Trace_export.to_ndjson trace)
 
 let test_obs_does_not_change_schedules () =

@@ -44,7 +44,7 @@ let test_validator_accepts_all_policies () =
     (fun (e : PR.entry) ->
       List.iter
         (fun inst ->
-          let s = e.PR.run inst in
+          let s = fst (e.PR.run inst) in
           match Schedule.validate ~allow_restarts:e.PR.allow_restarts s with
           | Ok () -> ()
           | Error msgs ->
@@ -59,7 +59,7 @@ let test_strict_validation_without_restarts () =
   List.iter
     (fun (e : PR.entry) ->
       if not e.PR.allow_restarts then
-        match Schedule.validate (e.PR.run inst) with
+        match Schedule.validate (fst (e.PR.run inst)) with
         | Ok () -> ()
         | Error msgs ->
             Alcotest.failf "%s fails strict validation: %s" e.PR.name

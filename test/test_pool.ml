@@ -66,19 +66,24 @@ let test_nested_submission () =
   List.iter
     (fun domains ->
       Pool.with_pool ~domains (fun pool ->
+          (* Each task records the ambient pool's size in its own slot;
+             the assertions run on the calling domain after the region,
+             because Alcotest's reporter is not safe to call from several
+             domains at once. *)
+          let ambient_sizes = Array.make 8 0 in
           let got =
             Pool.parallel_map pool
               (fun i ->
                 (* Inner region without an explicit pool: must resolve to
                    the ambient pool, i.e. the enclosing one. *)
-                Alcotest.(check int)
-                  (Printf.sprintf "ambient size inside task (domains=%d)" domains)
-                  domains
-                  (Pool.size (Pool.ambient ()));
+                ambient_sizes.(i) <- Pool.size (Pool.ambient ());
                 Sched_stats.Parallel.map_array (fun j -> mix ((i * 16) + j))
                   (Array.init 16 (fun j -> j)))
               (Array.init 8 (fun i -> i))
           in
+          Alcotest.(check (array int))
+            (Printf.sprintf "ambient size inside every task (domains=%d)" domains)
+            (Array.make 8 domains) ambient_sizes;
           Alcotest.(check bool) (Printf.sprintf "nested ≡ sequential (domains=%d)" domains)
             true (got = expected)))
     [ 1; 2; 4 ]
@@ -99,38 +104,6 @@ let test_deep_nesting () =
                 Array.fold_left ( + ) 0 (Array.init 5 (fun k -> mix (i + j + k)))))
       in
       Alcotest.(check bool) "three levels deep" true (got = expected))
-
-(* Nested shard regions, the sharded driver's shape: run_shards from
-   inside pool tasks at widths 1/2/4 must complete (no deadlock — the
-   submitter helps drain the queue), touch each shard index exactly
-   once, and validate its width. *)
-let test_nested_shard_regions () =
-  List.iter
-    (fun domains ->
-      List.iter
-        (fun shards ->
-          Pool.with_pool ~domains (fun pool ->
-              let hits = Array.init 6 (fun _ -> Array.make shards 0) in
-              Pool.parallel_for pool 6 (fun task ->
-                  Pool.run_shards (Pool.ambient ()) ~shards (fun s ->
-                      hits.(task).(s) <- hits.(task).(s) + mix ((task * shards) + s)));
-              let expected =
-                Array.init 6 (fun task -> Array.init shards (fun s -> mix ((task * shards) + s)))
-              in
-              Alcotest.(check bool)
-                (Printf.sprintf "each shard once (domains=%d shards=%d)" domains shards)
-                true (hits = expected)))
-        [ 1; 2; 4 ])
-    [ 1; 2; 4 ]
-
-let test_run_shards_validates_width () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      List.iter
-        (fun shards ->
-          match Pool.run_shards pool ~shards (fun _ -> ()) with
-          | () -> Alcotest.failf "shards=%d accepted" shards
-          | exception Invalid_argument _ -> ())
-        [ 0; -1 ])
 
 let test_create_validates_width () =
   List.iter
@@ -210,8 +183,6 @@ let suite =
     Alcotest.test_case "ordered under uneven work" `Quick test_uneven_work_ordered;
     Alcotest.test_case "nested submission shares the pool" `Quick test_nested_submission;
     Alcotest.test_case "deep nesting" `Quick test_deep_nesting;
-    Alcotest.test_case "nested shard regions (widths 1/2/4)" `Quick test_nested_shard_regions;
-    Alcotest.test_case "run_shards validates width" `Quick test_run_shards_validates_width;
     Alcotest.test_case "create validates width" `Quick test_create_validates_width;
     Alcotest.test_case "lowest-index exception wins" `Quick test_lowest_index_exception;
     Alcotest.test_case "nested exception propagates" `Quick test_nested_exception_propagates;

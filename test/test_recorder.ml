@@ -287,7 +287,7 @@ let test_chrome_export_validates () =
   let inst = Test_util.random_instance ~seed:3 ~n:40 ~m:3 () in
   let rc = Rec.create ~capacity:1024 () in
   let entry = match P.find "flow-reject" with Some e -> e | None -> Alcotest.fail "registry" in
-  ignore (entry.P.run_impl ~recorder:rc ~impl:Sched_sim.Driver.Flat ~check:false inst);
+  ignore (entry.P.run ~recorder:rc inst);
   Alcotest.(check bool) "events recorded" true (Rec.total rc > 0);
   let doc = Sched_sim.Perfetto.to_chrome ~machines:(Instance.m inst) rc in
   (match Sched_sim.Perfetto.validate doc with
@@ -321,30 +321,27 @@ let test_run_reconciles_no_rejection () =
   let inst = Test_util.random_instance ~seed:11 ~n:60 ~m:3 () in
   let n = Instance.n inst in
   let entry = match P.find "greedy-spt" with Some e -> e | None -> Alcotest.fail "registry" in
+  let rc = Rec.create ~capacity:1024 () in
+  ignore (entry.P.run ~recorder:rc ~check:true inst);
+  let es = Rec.entries rc in
+  Alcotest.(check int) "dispatches = n" n (count Rec.Dispatch es);
+  Alcotest.(check int) "starts = n" n (count Rec.Start es);
+  Alcotest.(check int) "completes = n" n (count Rec.Complete es);
+  Alcotest.(check int) "no rejects" 0 (count Rec.Reject es);
+  Alcotest.(check int) "no restarts" 0 (count Rec.Restart es);
   List.iter
-    (fun impl ->
-      let rc = Rec.create ~capacity:1024 () in
-      ignore (entry.P.run_impl ~recorder:rc ~impl ~check:true inst);
-      let es = Rec.entries rc in
-      Alcotest.(check int) "dispatches = n" n (count Rec.Dispatch es);
-      Alcotest.(check int) "starts = n" n (count Rec.Start es);
-      Alcotest.(check int) "completes = n" n (count Rec.Complete es);
-      Alcotest.(check int) "no rejects" 0 (count Rec.Reject es);
-      Alcotest.(check int) "no restarts" 0 (count Rec.Restart es);
-      List.iter
-        (fun e ->
-          match e.Rec.kind with
-          | Rec.Dispatch ->
-              Alcotest.(check bool) "chosen machine eligible" true
-                (e.Rec.aux land (1 lsl e.Rec.machine) <> 0);
-              let rec bits x acc = if x = 0 then acc else bits (x land (x - 1)) (acc + 1) in
-              Alcotest.(check int) "cands = popcount mask" (bits e.Rec.aux 0) e.Rec.flag;
-              Alcotest.(check bool) "score >= pending work" true (e.Rec.score >= e.Rec.value)
-          | Rec.Start -> Alcotest.(check bool) "positive rate" true (e.Rec.value > 0.)
-          | Rec.Complete -> Alcotest.(check bool) "non-negative flow" true (e.Rec.value >= 0.)
-          | _ -> ())
-        es)
-    [ Sched_sim.Driver.Boxed; Sched_sim.Driver.Flat ]
+    (fun e ->
+      match e.Rec.kind with
+      | Rec.Dispatch ->
+          Alcotest.(check bool) "chosen machine eligible" true
+            (e.Rec.aux land (1 lsl e.Rec.machine) <> 0);
+          let rec bits x acc = if x = 0 then acc else bits (x land (x - 1)) (acc + 1) in
+          Alcotest.(check int) "cands = popcount mask" (bits e.Rec.aux 0) e.Rec.flag;
+          Alcotest.(check bool) "score >= pending work" true (e.Rec.score >= e.Rec.value)
+      | Rec.Start -> Alcotest.(check bool) "positive rate" true (e.Rec.value > 0.)
+      | Rec.Complete -> Alcotest.(check bool) "non-negative flow" true (e.Rec.value >= 0.)
+      | _ -> ())
+    es
 
 (* flow-reject on the restricted corpus case rejects for real: the budget
    columns of the last reject entry must equal the run's final rejection
@@ -366,8 +363,7 @@ let test_reject_budget_matches_metrics () =
   in
   let rc = Rec.create ~capacity:4096 () in
   let _, live =
-    entry.P.run_impl ~recorder:rc ~impl:Sched_sim.Driver.Flat ~check:true
-      case.Sched_fuzz.Corpus.instance
+    entry.P.run ~recorder:rc ~check:true case.Sched_fuzz.Corpus.instance
   in
   let rejects = List.filter (fun e -> e.Rec.kind = Rec.Reject) (Rec.entries rc) in
   Alcotest.(check bool) "case rejects" true (rejects <> []);

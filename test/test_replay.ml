@@ -6,7 +6,7 @@
 open Sched_model
 module PR = Sched_experiments.Policy_registry
 
-let dump e inst = Serialize.schedule_to_string (e.PR.run inst)
+let dump e inst = Serialize.schedule_to_string (fst (e.PR.run inst))
 
 let test_same_seed_same_instance () =
   List.iter

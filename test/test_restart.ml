@@ -33,7 +33,7 @@ let test_driver_restart_mechanics () =
   in
   let inst = Test_util.instance [ (0., [| 10. |]); (2., [| 1. |]) ] in
   let trace = Sched_sim.Trace.create () in
-  let s = Sched_sim.Driver.run ~trace policy inst |> fst in
+  let s = Test_util.schedule_of ~trace policy inst in
   Schedule.assert_valid ~allow_restarts:true s;
   (* Job 0 ran [0,2), was killed, job 1 ran [2,3), job 0 reran [3,13). *)
   (match Schedule.outcome s 0 with
@@ -71,7 +71,7 @@ let test_restart_not_running_raises () =
   let inst = Test_util.instance [ (0., [| 1. |]) ] in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Sched_sim.Driver.run_schedule policy inst);
+       ignore (Test_util.schedule_of policy inst);
        false
      with Invalid_argument _ -> true)
 
@@ -93,7 +93,7 @@ let test_restart_cap_respected () =
   let gen = Sched_workload.Suite.flow_bimodal ~n:120 ~m:2 in
   let inst = Sched_workload.Gen.instance gen ~seed:3 in
   let trace = Sched_sim.Trace.create () in
-  let _, st = Sched_sim.Driver.run ~trace (RS.policy (RS.config ~max_restarts:1 ())) inst in
+  let _, st, _ = Sched_sim.Driver.run ~trace (RS.policy (RS.config ~max_restarts:1 ())) inst in
   (* No job may be restarted twice. *)
   let per_job = Hashtbl.create 16 in
   List.iter

@@ -70,10 +70,10 @@ let stream_run ~check ~retire (e : P.entry) instance ~chunk =
 
 let check_stream ~what (e : P.entry) instance =
   (* Deadline-bearing instances are compared un-audited, exactly as the
-     flat-vs-boxed differential does: the in-driver audit has no
-     check_deadlines knob and most registry policies ignore deadlines. *)
+     goldens are generated: the in-driver audit has no check_deadlines
+     knob and most registry policies ignore deadlines. *)
   let check = not (Instance.has_deadlines instance) in
-  let sb, lb = e.P.run_impl ~impl:(Driver.default_impl ()) ~check instance in
+  let sb, lb = e.P.run ~check instance in
   let cb = Serialize.schedule_to_canonical_string sb in
   let n = Array.length (Instance.jobs_by_release instance) in
   List.iter

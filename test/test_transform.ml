@@ -1,7 +1,7 @@
 open Sched_model
 module T = Sched_workload.Transform
 
-let flow_of policy inst = Test_util.total_flow (Sched_sim.Driver.run_schedule policy inst)
+let flow_of policy inst = Test_util.total_flow (Test_util.schedule_of policy inst)
 
 (* Scaling by a power of two is exact in binary floating point, so every
    comparison in the simulator is preserved bit-for-bit; arbitrary factors

@@ -76,3 +76,8 @@ let random_instance ?(weighted = false) ?(restricted = false) ?(alpha = 3.) ~see
   Sched_model.Instance.create
     ~name:(Printf.sprintf "diff-n%d-m%d-s%d" n m seed)
     ~machines ~jobs ()
+
+(* [Driver.run] keeping only the schedule. *)
+let schedule_of ?trace ?obs ?check policy instance =
+  let s, _, _ = Sched_sim.Driver.run ?trace ?obs ?check policy instance in
+  s
