@@ -37,35 +37,54 @@ let precede i (a : Job.t) (b : Job.t) =
 
 (* lambda_ij = (1/eps) p_ij + sum_{l <= j} p_il + sum_{l > j} p_ij, where l
    ranges over the pending set of machine i plus j itself ("l <= j" includes
-   l = j, contributing p_ij).  The pending set does not yet contain j; one
-   allocation-free pass suffices, no sort. *)
-let lambda_ij eps view i (j : Job.t) =
-  let pij = Job.size j i in
-  let before = ref 0. and after = ref 0 in
-  Driver.pending_iter view i (fun (l : Job.t) ->
-      if precede i l j then before := !before +. Job.size l i else incr after);
-  (pij /. eps) +. !before +. pij +. (float_of_int !after *. pij)
+   l = j, contributing p_ij).  The pending set does not yet contain j; the
+   driver's order-statistic index returns both pending-dependent terms —
+   the work before j and the count after it, in [precede] order — in
+   O(log |pending_i|) without allocating.
 
-let greedy_load_cost view i (j : Job.t) =
+   The index sums the work before j in tree order, not in a left-to-right
+   pass over the pending set.  On dyadic sizes (multiples of a power of
+   two, as in the differential suite and the serve-burst workload) every
+   grouping is exact, so lambda_ij is bit-identical to the scan's; on
+   other sizes the two can differ in the last place, and the seed
+   cross-check in the differential suite pins that no dispatch decision
+   flips on the uniform [1, 10] family. *)
+let[@inline] lambda_ij eps view i (j : Job.t) =
+  let pij = Job.size j i in
+  let s = Driver.pending_split view i j in
+  let before = s.Driver.work_before and after = s.Driver.count_after in
+  (pij /. eps) +. before +. pij +. (after *. pij)
+
+let[@inline] greedy_load_cost view i (j : Job.t) =
   Driver.remaining_time view i +. Driver.pending_work view i +. Job.size j i
 
-(* Argmin over eligible machines; deterministic tie-break on machine id. *)
-let argmin_machine instance (j : Job.t) cost =
-  let best = ref None in
-  for i = 0 to Instance.m instance - 1 do
+(* Argmin over eligible machines of lambda_ij ([dual]) or of the greedy
+   load cost: the leftmost strict minimum, since a later machine replaces
+   the incumbent only when [not (best <= c)].  Returns the machine and
+   leaves the minimum cost in [st.lambda.(j.id)].  The incumbent lives in
+   two local refs that never escape (the native compiler keeps both
+   unboxed) and the cost is chosen by a branch, not a closure, so a
+   dispatch allocates nothing per machine. *)
+let argmin_machine st view (j : Job.t) ~dual =
+  let best = ref (-1) and best_c = ref 0. in
+  for i = 0 to Instance.m st.instance - 1 do
     if Job.eligible j i then begin
-      let c = cost i in
-      match !best with
-      | Some (_, c') when c' <= c -> ()
-      | _ -> best := Some (i, c)
+      let c = if dual then lambda_ij st.eps_eff view i j else greedy_load_cost view i j in
+      if !best < 0 || not (!best_c <= c) then begin
+        best := i;
+        best_c := c
+      end
     end
   done;
-  match !best with Some ic -> ic | None -> assert false
+  assert (!best >= 0);
+  st.lambda.(j.id) <- !best_c;
+  !best
 
 let largest_pending view i (j_new : Job.t) =
   (* Largest-processing-time job among the pending set (the just-dispatched
      job included); "largest" uses the same total order as [precede].  The
-     reverse-SPT index hands over the pending maximum in O(1). *)
+     order-statistic index hands over the pending maximum in
+     O(log |pending_i|). *)
   match Driver.pending_longest view i with
   | None -> j_new
   | Some w -> if precede i j_new w then w else j_new
@@ -103,17 +122,18 @@ let ensure st id =
 
 let on_arrival st view (j : Job.t) =
   let eps = st.eps_eff in
-  let target, best_lambda =
+  ensure st j.id;
+  let target =
     match st.cfg.dispatch with
-    | Dual_lambda -> argmin_machine st.instance j (fun i -> lambda_ij eps view i j)
+    | Dual_lambda -> argmin_machine st view j ~dual:true
     | Greedy_load ->
-        let i, _ = argmin_machine st.instance j (fun i -> greedy_load_cost view i j) in
+        let i = argmin_machine st view j ~dual:false in
         (* The dual variable is defined from lambda_ij regardless of how we
            dispatched, so the instrumentation stays meaningful in E8. *)
-        (i, snd (argmin_machine st.instance j (fun i -> lambda_ij eps view i j)))
+        ignore (argmin_machine st view j ~dual:true);
+        i
   in
-  ensure st j.id;
-  st.lambda.(j.id) <- eps /. (1. +. eps) *. best_lambda;
+  st.lambda.(j.id) <- eps /. (1. +. eps) *. st.lambda.(j.id);
   (* Rejection Rule 1: bump the running job's counter. *)
   st.c.(target) <- st.c.(target) + 1;
   let rejections = ref [] in

@@ -48,10 +48,17 @@ let pending_work fs i = Flat_state.pend_work fs i
 let pending_weight fs i = Flat_state.pend_weight fs i
 let head fs id = if id < 0 then None else Some (Flat_state.job fs id)
 let pending_shortest fs i = head fs (Flat_state.head_spt fs i)
-let pending_longest fs i = head fs (Flat_state.head_spt_rev fs i)
+let pending_longest fs i = head fs (Flat_state.index_max fs i)
 let pending_densest fs i = head fs (Flat_state.head_density fs i)
 let pending_longest_tie_id fs i = head fs (Flat_state.head_size_id fs i)
 let pending_earliest fs i = head fs (Flat_state.head_fifo fs i)
+
+type split = Flat_state.split = private {
+  mutable work_before : float;
+  mutable count_after : float;
+}
+
+let pending_split fs i (j : Job.t) = Flat_state.pend_split fs i ~job:j.Job.id
 
 type live_metrics = {
   flow : Metrics.flow;

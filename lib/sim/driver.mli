@@ -96,6 +96,30 @@ val pending_longest_tie_id : view -> Machine.id -> Job.t option
 val pending_earliest : view -> Machine.id -> Job.t option
 (** Smallest [(release, id)] — FIFO order. *)
 
+type split = private {
+  mutable work_before : float;
+      (** Sum of [p_il] over the jobs [l] pending on [i] that precede
+          [j]. *)
+  mutable count_after : float;
+      (** Number of jobs pending on [i] that [j] precedes — an integer,
+          held as a float so the record stays unboxed. *)
+}
+
+val pending_split : view -> Machine.id -> Job.t -> split
+(** [pending_split view i j] splits machine [i]'s pending set around [j]
+    in the order of {!pending_shortest} — [p_ij], then release, then
+    id — and returns the two pending-dependent terms of Theorem 1's
+    [lambda_ij]; [j] itself, if pending, is on neither side.  O(log
+    |pending_i|) through an order-statistic index, allocation-free.
+    [j] must be a job the driver has been fed.  The record is the view's
+    one answer cell: the next query overwrites it, so read both fields
+    first.
+
+    The work sum groups sizes by the index's tree shape, not in
+    {!pending_iter} order: exact on dyadic sizes (e.g. multiples of
+    1/4), possibly different from a left-to-right fold in the last place
+    otherwise. *)
+
 (** {1 Incremental metrics} *)
 
 type live_metrics = {

@@ -56,6 +56,11 @@ let loc_is_pending l = l >= 0 && l land 1 = 0
 let loc_is_running l = l >= 0 && l land 1 = 1
 let loc_machine l = l asr 1
 
+(* The answer cell of [pend_split]: one per state, overwritten by every
+   query.  Both fields are floats so the record is stored flat — an int
+   field would make every write of the float one allocate a box. *)
+type split = { mutable work_before : float; mutable count_after : float }
+
 (* Outcome kinds in [out_kind]: *)
 let out_none = 0
 let out_completed = 1
@@ -85,23 +90,35 @@ type t = {
   mutable min_size : float array;
   mutable size_col : float array;  (* p_ij at [(i * stride) + j] *)
   mutable dens_col : float array;  (* w_j /. p_ij at [(i * stride) + j] *)
-  (* Pending sets: five orders per machine over bare job ids, plus the
-     incremental work/weight aggregates.  Only [by_spt] is observable as
-     a *layout* (through [pend_iter]); the four auxiliary orders expose
-     nothing but their minimum, which each strict total order makes
-     unique regardless of heap shape.  They are therefore maintained
-     lazily: dormant until a policy first asks for their head, then
-     rebuilt from [by_spt] and kept incremental from that point on.
-     Policies that never consult an order never pay for it. *)
+  (* Pending sets: four heap orders per machine over bare job ids, the
+     order-statistic index below, and the incremental work/weight
+     aggregates.  Only [by_spt] is observable as a *layout* (through
+     [pend_iter]); the three auxiliary heaps expose nothing but their
+     minimum, which each strict total order makes unique regardless of
+     heap shape.  They — and the index — are therefore maintained
+     lazily: dormant until a policy first queries them, then rebuilt
+     from [by_spt] and kept incremental from that point on.  Policies
+     that never consult an order never pay for it. *)
   by_spt : Pqueue.Iheap.t array;
-  by_spt_rev : Pqueue.Iheap.t array;
   by_density : Pqueue.Iheap.t array;
   by_size_id : Pqueue.Iheap.t array;
   by_fifo : Pqueue.Iheap.t array;
-  mutable live_spt_rev : bool;
   mutable live_density : bool;
   mutable live_size_id : bool;
   mutable live_fifo : bool;
+  (* Order-statistic index: one treap per machine over its pending ids,
+     in [less_spt] order (the paper's [precede]), each node carrying its
+     subtree's job count and size sum.  A job is pending on at most one
+     machine, so the node columns are indexed by job id and shared by
+     all machines; only the roots are per machine.  Child links are job
+     ids, [-1] for none. *)
+  mutable ix_left : int array;
+  mutable ix_right : int array;
+  mutable ix_count : int array;
+  mutable ix_work : float array;
+  ix_root : int array;
+  mutable live_index : bool;
+  split : split;
   p_work : float array;
   p_weight : float array;
   (* Running slot per machine; [run_job.(i) = -1] when idle. *)
@@ -141,11 +158,13 @@ type t = {
   mutable seg_len : int;
 }
 
-(* The strict orders of the five pending heaps: primitive float [<]/[>]
-   branches (so [-0. = 0.] and incomparable infinities fall through),
-   then the id tie-break. *)
+(* The strict orders of the pending heaps and the index: primitive float
+   [<]/[>] branches (so [-0. = 0.] and incomparable infinities fall
+   through), then the id tie-break.  The [float array] annotations
+   matter: left polymorphic, each read would box its float and each
+   comparison would go through the generic [compare]. *)
 
-let less_spt sz rel base a b =
+let less_spt (sz : float array) (rel : float array) base a b =
   let pa = sz.(base + a) and pb = sz.(base + b) in
   if pa < pb then true
   else if pa > pb then false
@@ -153,15 +172,7 @@ let less_spt sz rel base a b =
     let ra = rel.(a) and rb = rel.(b) in
     if ra < rb then true else if ra > rb then false else a < b
 
-let less_spt_rev sz rel base a b =
-  let pa = sz.(base + a) and pb = sz.(base + b) in
-  if pa > pb then true
-  else if pa < pb then false
-  else
-    let ra = rel.(a) and rb = rel.(b) in
-    if ra > rb then true else if ra < rb then false else b < a
-
-let less_density dn rel base a b =
+let less_density (dn : float array) (rel : float array) base a b =
   let da = dn.(base + a) and db = dn.(base + b) in
   if da > db then true
   else if da < db then false
@@ -169,11 +180,11 @@ let less_density dn rel base a b =
     let ra = rel.(a) and rb = rel.(b) in
     if ra < rb then true else if ra > rb then false else a < b
 
-let less_size_id sz base a b =
+let less_size_id (sz : float array) base a b =
   let pa = sz.(base + a) and pb = sz.(base + b) in
   if pa > pb then true else if pa < pb then false else b < a
 
-let less_fifo rel a b =
+let less_fifo (rel : float array) a b =
   let ra = rel.(a) and rb = rel.(b) in
   if ra < rb then true else if ra > rb then false else a < b
 
@@ -184,7 +195,7 @@ let less_fifo rel a b =
    goes through the validating constructor like any other job.) *)
 let retired_job = Job.create ~id:0 ~release:0. ~sizes:[| 1. |] ()
 
-(* Point the five per-machine heap orders at the current column arrays.
+(* Point the four per-machine heap orders at the current column arrays.
    Called at creation and again after every streaming column growth —
    the comparators capture the arrays (and the machine's row base)
    directly so the per-comparison path stays free of indirection. *)
@@ -193,7 +204,6 @@ let rebless_heaps t =
   for i = 0 to t.m - 1 do
     let base = i * t.stride in
     Pqueue.Iheap.set_less t.by_spt.(i) ~less:(less_spt sz rel base);
-    Pqueue.Iheap.set_less t.by_spt_rev.(i) ~less:(less_spt_rev sz rel base);
     Pqueue.Iheap.set_less t.by_density.(i) ~less:(less_density dn rel base);
     Pqueue.Iheap.set_less t.by_size_id.(i) ~less:(less_size_id sz base);
     Pqueue.Iheap.set_less t.by_fifo.(i) ~less:(less_fifo rel)
@@ -245,14 +255,19 @@ let of_instance instance =
     size_col;
     dens_col;
     by_spt = heap (fun base -> less_spt size_col release base);
-    by_spt_rev = heap (fun base -> less_spt_rev size_col release base);
     by_density = heap (fun base -> less_density dens_col release base);
     by_size_id = heap (fun base -> less_size_id size_col base);
     by_fifo = Array.init m (fun _ -> Pqueue.Iheap.create ~less:(less_fifo release) ());
-    live_spt_rev = false;
     live_density = false;
     live_size_id = false;
     live_fifo = false;
+    ix_left = Array.make n (-1);
+    ix_right = Array.make n (-1);
+    ix_count = Array.make n 0;
+    ix_work = Array.make n 0.;
+    ix_root = Array.make m (-1);
+    live_index = false;
+    split = { work_before = 0.; count_after = 0. };
     p_work = Array.make m 0.;
     p_weight = Array.make m 0.;
     run_job = Array.make m (-1);
@@ -302,7 +317,8 @@ let of_stream ~machines =
 (* Double the job capacity to cover [id].  The scalar columns blit; the
    per-(machine, job) matrices re-lay row by row at the new stride; the
    heap comparators — closed over the old arrays — are re-blessed onto
-   the new ones.  Cold: amortized O(1) per fed job. *)
+   the new ones.  The index needs no re-blessing: it reads the columns
+   through [t] on every comparison.  Cold: amortized O(1) per fed job. *)
 let grow_columns t id =
   let cap = t.stride in
   if id >= cap then begin
@@ -316,6 +332,10 @@ let grow_columns t id =
     t.weight <- grow_f t.weight;
     t.min_size <- grow_f t.min_size;
     t.loc <- grow_i loc_unreleased t.loc;
+    t.ix_left <- grow_i (-1) t.ix_left;
+    t.ix_right <- grow_i (-1) t.ix_right;
+    t.ix_count <- grow_i 0 t.ix_count;
+    t.ix_work <- grow_f t.ix_work;
     t.out_kind <- grow_i out_none t.out_kind;
     t.out_machine <- grow_i 0 t.out_machine;
     t.out_t0 <- grow_f t.out_t0;
@@ -440,22 +460,159 @@ let[@rejlint.hot] set_saw_restart t = t.saw_restart <- true
 (* ------------------------------------------------------------------ *)
 (* Pending sets. *)
 
+(* The order-statistic index.  A treap: a binary search tree in
+   [less_spt] order that is also a max-heap on a fixed priority per job.
+   With distinct priorities, the tree shape is a function of the key set
+   alone — the same whatever the history of inserts and removes — so a
+   dormant index woken late is node-for-node the index kept incremental
+   from the start.
+
+   Every node's count and work are recomputed from its children
+   ([left + p + right]) whenever its subtree changes; nothing is
+   maintained by subtraction, so no rounding residue can accumulate.  The
+   work sums group sizes by tree shape rather than by the scan's
+   heap-array order: on dyadic sizes every grouping is exact, and on
+   other inputs a query's total can differ from a left-to-right fold in
+   the last place.
+
+   All operations are recursions over int ids and in-place stores into
+   the columns, so none allocates. *)
+
+(* Treap priority: a fixed integer hash of the job id.  Each step
+   (multiply by an odd constant, xor with a right shift) is a bijection
+   on 63-bit ints, so distinct ids get distinct priorities. *)
+let[@rejlint.hot] prio id =
+  let x = (id + 1) * 0x1d8e4e27c47d124f in
+  let x = x lxor (x lsr 31) in
+  let x = x * 0x2545f4914f6cdd1d in
+  x lxor (x lsr 29)
+
+(* Recompute a node's count and work from its children. *)
+let[@rejlint.hot] ix_fix t base node =
+  let l = t.ix_left.(node) and r = t.ix_right.(node) in
+  t.ix_count.(node) <-
+    (if l < 0 then 0 else t.ix_count.(l)) + 1 + if r < 0 then 0 else t.ix_count.(r);
+  t.ix_work.(node) <-
+    (if l < 0 then 0. else t.ix_work.(l))
+    +. t.size_col.(base + node)
+    +. if r < 0 then 0. else t.ix_work.(r)
+
+(* Inserts [id] into the subtree rooted at [node] (machine row [base]) and
+   returns the subtree's new root, rotating [id] up while its priority
+   beats its parent's. *)
+let[@rejlint.hot] rec ix_insert t base id node =
+  if node < 0 then begin
+    t.ix_left.(id) <- -1;
+    t.ix_right.(id) <- -1;
+    ix_fix t base id;
+    id
+  end
+  else if less_spt t.size_col t.release base id node then begin
+    let l = ix_insert t base id t.ix_left.(node) in
+    if prio l > prio node then begin
+      t.ix_left.(node) <- t.ix_right.(l);
+      ix_fix t base node;
+      t.ix_right.(l) <- node;
+      ix_fix t base l;
+      l
+    end
+    else begin
+      t.ix_left.(node) <- l;
+      ix_fix t base node;
+      node
+    end
+  end
+  else begin
+    let r = ix_insert t base id t.ix_right.(node) in
+    if prio r > prio node then begin
+      t.ix_right.(node) <- t.ix_left.(r);
+      ix_fix t base node;
+      t.ix_left.(r) <- node;
+      ix_fix t base r;
+      r
+    end
+    else begin
+      t.ix_right.(node) <- r;
+      ix_fix t base node;
+      node
+    end
+  end
+
+(* Joins two subtrees whose keys are all ordered [a] before [b]. *)
+let[@rejlint.hot] rec ix_merge t base a b =
+  if a < 0 then b
+  else if b < 0 then a
+  else if prio a > prio b then begin
+    t.ix_right.(a) <- ix_merge t base t.ix_right.(a) b;
+    ix_fix t base a;
+    a
+  end
+  else begin
+    t.ix_left.(b) <- ix_merge t base a t.ix_left.(b);
+    ix_fix t base b;
+    b
+  end
+
+(* Removes [id] (present) from the subtree at [node]; returns the new
+   root. *)
+let[@rejlint.hot] rec ix_remove t base id node =
+  if node < 0 then node
+  else if node = id then ix_merge t base t.ix_left.(id) t.ix_right.(id)
+  else begin
+    if less_spt t.size_col t.release base id node then
+      t.ix_left.(node) <- ix_remove t base id t.ix_left.(node)
+    else t.ix_right.(node) <- ix_remove t base id t.ix_right.(node);
+    ix_fix t base node;
+    node
+  end
+
+(* The prefix query.  Walks from [node] toward [job]'s position: a node
+   ordered before [job] adds its own size and its left subtree's work to
+   [split.work_before], a node ordered after it adds itself and its
+   right subtree to the returned count.  [job] itself, when pending,
+   lands on neither side. *)
+let[@rejlint.hot] rec ix_split t base job node after =
+  if node < 0 then after
+  else if node = job then begin
+    let l = t.ix_left.(node) and r = t.ix_right.(node) in
+    if l >= 0 then t.split.work_before <- t.split.work_before +. t.ix_work.(l);
+    if r < 0 then after else after + t.ix_count.(r)
+  end
+  else if less_spt t.size_col t.release base node job then begin
+    let l = t.ix_left.(node) in
+    t.split.work_before <-
+      t.split.work_before +. ((if l < 0 then 0. else t.ix_work.(l)) +. t.size_col.(base + node));
+    ix_split t base job t.ix_right.(node) after
+  end
+  else begin
+    let r = t.ix_right.(node) in
+    ix_split t base job t.ix_left.(node) (after + 1 + if r < 0 then 0 else t.ix_count.(r))
+  end
+
+let[@rejlint.hot] rec ix_leftmost t node =
+  let l = t.ix_left.(node) in
+  if l < 0 then node else ix_leftmost t l
+
+let[@rejlint.hot] rec ix_rightmost t node =
+  let r = t.ix_right.(node) in
+  if r < 0 then node else ix_rightmost t r
+
 let[@rejlint.hot] pend_add t i id =
   Pqueue.Iheap.add t.by_spt.(i) ~id;
-  if t.live_spt_rev then Pqueue.Iheap.add t.by_spt_rev.(i) ~id;
   if t.live_density then Pqueue.Iheap.add t.by_density.(i) ~id;
   if t.live_size_id then Pqueue.Iheap.add t.by_size_id.(i) ~id;
   if t.live_fifo then Pqueue.Iheap.add t.by_fifo.(i) ~id;
+  if t.live_index then t.ix_root.(i) <- ix_insert t (i * t.stride) id t.ix_root.(i);
   t.p_work.(i) <- t.p_work.(i) +. size t ~machine:i ~job:id;
   t.p_weight.(i) <- t.p_weight.(i) +. t.weight.(id)
 
 let[@rejlint.hot] pend_remove t i id =
   if not (Pqueue.Iheap.remove t.by_spt.(i) ~id) then false
   else begin
-    if t.live_spt_rev then ignore (Pqueue.Iheap.remove t.by_spt_rev.(i) ~id);
     if t.live_density then ignore (Pqueue.Iheap.remove t.by_density.(i) ~id);
     if t.live_size_id then ignore (Pqueue.Iheap.remove t.by_size_id.(i) ~id);
     if t.live_fifo then ignore (Pqueue.Iheap.remove t.by_fifo.(i) ~id);
+    if t.live_index then t.ix_root.(i) <- ix_remove t (i * t.stride) id t.ix_root.(i);
     if Pqueue.Iheap.is_empty t.by_spt.(i) then begin
       (* Pin the aggregates back to exactly zero so float cancellation
          drift cannot survive an empty queue. *)
@@ -484,12 +641,31 @@ let wake t aux =
     Pqueue.Iheap.iter t.by_spt.(i) ~f:(fun id -> Pqueue.Iheap.add aux.(i) ~id)
   done
 
-let[@rejlint.hot] head_spt_rev t i =
-  if not t.live_spt_rev then begin
-    wake t t.by_spt_rev;
-    t.live_spt_rev <- true
-  end;
-  Pqueue.Iheap.min_id t.by_spt_rev.(i)
+(* First query of a dormant index: the same fill, into the treaps. *)
+let wake_index t =
+  for i = 0 to t.m - 1 do
+    let base = i * t.stride in
+    Pqueue.Iheap.iter t.by_spt.(i) ~f:(fun id ->
+        t.ix_root.(i) <- ix_insert t base id t.ix_root.(i))
+  done;
+  t.live_index <- true
+
+let[@rejlint.hot] pend_split t i ~job =
+  if not t.live_index then wake_index t;
+  let s = t.split in
+  s.work_before <- 0.;
+  s.count_after <- float_of_int (ix_split t (i * t.stride) job t.ix_root.(i) 0);
+  s
+
+let[@rejlint.hot] index_min t i =
+  if not t.live_index then wake_index t;
+  let r = t.ix_root.(i) in
+  if r < 0 then -1 else ix_leftmost t r
+
+let[@rejlint.hot] index_max t i =
+  if not t.live_index then wake_index t;
+  let r = t.ix_root.(i) in
+  if r < 0 then -1 else ix_rightmost t r
 
 let[@rejlint.hot] head_density t i =
   if not t.live_density then begin
@@ -703,11 +879,32 @@ let to_schedule t =
   done;
   Schedule.finalize b
 
+(* The index at machine [i]: in-order ids, or [None] when some node
+   breaks the heap order on priorities or carries a count/work that
+   differs from the one recomputed from its children. *)
+let index_check t i =
+  let base = i * t.stride in
+  let ok = ref true in
+  let rec walk node acc =
+    if node < 0 then acc
+    else begin
+      let l = t.ix_left.(node) and r = t.ix_right.(node) in
+      let count_of c = if c < 0 then 0 else t.ix_count.(c) in
+      let work_of c = if c < 0 then 0. else t.ix_work.(c) in
+      if (l >= 0 && prio l > prio node) || (r >= 0 && prio r > prio node) then ok := false;
+      if t.ix_count.(node) <> count_of l + 1 + count_of r then ok := false;
+      if not (Float.equal t.ix_work.(node) (work_of l +. t.size_col.(base + node) +. work_of r))
+      then ok := false;
+      walk l (node :: walk r acc)
+    end
+  in
+  let ids = walk t.ix_root.(i) [] in
+  if !ok then Some ids else None
+
 let invariant t =
   let ok = ref true in
   for i = 0 to t.m - 1 do
     if not (Pqueue.Iheap.invariant t.by_spt.(i)) then ok := false;
-    if not (Pqueue.Iheap.invariant t.by_spt_rev.(i)) then ok := false;
     if not (Pqueue.Iheap.invariant t.by_density.(i)) then ok := false;
     if not (Pqueue.Iheap.invariant t.by_size_id.(i)) then ok := false;
     if not (Pqueue.Iheap.invariant t.by_fifo.(i)) then ok := false;
@@ -715,9 +912,22 @@ let invariant t =
     (* A live auxiliary order mirrors [by_spt] exactly; a dormant one
        holds nothing at all. *)
     let aux_ok live aux = Pqueue.Iheap.size aux = if live then k else 0 in
-    if not (aux_ok t.live_spt_rev t.by_spt_rev.(i)) then ok := false;
     if not (aux_ok t.live_density t.by_density.(i)) then ok := false;
     if not (aux_ok t.live_size_id t.by_size_id.(i)) then ok := false;
-    if not (aux_ok t.live_fifo t.by_fifo.(i)) then ok := false
+    if not (aux_ok t.live_fifo t.by_fifo.(i)) then ok := false;
+    (* The live index holds exactly [by_spt]'s ids, strictly increasing
+       in order; with the heap order on priorities that makes it the one
+       treap over that set, so waking it late cannot change its shape. *)
+    match index_check t i with
+    | None -> ok := false
+    | Some ids ->
+        if List.length ids <> (if t.live_index then k else 0) then ok := false;
+        if not (List.for_all (fun id -> Pqueue.Iheap.mem t.by_spt.(i) ~id) ids) then ok := false;
+        let base = i * t.stride in
+        let rec sorted = function
+          | a :: (b :: _ as rest) -> less_spt t.size_col t.release base a b && sorted rest
+          | _ -> true
+        in
+        if not (sorted ids) then ok := false
   done;
   !ok

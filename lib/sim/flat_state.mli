@@ -16,6 +16,8 @@
     - the float operation order (float addition is not associative);
     - the {!Pqueue.Iheap} slot layout, which [pend_iter] exposes and
       policies fold floats over;
+    - the order-statistic index's tree shape, which groups the sums
+      {!pend_split} returns;
     - the event tags, drawn from one shared sequence counter as
       arrivals are fed in release order and completions are scheduled.
 
@@ -132,10 +134,10 @@ val set_saw_restart : t -> unit
 
 (** {1 Pending sets}
 
-    Five orders per machine (SPT, reverse SPT, weighted density,
-    size-then-id, FIFO)
-    plus O(1) incremental work/weight aggregates, pinned to exactly [0.]
-    when the queue empties. *)
+    Four heap orders per machine (SPT, weighted density, size-then-id,
+    FIFO), an order-statistic index in SPT order, and O(1) incremental
+    work/weight aggregates, pinned to exactly [0.] when the queue
+    empties. *)
 
 val pend_add : t -> int -> int -> unit
 (** [pend_add t i id] — raises [Invalid_argument] if already present. *)
@@ -154,10 +156,44 @@ val pend_iter : t -> int -> f:(int -> unit) -> unit
 val head_spt : t -> int -> int
 (** Head job id of the given order, [-1] when the queue is empty. *)
 
-val head_spt_rev : t -> int -> int
 val head_density : t -> int -> int
 val head_size_id : t -> int -> int
 val head_fifo : t -> int -> int
+
+(** {2 Order-statistic index}
+
+    Per machine, a balanced search tree (a treap with fixed per-id
+    priorities) over the pending ids in SPT order — size on the machine,
+    then release, then id; the paper's [precede] — whose nodes carry
+    their subtree's job count and size sum.  Queries are
+    O(log |pending_i|) expected and allocate nothing.  The index is
+    dormant until first queried, then built from the pending sets and
+    kept incremental; its shape depends only on the pending set, so
+    waking it late is unobservable.
+
+    Subtree sums are recomputed from the children on every change, never
+    updated by subtraction.  They group sizes by tree shape, not in
+    {!pend_iter} order: exact on dyadic sizes, and within the last place
+    of a left-to-right fold otherwise. *)
+
+type split = private { mutable work_before : float; mutable count_after : float }
+(** A prefix-query answer.  [count_after] is an integer held as a float,
+    which keeps the record flat (all-float records are stored unboxed). *)
+
+val pend_split : t -> int -> job:int -> split
+(** [pend_split t i ~job] — the sum of sizes on [i] of the jobs pending
+    on [i] ordered before [job], and the number ordered after it; [job]
+    itself, if pending, counts on neither side.  [job] must be a known
+    job (its columns are read).  Returns the state's one answer cell,
+    overwritten by the next query. *)
+
+val index_min : t -> int -> int
+(** The SPT-first pending id on the machine, [-1] when empty (the same
+    id as {!head_spt}). *)
+
+val index_max : t -> int -> int
+(** The SPT-last pending id — largest size, then latest release, then
+    largest id — or [-1] when empty. *)
 
 (** {1 Running slots} *)
 
@@ -240,5 +276,8 @@ val to_schedule : t -> Schedule.t
     boxing step, run once per simulation. *)
 
 val invariant : t -> bool
-(** Structural check (all five heaps consistent and equal-sized per
-    machine), for tests. *)
+(** Structural check, for tests: all four heaps consistent and
+    equal-sized per machine, and the index (when live) a search tree
+    over exactly the SPT heap's ids, heap-ordered on its priorities,
+    whose every count and sum equals the one recomputed from the node's
+    children. *)

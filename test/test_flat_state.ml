@@ -1,6 +1,7 @@
 (* Property tests for the driver's data structures: Flat_state's
-   instance mirror, the int-encoded event keys, and the two heaps —
-   each checked against a model or an algebraic law. *)
+   instance mirror, the int-encoded event keys, the two heaps and the
+   pending sets' order-statistic index — each checked against a model or
+   an algebraic law. *)
 
 open Sched_model
 open Sched_sim
@@ -280,6 +281,201 @@ let test_pending_zero_pin () =
   Alcotest.(check int) "empty heads" (-1) (Flat_state.head_spt fs 0);
   Alcotest.(check bool) "invariant" true (Flat_state.invariant fs)
 
+(* --- Order-statistic index agrees with a sorted-list model ---------------- *)
+
+(* The paper's [precede] on machine [i], read off the job handles. *)
+let precede inst i a b =
+  let ja = Instance.job inst a and jb = Instance.job inst b in
+  let pa = Job.size ja i and pb = Job.size jb i in
+  if pa <> pb then pa < pb
+  else if ja.Job.release <> jb.Job.release then ja.Job.release < jb.Job.release
+  else a < b
+
+(* Sizes and releases from a coarse dyadic grid: plenty of ties on both
+   keys, and every partial sum exact in any grouping, so the index's
+   prefix work must equal the model's to the bit. *)
+let grid_jobs rng ~nids ~m =
+  List.init nids (fun _ ->
+      ( float_of_int (Rng.int rng 6) /. 2.,
+        Array.init m (fun _ -> float_of_int (1 + Rng.int rng 8) /. 4.) ))
+
+(* Checks every machine's index against [model] (pending ids per
+   machine): for every job the state knows as the query, the work of the
+   pending jobs before it and the count after it, plus the minimum and
+   maximum. *)
+let index_agrees inst fs model =
+  let ok = ref (Flat_state.invariant fs) in
+  Array.iteri
+    (fun i pend ->
+      let sorted = List.sort (fun a b -> if precede inst i a b then -1 else 1) pend in
+      for q = 0 to Flat_state.n fs - 1 do
+        let before = List.filter (fun l -> l <> q && precede inst i l q) sorted in
+        let after = List.filter (fun l -> l <> q && precede inst i q l) sorted in
+        let work =
+          List.fold_left (fun acc l -> acc +. Job.size (Instance.job inst l) i) 0. before
+        in
+        let s = Flat_state.pend_split fs i ~job:q in
+        if not (Float.equal s.Flat_state.work_before work) then ok := false;
+        if not (Float.equal s.Flat_state.count_after (float_of_int (List.length after))) then
+          ok := false
+      done;
+      let first = match sorted with [] -> -1 | l :: _ -> l in
+      let last = match List.rev sorted with [] -> -1 | l :: _ -> l in
+      if Flat_state.index_min fs i <> first || Flat_state.index_max fs i <> last then ok := false;
+      if Flat_state.head_spt fs i <> first then ok := false)
+    model;
+  !ok
+
+let prop_index_model =
+  QCheck.Test.make ~name:"index prefix count/work, min, max agree with a sorted-list model"
+    ~count:150
+    QCheck.(int_bound 1_000_000)
+    (fun salt ->
+      let rng = Rng.create salt in
+      let nids = 2 + Rng.int rng 40 and m = 1 + Rng.int rng 3 in
+      let inst = Test_util.instance ~machines:m (grid_jobs rng ~nids ~m) in
+      (* [live] is woken before the first operation and kept incremental;
+         [late] stays dormant until a random step, then is built from the
+         pending sets in one go.  Both must answer as the model does. *)
+      let live = Flat_state.of_instance inst and late = Flat_state.of_instance inst in
+      ignore (Flat_state.index_min live 0);
+      let wake_at = Rng.int rng 100 in
+      let model = Array.make m [] and on = Array.make nids (-1) in
+      let ok = ref (index_agrees inst live model) in
+      let steps = 20 + Rng.int rng 120 in
+      for step = 1 to steps do
+        let id = Rng.int rng nids in
+        if on.(id) >= 0 then begin
+          let i = on.(id) in
+          assert (Flat_state.pend_remove live i id);
+          assert (Flat_state.pend_remove late i id);
+          model.(i) <- List.filter (( <> ) id) model.(i);
+          on.(id) <- -1
+        end
+        else begin
+          let i = Rng.int rng m in
+          Flat_state.pend_add live i id;
+          Flat_state.pend_add late i id;
+          model.(i) <- id :: model.(i);
+          on.(id) <- i
+        end;
+        if not (index_agrees inst live model) then ok := false;
+        if step >= wake_at && not (index_agrees inst late model) then ok := false
+      done;
+      !ok)
+
+(* A dormant index holds nothing, and the invariant checks exactly that;
+   after waking, it mirrors the pending sets. *)
+let test_index_dormant_then_woken () =
+  let inst =
+    Test_util.instance ~machines:2
+      [ (0., [| 0.5; 1. |]); (0., [| 0.5; 2. |]); (1., [| 0.25; 1. |]); (0., [| 2.; 0.5 |]) ]
+  in
+  let fs = Flat_state.of_instance inst in
+  List.iter (fun (i, id) -> Flat_state.pend_add fs i id) [ (0, 0); (0, 1); (0, 2); (1, 3) ];
+  Alcotest.(check bool) "dormant invariant" true (Flat_state.invariant fs);
+  (* SPT on machine 0: job 2 (0.25), then jobs 0 and 1 (0.5, tie on
+     release, smaller id first). *)
+  Alcotest.(check int) "min" 2 (Flat_state.index_min fs 0);
+  Alcotest.(check int) "max" 1 (Flat_state.index_max fs 0);
+  Alcotest.(check int) "other machine" 3 (Flat_state.index_max fs 1);
+  let s = Flat_state.pend_split fs 0 ~job:3 in
+  Alcotest.(check (float 0.)) "work before job 3 (size 2)" 1.25 s.Flat_state.work_before;
+  Alcotest.(check (float 0.)) "nothing after" 0. s.Flat_state.count_after;
+  let s = Flat_state.pend_split fs 0 ~job:0 in
+  Alcotest.(check (float 0.)) "pending query: before" 0.25 s.Flat_state.work_before;
+  Alcotest.(check (float 0.)) "pending query: after" 1. s.Flat_state.count_after;
+  Alcotest.(check bool) "woken invariant" true (Flat_state.invariant fs);
+  List.iter (fun (i, id) -> assert (Flat_state.pend_remove fs i id)) [ (0, 2); (0, 0); (1, 3) ];
+  Alcotest.(check int) "after removes" 1 (Flat_state.index_min fs 0);
+  Alcotest.(check int) "emptied" (-1) (Flat_state.index_max fs 1);
+  Alcotest.(check bool) "invariant" true (Flat_state.invariant fs)
+
+(* Streaming growth: jobs fed one at a time double the columns at 16, 32
+   and 64 while the live index holds pending jobs; each growth must
+   carry the index over intact. *)
+let test_index_survives_growth () =
+  let m = 2 and nids = 100 in
+  let rng = Rng.create 11 in
+  let inst = Test_util.instance ~machines:m (grid_jobs rng ~nids ~m) in
+  let fs = Flat_state.of_stream ~machines:inst.Instance.machines in
+  let model = Array.make m [] in
+  ignore (Flat_state.index_max fs 0);
+  for id = 0 to nids - 1 do
+    Flat_state.add_job fs (Instance.job inst id);
+    let i = id mod m in
+    Flat_state.pend_add fs i id;
+    model.(i) <- id :: model.(i);
+    (* Drop every third job again, so removals interleave with growth. *)
+    if id mod 3 = 2 then begin
+      let victim = id - 1 in
+      let vi = victim mod m in
+      assert (Flat_state.pend_remove fs vi victim);
+      model.(vi) <- List.filter (( <> ) victim) model.(vi)
+    end;
+    if id = 15 || id = 16 || id = 31 || id = 32 || id = 63 || id = 64 then
+      Alcotest.(check bool) (Printf.sprintf "agrees after job %d" id) true
+        (index_agrees inst fs model)
+  done;
+  Alcotest.(check bool) "agrees at the end" true (index_agrees inst fs model)
+
+(* Through the driver: a probe policy checks [pending_split] and
+   [pending_longest] against scans of the materialized pending set at
+   every arrival, across a session frozen and thawed mid-stream; the
+   resumed schedule must equal the batch one. *)
+let probe_split =
+  let module FR = Rejection.Flow_reject in
+  let base = FR.policy (FR.config ~eps:0.3 ()) in
+  let on_arrival st view (j : Job.t) =
+    Array.iteri
+      (fun i _ ->
+        if Job.eligible j i then begin
+          let pend = Driver.pending view i in
+          let pij = Job.size j i in
+          let before (l : Job.t) =
+            let pl = Job.size l i in
+            if pl <> pij then pl < pij
+            else if l.Job.release <> j.Job.release then l.Job.release < j.Job.release
+            else l.Job.id < j.Job.id
+          in
+          let work =
+            List.fold_left (fun acc l -> if before l then acc +. Job.size l i else acc) 0. pend
+          in
+          let after = List.length (List.filter (fun l -> not (before l)) pend) in
+          let s = Driver.pending_split view i j in
+          if not (Float.equal s.Driver.work_before work) then
+            Alcotest.failf "job %d machine %d: work before %h, scan %h" j.Job.id i
+              s.Driver.work_before work;
+          if not (Float.equal s.Driver.count_after (float_of_int after)) then
+            Alcotest.failf "job %d machine %d: count after %g, scan %d" j.Job.id i
+              s.Driver.count_after after
+        end)
+      j.Job.sizes;
+    base.Driver.on_arrival st view j
+  in
+  { base with Driver.name = "probe-split"; on_arrival }
+
+let test_index_survives_freeze_thaw () =
+  let inst =
+    Test_util.random_instance ~restricted:true ~seed:41 ~n:300 ~m:3 ()
+  in
+  let batch = Serialize.schedule_to_string (Test_util.schedule_of probe_split inst) in
+  let jobs = Instance.jobs_by_release inst in
+  let half = Array.length jobs / 2 in
+  let open_ () =
+    Driver.Session.open_session ~name:inst.Instance.name ~machines:inst.Instance.machines
+      probe_split
+  in
+  let s = open_ () in
+  Array.iteri (fun k j -> if k < half then Driver.Session.feed s j) jobs;
+  Driver.Session.drain_until s (Float.pred jobs.(half).Job.release);
+  let s = Driver.Session.thaw probe_split (Driver.Session.freeze s) in
+  Array.iteri (fun k j -> if k >= half then Driver.Session.feed s j) jobs;
+  match Driver.Session.close s with
+  | Some schedule, _, _ ->
+      Alcotest.(check string) "resumed == batch" batch (Serialize.schedule_to_string schedule)
+  | None, _, _ -> Alcotest.fail "no schedule"
+
 let suite =
   [
     qtest prop_of_instance_round_trip;
@@ -293,4 +489,8 @@ let suite =
     qtest prop_iheap_model;
     Alcotest.test_case "Iheap id errors" `Quick test_iheap_errors;
     Alcotest.test_case "pending aggregates pin to zero" `Quick test_pending_zero_pin;
+    qtest prop_index_model;
+    Alcotest.test_case "index dormant, then woken" `Quick test_index_dormant_then_woken;
+    Alcotest.test_case "index survives column growth" `Quick test_index_survives_growth;
+    Alcotest.test_case "index survives freeze/thaw" `Quick test_index_survives_freeze_thaw;
   ]

@@ -189,7 +189,11 @@ let test_hot_annotations_guarded () =
       "account_completion"; "account_rejection"; "outcome_completed"; "outcome_rejected";
       (* The flight recorder's dispatch-provenance scans: same-module reads
          so the release build boxes nothing. *)
-      "cand_mask"; "cand_count"; "cand_mask_from"; "cand_count_from" ];
+      "cand_mask"; "cand_count"; "cand_mask_from"; "cand_count_from";
+      (* The pending sets' order-statistic index: insert, remove, the
+         prefix query behind lambda_ij, min and max. *)
+      "prio"; "ix_fix"; "ix_insert"; "ix_merge"; "ix_remove"; "ix_split"; "ix_leftmost";
+      "ix_rightmost"; "pend_split"; "index_min"; "index_max" ];
   Alcotest.(check bool) "flat_state hot coverage >= 25" true (List.length flat_hot >= 25);
   (* The recorder's whole write path must stay inside the static proof:
      un-annotating any of these drops RJL103 coverage exactly where an
