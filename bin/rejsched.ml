@@ -732,16 +732,15 @@ let serve_cmd =
     (* With '--checkpoint -' the snapshot bytes own stdout; every NDJSON
        line moves to stderr so the two streams never interleave. *)
     let emit = if checkpoint = Some "-" then prerr_endline else print_endline in
-    let trace = session.PR.ss_trace () in
-    let cursor = ref (match trace with Some t -> Sched_sim.Trace.length t | None -> 0) in
+    (* The trace's release mark is the emission cursor: each batch emits
+       the unreleased decisions and releases them, so the trace retains
+       one batch's rows, not the stream's. *)
     let emit_decisions () =
-      match trace with
-      | None -> ()
-      | Some t ->
-          List.iter
-            (fun e -> emit (Sched_sim.Trace_export.entry_line e))
-            (Sched_sim.Trace.since t !cursor);
-          cursor := Sched_sim.Trace.length t
+      Option.iter
+        (fun t ->
+          List.iter (fun e -> emit (Sched_sim.Trace_export.entry_line e)) (Sched_sim.Trace.events t);
+          Sched_sim.Trace.release t (Sched_sim.Trace.length t))
+        (session.PR.ss_trace ())
     in
     let module N = Sched_obs.Ndjson in
     let progress drained =

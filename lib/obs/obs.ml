@@ -1,6 +1,6 @@
 (* The telemetry handle a simulation run carries: one registry for
    instruments, one sink for spans.  Construction chooses the observation
-   level; the driver only ever reads the two fields. *)
+   level; the driver only ever reads the registry. *)
 
 type t = { registry : Registry.t; sink : Sink.t }
 

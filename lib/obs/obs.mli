@@ -2,10 +2,10 @@
     {!Sink.t} for spans.
 
     Pass one to {!Sched_sim.Driver.run} (its [?obs] argument) to have
-    the driver auto-record decision counters, per-machine queue-depth
-    gauges and phase spans.  Telemetry is strictly observational:
-    scheduling decisions are byte-identical with or without a handle
-    (pinned by the differential tests). *)
+    the session record its decision counters and per-machine queue-depth
+    gauges when it closes; the driver itself times no phases.  Telemetry is
+    strictly observational: scheduling decisions are byte-identical with
+    or without a handle (pinned by the differential tests). *)
 
 type t
 
@@ -19,4 +19,6 @@ val timed : ?metric:string -> ?buckets:float list -> ?clock:Clock.t -> unit -> t
     [clock] defaults to {!Clock.monotonic}[ ()]. *)
 
 val registry : t -> Registry.t
+
 val sink : t -> Sink.t
+(** The span sink, for callers that time their own phases. *)

@@ -56,12 +56,16 @@ let kind_complete = 2
 let kind_reject = 3
 let kind_restart = 4
 
-type t = { ring : Ring.t; ints : int array; floats : float array }
+type t = { ring : Ring.t; mutable ints : int array; mutable floats : float array }
 
 let default_capacity = 65536
 
 let create ?(capacity = default_capacity) () =
   let ring = Ring.create ~int_cols ~float_cols ~capacity in
+  { ring; ints = Ring.ints ring; floats = Ring.floats ring }
+
+let compact t =
+  let ring = Ring.compact t.ring in
   { ring; ints = Ring.ints ring; floats = Ring.floats ring }
 
 let capacity t = Ring.capacity t.ring
@@ -73,9 +77,15 @@ let clear t = Ring.clear t.ring
 (* The int half of every write.  The float cells are deliberately not
    zeroed here: every writer stores [time] and [value], and the decode
    side masks [score]/[budget] by kind, so a wrapped slot cannot leak a
-   previous entry's payload through cells the new kind leaves unset. *)
+   previous entry's payload through cells the new kind leaves unset.
+   An append that grew a held ring swapped its backing arrays; the
+   fields follow, and the caller's float stores read them after this. *)
 let[@rejlint.hot] reserve t kind ~job ~machine ~flag ~aux =
   let slot = Ring.append t.ring in
+  if Ring.ints t.ring != t.ints then begin
+    t.ints <- Ring.ints t.ring;
+    t.floats <- Ring.floats t.ring
+  end;
   let ib = slot * int_cols in
   t.ints.(ib + col_kind) <- kind;
   t.ints.(ib + col_job) <- job;

@@ -20,10 +20,12 @@
     words-per-event ceilings.  Decoding ({!entries}) is the cold path
     for exporters and forensics. *)
 
-type t = private { ring : Ring.t; ints : int array; floats : float array }
+type t = private { ring : Ring.t; mutable ints : int array; mutable floats : float array }
 (** The backing arrays are exposed (row-major, shared with [ring]) so
     writers can store float payloads without a boxing call boundary;
-    rows must be claimed through [reserve_*], never fabricated. *)
+    rows must be claimed through [reserve_*], never fabricated.  A held
+    ring ({!Ring.hold}) grows and replaces them: never hoist them across
+    a [reserve_*]. *)
 
 val default_capacity : int
 (** 65536 entries. *)
@@ -32,6 +34,9 @@ val create : ?capacity:int -> unit -> t
 (** Preallocates the ring; default capacity {!default_capacity}.  A
     power-of-two capacity keeps the write path on its division-free
     fast path. *)
+
+val compact : t -> t
+(** {!Ring.compact} on the recorder's ring. *)
 
 val capacity : t -> int
 

@@ -10,7 +10,8 @@
     Write protocol: call {!append} to claim the next slot (overwriting
     the oldest entry once the ring is full), then store one value per
     column with {!set_int}/{!set_float} at that slot.  The ring does not
-    interpret columns; {!Recorder} layers event semantics on top. *)
+    interpret columns; {!Recorder} layers event semantics on top.  A
+    {!hold} makes the ring grow instead of overwriting held entries. *)
 
 type t
 
@@ -26,7 +27,7 @@ val total : t -> int
 (** Entries ever appended (monotone; not capped). *)
 
 val length : t -> int
-(** Entries currently retained: [min (total t) (capacity t)]. *)
+(** Entries currently retained: [total t - first_seq t]. *)
 
 val first_seq : t -> int
 (** Absolute sequence number of the oldest retained entry, i.e.
@@ -36,10 +37,21 @@ val int_cols : t -> int
 val float_cols : t -> int
 
 val clear : t -> unit
-(** Forgets all entries (storage is retained). *)
+(** Forgets all entries (storage is retained); a hold moves to 0. *)
+
+val hold : t -> int -> unit
+(** [hold t seq]: entries [seq] and later survive (replacing any earlier
+    hold).  Raises [Invalid_argument] unless [first_seq t <= seq <= total t]. *)
+
+val held : t -> int option
+
+val compact : t -> t
+(** A copy retaining only the held entries (all retained ones without a
+    hold) in the smallest power-of-two capacity that fits them. *)
 
 val append : t -> int
-(** Claims the next slot and returns its index.  Allocation-free. *)
+(** Claims the next slot and returns its index.  Allocation-free except
+    when it grows past a hold (cold, amortized O(1)). *)
 
 val set_int : t -> col:int -> slot:int -> int -> unit
 (** Stores into an int column at a slot returned by {!append}.
@@ -55,7 +67,8 @@ val ints : t -> int array
     [s * int_cols t + col].  Hoist it once and store directly when even
     the setter call is too expensive — on the non-flambda compiler a
     float argument crossing a function boundary is boxed, a direct array
-    store is not.  Writers must still claim slots through {!append}. *)
+    store is not.  Writers must still claim slots through {!append},
+    and re-read it after one: a held ring grows into a new array. *)
 
 val floats : t -> float array
 (** Row-major float counterpart of {!ints}, stride [float_cols t]. *)

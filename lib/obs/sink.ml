@@ -1,7 +1,6 @@
-(* Span sinks.  The driver wraps its phases in [time]; the [Null] sink
-   makes that wrapper a single pattern match — no clock read, no
-   histogram, no allocation beyond the closure the caller already built —
-   so the PR 1 fast path keeps its throughput when telemetry is off. *)
+(* Span sinks.  A caller wraps a phase in [time]; the [Null] sink makes
+   that wrapper a single pattern match — no clock read, no histogram, no
+   allocation beyond the closure the caller already built. *)
 
 type spans = {
   clock : Clock.t;
@@ -41,9 +40,6 @@ let hist s phase =
       in
       s.cache <- (phase, h) :: s.cache;
       h
-
-let duration t phase d =
-  match t with Null -> () | Spans s -> Metric.Histogram.observe (hist s phase) d
 
 let time t phase f =
   match t with

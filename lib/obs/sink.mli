@@ -22,7 +22,4 @@ val time : t -> string -> (unit -> 'a) -> 'a
 (** [time t phase f] runs [f] and records its duration against [phase]
     (also on exception).  With {!null} this is exactly [f ()]. *)
 
-val duration : t -> string -> float -> unit
-(** Record an externally measured duration. *)
-
 val default_buckets : float list

@@ -27,12 +27,6 @@ let running_on fs i =
         finish = Flat_state.run_finish fs i;
       }
 
-let remaining_volume fs i =
-  if Flat_state.run_job fs i < 0 then 0.
-  else
-    Float.max 0.
-      ((Flat_state.run_finish fs i -. Flat_state.clock fs) *. Flat_state.run_rate fs i)
-
 let remaining_time fs i =
   if Flat_state.run_job fs i < 0 then 0.
   else Float.max 0. (Flat_state.run_finish fs i -. Flat_state.clock fs)
@@ -115,56 +109,6 @@ type 'a policy = {
 let[@rejlint.hot] rec popcount x acc =
   if x = 0 then acc else popcount (x land (x - 1)) (acc + 1)
 
-(* ------------------------------------------------------------------ *)
-(* Telemetry.  When a [Sched_obs.Obs.t] handle is supplied, the driver
-   mirrors every trace-worthy event into counters and per-machine gauges
-   and times its phases through the handle's sink.  Everything here is
-   strictly observational: no value computed below ever flows back into a
-   decision, so schedules are byte-identical with telemetry on or off. *)
-
-(* Pre-resolved instrument cells: the hot path pays one mutable-field
-   write per event, never a registry lookup. *)
-type instr = {
-  i_sink : Sched_obs.Sink.t;
-  c_dispatch : Sched_obs.Metric.Counter.t;
-  c_start : Sched_obs.Metric.Counter.t;
-  c_complete : Sched_obs.Metric.Counter.t;
-  c_reject : Sched_obs.Metric.Counter.t;
-  c_reject_midrun : Sched_obs.Metric.Counter.t;
-  c_restart : Sched_obs.Metric.Counter.t;
-  g_pending : Sched_obs.Metric.Gauge.t array;
-  g_inflight : Sched_obs.Metric.Gauge.t array;
-}
-
-let phase_on_arrival = "on_arrival"
-let phase_select = "select"
-let phase_segment = "segment"
-let phase_heap = "heap"
-
-let make_instr obs m =
-  let reg = Sched_obs.Obs.registry obs in
-  let machine_gauge name help =
-    Array.init m (fun i ->
-        Sched_obs.Registry.gauge reg ~help ~labels:[ ("machine", string_of_int i) ] name)
-  in
-  {
-    i_sink = Sched_obs.Obs.sink obs;
-    c_dispatch =
-      Sched_obs.Registry.counter reg ~help:"Jobs dispatched to a machine" "sched_dispatch_total";
-    c_start = Sched_obs.Registry.counter reg ~help:"Job executions started" "sched_start_total";
-    c_complete = Sched_obs.Registry.counter reg ~help:"Jobs completed" "sched_complete_total";
-    c_reject = Sched_obs.Registry.counter reg ~help:"Jobs rejected" "sched_reject_total";
-    c_reject_midrun =
-      Sched_obs.Registry.counter reg ~help:"Rejections that interrupted a running job"
-        "sched_reject_midrun_total";
-    c_restart =
-      Sched_obs.Registry.counter reg ~help:"Running jobs killed and requeued"
-        "sched_restart_total";
-    g_pending = machine_gauge "sched_pending_jobs" "Dispatched and released, not yet started";
-    g_inflight =
-      machine_gauge "sched_inflight_jobs" "Dispatched, not yet completed or rejected";
-  }
-
 (* Post-run oracle audit for [?check].  The oracle re-derives every
    invariant from scratch (independent of [Schedule.validate] and of the
    incremental accumulators), so a pass here really is a second opinion. *)
@@ -196,24 +140,56 @@ let audit ?obs ?recorder ~name ~saw_restart lm schedule =
                ^ Trace_export.recorder_to_ndjson ~last:32 rc,
                vs )))
 
-let c_flat_minor_words_name = "sched_flat_loop_minor_words_total"
-let c_flat_events_name = "sched_flat_loop_events_total"
+(* Telemetry, read out of the flat state when a session closes: its
+   accumulators already count every event, so nothing runs per event.
+   Counters add the run's counts (a shared registry accumulates across
+   runs); gauges are set from the queues left behind. *)
+let publish obs fs ~minor_words =
+  let reg = Sched_obs.Obs.registry obs in
+  let count name help v =
+    Sched_obs.Metric.Counter.add (Sched_obs.Registry.counter reg ~help name) (float_of_int v)
+  in
+  let gauge name help i v =
+    Sched_obs.Metric.Gauge.set
+      (Sched_obs.Registry.gauge reg ~help ~labels:[ ("machine", string_of_int i) ] name)
+      (float_of_int v)
+  in
+  let in_system = ref 0 in
+  for i = 0 to Flat_state.m fs - 1 do
+    let pending = Flat_state.pend_count fs i in
+    let inflight = pending + if Flat_state.run_job fs i >= 0 then 1 else 0 in
+    in_system := !in_system + inflight;
+    gauge "sched_pending_jobs" "Dispatched and released, not yet started" i pending;
+    gauge "sched_inflight_jobs" "Dispatched, not yet completed or rejected" i inflight
+  done;
+  (* Every dispatched job is completed, rejected or still in the system. *)
+  count "sched_dispatch_total" "Jobs dispatched to a machine"
+    (Flat_state.completed fs + Flat_state.rejected fs + !in_system);
+  count "sched_start_total" "Job executions started" (Flat_state.starts fs);
+  count "sched_complete_total" "Jobs completed" (Flat_state.completed fs);
+  count "sched_reject_total" "Jobs rejected" (Flat_state.rejected fs);
+  count "sched_reject_midrun_total" "Rejections that interrupted a running job"
+    (Flat_state.mid_run fs);
+  count "sched_restart_total" "Running jobs killed and requeued" (Flat_state.restarts fs);
+  (* The allocations-per-event instrument: minor words allocated across
+     the event loop (policy allocations included — the driver itself
+     contributes none in steady state) over events processed.  Close
+     runs the queue dry, so pushes = pops. *)
+  Sched_obs.Metric.Counter.add
+    (Sched_obs.Registry.counter reg ~help:"Minor-heap words allocated inside the flat event loop"
+       "sched_flat_loop_minor_words_total")
+    minor_words;
+  count "sched_flat_loop_events_total" "Events processed by the flat event loop"
+    (Flat_state.events_pushed fs)
 
 (* The per-event handlers, closed over one simulation's state.  Every
-   mutation happens in canonical event order on the calling domain. *)
-let make_handlers ?trace ?recorder ~instr fs policy pstate =
+   mutation happens in canonical event order on the calling domain, and
+   each event writes exactly one row into the session's row sink. *)
+let make_handlers ?rows fs policy pstate =
   let m = Flat_state.m fs in
-  let lay_segment ~job ~machine ~start ~stop ~speed =
-    match instr with
-    | None -> Flat_state.lay_segment fs ~job ~machine ~start ~stop ~speed
-    | Some ins ->
-        Sched_obs.Sink.time ins.i_sink phase_segment (fun () ->
-            Flat_state.lay_segment fs ~job ~machine ~start ~stop ~speed)
-  in
   (* [@rejlint.hot]: RJL103 statically proves these four loop bodies
-     build no structures; the trace/instrumentation/failure arms that do
-     allocate are individually marked [@rejlint.cold] (off in the
-     steady state the dynamic minor-words ceiling measures). *)
+     build no structures; the failure arms that do allocate are
+     individually marked [@rejlint.cold]. *)
   let[@rejlint.hot] reject_job id =
     let t = Flat_state.clock fs in
     let l = Flat_state.loc fs id in
@@ -222,26 +198,9 @@ let make_handlers ?trace ?recorder ~instr fs policy pstate =
       if not (Flat_state.pend_remove fs i id) then
         (invalid_arg (Printf.sprintf "Driver: job %d not pending" id) [@rejlint.cold]);
       Flat_state.set_loc fs id Flat_state.loc_settled;
-      (match trace with
-      | None -> ()
-      | Some tr ->
-          (Trace.record tr t
-             (Trace.Reject
-                {
-                  job = id;
-                  machine = i;
-                  was_running = false;
-                  remaining = Flat_state.size fs ~machine:i ~job:id;
-                }) [@rejlint.cold]));
-      (match instr with
-      | None -> ()
-      | Some ins ->
-          Sched_obs.Metric.Counter.inc ins.c_reject;
-          Sched_obs.Metric.Gauge.dec ins.g_pending.(i);
-          Sched_obs.Metric.Gauge.dec ins.g_inflight.(i));
       Flat_state.outcome_rejected fs ~job:id ~machine:i ~time:t ~was_running:false;
       Flat_state.account_rejection fs id t ~was_running:false;
-      (match recorder with
+      (match rows with
       | None -> ()
       | Some rc ->
           let s = Rec.reserve_reject rc ~job:id ~machine:i ~was_running:false
@@ -261,22 +220,11 @@ let make_handlers ?trace ?recorder ~instr fs policy pstate =
       Flat_state.set_loc fs id Flat_state.loc_settled;
       let was_running = Time.gt t started in
       if was_running then
-        lay_segment ~job:id ~machine:i ~start:started ~stop:t ~speed:rate;
+        Flat_state.lay_segment fs ~job:id ~machine:i ~start:started ~stop:t ~speed:rate;
       let remaining = Float.max 0. ((fin -. t) *. rate) in
-      (match trace with
-      | None -> ()
-      | Some tr ->
-          (Trace.record tr t (Trace.Reject { job = id; machine = i; was_running; remaining })
-          [@rejlint.cold]));
-      (match instr with
-      | None -> ()
-      | Some ins ->
-          Sched_obs.Metric.Counter.inc ins.c_reject;
-          if was_running then Sched_obs.Metric.Counter.inc ins.c_reject_midrun;
-          Sched_obs.Metric.Gauge.dec ins.g_inflight.(i));
       Flat_state.outcome_rejected fs ~job:id ~machine:i ~time:t ~was_running;
       Flat_state.account_rejection fs id t ~was_running;
-      (match recorder with
+      (match rows with
       | None -> ()
       | Some rc ->
           let s = Rec.reserve_reject rc ~job:id ~machine:i ~was_running
@@ -300,24 +248,16 @@ let make_handlers ?trace ?recorder ~instr fs policy pstate =
       let started = Flat_state.run_started fs i and rate = Flat_state.run_rate fs i in
       Flat_state.clear_running fs i;
       Flat_state.bump_epoch fs i;
-      if Time.gt t started then lay_segment ~job:id ~machine:i ~start:started ~stop:t ~speed:rate;
+      if Time.gt t started then
+        Flat_state.lay_segment fs ~job:id ~machine:i ~start:started ~stop:t ~speed:rate;
       let wasted = Float.max 0. ((t -. started) *. rate) in
-      Flat_state.set_saw_restart fs;
-      (match trace with
-      | None -> ()
-      | Some tr ->
-          (Trace.record tr t (Trace.Restart { job = id; machine = i; wasted }) [@rejlint.cold]));
-      (match recorder with
+      Flat_state.account_restart fs;
+      (match rows with
       | None -> ()
       | Some rc ->
           let s = Rec.reserve_restart rc ~job:id ~machine:i in
           rc.Rec.floats.(s + Rec.o_time) <- t;
           rc.Rec.floats.(s + Rec.o_value) <- wasted);
-      (match instr with
-      | None -> ()
-      | Some ins ->
-          Sched_obs.Metric.Counter.inc ins.c_restart;
-          Sched_obs.Metric.Gauge.inc ins.g_pending.(i));
       Flat_state.pend_add fs i id;
       Flat_state.set_loc fs id (Flat_state.loc_pending ~machine:i);
       i
@@ -327,14 +267,7 @@ let make_handlers ?trace ?recorder ~instr fs policy pstate =
   in
   let[@rejlint.hot] try_start i =
     if Flat_state.run_job fs i < 0 && Flat_state.pend_count fs i > 0 then begin
-      let choice =
-        match instr with
-        | None -> policy.select pstate fs i
-        | Some ins ->
-            (Sched_obs.Sink.time ins.i_sink phase_select (fun () -> policy.select pstate fs i)
-            [@rejlint.cold])
-      in
-      match choice with
+      match policy.select pstate fs i with
       | None -> ()
       | Some { job; speed } ->
           if speed <= 0. || not (Float.is_finite speed) then
@@ -355,23 +288,13 @@ let make_handlers ?trace ?recorder ~instr fs policy pstate =
           let finish = clock +. (size /. rate) in
           Flat_state.set_running fs i ~job ~started:clock ~rate ~finish;
           Flat_state.set_loc fs job (Flat_state.loc_running ~machine:i);
-          (match trace with
-          | None -> ()
-          | Some tr ->
-              (Trace.record tr clock (Trace.Start { job; machine = i; speed = rate })
-              [@rejlint.cold]));
-          (match recorder with
+          (match rows with
           | None -> ()
           | Some rc ->
               let s = Rec.reserve_start rc ~job ~machine:i in
               rc.Rec.floats.(s + Rec.o_time) <- clock;
               rc.Rec.floats.(s + Rec.o_value) <- rate;
               rc.Rec.floats.(s + Rec.o_score) <- size);
-          (match instr with
-          | None -> ()
-          | Some ins ->
-              Sched_obs.Metric.Counter.inc ins.c_start;
-              Sched_obs.Metric.Gauge.dec ins.g_pending.(i));
           Flat_state.push_finish fs ~machine:i ~time:finish
     end
   in
@@ -386,9 +309,9 @@ let make_handlers ?trace ?recorder ~instr fs policy pstate =
       (invalid_arg
          (Printf.sprintf "Driver: policy %s dispatched job %d to ineligible machine %d"
             policy.name id i) [@rejlint.cold]);
-    (* Decision provenance for the flight recorder: the candidate machine
-       set behind the dispatch, as a count and an eligibility bitmask. *)
-    (match recorder with
+    (* Decision provenance: the candidate machine set behind the
+       dispatch, as a count and an eligibility bitmask. *)
+    (match rows with
     | None -> ()
     | Some rc ->
         let mask = Flat_state.cand_mask fs ~job:id in
@@ -409,17 +332,6 @@ let make_handlers ?trace ?recorder ~instr fs policy pstate =
         rc.Rec.floats.(s + Rec.o_score) <- work +. rem);
     Flat_state.pend_add fs i id;
     Flat_state.set_loc fs id (Flat_state.loc_pending ~machine:i);
-    (match trace with
-    | None -> ()
-    | Some tr ->
-        (Trace.record tr (Flat_state.clock fs) (Trace.Dispatch { job = id; machine = i })
-        [@rejlint.cold]));
-    (match instr with
-    | None -> ()
-    | Some ins ->
-        Sched_obs.Metric.Counter.inc ins.c_dispatch;
-        Sched_obs.Metric.Gauge.inc ins.g_pending.(i);
-        Sched_obs.Metric.Gauge.inc ins.g_inflight.(i));
     (* The scrutinee avoids pairing the two lists up: a tuple pattern
        match would compile allocation-free anyway, but the static proof
        is structural and cannot assume that optimization. *)
@@ -443,26 +355,16 @@ let make_handlers ?trace ?recorder ~instr fs policy pstate =
       and rate = Flat_state.run_rate fs i
       and fin = Flat_state.run_finish fs i in
       Flat_state.clear_running fs i;
-      lay_segment ~job:id ~machine:i ~start:started ~stop:fin ~speed:rate;
+      Flat_state.lay_segment fs ~job:id ~machine:i ~start:started ~stop:fin ~speed:rate;
       Flat_state.outcome_completed fs ~job:id ~machine:i ~start:started ~speed:rate ~finish:fin;
       Flat_state.account_completion fs id fin;
       Flat_state.set_loc fs id Flat_state.loc_settled;
-      (match trace with
-      | None -> ()
-      | Some tr ->
-          (Trace.record tr (Flat_state.clock fs) (Trace.Complete { job = id; machine = i })
-          [@rejlint.cold]));
-      (match recorder with
+      (match rows with
       | None -> ()
       | Some rc ->
           let s = Rec.reserve_complete rc ~job:id ~machine:i in
           rc.Rec.floats.(s + Rec.o_time) <- Flat_state.clock fs;
           rc.Rec.floats.(s + Rec.o_value) <- fin -. Flat_state.release fs id);
-      (match instr with
-      | None -> ()
-      | Some ins ->
-          Sched_obs.Metric.Counter.inc ins.c_complete;
-          Sched_obs.Metric.Gauge.dec ins.g_inflight.(i));
       try_start i
     end
     (* else: stale event, the job was rejected mid-run. *)
@@ -491,9 +393,8 @@ type 'a session = {
   ss_pstate : 'a;
   ss_fs : Flat_state.t;
   ss_trace : Trace.t option;
-  ss_recorder : Rec.t option;
+  ss_rows : Rec.t option;  (** the one row sink: [?recorder], or the trace's ring *)
   ss_obs : Sched_obs.Obs.t option;
-  ss_instr : instr option;
   ss_check : bool;
   ss_commit_arrival : Job.t -> decision -> unit;
   ss_commit_finish : int -> int -> unit;
@@ -513,8 +414,8 @@ type 'a session = {
   ss_name : string;  (** name the materialized instance carries *)
 }
 
-(* Everything marshaled into a checkpoint.  Handlers, instruments and the
-   policy's closures are rebuilt at thaw; [Marshal.Closures] covers the
+(* Everything marshaled into a checkpoint.  Handlers and the policy's
+   closures are rebuilt at thaw; [Marshal.Closures] covers the
    heap comparators inside [Flat_state.t] (closures over the very column
    arrays the state owns — sharing is preserved within the one marshal
    call) and pins the snapshot to the producing executable, which is the
@@ -528,8 +429,8 @@ type 'a frozen = {
   z_last_id : int;
   z_nfed : int;
   z_fed : Job.t list;
-  z_trace : Trace.t option;
-  z_recorder : Rec.t option;
+  z_trace : Trace.t option;  (** only the rows the reader has not released *)
+  z_recorder : Rec.t option;  (** a [?recorder] sink; [None] when the trace is the sink *)
   z_check : bool;
   z_minor : float;
   z_batch : Instance.t option;
@@ -538,19 +439,24 @@ type 'a frozen = {
 }
 
 (* Wraps a state [fs] and policy state [pstate] in a session record, with
-   the per-event handlers and instruments wired to them. *)
+   the per-event handlers wired to them and to its one row sink. *)
 let session_of ?trace ?obs ?recorder ~check ~hwm ~last_rel ~last_id ~nfed ~fed ~minor ~batch
     ~name fs policy pstate =
-  let instr = match obs with None -> None | Some o -> Some (make_instr o (Flat_state.m fs)) in
-  let commit_arrival, commit_finish = make_handlers ?trace ?recorder ~instr fs policy pstate in
+  let rows =
+    match (trace, recorder) with
+    | Some t, Some rc when Trace.recorder t != rc ->
+        invalid_arg "Driver.Session: ?trace and ?recorder must be the same ring"
+    | Some t, _ -> Some (Trace.recorder t)
+    | None, rc -> rc
+  in
+  let commit_arrival, commit_finish = make_handlers ?rows fs policy pstate in
   {
     ss_policy = policy;
     ss_pstate = pstate;
     ss_fs = fs;
     ss_trace = trace;
-    ss_recorder = recorder;
+    ss_rows = rows;
     ss_obs = obs;
-    ss_instr = instr;
     ss_check = check;
     ss_commit_arrival = commit_arrival;
     ss_commit_finish = commit_finish;
@@ -597,36 +503,20 @@ let session_feed s (j : Job.t) =
 
 (* One bounded drain: the event loop, except the pop refuses events
    beyond [limit] ([~limit:infinity] at close runs the queue dry, so batch
-   runs execute this exact code).  [limit] is boxed once per call —
-   captured by the [pop] closure — never per event. *)
+   runs execute this exact code).  [limit] is boxed once per call,
+   never per event. *)
 let session_drain s ~limit =
   let fs = s.ss_fs in
   let policy = s.ss_policy and pstate = s.ss_pstate in
   let commit_arrival = s.ss_commit_arrival and commit_finish = s.ss_commit_finish in
-  let instr = s.ss_instr in
-  let pop =
-    match instr with
-    | None -> fun () -> Flat_state.next_event_before fs ~limit
-    | Some ins ->
-        fun () ->
-          Sched_obs.Sink.time ins.i_sink phase_heap (fun () ->
-              Flat_state.next_event_before fs ~limit)
-  in
   let[@rejlint.hot] rec loop () =
-    if pop () then begin
+    if Flat_state.next_event_before fs ~limit then begin
       Flat_state.set_clock fs (Float.max (Flat_state.clock fs) (Flat_state.ev_time fs));
       let tag = Flat_state.ev_tag fs in
       (if Pqueue.Events.Key.is_arrival ~tag then begin
          let id = Flat_state.ev_payload fs in
          let j = Flat_state.job fs id in
-         let decision =
-           match instr with
-           | None -> policy.on_arrival pstate fs j
-           | Some ins ->
-               (Sched_obs.Sink.time ins.i_sink phase_on_arrival (fun () ->
-                    policy.on_arrival pstate fs j) [@rejlint.cold])
-         in
-         commit_arrival j decision
+         commit_arrival j (policy.on_arrival pstate fs j)
        end
        else begin
          let payload = Flat_state.ev_payload fs in
@@ -653,24 +543,7 @@ let session_close s =
   session_drain s ~limit:infinity;
   s.ss_closed <- true;
   let fs = s.ss_fs in
-  (match s.ss_obs with
-  | None -> ()
-  | Some o ->
-      (* The allocations-per-event instrument: minor words allocated across
-         the event loop (policy allocations included — the driver itself
-         contributes none in steady state) over events processed.  Close
-         runs the queue dry, so pushes = pops. *)
-      let reg = Sched_obs.Obs.registry o in
-      let cw =
-        Sched_obs.Registry.counter reg
-          ~help:"Minor-heap words allocated inside the flat event loop" c_flat_minor_words_name
-      in
-      let ce =
-        Sched_obs.Registry.counter reg ~help:"Events processed by the flat event loop"
-          c_flat_events_name
-      in
-      Sched_obs.Metric.Counter.add cw s.ss_minor.(0);
-      Sched_obs.Metric.Counter.add ce (float_of_int (Flat_state.events_pushed fs)));
+  Option.iter (fun o -> publish o fs ~minor_words:s.ss_minor.(0)) s.ss_obs;
   for i = 0 to Flat_state.m fs - 1 do
     if Flat_state.pend_count fs i > 0 || Flat_state.run_job fs i >= 0 then
       invalid_arg
@@ -691,8 +564,8 @@ let session_close s =
     let schedule = Flat_state.to_schedule fs in
     let lm = live fs in
     if s.ss_check then
-      audit ?obs:s.ss_obs ?recorder:s.ss_recorder ~name:s.ss_policy.name
-        ~saw_restart:(Flat_state.saw_restart fs) lm schedule;
+      audit ?obs:s.ss_obs ?recorder:s.ss_rows ~name:s.ss_policy.name
+        ~saw_restart:(Flat_state.restarts fs > 0) lm schedule;
     (Some schedule, s.ss_pstate, lm)
   end
 
@@ -707,8 +580,8 @@ let session_freeze s =
       z_last_id = s.ss_last_id;
       z_nfed = s.ss_nfed;
       z_fed = s.ss_fed;
-      z_trace = s.ss_trace;
-      z_recorder = s.ss_recorder;
+      z_trace = Option.map Trace.unread s.ss_trace;
+      z_recorder = (if Option.is_none s.ss_trace then s.ss_rows else None);
       z_check = s.ss_check;
       z_minor = s.ss_minor.(0);
       z_batch = s.ss_batch;
@@ -740,10 +613,8 @@ module Session = struct
   let feed = session_feed
   let drain_until = session_drain_until
   let next_key s = Flat_state.next_key s.ss_fs
-  let drained s = s.ss_hwm.(0)
   let fed s = s.ss_nfed
   let view s = s.ss_fs
-  let policy_state s = s.ss_pstate
   let live_metrics s = live s.ss_fs
   let trace s = s.ss_trace
   let close = session_close

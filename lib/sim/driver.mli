@@ -48,10 +48,6 @@ type running = { job : Job.t; started : Time.t; rate : float; finish : Time.t }
 
 val running_on : view -> Machine.id -> running option
 
-val remaining_volume : view -> Machine.id -> float
-(** Remaining volume of the running job at the current instant; [0.] when
-    idle. *)
-
 val remaining_time : view -> Machine.id -> float
 (** Time until the running job would finish; [0.] when idle. *)
 
@@ -174,29 +170,27 @@ type 'a policy = {
 
 (** {1 Running}
 
-    {b Telemetry.}  Passing [?obs] (a {!Sched_obs.Obs.t}) makes the driver
-    record, into the handle's registry:
+    {b Telemetry.}  Passing [?obs] (a {!Sched_obs.Obs.t}) makes the
+    session, when it closes, write into the handle's registry:
 
     - counters [sched_dispatch_total], [sched_start_total],
       [sched_complete_total], [sched_reject_total],
-      [sched_reject_midrun_total], [sched_restart_total] — incremented at
-      exactly the sites that emit the corresponding {!Trace} events, so they
-      reconcile with the trace and with {!Sched_model.Metrics.rejection};
+      [sched_reject_midrun_total], [sched_restart_total] — the whole
+      run's counts of the corresponding {!Trace} events (a thawed
+      session's included), read out of the flat state and {e added}, so
+      a shared registry accumulates across runs;
     - gauges [sched_pending_jobs{machine="i"}] (dispatched, not yet started
       or rejected; restarts re-enter) and [sched_inflight_jobs{machine="i"}]
-      (dispatched, not yet completed or rejected);
-    - when the handle's sink aggregates spans ({!Sched_obs.Obs.timed}), a
-      duration histogram [obs_phase_seconds{phase=...}] over phases
-      [on_arrival], [select], [segment] and [heap];
+      (dispatched, not yet completed or rejected), zero after a clean close;
     - counters [sched_flat_loop_minor_words_total] /
       [sched_flat_loop_events_total] — the [Gc.minor_words] delta across
       the event loop and the events processed, whose ratio is the
       allocations-per-event figure the bench and the allocation-regression
       test gate on.
 
-    Telemetry is strictly observational: the schedule, policy state and
-    trace are byte-identical with and without [?obs], and the default
-    {!Sched_obs.Sink.null} sink never reads a clock.
+    Nothing is recorded per event and no phase is timed.  Telemetry is
+    strictly observational: the schedule, policy state and trace are
+    byte-identical with and without [?obs].
 
     {b Flight recorder.}  Passing [?recorder] (a {!Sched_obs.Recorder.t})
     makes the driver write one ring entry per dispatch / start / complete
@@ -208,7 +202,11 @@ type 'a policy = {
     write path is allocation-free and [\@rejlint.hot]-proven, so attaching
     a recorder keeps the words-per-event ceilings.  Export with
     {!Trace_export} (NDJSON, [rejsched.trace/2]) or {!Perfetto} (Chrome
-    [trace_event] JSON). *)
+    [trace_event] JSON).
+
+    {b One row per event.}  A recorder row is the only thing an event
+    emits; with [?trace] the trace's ring is the sink ({!Trace.t}), and
+    [?trace] with a different [?recorder] raises [Invalid_argument]. *)
 
 (** {b Oracle auditing.}  Passing [?check:true] runs the independent
     {!Sched_check.Oracle} over the finished schedule before it is returned:
@@ -260,9 +258,9 @@ val run :
     corpus, every registry policy and batch sizes [{1, 7, all}].
 
     {b Checkpoint/restore.}  {!Session.freeze} marshals the complete
-    session — flat columns, policy state, trace, recorder, feed cursor —
-    into a binary payload; {!Session.thaw} rebuilds a live session from
-    it.  Resuming a frozen session replays the remaining stream exactly
+    session — flat columns, policy state, the trace's unreleased rows,
+    recorder, feed cursor — into a binary payload; {!Session.thaw}
+    rebuilds a live session from it.  Resuming a frozen session replays the remaining stream exactly
     as the uninterrupted run would have: suspend/resume at any event
     boundary is byte-identical (pinned by the checkpoint suite).  The
     payload embeds code pointers ([Marshal.Closures]) and is therefore
@@ -320,21 +318,15 @@ module Session : sig
   (** Key of the next queued event, [infinity] when idle — how far the
       serve loop may drain without outrunning the stream. *)
 
-  val drained : 'a t -> Time.t
-  (** The drained horizon ([neg_infinity] before the first
-      {!drain_until}). *)
-
   val fed : 'a t -> int
   (** Jobs fed so far. *)
 
   val view : 'a t -> view
-  val policy_state : 'a t -> 'a
 
   val trace : 'a t -> Trace.t option
   (** The trace the session records into, if any — for a thawed session
-      this is the trace carried inside the frozen payload, which the
-      serve loop can reach no other way (its emission cursor restarts at
-      {!Trace.length}). *)
+      this is the trace carried inside the frozen payload (its unreleased
+      rows only), which the serve loop can reach no other way. *)
 
   val live_metrics : 'a t -> live_metrics
   (** Incremental metrics over what has been drained so far.  After

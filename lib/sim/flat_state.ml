@@ -138,7 +138,8 @@ type t = {
   mutable a_completed : int;
   mutable a_rejected : int;
   mutable a_mid_run : int;
-  mutable saw_restart : bool;
+  mutable a_starts : int;
+  mutable a_restarts : int;
   (* Outcomes by job id: kind, machine, start-or-rejection time, speed,
      finish, mid-run flag.  Kept even under retirement — [out_kind] is
      what [check_undecided]'s double-decide guard reads, and the arrays
@@ -282,7 +283,8 @@ let of_instance instance =
     a_completed = 0;
     a_rejected = 0;
     a_mid_run = 0;
-    saw_restart = false;
+    a_starts = 0;
+    a_restarts = 0;
     out_kind = Array.make n out_none;
     out_machine = Array.make n 0;
     out_t0 = Array.make n 0.;
@@ -454,8 +456,7 @@ let[@rejlint.hot] clock t = t.facc.(f_clock)
 let[@rejlint.hot] set_clock t v = t.facc.(f_clock) <- v
 let[@rejlint.hot] loc t id = t.loc.(id)
 let[@rejlint.hot] set_loc t id l = t.loc.(id) <- l
-let[@rejlint.hot] saw_restart t = t.saw_restart
-let[@rejlint.hot] set_saw_restart t = t.saw_restart <- true
+let[@rejlint.hot] account_restart t = t.a_restarts <- t.a_restarts + 1
 
 (* ------------------------------------------------------------------ *)
 (* Pending sets. *)
@@ -699,6 +700,7 @@ let[@rejlint.hot] epoch t i = t.epoch.(i)
 let[@rejlint.hot] bump_epoch t i = t.epoch.(i) <- t.epoch.(i) + 1
 
 let[@rejlint.hot] set_running t i ~job ~started ~rate ~finish =
+  t.a_starts <- t.a_starts + 1;
   t.run_job.(i) <- job;
   t.run_started.(i) <- started;
   t.run_rate.(i) <- rate;
@@ -826,6 +828,8 @@ let[@rejlint.hot] outcome_rejected t ~job ~machine ~time ~was_running =
 let[@rejlint.hot] completed t = t.a_completed
 let[@rejlint.hot] rejected t = t.a_rejected
 let[@rejlint.hot] mid_run t = t.a_mid_run
+let[@rejlint.hot] starts t = t.a_starts
+let[@rejlint.hot] restarts t = t.a_restarts
 let[@rejlint.hot] flow t = t.facc.(f_flow)
 let[@rejlint.hot] wflow t = t.facc.(f_wflow)
 let[@rejlint.hot] rej_flow t = t.facc.(f_rej_flow)

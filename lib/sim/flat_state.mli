@@ -129,8 +129,7 @@ val clock : t -> float
 val set_clock : t -> float -> unit
 val loc : t -> int -> int
 val set_loc : t -> int -> int -> unit
-val saw_restart : t -> bool
-val set_saw_restart : t -> unit
+val account_restart : t -> unit
 
 (** {1 Pending sets}
 
@@ -206,6 +205,8 @@ val run_finish : t -> int -> float
 val epoch : t -> int -> int
 val bump_epoch : t -> int -> unit
 val set_running : t -> int -> job:int -> started:float -> rate:float -> finish:float -> unit
+(** Also counts the start ({!starts}). *)
+
 val clear_running : t -> int -> unit
 
 (** {1 Events}
@@ -257,6 +258,8 @@ val outcome_rejected : t -> job:int -> machine:int -> time:float -> was_running:
 val completed : t -> int
 val rejected : t -> int
 val mid_run : t -> int
+val starts : t -> int
+val restarts : t -> int
 val flow : t -> float
 val wflow : t -> float
 val rej_flow : t -> float

@@ -9,30 +9,59 @@ type event =
 
 type entry = { time : Time.t; event : event }
 
-type t = { mutable rev : entry list; mutable len : int }
+(* A trace is a recorder ring held from its release mark on, so it grows
+   rather than drop a row a reader has not taken.  The driver writes one
+   row per event; trace/1 entries are decoded from the rows on read. *)
+module Rec = Sched_obs.Recorder
+module Ring = Sched_obs.Ring
 
-let create () = { rev = []; len = 0 }
+type t = Rec.t
 
+let create () =
+  let t = Rec.create ~capacity:1024 () in
+  Ring.hold t.Rec.ring 0;
+  t
+
+let recorder t = t
+let length = Rec.total
+let released t = Option.get (Ring.held t.Rec.ring)
+
+let release t k = Ring.hold t.Rec.ring k
+
+let unread = Rec.compact
+
+(* The cold encoder: a row of the driver's shape, provenance cells zero. *)
 let record t time event =
-  t.rev <- { time; event } :: t.rev;
-  t.len <- t.len + 1
+  let s, value =
+    match event with
+    | Dispatch { job; machine } -> (Rec.reserve_dispatch t ~job ~machine ~cands:0 ~mask:0, 0.)
+    | Start { job; machine; speed } -> (Rec.reserve_start t ~job ~machine, speed)
+    | Complete { job; machine } -> (Rec.reserve_complete t ~job ~machine, 0.)
+    | Reject { job; machine; was_running; remaining } ->
+        (Rec.reserve_reject t ~job ~machine ~was_running ~rejected:0, remaining)
+    | Restart { job; machine; wasted } -> (Rec.reserve_restart t ~job ~machine, wasted)
+  in
+  t.Rec.floats.(s + Rec.o_time) <- time;
+  t.Rec.floats.(s + Rec.o_value) <- value
 
-let events t = List.rev t.rev
-let length t = t.len
+(* Trace/1 is a field projection of the row: [value] carries the speed,
+   remaining volume or wasted work, and [time] is the same clock. *)
+let of_row ({ time; kind; job; machine; flag; value; _ } : Rec.entry) =
+  let event =
+    match kind with
+    | Rec.Dispatch -> Dispatch { job; machine }
+    | Rec.Start -> Start { job; machine; speed = value }
+    | Rec.Complete -> Complete { job; machine }
+    | Rec.Reject -> Reject { job; machine; was_running = flag <> 0; remaining = value }
+    | Rec.Restart -> Restart { job; machine; wasted = value }
+  in
+  { time; event }
 
-(* Entries recorded after the first [k]: the serve loop's per-batch
-   emission cursor.  O(length - k) — the suffix is the *head* of the
-   reversed list, so nothing older is walked. *)
 let since t k =
-  let fresh = t.len - k in
-  if fresh <= 0 then []
-  else begin
-    let rec take acc rest r =
-      if r = 0 then acc
-      else match rest with [] -> acc | e :: tl -> take (e :: acc) tl (r - 1)
-    in
-    take [] t.rev fresh
-  end
+  if k < released t then invalid_arg "Trace.since: those entries were released";
+  List.map of_row (Rec.entries ~last:(length t - k) t)
+
+let events t = since t (released t)
 
 (* Shared step-function builder: [delta] maps an event to [Some (machine, +-1)]
    when it moves the tracked population, [None] otherwise. *)

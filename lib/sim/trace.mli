@@ -28,18 +28,39 @@ type event =
 type entry = { time : Time.t; event : event }
 
 type t
+(** A flight-recorder ring that never drops a row it has not
+    {!release}d: it grows instead.  Attached to the driver it is the
+    session's row sink, and entries are decoded from its rows on read:
+    trace/1 is a field projection of trace/2. *)
 
 val create : unit -> t
+
 val record : t -> Time.t -> event -> unit
+(** Appends one event (the driver writes its rows directly). *)
+
+val recorder : t -> Sched_obs.Recorder.t
+(** The ring, for trace/2 export. *)
+
 val events : t -> entry list
-(** In chronological (recording) order. *)
+(** The unreleased entries, in chronological (recording) order. *)
 
 val length : t -> int
+(** Entries ever recorded, released ones included. *)
 
 val since : t -> int -> entry list
 (** [since t k] — the entries recorded after the first [k], oldest
-    first: the incremental-emission cursor of the serve loop
-    ([since t 0 = events t]).  O(new entries), not O(length). *)
+    first: the incremental-emission cursor of the serve loop.
+    O(new entries), not O(length).  Raises [Invalid_argument] when [k]
+    is below the release mark. *)
+
+val release : t -> int -> unit
+(** [release t k]: the first [k] entries are consumed and may be
+    overwritten, so the ring stays as small as the unconsumed entries.
+    Raises [Invalid_argument] when entry [k] is gone or beyond {!length}. *)
+
+val unread : t -> t
+(** A copy holding only the unreleased entries — what a checkpoint
+    carries. *)
 
 val queue_profile : t -> machines:int -> (Machine.id * (Time.t * int) list) list
 (** Per machine, the step function of [|U_i(t)|] (dispatched, not yet

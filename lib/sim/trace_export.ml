@@ -36,14 +36,16 @@ let event_fields : Trace.event -> (string * J.value) list = function
 let entry_line (en : Trace.entry) =
   J.line ~schema (("time", J.Float en.time) :: event_fields en.event)
 
-let iter_lines t f = List.iter (fun en -> f (entry_line en)) (Trace.events t)
-
-let to_ndjson t =
+let ndjson lines =
   let buf = Buffer.create 4096 in
-  iter_lines t (fun l ->
+  List.iter
+    (fun l ->
       Buffer.add_string buf l;
-      Buffer.add_char buf '\n');
+      Buffer.add_char buf '\n')
+    lines;
   Buffer.contents buf
+
+let to_ndjson t = ndjson (List.map entry_line (Trace.events t))
 
 (* --- rejsched.trace/2: flight-recorder entries with provenance -------- *)
 
@@ -86,14 +88,7 @@ let recorder_entry_line (en : R.entry) =
 
 let recorder_lines ?last rec_ = List.map recorder_entry_line (R.entries ?last rec_)
 
-let recorder_to_ndjson ?last rec_ =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun l ->
-      Buffer.add_string buf l;
-      Buffer.add_char buf '\n')
-    (recorder_lines ?last rec_);
-  Buffer.contents buf
+let recorder_to_ndjson ?last rec_ = ndjson (recorder_lines ?last rec_)
 
 (* The inverse of the tagging convention in [J.line]: every line the two
    exporters emit starts with {"schema":"..."}, and consumers dispatch on

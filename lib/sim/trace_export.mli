@@ -12,12 +12,9 @@ val schema : string
 val entry_line : Trace.entry -> string
 (** One event as a single JSON object (no trailing newline). *)
 
-val iter_lines : Trace.t -> (string -> unit) -> unit
-(** Streams {!entry_line} over the events in chronological order; the
-    callback owns the I/O (the library itself never writes). *)
-
 val to_ndjson : Trace.t -> string
-(** The whole trace, one line per event, each newline-terminated. *)
+(** The unreleased entries ({!Trace.events}), one line per event, each
+    newline-terminated. *)
 
 (** {1 Flight-recorder export ([rejsched.trace/2])}
 

@@ -150,6 +150,127 @@ let test_wrong_policy_thaw_rejected () =
   | _ -> Alcotest.fail "thaw under the wrong policy succeeded"
   | exception Invalid_argument _ -> ()
 
+(* --- telemetry and trace across a checkpoint ----------------------------- *)
+
+let counter_names = [ "dispatch"; "start"; "complete"; "reject"; "reject_midrun"; "restart" ]
+
+let counters obs =
+  let reg = Sched_obs.Obs.registry obs in
+  List.map
+    (fun k ->
+      match Sched_obs.Registry.find reg ~name:("sched_" ^ k ^ "_total") ~labels:[] with
+      | Some { Sched_obs.Registry.instrument = Sched_obs.Registry.Counter c; _ } ->
+          (k, Sched_obs.Metric.Counter.value c)
+      | _ -> Alcotest.failf "missing counter sched_%s_total" k)
+    counter_names
+
+let freeze_thaw (e : P.entry) (s : P.stream_session) ?obs () =
+  match Snapshot.unwrap (Snapshot.wrap ~policy:e.P.name ~payload:(s.P.ss_freeze ())) with
+  | Ok (_, payload) -> e.P.restore_stream ?obs payload
+  | Error err -> Alcotest.failf "unwrap: %s" (Snapshot.error_to_string err)
+
+(* A session restored with [?obs] reports the whole run, not just the
+   events after the restore: the counters are read out of the restored
+   state at close, and the per-machine gauges drain to zero. *)
+let test_telemetry_after_restore () =
+  let e = Option.get (P.find "flow-reject") in
+  let instance = Test_util.random_instance ~seed:17 ~n:400 ~m:4 () in
+  let jobs = Instance.jobs_by_release instance in
+  let machines = instance.Instance.machines in
+  let whole = Sched_obs.Obs.create () in
+  let s = e.P.open_stream ~obs:whole ~machines () in
+  Array.iter s.P.ss_feed jobs;
+  ignore (s.P.ss_close ());
+  let s = e.P.open_stream ~machines () in
+  for k = 0 to 199 do
+    s.P.ss_feed jobs.(k)
+  done;
+  s.P.ss_drain_until jobs.(199).Job.release;
+  let obs = Sched_obs.Obs.create () in
+  let r = freeze_thaw e s ~obs () in
+  for k = 200 to Array.length jobs - 1 do
+    r.P.ss_feed jobs.(k)
+  done;
+  ignore (r.P.ss_close ());
+  Alcotest.(check (list (pair string (float 0.)))) "counters = uninterrupted run's"
+    (counters whole) (counters obs);
+  Alcotest.(check (float 0.)) "dispatch = n" 400. (List.assoc "dispatch" (counters obs));
+  List.iter
+    (fun (en : Sched_obs.Registry.entry) ->
+      match en.Sched_obs.Registry.instrument with
+      | Sched_obs.Registry.Gauge g ->
+          Alcotest.(check (float 0.)) (en.Sched_obs.Registry.name ^ " drains") 0.
+            (Sched_obs.Metric.Gauge.value g)
+      | _ -> ())
+    (Sched_obs.Registry.entries (Sched_obs.Obs.registry obs))
+
+(* The serve loop's shape: a retiring stream with a trace, drained every
+   64 arrivals, each batch's decisions emitted with [since] and then
+   released.  The trace then retains one batch's rows, so its ring is as
+   large at n = 8000 as at n = 2000. *)
+let serve_shaped ~n =
+  let e = Option.get (P.find "flow-reject") in
+  let instance = Test_util.random_instance ~seed:3 ~n ~m:4 () in
+  let trace = Trace.create () in
+  let s = e.P.open_stream ~trace ~retire:true ~machines:instance.Instance.machines () in
+  let emitted = ref 0 in
+  let emit () =
+    emitted := !emitted + List.length (Trace.since trace !emitted);
+    Trace.release trace !emitted
+  in
+  Array.iteri
+    (fun k (j : Job.t) ->
+      s.P.ss_feed j;
+      if (k + 1) mod 64 = 0 then begin
+        s.P.ss_drain_until j.Job.release;
+        emit ()
+      end)
+    (Instance.jobs_by_release instance);
+  ignore (s.P.ss_close ());
+  emit ();
+  Alcotest.(check int) "every decision emitted" (Trace.length trace) !emitted;
+  (Sched_obs.Recorder.capacity (Trace.recorder trace), Trace.length trace)
+
+let test_serve_trace_bounded () =
+  let cap_small, _ = serve_shaped ~n:2000 in
+  let cap_large, rows = serve_shaped ~n:8000 in
+  Alcotest.(check int) "ring capacity independent of n" cap_small cap_large;
+  Alcotest.(check bool) "far fewer slots than rows" true (4 * cap_large < rows)
+
+(* A checkpoint carries only the rows its reader has not released: after
+   emitting and releasing, the restored trace holds none of them (and
+   keeps counting from the same sequence number); rows recorded since
+   the last release ride along. *)
+let test_snapshot_carries_unread_rows () =
+  let e = Option.get (P.find "flow-reject") in
+  let instance = Test_util.random_instance ~seed:8 ~n:120 ~m:3 () in
+  let jobs = Instance.jobs_by_release instance in
+  let trace = Trace.create () in
+  let s = e.P.open_stream ~trace ~machines:instance.Instance.machines () in
+  for k = 0 to 59 do
+    s.P.ss_feed jobs.(k)
+  done;
+  s.P.ss_drain_until jobs.(59).Job.release;
+  let emitted = Trace.length trace in
+  Trace.release trace emitted;
+  let restored_trace r = Option.get (r.P.ss_trace ()) in
+  let r = freeze_thaw e s () in
+  let t = restored_trace r in
+  Alcotest.(check int) "sequence numbers continue" emitted (Trace.length t);
+  Alcotest.(check int) "no emitted row rides the snapshot" 0
+    (Sched_obs.Recorder.length (Trace.recorder t));
+  for k = 60 to 89 do
+    s.P.ss_feed jobs.(k)
+  done;
+  s.P.ss_drain_until jobs.(89).Job.release;
+  let unread = Trace.since trace emitted in
+  let t = restored_trace (freeze_thaw e s ()) in
+  Alcotest.(check int) "unread rows ride the snapshot" (List.length unread)
+    (Sched_obs.Recorder.length (Trace.recorder t));
+  Alcotest.(check (list string)) "and decode identically"
+    (List.map Trace_export.entry_line unread)
+    (List.map Trace_export.entry_line (Trace.since t emitted))
+
 let suite =
   [
     test_roundtrip;
@@ -162,4 +283,9 @@ let suite =
       test_suspend_every_boundary_stateful;
     Alcotest.test_case "thaw under the wrong policy rejected" `Quick
       test_wrong_policy_thaw_rejected;
+    Alcotest.test_case "telemetry after restore covers the whole run" `Quick
+      test_telemetry_after_restore;
+    Alcotest.test_case "serve-shaped trace stays bounded" `Quick test_serve_trace_bounded;
+    Alcotest.test_case "snapshot carries only unread trace rows" `Quick
+      test_snapshot_carries_unread_rows;
   ]

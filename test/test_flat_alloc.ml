@@ -7,8 +7,9 @@
    `dune runtest` instead of silently eroding the performance win.
 
    What remains under the ceiling is the irreducible per-event cost of
-   the *policy interface* — decision records, [Some job] view answers,
-   span closures — which the issue pins as unchanged.  [Gc.minor_words]
+   the *policy interface* — decision records and [Some job] view
+   answers.  The driver times no per-event phases, so telemetry adds no
+   span closures to it.  [Gc.minor_words]
    counts words allocated, not collector activity, so the figure is
    deterministic for a fixed instance and policy and the gates can sit
    close to the measured values. *)
@@ -36,11 +37,11 @@ let make_instance ?(span = 1) ~seed ~n ~m () =
   in
   Instance.create ~machines:(Machine.fleet m) ~jobs ()
 
-let run_and_measure ?recorder ?span ~n ~m policy =
+let run_and_measure ?recorder ?trace ?span ~n ~m policy =
   let instance = make_instance ?span ~seed:7 ~n ~m () in
   let registry = Registry.create () in
   let obs = Obs.create ~registry () in
-  ignore (Driver.run ?recorder ~obs policy instance);
+  ignore (Driver.run ?recorder ?trace ~obs policy instance);
   let words =
     Metric.Counter.value (Registry.counter registry "sched_flat_loop_minor_words_total")
   in
@@ -62,11 +63,11 @@ let check_gate ?recorder ?span ~what ~gate policy =
       "%s: flat loop allocates %.1f minor words/event (gate %.1f): the hot path is boxing again"
       what per_event gate
 
-(* Measured ~58 words/event (all policy-interface cost). *)
+(* Measured ~42 words/event (all policy-interface cost). *)
 let test_steady_state_allocs () =
   check_gate ~what:"greedy-spt" ~gate:80. Sched_baselines.Greedy_dispatch.spt
 
-(* The rejection path through the loop is separate code.  Measured ~47
+(* The rejection path through the loop is separate code.  Measured ~31
    words/event. *)
 let test_steady_state_allocs_reject () =
   let module FR = Rejection.Flow_reject in
@@ -77,7 +78,7 @@ let test_steady_state_allocs_reject () =
    stays under the same ceiling as on spread releases.  A per-arrival
    scan of the pending sets boxes a float per pending job and measured
    ~3,640 words/event here; the order-statistic index answers each
-   lambda_ij query without allocating (measured ~57). *)
+   lambda_ij query without allocating (measured ~41). *)
 let test_deep_queue_allocs_reject () =
   let module FR = Rejection.Flow_reject in
   check_gate ~span:32 ~what:"flow-reject, deep queues" ~gate:100.
@@ -90,8 +91,9 @@ let test_deep_queue_allocs_reject () =
    recorder's payload are not inlined, so each boxes its return — a few
    words/event of build-mode (not code-path) cost; the release-profile
    bench pins the true zero.  greedy-spt absorbs it inside its existing
-   gate; flow-reject's provenance payload reads more accessors (measured
-   ~52 dev vs ~47 bare), and its recorder gate sits a notch higher. *)
+   gate (measured ~47 dev vs ~42 bare); flow-reject's provenance
+   payload reads more accessors (measured ~36 dev vs ~31 bare), and its
+   recorder gate sits a notch higher. *)
 let test_steady_state_allocs_recorded () =
   let recorder = Sched_obs.Recorder.create ~capacity:4096 () in
   check_gate ~recorder ~what:"greedy-spt+recorder" ~gate:80.
@@ -104,6 +106,29 @@ let test_steady_state_allocs_reject_recorded () =
   check_gate ~recorder ~what:"flow-reject+recorder" ~gate:110.
     (FR.policy (FR.config ~eps:0.3 ()))
 
+(* A trace is a recorder ring under a hold, written by the same row
+   stores, so attaching one costs what attaching a recorder costs: the
+   trace/1 entries are decoded on read, never built per event.  Measured
+   ~36.2 words/event either way; building a trace event per event cost
+   ~12 more. *)
+let test_trace_costs_a_recorder () =
+  let module FR = Rejection.Flow_reject in
+  let policy = FR.policy (FR.config ~eps:0.3 ()) in
+  ignore (run_and_measure ~n:500 ~m:4 policy);
+  let per_event (words, events) = words /. events in
+  let recorded =
+    per_event
+      (run_and_measure ~recorder:(Sched_obs.Recorder.create ~capacity:4096 ()) ~n:4000 ~m:4
+         policy)
+  in
+  let trace = Trace.create () in
+  let traced = per_event (run_and_measure ~trace ~n:4000 ~m:4 policy) in
+  Alcotest.(check bool) "every event traced" true (Trace.length trace >= 4000);
+  if traced > recorded +. 1. then
+    Alcotest.failf
+      "trace attached: %.1f minor words/event, recorder attached: %.1f (allowed +1.0)" traced
+      recorded
+
 let suite =
   [
     Alcotest.test_case "steady-state minor words/event under gate" `Quick test_steady_state_allocs;
@@ -114,4 +139,5 @@ let suite =
       test_steady_state_allocs_recorded;
     Alcotest.test_case "recorder attached, rejection path" `Quick
       test_steady_state_allocs_reject_recorded;
+    Alcotest.test_case "trace attached costs a recorder" `Quick test_trace_costs_a_recorder;
   ]

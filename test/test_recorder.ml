@@ -76,6 +76,80 @@ let test_ring_slot_sequence () =
       done)
     [ 1; 2; 4; 8; 3; 5; 6; 7 ]
 
+(* A held ring grows instead of overwriting the held entry, keeps every
+   entry from the hold on, and wraps again over entries before a hold
+   that moved forward. *)
+let test_ring_hold_grows () =
+  let r = Ring.create ~int_cols:1 ~float_cols:0 ~capacity:2 in
+  let push v = Ring.set_int r ~col:0 ~slot:(Ring.append r) v in
+  Ring.hold r 0;
+  List.iter push [ 10; 11; 12; 13; 14 ];
+  Alcotest.(check int) "grew past the hold" 8 (Ring.capacity r);
+  Alcotest.(check (list int)) "nothing lost" [ 10; 11; 12; 13; 14 ]
+    (List.init (Ring.length r) (fun k -> Ring.get_int r ~col:0 k));
+  Ring.hold r 5;
+  List.iter push [ 15; 16; 17; 18; 19; 20; 21; 22 ];
+  Alcotest.(check int) "released entries absorb new ones" 8 (Ring.capacity r);
+  Alcotest.(check int) "oldest retained" 15 (Ring.get_int r ~col:0 0);
+  Alcotest.(check bool) "hold below the retained window rejected" true
+    (match Ring.hold r 3 with exception Invalid_argument _ -> true | () -> false);
+  let c = Ring.compact r in
+  Alcotest.(check int) "compact keeps the total" (Ring.total r) (Ring.total c);
+  Alcotest.(check int) "compact keeps the held entries only" 8 (Ring.length c);
+  Alcotest.(check int) "compact capacity fits them" 8 (Ring.capacity c)
+
+(* Random append / hold / release sequences against an unbounded
+   reference recording: every retained entry decodes exactly as the
+   reference's entry of the same sequence number, entries from the hold
+   on are always retained (through any number of growths, and in a
+   compacted copy), and a ring that was never held keeps its capacity
+   and the newest [capacity] entries, as a fixed-capacity ring does. *)
+let write_row rc p =
+  let kind = p mod 5 and job = p and machine = p mod 7 in
+  let b =
+    match kind with
+    | 0 -> Rec.reserve_dispatch rc ~job ~machine ~cands:(p mod 3) ~mask:(p land 7)
+    | 1 -> Rec.reserve_start rc ~job ~machine
+    | 2 -> Rec.reserve_complete rc ~job ~machine
+    | 3 -> Rec.reserve_reject rc ~job ~machine ~was_running:(p land 1 = 1) ~rejected:p
+    | _ -> Rec.reserve_restart rc ~job ~machine
+  in
+  rc.Rec.floats.(b + Rec.o_time) <- float_of_int p /. 4.;
+  rc.Rec.floats.(b + Rec.o_value) <- float_of_int (p + 1) /. 2.;
+  if kind <= 1 then rc.Rec.floats.(b + Rec.o_score) <- float_of_int p;
+  if kind = 3 then rc.Rec.floats.(b + Rec.o_budget) <- float_of_int p *. 3.
+
+let from rc seq = Rec.entries ~last:(Rec.total rc - seq) rc
+
+let test_hold_qcheck =
+  QCheck.Test.make ~name:"ring: holds survive growth (qcheck)" ~count:300
+    QCheck.(pair (int_range 1 5) (small_list (pair (int_range 0 9) small_nat)))
+    (fun (cap, ops) ->
+      let rc = Rec.create ~capacity:cap () and reference = Rec.create ~capacity:8192 () in
+      let ring = rc.Rec.ring in
+      let ever_held = ref false in
+      List.for_all
+        (fun (op, p) ->
+          (if op <= 6 then (write_row rc p; write_row reference p)
+           else begin
+             (* Hold (or move the hold to) a random retained entry, or
+                release everything read so far. *)
+             let first = Ring.first_seq ring in
+             Ring.hold ring
+               (if op = 9 then Ring.total ring else first + (p mod (Ring.total ring - first + 1)));
+             ever_held := true
+           end);
+          let first = Ring.first_seq ring in
+          Rec.entries rc = from reference first
+          && (match Ring.held ring with
+             | None -> true
+             | Some h ->
+                 first <= h && from (Rec.compact rc) h = from reference h)
+          && (!ever_held
+             || Rec.capacity rc = cap && Rec.length rc = min (Rec.total rc) cap))
+        ops)
+  |> QCheck_alcotest.to_alcotest
+
 (* --- Recorder ---------------------------------------------------------- *)
 
 (* One entry of every kind, floats stored through the row-base protocol,
@@ -383,6 +457,8 @@ let suite =
     Alcotest.test_case "ring: create validation" `Quick test_ring_create_validation;
     Alcotest.test_case "ring: wrap and sliding window" `Quick test_ring_wrap;
     Alcotest.test_case "ring: slot sequence (pow2 and generic)" `Quick test_ring_slot_sequence;
+    Alcotest.test_case "ring: a hold grows instead of wrapping" `Quick test_ring_hold_grows;
+    test_hold_qcheck;
     Alcotest.test_case "recorder: reserve/decode round-trip" `Quick test_recorder_round_trip;
     Alcotest.test_case "recorder: wrap masks stale cells" `Quick
       test_recorder_wrap_masks_stale_cells;
