@@ -534,5 +534,5 @@ let suite =
     Alcotest.test_case "telemetry never changes schedules" `Quick test_obs_does_not_change_schedules;
     Alcotest.test_case "counters reconcile with metrics" `Quick test_counters_reconcile;
     Alcotest.test_case "restart counter mirrors trace" `Quick test_restart_counter;
-    Alcotest.test_case "timed obs: counters, no spans" `Quick test_timed_obs_counters_only;
+    Alcotest.test_case "timed obs counters only" `Quick test_timed_obs_counters_only;
   ]
