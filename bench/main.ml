@@ -553,17 +553,12 @@ let run_regression out_path =
     String.concat ""
       (List.concat_map (fun (_, ts) -> List.map Sched_stats.Table.to_csv ts) tables)
   in
-  let sum_sched_counters registry =
-    List.fold_left
-      (fun acc e ->
-        match e.Sched_obs.Registry.instrument with
-        | Sched_obs.Registry.Counter c
-          when String.length e.Sched_obs.Registry.name >= 6
-               && String.sub e.Sched_obs.Registry.name 0 6 = "sched_" ->
-            acc +. Sched_obs.Metric.Counter.value c
-        | _ -> acc)
-      0.
-      (Sched_obs.Registry.entries registry)
+  (* Driver events: the event loop's own count, not a sum over every
+     [sched_] counter (which would fold in the loop's minor words and
+     the per-decision tallies). *)
+  let driver_events registry =
+    Sched_obs.Metric.Counter.value
+      (Sched_obs.Registry.counter registry "sched_flat_loop_events_total")
   in
   let run_suite pool =
     let registry = Sched_obs.Registry.create () in
@@ -572,7 +567,7 @@ let run_regression out_path =
       time_gc (fun () ->
           Sched_experiments.Registry.run_all ~quick:true ~obs ~only:suite_ids ?pool ())
     in
-    (suite_csv tables, Sched_obs.Export.json registry, sum_sched_counters registry, dt, gc)
+    (suite_csv tables, Sched_obs.Export.json registry, driver_events registry, dt, gc)
   in
   let seq_csv, seq_json, suite_events, t_suite_seq, gc_suite_seq = run_suite None in
   Printf.printf "  suite scaling (%s): sequential %.3f s (%.0f driver events)\n%!"

@@ -624,7 +624,9 @@ let serve_schema = "rejsched.serve/1"
      {"job": 0, "release": 1.5, "sizes": [2.0, 3.0], "weight": 1.0, "deadline": 4.0}
    weight and deadline are optional; a size may be the quoted token
    "Infinity" (a forbidden machine), matching what the NDJSON writers
-   emit for non-finite floats. *)
+   emit for non-finite floats.  The job id must be a non-negative
+   integer that fits an int: a fraction, a negative or an out-of-range
+   number is a bad arrival, not a silently truncated id. *)
 let job_of_line line =
   let module N = Sched_obs.Ndjson in
   match N.parse line with
@@ -634,6 +636,8 @@ let job_of_line line =
         match N.member name j with Some (N.Jnum v) -> Some v | _ -> None
       in
       match (num "job", num "release", N.member "sizes" j) with
+      | Some id, _, _ when not (Float.is_integer id && id >= 0. && id < float_of_int max_int) ->
+          Error "\"job\" must be a non-negative integer"
       | Some id, Some release, Some (N.Jarr raw) -> (
           let size = function
             | N.Jnum v -> v
@@ -684,26 +688,13 @@ let serve_cmd =
              ~doc:"Resume from a snapshot written by --checkpoint.  Corrupt or truncated \
                    snapshots are rejected (exit 2) before any state is touched.")
   in
-  let retire_arg =
-    Arg.(value & flag
-         & info [ "retire" ]
-             ~doc:"Retire completed work into rolling aggregates instead of materializing the \
-                   full schedule: memory stays bounded by the in-flight population, and the \
-                   summary carries the same live metrics, but no schedule survives to audit.")
-  in
-  let action policy input batch checkpoint restore retire m =
+  let action policy input batch checkpoint restore m =
     if batch < 1 then invalid_arg (Printf.sprintf "--batch must be >= 1 (got %d)" batch);
     if m < 1 then invalid_arg (Printf.sprintf "--machines must be >= 1 (got %d)" m);
     let policy_name, session =
       match restore with
       | Some path -> (
-          let raw =
-            try Sched_sim.Snapshot.read_file path
-            with Sys_error msg ->
-              prerr_endline ("rejsched: " ^ msg);
-              exit 2
-          in
-          match Sched_sim.Snapshot.unwrap raw with
+          match Sched_sim.Snapshot.unwrap (Sched_sim.Snapshot.read_file path) with
           | Error e ->
               prerr_endline
                 (Printf.sprintf "rejsched: cannot restore %s: %s" path
@@ -726,8 +717,11 @@ let serve_cmd =
               prerr_endline ("rejsched: unknown registry policy: " ^ policy);
               exit 2
           | Some entry ->
+              (* Serve never reads the closing schedule, so it always
+                 retires: memory stays bounded by the in-flight jobs,
+                 and job ids need not be dense. *)
               let trace = Sched_sim.Trace.create () in
-              (policy, entry.PR.open_stream ~trace ~retire ~machines:(Machine.fleet m) ()))
+              (policy, entry.PR.open_stream ~trace ~retire:true ~machines:(Machine.fleet m) ()))
     in
     (* With '--checkpoint -' the snapshot bytes own stdout; every NDJSON
        line moves to stderr so the two streams never interleave. *)
@@ -819,8 +813,7 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const action $ policy_arg $ input_arg $ batch_arg $ checkpoint_arg $ restore_arg
-      $ retire_arg $ m_arg)
+      const action $ policy_arg $ input_arg $ batch_arg $ checkpoint_arg $ restore_arg $ m_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -879,6 +872,8 @@ let () =
   (* Usage errors raised as Invalid_argument (unknown policy / workload,
      ill-formed policy decisions surfaced by the driver) are user input
      problems, not crashes: report on stderr and exit 2, no backtrace.
+     So is a file that cannot be opened (Sys_error: a missing --input or
+     --restore file, an output path in a missing directory).
      Command-line parse errors (unknown flags, ill-typed values) exit 2
      too, instead of cmdliner's own code. *)
   exit
@@ -889,6 +884,6 @@ let () =
               [ run_cmd; serve_cmd; experiment_cmd; adversary_cmd; fuzz_cmd; trace_cmd; bounds_cmd; gen_cmd; list_cmd ])
        in
        if code = Cmd.Exit.cli_error then 2 else code
-     with Invalid_argument msg ->
+     with Invalid_argument msg | Sys_error msg ->
        prerr_endline ("rejsched: " ^ msg);
        2)

@@ -123,13 +123,16 @@ let sort_family path =
   | [ "Array"; "stable_sort" ] -> Some `Stable
   | _ -> None
 
-(* Heap constructors take their order as a labelled argument; a
-   polymorphic comparator there is the same RJL002 hazard as in a sort
-   (the simulator's heaps key on floats, where polymorphic compare
-   disagrees with the primitive comparisons the driver uses on NaN and
-   [-0.]).  Matched with or without the [Pqueue] prefix. *)
+(* The indexed heap takes its order as a labelled argument on every call
+   that compares; a polymorphic comparator there is the same RJL002
+   hazard as in a sort (the simulator's heaps key on floats, where
+   polymorphic compare disagrees with the primitive comparisons the
+   driver uses on NaN and [-0.]).  Matched with or without the [Pqueue]
+   prefix. *)
 let heap_cmp_label path =
-  match List.rev path with "create" :: "Iheap" :: _ -> Some "less" | _ -> None
+  match List.rev path with
+  | ("add" | "remove" | "invariant") :: "Iheap" :: _ -> Some "less"
+  | _ -> None
 
 let poly_compare_name = function
   | [ ("compare" | "=" | "<" | ">" | "<=" | ">=" | "<>" | "min" | "max") ] -> true

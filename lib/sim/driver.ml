@@ -415,12 +415,12 @@ type 'a session = {
 }
 
 (* Everything marshaled into a checkpoint.  Handlers and the policy's
-   closures are rebuilt at thaw; [Marshal.Closures] covers the
-   heap comparators inside [Flat_state.t] (closures over the very column
-   arrays the state owns — sharing is preserved within the one marshal
-   call) and pins the snapshot to the producing executable, which is the
-   contract anyway (the container's version/checksum reject everything
-   else first). *)
+   closures are rebuilt at thaw; what is marshaled is plain data — the
+   pending heaps hold ids only and take their order per call — so the
+   payload carries no code pointers and restores in any build of the
+   same source.  Nothing in the payload names its own layout: the
+   container's version ([Snapshot.version]) is the guard, bumped
+   whenever this record or a type it reaches changes shape. *)
 type 'a frozen = {
   z_fs : Flat_state.t;
   z_pstate : 'a;
@@ -588,7 +588,7 @@ let session_freeze s =
       z_name = s.ss_policy.name;
       z_iname = s.ss_name;
     }
-    [ Marshal.Closures ]
+    []
 
 let session_thaw ?obs policy payload =
   let z =

@@ -263,10 +263,11 @@ val run :
     rebuilds a live session from it.  Resuming a frozen session replays the remaining stream exactly
     as the uninterrupted run would have: suspend/resume at any event
     boundary is byte-identical (pinned by the checkpoint suite).  The
-    payload embeds code pointers ([Marshal.Closures]) and is therefore
-    valid only for the executable that produced it; wrap it in
-    {!Sched_sim.Snapshot} for a self-describing container whose
-    magic/version/checksum fail closed on anything else.
+    payload is plain marshaled data with no code pointers, so a rebuild
+    of the same source restores it; it does not describe its own
+    layout, so wrap it in {!Sched_sim.Snapshot}, whose version is bumped
+    on every layout change and whose magic/version/checksum fail closed
+    on anything else.
 
     {b Bounded memory.}  [~retire:true] folds completed segments into
     the rolling accumulators instead of storing them and drops settled
@@ -351,8 +352,8 @@ module Session : sig
   (** Rebuilds a live session from a {!freeze} payload.  The policy
       must be the same policy (checked by name; its closures are taken
       fresh, all mutable policy state lives in the marshaled ['a]).
-      Telemetry instruments are rebuilt against [?obs] — counters
-      restart from the restoring process's registry, which is the one
-      non-replayed observable.  Raises [Invalid_argument] on a
+      Telemetry instruments are rebuilt against [?obs]; counters are
+      read out of the restored state at close, so they cover the whole
+      run.  Raises [Invalid_argument] on a
       truncated/corrupt payload or a policy mismatch. *)
 end

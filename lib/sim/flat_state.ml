@@ -75,8 +75,7 @@ type t = {
   mutable stride : int;
       (* Row length of the per-(machine, job) matrices below — the job
          capacity.  Equals [n] in batch runs; grows by doubling in
-         streaming sessions, with the heap comparators re-blessed onto
-         the reallocated columns ([Pqueue.Iheap.set_less]). *)
+         streaming sessions. *)
   mutable retire : bool;
       (* Rolling-retirement mode: completed/rejected work is folded into
          the accumulators only — no segment store, and the boxed [Job.t]
@@ -98,7 +97,9 @@ type t = {
      heap shape.  They — and the index — are therefore maintained
      lazily: dormant until a policy first queries them, then rebuilt
      from [by_spt] and kept incremental from that point on.  Policies
-     that never consult an order never pay for it. *)
+     that never consult an order never pay for it.  The heaps hold ids
+     only; each call passes its order ([less_spt] and friends below) with
+     [t] and the machine's row base. *)
   by_spt : Pqueue.Iheap.t array;
   by_density : Pqueue.Iheap.t array;
   by_size_id : Pqueue.Iheap.t array;
@@ -161,32 +162,33 @@ type t = {
 
 (* The strict orders of the pending heaps and the index: primitive float
    [<]/[>] branches (so [-0. = 0.] and incomparable infinities fall
-   through), then the id tie-break.  The [float array] annotations
-   matter: left polymorphic, each read would box its float and each
-   comparison would go through the generic [compare]. *)
+   through), then the id tie-break.  Each is a top-level function of the
+   state and the machine's row [base], so no heap captures a column: the
+   columns can be reallocated by [grow_columns], and the state marshals
+   as plain data. *)
 
-let less_spt (sz : float array) (rel : float array) base a b =
-  let pa = sz.(base + a) and pb = sz.(base + b) in
+let[@rejlint.hot] less_spt t base a b =
+  let pa = t.size_col.(base + a) and pb = t.size_col.(base + b) in
   if pa < pb then true
   else if pa > pb then false
   else
-    let ra = rel.(a) and rb = rel.(b) in
+    let ra = t.release.(a) and rb = t.release.(b) in
     if ra < rb then true else if ra > rb then false else a < b
 
-let less_density (dn : float array) (rel : float array) base a b =
-  let da = dn.(base + a) and db = dn.(base + b) in
+let[@rejlint.hot] less_density t base a b =
+  let da = t.dens_col.(base + a) and db = t.dens_col.(base + b) in
   if da > db then true
   else if da < db then false
   else
-    let ra = rel.(a) and rb = rel.(b) in
+    let ra = t.release.(a) and rb = t.release.(b) in
     if ra < rb then true else if ra > rb then false else a < b
 
-let less_size_id (sz : float array) base a b =
-  let pa = sz.(base + a) and pb = sz.(base + b) in
+let[@rejlint.hot] less_size_id t base a b =
+  let pa = t.size_col.(base + a) and pb = t.size_col.(base + b) in
   if pa > pb then true else if pa < pb then false else b < a
 
-let less_fifo (rel : float array) a b =
-  let ra = rel.(a) and rb = rel.(b) in
+let[@rejlint.hot] less_fifo t _base a b =
+  let ra = t.release.(a) and rb = t.release.(b) in
   if ra < rb then true else if ra > rb then false else a < b
 
 (* Fill value for the [jobs] column: streaming sessions grow the array
@@ -195,20 +197,6 @@ let less_fifo (rel : float array) a b =
    through [loc]/[out_kind] first.  ([Job.t] is private, so the stand-in
    goes through the validating constructor like any other job.) *)
 let retired_job = Job.create ~id:0 ~release:0. ~sizes:[| 1. |] ()
-
-(* Point the four per-machine heap orders at the current column arrays.
-   Called at creation and again after every streaming column growth —
-   the comparators capture the arrays (and the machine's row base)
-   directly so the per-comparison path stays free of indirection. *)
-let rebless_heaps t =
-  let sz = t.size_col and dn = t.dens_col and rel = t.release in
-  for i = 0 to t.m - 1 do
-    let base = i * t.stride in
-    Pqueue.Iheap.set_less t.by_spt.(i) ~less:(less_spt sz rel base);
-    Pqueue.Iheap.set_less t.by_density.(i) ~less:(less_density dn rel base);
-    Pqueue.Iheap.set_less t.by_size_id.(i) ~less:(less_size_id sz base);
-    Pqueue.Iheap.set_less t.by_fifo.(i) ~less:(less_fifo rel)
-  done
 
 let of_instance instance =
   let n = Instance.n instance and m = Instance.m instance in
@@ -240,7 +228,7 @@ let of_instance instance =
       dens_col.(base + id) <- weight.(id) /. p
     done
   done;
-  let heap mk = Array.init m (fun i -> Pqueue.Iheap.create ~less:(mk (i * n)) ()) in
+  let heap () = Array.init m (fun _ -> Pqueue.Iheap.create ()) in
   let facc = Array.make facc_len 0. in
   facc.(f_total_weight) <- Instance.total_weight instance;
   {
@@ -255,10 +243,10 @@ let of_instance instance =
     min_size;
     size_col;
     dens_col;
-    by_spt = heap (fun base -> less_spt size_col release base);
-    by_density = heap (fun base -> less_density dens_col release base);
-    by_size_id = heap (fun base -> less_size_id size_col base);
-    by_fifo = Array.init m (fun _ -> Pqueue.Iheap.create ~less:(less_fifo release) ());
+    by_spt = heap ();
+    by_density = heap ();
+    by_size_id = heap ();
+    by_fifo = heap ();
     live_density = false;
     live_size_id = false;
     live_fifo = false;
@@ -317,10 +305,10 @@ let of_stream ~machines =
   of_instance instance
 
 (* Double the job capacity to cover [id].  The scalar columns blit; the
-   per-(machine, job) matrices re-lay row by row at the new stride; the
-   heap comparators — closed over the old arrays — are re-blessed onto
-   the new ones.  The index needs no re-blessing: it reads the columns
-   through [t] on every comparison.  Cold: amortized O(1) per fed job. *)
+   per-(machine, job) matrices re-lay row by row at the new stride.  The
+   heaps and the index hold ids only and read the columns through [t] on
+   every comparison, so nothing else moves.  Cold: amortized O(1) per fed
+   job. *)
 let grow_columns t id =
   let cap = t.stride in
   if id >= cap then begin
@@ -354,8 +342,7 @@ let grow_columns t id =
     done;
     t.size_col <- nsz;
     t.dens_col <- ndn;
-    t.stride <- ncap;
-    rebless_heaps t
+    t.stride <- ncap
   end
 
 let add_job t (j : Job.t) =
@@ -508,7 +495,7 @@ let[@rejlint.hot] rec ix_insert t base id node =
     ix_fix t base id;
     id
   end
-  else if less_spt t.size_col t.release base id node then begin
+  else if less_spt t base id node then begin
     let l = ix_insert t base id t.ix_left.(node) in
     if prio l > prio node then begin
       t.ix_left.(node) <- t.ix_right.(l);
@@ -560,7 +547,7 @@ let[@rejlint.hot] rec ix_remove t base id node =
   if node < 0 then node
   else if node = id then ix_merge t base t.ix_left.(id) t.ix_right.(id)
   else begin
-    if less_spt t.size_col t.release base id node then
+    if less_spt t base id node then
       t.ix_left.(node) <- ix_remove t base id t.ix_left.(node)
     else t.ix_right.(node) <- ix_remove t base id t.ix_right.(node);
     ix_fix t base node;
@@ -579,7 +566,7 @@ let[@rejlint.hot] rec ix_split t base job node after =
     if l >= 0 then t.split.work_before <- t.split.work_before +. t.ix_work.(l);
     if r < 0 then after else after + t.ix_count.(r)
   end
-  else if less_spt t.size_col t.release base node job then begin
+  else if less_spt t base node job then begin
     let l = t.ix_left.(node) in
     t.split.work_before <-
       t.split.work_before +. ((if l < 0 then 0. else t.ix_work.(l)) +. t.size_col.(base + node));
@@ -599,21 +586,25 @@ let[@rejlint.hot] rec ix_rightmost t node =
   if r < 0 then node else ix_rightmost t r
 
 let[@rejlint.hot] pend_add t i id =
-  Pqueue.Iheap.add t.by_spt.(i) ~id;
-  if t.live_density then Pqueue.Iheap.add t.by_density.(i) ~id;
-  if t.live_size_id then Pqueue.Iheap.add t.by_size_id.(i) ~id;
-  if t.live_fifo then Pqueue.Iheap.add t.by_fifo.(i) ~id;
-  if t.live_index then t.ix_root.(i) <- ix_insert t (i * t.stride) id t.ix_root.(i);
+  let base = i * t.stride in
+  Pqueue.Iheap.add t.by_spt.(i) ~less:less_spt t base ~id;
+  if t.live_density then Pqueue.Iheap.add t.by_density.(i) ~less:less_density t base ~id;
+  if t.live_size_id then Pqueue.Iheap.add t.by_size_id.(i) ~less:less_size_id t base ~id;
+  if t.live_fifo then Pqueue.Iheap.add t.by_fifo.(i) ~less:less_fifo t base ~id;
+  if t.live_index then t.ix_root.(i) <- ix_insert t base id t.ix_root.(i);
   t.p_work.(i) <- t.p_work.(i) +. size t ~machine:i ~job:id;
   t.p_weight.(i) <- t.p_weight.(i) +. t.weight.(id)
 
 let[@rejlint.hot] pend_remove t i id =
-  if not (Pqueue.Iheap.remove t.by_spt.(i) ~id) then false
+  let base = i * t.stride in
+  if not (Pqueue.Iheap.remove t.by_spt.(i) ~less:less_spt t base ~id) then false
   else begin
-    if t.live_density then ignore (Pqueue.Iheap.remove t.by_density.(i) ~id);
-    if t.live_size_id then ignore (Pqueue.Iheap.remove t.by_size_id.(i) ~id);
-    if t.live_fifo then ignore (Pqueue.Iheap.remove t.by_fifo.(i) ~id);
-    if t.live_index then t.ix_root.(i) <- ix_remove t (i * t.stride) id t.ix_root.(i);
+    if t.live_density then
+      ignore (Pqueue.Iheap.remove t.by_density.(i) ~less:less_density t base ~id);
+    if t.live_size_id then
+      ignore (Pqueue.Iheap.remove t.by_size_id.(i) ~less:less_size_id t base ~id);
+    if t.live_fifo then ignore (Pqueue.Iheap.remove t.by_fifo.(i) ~less:less_fifo t base ~id);
+    if t.live_index then t.ix_root.(i) <- ix_remove t base id t.ix_root.(i);
     if Pqueue.Iheap.is_empty t.by_spt.(i) then begin
       (* Pin the aggregates back to exactly zero so float cancellation
          drift cannot survive an empty queue. *)
@@ -637,9 +628,10 @@ let[@rejlint.hot] head_spt t i = Pqueue.Iheap.min_id t.by_spt.(i)
    pending sets and flip it live.  The rebuilt layout differs from the
    always-incremental one, but the only observable — the minimum under a
    strict total order — does not depend on layout. *)
-let wake t aux =
+let wake t aux ~less =
   for i = 0 to t.m - 1 do
-    Pqueue.Iheap.iter t.by_spt.(i) ~f:(fun id -> Pqueue.Iheap.add aux.(i) ~id)
+    let base = i * t.stride in
+    Pqueue.Iheap.iter t.by_spt.(i) ~f:(fun id -> Pqueue.Iheap.add aux.(i) ~less t base ~id)
   done
 
 (* First query of a dormant index: the same fill, into the treaps. *)
@@ -670,21 +662,21 @@ let[@rejlint.hot] index_max t i =
 
 let[@rejlint.hot] head_density t i =
   if not t.live_density then begin
-    wake t t.by_density;
+    wake t t.by_density ~less:less_density;
     t.live_density <- true
   end;
   Pqueue.Iheap.min_id t.by_density.(i)
 
 let[@rejlint.hot] head_size_id t i =
   if not t.live_size_id then begin
-    wake t t.by_size_id;
+    wake t t.by_size_id ~less:less_size_id;
     t.live_size_id <- true
   end;
   Pqueue.Iheap.min_id t.by_size_id.(i)
 
 let[@rejlint.hot] head_fifo t i =
   if not t.live_fifo then begin
-    wake t t.by_fifo;
+    wake t t.by_fifo ~less:less_fifo;
     t.live_fifo <- true
   end;
   Pqueue.Iheap.min_id t.by_fifo.(i)
@@ -908,10 +900,11 @@ let index_check t i =
 let invariant t =
   let ok = ref true in
   for i = 0 to t.m - 1 do
-    if not (Pqueue.Iheap.invariant t.by_spt.(i)) then ok := false;
-    if not (Pqueue.Iheap.invariant t.by_density.(i)) then ok := false;
-    if not (Pqueue.Iheap.invariant t.by_size_id.(i)) then ok := false;
-    if not (Pqueue.Iheap.invariant t.by_fifo.(i)) then ok := false;
+    let base = i * t.stride in
+    if not (Pqueue.Iheap.invariant t.by_spt.(i) ~less:less_spt t base) then ok := false;
+    if not (Pqueue.Iheap.invariant t.by_density.(i) ~less:less_density t base) then ok := false;
+    if not (Pqueue.Iheap.invariant t.by_size_id.(i) ~less:less_size_id t base) then ok := false;
+    if not (Pqueue.Iheap.invariant t.by_fifo.(i) ~less:less_fifo t base) then ok := false;
     let k = Pqueue.Iheap.size t.by_spt.(i) in
     (* A live auxiliary order mirrors [by_spt] exactly; a dormant one
        holds nothing at all. *)
@@ -927,9 +920,8 @@ let invariant t =
     | Some ids ->
         if List.length ids <> (if t.live_index then k else 0) then ok := false;
         if not (List.for_all (fun id -> Pqueue.Iheap.mem t.by_spt.(i) ~id) ids) then ok := false;
-        let base = i * t.stride in
         let rec sorted = function
-          | a :: (b :: _ as rest) -> less_spt t.size_col t.release base a b && sorted rest
+          | a :: (b :: _ as rest) -> less_spt t base a b && sorted rest
           | _ -> true
         in
         if not (sorted ids) then ok := false

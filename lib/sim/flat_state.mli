@@ -40,8 +40,10 @@ val of_instance : Instance.t -> t
     A session-mode state starts from the machine fleet alone and learns
     its jobs one {!add_job} at a time; the job columns (and the
     per-(machine, job) matrices, whose stride is the job capacity) grow
-    by doubling, with the heap comparators re-blessed onto the
-    reallocated arrays ({!Pqueue.Iheap.set_less}).  Feeding every job of
+    by doubling.  The pending heaps and the index hold ids only and
+    read the columns through the state on every comparison, so growth
+    touches nothing but the columns, and the state is plain data that
+    marshals without closures.  Feeding every job of
     an instance in [jobs_by_release] order reproduces the batch state's
     event tags — and therefore its schedule — byte for byte. *)
 

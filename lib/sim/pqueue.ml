@@ -185,6 +185,12 @@ module Iheap = struct
      tables are plain [int array]s and every operation is allocation-free
      once they have grown to size.
 
+     The heap stores no order.  Every call that compares takes it as
+     [~less ctx base]: a top-level function applied to the caller's state
+     and a row offset, so the heap never captures the arrays the order
+     reads — they can be reallocated between calls, and the heap stays
+     plain data.
+
      Add appends and sifts up; remove moves the last element into the
      hole and sifts up then down.  The resulting slot layout is
      load-bearing: [Driver.pending_iter] exposes heap-array order to
@@ -193,21 +199,12 @@ module Iheap = struct
      it). *)
 
   type t = {
-    mutable hless : int -> int -> bool;  (* strict total order over ids *)
     mutable hdata : int array;
     mutable hlen : int;
     mutable hpos : int array;  (* id -> heap slot, -1 when absent *)
   }
 
-  let create ~less () = { hless = less; hdata = [||]; hlen = 0; hpos = [||] }
-
-  (* Re-bless the order after the arrays a comparator closed over have
-     been reallocated (the flat state's streaming column growth).  The
-     caller guarantees [less] realizes the same order over the ids
-     currently present, so the heap shape stays valid as-is; swapping the
-     closure only redirects future comparisons to the live arrays.  Cold:
-     runs once per capacity doubling, never per event. *)
-  let set_less t ~less = t.hless <- less
+  let create () = { hdata = [||]; hlen = 0; hpos = [||] }
   let size t = t.hlen
   let is_empty t = t.hlen = 0
   let mem t ~id = id >= 0 && id < Array.length t.hpos && t.hpos.(id) >= 0
@@ -216,27 +213,27 @@ module Iheap = struct
     t.hdata.(slot) <- id;
     t.hpos.(id) <- slot
 
-  let rec sift_up t slot =
+  let rec sift_up t less ctx base slot =
     if slot > 0 then begin
       let parent = (slot - 1) / 2 in
-      if t.hless t.hdata.(slot) t.hdata.(parent) then begin
+      if less ctx base t.hdata.(slot) t.hdata.(parent) then begin
         let a = t.hdata.(slot) and b = t.hdata.(parent) in
         set t slot b;
         set t parent a;
-        sift_up t parent
+        sift_up t less ctx base parent
       end
     end
 
-  let rec sift_down t slot =
+  let rec sift_down t less ctx base slot =
     let l = (2 * slot) + 1 and r = (2 * slot) + 2 in
     let smallest = ref slot in
-    if l < t.hlen && t.hless t.hdata.(l) t.hdata.(!smallest) then smallest := l;
-    if r < t.hlen && t.hless t.hdata.(r) t.hdata.(!smallest) then smallest := r;
+    if l < t.hlen && less ctx base t.hdata.(l) t.hdata.(!smallest) then smallest := l;
+    if r < t.hlen && less ctx base t.hdata.(r) t.hdata.(!smallest) then smallest := r;
     if !smallest <> slot then begin
       let a = t.hdata.(slot) and b = t.hdata.(!smallest) in
       set t slot b;
       set t !smallest a;
-      sift_down t !smallest
+      sift_down t less ctx base !smallest
     end
 
   let ensure_pos t id =
@@ -248,7 +245,7 @@ module Iheap = struct
       t.hpos <- npos
     end
 
-  let add t ~id =
+  let add t ~less ctx base ~id =
     if id < 0 then invalid_arg "Pqueue.Iheap.add: negative id";
     ensure_pos t id;
     if t.hpos.(id) >= 0 then
@@ -262,9 +259,9 @@ module Iheap = struct
     t.hdata.(t.hlen) <- id;
     t.hpos.(id) <- t.hlen;
     t.hlen <- t.hlen + 1;
-    sift_up t (t.hlen - 1)
+    sift_up t less ctx base (t.hlen - 1)
 
-  let remove t ~id =
+  let remove t ~less ctx base ~id =
     if not (mem t ~id) then false
     else begin
       let slot = t.hpos.(id) in
@@ -274,8 +271,8 @@ module Iheap = struct
         set t slot t.hdata.(t.hlen);
         (* The moved element may violate the invariant in either direction;
            exactly one of the two sifts does work. *)
-        sift_up t slot;
-        sift_down t slot
+        sift_up t less ctx base slot;
+        sift_down t less ctx base slot
       end;
       true
     end
@@ -292,11 +289,11 @@ module Iheap = struct
     t.hlen <- 0;
     t.hpos <- [||]
 
-  let invariant t =
+  let invariant t ~less ctx base =
     let ok = ref (t.hlen >= 0 && t.hlen <= Array.length t.hdata) in
     for slot = 1 to t.hlen - 1 do
       let parent = (slot - 1) / 2 in
-      if t.hless t.hdata.(slot) t.hdata.(parent) then ok := false
+      if less ctx base t.hdata.(slot) t.hdata.(parent) then ok := false
     done;
     for slot = 0 to t.hlen - 1 do
       let id = t.hdata.(slot) in

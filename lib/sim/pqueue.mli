@@ -90,9 +90,16 @@ end
     {e arbitrary} elements — the operation mid-run rejection needs — on
     top of the usual O(log n) insert/extract-min.  The elements {e are}
     the ids, held in plain [int array]s, so add/remove/min are
-    allocation-free once the arrays have grown.  The strict order is a
-    closure over whatever flat state the caller keys on (it must be total
-    over the ids present — break ties on the id itself).
+    allocation-free once the arrays have grown.
+
+    The heap stores no order.  Each call that compares takes it as
+    [~less ctx base]: [less ctx base a b] is a strict total order over
+    the ids present (break ties on the id itself), read from the
+    caller's state [ctx] at row offset [base].  Pass a top-level
+    function, not a closure: the heap then holds nothing but ints, so it
+    marshals as plain data, and the arrays the order reads may be
+    reallocated between calls.  Every call on one heap must pass the
+    same order, or the heap invariant silently breaks.
 
     The slot layout is load-bearing: [Driver.pending_iter] exposes
     heap-array order to policies, some of which fold floats over it, so
@@ -101,28 +108,20 @@ end
 module Iheap : sig
   type t
 
-  val create : less:(int -> int -> bool) -> unit -> t
-
-  val set_less : t -> less:(int -> int -> bool) -> unit
-  (** Replaces the strict order's closure without touching the heap
-      shape — the re-bless hook for streaming column growth, where the
-      arrays a comparator captured are reallocated wholesale.  [less]
-      must realize the {e same} total order over the ids currently
-      present, or the heap invariant silently breaks. *)
-
+  val create : unit -> t
   val size : t -> int
   val is_empty : t -> bool
   val mem : t -> id:int -> bool
 
-  val add : t -> id:int -> unit
+  val add : t -> less:('c -> int -> int -> int -> bool) -> 'c -> int -> id:int -> unit
   (** Raises [Invalid_argument] if [id] is negative or already present. *)
 
-  val remove : t -> id:int -> bool
+  val remove : t -> less:('c -> int -> int -> int -> bool) -> 'c -> int -> id:int -> bool
   (** Removes the element with the given id in O(log n); [false] when
       absent. *)
 
   val min_id : t -> int
-  (** Smallest id under [less], or [-1] when empty. *)
+  (** Smallest id under the order, or [-1] when empty. *)
 
   val iter : t -> f:(int -> unit) -> unit
   (** Iterates in heap-array order: deterministic for a given operation
@@ -130,7 +129,7 @@ module Iheap : sig
 
   val clear : t -> unit
 
-  val invariant : t -> bool
+  val invariant : t -> less:('c -> int -> int -> int -> bool) -> 'c -> int -> bool
   (** Structural check (heap property + position-table consistency), for
       tests. *)
 end

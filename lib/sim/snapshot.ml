@@ -1,11 +1,12 @@
 (* Self-describing container for session checkpoints.
 
-   The payload ([Driver.Session.freeze]'s marshaled bytes) embeds code
-   pointers and is only meaningful to the executable that produced it,
-   so the container's job is to fail closed — cheaply and *before* the
-   payload reaches [Marshal.from_string], whose behavior on corrupt
-   input is undefined — on anything that is not an intact snapshot from
-   a compatible writer.  Layout (all integers big-endian):
+   The payload ([Driver.Session.freeze]'s marshaled bytes) is plain data
+   with no code pointers: any build of the same source reads it.  It
+   does not describe its own layout, so the container's job is to fail
+   closed — cheaply and *before* the payload reaches
+   [Marshal.from_string], whose behavior on corrupt or mis-shaped input
+   is undefined — on anything that is not an intact snapshot from a
+   writer with the same layout.  Layout (all integers big-endian):
 
      magic   13 bytes  "rejsched-snap"
      version  4 bytes  container format version (this file's [version])
@@ -14,9 +15,10 @@
      checksum 8 bytes  FNV-1a 64 over everything above
 
    The checksum is integrity, not authentication: it catches the
-   truncation/bit-rot class of corruption, while [Marshal]'s own header
-   validation (plus the same-executable closure check) catches stale
-   builds. *)
+   truncation/bit-rot class of corruption, while the version catches
+   stale writers.  Nothing else does — a payload of the old shape would
+   unmarshal into the new one — so [version] is bumped on every change
+   to the frozen session's layout. *)
 
 type error =
   | Bad_magic
@@ -25,7 +27,7 @@ type error =
   | Checksum_mismatch
 
 let magic = "rejsched-snap"
-let version = 1
+let version = 2
 
 let error_to_string = function
   | Bad_magic -> "not a rejsched snapshot (bad magic)"

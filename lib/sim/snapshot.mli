@@ -1,12 +1,12 @@
 (** Self-describing container for {!Driver.Session} checkpoints.
 
-    A [Driver.Session.freeze] payload is opaque marshaled state, valid
-    only for the executable that produced it.  This module frames it
-    with a magic string, a format version, the policy name and an
-    FNV-1a 64 checksum, so that a reader can reject anything that is
-    not an intact snapshot from a compatible writer {e before} the
-    payload reaches [Marshal] (whose behavior on corrupt input is
-    undefined).  Corrupted, truncated or alien files come back as a
+    A [Driver.Session.freeze] payload is marshaled plain data: any build
+    of the same source restores it, but it does not describe its own
+    layout.  This module frames it with a magic string, a format
+    version, the policy name and an FNV-1a 64 checksum, so that a reader
+    can reject anything that is not an intact snapshot from a writer
+    with the same layout {e before} the payload reaches [Marshal] (whose
+    behavior on corrupt or mis-shaped input is undefined).  Corrupted, truncated or alien files come back as a
     structured {!error}, never an exception — the CLI maps them to
     exit 2. *)
 
@@ -17,7 +17,9 @@ type error =
   | Checksum_mismatch  (** Framing intact but the bytes rotted. *)
 
 val version : int
-(** Current container format version.  Bump on any layout change. *)
+(** Current format version.  Bump on any layout change of the container
+    {e or} of the frozen session it carries: the version is the only
+    guard against a payload of the old shape. *)
 
 val error_to_string : error -> string
 

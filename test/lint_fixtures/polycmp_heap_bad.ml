@@ -1,12 +1,12 @@
 (* Fixture: polymorphic comparators handed to the simulator's heap
-   constructors fire RJL002, exactly as they do in sorts. *)
+   operations fire RJL002, exactly as they do in sorts. *)
 
-let by_key () = Pqueue.Iheap.create ~less:( < ) ()
+let by_key h ~id = Pqueue.Iheap.add h ~less:( < ) () 0 ~id
 
-let by_key_desc keys =
-  Pqueue.Iheap.create ~less:(fun a b -> keys.(a) > keys.(b)) ()
+let by_key_desc h keys ~id =
+  Pqueue.Iheap.add h ~less:(fun keys _ a b -> keys.(a) > keys.(b)) keys 0 ~id
 
-let flat_order keys =
-  Pqueue.Iheap.create ~less:(fun a b -> keys.(a) < keys.(b)) ()
+let flat_order h keys ~id =
+  Pqueue.Iheap.remove h ~less:(fun keys _ a b -> keys.(a) < keys.(b)) keys 0 ~id
 
-let qualified_flat () = Sched_sim.Pqueue.Iheap.create ~less:(fun a b -> a < b) ()
+let qualified_flat h = Sched_sim.Pqueue.Iheap.invariant h ~less:(fun () _ a b -> a < b) () 0

@@ -141,6 +141,14 @@ let test_suspend_every_boundary_stateful () =
       check_all_boundaries ~what:(Printf.sprintf "random/%s" name) e instance)
     [ "flow-reject"; "flow-reject-weighted"; "immediate-largest"; "restart-spt" ]
 
+(* The payload is plain marshaled data (no closures), for every policy
+   the registry ships: each must resume at every boundary. *)
+let test_suspend_every_boundary_registry () =
+  let instance = Test_util.random_instance ~weighted:true ~seed:11 ~n:10 ~m:3 () in
+  List.iter
+    (fun (e : P.entry) -> check_all_boundaries ~what:("registry/" ^ e.P.name) e instance)
+    P.all
+
 let test_wrong_policy_thaw_rejected () =
   let e = Option.get (P.find "greedy-spt") in
   let other = Option.get (P.find "greedy-fifo") in
@@ -271,6 +279,74 @@ let test_snapshot_carries_unread_rows () =
     (List.map Trace_export.entry_line unread)
     (List.map Trace_export.entry_line (Trace.since t emitted))
 
+(* --- a checkpoint written by an earlier build --------------------------- *)
+
+(* The CI serve smoke's four arrivals on two machines. *)
+let smoke_jobs =
+  [
+    Job.create ~id:0 ~release:0. ~sizes:[| 1.; 2. |] ();
+    Job.create ~id:1 ~release:0.5 ~weight:2. ~sizes:[| 2.; 1. |] ();
+    Job.create ~id:2 ~release:1. ~sizes:[| infinity; 1.5 |] ();
+    Job.create ~id:3 ~release:2. ~sizes:[| 1.; 1. |] ();
+  ]
+
+(* Serve's loop: feed one job, drain to its release, emit the unreleased
+   decisions as trace/1 lines and release them; [~close] ends the stream. *)
+let serve_lines (s : P.stream_session) jobs ~close =
+  let trace = Option.get (s.P.ss_trace ()) in
+  let emit () =
+    let lines = List.map Trace_export.entry_line (Trace.events trace) in
+    Trace.release trace (Trace.length trace);
+    lines
+  in
+  let fed =
+    List.concat_map
+      (fun (j : Job.t) ->
+        s.P.ss_feed j;
+        s.P.ss_drain_until j.Job.release;
+        emit ())
+      jobs
+  in
+  if close then begin
+    ignore (s.P.ss_close ());
+    fed @ emit ()
+  end
+  else fed
+
+(* A tripwire for the snapshot layout.  [snapshots/serve-smoke-v2.snap] is
+   serve's checkpoint after the smoke stream's first two arrivals, written
+   by an earlier build.  It must unwrap under the current [Snapshot.version]
+   and thaw, and its continuation spliced after the first half's decisions
+   must equal the uninterrupted run's.  A change to the frozen session's
+   layout breaks this: bump [Snapshot.version] and regenerate the file from
+   the repository root with
+
+     printf '%s\n' '{"job": 0, "release": 0.0, "sizes": [1.0, 2.0]}' \
+       '{"job": 1, "release": 0.5, "sizes": [2.0, 1.0], "weight": 2.0}' \
+       | dune exec bin/rejsched.exe -- serve -m 2 \
+           --checkpoint test/snapshots/serve-smoke-vN.snap
+
+   (N the new version), then point this test at it. *)
+let test_checked_in_snapshot_restores () =
+  let e = Option.get (P.find "flow-reject") in
+  let open_serve () =
+    e.P.open_stream ~trace:(Trace.create ()) ~retire:true ~machines:(Machine.fleet 2) ()
+  in
+  let full = serve_lines (open_serve ()) smoke_jobs ~close:true in
+  let first =
+    serve_lines (open_serve ()) (List.filteri (fun k _ -> k < 2) smoke_jobs) ~close:false
+  in
+  let policy, payload =
+    match Snapshot.unwrap (Snapshot.read_file "snapshots/serve-smoke-v2.snap") with
+    | Ok pp -> pp
+    | Error err -> Alcotest.failf "checked-in snapshot: %s" (Snapshot.error_to_string err)
+  in
+  Alcotest.(check string) "policy" e.P.name policy;
+  let r = e.P.restore_stream payload in
+  Alcotest.(check int) "fed count" 2 (r.P.ss_fed ());
+  let rest = serve_lines r (List.filteri (fun k _ -> k >= 2) smoke_jobs) ~close:true in
+  Alcotest.(check (list string)) "spliced decisions = uninterrupted run's" full (first @ rest)
+
 let suite =
   [
     test_roundtrip;
@@ -288,4 +364,7 @@ let suite =
     Alcotest.test_case "serve-shaped trace stays bounded" `Quick test_serve_trace_bounded;
     Alcotest.test_case "snapshot carries only unread trace rows" `Quick
       test_snapshot_carries_unread_rows;
+    Alcotest.test_case "checked-in snapshot restores" `Quick test_checked_in_snapshot_restores;
+    Alcotest.test_case "suspend at every boundary, every registry policy" `Slow
+      test_suspend_every_boundary_registry;
   ]

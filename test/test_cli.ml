@@ -288,17 +288,64 @@ let test_serve_corrupt_snapshot_rejected () =
   Sys.remove snap;
   Sys.remove err
 
+(* Truncated JSON, and job ids that are not non-negative integers in int
+   range. *)
 let test_serve_malformed_arrival_rejected () =
-  let input = temp ".ndjson" and err = temp ".txt" in
-  write_lines input [ {|{"job": 0, "release": |} ];
-  let code =
-    shell (Printf.sprintf "%s serve -m 2 --input %s > /dev/null 2> %s" exe input err)
-  in
-  Alcotest.(check int) "exit code" 1 code;
-  Alcotest.(check bool) "parse error on stderr" true
-    (Test_util.contains (read_file err) "bad arrival");
+  List.iter
+    (fun line ->
+      let input = temp ".ndjson" and err = temp ".txt" in
+      write_lines input [ line ];
+      let code =
+        shell (Printf.sprintf "%s serve -m 2 --input %s > /dev/null 2> %s" exe input err)
+      in
+      Alcotest.(check int) (line ^ " exit code") 1 code;
+      Alcotest.(check bool) (line ^ " parse error on stderr") true
+        (Test_util.contains (read_file err) "bad arrival");
+      Sys.remove input;
+      Sys.remove err)
+    [
+      {|{"job": 0, "release": |};
+      {|{"job": 1e300, "release": 0.0, "sizes": [1.0, 1.0]}|};
+      {|{"job": 1.5, "release": 0.0, "sizes": [1.0, 1.0]}|};
+      {|{"job": -1, "release": 0.0, "sizes": [1.0, 1.0]}|};
+    ]
+
+(* Serve retires as it goes, so job ids need not be dense: a gap is not
+   an error at close. *)
+let test_serve_sparse_ids_close () =
+  let input = temp ".ndjson" and out = temp ".out" in
+  write_lines input
+    [
+      {|{"job": 0, "release": 0.0, "sizes": [1.0]}|};
+      {|{"job": 5, "release": 1.0, "sizes": [1.0]}|};
+    ];
+  let code = shell (Printf.sprintf "%s serve -m 1 --input %s > %s" exe input out) in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check int) "closes" 1 (List.length (lines_with {|"type":"closed"|} (read_file out)));
   Sys.remove input;
-  Sys.remove err
+  Sys.remove out
+
+(* A file that cannot be opened or created is a usage error: exit 2 with
+   the path on stderr, not an uncaught exception. *)
+let test_unopenable_files_exit_2 () =
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "rejsched-no-such-dir" in
+  let x = Filename.concat missing "x" in
+  List.iter
+    (fun args ->
+      let err = temp ".txt" in
+      let code = shell (Printf.sprintf "%s %s < /dev/null > /dev/null 2> %s" exe args err) in
+      let text = read_file err in
+      Alcotest.(check int) (args ^ " exit code") 2 code;
+      Alcotest.(check bool) (args ^ " names the path") true (Test_util.contains text missing);
+      Alcotest.(check bool) (args ^ " no uncaught exception") false
+        (Test_util.contains text "Fatal error");
+      Sys.remove err)
+    [
+      "serve --input " ^ x;
+      "serve --restore " ^ x;
+      "serve -m 1 --checkpoint " ^ x;
+      "run -n 5 --trace-ndjson " ^ x;
+    ]
 
 let test_experiment_domains_identical () =
   (* e1 replicates over seeds on the ambient pool, so --domains actually
@@ -334,25 +381,30 @@ let test_domains_negative_rejected () =
   Sys.remove err
 
 (* Command-line parse errors are usage errors: exit 2 with the offending
-   flag named on stderr. *)
+   flag named on stderr.  [args] starts with the subcommand. *)
 let check_parse_errors cases =
   List.iter
     (fun (args, flag) ->
       let err = temp ".txt" in
-      let code = shell (Printf.sprintf "%s run %s > /dev/null 2> %s" exe args err) in
+      let code = shell (Printf.sprintf "%s %s < /dev/null > /dev/null 2> %s" exe args err) in
       Alcotest.(check int) (args ^ " exit code") 2 code;
       Alcotest.(check bool) (args ^ " names " ^ flag ^ " on stderr") true
         (Test_util.contains (read_file err) flag);
       Sys.remove err)
     cases
 
-(* The removed driver flags are spelled through [long] so no live source
-   line mentions them. *)
+(* The removed flags are spelled through [long] so no live source line
+   mentions them. *)
 let test_removed_flags_exit_2 () =
   let long name = "--" ^ name in
-  check_parse_errors [ (long "shards" ^ " 4", long "shards"); (long "no-flat", long "no-flat") ]
+  check_parse_errors
+    [
+      ("run " ^ long "shards" ^ " 4", long "shards");
+      ("run " ^ long "no-flat", long "no-flat");
+      ("serve " ^ long "retire", long "retire");
+    ]
 
-let test_ill_typed_value_exits_2 () = check_parse_errors [ ("-n abc", "-n") ]
+let test_ill_typed_value_exits_2 () = check_parse_errors [ ("run -n abc", "-n") ]
 
 let suite =
   [
@@ -378,4 +430,6 @@ let suite =
       test_serve_corrupt_snapshot_rejected;
     Alcotest.test_case "serve malformed arrival exits 1" `Quick
       test_serve_malformed_arrival_rejected;
+    Alcotest.test_case "serve sparse job ids close" `Quick test_serve_sparse_ids_close;
+    Alcotest.test_case "unopenable files exit 2" `Quick test_unopenable_files_exit_2;
   ]

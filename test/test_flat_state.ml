@@ -195,11 +195,11 @@ let prop_events_sorted_model =
 (* Named comparators (RJL002 trusts audited named functions, and the
    primitive float comparisons are deliberate: this is the driver's
    comparison semantics). *)
-let keyed_less (keys : float array) a b =
+let keyed_less (keys : float array) _base a b =
   let ka = keys.(a) and kb = keys.(b) in
   if ka < kb then true else if ka > kb then false else a < b
 
-let int_less (a : int) (b : int) = a < b
+let int_less () _base (a : int) (b : int) = a < b
 
 let prop_iheap_model =
   QCheck.Test.make ~name:"Iheap min_id/iter/invariant agree with a present-set model"
@@ -210,8 +210,7 @@ let prop_iheap_model =
       let nids = 2 + Rng.int rng 40 in
       (* Keys from a coarse dyadic grid: collisions are the interesting case. *)
       let keys = Array.init nids (fun _ -> float_of_int (Rng.int rng 8) /. 4.) in
-      let less = keyed_less keys in
-      let h = Pqueue.Iheap.create ~less () in
+      let h = Pqueue.Iheap.create () in
       let present = Array.make nids false in
       let agrees () =
         let visits = Array.make nids 0 in
@@ -221,7 +220,7 @@ let prop_iheap_model =
           (fun id p ->
             if p then begin
               incr count;
-              if !expected_min < 0 || less id !expected_min then expected_min := id
+              if !expected_min < 0 || keyed_less keys 0 id !expected_min then expected_min := id
             end)
           present;
         let ok = ref (Pqueue.Iheap.size h = !count) in
@@ -230,18 +229,20 @@ let prop_iheap_model =
             if visits.(id) <> (if p then 1 else 0) || Pqueue.Iheap.mem h ~id <> p then
               ok := false)
           present;
-        !ok && Pqueue.Iheap.min_id h = !expected_min && Pqueue.Iheap.invariant h
+        !ok
+        && Pqueue.Iheap.min_id h = !expected_min
+        && Pqueue.Iheap.invariant h ~less:keyed_less keys 0
       in
       let steps = 30 + Rng.int rng 200 in
       let ok = ref (agrees ()) in
       for _ = 1 to steps do
         let id = Rng.int rng nids in
         if present.(id) then begin
-          assert (Pqueue.Iheap.remove h ~id);
+          assert (Pqueue.Iheap.remove h ~less:keyed_less keys 0 ~id);
           present.(id) <- false
         end
         else begin
-          Pqueue.Iheap.add h ~id;
+          Pqueue.Iheap.add h ~less:keyed_less keys 0 ~id;
           present.(id) <- true
         end;
         if not (agrees ()) then ok := false
@@ -249,16 +250,16 @@ let prop_iheap_model =
       !ok)
 
 let test_iheap_errors () =
-  let h = Pqueue.Iheap.create ~less:int_less () in
-  Pqueue.Iheap.add h ~id:3;
-  (match Pqueue.Iheap.add h ~id:3 with
+  let h = Pqueue.Iheap.create () in
+  Pqueue.Iheap.add h ~less:int_less () 0 ~id:3;
+  (match Pqueue.Iheap.add h ~less:int_less () 0 ~id:3 with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "duplicate add accepted");
-  (match Pqueue.Iheap.add h ~id:(-1) with
+  (match Pqueue.Iheap.add h ~less:int_less () 0 ~id:(-1) with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "negative id accepted");
-  Alcotest.(check bool) "absent remove" false (Pqueue.Iheap.remove h ~id:7);
-  Alcotest.(check bool) "present remove" true (Pqueue.Iheap.remove h ~id:3);
+  Alcotest.(check bool) "absent remove" false (Pqueue.Iheap.remove h ~less:int_less () 0 ~id:7);
+  Alcotest.(check bool) "present remove" true (Pqueue.Iheap.remove h ~less:int_less () 0 ~id:3);
   Alcotest.(check int) "empty min" (-1) (Pqueue.Iheap.min_id h)
 
 (* --- Flat_state pending aggregates pin to zero --------------------------- *)

@@ -73,8 +73,9 @@ let test_interleaved_push_pop () =
 
 module I = Pqueue.Iheap
 
-(* Strict order over ids keyed by [keys], ties by smaller id. *)
-let key_less (keys : int array) a b =
+(* Strict order over ids keyed by [keys], ties by smaller id (no row
+   offset: the base argument is unused). *)
+let key_less (keys : int array) _base a b =
   match Int.compare keys.(a) keys.(b) with 0 -> a < b | c -> c < 0
 
 let sort_key_id l =
@@ -84,16 +85,16 @@ let rec drain_sorted keys q acc =
   match I.min_id q with
   | -1 -> List.rev acc
   | id ->
-      ignore (I.remove q ~id);
+      ignore (I.remove q ~less:key_less keys 0 ~id);
       drain_sorted keys q ((keys.(id), id) :: acc)
 
 (* Model: draining the minimum must equal the (key, id)-sorted input. *)
 let test_indexed_sorted_model () =
   let prop (keys : int list) =
     let keys = Array.of_list keys in
-    let q = I.create ~less:(key_less keys) () in
-    Array.iteri (fun id _ -> I.add q ~id) keys;
-    I.invariant q
+    let q = I.create () in
+    Array.iteri (fun id _ -> I.add q ~less:key_less keys 0 ~id) keys;
+    I.invariant q ~less:key_less keys 0
     && drain_sorted keys q [] = sort_key_id (Array.to_list (Array.mapi (fun id k -> (k, id)) keys))
   in
   QCheck.Test.make ~name:"indexed pops in sorted (key, id) order" ~count:300
@@ -107,16 +108,16 @@ let test_indexed_arbitrary_removal () =
   let prop (entries : (int * bool) list) =
     let entries = Array.of_list entries in
     let keys = Array.map fst entries in
-    let q = I.create ~less:(key_less keys) () in
-    Array.iteri (fun id _ -> I.add q ~id) entries;
+    let q = I.create () in
+    Array.iteri (fun id _ -> I.add q ~less:key_less keys 0 ~id) entries;
     let ok = ref true in
     Array.iteri
       (fun id (_, remove) ->
         if remove then begin
-          if not (I.remove q ~id) then ok := false;
-          if not (I.invariant q) then ok := false;
+          if not (I.remove q ~less:key_less keys 0 ~id) then ok := false;
+          if not (I.invariant q ~less:key_less keys 0) then ok := false;
           if I.mem q ~id then ok := false;
-          if I.remove q ~id then ok := false
+          if I.remove q ~less:key_less keys 0 ~id then ok := false
         end)
       entries;
     let survivors =
@@ -135,22 +136,22 @@ let test_indexed_arbitrary_removal () =
 let test_indexed_op_sequence_invariant () =
   let prop (ops : (int * int) list) =
     let keys = Array.of_list (List.map snd ops) in
-    let q = I.create ~less:(key_less keys) () in
+    let q = I.create () in
     let next_id = ref 0 and live = ref 0 in
     List.for_all
       (fun (which, _) ->
         (match which mod 3 with
         | 0 | 1 ->
-            I.add q ~id:!next_id;
+            I.add q ~less:key_less keys 0 ~id:!next_id;
             incr next_id;
             incr live
         | _ -> (
             match I.min_id q with
             | -1 -> ()
             | id ->
-                ignore (I.remove q ~id);
+                ignore (I.remove q ~less:key_less keys 0 ~id);
                 decr live));
-        I.invariant q && I.size q = !live)
+        I.invariant q ~less:key_less keys 0 && I.size q = !live)
       ops
   in
   QCheck.Test.make ~name:"indexed invariant holds under mixed op sequences" ~count:300
@@ -159,18 +160,20 @@ let test_indexed_op_sequence_invariant () =
   |> QCheck_alcotest.to_alcotest
 
 let test_indexed_duplicate_id_rejected () =
-  let q = I.create ~less:(key_less (Array.make 8 0)) () in
-  I.add q ~id:3;
+  let keys = Array.make 8 0 in
+  let q = I.create () in
+  I.add q ~less:key_less keys 0 ~id:3;
   Alcotest.check_raises "duplicate id"
-    (Invalid_argument "Pqueue.Iheap.add: id 3 already present") (fun () -> I.add q ~id:3);
+    (Invalid_argument "Pqueue.Iheap.add: id 3 already present") (fun () ->
+      I.add q ~less:key_less keys 0 ~id:3);
   Alcotest.check_raises "negative id" (Invalid_argument "Pqueue.Iheap.add: negative id")
-    (fun () -> I.add q ~id:(-1))
+    (fun () -> I.add q ~less:key_less keys 0 ~id:(-1))
 
 let test_indexed_min_elt_and_iter () =
   let keys = [| 5; 2; 9; 2 |] in
-  let q = I.create ~less:(key_less keys) () in
+  let q = I.create () in
   Alcotest.(check int) "empty min" (-1) (I.min_id q);
-  Array.iteri (fun id _ -> I.add q ~id) keys;
+  Array.iteri (fun id _ -> I.add q ~less:key_less keys 0 ~id) keys;
   (* Equal keys 2 at ids 1 and 3: the id breaks the tie. *)
   Alcotest.(check int) "min id" 1 (I.min_id q);
   Alcotest.(check int) "size" 4 (I.size q);
@@ -178,7 +181,7 @@ let test_indexed_min_elt_and_iter () =
   I.iter q ~f:(fun _ -> incr seen);
   Alcotest.(check int) "iter visits all" 4 !seen;
   I.clear q;
-  Alcotest.(check bool) "cleared" true (I.is_empty q && I.invariant q)
+  Alcotest.(check bool) "cleared" true (I.is_empty q && I.invariant q ~less:key_less keys 0)
 
 let suite =
   [
