@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint fuzz-smoke bench quick-bench bench-check examples experiments clean
+.PHONY: all build test lint fuzz-smoke bench-check examples experiments clean
 
 all: build
 
@@ -26,34 +26,24 @@ fuzz-smoke:
 	dune exec bin/rejsched.exe -- fuzz --seed 7 --budget 300
 	dune exec bin/rejsched.exe -- fuzz --seed 7 --budget 300 --domains 4 --quiet
 
-# Full experiment tables + Bechamel micro-benchmarks (a few minutes).
-# Benchmarks build with --profile release: the dev profile compiles
-# with -opaque, which disables cross-module inlining and so boxes every
-# float accessor result — perf gates would measure the build mode, not
-# the code.
-bench:
-	dune exec --profile release bench/main.exe
-
-# Fast smoke version of the same.
-quick-bench:
-	REJSCHED_QUICK=1 dune exec --profile release bench/main.exe
-
-# Regression gate: tier-1 tests plus the indexed-vs-scan performance
-# baseline.  Writes BENCH_pr12.json (telemetry counter snapshot and pool
-# scaling curve embedded) and compares throughput against the newest
-# previous BENCH_prN.json; fails if the driver-event microbenchmark
-# speedup — bare or with telemetry recording — drops below 2x, if the
-# flat-core gates fail (events/sec < 2x the PR-4 recorded baseline;
-# allocations/event over the ceiling), if the flight recorder costs
-# more than 5%, if the pool gates fail (width-1 overhead > 2x; on
-# >=4-core hosts, 4 domains < 2x over sequential; any
-# non-byte-identical output), if a streamed session diverges from the
-# batch run or the rolling-retirement stream breaches its
-# resident-memory gates, or any test regresses.
+# Regression gate: tier-1 tests plus the speed and memory claims that
+# neither the tests nor the layer ladder check (bench/main.ml).  Writes
+# BENCH_pr16.json (telemetry counter snapshot and pool scaling curve
+# embedded) and fails if greedy-spt's indexed driver events, bare or
+# with telemetry, fall below 2x the scan-based seed reference; if the
+# bare events/sec fall below 2x the PR-4 recorded figure or more than
+# 2x below the newest previous BENCH_prN.json; if the flight recorder
+# costs more than 5% on flow-reject; if the pool gates fail (width-1
+# overhead > 2x; on >=4-core hosts, 4 domains < 2x over sequential; any
+# non-byte-identical output); if the rolling-retirement stream breaches
+# its resident-memory gates; or if any test regresses.  The gate builds
+# with --profile release: the dev profile compiles with -opaque, which
+# disables cross-module inlining and so boxes every float accessor
+# result, and the gates would measure the build mode, not the code.
 bench-check:
 	dune build @all
 	dune runtest
-	dune exec --profile release bench/main.exe -- --regression --out BENCH_pr12.json
+	dune exec --profile release bench/main.exe -- --out BENCH_pr16.json
 
 examples:
 	dune exec examples/quickstart.exe

@@ -51,7 +51,7 @@ let domains_arg =
   Arg.(value & opt (some int) None
        & info [ "domains" ] ~docv:"N"
            ~doc:"Width of the process's domain pool (parallel workers for per-seed replication \
-                 and 'experiment --all').  Defaults to the machine's recommended domain count; \
+                 and 'experiment all').  Defaults to the machine's recommended domain count; \
                  1 forces sequential execution.  Results are byte-identical for every width.")
 
 (* Width flags reject non-positive values as Invalid_argument: the
@@ -227,23 +227,17 @@ let run_cmd =
 
 let experiment_cmd =
   let id_arg =
-    Arg.(value & pos 0 string "all" & info [] ~docv:"ID" ~doc:"Experiment id (e1..e9) or 'all'.")
+    Arg.(value & pos 0 string "all"
+         & info [] ~docv:"ID" ~doc:"Experiment id (e1..e9, e11..e15) or 'all'.")
   in
   let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Smaller instances, fewer seeds.") in
-  let all_arg =
-    Arg.(value & flag
-         & info [ "all" ]
-             ~doc:"Run the whole suite (same as ID 'all'): experiments fan out as tasks on the \
-                   domain pool, one per experiment; see --domains.")
-  in
   let out_arg =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"DIR"
              ~doc:"Also write every table as a CSV file into DIR (created if missing), plus a MANIFEST.")
   in
-  let action id all quick csv out domains =
+  let action id quick csv out domains =
     apply_domains domains;
-    let id = if all then "all" else id in
     let manifest = Buffer.create 256 in
     let slugify s =
       String.map (fun c -> if ('a' <= c && c <= 'z') || ('0' <= c && c <= '9') then c else '-')
@@ -308,11 +302,11 @@ let experiment_cmd =
   in
   let term =
     Term.(
-      const action $ id_arg $ all_arg $ quick_arg $ csv_arg $ out_arg $ domains_arg)
+      const action $ id_arg $ quick_arg $ csv_arg $ out_arg $ domains_arg)
   in
   Cmd.v
     (Cmd.info "experiment"
-       ~doc:"Regenerate the paper's experiment tables (E1..E9, see EXPERIMENTS.md).")
+       ~doc:"Regenerate the paper's experiment tables (E1..E9, E11..E15, see EXPERIMENTS.md).")
     term
 
 (* ------------------------------------------------------------------ *)

@@ -402,6 +402,7 @@ let test_removed_flags_exit_2 () =
       ("run " ^ long "shards" ^ " 4", long "shards");
       ("run " ^ long "no-flat", long "no-flat");
       ("serve " ^ long "retire", long "retire");
+      ("experiment " ^ long "all", long "all");
     ]
 
 let test_ill_typed_value_exits_2 () = check_parse_errors [ ("run -n abc", "-n") ]

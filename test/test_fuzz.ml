@@ -20,11 +20,23 @@ let test_deterministic () =
   if r1.Fuzz.failures <> [] then
     Alcotest.failf "registry policies failed fuzzing:\n%s" (Fuzz.report_to_string r1)
 
+(* The second, larger config must also come back clean. *)
 let test_width_independent () =
   let cfg = Fuzz.config ~budget:24 ~seed:5 () in
   let r1 = run ~domains:1 cfg and r4 = run ~domains:4 cfg in
   Alcotest.(check string) "widths 1 and 4 byte-identical" (Fuzz.report_to_string r1)
-    (Fuzz.report_to_string r4)
+    (Fuzz.report_to_string r4);
+  let cfg = Fuzz.config ~budget:96 ~seed:7 () in
+  let r1 = run ~domains:1 cfg in
+  List.iter
+    (fun d ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed 7: widths 1 and %d byte-identical" d)
+        (Fuzz.report_to_string r1)
+        (Fuzz.report_to_string (run ~domains:d cfg)))
+    [ 2; 4 ];
+  if r1.Fuzz.failures <> [] then
+    Alcotest.failf "registry policies failed fuzzing:\n%s" (Fuzz.report_to_string r1)
 
 (* A registry entry that cannot satisfy its budget: the oracle property
    fails on every instance, so the shrinker must walk all the way down to
