@@ -718,45 +718,56 @@ let serve_cmd =
               (policy, entry.PR.open_stream ~trace ~retire:true ~machines:(Machine.fleet m) ()))
     in
     (* With '--checkpoint -' the snapshot bytes own stdout; every NDJSON
-       line moves to stderr so the two streams never interleave. *)
-    let emit = if checkpoint = Some "-" then prerr_endline else print_endline in
+       line moves to stderr so the two streams never interleave.  Lines
+       collect in one buffer and go out with one write and one flush per
+       batch, so a live reader sees each batch as soon as it is drained. *)
+    let oc = if checkpoint = Some "-" then stderr else stdout in
+    let out = Buffer.create 65536 in
+    let write_out () =
+      Buffer.output_buffer oc out;
+      Buffer.clear out;
+      flush oc
+    in
     (* The trace's release mark is the emission cursor: each batch emits
        the unreleased decisions and releases them, so the trace retains
        one batch's rows, not the stream's. *)
     let emit_decisions () =
       Option.iter
         (fun t ->
-          List.iter (fun e -> emit (Sched_sim.Trace_export.entry_line e)) (Sched_sim.Trace.events t);
+          Sched_sim.Trace_export.add_lines out t;
           Sched_sim.Trace.release t (Sched_sim.Trace.length t))
         (session.PR.ss_trace ())
     in
     let module N = Sched_obs.Ndjson in
+    let emit fields =
+      Buffer.add_string out (N.line ~schema:serve_schema fields);
+      Buffer.add_char out '\n'
+    in
     let progress drained =
       emit
-        (N.line ~schema:serve_schema
-           [
-             ("type", N.String "progress");
-             ("fed", N.Int (session.PR.ss_fed ()));
-             ("drained", N.Float drained);
-             ("next_key", N.Float (session.PR.ss_next_key ()));
-           ])
+        [
+          ("type", N.String "progress");
+          ("fed", N.Int (session.PR.ss_fed ()));
+          ("drained", N.Float drained);
+          ("next_key", N.Float (session.PR.ss_next_key ()));
+        ]
     in
     let summary kind (live : Sched_sim.Driver.live_metrics) =
       emit
-        (N.line ~schema:serve_schema
-           [
-             ("type", N.String kind);
-             ("policy", N.String policy_name);
-             ("fed", N.Int (session.PR.ss_fed ()));
-             ("flow_total", N.Float live.flow.Metrics.total);
-             ("flow_weighted", N.Float live.flow.Metrics.weighted);
-             ("flow_max", N.Float live.flow.Metrics.max_flow);
-             ("rejected", N.Int live.rejection.Metrics.count);
-             ("rejected_weight", N.Float live.rejection.Metrics.weight);
-             ("rejected_midrun", N.Int live.rejection.Metrics.mid_run);
-             ("energy", N.Float live.energy);
-             ("makespan", N.Float live.makespan);
-           ])
+        [
+          ("type", N.String kind);
+          ("policy", N.String policy_name);
+          ("fed", N.Int (session.PR.ss_fed ()));
+          ("flow_total", N.Float live.flow.Metrics.total);
+          ("flow_weighted", N.Float live.flow.Metrics.weighted);
+          ("flow_max", N.Float live.flow.Metrics.max_flow);
+          ("rejected", N.Int live.rejection.Metrics.count);
+          ("rejected_weight", N.Float live.rejection.Metrics.weight);
+          ("rejected_midrun", N.Int live.rejection.Metrics.mid_run);
+          ("energy", N.Float live.energy);
+          ("makespan", N.Float live.makespan);
+        ];
+      write_out ()
     in
     let ic = if input = "-" then stdin else open_in input in
     let pending = ref 0 in
@@ -766,6 +777,7 @@ let serve_cmd =
         session.PR.ss_drain_until !last_release;
         emit_decisions ();
         progress !last_release;
+        write_out ();
         pending := 0
       end
     in

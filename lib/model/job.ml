@@ -20,6 +20,7 @@ let validate_sizes sizes =
 
 let create ~id ~release ?(weight = 1.) ?deadline ~sizes () =
   if not (Time.nonneg release) then invalid_arg "Job.create: negative release";
+  if not (Float.is_finite release) then invalid_arg "Job.create: release must be finite";
   if weight <= 0. || not (Float.is_finite weight) then
     invalid_arg "Job.create: weight must be positive and finite";
   validate_sizes sizes;

@@ -18,10 +18,10 @@ type t = private {
 
 val create :
   id:id -> release:Time.t -> ?weight:float -> ?deadline:Time.t -> sizes:float array -> unit -> t
-(** Builds a job, validating: non-negative release, positive weight, every
-    size positive (possibly [infinity]) with at least one finite entry, and
-    when a deadline is given, [deadline > release].  [weight] defaults to
-    [1.]. *)
+(** Builds a job, validating: non-negative finite release, positive
+    weight, every size positive (possibly [infinity]) with at least one
+    finite entry, and when a deadline is given, [deadline > release].
+    [weight] defaults to [1.]. *)
 
 val size : t -> int -> float
 (** [size j i] is [p_ij]. *)

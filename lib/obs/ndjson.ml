@@ -5,29 +5,40 @@
    string tokens "NaN" / "Infinity" / "-Infinity", preserving which
    non-finite value it was (null would collapse all three). *)
 
+(* Keys and the few string values the writers emit rarely need
+   escaping, so the common case returns the argument itself. *)
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
 let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if not (String.exists needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
+
+(* The C primitive that Printf's %.0f / %.12g / %.17g conversions end
+   in: the same bytes, without interpreting a format at every call. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let float_repr v =
   if Float.is_nan v then "\"NaN\""
   else if v = Float.infinity then "\"Infinity\""
   else if v = Float.neg_infinity then "\"-Infinity\""
-  else if Float.is_integer v && Float.abs v <= 1e15 then Printf.sprintf "%.0f" v
+  else if Float.is_integer v && Float.abs v <= 1e15 then format_float "%.0f" v
   else begin
-    let s = Printf.sprintf "%.12g" v in
-    if float_of_string s = v then s else Printf.sprintf "%.17g" v
+    let s = format_float "%.12g" v in
+    if float_of_string s = v then s else format_float "%.17g" v
   end
 
 type value =
@@ -53,7 +64,12 @@ let obj fields =
       Buffer.add_char buf '"';
       Buffer.add_string buf (escape name);
       Buffer.add_string buf "\":";
-      Buffer.add_string buf (value_to_string v))
+      match v with
+      | String s ->
+          Buffer.add_char buf '"';
+          Buffer.add_string buf (escape s);
+          Buffer.add_char buf '"'
+      | v -> Buffer.add_string buf (value_to_string v))
     fields;
   Buffer.add_char buf '}';
   Buffer.contents buf

@@ -147,6 +147,16 @@ type entry = {
   budget : float;
 }
 
+(* One cell of retained row [k] (oldest-first): what an exporter that
+   formats rows straight from the ring reads, without decoding an
+   {!entry}. *)
+let kind t k = kind_of_int (Ring.get_int t.ring ~col:col_kind k)
+let job t k = Ring.get_int t.ring ~col:col_job k
+let machine t k = Ring.get_int t.ring ~col:col_machine k
+let flag t k = Ring.get_int t.ring ~col:col_flag k
+let time t k = Ring.get_float t.ring ~col:col_time k
+let value t k = Ring.get_float t.ring ~col:col_value k
+
 let entry t k =
   let r = t.ring in
   let kind = kind_of_int (Ring.get_int r ~col:col_kind k) in

@@ -116,3 +116,22 @@ type entry = {
 
 val entries : ?last:int -> t -> entry list
 (** Retained entries oldest-first; [?last] keeps only the newest [n]. *)
+
+(** {2 One cell of a retained row}
+
+    [k] counts retained entries oldest-first, [0 <= k < length t], as
+    in {!entries}; each reader raises [Invalid_argument] out of range.
+    For exporters that format rows straight from the ring without
+    building {!entry} records. *)
+
+val kind : t -> int -> kind
+val job : t -> int -> int
+val machine : t -> int -> int
+
+val flag : t -> int -> int
+(** Dispatch: candidate count; reject: was_running 0/1. *)
+
+val time : t -> int -> float
+
+val value : t -> int -> float
+(** The kind's main float payload, as {!entry}'s [value]. *)

@@ -27,6 +27,7 @@ let length = Rec.total
 let released t = Option.get (Ring.held t.Rec.ring)
 
 let release t k = Ring.hold t.Rec.ring k
+let unreleased t = length t - released t
 
 let unread = Rec.compact
 

@@ -58,6 +58,10 @@ val release : t -> int -> unit
     overwritten, so the ring stays as small as the unconsumed entries.
     Raises [Invalid_argument] when entry [k] is gone or beyond {!length}. *)
 
+val unreleased : t -> int
+(** Entries recorded and not yet {!release}d: they are the newest
+    [unreleased t] retained rows of {!recorder}. *)
+
 val unread : t -> t
 (** A copy holding only the unreleased entries — what a checkpoint
     carries. *)

@@ -2,39 +2,67 @@
    in chronological order.  Pure string production — callers own the I/O. *)
 
 module J = Sched_obs.Ndjson
+module R = Sched_obs.Recorder
 
 let schema = "rejsched.trace/1"
+let line_head = "{\"schema\":\"" ^ schema ^ "\",\"time\":"
 
-let event_fields : Trace.event -> (string * J.value) list = function
+(* The one trace/1 formatter: a line's fields straight into [buf], in
+   the order every consumer has seen since the schema was cut — time,
+   event, job, machine, then the kind's payload ([value] carries the
+   speed, remaining volume or wasted work). *)
+let add_line buf ~time ~(kind : R.kind) ~job ~machine ~was_running ~value =
+  Buffer.add_string buf line_head;
+  Buffer.add_string buf (J.float_repr time);
+  Buffer.add_string buf ",\"event\":\"";
+  Buffer.add_string buf (R.kind_to_string kind);
+  Buffer.add_string buf "\",\"job\":";
+  Buffer.add_string buf (string_of_int job);
+  Buffer.add_string buf ",\"machine\":";
+  Buffer.add_string buf (string_of_int machine);
+  (match kind with
+  | R.Dispatch | R.Complete -> ()
+  | R.Start ->
+      Buffer.add_string buf ",\"speed\":";
+      Buffer.add_string buf (J.float_repr value)
+  | R.Reject ->
+      Buffer.add_string buf ",\"was_running\":";
+      Buffer.add_string buf (if was_running then "true" else "false");
+      Buffer.add_string buf ",\"remaining\":";
+      Buffer.add_string buf (J.float_repr value)
+  | R.Restart ->
+      Buffer.add_string buf ",\"wasted\":";
+      Buffer.add_string buf (J.float_repr value));
+  Buffer.add_char buf '}'
+
+let add_lines buf t =
+  let rc = Trace.recorder t in
+  let len = R.length rc in
+  for k = len - Trace.unreleased t to len - 1 do
+    add_line buf ~time:(R.time rc k) ~kind:(R.kind rc k) ~job:(R.job rc k)
+      ~machine:(R.machine rc k) ~was_running:(R.flag rc k <> 0) ~value:(R.value rc k);
+    Buffer.add_char buf '\n'
+  done
+
+let entry_line ({ time; event } : Trace.entry) =
+  let buf = Buffer.create 128 in
+  (match event with
   | Trace.Dispatch { job; machine } ->
-      [ ("event", J.String "dispatch"); ("job", J.Int job); ("machine", J.Int machine) ]
+      add_line buf ~time ~kind:R.Dispatch ~job ~machine ~was_running:false ~value:0.
   | Trace.Start { job; machine; speed } ->
-      [
-        ("event", J.String "start");
-        ("job", J.Int job);
-        ("machine", J.Int machine);
-        ("speed", J.Float speed);
-      ]
+      add_line buf ~time ~kind:R.Start ~job ~machine ~was_running:false ~value:speed
   | Trace.Complete { job; machine } ->
-      [ ("event", J.String "complete"); ("job", J.Int job); ("machine", J.Int machine) ]
+      add_line buf ~time ~kind:R.Complete ~job ~machine ~was_running:false ~value:0.
   | Trace.Reject { job; machine; was_running; remaining } ->
-      [
-        ("event", J.String "reject");
-        ("job", J.Int job);
-        ("machine", J.Int machine);
-        ("was_running", J.Bool was_running);
-        ("remaining", J.Float remaining);
-      ]
+      add_line buf ~time ~kind:R.Reject ~job ~machine ~was_running ~value:remaining
   | Trace.Restart { job; machine; wasted } ->
-      [
-        ("event", J.String "restart");
-        ("job", J.Int job);
-        ("machine", J.Int machine);
-        ("wasted", J.Float wasted);
-      ]
+      add_line buf ~time ~kind:R.Restart ~job ~machine ~was_running:false ~value:wasted);
+  Buffer.contents buf
 
-let entry_line (en : Trace.entry) =
-  J.line ~schema (("time", J.Float en.time) :: event_fields en.event)
+let to_ndjson t =
+  let buf = Buffer.create 4096 in
+  add_lines buf t;
+  Buffer.contents buf
 
 let ndjson lines =
   let buf = Buffer.create 4096 in
@@ -45,13 +73,9 @@ let ndjson lines =
     lines;
   Buffer.contents buf
 
-let to_ndjson t = ndjson (List.map entry_line (Trace.events t))
-
 (* --- rejsched.trace/2: flight-recorder entries with provenance -------- *)
 
 let schema_v2 = "rejsched.trace/2"
-
-module R = Sched_obs.Recorder
 
 (* /2 lines keep every /1 field name (time/event/job/machine and the
    per-kind payloads) and add the provenance columns: a "seq" absolute

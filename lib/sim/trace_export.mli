@@ -9,12 +9,18 @@ val schema : string
 (** Current record schema tag, ["rejsched.trace/1"].  Every emitted line
     carries it as its ["schema"] field. *)
 
+val add_lines : Buffer.t -> Trace.t -> unit
+(** Appends the unreleased entries ({!Trace.events}), one line per
+    event, each newline-terminated, formatted straight from the
+    trace's recorder rows.  Releases nothing: the caller moves the
+    mark with {!Trace.release} once the lines are out. *)
+
 val entry_line : Trace.entry -> string
-(** One event as a single JSON object (no trailing newline). *)
+(** One event as a single JSON object (no trailing newline), the same
+    bytes {!add_lines} writes for its row. *)
 
 val to_ndjson : Trace.t -> string
-(** The unreleased entries ({!Trace.events}), one line per event, each
-    newline-terminated. *)
+(** {!add_lines} into a fresh buffer. *)
 
 (** {1 Flight-recorder export ([rejsched.trace/2])}
 

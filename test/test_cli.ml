@@ -192,6 +192,8 @@ let write_lines path lines =
 let lines_with needle text =
   String.split_on_char '\n' text |> List.filter (fun l -> Test_util.contains l needle)
 
+(* The full stdout of a small run, trace/1 decisions and the serve/1
+   progress and closing records alike, pinned byte for byte. *)
 let test_serve_smoke () =
   let input = temp ".ndjson" and out = temp ".out" in
   write_lines input arrival_lines;
@@ -202,14 +204,8 @@ let test_serve_smoke () =
   let text = read_file out in
   Sys.remove input;
   Sys.remove out;
-  (* Every line is schema-tagged, decisions under trace/1, progress and
-     the final summary under serve/1 — and each job shows up dispatched. *)
-  Alcotest.(check int) "two progress lines for batch=2"
-    2 (List.length (lines_with {|"type":"progress"|} text));
-  Alcotest.(check int) "one closing summary"
-    1 (List.length (lines_with {|"type":"closed"|} text));
-  Alcotest.(check int) "four dispatch decisions"
-    4 (List.length (lines_with {|"event":"dispatch"|} text));
+  Alcotest.(check string) "stdout matches snapshots/serve-smoke.expected"
+    (read_file "snapshots/serve-smoke.expected") text;
   String.split_on_char '\n' text
   |> List.iter (fun l ->
          if String.trim l <> "" then
@@ -245,23 +241,51 @@ let test_serve_checkpoint_restore_identical () =
   List.iter Sys.remove [ input; full; part1; part2; snap; head2; tail2 ]
 
 let test_serve_checkpoint_stdout () =
-  (* '--checkpoint -' puts the snapshot alone on stdout (NDJSON moves to
-     stderr), and the result restores cleanly. *)
-  let input = temp ".ndjson" and snap = temp ".snap" and out = temp ".out" in
+  (* '--checkpoint -' puts the snapshot alone on stdout, and the NDJSON
+     a '--checkpoint FILE' run writes to stdout moves to stderr intact;
+     the snapshot restores cleanly. *)
+  let input = temp ".ndjson" and snap = temp ".snap" and err = temp ".out" in
+  let snap_file = temp ".snap" and file_out = temp ".out" and out = temp ".out" in
   write_lines input (List.filteri (fun k _ -> k < 2) arrival_lines);
   Alcotest.(check int) "checkpoint to stdout exits 0" 0
     (shell
-       (Printf.sprintf "%s serve -p greedy-spt -m 2 --input %s --checkpoint - > %s 2> /dev/null"
-          exe input snap));
+       (Printf.sprintf "%s serve -p greedy-spt -m 2 --input %s --checkpoint - > %s 2> %s" exe
+          input snap err));
   Alcotest.(check bool) "stdout is the snapshot container" true
     (Test_util.contains (read_file snap) "rejsched-snap");
+  Alcotest.(check int) "checkpoint to a file exits 0" 0
+    (shell
+       (Printf.sprintf "%s serve -p greedy-spt -m 2 --input %s --checkpoint %s > %s" exe input
+          snap_file file_out));
+  let stderr_text = read_file err in
+  Alcotest.(check bool) "stderr holds the decisions" true
+    (lines_with "rejsched.trace/1" stderr_text <> []);
+  Alcotest.(check int) "stderr holds the suspended record"
+    1 (List.length (lines_with {|"type":"suspended"|} stderr_text));
+  Alcotest.(check string) "stderr equals stdout of the --checkpoint FILE run"
+    (read_file file_out) stderr_text;
   let tail2 = temp ".ndjson" in
   write_lines tail2 (List.filteri (fun k _ -> k >= 2) arrival_lines);
   Alcotest.(check int) "restore from it exits 0" 0
     (shell (Printf.sprintf "%s serve --restore %s --input %s > %s" exe snap tail2 out));
   Alcotest.(check int) "resumed run closes"
     1 (List.length (lines_with {|"type":"closed"|} (read_file out)));
-  List.iter Sys.remove [ input; snap; out; tail2 ]
+  List.iter Sys.remove [ input; snap; err; snap_file; file_out; out; tail2 ]
+
+(* A live feed: one arrival, then the writer stays open.  Serve must
+   flush the batch's decisions as soon as it is drained — output still
+   buffered when 'timeout' kills the process would be lost. *)
+let test_serve_live_feed_flushes () =
+  let out = temp ".out" in
+  let code =
+    shell
+      (Printf.sprintf "{ printf '%%s\\n' '%s'; sleep 3; } | timeout 1 %s serve -m 2 > %s"
+         (List.hd arrival_lines) exe out)
+  in
+  Alcotest.(check int) "killed by timeout" 124 code;
+  Alcotest.(check bool) "the first batch reached stdout" true
+    (Test_util.contains (read_file out) {|"fed":1|});
+  Sys.remove out
 
 let test_serve_invalid_batch_rejected () =
   List.iter
@@ -288,8 +312,8 @@ let test_serve_corrupt_snapshot_rejected () =
   Sys.remove snap;
   Sys.remove err
 
-(* Truncated JSON, and job ids that are not non-negative integers in int
-   range. *)
+(* Truncated JSON, job ids that are not non-negative integers in int
+   range, and a release that reads as infinity. *)
 let test_serve_malformed_arrival_rejected () =
   List.iter
     (fun line ->
@@ -308,6 +332,7 @@ let test_serve_malformed_arrival_rejected () =
       {|{"job": 1e300, "release": 0.0, "sizes": [1.0, 1.0]}|};
       {|{"job": 1.5, "release": 0.0, "sizes": [1.0, 1.0]}|};
       {|{"job": -1, "release": 0.0, "sizes": [1.0, 1.0]}|};
+      {|{"job":0,"release":1e400,"sizes":[1,1]}|};
     ]
 
 (* Serve retires as it goes, so job ids need not be dense: a gap is not
@@ -426,6 +451,7 @@ let suite =
     Alcotest.test_case "serve checkpoint/restore splices byte-identically" `Quick
       test_serve_checkpoint_restore_identical;
     Alcotest.test_case "serve --checkpoint - owns stdout" `Quick test_serve_checkpoint_stdout;
+    Alcotest.test_case "serve live feed flushes each batch" `Quick test_serve_live_feed_flushes;
     Alcotest.test_case "serve --batch 0/negative rejected" `Quick test_serve_invalid_batch_rejected;
     Alcotest.test_case "serve --restore corrupt snapshot exits 2" `Quick
       test_serve_corrupt_snapshot_rejected;

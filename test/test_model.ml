@@ -25,6 +25,8 @@ let test_job_restricted () =
 let test_job_validation () =
   Alcotest.(check bool) "negative release" true
     (raises_invalid (fun () -> Job.create ~id:0 ~release:(-1.) ~sizes:[| 1. |] ()));
+  Alcotest.(check bool) "infinite release" true
+    (raises_invalid (fun () -> Job.create ~id:0 ~release:Float.infinity ~sizes:[| 1. |] ()));
   Alcotest.(check bool) "zero size" true
     (raises_invalid (fun () -> Job.create ~id:0 ~release:0. ~sizes:[| 0. |] ()));
   Alcotest.(check bool) "all infinite" true

@@ -226,6 +226,64 @@ let test_ndjson_primitives () =
     (J.line ~schema:"s/1"
        [ ("a", J.Int 1); ("b", J.String "x\"y"); ("c", J.Null); ("d", J.Bool true) ])
 
+(* The definitions [float_repr] and [escape] had when they went through
+   [Printf] and a fresh [Buffer] per call, kept as the reference: the
+   faster writers must produce the same bytes. *)
+let reference_float_repr v =
+  if Float.is_nan v then "\"NaN\""
+  else if v = Float.infinity then "\"Infinity\""
+  else if v = Float.neg_infinity then "\"-Infinity\""
+  else if Float.is_integer v && Float.abs v <= 1e15 then Printf.sprintf "%.0f" v
+  else begin
+    let s = Printf.sprintf "%.12g" v in
+    if float_of_string s = v then s else Printf.sprintf "%.17g" v
+  end
+
+let reference_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+(* QCheck's floats, arbitrary bit patterns (NaNs, infinities,
+   subnormals), subnormals on their own, and the edges: the 1e15 switch
+   between the integral and the general form, and the signed zeros. *)
+let arb_repr_float =
+  let edges =
+    [ 1e15; -1e15; Float.pred 1e15; Float.succ 1e15; 1e15 +. 1.; 1e15 +. 2.; -0.0; 0.0;
+      Float.min_float; Float.pred Float.min_float; 5e-324; Float.max_float; 0.1; 1e-7;
+      123456789012.5 ]
+  in
+  QCheck.(
+    set_print string_of_float
+      (oneof
+         [
+           float;
+           make Gen.(map Int64.float_of_bits ui64);
+           make Gen.(map (fun b -> Int64.(float_of_bits (logand b 0x800F_FFFF_FFFF_FFFFL))) ui64);
+           oneofl edges;
+         ]))
+
+let test_float_repr_matches_printf =
+  QCheck.Test.make ~name:"float_repr equals the Printf definition" ~count:20000 arb_repr_float
+    (fun v -> String.equal (J.float_repr v) (reference_float_repr v))
+  |> QCheck_alcotest.to_alcotest
+
+let test_escape_matches_reference =
+  QCheck.Test.make ~name:"escape equals the char-by-char definition" ~count:5000
+    QCheck.(string_gen_of_size Gen.(int_range 0 64) Gen.(map Char.chr (int_range 0 255)))
+    (fun s -> String.equal (J.escape s) (reference_escape s))
+  |> QCheck_alcotest.to_alcotest
+
 (* A non-finite gauge (e.g. a max-stretch that divided by zero) must not
    corrupt the JSON snapshot: the value renders as a quoted sentinel
    token, keeping the document parseable and the three non-finite values
@@ -526,6 +584,8 @@ let suite =
     Alcotest.test_case "prometheus golden" `Quick test_prometheus_golden;
     Alcotest.test_case "json golden" `Quick test_json_golden;
     Alcotest.test_case "ndjson primitives" `Quick test_ndjson_primitives;
+    test_float_repr_matches_printf;
+    test_escape_matches_reference;
     Alcotest.test_case "json snapshot carries non-finite gauges" `Quick
       test_json_non_finite_gauge;
     Alcotest.test_case "trace ndjson golden" `Quick test_trace_ndjson_golden;
