@@ -241,7 +241,7 @@ let () =
      O(n) residue is retention, not backlog), live heap sampled via
      [Gc.full_major] every n/10 feeds, against the identical stream with
      retirement off.  Retirement folds finished segments straight into
-     the rolling aggregates and drops the per-job handles, so peak live
+     the rolling aggregates and hands settled jobs' slots back, so peak live
      words per fed job must stay under an absolute ceiling and well under
      the keep-everything stream's figure, and both streams must agree on
      every live metric bit. *)
@@ -296,11 +296,11 @@ let () =
          = live_keep.D.rejection.Sched_model.Metrics.count)
   then fail "rolling retirement perturbed the live metrics";
   let mem_ratio = wpj_ret /. wpj_keep in
-  (* Both streams share the structural floor (flat columns and the
-     per-machine indexed heaps, all sized by job capacity), so the ratio
-     separates modestly; the absolute ceiling is the sharp no-retention
-     signal: retaining the fed list and job boxes alone adds ~20
-     words/job. *)
+  (* The retiring stream recycles job slots, so its columns and heaps
+     hold the jobs in flight only (it measures ~0 words/job at n=10^6),
+     while the keep-everything stream's grow with n.  The absolute
+     ceiling is the sharp no-retention signal: retaining the fed list and
+     job boxes alone adds ~20 words/job. *)
   let wpj_ceiling = 48.0 and ratio_gate = 0.75 in
   Printf.printf
     "  rolling retirement (flow-reject, n=%d m=%d): retire %.1f words/job, keep %.1f words/job (%d \

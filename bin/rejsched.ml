@@ -712,8 +712,9 @@ let serve_cmd =
               exit 2
           | Some entry ->
               (* Serve never reads the closing schedule, so it always
-                 retires: memory stays bounded by the in-flight jobs,
-                 and job ids need not be dense. *)
+                 retires: a settled job's slot goes to a later arrival,
+                 so memory tracks the jobs in flight and job ids may be
+                 any non-negative ints, dense or not. *)
               let trace = Sched_sim.Trace.create () in
               (policy, entry.PR.open_stream ~trace ~retire:true ~machines:(Machine.fleet m) ()))
     in

@@ -11,7 +11,7 @@ let config ?(kill_factor = 4.) ?(max_restarts = 2) () =
 type state = {
   cfg : config;
   instance : Instance.t;
-  mutable restarted : int array;  (** Times each job has been killed. *)
+  mutable restarted : int array;  (** Times each job has been killed, by job slot. *)
   mutable total_restarts : int;
 }
 
@@ -19,18 +19,22 @@ let init cfg instance =
   { cfg; instance; restarted = Array.make (Instance.n instance) 0; total_restarts = 0 }
 
 (* Streaming sessions init with zero jobs; the per-job counters grow on
-   first sight of a larger id (batch runs pre-size to n). *)
-let ensure st id =
+   first sight of a higher slot (batch runs pre-size to n). *)
+let ensure st slot =
   let len = Array.length st.restarted in
-  if id >= len then begin
-    let cap = max 16 (max (id + 1) (2 * len)) in
+  if slot >= len then begin
+    let cap = max 16 (max (slot + 1) (2 * len)) in
     let nr = Array.make cap 0 in
     Array.blit st.restarted 0 nr 0 len;
     st.restarted <- nr
   end
 
 let on_arrival st view (j : Job.t) =
-  ensure st j.id;
+  let slot = Driver.slot view j in
+  ensure st slot;
+  (* The counter only ever grows while the job is in flight, so a reused
+     slot must start from zero. *)
+  st.restarted.(slot) <- 0;
   (* Greedy estimated-completion dispatch, as the non-rejecting baselines. *)
   let best = ref None in
   for i = 0 to Instance.m st.instance - 1 do
@@ -46,11 +50,12 @@ let on_arrival st view (j : Job.t) =
     match Driver.running_on view target with
     | Some r ->
         let k = r.Driver.job in
+        let ks = Driver.slot view k in
         if
-          st.restarted.(k.Job.id) < st.cfg.max_restarts
+          st.restarted.(ks) < st.cfg.max_restarts
           && Driver.remaining_time view target > st.cfg.kill_factor *. Job.size j target
         then begin
-          st.restarted.(k.Job.id) <- st.restarted.(k.Job.id) + 1;
+          st.restarted.(ks) <- st.restarted.(ks) + 1;
           st.total_restarts <- st.total_restarts + 1;
           [ k.Job.id ]
         end

@@ -15,8 +15,9 @@ type state = {
   cfg : config;
   instance : Instance.t;
   gammas : float array;  (** Speed constant per machine. *)
-  mutable v : float array;  (** Weight counters of running jobs, by job id. *)
-  mutable lambda : float array;
+  mutable v : float array;  (** Weight counters of running jobs, by job slot. *)
+  mutable lambda : float array;  (** Dual variables, by job slot. *)
+  mutable ids : int array;  (** The job id at each slot, [-1] if none yet: [lambdas]'s key. *)
   mutable rej : int;
 }
 
@@ -77,34 +78,48 @@ let init cfg instance =
         | None -> Bounds.gamma_best ~eps:cfg.eps ~alpha:mc.Machine.alpha)
       (Array.init (Instance.m instance) (Instance.machine instance))
   in
-  { cfg; instance; gammas; v = Array.make n 0.; lambda = Array.make n 0.; rej = 0 }
+  {
+    cfg;
+    instance;
+    gammas;
+    v = Array.make n 0.;
+    lambda = Array.make n 0.;
+    ids = Array.make n (-1);
+    rej = 0;
+  }
 
 (* Streaming sessions init with zero jobs; the per-job columns grow on
-   first sight of a larger id (batch runs pre-size to n). *)
-let ensure st id =
+   first sight of a higher slot (batch runs pre-size to n). *)
+let ensure st slot =
   let len = Array.length st.v in
-  if id >= len then begin
-    let cap = max 16 (max (id + 1) (2 * len)) in
+  if slot >= len then begin
+    let cap = max 16 (max (slot + 1) (2 * len)) in
     let nv = Array.make cap 0. in
     Array.blit st.v 0 nv 0 len;
     st.v <- nv;
     let nl = Array.make cap 0. in
     Array.blit st.lambda 0 nl 0 len;
-    st.lambda <- nl
+    st.lambda <- nl;
+    let ni = Array.make cap (-1) in
+    Array.blit st.ids 0 ni 0 len;
+    st.ids <- ni
   end
 
 let on_arrival st view (j : Job.t) =
   let target, best =
     argmin_machine st.instance j (fun i -> lambda_ij st i j (Driver.pending view i))
   in
-  ensure st j.id;
-  st.lambda.(j.id) <- st.cfg.eps /. (1. +. st.cfg.eps) *. best;
+  let slot = Driver.slot view j in
+  ensure st slot;
+  st.ids.(slot) <- j.id;
+  st.lambda.(slot) <- st.cfg.eps /. (1. +. st.cfg.eps) *. best;
   let rejections = ref [] in
   (match Driver.running_on view target with
   | Some r ->
       let k = r.Driver.job in
-      st.v.(k.Job.id) <- st.v.(k.Job.id) +. j.weight;
-      if st.v.(k.Job.id) > k.Job.weight /. st.cfg.eps then begin
+      let ks = Driver.slot view k in
+      st.v.(ks) <- st.v.(ks) +. j.weight;
+      if st.v.(ks) > k.Job.weight /. st.cfg.eps then begin
         rejections := [ k.Job.id ];
         st.rej <- st.rej + 1
       end
@@ -118,12 +133,21 @@ let select st view i =
       let alpha = (Instance.machine st.instance i).Machine.alpha in
       let total_weight = Driver.pending_weight view i in
       let speed = st.gammas.(i) *. (total_weight ** (1. /. alpha)) in
-      st.v.(head.Job.id) <- 0.;
+      (* A fresh counter for the execution about to begin (which also
+         clears whatever a reused slot held). *)
+      st.v.(Driver.slot view head) <- 0.;
       Some { Driver.job = head.Job.id; speed }
 
 let policy cfg = { Driver.name = "flow-energy-reject"; init = init cfg; on_arrival; select }
 
-let lambdas st = Array.copy st.lambda
+(* By job id.  Without retirement no slot is reused, so every job fed
+   still has its lambda at its slot. *)
+let lambdas st =
+  let n = 1 + Array.fold_left max (-1) st.ids in
+  let out = Array.make n 0. in
+  Array.iteri (fun slot id -> if id >= 0 then out.(id) <- st.lambda.(slot)) st.ids;
+  out
+
 let rejections st = st.rej
 let gamma_of_machine st i = st.gammas.(i)
 

@@ -42,7 +42,10 @@ type state
 val policy : config -> state Driver.policy
 
 val lambdas : state -> float array
-(** Dual variables [lambda_j = eps/(1+eps) min_i lambda_ij], by job id. *)
+(** Dual variables [lambda_j = eps/(1+eps) min_i lambda_ij], by job id.
+    Complete for a run that does not retire ({!Sched_sim.Driver.run}); a
+    retiring session reuses slots and keeps only the jobs that hold
+    one. *)
 
 val rejections : state -> int
 

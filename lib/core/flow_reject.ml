@@ -20,9 +20,10 @@ type state = {
           [eps_eff] for Lemma 4 to hold exactly. *)
   thr1 : int;  (** Rule 1 threshold, [1/eps_eff = ceil(1/eps)]. *)
   thr2 : int;  (** Rule 2 threshold, [1 + 1/eps_eff]. *)
-  mutable v : int array;  (** Rule 1 counters, indexed by job id (valid while running). *)
+  mutable v : int array;  (** Rule 1 counters, by job slot (valid while running). *)
   c : int array;  (** Rule 2 counters, indexed by machine id. *)
-  mutable lambda : float array;  (** Dual variables, indexed by job id. *)
+  mutable lambda : float array;  (** Dual variables, by job slot. *)
+  mutable ids : int array;  (** The job id at each slot, [-1] if none yet: [lambdas]'s key. *)
   mutable rej1 : int;
   mutable rej2 : int;
 }
@@ -61,11 +62,11 @@ let[@inline] greedy_load_cost view i (j : Job.t) =
 (* Argmin over eligible machines of lambda_ij ([dual]) or of the greedy
    load cost: the leftmost strict minimum, since a later machine replaces
    the incumbent only when [not (best <= c)].  Returns the machine and
-   leaves the minimum cost in [st.lambda.(j.id)].  The incumbent lives in
+   leaves the minimum cost in [st.lambda.(slot)].  The incumbent lives in
    two local refs that never escape (the native compiler keeps both
    unboxed) and the cost is chosen by a branch, not a closure, so a
    dispatch allocates nothing per machine. *)
-let argmin_machine st view (j : Job.t) ~dual =
+let argmin_machine st view (j : Job.t) slot ~dual =
   let best = ref (-1) and best_c = ref 0. in
   for i = 0 to Instance.m st.instance - 1 do
     if Job.eligible j i then begin
@@ -77,7 +78,7 @@ let argmin_machine st view (j : Job.t) ~dual =
     end
   done;
   assert (!best >= 0);
-  st.lambda.(j.id) <- !best_c;
+  st.lambda.(slot) <- !best_c;
   !best
 
 let largest_pending view i (j_new : Job.t) =
@@ -101,48 +102,54 @@ let init cfg instance =
     v = Array.make n 0;
     c = Array.make (max 1 (Instance.m instance)) 0;
     lambda = Array.make n 0.;
+    ids = Array.make n (-1);
     rej1 = 0;
     rej2 = 0;
   }
 
-(* Streaming sessions init with zero jobs and reveal ids as they arrive;
-   the per-job counters grow on first sight of a larger id (batch runs
-   pre-size to n, so this never fires there). *)
-let ensure st id =
+(* Streaming sessions init with zero jobs; the per-job columns grow on
+   first sight of a higher slot (batch runs pre-size to n, so this never
+   fires there). *)
+let ensure st slot =
   let len = Array.length st.v in
-  if id >= len then begin
-    let cap = max 16 (max (id + 1) (2 * len)) in
+  if slot >= len then begin
+    let cap = max 16 (max (slot + 1) (2 * len)) in
     let nv = Array.make cap 0 in
     Array.blit st.v 0 nv 0 len;
     st.v <- nv;
     let nl = Array.make cap 0. in
     Array.blit st.lambda 0 nl 0 len;
-    st.lambda <- nl
+    st.lambda <- nl;
+    let ni = Array.make cap (-1) in
+    Array.blit st.ids 0 ni 0 len;
+    st.ids <- ni
   end
 
 let on_arrival st view (j : Job.t) =
   let eps = st.eps_eff in
-  ensure st j.id;
+  let slot = Driver.slot view j in
+  ensure st slot;
+  st.ids.(slot) <- j.id;
   let target =
     match st.cfg.dispatch with
-    | Dual_lambda -> argmin_machine st view j ~dual:true
+    | Dual_lambda -> argmin_machine st view j slot ~dual:true
     | Greedy_load ->
-        let i = argmin_machine st view j ~dual:false in
+        let i = argmin_machine st view j slot ~dual:false in
         (* The dual variable is defined from lambda_ij regardless of how we
            dispatched, so the instrumentation stays meaningful in E8. *)
-        ignore (argmin_machine st view j ~dual:true);
+        ignore (argmin_machine st view j slot ~dual:true);
         i
   in
-  st.lambda.(j.id) <- eps /. (1. +. eps) *. st.lambda.(j.id);
+  st.lambda.(slot) <- eps /. (1. +. eps) *. st.lambda.(slot);
   (* Rejection Rule 1: bump the running job's counter. *)
   st.c.(target) <- st.c.(target) + 1;
   let rejections = ref [] in
   (match Driver.running_on view target with
   | Some r ->
-      let k = r.Driver.job.Job.id in
+      let k = Driver.slot view r.Driver.job in
       st.v.(k) <- st.v.(k) + 1;
       if st.cfg.rule1 && st.v.(k) >= st.thr1 then begin
-        rejections := k :: !rejections;
+        rejections := r.Driver.job.Job.id :: !rejections;
         st.rej1 <- st.rej1 + 1
       end
   | None -> ());
@@ -159,14 +166,21 @@ let select st view i =
   match Driver.pending_shortest view i with
   | None -> None
   | Some shortest ->
-      (* A fresh Rule 1 counter for the execution that is about to begin. *)
-      st.v.(shortest.Job.id) <- 0;
+      (* A fresh Rule 1 counter for the execution that is about to begin
+         (which also clears whatever a reused slot held). *)
+      st.v.(Driver.slot view shortest) <- 0;
       Some { Driver.job = shortest.Job.id; speed = 1.0 }
 
 let policy cfg =
   { Driver.name = "flow-reject"; init = init cfg; on_arrival; select }
 
-let lambdas st = Array.copy st.lambda
+(* By job id.  Without retirement no slot is reused, so every job fed
+   still has its lambda at its slot. *)
+let lambdas st =
+  let n = 1 + Array.fold_left max (-1) st.ids in
+  let out = Array.make n 0. in
+  Array.iteri (fun slot id -> if id >= 0 then out.(id) <- st.lambda.(slot)) st.ids;
+  out
 let effective_eps st = st.eps_eff
 let rule1_rejections st = st.rej1
 let rule2_rejections st = st.rej2

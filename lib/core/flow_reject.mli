@@ -50,7 +50,9 @@ val policy : config -> state Driver.policy
 val lambdas : state -> float array
 (** After a run: the dual variables [lambda_j = eps/(1+eps) min_i lambda_ij]
     fixed at each job's arrival (Lemma 4 instrumentation), indexed by job
-    id.  Defined with {!effective_eps}. *)
+    id.  Defined with {!effective_eps}.  Complete for a run that does not
+    retire ({!Sched_sim.Driver.run}); a retiring session reuses slots and
+    keeps only the jobs that hold one. *)
 
 val effective_eps : state -> float
 (** [1 / ceil(1/eps)]: the epsilon the integral counters actually realize

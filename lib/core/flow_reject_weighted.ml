@@ -11,7 +11,7 @@ let config ?(rule1 = true) ?(rule2 = true) ~eps () =
 type state = {
   cfg : config;
   instance : Instance.t;
-  mutable v : float array;  (** Weight accumulated against the running job. *)
+  mutable v : float array;  (** Weight accumulated against the running job, by slot. *)
   c : float array;  (** Weight accumulated per machine since last reset. *)
   mutable rej1 : int;
   mutable rej2 : int;
@@ -66,11 +66,11 @@ let init cfg instance =
   }
 
 (* Streaming sessions init with zero jobs; the per-job counters grow on
-   first sight of a larger id (batch runs pre-size to n). *)
-let ensure st id =
+   first sight of a higher slot (batch runs pre-size to n). *)
+let ensure st slot =
   let len = Array.length st.v in
-  if id >= len then begin
-    let cap = max 16 (max (id + 1) (2 * len)) in
+  if slot >= len then begin
+    let cap = max 16 (max (slot + 1) (2 * len)) in
     let nv = Array.make cap 0. in
     Array.blit st.v 0 nv 0 len;
     st.v <- nv
@@ -78,15 +78,16 @@ let ensure st id =
 
 let on_arrival st view (j : Job.t) =
   let target = argmin_machine st.instance j (fun i -> lambda_ij st.cfg.eps view i j) in
-  ensure st j.id;
+  ensure st (Driver.slot view j);
   let eps = st.cfg.eps in
   st.c.(target) <- st.c.(target) +. j.weight;
   let rejections = ref [] in
   (match Driver.running_on view target with
   | Some r ->
       let k = r.Driver.job in
-      st.v.(k.Job.id) <- st.v.(k.Job.id) +. j.weight;
-      if st.cfg.rule1 && st.v.(k.Job.id) > k.Job.weight /. eps then begin
+      let ks = Driver.slot view k in
+      st.v.(ks) <- st.v.(ks) +. j.weight;
+      if st.cfg.rule1 && st.v.(ks) > k.Job.weight /. eps then begin
         rejections := k.Job.id :: !rejections;
         st.rej1 <- st.rej1 + 1
       end
@@ -105,7 +106,9 @@ let select st view i =
   match Driver.pending_densest view i with
   | None -> None
   | Some head ->
-      st.v.(head.Job.id) <- 0.;
+      (* A fresh counter for the execution about to begin (which also
+         clears whatever a reused slot held). *)
+      st.v.(Driver.slot view head) <- 0.;
       Some { Driver.job = head.Job.id; speed = 1.0 }
 
 let policy cfg = { Driver.name = "flow-reject-weighted"; init = init cfg; on_arrival; select }

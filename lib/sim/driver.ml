@@ -16,12 +16,12 @@ type view = Flat_state.t
 let now fs = Flat_state.clock fs
 
 let running_on fs i =
-  let id = Flat_state.run_job fs i in
-  if id < 0 then None
+  let slot = Flat_state.run_job fs i in
+  if slot < 0 then None
   else
     Some
       {
-        job = Flat_state.job fs id;
+        job = Flat_state.offer fs slot;
         started = Flat_state.run_started fs i;
         rate = Flat_state.run_rate fs i;
         finish = Flat_state.run_finish fs i;
@@ -40,7 +40,7 @@ let pending_iter fs i f = Flat_state.pend_iter fs i ~f:(fun id -> f (Flat_state.
 let pending_count fs i = Flat_state.pend_count fs i
 let pending_work fs i = Flat_state.pend_work fs i
 let pending_weight fs i = Flat_state.pend_weight fs i
-let head fs id = if id < 0 then None else Some (Flat_state.job fs id)
+let head fs slot = if slot < 0 then None else Some (Flat_state.offer fs slot)
 let pending_shortest fs i = head fs (Flat_state.head_spt fs i)
 let pending_longest fs i = head fs (Flat_state.index_max fs i)
 let pending_densest fs i = head fs (Flat_state.head_density fs i)
@@ -52,7 +52,13 @@ type split = Flat_state.split = private {
   mutable count_after : float;
 }
 
-let pending_split fs i (j : Job.t) = Flat_state.pend_split fs i ~job:j.Job.id
+let[@rejlint.hot] slot fs (j : Job.t) =
+  let s = Flat_state.slot_of fs j.Job.id in
+  if s < 0 then
+    (invalid_arg (Printf.sprintf "Driver: job %d is not in flight" j.Job.id) [@rejlint.cold]);
+  s
+
+let[@rejlint.hot] pending_split fs i (j : Job.t) = Flat_state.pend_split fs i ~job:(slot fs j)
 
 type live_metrics = {
   flow : Metrics.flow;
@@ -190,24 +196,31 @@ let make_handlers ?rows fs policy pstate =
   (* [@rejlint.hot]: RJL103 statically proves these four loop bodies
      build no structures; the failure arms that do allocate are
      individually marked [@rejlint.cold]. *)
+  (* The handlers index the flat state by slot; the policy names jobs by
+     external id, resolved once per decision, and every recorder row
+     carries the external id.  An id no slot holds reads as settled. *)
+  let[@rejlint.hot] loc_of slot =
+    if slot < 0 then Flat_state.loc_settled else Flat_state.loc fs slot
+  in
   let[@rejlint.hot] reject_job id =
     let t = Flat_state.clock fs in
-    let l = Flat_state.loc fs id in
+    let slot = Flat_state.slot_of fs id in
+    let l = loc_of slot in
     if Flat_state.loc_is_pending l then begin
       let i = Flat_state.loc_machine l in
-      if not (Flat_state.pend_remove fs i id) then
+      if not (Flat_state.pend_remove fs i slot) then
         (invalid_arg (Printf.sprintf "Driver: job %d not pending" id) [@rejlint.cold]);
-      Flat_state.set_loc fs id Flat_state.loc_settled;
-      Flat_state.outcome_rejected fs ~job:id ~machine:i ~time:t ~was_running:false;
-      Flat_state.account_rejection fs id t ~was_running:false;
+      Flat_state.outcome_rejected fs ~job:slot ~machine:i ~time:t ~was_running:false;
+      Flat_state.account_rejection fs slot t ~was_running:false;
       (match rows with
       | None -> ()
       | Some rc ->
           let s = Rec.reserve_reject rc ~job:id ~machine:i ~was_running:false
               ~rejected:(Flat_state.rejected fs) in
           rc.Rec.floats.(s + Rec.o_time) <- t;
-          rc.Rec.floats.(s + Rec.o_value) <- Flat_state.size fs ~machine:i ~job:id;
+          rc.Rec.floats.(s + Rec.o_value) <- Flat_state.size fs ~machine:i ~job:slot;
           rc.Rec.floats.(s + Rec.o_budget) <- Flat_state.rej_weight fs);
+      Flat_state.settle fs slot;
       i
     end
     else if Flat_state.loc_is_running l then begin
@@ -217,13 +230,12 @@ let make_handlers ?rows fs policy pstate =
       and fin = Flat_state.run_finish fs i in
       Flat_state.clear_running fs i;
       Flat_state.bump_epoch fs i;
-      Flat_state.set_loc fs id Flat_state.loc_settled;
       let was_running = Time.gt t started in
       if was_running then
-        Flat_state.lay_segment fs ~job:id ~machine:i ~start:started ~stop:t ~speed:rate;
+        Flat_state.lay_segment fs ~job:slot ~machine:i ~start:started ~stop:t ~speed:rate;
       let remaining = Float.max 0. ((fin -. t) *. rate) in
-      Flat_state.outcome_rejected fs ~job:id ~machine:i ~time:t ~was_running;
-      Flat_state.account_rejection fs id t ~was_running;
+      Flat_state.outcome_rejected fs ~job:slot ~machine:i ~time:t ~was_running;
+      Flat_state.account_rejection fs slot t ~was_running;
       (match rows with
       | None -> ()
       | Some rc ->
@@ -232,24 +244,28 @@ let make_handlers ?rows fs policy pstate =
           rc.Rec.floats.(s + Rec.o_time) <- t;
           rc.Rec.floats.(s + Rec.o_value) <- remaining;
           rc.Rec.floats.(s + Rec.o_budget) <- Flat_state.rej_weight fs);
+      Flat_state.settle fs slot;
       i
     end
     else if l = Flat_state.loc_unreleased then
       (invalid_arg (Printf.sprintf "Driver: rejecting unreleased job %d" id) [@rejlint.cold])
-    else (invalid_arg (Printf.sprintf "Driver: rejecting settled job %d" id) [@rejlint.cold])
+    else
+      (invalid_arg (Printf.sprintf "Driver: rejecting settled or unknown job %d" id)
+      [@rejlint.cold])
   in
   (* Kill a running job and return it (full size again) to the pending
      queue; its partial segment is kept for the wasted-work record. *)
   let[@rejlint.hot] restart_job id =
     let t = Flat_state.clock fs in
-    let l = Flat_state.loc fs id in
+    let slot = Flat_state.slot_of fs id in
+    let l = loc_of slot in
     if Flat_state.loc_is_running l then begin
       let i = Flat_state.loc_machine l in
       let started = Flat_state.run_started fs i and rate = Flat_state.run_rate fs i in
       Flat_state.clear_running fs i;
       Flat_state.bump_epoch fs i;
       if Time.gt t started then
-        Flat_state.lay_segment fs ~job:id ~machine:i ~start:started ~stop:t ~speed:rate;
+        Flat_state.lay_segment fs ~job:slot ~machine:i ~start:started ~stop:t ~speed:rate;
       let wasted = Float.max 0. ((t -. started) *. rate) in
       Flat_state.account_restart fs;
       (match rows with
@@ -258,8 +274,8 @@ let make_handlers ?rows fs policy pstate =
           let s = Rec.reserve_restart rc ~job:id ~machine:i in
           rc.Rec.floats.(s + Rec.o_time) <- t;
           rc.Rec.floats.(s + Rec.o_value) <- wasted);
-      Flat_state.pend_add fs i id;
-      Flat_state.set_loc fs id (Flat_state.loc_pending ~machine:i);
+      Flat_state.pend_add fs i slot;
+      Flat_state.set_loc fs slot (Flat_state.loc_pending ~machine:i);
       i
     end
     else (invalid_arg (Printf.sprintf "Driver: restarting job %d that is not running" id)
@@ -273,21 +289,22 @@ let make_handlers ?rows fs policy pstate =
           if speed <= 0. || not (Float.is_finite speed) then
             (invalid_arg (Printf.sprintf "Driver: policy %s chose speed %g" policy.name speed)
             [@rejlint.cold]);
-          let l = Flat_state.loc fs job in
+          let slot = Flat_state.slot_of fs job in
+          let l = loc_of slot in
           if not (Flat_state.loc_is_pending l && Flat_state.loc_machine l = i) then
             (invalid_arg (Printf.sprintf "Driver: job %d is not pending on machine %d" job i)
             [@rejlint.cold]);
-          if not (Flat_state.pend_remove fs i job) then
+          if not (Flat_state.pend_remove fs i slot) then
             (invalid_arg (Printf.sprintf "Driver: job %d not pending" job) [@rejlint.cold]);
           let rate = speed *. Flat_state.mach_speed fs i in
-          let size = Flat_state.size fs ~machine:i ~job in
+          let size = Flat_state.size fs ~machine:i ~job:slot in
           if not (Float.is_finite size) then
             (invalid_arg (Printf.sprintf "Driver: starting job %d on ineligible machine %d" job i)
             [@rejlint.cold]);
           let clock = Flat_state.clock fs in
           let finish = clock +. (size /. rate) in
-          Flat_state.set_running fs i ~job ~started:clock ~rate ~finish;
-          Flat_state.set_loc fs job (Flat_state.loc_running ~machine:i);
+          Flat_state.set_running fs i ~job:slot ~started:clock ~rate ~finish;
+          Flat_state.set_loc fs slot (Flat_state.loc_running ~machine:i);
           (match rows with
           | None -> ()
           | Some rc ->
@@ -298,14 +315,14 @@ let make_handlers ?rows fs policy pstate =
           Flat_state.push_finish fs ~machine:i ~time:finish
     end
   in
-  let[@rejlint.hot] commit_arrival (j : Job.t) decision =
+  let[@rejlint.hot] commit_arrival slot (j : Job.t) decision =
     let id = j.Job.id in
     let i = decision.dispatch_to in
     if i < 0 || i >= m then
       (invalid_arg
          (Printf.sprintf "Driver: policy %s dispatched to machine %d" policy.name i)
       [@rejlint.cold]);
-    if not (Flat_state.eligible fs ~machine:i ~job:id) then
+    if not (Flat_state.eligible fs ~machine:i ~job:slot) then
       (invalid_arg
          (Printf.sprintf "Driver: policy %s dispatched job %d to ineligible machine %d"
             policy.name id i) [@rejlint.cold]);
@@ -314,8 +331,8 @@ let make_handlers ?rows fs policy pstate =
     (match rows with
     | None -> ()
     | Some rc ->
-        let mask = Flat_state.cand_mask fs ~job:id in
-        let cands = if m <= 62 then popcount mask 0 else Flat_state.cand_count fs ~job:id in
+        let mask = Flat_state.cand_mask fs ~job:slot in
+        let cands = if m <= 62 then popcount mask 0 else Flat_state.cand_count fs ~job:slot in
         let s = Rec.reserve_dispatch rc ~job:id ~machine:i ~cands ~mask in
         let work = Flat_state.pend_work fs i in
         let rem =
@@ -330,8 +347,8 @@ let make_handlers ?rows fs policy pstate =
         rc.Rec.floats.(s + Rec.o_time) <- Flat_state.clock fs;
         rc.Rec.floats.(s + Rec.o_value) <- work;
         rc.Rec.floats.(s + Rec.o_score) <- work +. rem);
-    Flat_state.pend_add fs i id;
-    Flat_state.set_loc fs id (Flat_state.loc_pending ~machine:i);
+    Flat_state.pend_add fs i slot;
+    Flat_state.set_loc fs slot (Flat_state.loc_pending ~machine:i);
     (* The scrutinee avoids pairing the two lists up: a tuple pattern
        match would compile allocation-free anyway, but the static proof
        is structural and cannot assume that optimization. *)
@@ -349,22 +366,22 @@ let make_handlers ?rows fs policy pstate =
         [@rejlint.cold])
   in
   let[@rejlint.hot] commit_finish i epoch =
-    let id = Flat_state.run_job fs i in
-    if id >= 0 && Flat_state.epoch fs i = epoch then begin
+    let slot = Flat_state.run_job fs i in
+    if slot >= 0 && Flat_state.epoch fs i = epoch then begin
       let started = Flat_state.run_started fs i
       and rate = Flat_state.run_rate fs i
       and fin = Flat_state.run_finish fs i in
       Flat_state.clear_running fs i;
-      Flat_state.lay_segment fs ~job:id ~machine:i ~start:started ~stop:fin ~speed:rate;
-      Flat_state.outcome_completed fs ~job:id ~machine:i ~start:started ~speed:rate ~finish:fin;
-      Flat_state.account_completion fs id fin;
-      Flat_state.set_loc fs id Flat_state.loc_settled;
+      Flat_state.lay_segment fs ~job:slot ~machine:i ~start:started ~stop:fin ~speed:rate;
+      Flat_state.outcome_completed fs ~job:slot ~machine:i ~start:started ~speed:rate ~finish:fin;
+      Flat_state.account_completion fs slot fin;
       (match rows with
       | None -> ()
       | Some rc ->
-          let s = Rec.reserve_complete rc ~job:id ~machine:i in
+          let s = Rec.reserve_complete rc ~job:(Flat_state.ext fs slot) ~machine:i in
           rc.Rec.floats.(s + Rec.o_time) <- Flat_state.clock fs;
-          rc.Rec.floats.(s + Rec.o_value) <- fin -. Flat_state.release fs id);
+          rc.Rec.floats.(s + Rec.o_value) <- fin -. Flat_state.release fs slot);
+      Flat_state.settle fs slot;
       try_start i
     end
     (* else: stale event, the job was rejected mid-run. *)
@@ -396,7 +413,7 @@ type 'a session = {
   ss_rows : Rec.t option;  (** the one row sink: [?recorder], or the trace's ring *)
   ss_obs : Sched_obs.Obs.t option;
   ss_check : bool;
-  ss_commit_arrival : Job.t -> decision -> unit;
+  ss_commit_arrival : int -> Job.t -> decision -> unit;
   ss_commit_finish : int -> int -> unit;
   (* Float cells live in one-slot arrays so updates never box. *)
   ss_hwm : float array;  (** drained horizon: no event key below it remains *)
@@ -514,9 +531,9 @@ let session_drain s ~limit =
       Flat_state.set_clock fs (Float.max (Flat_state.clock fs) (Flat_state.ev_time fs));
       let tag = Flat_state.ev_tag fs in
       (if Pqueue.Events.Key.is_arrival ~tag then begin
-         let id = Flat_state.ev_payload fs in
-         let j = Flat_state.job fs id in
-         commit_arrival j (policy.on_arrival pstate fs j)
+         let slot = Flat_state.ev_payload fs in
+         let j = Flat_state.arrive fs slot in
+         commit_arrival slot j (policy.on_arrival pstate fs j)
        end
        else begin
          let payload = Flat_state.ev_payload fs in

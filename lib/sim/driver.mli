@@ -116,6 +116,17 @@ val pending_split : view -> Machine.id -> Job.t -> split
     1/4), possibly different from a left-to-right fold in the last place
     otherwise. *)
 
+val slot : view -> Job.t -> int
+(** The job's slot: a dense index, unique among the jobs in flight, that
+    the driver's columns use instead of the external id.  Key per-job
+    policy state by it, grown on demand: a session that retires hands a
+    settled job's slot to a later arrival, so policy memory tracks the
+    jobs in flight, not the largest id.  A reused slot carries the
+    previous job's policy state, so reset it in [on_arrival].  O(1) and
+    allocation-free; the arriving job, and the job the view last handed
+    out (a queue head, a running job), resolve by one comparison.
+    Raises [Invalid_argument] for a job that is not in flight. *)
+
 (** {1 Incremental metrics} *)
 
 type live_metrics = {
@@ -270,10 +281,11 @@ val run :
     on anything else.
 
     {b Bounded memory.}  [~retire:true] folds completed segments into
-    the rolling accumulators instead of storing them and drops settled
-    jobs' boxed handles, so resident memory is bounded by the live set
-    plus the flat columns; {!Session.close} then returns [None] instead
-    of a schedule (live metrics remain exact).  Retirement cannot be
+    the rolling accumulators instead of storing them and hands a settled
+    job's slot (see {!slot}) to a later arrival, so resident memory — and
+    a checkpoint — is bounded by the jobs in flight, whatever the stream's
+    length or its ids; {!Session.close} then returns [None] instead of a
+    schedule (live metrics remain exact).  Retirement cannot be
     combined with [~check] — the oracle needs the full schedule. *)
 
 module Session : sig
@@ -306,7 +318,8 @@ module Session : sig
       be distinct non-negative ints (dense [0..n-1] is only required if
       the session will materialize a schedule at {!close}).  Raises
       [Invalid_argument] on an out-of-order, duplicate or
-      behind-the-horizon job, and on a closed session. *)
+      behind-the-horizon job, and on a closed session; a retiring
+      session also refuses an id whose job has already settled. *)
 
   val drain_until : 'a t -> Time.t -> unit
   (** Runs the event loop up to and including the horizon: every queued

@@ -3,8 +3,8 @@ open Sched_model
 (* Struct-of-arrays simulation state.
 
    Everything the driver's inner loop touches per event lives in unboxed
-   [float array]s and [int array]s: job columns by id, machine columns by
-   machine id, per-machine pending heaps over bare ids
+   [float array]s and [int array]s: job columns by slot, machine columns
+   by machine id, per-machine pending heaps over bare slots
    ([Pqueue.Iheap]), the running slot, the event queue
    ([Pqueue.Events]) and the metric accumulators.  Once the growable
    arrays have warmed up, none of the mutators here allocates on the
@@ -12,12 +12,18 @@ open Sched_model
    ([of_instance], [to_schedule], and the [Job.t] handles policies read
    through the driver's view accessors.
 
+   A job's columns sit at its slot, a dense index handed out when the job
+   is fed and, in a retiring state, handed back when it settles; the
+   external job id is a column like any other ([ext]).  So the columns
+   grow to the peak number of jobs in flight, not to the largest id.
+
    Schedules are pinned byte-for-byte by the corpus x policy goldens, so
    the float operation order below is load-bearing (float addition is
    not associative), as is the pending heaps' slot layout (policies fold
    floats over [pending_iter]'s heap-array order); the aggregate
    work/weight sums are pinned back to exactly [0.] when a queue
-   empties. *)
+   empties.  Nothing that decides a schedule reads a slot number: every
+   tie-break compares external ids, and the index priorities hash them. *)
 
 (* Indices into the [facc] float-accumulator array.  A [mutable float]
    field of a mixed record would be boxed and re-allocated on every
@@ -44,12 +50,6 @@ let facc_len = 11
 (* [loc] codes: *)
 let loc_unreleased = -1
 let loc_settled = -2
-
-(* Streaming only: fed through [add_job], arrival event queued, not yet
-   released.  Indistinguishable from [loc_unreleased] to the driver (both
-   fail [loc_is_pending]/[loc_is_running]); it exists so [add_job] can
-   reject duplicate ids. *)
-let loc_queued = -3
 let loc_pending ~machine = 2 * machine
 let loc_running ~machine = (2 * machine) + 1
 let loc_is_pending l = l >= 0 && l land 1 = 0
@@ -66,30 +66,187 @@ let out_none = 0
 let out_completed = 1
 let out_rejected = 2
 
+(* External id -> slot, for the ids a policy names in its decisions.
+   Open addressing with linear probing over a power-of-two table kept at
+   most three quarters full; a removal shifts the rest of its probe run back
+   instead of leaving a tombstone, so the table tracks the live
+   population and a lookup is O(1) expected, allocation-free.  Ids are
+   non-negative, so [-1] marks an empty cell. *)
+module Idmap = struct
+  type t = { mutable keys : int array; mutable vals : int array; mutable len : int }
+
+  let create () = { keys = Array.make 16 (-1); vals = Array.make 16 0; len = 0 }
+
+  let[@rejlint.hot] home mask id =
+    let h = id * 0x2545f4914f6cdd1d in
+    (h lxor (h lsr 32)) land mask
+
+  (* The cell holding [id], or the empty cell that ends its probe run. *)
+  let[@rejlint.hot] rec probe keys mask id i =
+    let k = keys.(i) in
+    if k = id || k < 0 then i else probe keys mask id ((i + 1) land mask)
+
+  let[@rejlint.hot] find t id =
+    let keys = t.keys in
+    let i = probe keys (Array.length keys - 1) id (home (Array.length keys - 1) id) in
+    if keys.(i) = id then t.vals.(i) else -1
+
+  let resize t cap =
+    let keys = t.keys and vals = t.vals in
+    let nkeys = Array.make cap (-1) and nvals = Array.make cap 0 in
+    let mask = cap - 1 in
+    for c = 0 to Array.length keys - 1 do
+      let k = keys.(c) in
+      if k >= 0 then begin
+        let i = probe nkeys mask k (home mask k) in
+        nkeys.(i) <- k;
+        nvals.(i) <- vals.(c)
+      end
+    done;
+    t.keys <- nkeys;
+    t.vals <- nvals
+
+  (* Room for [n] keys at load <= 3/4.  Never shrinks. *)
+  let reserve t n =
+    let cap = ref (Array.length t.keys) in
+    while 4 * n > 3 * !cap do
+      cap := 2 * !cap
+    done;
+    if !cap > Array.length t.keys then resize t !cap
+
+  (* [id] must be absent. *)
+  let add t id v =
+    reserve t (t.len + 1);
+    let mask = Array.length t.keys - 1 in
+    let i = probe t.keys mask id (home mask id) in
+    t.keys.(i) <- id;
+    t.vals.(i) <- v;
+    t.len <- t.len + 1
+
+  (* Backward-shift deletion: walk the probe run after the hole and move
+     back every key whose home does not lie cyclically in (hole, cell]. *)
+  let[@rejlint.hot] rec shift keys vals mask hole c =
+    let k = keys.(c) in
+    if k < 0 then keys.(hole) <- -1
+    else begin
+      let h = home mask k in
+      let stays = if hole <= c then hole < h && h <= c else hole < h || h <= c in
+      if stays then shift keys vals mask hole ((c + 1) land mask)
+      else begin
+        keys.(hole) <- k;
+        vals.(hole) <- vals.(c);
+        shift keys vals mask c ((c + 1) land mask)
+      end
+    end
+
+  (* [id] must be present. *)
+  let[@rejlint.hot] remove t id =
+    let keys = t.keys in
+    let mask = Array.length keys - 1 in
+    let i = probe keys mask id (home mask id) in
+    shift keys t.vals mask i ((i + 1) land mask);
+    t.len <- t.len - 1
+end
+
+(* The ids a retiring state has been fed, as sorted, disjoint, maximal
+   runs [lo.(k) .. hi.(k)] of consecutive ints: what catches a settled
+   id fed again once its slot and its [Idmap] entry are gone.  Memory is
+   O(number of runs), and so is an insertion in the worst case; ids fed
+   in ascending order with no gaps (0, 1, 2, ...) extend the last run in
+   O(1) and keep the set at one run. *)
+module Runs = struct
+  type t = { mutable lo : int array; mutable hi : int array; mutable len : int }
+
+  let create () = { lo = [||]; hi = [||]; len = 0 }
+
+  (* The last run with [lo <= id], or [-1]. *)
+  let locate t id =
+    if t.len > 0 && t.lo.(t.len - 1) <= id then t.len - 1
+    else begin
+      let a = ref (-1) and b = ref t.len in
+      (* lo.(a) <= id < lo.(b), with a = -1 and b = len as sentinels. *)
+      while !b - !a > 1 do
+        let c = (!a + !b) / 2 in
+        if t.lo.(c) <= id then a := c else b := c
+      done;
+      !a
+    end
+
+  let mem t id =
+    let k = locate t id in
+    k >= 0 && id <= t.hi.(k)
+
+  (* [id] must be absent. *)
+  let add t id =
+    let k = locate t id in
+    let left = k >= 0 && t.hi.(k) = id - 1 in
+    let right = k + 1 < t.len && t.lo.(k + 1) = id + 1 in
+    if left && right then begin
+      t.hi.(k) <- t.hi.(k + 1);
+      Array.blit t.lo (k + 2) t.lo (k + 1) (t.len - k - 2);
+      Array.blit t.hi (k + 2) t.hi (k + 1) (t.len - k - 2);
+      t.len <- t.len - 1
+    end
+    else if left then t.hi.(k) <- id
+    else if right then t.lo.(k + 1) <- id
+    else begin
+      if t.len = Array.length t.lo then begin
+        let cap = max 4 (2 * t.len) in
+        let nlo = Array.make cap 0 and nhi = Array.make cap 0 in
+        Array.blit t.lo 0 nlo 0 t.len;
+        Array.blit t.hi 0 nhi 0 t.len;
+        t.lo <- nlo;
+        t.hi <- nhi
+      end;
+      Array.blit t.lo (k + 1) t.lo (k + 2) (t.len - k - 1);
+      Array.blit t.hi (k + 1) t.hi (k + 2) (t.len - k - 1);
+      t.lo.(k + 1) <- id;
+      t.hi.(k + 1) <- id;
+      t.len <- t.len + 1
+    end
+end
+
 type t = {
   mutable instance : Instance.t;
       (* Batch: the full instance.  Streaming: a machines-only stand-in
          until [set_instance] swaps the materialized one in at close. *)
-  mutable n : int;  (* jobs known so far; grows in streaming sessions *)
+  mutable n : int;  (* jobs fed so far *)
   m : int;
   mutable stride : int;
-      (* Row length of the per-(machine, job) matrices below — the job
-         capacity.  Equals [n] in batch runs; grows by doubling in
-         streaming sessions. *)
+      (* Slot capacity: the length of every job column and the row length
+         of the per-(machine, slot) size matrix below.  Grows by doubling
+         when every slot is taken. *)
   mutable retire : bool;
       (* Rolling-retirement mode: completed/rejected work is folded into
-         the accumulators only — no segment store, and the boxed [Job.t]
-         handle is dropped — so memory stays bounded by the live set
-         plus the flat columns.  [to_schedule] is unavailable. *)
-  (* Job columns, indexed by job id (ids are 0..n-1); written once per
-     job ([of_instance] or [add_job]), read-only afterwards. *)
-  mutable jobs : Job.t array;  (* by id, not release order *)
+         the accumulators only — no segment store — and a settled job's
+         slot goes back to the free list, so memory stays bounded by the
+         jobs in flight.  [to_schedule] is unavailable. *)
+  (* The slot allocator: [slots] slots have ever been handed out, and the
+     first [nfree] cells of [free] are the ones handed back (reused last
+     in, first out).  A state that does not retire never hands one back,
+     so its slots number the jobs in feed order. *)
+  mutable slots : int;
+  mutable free : int array;
+  mutable nfree : int;
+  ids : Idmap.t;  (* external id -> slot, for every job holding a slot *)
+  seen : Runs.t;  (* retiring states only: every id fed *)
+  (* The arrival being decided, resolved once when its event pops, so the
+     per-machine queries of [on_arrival] never touch [ids]. *)
+  mutable cur_id : int;
+  mutable cur_slot : int;
+  (* Likewise the job the view last handed a policy (a queue head, a
+     running job), which is the id a [select] or a rejection names back. *)
+  mutable offer_id : int;
+  mutable offer_slot : int;
+  (* Job columns, indexed by slot; written when the job is fed
+     ([of_instance] or [add_job]), read-only until the slot is reused. *)
+  mutable ext : int array;  (* the external job id *)
+  mutable jobs : Job.t array;
   mutable release : float array;
   mutable weight : float array;
   mutable min_size : float array;
-  mutable size_col : float array;  (* p_ij at [(i * stride) + j] *)
-  mutable dens_col : float array;  (* w_j /. p_ij at [(i * stride) + j] *)
-  (* Pending sets: four heap orders per machine over bare job ids, the
+  mutable size_col : float array;  (* p_ij at [(i * stride) + slot] *)
+  (* Pending sets: four heap orders per machine over bare slots, the
      order-statistic index below, and the incremental work/weight
      aggregates.  Only [by_spt] is observable as a *layout* (through
      [pend_iter]); the three auxiliary heaps expose nothing but their
@@ -97,7 +254,7 @@ type t = {
      heap shape.  They — and the index — are therefore maintained
      lazily: dormant until a policy first queries them, then rebuilt
      from [by_spt] and kept incremental from that point on.  Policies
-     that never consult an order never pay for it.  The heaps hold ids
+     that never consult an order never pay for it.  The heaps hold slots
      only; each call passes its order ([less_spt] and friends below) with
      [t] and the machine's row base. *)
   by_spt : Pqueue.Iheap.t array;
@@ -107,12 +264,12 @@ type t = {
   mutable live_density : bool;
   mutable live_size_id : bool;
   mutable live_fifo : bool;
-  (* Order-statistic index: one treap per machine over its pending ids,
+  (* Order-statistic index: one treap per machine over its pending slots,
      in [less_spt] order (the paper's [precede]), each node carrying its
      subtree's job count and size sum.  A job is pending on at most one
-     machine, so the node columns are indexed by job id and shared by
-     all machines; only the roots are per machine.  Child links are job
-     ids, [-1] for none. *)
+     machine, so the node columns are indexed by slot and shared by all
+     machines; only the roots are per machine.  Child links are slots,
+     [-1] for none. *)
   mutable ix_left : int array;
   mutable ix_right : int array;
   mutable ix_count : int array;
@@ -128,7 +285,7 @@ type t = {
   run_rate : float array;
   run_finish : float array;
   epoch : int array;
-  (* Job status (see the [loc_*] codes above). *)
+  (* Job status by slot (see the [loc_*] codes above). *)
   mutable loc : int array;
   (* Event queue and its shared insertion-sequence counter. *)
   events : Pqueue.Events.t;
@@ -141,17 +298,18 @@ type t = {
   mutable a_mid_run : int;
   mutable a_starts : int;
   mutable a_restarts : int;
-  (* Outcomes by job id: kind, machine, start-or-rejection time, speed,
-     finish, mid-run flag.  Kept even under retirement — [out_kind] is
-     what [check_undecided]'s double-decide guard reads, and the arrays
-     are already at column capacity. *)
+  (* Outcomes by slot: kind, machine, start-or-rejection time, speed,
+     finish, mid-run flag.  Written under retirement too — [out_kind] is
+     what [check_undecided]'s double-decide guard reads — and cleared
+     when a slot is handed out again. *)
   mutable out_kind : int array;
   mutable out_machine : int array;
   mutable out_t0 : float array;
   mutable out_speed : float array;
   mutable out_finish : float array;
   mutable out_running : bool array;
-  (* Segments in insertion order, in growable parallel arrays. *)
+  (* Segments in insertion order, in growable parallel arrays; a segment
+     carries the external id. *)
   mutable seg_job : int array;
   mutable seg_machine : int array;
   mutable seg_start : float array;
@@ -162,10 +320,11 @@ type t = {
 
 (* The strict orders of the pending heaps and the index: primitive float
    [<]/[>] branches (so [-0. = 0.] and incomparable infinities fall
-   through), then the id tie-break.  Each is a top-level function of the
-   state and the machine's row [base], so no heap captures a column: the
-   columns can be reallocated by [grow_columns], and the state marshals
-   as plain data. *)
+   through), then the tie-break on the external id — never on the slot,
+   which depends on which slots happened to be free.  Each is a top-level
+   function of the state and the machine's row [base], so no heap
+   captures a column: the columns can be reallocated by [grow_columns],
+   and the state marshals as plain data. *)
 
 let[@rejlint.hot] less_spt t base a b =
   let pa = t.size_col.(base + a) and pb = t.size_col.(base + b) in
@@ -173,76 +332,61 @@ let[@rejlint.hot] less_spt t base a b =
   else if pa > pb then false
   else
     let ra = t.release.(a) and rb = t.release.(b) in
-    if ra < rb then true else if ra > rb then false else a < b
+    if ra < rb then true else if ra > rb then false else t.ext.(a) < t.ext.(b)
 
+(* The density [w_j /. p_ij] is recomputed, not stored: the division is
+   exact IEEE arithmetic, so the order is the same as a stored column's,
+   and only the weighted policies ever wake this order. *)
 let[@rejlint.hot] less_density t base a b =
-  let da = t.dens_col.(base + a) and db = t.dens_col.(base + b) in
+  let da = t.weight.(a) /. t.size_col.(base + a) and db = t.weight.(b) /. t.size_col.(base + b) in
   if da > db then true
   else if da < db then false
   else
     let ra = t.release.(a) and rb = t.release.(b) in
-    if ra < rb then true else if ra > rb then false else a < b
+    if ra < rb then true else if ra > rb then false else t.ext.(a) < t.ext.(b)
 
 let[@rejlint.hot] less_size_id t base a b =
   let pa = t.size_col.(base + a) and pb = t.size_col.(base + b) in
-  if pa > pb then true else if pa < pb then false else b < a
+  if pa > pb then true else if pa < pb then false else t.ext.(b) < t.ext.(a)
 
 let[@rejlint.hot] less_fifo t _base a b =
   let ra = t.release.(a) and rb = t.release.(b) in
-  if ra < rb then true else if ra > rb then false else a < b
+  if ra < rb then true else if ra > rb then false else t.ext.(a) < t.ext.(b)
 
-(* Fill value for the [jobs] column: streaming sessions grow the array
-   before the real handles exist, and rolling retirement drops a handle
-   the moment its job settles.  Never read back — every consumer goes
-   through [loc]/[out_kind] first.  ([Job.t] is private, so the stand-in
-   goes through the validating constructor like any other job.) *)
+(* Fill value for the [jobs] column: free slots hold it, and rolling
+   retirement drops a handle the moment its job settles.  Never read
+   back — every consumer goes through [loc]/[out_kind] first.  ([Job.t]
+   is private, so the stand-in goes through the validating constructor
+   like any other job.) *)
 let retired_job = Job.create ~id:0 ~release:0. ~sizes:[| 1. |] ()
 
-let of_instance instance =
-  let n = Instance.n instance and m = Instance.m instance in
+(* An empty state over the instance's machines, with no slots. *)
+let create instance =
+  let m = Instance.m instance in
   if m > Pqueue.Events.Key.max_machine then
     invalid_arg (Printf.sprintf "Flat_state: %d machines exceed the event-key range" m);
-  let jobs =
-    let by_rel = Instance.jobs_by_release instance in
-    if n = 0 then [||]
-    else begin
-      let a = Array.make n by_rel.(0) in
-      Array.iter (fun (j : Job.t) -> a.(j.Job.id) <- j) by_rel;
-      a
-    end
-  in
-  let release = Array.make n 0. and weight = Array.make n 0. and min_size = Array.make n 0. in
-  Array.iteri
-    (fun id (j : Job.t) ->
-      release.(id) <- j.Job.release;
-      weight.(id) <- j.Job.weight;
-      min_size.(id) <- Job.min_size j)
-    jobs;
-  let size_col = Array.make (max 1 (m * n)) 0. in
-  let dens_col = Array.make (max 1 (m * n)) 0. in
-  for i = 0 to m - 1 do
-    let base = i * n in
-    for id = 0 to n - 1 do
-      let p = Job.size jobs.(id) i in
-      size_col.(base + id) <- p;
-      dens_col.(base + id) <- weight.(id) /. p
-    done
-  done;
   let heap () = Array.init m (fun _ -> Pqueue.Iheap.create ()) in
-  let facc = Array.make facc_len 0. in
-  facc.(f_total_weight) <- Instance.total_weight instance;
   {
     instance;
-    n;
+    n = 0;
     m;
-    stride = n;
+    stride = 0;
     retire = false;
-    jobs;
-    release;
-    weight;
-    min_size;
-    size_col;
-    dens_col;
+    slots = 0;
+    free = [||];
+    nfree = 0;
+    ids = Idmap.create ();
+    seen = Runs.create ();
+    cur_id = -1;
+    cur_slot = -1;
+    offer_id = -1;
+    offer_slot = -1;
+    ext = [||];
+    jobs = [||];
+    release = [||];
+    weight = [||];
+    min_size = [||];
+    size_col = [||];
     by_spt = heap ();
     by_density = heap ();
     by_size_id = heap ();
@@ -250,10 +394,10 @@ let of_instance instance =
     live_density = false;
     live_size_id = false;
     live_fifo = false;
-    ix_left = Array.make n (-1);
-    ix_right = Array.make n (-1);
-    ix_count = Array.make n 0;
-    ix_work = Array.make n 0.;
+    ix_left = [||];
+    ix_right = [||];
+    ix_count = [||];
+    ix_work = [||];
     ix_root = Array.make m (-1);
     live_index = false;
     split = { work_before = 0.; count_after = 0. };
@@ -264,60 +408,56 @@ let of_instance instance =
     run_rate = Array.make m 0.;
     run_finish = Array.make m 0.;
     epoch = Array.make m 0;
-    loc = Array.make n loc_unreleased;
+    loc = [||];
     events = Pqueue.Events.create ();
     seq = 0;
-    facc;
+    facc = Array.make facc_len 0.;
     a_completed = 0;
     a_rejected = 0;
     a_mid_run = 0;
     a_starts = 0;
     a_restarts = 0;
-    out_kind = Array.make n out_none;
-    out_machine = Array.make n 0;
-    out_t0 = Array.make n 0.;
-    out_speed = Array.make n 0.;
-    out_finish = Array.make n 0.;
-    out_running = Array.make n false;
-    (* Growth policy for cluster scale: each job lays at most one segment
-       unless restarts occur, so presizing to [n] turns the doubling
-       cascade (24 reallocation rounds and ~2x transient copies at 10^7
-       jobs) into a single allocation.  Restart-heavy runs still grow by
-       doubling past [n]. *)
-    seg_job = Array.make (max 16 n) 0;
-    seg_machine = Array.make (max 16 n) 0;
-    seg_start = Array.make (max 16 n) 0.;
-    seg_stop = Array.make (max 16 n) 0.;
-    seg_speed = Array.make (max 16 n) 0.;
+    out_kind = [||];
+    out_machine = [||];
+    out_t0 = [||];
+    out_speed = [||];
+    out_finish = [||];
+    out_running = [||];
+    seg_job = Array.make 16 0;
+    seg_machine = Array.make 16 0;
+    seg_start = Array.make 16 0.;
+    seg_stop = Array.make 16 0.;
+    seg_speed = Array.make 16 0.;
     seg_len = 0;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Streaming construction: a state over the machine fleet alone, with job
-   columns that grow as [add_job] feeds arrivals in.  Job ids need not
-   come in order (instances are not release-sorted by id), but the column
-   capacity tracks the largest id seen. *)
+(* A heap's position table covers the slot range exactly: an order has
+   one table per machine, so doubling slack there would outweigh the job
+   columns.  Dormant orders hold nothing and are sized when they wake. *)
+let reserve_heaps t =
+  let fit live heaps = if live then Array.iter (fun h -> Pqueue.Iheap.reserve h t.stride) heaps in
+  fit true t.by_spt;
+  fit t.live_density t.by_density;
+  fit t.live_size_id t.by_size_id;
+  fit t.live_fifo t.by_fifo
 
-let of_stream ~machines =
-  (* Machines-only stand-in: validates the fleet (ids 0..m-1) exactly as
-     a batch instance would; [set_instance] replaces it at close. *)
-  let instance = Instance.create ~name:"stream" ~machines:(Array.copy machines) ~jobs:[] () in
-  of_instance instance
-
-(* Double the job capacity to cover [id].  The scalar columns blit; the
-   per-(machine, job) matrices re-lay row by row at the new stride.  The
-   heaps and the index hold ids only and read the columns through [t] on
-   every comparison, so nothing else moves.  Cold: amortized O(1) per fed
-   job. *)
-let grow_columns t id =
+(* Grow the slot capacity to at least [need].  The scalar columns blit;
+   the per-(machine, slot) size matrix re-lays row by row at the new
+   stride.  The heaps and the index hold slots only and read the columns
+   through [t] on every comparison, so nothing else moves but the heaps'
+   position tables, which grow to the new range.  Cold: amortized O(1)
+   per fed job. *)
+let grow_columns t need =
   let cap = t.stride in
-  if id >= cap then begin
-    let ncap = max 16 (max (id + 1) (2 * cap)) in
-    let grow_f a = let b = Array.make ncap 0. in Array.blit a 0 b 0 t.n; b in
-    let grow_i fill a = let b = Array.make ncap fill in Array.blit a 0 b 0 t.n; b in
+  if need > cap then begin
+    let ncap = max 16 (max need (2 * cap)) in
+    let used = t.slots in
+    let grow_f a = let b = Array.make ncap 0. in Array.blit a 0 b 0 used; b in
+    let grow_i fill a = let b = Array.make ncap fill in Array.blit a 0 b 0 used; b in
     let njobs = Array.make ncap retired_job in
-    Array.blit t.jobs 0 njobs 0 t.n;
+    Array.blit t.jobs 0 njobs 0 used;
     t.jobs <- njobs;
+    t.ext <- grow_i (-1) t.ext;
     t.release <- grow_f t.release;
     t.weight <- grow_f t.weight;
     t.min_size <- grow_f t.min_size;
@@ -332,51 +472,92 @@ let grow_columns t id =
     t.out_speed <- grow_f t.out_speed;
     t.out_finish <- grow_f t.out_finish;
     let nrun = Array.make ncap false in
-    Array.blit t.out_running 0 nrun 0 t.n;
+    Array.blit t.out_running 0 nrun 0 used;
     t.out_running <- nrun;
     let nsz = Array.make (max 1 (t.m * ncap)) 0. in
-    let ndn = Array.make (max 1 (t.m * ncap)) 0. in
     for i = 0 to t.m - 1 do
-      Array.blit t.size_col (i * cap) nsz (i * ncap) t.n;
-      Array.blit t.dens_col (i * cap) ndn (i * ncap) t.n
+      Array.blit t.size_col (i * cap) nsz (i * ncap) used
     done;
     t.size_col <- nsz;
-    t.dens_col <- ndn;
-    t.stride <- ncap
+    t.stride <- ncap;
+    reserve_heaps t
   end
 
-let add_job t (j : Job.t) =
+(* Registers the job under a fresh slot: its columns, its [ids] entry
+   and, in a retiring state, its place in [seen].  Queues nothing. *)
+let admit t (j : Job.t) =
   let id = j.Job.id in
   if Array.length j.Job.sizes <> t.m then
     invalid_arg
       (Printf.sprintf "Flat_state.add_job: job %d has %d sizes for %d machines" id
          (Array.length j.Job.sizes) t.m);
-  grow_columns t id;
-  if t.loc.(id) <> loc_unreleased then
+  if Idmap.find t.ids id >= 0 || Runs.mem t.seen id then
     invalid_arg (Printf.sprintf "Flat_state.add_job: job %d already added" id);
-  t.jobs.(id) <- j;
-  t.release.(id) <- j.Job.release;
-  t.weight.(id) <- j.Job.weight;
-  t.min_size.(id) <- Job.min_size j;
+  let s =
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      t.free.(t.nfree)
+    end
+    else begin
+      grow_columns t (t.slots + 1);
+      t.slots <- t.slots + 1;
+      t.slots - 1
+    end
+  in
+  Idmap.add t.ids id s;
+  if t.retire then Runs.add t.seen id;
+  t.ext.(s) <- id;
+  t.jobs.(s) <- j;
+  t.release.(s) <- j.Job.release;
+  t.weight.(s) <- j.Job.weight;
+  t.min_size.(s) <- Job.min_size j;
   for i = 0 to t.m - 1 do
-    let p = Job.size j i in
-    t.size_col.((i * t.stride) + id) <- p;
-    t.dens_col.((i * t.stride) + id) <- j.Job.weight /. p
+    t.size_col.((i * t.stride) + s) <- Job.size j i
   done;
-  if id >= t.n then t.n <- id + 1;
-  t.loc.(id) <- loc_queued;
+  t.loc.(s) <- loc_unreleased;
+  t.out_kind.(s) <- out_none;
+  t.out_running.(s) <- false;
+  t.n <- t.n + 1;
+  s
+
+let of_instance instance =
+  let t = create instance in
+  let n = Instance.n instance in
+  grow_columns t n;
+  Idmap.reserve t.ids n;
+  (* Ids are dense 0..n-1 (instance construction validates it), so
+     admitting them in id order puts every job at the slot equal to its
+     id. *)
+  for id = 0 to n - 1 do
+    ignore (admit t (Instance.job instance id))
+  done;
+  t.facc.(f_total_weight) <- Instance.total_weight instance;
+  t
+
+(* ------------------------------------------------------------------ *)
+(* Streaming construction: a state over the machine fleet alone, whose
+   jobs arrive one [add_job] at a time. *)
+
+let of_stream ~machines =
+  (* Machines-only stand-in: validates the fleet (ids 0..m-1) exactly as
+     a batch instance would; [set_instance] replaces it at close. *)
+  create (Instance.create ~name:"stream" ~machines:(Array.copy machines) ~jobs:[] ())
+
+let add_job t (j : Job.t) =
+  let s = admit t j in
   t.facc.(f_total_weight) <- t.facc.(f_total_weight) +. j.Job.weight;
   t.seq <- t.seq + 1;
   Pqueue.Events.push t.events ~key:j.Job.release
     ~tag:(Pqueue.Events.Key.arrival_tag ~seq:t.seq)
-    ~payload:id
+    ~payload:s
 
 (* Pre-size for a known job count: one growth instead of a doubling
    cascade, and the event queue holds all arrivals at once — how the
-   batch wrapper keeps [of_instance]'s allocation profile. *)
+   batch wrapper keeps its allocation profile flat. *)
 let reserve t cap =
   if cap > 0 then begin
-    grow_columns t (cap - 1);
+    grow_columns t cap;
+    Idmap.reserve t.ids cap;
     Pqueue.Events.ensure_capacity t.events cap
   end
 
@@ -394,15 +575,36 @@ let set_instance t instance =
   t.instance <- instance
 
 (* ------------------------------------------------------------------ *)
+(* Slots. *)
+
+let[@rejlint.hot] slot_of t id =
+  if id = t.cur_id then t.cur_slot
+  else if id = t.offer_id then t.offer_slot
+  else Idmap.find t.ids id
+
+let[@rejlint.hot] arrive t s =
+  t.cur_id <- t.ext.(s);
+  t.cur_slot <- s;
+  t.jobs.(s)
+
+let[@rejlint.hot] offer t s =
+  t.offer_id <- t.ext.(s);
+  t.offer_slot <- s;
+  t.jobs.(s)
+
+let[@rejlint.hot] ext t s = t.ext.(s)
+let capacity t = t.stride
+
+(* ------------------------------------------------------------------ *)
 (* Immutable reads. *)
 
 let[@rejlint.hot] instance t = t.instance
 let[@rejlint.hot] n t = t.n
 let[@rejlint.hot] m t = t.m
-let[@rejlint.hot] job t id = t.jobs.(id)
-let[@rejlint.hot] release t id = t.release.(id)
-let[@rejlint.hot] weight t id = t.weight.(id)
-let[@rejlint.hot] min_size t id = t.min_size.(id)
+let[@rejlint.hot] job t s = t.jobs.(s)
+let[@rejlint.hot] release t s = t.release.(s)
+let[@rejlint.hot] weight t s = t.weight.(s)
+let[@rejlint.hot] min_size t s = t.min_size.(s)
 let[@rejlint.hot] size t ~machine ~job = t.size_col.((machine * t.stride) + job)
 let[@rejlint.hot] eligible t ~machine ~job = Float.is_finite (size t ~machine ~job)
 
@@ -431,7 +633,6 @@ let[@rejlint.hot] rec cand_count_from t job k acc =
 
 let[@rejlint.hot] cand_mask t ~job = cand_mask_from t job 0 0 [@@inline]
 let[@rejlint.hot] cand_count t ~job = cand_count_from t job 0 0 [@@inline]
-let[@rejlint.hot] density t ~machine ~job = t.dens_col.((machine * t.stride) + job)
 let[@rejlint.hot] total_weight t = t.facc.(f_total_weight)
 let[@rejlint.hot] alpha t i = (Instance.machine t.instance i).Machine.alpha
 let[@rejlint.hot] mach_speed t i = (Instance.machine t.instance i).Machine.speed
@@ -441,9 +642,33 @@ let[@rejlint.hot] mach_speed t i = (Instance.machine t.instance i).Machine.speed
 
 let[@rejlint.hot] clock t = t.facc.(f_clock)
 let[@rejlint.hot] set_clock t v = t.facc.(f_clock) <- v
-let[@rejlint.hot] loc t id = t.loc.(id)
-let[@rejlint.hot] set_loc t id l = t.loc.(id) <- l
+let[@rejlint.hot] loc t s = t.loc.(s)
+let[@rejlint.hot] set_loc t s l = t.loc.(s) <- l
 let[@rejlint.hot] account_restart t = t.a_restarts <- t.a_restarts + 1
+
+(* Cold: the free list grows only when a retiring state hands slots back,
+   so a state that never frees keeps it empty. *)
+let grow_free t =
+  let nf = Array.make (max 16 (2 * t.nfree)) 0 in
+  Array.blit t.free 0 nf 0 t.nfree;
+  t.free <- nf
+
+(* The job at slot [s] has settled.  A retiring state hands the slot back
+   and forgets the id (it stays in [seen]); the handle — and its
+   per-machine sizes array, the dominant per-job heap cost — goes the
+   moment nothing can read it again. *)
+let[@rejlint.hot] settle t s =
+  t.loc.(s) <- loc_settled;
+  if t.retire then begin
+    let id = t.ext.(s) in
+    Idmap.remove t.ids id;
+    if t.cur_id = id then t.cur_id <- -1;
+    if t.offer_id = id then t.offer_id <- -1;
+    t.jobs.(s) <- retired_job;
+    if t.nfree = Array.length t.free then grow_free t;
+    t.free.(t.nfree) <- s;
+    t.nfree <- t.nfree + 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Pending sets. *)
@@ -463,17 +688,21 @@ let[@rejlint.hot] account_restart t = t.a_restarts <- t.a_restarts + 1
    other inputs a query's total can differ from a left-to-right fold in
    the last place.
 
-   All operations are recursions over int ids and in-place stores into
+   All operations are recursions over int slots and in-place stores into
    the columns, so none allocates. *)
 
-(* Treap priority: a fixed integer hash of the job id.  Each step
-   (multiply by an odd constant, xor with a right shift) is a bijection
-   on 63-bit ints, so distinct ids get distinct priorities. *)
+(* Treap priority: a fixed integer hash of the external job id, so the
+   tree shape does not depend on slot assignment.  Each step (multiply by
+   an odd constant, xor with a right shift) is a bijection on 63-bit
+   ints, so distinct ids get distinct priorities. *)
 let[@rejlint.hot] prio id =
   let x = (id + 1) * 0x1d8e4e27c47d124f in
   let x = x lxor (x lsr 31) in
   let x = x * 0x2545f4914f6cdd1d in
   x lxor (x lsr 29)
+
+(* [a] outranks [b] in the heap order on priorities. *)
+let[@rejlint.hot] above t a b = prio t.ext.(a) > prio t.ext.(b)
 
 (* Recompute a node's count and work from its children. *)
 let[@rejlint.hot] ix_fix t base node =
@@ -485,19 +714,19 @@ let[@rejlint.hot] ix_fix t base node =
     +. t.size_col.(base + node)
     +. if r < 0 then 0. else t.ix_work.(r)
 
-(* Inserts [id] into the subtree rooted at [node] (machine row [base]) and
-   returns the subtree's new root, rotating [id] up while its priority
+(* Inserts [s] into the subtree rooted at [node] (machine row [base]) and
+   returns the subtree's new root, rotating [s] up while its priority
    beats its parent's. *)
-let[@rejlint.hot] rec ix_insert t base id node =
+let[@rejlint.hot] rec ix_insert t base s node =
   if node < 0 then begin
-    t.ix_left.(id) <- -1;
-    t.ix_right.(id) <- -1;
-    ix_fix t base id;
-    id
+    t.ix_left.(s) <- -1;
+    t.ix_right.(s) <- -1;
+    ix_fix t base s;
+    s
   end
-  else if less_spt t base id node then begin
-    let l = ix_insert t base id t.ix_left.(node) in
-    if prio l > prio node then begin
+  else if less_spt t base s node then begin
+    let l = ix_insert t base s t.ix_left.(node) in
+    if above t l node then begin
       t.ix_left.(node) <- t.ix_right.(l);
       ix_fix t base node;
       t.ix_right.(l) <- node;
@@ -511,8 +740,8 @@ let[@rejlint.hot] rec ix_insert t base id node =
     end
   end
   else begin
-    let r = ix_insert t base id t.ix_right.(node) in
-    if prio r > prio node then begin
+    let r = ix_insert t base s t.ix_right.(node) in
+    if above t r node then begin
       t.ix_right.(node) <- t.ix_left.(r);
       ix_fix t base node;
       t.ix_left.(r) <- node;
@@ -530,7 +759,7 @@ let[@rejlint.hot] rec ix_insert t base id node =
 let[@rejlint.hot] rec ix_merge t base a b =
   if a < 0 then b
   else if b < 0 then a
-  else if prio a > prio b then begin
+  else if above t a b then begin
     t.ix_right.(a) <- ix_merge t base t.ix_right.(a) b;
     ix_fix t base a;
     a
@@ -541,15 +770,15 @@ let[@rejlint.hot] rec ix_merge t base a b =
     b
   end
 
-(* Removes [id] (present) from the subtree at [node]; returns the new
+(* Removes [s] (present) from the subtree at [node]; returns the new
    root. *)
-let[@rejlint.hot] rec ix_remove t base id node =
+let[@rejlint.hot] rec ix_remove t base s node =
   if node < 0 then node
-  else if node = id then ix_merge t base t.ix_left.(id) t.ix_right.(id)
+  else if node = s then ix_merge t base t.ix_left.(s) t.ix_right.(s)
   else begin
-    if less_spt t base id node then
-      t.ix_left.(node) <- ix_remove t base id t.ix_left.(node)
-    else t.ix_right.(node) <- ix_remove t base id t.ix_right.(node);
+    if less_spt t base s node then
+      t.ix_left.(node) <- ix_remove t base s t.ix_left.(node)
+    else t.ix_right.(node) <- ix_remove t base s t.ix_right.(node);
     ix_fix t base node;
     node
   end
@@ -585,26 +814,26 @@ let[@rejlint.hot] rec ix_rightmost t node =
   let r = t.ix_right.(node) in
   if r < 0 then node else ix_rightmost t r
 
-let[@rejlint.hot] pend_add t i id =
+let[@rejlint.hot] pend_add t i s =
   let base = i * t.stride in
-  Pqueue.Iheap.add t.by_spt.(i) ~less:less_spt t base ~id;
-  if t.live_density then Pqueue.Iheap.add t.by_density.(i) ~less:less_density t base ~id;
-  if t.live_size_id then Pqueue.Iheap.add t.by_size_id.(i) ~less:less_size_id t base ~id;
-  if t.live_fifo then Pqueue.Iheap.add t.by_fifo.(i) ~less:less_fifo t base ~id;
-  if t.live_index then t.ix_root.(i) <- ix_insert t base id t.ix_root.(i);
-  t.p_work.(i) <- t.p_work.(i) +. size t ~machine:i ~job:id;
-  t.p_weight.(i) <- t.p_weight.(i) +. t.weight.(id)
+  Pqueue.Iheap.add t.by_spt.(i) ~less:less_spt t base ~id:s;
+  if t.live_density then Pqueue.Iheap.add t.by_density.(i) ~less:less_density t base ~id:s;
+  if t.live_size_id then Pqueue.Iheap.add t.by_size_id.(i) ~less:less_size_id t base ~id:s;
+  if t.live_fifo then Pqueue.Iheap.add t.by_fifo.(i) ~less:less_fifo t base ~id:s;
+  if t.live_index then t.ix_root.(i) <- ix_insert t base s t.ix_root.(i);
+  t.p_work.(i) <- t.p_work.(i) +. size t ~machine:i ~job:s;
+  t.p_weight.(i) <- t.p_weight.(i) +. t.weight.(s)
 
-let[@rejlint.hot] pend_remove t i id =
+let[@rejlint.hot] pend_remove t i s =
   let base = i * t.stride in
-  if not (Pqueue.Iheap.remove t.by_spt.(i) ~less:less_spt t base ~id) then false
+  if not (Pqueue.Iheap.remove t.by_spt.(i) ~less:less_spt t base ~id:s) then false
   else begin
     if t.live_density then
-      ignore (Pqueue.Iheap.remove t.by_density.(i) ~less:less_density t base ~id);
+      ignore (Pqueue.Iheap.remove t.by_density.(i) ~less:less_density t base ~id:s);
     if t.live_size_id then
-      ignore (Pqueue.Iheap.remove t.by_size_id.(i) ~less:less_size_id t base ~id);
-    if t.live_fifo then ignore (Pqueue.Iheap.remove t.by_fifo.(i) ~less:less_fifo t base ~id);
-    if t.live_index then t.ix_root.(i) <- ix_remove t base id t.ix_root.(i);
+      ignore (Pqueue.Iheap.remove t.by_size_id.(i) ~less:less_size_id t base ~id:s);
+    if t.live_fifo then ignore (Pqueue.Iheap.remove t.by_fifo.(i) ~less:less_fifo t base ~id:s);
+    if t.live_index then t.ix_root.(i) <- ix_remove t base s t.ix_root.(i);
     if Pqueue.Iheap.is_empty t.by_spt.(i) then begin
       (* Pin the aggregates back to exactly zero so float cancellation
          drift cannot survive an empty queue. *)
@@ -612,8 +841,8 @@ let[@rejlint.hot] pend_remove t i id =
       t.p_weight.(i) <- 0.
     end
     else begin
-      t.p_work.(i) <- t.p_work.(i) -. size t ~machine:i ~job:id;
-      t.p_weight.(i) <- t.p_weight.(i) -. t.weight.(id)
+      t.p_work.(i) <- t.p_work.(i) -. size t ~machine:i ~job:s;
+      t.p_weight.(i) <- t.p_weight.(i) -. t.weight.(s)
     end;
     true
   end
@@ -629,17 +858,18 @@ let[@rejlint.hot] head_spt t i = Pqueue.Iheap.min_id t.by_spt.(i)
    always-incremental one, but the only observable — the minimum under a
    strict total order — does not depend on layout. *)
 let wake t aux ~less =
+  Array.iter (fun h -> Pqueue.Iheap.reserve h t.stride) aux;
   for i = 0 to t.m - 1 do
     let base = i * t.stride in
-    Pqueue.Iheap.iter t.by_spt.(i) ~f:(fun id -> Pqueue.Iheap.add aux.(i) ~less t base ~id)
+    Pqueue.Iheap.iter t.by_spt.(i) ~f:(fun s -> Pqueue.Iheap.add aux.(i) ~less t base ~id:s)
   done
 
 (* First query of a dormant index: the same fill, into the treaps. *)
 let wake_index t =
   for i = 0 to t.m - 1 do
     let base = i * t.stride in
-    Pqueue.Iheap.iter t.by_spt.(i) ~f:(fun id ->
-        t.ix_root.(i) <- ix_insert t base id t.ix_root.(i))
+    Pqueue.Iheap.iter t.by_spt.(i) ~f:(fun s ->
+        t.ix_root.(i) <- ix_insert t base s t.ix_root.(i))
   done;
   t.live_index <- true
 
@@ -758,7 +988,7 @@ let[@rejlint.hot] lay_segment t ~job ~machine ~start ~stop ~speed =
   if not t.retire then begin
     grow_segments t;
     let s = t.seg_len in
-    t.seg_job.(s) <- job;
+    t.seg_job.(s) <- t.ext.(job);
     t.seg_machine.(s) <- machine;
     t.seg_start.(s) <- start;
     t.seg_stop.(s) <- stop;
@@ -770,29 +1000,29 @@ let[@rejlint.hot] lay_segment t ~job ~machine ~start ~stop ~speed =
 
 let[@rejlint.hot] seg_count t = t.seg_len
 
-let[@rejlint.hot] account_completion t id finish =
-  let f = finish -. t.release.(id) in
+let[@rejlint.hot] account_completion t s finish =
+  let f = finish -. t.release.(s) in
   t.a_completed <- t.a_completed + 1;
   t.facc.(f_flow) <- t.facc.(f_flow) +. f;
-  t.facc.(f_wflow) <- t.facc.(f_wflow) +. (t.weight.(id) *. f);
+  t.facc.(f_wflow) <- t.facc.(f_wflow) +. (t.weight.(s) *. f);
   if f > t.facc.(f_max_flow) then t.facc.(f_max_flow) <- f;
-  let stretch = f /. t.min_size.(id) in
+  let stretch = f /. t.min_size.(s) in
   if stretch > t.facc.(f_max_stretch) then t.facc.(f_max_stretch) <- stretch
 
-let[@rejlint.hot] account_rejection t id time ~was_running =
-  let f = time -. t.release.(id) in
+let[@rejlint.hot] account_rejection t s time ~was_running =
+  let f = time -. t.release.(s) in
   t.a_rejected <- t.a_rejected + 1;
   t.facc.(f_rej_flow) <- t.facc.(f_rej_flow) +. f;
-  t.facc.(f_rej_wflow) <- t.facc.(f_rej_wflow) +. (t.weight.(id) *. f);
-  t.facc.(f_rej_weight) <- t.facc.(f_rej_weight) +. t.weight.(id);
+  t.facc.(f_rej_wflow) <- t.facc.(f_rej_wflow) +. (t.weight.(s) *. f);
+  t.facc.(f_rej_weight) <- t.facc.(f_rej_weight) +. t.weight.(s);
   if was_running then t.a_mid_run <- t.a_mid_run + 1
 
 (* ------------------------------------------------------------------ *)
 (* Outcomes. *)
 
-let[@rejlint.hot] check_undecided t id =
-  if t.out_kind.(id) <> out_none then
-    (invalid_arg (Printf.sprintf "Flat_state: job %d already decided" id) [@rejlint.cold])
+let[@rejlint.hot] check_undecided t s =
+  if t.out_kind.(s) <> out_none then
+    (invalid_arg (Printf.sprintf "Flat_state: job %d already decided" t.ext.(s)) [@rejlint.cold])
 
 let[@rejlint.hot] outcome_completed t ~job ~machine ~start ~speed ~finish =
   check_undecided t job;
@@ -800,19 +1030,14 @@ let[@rejlint.hot] outcome_completed t ~job ~machine ~start ~speed ~finish =
   t.out_machine.(job) <- machine;
   t.out_t0.(job) <- start;
   t.out_speed.(job) <- speed;
-  t.out_finish.(job) <- finish;
-  (* Retirement: the settled job's boxed handle — and its per-machine
-     sizes array — is the dominant per-job heap cost; drop it the moment
-     nothing can read it again. *)
-  if t.retire then t.jobs.(job) <- retired_job
+  t.out_finish.(job) <- finish
 
 let[@rejlint.hot] outcome_rejected t ~job ~machine ~time ~was_running =
   check_undecided t job;
   t.out_kind.(job) <- out_rejected;
   t.out_machine.(job) <- machine;
   t.out_t0.(job) <- time;
-  t.out_running.(job) <- was_running;
-  if t.retire then t.jobs.(job) <- retired_job
+  t.out_running.(job) <- was_running
 
 (* ------------------------------------------------------------------ *)
 (* Live metrics, read out of the accumulators. *)
@@ -835,9 +1060,10 @@ let[@rejlint.hot] rej_weight t = t.facc.(f_rej_weight)
 (* ------------------------------------------------------------------ *)
 (* Materialization: the one deliberately boxing step, run once at the end
    of a simulation.  Segments go to the builder in insertion order and
-   outcomes by
-   job id (the builder stores them in an id-indexed array, so the order
-   of [set_outcome] calls is immaterial). *)
+   outcomes by slot, under their external ids (the builder stores them in
+   an id-indexed array, so the order of [set_outcome] calls is
+   immaterial).  Without retirement no slot is ever reused, so every
+   job's outcome is still at its slot. *)
 
 let to_schedule t =
   if t.retire then
@@ -853,29 +1079,29 @@ let to_schedule t =
         speed = t.seg_speed.(s);
       }
   done;
-  for id = 0 to t.n - 1 do
-    let k = t.out_kind.(id) in
+  for s = 0 to t.slots - 1 do
+    let k = t.out_kind.(s) in
     if k = out_completed then
-      Schedule.set_outcome b id
+      Schedule.set_outcome b t.ext.(s)
         (Outcome.Completed
            {
-             machine = t.out_machine.(id);
-             start = t.out_t0.(id);
-             speed = t.out_speed.(id);
-             finish = t.out_finish.(id);
+             machine = t.out_machine.(s);
+             start = t.out_t0.(s);
+             speed = t.out_speed.(s);
+             finish = t.out_finish.(s);
            })
     else if k = out_rejected then
-      Schedule.set_outcome b id
+      Schedule.set_outcome b t.ext.(s)
         (Outcome.Rejected
            {
-             time = t.out_t0.(id);
-             assigned_to = Some t.out_machine.(id);
-             was_running = t.out_running.(id);
+             time = t.out_t0.(s);
+             assigned_to = Some t.out_machine.(s);
+             was_running = t.out_running.(s);
            })
   done;
   Schedule.finalize b
 
-(* The index at machine [i]: in-order ids, or [None] when some node
+(* The index at machine [i]: in-order slots, or [None] when some node
    breaks the heap order on priorities or carries a count/work that
    differs from the one recomputed from its children. *)
 let index_check t i =
@@ -887,18 +1113,40 @@ let index_check t i =
       let l = t.ix_left.(node) and r = t.ix_right.(node) in
       let count_of c = if c < 0 then 0 else t.ix_count.(c) in
       let work_of c = if c < 0 then 0. else t.ix_work.(c) in
-      if (l >= 0 && prio l > prio node) || (r >= 0 && prio r > prio node) then ok := false;
+      if (l >= 0 && above t l node) || (r >= 0 && above t r node) then ok := false;
       if t.ix_count.(node) <> count_of l + 1 + count_of r then ok := false;
       if not (Float.equal t.ix_work.(node) (work_of l +. t.size_col.(base + node) +. work_of r))
       then ok := false;
       walk l (node :: walk r acc)
     end
   in
-  let ids = walk t.ix_root.(i) [] in
-  if !ok then Some ids else None
+  let slots = walk t.ix_root.(i) [] in
+  if !ok then Some slots else None
+
+(* The slot allocator: every slot below the high-water mark is either
+   held by exactly one id in [ids] or on the free list, never both. *)
+let slots_check t =
+  let held = Array.make (max 1 t.slots) 0 in
+  let ok = ref (t.ids.Idmap.len + t.nfree = t.slots && t.slots <= t.stride) in
+  Array.iter
+    (fun k ->
+      if k >= 0 then begin
+        let s = Idmap.find t.ids k in
+        if s < 0 || s >= t.slots || t.ext.(s) <> k then ok := false
+        else held.(s) <- held.(s) + 1
+      end)
+    t.ids.Idmap.keys;
+  for f = 0 to t.nfree - 1 do
+    let s = t.free.(f) in
+    if s < 0 || s >= t.slots then ok := false else held.(s) <- held.(s) + 1
+  done;
+  for s = 0 to t.slots - 1 do
+    if held.(s) <> 1 then ok := false
+  done;
+  !ok
 
 let invariant t =
-  let ok = ref true in
+  let ok = ref (slots_check t) in
   for i = 0 to t.m - 1 do
     let base = i * t.stride in
     if not (Pqueue.Iheap.invariant t.by_spt.(i) ~less:less_spt t base) then ok := false;
@@ -912,18 +1160,19 @@ let invariant t =
     if not (aux_ok t.live_density t.by_density.(i)) then ok := false;
     if not (aux_ok t.live_size_id t.by_size_id.(i)) then ok := false;
     if not (aux_ok t.live_fifo t.by_fifo.(i)) then ok := false;
-    (* The live index holds exactly [by_spt]'s ids, strictly increasing
+    (* The live index holds exactly [by_spt]'s slots, strictly increasing
        in order; with the heap order on priorities that makes it the one
        treap over that set, so waking it late cannot change its shape. *)
     match index_check t i with
     | None -> ok := false
-    | Some ids ->
-        if List.length ids <> (if t.live_index then k else 0) then ok := false;
-        if not (List.for_all (fun id -> Pqueue.Iheap.mem t.by_spt.(i) ~id) ids) then ok := false;
+    | Some slots ->
+        if List.length slots <> (if t.live_index then k else 0) then ok := false;
+        if not (List.for_all (fun s -> Pqueue.Iheap.mem t.by_spt.(i) ~id:s) slots) then
+          ok := false;
         let rec sorted = function
           | a :: (b :: _ as rest) -> less_spt t base a b && sorted rest
           | _ -> true
         in
-        if not (sorted ids) then ok := false
+        if not (sorted slots) then ok := false
   done;
   !ok

@@ -2,19 +2,31 @@
 
     Everything the event loop touches per event — job columns, pending
     heaps, running slots, the event queue, metric accumulators — lives in
-    unboxed [float array]s and [int array]s indexed by job/machine id, so
-    the steady state allocates nothing on the minor heap once the
-    growable arrays have warmed up.  Heap-allocated values appear only at the
-    edges: {!of_instance} (once, at the start), {!to_schedule} (once, at
-    the end), and the [Job.t] handles policies obtain through the
-    driver's read-only view.
+    unboxed [float array]s and [int array]s indexed by job slot or
+    machine id, so the steady state allocates nothing on the minor heap
+    once the growable arrays have warmed up.  Heap-allocated values
+    appear only at the edges: {!of_instance} (once, at the start),
+    {!to_schedule} (once, at the end), and the [Job.t] handles policies
+    obtain through the driver's read-only view.
+
+    {b Slots and external ids.}  Each job fed gets a dense {e slot}, and
+    every per-job accessor below takes the slot, not the job's id.  A
+    retiring state ({!set_retire}) hands a settled job's slot back for
+    the next arrival, so the columns — and the per-(machine, slot) size
+    matrix, whose stride is the slot capacity — grow to the peak number
+    of jobs in flight, whatever the ids.  A state that does not retire
+    never hands a slot back: its slots number the jobs in feed order.
+    The external id is a column ({!ext}); {!slot_of} goes the other way.
+    Every order the pending sets and the index keep breaks its ties on
+    the external id, and the index priorities hash it, so no schedule
+    depends on which slot a job got.
 
     {b Byte-identity contract.}  Schedules are pinned byte-for-byte by
     the corpus x policy goldens ([test/golden/]).  Three things decide
     them, and an edit here that changes any of them changes the goldens:
 
     - the float operation order (float addition is not associative);
-    - the {!Pqueue.Iheap} slot layout, which [pend_iter] exposes and
+    - the {!Pqueue.Iheap} array layout, which [pend_iter] exposes and
       policies fold floats over;
     - the order-statistic index's tree shape, which groups the sums
       {!pend_split} returns;
@@ -30,20 +42,21 @@ open Sched_model
 type t
 
 val of_instance : Instance.t -> t
-(** Builds the flat mirror of the instance: job columns by id, size and
-    density columns per machine, empty pending/running/event state.
+(** Builds the flat mirror of the instance: every job registered at the
+    slot equal to its id, a size column per machine, empty
+    pending/running/event state, no arrival queued.
     Raises [Invalid_argument] if the machine count exceeds the event-key
     range ({!Pqueue.Events.Key.max_machine}). *)
 
 (** {1 Streaming construction}
 
     A session-mode state starts from the machine fleet alone and learns
-    its jobs one {!add_job} at a time; the job columns (and the
-    per-(machine, job) matrices, whose stride is the job capacity) grow
-    by doubling.  The pending heaps and the index hold ids only and
-    read the columns through the state on every comparison, so growth
-    touches nothing but the columns, and the state is plain data that
-    marshals without closures.  Feeding every job of
+    its jobs one {!add_job} at a time; when no slot is free, the job
+    columns (and the per-(machine, slot) size matrix) double.  The pending
+    heaps and the index hold slots only and read the columns through the
+    state on every comparison, so growth touches nothing but the
+    columns, and the state is plain data that marshals without
+    closures.  Feeding every job of
     an instance in [jobs_by_release] order reproduces the batch state's
     event tags — and therefore its schedule — byte for byte. *)
 
@@ -54,24 +67,31 @@ val of_stream : machines:Machine.t array -> t
     {!set_instance}. *)
 
 val add_job : t -> Job.t -> unit
-(** Registers the job's columns and queues its arrival event, consuming
-    the shared sequence counter.  Jobs must be fed in ascending
-    [(release, id)] order for batch byte-identity (the driver's session
-    layer enforces this; ids may be arbitrary non-negative ints).
-    Raises [Invalid_argument] on a duplicate id or a sizes array that
-    does not match the fleet. *)
+(** Gives the job a slot, registers its columns and queues its arrival
+    event (payload: the slot), consuming the shared sequence counter.
+    Jobs must be fed in ascending [(release, id)] order for batch
+    byte-identity (the driver's session layer enforces this; ids may be
+    arbitrary non-negative ints).  Raises [Invalid_argument] on an id
+    fed before — still in flight, or settled — or a sizes array that
+    does not match the fleet.
+
+    A retiring state remembers every id it was fed, as maximal runs of
+    consecutive ints, so a settled id is refused after its slot is
+    reused: ids fed as 0, 1, 2, ... cost O(1) and one run; in general,
+    memory and the worst-case insertion are O(number of runs). *)
 
 val reserve : t -> int -> unit
-(** Pre-grows the job columns and the event queue for [cap] jobs — one
-    reallocation instead of a doubling cascade when the count is known
-    up front.  Never shrinks. *)
+(** Pre-grows the slot capacity, the id map and the event queue for
+    [cap] jobs — one reallocation instead of a doubling cascade when the
+    count is known up front.  Never shrinks. *)
 
 val set_retire : t -> bool -> unit
 (** Toggles rolling retirement: segments are folded into the
-    energy/makespan accumulators without being stored, and settled jobs
-    drop their boxed [Job.t] handle, so memory is bounded by the live
-    set plus the flat columns.  {!to_schedule} becomes unavailable.
-    Set before the first event; never toggle mid-run. *)
+    energy/makespan accumulators without being stored, and {!settle}
+    hands the job's slot back and drops its boxed [Job.t] handle, so
+    memory is bounded by the jobs in flight.  {!to_schedule} becomes
+    unavailable.  Set before the first job is fed; never toggle
+    mid-run. *)
 
 val retire : t -> bool
 
@@ -79,6 +99,39 @@ val set_instance : t -> Instance.t -> unit
 (** Swaps the materialized instance in at session close, so
     {!to_schedule} can build against it.  Raises [Invalid_argument] when
     its machine or job count disagrees with the state. *)
+
+(** {1 Slots} *)
+
+val slot_of : t -> Job.id -> int
+(** The slot of an external id, or [-1] when no slot holds it (never
+    fed, or settled in a retiring state).  O(1) expected,
+    allocation-free; the arrival being decided ({!arrive}) and the job
+    last offered ({!offer}) resolve without a table probe. *)
+
+val arrive : t -> int -> Job.t
+(** [arrive t slot] marks the job at [slot] as the arrival being
+    decided and returns its handle.  The driver calls it once per
+    arrival event, so the policy's per-machine queries about that job
+    resolve its slot by one comparison. *)
+
+val offer : t -> int -> Job.t
+(** [offer t slot] returns the handle of the job at [slot] and
+    remembers it as the one last handed to a policy (a queue head, a
+    running job), so the id the policy names back in [select] or a
+    rejection also resolves by one comparison. *)
+
+val ext : t -> int -> Job.id
+(** The external id of the job at a slot. *)
+
+val capacity : t -> int
+(** The slot capacity: the length of every job column, and the row
+    stride of the per-(machine, slot) size matrix. *)
+
+val settle : t -> int -> unit
+(** Marks the job at the slot settled (completed or rejected).  In a
+    retiring state the slot goes back to the free list for a later
+    arrival and {!slot_of} forgets the id; call it last, after every
+    read of the job's columns. *)
 
 (** {1 Status codes}
 
@@ -101,10 +154,13 @@ val loc_machine : int -> int
 
 val instance : t -> Instance.t
 val n : t -> int
+(** Jobs fed (or, for {!of_instance}, registered) so far. *)
+
 val m : t -> int
 
 val job : t -> int -> Job.t
-(** The boxed job handle, for the view accessors — O(1), no search. *)
+(** The boxed job handle at a slot, for the view accessors — O(1), no
+    search. *)
 
 val release : t -> int -> float
 val weight : t -> int -> float
@@ -120,7 +176,6 @@ val cand_mask : t -> job:int -> int
 val cand_count : t -> job:int -> int
 (** Number of machines the job is eligible for.  Allocation-free. *)
 
-val density : t -> machine:int -> job:int -> float
 val total_weight : t -> float
 val alpha : t -> int -> float
 val mach_speed : t -> int -> float
@@ -141,10 +196,10 @@ val account_restart : t -> unit
     empties. *)
 
 val pend_add : t -> int -> int -> unit
-(** [pend_add t i id] — raises [Invalid_argument] if already present. *)
+(** [pend_add t i slot] — raises [Invalid_argument] if already present. *)
 
 val pend_remove : t -> int -> int -> bool
-(** [pend_remove t i id] — [false] when [id] is not pending on [i]. *)
+(** [pend_remove t i slot] — [false] when [slot] is not pending on [i]. *)
 
 val pend_count : t -> int -> int
 val pend_work : t -> int -> float
@@ -155,7 +210,7 @@ val pend_iter : t -> int -> f:(int -> unit) -> unit
     exposes. *)
 
 val head_spt : t -> int -> int
-(** Head job id of the given order, [-1] when the queue is empty. *)
+(** Head slot of the given order, [-1] when the queue is empty. *)
 
 val head_density : t -> int -> int
 val head_size_id : t -> int -> int
@@ -163,9 +218,10 @@ val head_fifo : t -> int -> int
 
 (** {2 Order-statistic index}
 
-    Per machine, a balanced search tree (a treap with fixed per-id
-    priorities) over the pending ids in SPT order — size on the machine,
-    then release, then id; the paper's [precede] — whose nodes carry
+    Per machine, a balanced search tree (a treap with fixed priorities
+    hashed from the external ids) over the pending slots in SPT order —
+    size on the machine, then release, then external id; the paper's
+    [precede] — whose nodes carry
     their subtree's job count and size sum.  Queries are
     O(log |pending_i|) expected and allocate nothing.  The index is
     dormant until first queried, then built from the pending sets and
@@ -184,22 +240,22 @@ type split = private { mutable work_before : float; mutable count_after : float 
 val pend_split : t -> int -> job:int -> split
 (** [pend_split t i ~job] — the sum of sizes on [i] of the jobs pending
     on [i] ordered before [job], and the number ordered after it; [job]
-    itself, if pending, counts on neither side.  [job] must be a known
-    job (its columns are read).  Returns the state's one answer cell,
+    itself, if pending, counts on neither side.  [job] must be the slot
+    of a job in flight (its columns are read).  Returns the state's one answer cell,
     overwritten by the next query. *)
 
 val index_min : t -> int -> int
-(** The SPT-first pending id on the machine, [-1] when empty (the same
-    id as {!head_spt}). *)
+(** The SPT-first pending slot on the machine, [-1] when empty (the same
+    slot as {!head_spt}). *)
 
 val index_max : t -> int -> int
-(** The SPT-last pending id — largest size, then latest release, then
-    largest id — or [-1] when empty. *)
+(** The SPT-last pending slot — largest size, then latest release, then
+    largest external id — or [-1] when empty. *)
 
 (** {1 Running slots} *)
 
 val run_job : t -> int -> int
-(** Running job id on the machine, [-1] when idle. *)
+(** Running job's slot on the machine, [-1] when idle. *)
 
 val run_started : t -> int -> float
 val run_rate : t -> int -> float
@@ -242,8 +298,8 @@ val ev_payload : t -> int
 
 val lay_segment :
   t -> job:int -> machine:int -> start:float -> stop:float -> speed:float -> unit
-(** Appends the segment and folds it into the energy/makespan
-    accumulators. *)
+(** Appends the segment, under the job's external id, and folds it into
+    the energy/makespan accumulators. *)
 
 val seg_count : t -> int
 val account_completion : t -> int -> float -> unit
@@ -276,13 +332,15 @@ val rej_weight : t -> float
 
 val to_schedule : t -> Schedule.t
 (** Builds the boxed schedule: segments in insertion order, outcomes by
-    job id.  Raises
+    external job id.  Raises
     [Invalid_argument] if some job has no outcome.  The one deliberately
     boxing step, run once per simulation. *)
 
 val invariant : t -> bool
-(** Structural check, for tests: all four heaps consistent and
-    equal-sized per machine, and the index (when live) a search tree
-    over exactly the SPT heap's ids, heap-ordered on its priorities,
+(** Structural check, for tests: every slot below the high-water mark
+    held by exactly one mapped id or free, never both; all four heaps
+    consistent and equal-sized per machine, and the index (when live) a
+    search tree
+    over exactly the SPT heap's slots, heap-ordered on its priorities,
     whose every count and sum equals the one recomputed from the node's
     children. *)

@@ -201,7 +201,7 @@ module Iheap = struct
   type t = {
     mutable hdata : int array;
     mutable hlen : int;
-    mutable hpos : int array;  (* id -> heap slot, -1 when absent *)
+    mutable hpos : int array;  (* id -> heap position, -1 when absent *)
   }
 
   let create () = { hdata = [||]; hlen = 0; hpos = [||] }
@@ -236,14 +236,17 @@ module Iheap = struct
       sift_down t less ctx base !smallest
     end
 
-  let ensure_pos t id =
+  let reserve t n =
     let len = Array.length t.hpos in
-    if id >= len then begin
-      let nlen = max 16 (max (id + 1) (2 * len)) in
-      let npos = Array.make nlen (-1) in
+    if n > len then begin
+      let npos = Array.make n (-1) in
       Array.blit t.hpos 0 npos 0 len;
       t.hpos <- npos
     end
+
+  let ensure_pos t id =
+    let len = Array.length t.hpos in
+    if id >= len then reserve t (max 16 (max (id + 1) (2 * len)))
 
   let add t ~less ctx base ~id =
     if id < 0 then invalid_arg "Pqueue.Iheap.add: negative id";

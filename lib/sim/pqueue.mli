@@ -113,6 +113,12 @@ module Iheap : sig
   val is_empty : t -> bool
   val mem : t -> id:int -> bool
 
+  val reserve : t -> int -> unit
+  (** [reserve t n] sizes the position table for ids [0..n-1] exactly, so
+      an owner that knows its id range (the flat state's slot capacity)
+      pays no doubling slack.  Ids beyond it still grow the table by
+      doubling.  Never shrinks. *)
+
   val add : t -> less:('c -> int -> int -> int -> bool) -> 'c -> int -> id:int -> unit
   (** Raises [Invalid_argument] if [id] is negative or already present. *)
 

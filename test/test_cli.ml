@@ -350,6 +350,51 @@ let test_serve_sparse_ids_close () =
   Sys.remove input;
   Sys.remove out
 
+(* Ids are keys, not indices: sparse ids up to 10^15 are served in the
+   memory of a dense stream, and each decision echoes its id exactly. *)
+let test_serve_huge_ids () =
+  let input = temp ".ndjson" and out = temp ".out" and err = temp ".txt" in
+  let ids = [ "0"; "100000000"; "1000000000000000" ] in
+  write_lines input
+    (List.mapi
+       (fun k id ->
+         Printf.sprintf {|{"job": %s, "release": %d.0, "sizes": [1.0, 2.0, 3.0, 4.0]}|} id k)
+       ids);
+  let code = shell (Printf.sprintf "%s serve -m 4 --input %s > %s 2> %s" exe input out err) in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check string) "stderr" "" (read_file err);
+  let text = read_file out in
+  List.iter
+    (fun id ->
+      List.iter
+        (fun event ->
+          Alcotest.(check int)
+            (Printf.sprintf "one %s of job %s" event id)
+            1
+            (List.length
+               (lines_with (Printf.sprintf {|"event":"%s","job":%s,|} event id) text)))
+        [ "dispatch"; "start"; "complete" ])
+    ids;
+  Alcotest.(check int) "closes" 1 (List.length (lines_with {|"type":"closed"|} text));
+  List.iter Sys.remove [ input; out; err ]
+
+(* A retiring serve forgets a settled job's slot but not its id: job 5,
+   settled, then fed again at a later release, passes the (release, id)
+   order check and must still be a bad arrival. *)
+let test_serve_settled_id_refed () =
+  let input = temp ".ndjson" and err = temp ".txt" in
+  write_lines input
+    [
+      {|{"job": 5, "release": 0.0, "sizes": [1.0, 1.0]}|};
+      {|{"job": 5, "release": 10.0, "sizes": [1.0, 1.0]}|};
+    ];
+  let code = shell (Printf.sprintf "%s serve -m 2 --input %s > /dev/null 2> %s" exe input err) in
+  Alcotest.(check int) "exit code" 1 code;
+  Alcotest.(check string) "stderr"
+    "rejsched: bad arrival: Flat_state.add_job: job 5 already added\n" (read_file err);
+  Sys.remove input;
+  Sys.remove err
+
 (* A file that cannot be opened or created is a usage error: exit 2 with
    the path on stderr, not an uncaught exception. *)
 let test_unopenable_files_exit_2 () =
@@ -458,5 +503,7 @@ let suite =
     Alcotest.test_case "serve malformed arrival exits 1" `Quick
       test_serve_malformed_arrival_rejected;
     Alcotest.test_case "serve sparse job ids close" `Quick test_serve_sparse_ids_close;
+    Alcotest.test_case "serve ids up to 10^15" `Quick test_serve_huge_ids;
+    Alcotest.test_case "serve settled id fed again exits 1" `Quick test_serve_settled_id_refed;
     Alcotest.test_case "unopenable files exit 2" `Quick test_unopenable_files_exit_2;
   ]

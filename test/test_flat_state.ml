@@ -31,15 +31,14 @@ let prop_of_instance_round_trip =
         (fun (j : Job.t) ->
           let id = j.Job.id in
           assert ((Flat_state.job fs id).Job.id = id);
+          assert (Flat_state.ext fs id = id && Flat_state.slot_of fs id = id);
           assert (Float.equal (Flat_state.release fs id) j.Job.release);
           assert (Float.equal (Flat_state.weight fs id) j.Job.weight);
           assert (Float.equal (Flat_state.min_size fs id) (Job.min_size j));
           for i = 0 to m - 1 do
             let p = Job.size j i in
             assert (Float.equal (Flat_state.size fs ~machine:i ~job:id) p);
-            assert (Flat_state.eligible fs ~machine:i ~job:id = Job.eligible j i);
-            assert (
-              Float.equal (Flat_state.density fs ~machine:i ~job:id) (j.Job.weight /. p))
+            assert (Flat_state.eligible fs ~machine:i ~job:id = Job.eligible j i)
           done;
           (* Before any event, every job is unreleased. *)
           assert (Flat_state.loc fs id = Flat_state.loc_unreleased))
@@ -477,6 +476,152 @@ let test_index_survives_freeze_thaw () =
       Alcotest.(check string) "resumed == batch" batch (Serialize.schedule_to_string schedule)
   | None, _, _ -> Alcotest.fail "no schedule"
 
+(* --- Slot recycling ------------------------------------------------------ *)
+
+(* A retiring state driven by hand: step [k] settles the jobs whose time
+   is up, then feeds job [k] (external id [id_of k]), pops its arrival
+   and keeps it in flight for 1..97 steps, a fixed scramble of [k], so
+   jobs settle out of feed order and the free list is reused in mixed
+   order.  Every step checks that the live ids resolve to slots holding
+   them and that settled ids resolve to nothing; every id fed again,
+   live or settled, is refused.  Returns the peak in-flight count and the
+   final slot capacity. *)
+let recycle_stream ~id_of ~n =
+  let fs = Flat_state.of_stream ~machines:(Machine.fleet 2) in
+  Flat_state.set_retire fs true;
+  let due = Array.make (n + 100) [] in
+  let live = ref 0 and peak = ref 0 in
+  let resolves id = Flat_state.slot_of fs id >= 0 in
+  for k = 0 to n - 1 do
+    List.iter
+      (fun id ->
+        let s = Flat_state.slot_of fs id in
+        if s < 0 || Flat_state.ext fs s <> id then Alcotest.failf "live id %d lost its slot" id;
+        Flat_state.settle fs s;
+        decr live;
+        if resolves id then Alcotest.failf "settled id %d still resolves" id)
+      due.(k);
+    let id = id_of k in
+    Flat_state.add_job fs (Job.create ~id ~release:(float_of_int k) ~sizes:[| 1.; 2. |] ());
+    if not (Flat_state.next_event_before fs ~limit:infinity) then Alcotest.fail "no arrival";
+    let j = Flat_state.arrive fs (Flat_state.ev_payload fs) in
+    if j.Job.id <> id || Flat_state.slot_of fs id <> Flat_state.ev_payload fs then
+      Alcotest.failf "job %d: arrival slot does not resolve" id;
+    incr live;
+    peak := max !peak !live;
+    let life = 1 + (k * 7919 mod 97) in
+    due.(k + life) <- id :: due.(k + life);
+    if k mod 997 = 0 then begin
+      if not (Flat_state.invariant fs) then Alcotest.failf "invariant broken at step %d" k;
+      List.iter
+        (fun old ->
+          match Flat_state.add_job fs (Job.create ~id:old ~release:0. ~sizes:[| 1.; 1. |] ()) with
+          | exception Invalid_argument _ -> ()
+          | () -> Alcotest.failf "id %d fed twice" old)
+        [ id; id_of (k / 2); id_of 0 ]
+    end
+  done;
+  (!peak, Flat_state.capacity fs)
+
+let test_capacity_tracks_in_flight () =
+  List.iter
+    (fun (what, id_of) ->
+      let n = 20_000 in
+      let peak, cap = recycle_stream ~id_of ~n in
+      if not (peak >= 32 && cap <= 2 * peak) then
+        Alcotest.failf "%s: capacity %d for a peak of %d jobs in flight (n = %d)" what cap peak n)
+    [ ("dense ids", Fun.id); ("ids up to 10^15", fun k -> k * 50_000_000_000) ]
+
+(* The index's priorities hash the external id, not the slot: the same
+   pending jobs, at the same slots reversed, give the same treap, so even
+   sums of non-dyadic sizes (where any regrouping shows in the last
+   place) come out bit for bit the same. *)
+let test_index_shape_ignores_slots () =
+  let n = 60 in
+  let rng = Rng.create 5 in
+  let sizes = Array.init n (fun _ -> 0.1 +. Rng.float rng) in
+  let job id = Job.create ~id ~release:0. ~sizes:[| sizes.(id mod n) |] () in
+  let fresh () =
+    let fs = Flat_state.of_stream ~machines:(Machine.fleet 1) in
+    Flat_state.set_retire fs true;
+    fs
+  in
+  let a = fresh () and b = fresh () in
+  (* In [b], placeholder jobs take slots 0..n-1 and settle in slot order;
+     the free list hands them back last in, first out. *)
+  for id = n to (2 * n) - 1 do
+    Flat_state.add_job b (job id)
+  done;
+  for id = n to (2 * n) - 1 do
+    Flat_state.settle b (Flat_state.slot_of b id)
+  done;
+  List.iter
+    (fun fs ->
+      for id = 0 to n - 1 do
+        Flat_state.add_job fs (job id);
+        Flat_state.pend_add fs 0 (Flat_state.slot_of fs id)
+      done)
+    [ a; b ];
+  Alcotest.(check int) "b's slots are reversed" (n - 1) (Flat_state.slot_of b 0);
+  let agree what =
+    for q = 0 to n - 1 do
+      let sa = Flat_state.pend_split a 0 ~job:(Flat_state.slot_of a q) in
+      let wa = sa.Flat_state.work_before and ca = sa.Flat_state.count_after in
+      let sb = Flat_state.pend_split b 0 ~job:(Flat_state.slot_of b q) in
+      if not (Float.equal wa sb.Flat_state.work_before && Float.equal ca sb.Flat_state.count_after)
+      then Alcotest.failf "%s: job %d splits as %h / %h" what q wa sb.Flat_state.work_before
+    done;
+    let ext fs s = if s < 0 then -1 else Flat_state.ext fs s in
+    Alcotest.(check int) (what ^ ": max") (ext a (Flat_state.index_max a 0))
+      (ext b (Flat_state.index_max b 0))
+  in
+  agree "all pending";
+  for id = 0 to n - 1 do
+    if id mod 3 = 0 then
+      List.iter (fun fs -> assert (Flat_state.pend_remove fs 0 (Flat_state.slot_of fs id))) [ a; b ]
+  done;
+  agree "a third removed";
+  Alcotest.(check bool) "invariants" true (Flat_state.invariant a && Flat_state.invariant b)
+
+(* The id map and the settled-id runs against a model: random ids from a
+   small range (dense runs, collisions in the map's probe sequences) or
+   a huge one, settled in random order; an id is refused exactly when it
+   was fed before. *)
+let prop_ids_refused_once_fed =
+  QCheck.Test.make ~name:"retiring state refuses exactly the ids fed before" ~count:100
+    QCheck.(int_bound 1_000_000)
+    (fun salt ->
+      let rng = Rng.create salt in
+      let range = if salt mod 2 = 0 then 64 else max_int / 2 in
+      let fs = Flat_state.of_stream ~machines:(Machine.fleet 1) in
+      Flat_state.set_retire fs true;
+      let fed = Hashtbl.create 64 and live = ref [] in
+      let ok = ref true in
+      for k = 0 to 200 + Rng.int rng 300 do
+        if !live <> [] && Rng.int rng 3 = 0 then begin
+          let pick = List.nth !live (Rng.int rng (List.length !live)) in
+          Flat_state.settle fs (Flat_state.slot_of fs pick);
+          live := List.filter (( <> ) pick) !live;
+          if Flat_state.slot_of fs pick >= 0 then ok := false
+        end
+        else begin
+          let id = Rng.int rng range in
+          let job = Job.create ~id ~release:(float_of_int k) ~sizes:[| 1. |] () in
+          match Flat_state.add_job fs job with
+          | () ->
+              if Hashtbl.mem fed id then ok := false;
+              Hashtbl.replace fed id ();
+              live := id :: !live
+          | exception Invalid_argument _ -> if not (Hashtbl.mem fed id) then ok := false
+        end
+      done;
+      List.iter
+        (fun id ->
+          let s = Flat_state.slot_of fs id in
+          if s < 0 || Flat_state.ext fs s <> id then ok := false)
+        !live;
+      !ok && Flat_state.invariant fs)
+
 let suite =
   [
     qtest prop_of_instance_round_trip;
@@ -494,4 +639,9 @@ let suite =
     Alcotest.test_case "index dormant, then woken" `Quick test_index_dormant_then_woken;
     Alcotest.test_case "index survives column growth" `Quick test_index_survives_growth;
     Alcotest.test_case "index survives freeze/thaw" `Quick test_index_survives_freeze_thaw;
+    Alcotest.test_case "slot capacity tracks the jobs in flight" `Quick
+      test_capacity_tracks_in_flight;
+    Alcotest.test_case "index shape ignores slot assignment" `Quick
+      test_index_shape_ignores_slots;
+    qtest prop_ids_refused_once_fed;
   ]

@@ -177,7 +177,7 @@ let test_hot_annotations_guarded () =
     (fun name ->
       Alcotest.(check bool) ("driver hot: " ^ name) true (List.mem name driver_hot))
     [ "loop"; "try_start"; "reject_job"; "restart_job"; "commit_arrival"; "commit_finish";
-      "popcount" ];
+      "popcount"; "slot"; "pending_split" ];
   let flat_hot =
     RL.Typed_lint.hot_functions_of_cmt
       (cmt "lib/sim/.sched_sim.objs/byte/sched_sim__Flat_state.cmt")
@@ -193,7 +193,10 @@ let test_hot_annotations_guarded () =
       (* The pending sets' order-statistic index: insert, remove, the
          prefix query behind lambda_ij, min and max. *)
       "prio"; "ix_fix"; "ix_insert"; "ix_merge"; "ix_remove"; "ix_split"; "ix_leftmost";
-      "ix_rightmost"; "pend_split"; "index_min"; "index_max" ];
+      "ix_rightmost"; "pend_split"; "index_min"; "index_max";
+      (* Slots: resolving an external id (the arrival by one comparison,
+         any other through the id map), and handing a slot back. *)
+      "slot_of"; "arrive"; "offer"; "settle"; "above"; "find"; "probe"; "remove"; "shift" ];
   Alcotest.(check bool) "flat_state hot coverage >= 25" true (List.length flat_hot >= 25);
   (* The recorder's whole write path must stay inside the static proof:
      un-annotating any of these drops RJL103 coverage exactly where an

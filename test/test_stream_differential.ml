@@ -3,9 +3,10 @@
    at once — must produce a schedule byte-identical (canonical
    serialization) to the one-shot batch run, with bit-identical live
    metrics, for every corpus case x registry policy, with the oracle
-   auditing both sides wherever the instance carries no deadlines.  A
-   retire-mode pass over the same stream must agree on the live metrics
-   while never materializing a schedule. *)
+   auditing both sides wherever the instance carries no deadlines.
+   Retire-mode passes over the same stream, in batches of 1 and of 7,
+   recycle job slots and never materialize a schedule, and must still
+   agree on the live metrics and on every decision line. *)
 
 open Sched_model
 open Sched_sim
@@ -49,9 +50,9 @@ let compare_live what (lb : Driver.live_metrics) (lf : Driver.live_metrics) =
 (* Stream the instance's jobs in [chunk]-sized arrival batches, draining
    up to the last fed release after each batch — the serve loop's exact
    cadence. *)
-let stream_run ~check ~retire (e : P.entry) instance ~chunk =
+let stream_run ?trace ~check ~retire (e : P.entry) instance ~chunk =
   let s =
-    e.P.open_stream ~check ~retire ~name:instance.Instance.name
+    e.P.open_stream ?trace ~check ~retire ~name:instance.Instance.name
       ~machines:instance.Instance.machines ()
   in
   let jobs = Instance.jobs_by_release instance in
@@ -73,7 +74,9 @@ let check_stream ~what (e : P.entry) instance =
      goldens are generated: the in-driver audit has no check_deadlines
      knob and most registry policies ignore deadlines. *)
   let check = not (Instance.has_deadlines instance) in
-  let sb, lb = e.P.run ~check instance in
+  let tb = Trace.create () in
+  let sb, lb = e.P.run ~recorder:(Trace.recorder tb) ~check instance in
+  let decisions = Trace_export.to_ndjson tb in
   let cb = Serialize.schedule_to_canonical_string sb in
   let n = Array.length (Instance.jobs_by_release instance) in
   List.iter
@@ -88,11 +91,24 @@ let check_stream ~what (e : P.entry) instance =
           compare_live what lb lf
       | None, _ -> Alcotest.failf "%s: no schedule from an un-retired session" what)
     [ 1; 7; max 1 n ];
-  (* Retirement drops the schedule but must not perturb a single metric
-     bit — the aggregates accumulate on the same code path. *)
-  match stream_run ~check:false ~retire:true e instance ~chunk:7 with
-  | None, lr -> compare_live (what ^ "/retire") lb lr
-  | Some _, _ -> Alcotest.failf "%s: retire mode materialized a schedule" what
+  (* Retirement drops the schedule and hands settled jobs' slots to later
+     arrivals, but must not perturb a single decision or metric bit: the
+     aggregates accumulate on the same code path, and a policy state left
+     behind in a reused slot would show as a diverging decision. *)
+  List.iter
+    (fun chunk ->
+      let what = Printf.sprintf "%s/retire/batch=%d" what chunk in
+      let tr = Trace.create () in
+      match stream_run ~trace:tr ~check:false ~retire:true e instance ~chunk with
+      | None, lr ->
+          compare_live what lb lr;
+          let df = Trace_export.to_ndjson tr in
+          if not (String.equal decisions df) then
+            Alcotest.failf
+              "%s: retired decisions diverge from batch:\n--- batch ---\n%s\n--- retired ---\n%s"
+              what decisions df
+      | Some _, _ -> Alcotest.failf "%s: retire mode materialized a schedule" what)
+    [ 1; 7 ]
 
 (* Every corpus case under every registry policy: the corpus is the
    fuzzer's distilled tie-heavy / restricted / adversarial corners,
@@ -141,7 +157,18 @@ let test_feed_order_enforced () =
   s2.P.ss_drain_until 5.0;
   Alcotest.check_raises "feed behind the drained horizon rejected"
     (Invalid_argument "Driver.Session: job 1 released at 2 behind the drained horizon 5")
-    (fun () -> s2.P.ss_feed (mk 1 2.0))
+    (fun () -> s2.P.ss_feed (mk 1 2.0));
+  (* A retiring session forgets a settled job's slot, not its id: job 5,
+     settled, fed again at a later release passes the strictly
+     increasing (release, id) check and must still be refused. *)
+  let s3 = e.P.open_stream ~retire:true ~machines () in
+  s3.P.ss_feed (mk 5 0.0);
+  s3.P.ss_drain_until 5.0;
+  Alcotest.(check (float 0.)) "job 5 has settled" 1.0
+    (s3.P.ss_live ()).Driver.flow.Metrics.total;
+  Alcotest.check_raises "settled id fed again rejected"
+    (Invalid_argument "Flat_state.add_job: job 5 already added")
+    (fun () -> s3.P.ss_feed (mk 5 10.0))
 
 let suite =
   [
