@@ -124,11 +124,13 @@ let sort_family path =
   | _ -> None
 
 (* The indexed heap takes its order as a labelled argument on every call
-   that compares; a polymorphic comparator there is the same RJL002
-   hazard as in a sort (the simulator's heaps key on floats, where
-   polymorphic compare disagrees with the primitive comparisons the
-   driver uses on NaN and [-0.]).  Matched with or without the [Pqueue]
-   prefix. *)
+   that compares ([Iheap.add h ~less ctx ~pos ~id], [remove] alike, and
+   [invariant heaps ~less ctx ~pos]); a polymorphic comparator there is
+   the same RJL002 hazard as in a sort (the simulator's heaps key on
+   floats, where polymorphic compare disagrees with the primitive
+   comparisons the driver uses on NaN and [-0.]).  Only the [~less]
+   label is read, so the position table and the other operands may
+   take any shape.  Matched with or without the [Pqueue] prefix. *)
 let heap_cmp_label path =
   match List.rev path with
   | ("add" | "remove" | "invariant") :: "Iheap" :: _ -> Some "less"

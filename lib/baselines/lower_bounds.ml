@@ -2,16 +2,21 @@ open Sched_model
 
 type bound = { value : float; source : string }
 
+(* [sum_j min_i p_ij / s_i] as plain [<] scans: sizes are positive and
+   never NaN and speeds positive and finite, so every quotient is a
+   positive non-NaN, an ineligible machine's is [infinity] and never
+   wins, and the sum has the bits of the [Float.min] fold over eligible
+   machines. *)
 let volume instance =
+  let speeds = Array.map (fun (mc : Machine.t) -> mc.Machine.speed) instance.Instance.machines in
   let total = ref 0. in
   Array.iter
     (fun (j : Job.t) ->
+      let sizes = j.Job.sizes in
       let mn = ref Float.infinity in
-      for i = 0 to Instance.m instance - 1 do
-        if Job.eligible j i then begin
-          let speed = (Instance.machine instance i).Machine.speed in
-          mn := Float.min !mn (Job.size j i /. speed)
-        end
+      for i = 0 to Array.length sizes - 1 do
+        let q = sizes.(i) /. speeds.(i) in
+        if q < !mn then mn := q
       done;
       total := !total +. !mn)
     (Instance.jobs_by_release instance);

@@ -1,4 +1,4 @@
-type t = { name : string; machines : Machine.t array; jobs : Job.t array }
+type t = { name : string; machines : Machine.t array; jobs : Job.t array; by_id : Job.t array }
 
 let create ?(name = "instance") ~machines ~jobs () =
   let m = Array.length machines in
@@ -9,6 +9,7 @@ let create ?(name = "instance") ~machines ~jobs () =
     machines;
   let jobs = Array.of_list jobs in
   let n = Array.length jobs in
+  let by_id = Array.copy jobs in
   let seen = Array.make n false in
   Array.iter
     (fun (j : Job.t) ->
@@ -18,34 +19,19 @@ let create ?(name = "instance") ~machines ~jobs () =
              (Array.length j.sizes) m);
       if j.id < 0 || j.id >= n || seen.(j.id) then
         invalid_arg "Instance.create: job ids must form 0..n-1";
-      seen.(j.id) <- true)
+      seen.(j.id) <- true;
+      by_id.(j.id) <- j)
     jobs;
   Array.sort Job.compare_by_release jobs;
-  { name; machines; jobs }
+  { name; machines; jobs; by_id }
 
 let n t = Array.length t.jobs
 let m t = Array.length t.machines
 
-(* Jobs are stored in release order; id lookup goes through a lazy-free
-   linear scan only when the array is not identity-indexed.  We keep it
-   simple: build lookups on demand via find.  Instances are small enough that
-   a scan would do, but policies call [job] in hot loops, so we memoize an
-   index array per instance using a weak-free global cache keyed by physical
-   equality.  Simpler and safe: compute the index eagerly at creation is not
-   possible on a private record easily here, so scan. *)
 let job t id =
-  let jobs = t.jobs in
-  let n = Array.length jobs in
-  (* Common case: release-order position equals id. *)
-  if id >= 0 && id < n && jobs.(id).Job.id = id then jobs.(id)
-  else begin
-    let rec find i =
-      if i >= n then invalid_arg (Printf.sprintf "Instance.job: unknown id %d" id)
-      else if jobs.(i).Job.id = id then jobs.(i)
-      else find (i + 1)
-    in
-    find 0
-  end
+  if id < 0 || id >= Array.length t.by_id then
+    invalid_arg (Printf.sprintf "Instance.job: unknown id %d" id);
+  t.by_id.(id)
 
 let machine t id = t.machines.(id)
 let jobs_by_release t = t.jobs

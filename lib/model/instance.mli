@@ -8,6 +8,7 @@ type t = private {
   name : string;
   machines : Machine.t array;
   jobs : Job.t array;  (** Sorted by [Job.compare_by_release]. *)
+  by_id : Job.t array;  (** The same jobs, indexed by id. *)
 }
 
 val create : ?name:string -> machines:Machine.t array -> jobs:Job.t list -> unit -> t
@@ -22,7 +23,8 @@ val m : t -> int
 (** Number of machines. *)
 
 val job : t -> Job.id -> Job.t
-(** Lookup by job id (not by position in release order). *)
+(** Lookup by job id (not by position in release order), O(1).  Raises
+    [Invalid_argument] on an id outside [0..n-1]. *)
 
 val machine : t -> Machine.id -> Machine.t
 val jobs_by_release : t -> Job.t array

@@ -32,7 +32,17 @@ let create ~id ~release ?(weight = 1.) ?deadline ~sizes () =
 let size j i = j.sizes.(i)
 let eligible j i = Float.is_finite j.sizes.(i)
 
-let min_size j = Array.fold_left Float.min Float.infinity j.sizes
+(* A plain [<] scan: sizes are positive and never NaN, so it returns the
+   bits [Array.fold_left Float.min infinity] would, without the sign test
+   [Float.min] pays per element. *)
+let min_size j =
+  let sizes = j.sizes in
+  let mn = ref Float.infinity in
+  for i = 0 to Array.length sizes - 1 do
+    let p = sizes.(i) in
+    if p < !mn then mn := p
+  done;
+  !mn
 
 let best_machine j =
   let best = ref 0 in

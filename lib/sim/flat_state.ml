@@ -212,10 +212,9 @@ type t = {
          until [set_instance] swaps the materialized one in at close. *)
   mutable n : int;  (* jobs fed so far *)
   m : int;
-  mutable stride : int;
-      (* Slot capacity: the length of every job column and the row length
-         of the per-(machine, slot) size matrix below.  Grows by doubling
-         when every slot is taken. *)
+  mutable cap : int;
+      (* Slot capacity: the length of every job column.  Grows by
+         doubling when every slot is taken. *)
   mutable retire : bool;
       (* Rolling-retirement mode: completed/rejected work is folded into
          the accumulators only — no segment store — and a settled job's
@@ -245,7 +244,6 @@ type t = {
   mutable release : float array;
   mutable weight : float array;
   mutable min_size : float array;
-  mutable size_col : float array;  (* p_ij at [(i * stride) + slot] *)
   (* Pending sets: four heap orders per machine over bare slots, the
      order-statistic index below, and the incremental work/weight
      aggregates.  Only [by_spt] is observable as a *layout* (through
@@ -256,11 +254,22 @@ type t = {
      from [by_spt] and kept incremental from that point on.  Policies
      that never consult an order never pay for it.  The heaps hold slots
      only; each call passes its order ([less_spt] and friends below) with
-     [t] and the machine's row base. *)
+     [t], and its position column.
+
+     A slot is pending on at most one machine at a time, so every
+     per-slot column of the pending sets is shared by all machines:
+     [psize.(s)] is the job's size on the machine it is pending on
+     (written by [pend_add], read by every order), and each order keeps
+     one slot -> heap-position column for all its per-machine heaps. *)
+  mutable psize : float array;
   by_spt : Pqueue.Iheap.t array;
   by_density : Pqueue.Iheap.t array;
   by_size_id : Pqueue.Iheap.t array;
   by_fifo : Pqueue.Iheap.t array;
+  mutable pos_spt : int array;
+  mutable pos_density : int array;
+  mutable pos_size_id : int array;
+  mutable pos_fifo : int array;
   mutable live_density : bool;
   mutable live_size_id : bool;
   mutable live_fifo : bool;
@@ -322,36 +331,33 @@ type t = {
    [<]/[>] branches (so [-0. = 0.] and incomparable infinities fall
    through), then the tie-break on the external id — never on the slot,
    which depends on which slots happened to be free.  Each is a top-level
-   function of the state and the machine's row [base], so no heap
-   captures a column: the columns can be reallocated by [grow_columns],
-   and the state marshals as plain data. *)
+   function of the state, so no heap captures a column: the columns can
+   be reallocated by [grow_columns], and the state marshals as plain
+   data.  Both slots are pending on the same machine, so [psize] holds
+   their sizes there. *)
 
-let[@rejlint.hot] less_spt t base a b =
-  let pa = t.size_col.(base + a) and pb = t.size_col.(base + b) in
-  if pa < pb then true
-  else if pa > pb then false
-  else
-    let ra = t.release.(a) and rb = t.release.(b) in
-    if ra < rb then true else if ra > rb then false else t.ext.(a) < t.ext.(b)
+(* The ties after the size: earlier release, then smaller external id. *)
+let[@rejlint.hot] before_release t a b =
+  let ra = t.release.(a) and rb = t.release.(b) in
+  if ra < rb then true else if ra > rb then false else t.ext.(a) < t.ext.(b)
+[@@inline]
+
+let[@rejlint.hot] less_spt t a b =
+  let pa = t.psize.(a) and pb = t.psize.(b) in
+  if pa < pb then true else if pa > pb then false else before_release t a b
 
 (* The density [w_j /. p_ij] is recomputed, not stored: the division is
    exact IEEE arithmetic, so the order is the same as a stored column's,
    and only the weighted policies ever wake this order. *)
-let[@rejlint.hot] less_density t base a b =
-  let da = t.weight.(a) /. t.size_col.(base + a) and db = t.weight.(b) /. t.size_col.(base + b) in
-  if da > db then true
-  else if da < db then false
-  else
-    let ra = t.release.(a) and rb = t.release.(b) in
-    if ra < rb then true else if ra > rb then false else t.ext.(a) < t.ext.(b)
+let[@rejlint.hot] less_density t a b =
+  let da = t.weight.(a) /. t.psize.(a) and db = t.weight.(b) /. t.psize.(b) in
+  if da > db then true else if da < db then false else before_release t a b
 
-let[@rejlint.hot] less_size_id t base a b =
-  let pa = t.size_col.(base + a) and pb = t.size_col.(base + b) in
+let[@rejlint.hot] less_size_id t a b =
+  let pa = t.psize.(a) and pb = t.psize.(b) in
   if pa > pb then true else if pa < pb then false else t.ext.(b) < t.ext.(a)
 
-let[@rejlint.hot] less_fifo t _base a b =
-  let ra = t.release.(a) and rb = t.release.(b) in
-  if ra < rb then true else if ra > rb then false else t.ext.(a) < t.ext.(b)
+let[@rejlint.hot] less_fifo t a b = before_release t a b
 
 (* Fill value for the [jobs] column: free slots hold it, and rolling
    retirement drops a handle the moment its job settles.  Never read
@@ -370,7 +376,7 @@ let create instance =
     instance;
     n = 0;
     m;
-    stride = 0;
+    cap = 0;
     retire = false;
     slots = 0;
     free = [||];
@@ -386,11 +392,15 @@ let create instance =
     release = [||];
     weight = [||];
     min_size = [||];
-    size_col = [||];
+    psize = [||];
     by_spt = heap ();
     by_density = heap ();
     by_size_id = heap ();
     by_fifo = heap ();
+    pos_spt = [||];
+    pos_density = [||];
+    pos_size_id = [||];
+    pos_fifo = [||];
     live_density = false;
     live_size_id = false;
     live_fifo = false;
@@ -431,24 +441,12 @@ let create instance =
     seg_len = 0;
   }
 
-(* A heap's position table covers the slot range exactly: an order has
-   one table per machine, so doubling slack there would outweigh the job
-   columns.  Dormant orders hold nothing and are sized when they wake. *)
-let reserve_heaps t =
-  let fit live heaps = if live then Array.iter (fun h -> Pqueue.Iheap.reserve h t.stride) heaps in
-  fit true t.by_spt;
-  fit t.live_density t.by_density;
-  fit t.live_size_id t.by_size_id;
-  fit t.live_fifo t.by_fifo
-
-(* Grow the slot capacity to at least [need].  The scalar columns blit;
-   the per-(machine, slot) size matrix re-lays row by row at the new
-   stride.  The heaps and the index hold slots only and read the columns
-   through [t] on every comparison, so nothing else moves but the heaps'
-   position tables, which grow to the new range.  Cold: amortized O(1)
-   per fed job. *)
+(* Grow the slot capacity to at least [need].  Every column is indexed
+   by slot alone, so each one blits; the heaps and the index hold slots
+   only and read the columns through [t] on every comparison, so nothing
+   else moves.  Cold: amortized O(1) per fed job. *)
 let grow_columns t need =
-  let cap = t.stride in
+  let cap = t.cap in
   if need > cap then begin
     let ncap = max 16 (max need (2 * cap)) in
     let used = t.slots in
@@ -461,6 +459,11 @@ let grow_columns t need =
     t.release <- grow_f t.release;
     t.weight <- grow_f t.weight;
     t.min_size <- grow_f t.min_size;
+    t.psize <- grow_f t.psize;
+    t.pos_spt <- grow_i (-1) t.pos_spt;
+    t.pos_density <- grow_i (-1) t.pos_density;
+    t.pos_size_id <- grow_i (-1) t.pos_size_id;
+    t.pos_fifo <- grow_i (-1) t.pos_fifo;
     t.loc <- grow_i loc_unreleased t.loc;
     t.ix_left <- grow_i (-1) t.ix_left;
     t.ix_right <- grow_i (-1) t.ix_right;
@@ -474,13 +477,7 @@ let grow_columns t need =
     let nrun = Array.make ncap false in
     Array.blit t.out_running 0 nrun 0 used;
     t.out_running <- nrun;
-    let nsz = Array.make (max 1 (t.m * ncap)) 0. in
-    for i = 0 to t.m - 1 do
-      Array.blit t.size_col (i * cap) nsz (i * ncap) used
-    done;
-    t.size_col <- nsz;
-    t.stride <- ncap;
-    reserve_heaps t
+    t.cap <- ncap
   end
 
 (* Registers the job under a fresh slot: its columns, its [ids] entry
@@ -511,9 +508,6 @@ let admit t (j : Job.t) =
   t.release.(s) <- j.Job.release;
   t.weight.(s) <- j.Job.weight;
   t.min_size.(s) <- Job.min_size j;
-  for i = 0 to t.m - 1 do
-    t.size_col.((i * t.stride) + s) <- Job.size j i
-  done;
   t.loc.(s) <- loc_unreleased;
   t.out_kind.(s) <- out_none;
   t.out_running.(s) <- false;
@@ -593,7 +587,7 @@ let[@rejlint.hot] offer t s =
   t.jobs.(s)
 
 let[@rejlint.hot] ext t s = t.ext.(s)
-let capacity t = t.stride
+let capacity t = t.cap
 
 (* ------------------------------------------------------------------ *)
 (* Immutable reads. *)
@@ -605,34 +599,36 @@ let[@rejlint.hot] job t s = t.jobs.(s)
 let[@rejlint.hot] release t s = t.release.(s)
 let[@rejlint.hot] weight t s = t.weight.(s)
 let[@rejlint.hot] min_size t s = t.min_size.(s)
-let[@rejlint.hot] size t ~machine ~job = t.size_col.((machine * t.stride) + job)
+(* A job's sizes are read off its own handle: one contiguous vector per
+   job, which the instance (or the stream's arrival) already holds. *)
+let[@rejlint.hot] size t ~machine ~job = t.jobs.(job).Job.sizes.(machine)
 let[@rejlint.hot] eligible t ~machine ~job = Float.is_finite (size t ~machine ~job)
 
 (* Candidate-set provenance for the flight recorder: how many machines a
    job is eligible for, and their bitmask (bit [k] for machine [k] up to
    61; higher machines saturate into bit 62).  Accumulator recursion over
-   the size column, kept in this module on purpose: the compiler does
-   not inline calls inside recursive bodies, so a cross-module accessor
-   would box its float result on every probe, while the direct array
-   read here stays allocation-free.  [p -. p = 0.] is [Float.is_finite]
-   unfolded for the same reason. *)
-let[@rejlint.hot] rec cand_mask_from t job k acc =
-  if k >= t.m then acc
+   the job's size vector, kept in this module on purpose: the compiler
+   does not inline calls inside recursive bodies, so a cross-module
+   accessor would box its float result on every probe, while the direct
+   array read here stays allocation-free.  [p -. p = 0.] is
+   [Float.is_finite] unfolded for the same reason. *)
+let[@rejlint.hot] rec cand_mask_from sizes k acc =
+  if k >= Array.length sizes then acc
   else begin
-    let p = t.size_col.((k * t.stride) + job) in
-    cand_mask_from t job (k + 1)
+    let p = sizes.(k) in
+    cand_mask_from sizes (k + 1)
       (if p -. p = 0. then acc lor (1 lsl (if k <= 61 then k else 62)) else acc)
   end
 
-let[@rejlint.hot] rec cand_count_from t job k acc =
-  if k >= t.m then acc
+let[@rejlint.hot] rec cand_count_from sizes k acc =
+  if k >= Array.length sizes then acc
   else begin
-    let p = t.size_col.((k * t.stride) + job) in
-    cand_count_from t job (k + 1) (if p -. p = 0. then acc + 1 else acc)
+    let p = sizes.(k) in
+    cand_count_from sizes (k + 1) (if p -. p = 0. then acc + 1 else acc)
   end
 
-let[@rejlint.hot] cand_mask t ~job = cand_mask_from t job 0 0 [@@inline]
-let[@rejlint.hot] cand_count t ~job = cand_count_from t job 0 0 [@@inline]
+let[@rejlint.hot] cand_mask t ~job = cand_mask_from t.jobs.(job).Job.sizes 0 0 [@@inline]
+let[@rejlint.hot] cand_count t ~job = cand_count_from t.jobs.(job).Job.sizes 0 0 [@@inline]
 let[@rejlint.hot] total_weight t = t.facc.(f_total_weight)
 let[@rejlint.hot] alpha t i = (Instance.machine t.instance i).Machine.alpha
 let[@rejlint.hot] mach_speed t i = (Instance.machine t.instance i).Machine.speed
@@ -705,105 +701,113 @@ let[@rejlint.hot] prio id =
 let[@rejlint.hot] above t a b = prio t.ext.(a) > prio t.ext.(b)
 
 (* Recompute a node's count and work from its children. *)
-let[@rejlint.hot] ix_fix t base node =
+let[@rejlint.hot] ix_fix t node =
   let l = t.ix_left.(node) and r = t.ix_right.(node) in
   t.ix_count.(node) <-
     (if l < 0 then 0 else t.ix_count.(l)) + 1 + if r < 0 then 0 else t.ix_count.(r);
   t.ix_work.(node) <-
     (if l < 0 then 0. else t.ix_work.(l))
-    +. t.size_col.(base + node)
+    +. t.psize.(node)
     +. if r < 0 then 0. else t.ix_work.(r)
 
-(* Inserts [s] into the subtree rooted at [node] (machine row [base]) and
-   returns the subtree's new root, rotating [s] up while its priority
-   beats its parent's. *)
-let[@rejlint.hot] rec ix_insert t base s node =
+(* Inserts [s] into the subtree rooted at [node] and returns the
+   subtree's new root, rotating [s] up while its priority beats its
+   parent's. *)
+let[@rejlint.hot] rec ix_insert t s node =
   if node < 0 then begin
     t.ix_left.(s) <- -1;
     t.ix_right.(s) <- -1;
-    ix_fix t base s;
+    ix_fix t s;
     s
   end
-  else if less_spt t base s node then begin
-    let l = ix_insert t base s t.ix_left.(node) in
+  else if less_spt t s node then begin
+    let l = ix_insert t s t.ix_left.(node) in
     if above t l node then begin
       t.ix_left.(node) <- t.ix_right.(l);
-      ix_fix t base node;
+      ix_fix t node;
       t.ix_right.(l) <- node;
-      ix_fix t base l;
+      ix_fix t l;
       l
     end
     else begin
       t.ix_left.(node) <- l;
-      ix_fix t base node;
+      ix_fix t node;
       node
     end
   end
   else begin
-    let r = ix_insert t base s t.ix_right.(node) in
+    let r = ix_insert t s t.ix_right.(node) in
     if above t r node then begin
       t.ix_right.(node) <- t.ix_left.(r);
-      ix_fix t base node;
+      ix_fix t node;
       t.ix_left.(r) <- node;
-      ix_fix t base r;
+      ix_fix t r;
       r
     end
     else begin
       t.ix_right.(node) <- r;
-      ix_fix t base node;
+      ix_fix t node;
       node
     end
   end
 
 (* Joins two subtrees whose keys are all ordered [a] before [b]. *)
-let[@rejlint.hot] rec ix_merge t base a b =
+let[@rejlint.hot] rec ix_merge t a b =
   if a < 0 then b
   else if b < 0 then a
   else if above t a b then begin
-    t.ix_right.(a) <- ix_merge t base t.ix_right.(a) b;
-    ix_fix t base a;
+    t.ix_right.(a) <- ix_merge t t.ix_right.(a) b;
+    ix_fix t a;
     a
   end
   else begin
-    t.ix_left.(b) <- ix_merge t base a t.ix_left.(b);
-    ix_fix t base b;
+    t.ix_left.(b) <- ix_merge t a t.ix_left.(b);
+    ix_fix t b;
     b
   end
 
 (* Removes [s] (present) from the subtree at [node]; returns the new
    root. *)
-let[@rejlint.hot] rec ix_remove t base s node =
+let[@rejlint.hot] rec ix_remove t s node =
   if node < 0 then node
-  else if node = s then ix_merge t base t.ix_left.(s) t.ix_right.(s)
+  else if node = s then ix_merge t t.ix_left.(s) t.ix_right.(s)
   else begin
-    if less_spt t base s node then
-      t.ix_left.(node) <- ix_remove t base s t.ix_left.(node)
-    else t.ix_right.(node) <- ix_remove t base s t.ix_right.(node);
-    ix_fix t base node;
+    if less_spt t s node then
+      t.ix_left.(node) <- ix_remove t s t.ix_left.(node)
+    else t.ix_right.(node) <- ix_remove t s t.ix_right.(node);
+    ix_fix t node;
     node
   end
+
+(* [less_spt node job] on machine [i] for a probe [job] that need not be
+   pending there (an arrival is pending nowhere): its size comes from its
+   own vector, [sizes = jobs.(job).sizes]. *)
+let[@rejlint.hot] before_probe t sizes i node job =
+  let pa = t.psize.(node) and pb = sizes.(i) in
+  if pa < pb then true else if pa > pb then false else before_release t node job
+[@@inline]
 
 (* The prefix query.  Walks from [node] toward [job]'s position: a node
    ordered before [job] adds its own size and its left subtree's work to
    [split.work_before], a node ordered after it adds itself and its
    right subtree to the returned count.  [job] itself, when pending,
    lands on neither side. *)
-let[@rejlint.hot] rec ix_split t base job node after =
+let[@rejlint.hot] rec ix_split t sizes i job node after =
   if node < 0 then after
   else if node = job then begin
     let l = t.ix_left.(node) and r = t.ix_right.(node) in
     if l >= 0 then t.split.work_before <- t.split.work_before +. t.ix_work.(l);
     if r < 0 then after else after + t.ix_count.(r)
   end
-  else if less_spt t base node job then begin
+  else if before_probe t sizes i node job then begin
     let l = t.ix_left.(node) in
     t.split.work_before <-
-      t.split.work_before +. ((if l < 0 then 0. else t.ix_work.(l)) +. t.size_col.(base + node));
-    ix_split t base job t.ix_right.(node) after
+      t.split.work_before +. ((if l < 0 then 0. else t.ix_work.(l)) +. t.psize.(node));
+    ix_split t sizes i job t.ix_right.(node) after
   end
   else begin
     let r = t.ix_right.(node) in
-    ix_split t base job t.ix_left.(node) (after + 1 + if r < 0 then 0 else t.ix_count.(r))
+    ix_split t sizes i job t.ix_left.(node) (after + 1 + if r < 0 then 0 else t.ix_count.(r))
   end
 
 let[@rejlint.hot] rec ix_leftmost t node =
@@ -815,25 +819,32 @@ let[@rejlint.hot] rec ix_rightmost t node =
   if r < 0 then node else ix_rightmost t r
 
 let[@rejlint.hot] pend_add t i s =
-  let base = i * t.stride in
-  Pqueue.Iheap.add t.by_spt.(i) ~less:less_spt t base ~id:s;
-  if t.live_density then Pqueue.Iheap.add t.by_density.(i) ~less:less_density t base ~id:s;
-  if t.live_size_id then Pqueue.Iheap.add t.by_size_id.(i) ~less:less_size_id t base ~id:s;
-  if t.live_fifo then Pqueue.Iheap.add t.by_fifo.(i) ~less:less_fifo t base ~id:s;
-  if t.live_index then t.ix_root.(i) <- ix_insert t base s t.ix_root.(i);
-  t.p_work.(i) <- t.p_work.(i) +. size t ~machine:i ~job:s;
+  (* [psize.(s)] is the order key of a pending slot, so it may only be
+     overwritten while the slot is pending nowhere. *)
+  if t.pos_spt.(s) >= 0 then
+    (invalid_arg (Printf.sprintf "Flat_state.pend_add: job %d already pending" t.ext.(s))
+    [@rejlint.cold]);
+  t.psize.(s) <- size t ~machine:i ~job:s;
+  Pqueue.Iheap.add t.by_spt.(i) ~less:less_spt t ~pos:t.pos_spt ~id:s;
+  if t.live_density then
+    Pqueue.Iheap.add t.by_density.(i) ~less:less_density t ~pos:t.pos_density ~id:s;
+  if t.live_size_id then
+    Pqueue.Iheap.add t.by_size_id.(i) ~less:less_size_id t ~pos:t.pos_size_id ~id:s;
+  if t.live_fifo then Pqueue.Iheap.add t.by_fifo.(i) ~less:less_fifo t ~pos:t.pos_fifo ~id:s;
+  if t.live_index then t.ix_root.(i) <- ix_insert t s t.ix_root.(i);
+  t.p_work.(i) <- t.p_work.(i) +. t.psize.(s);
   t.p_weight.(i) <- t.p_weight.(i) +. t.weight.(s)
 
 let[@rejlint.hot] pend_remove t i s =
-  let base = i * t.stride in
-  if not (Pqueue.Iheap.remove t.by_spt.(i) ~less:less_spt t base ~id:s) then false
+  if not (Pqueue.Iheap.remove t.by_spt.(i) ~less:less_spt t ~pos:t.pos_spt ~id:s) then false
   else begin
     if t.live_density then
-      ignore (Pqueue.Iheap.remove t.by_density.(i) ~less:less_density t base ~id:s);
+      ignore (Pqueue.Iheap.remove t.by_density.(i) ~less:less_density t ~pos:t.pos_density ~id:s);
     if t.live_size_id then
-      ignore (Pqueue.Iheap.remove t.by_size_id.(i) ~less:less_size_id t base ~id:s);
-    if t.live_fifo then ignore (Pqueue.Iheap.remove t.by_fifo.(i) ~less:less_fifo t base ~id:s);
-    if t.live_index then t.ix_root.(i) <- ix_remove t base s t.ix_root.(i);
+      ignore (Pqueue.Iheap.remove t.by_size_id.(i) ~less:less_size_id t ~pos:t.pos_size_id ~id:s);
+    if t.live_fifo then
+      ignore (Pqueue.Iheap.remove t.by_fifo.(i) ~less:less_fifo t ~pos:t.pos_fifo ~id:s);
+    if t.live_index then t.ix_root.(i) <- ix_remove t s t.ix_root.(i);
     if Pqueue.Iheap.is_empty t.by_spt.(i) then begin
       (* Pin the aggregates back to exactly zero so float cancellation
          drift cannot survive an empty queue. *)
@@ -841,7 +852,7 @@ let[@rejlint.hot] pend_remove t i s =
       t.p_weight.(i) <- 0.
     end
     else begin
-      t.p_work.(i) <- t.p_work.(i) -. size t ~machine:i ~job:s;
+      t.p_work.(i) <- t.p_work.(i) -. t.psize.(s);
       t.p_weight.(i) <- t.p_weight.(i) -. t.weight.(s)
     end;
     true
@@ -857,19 +868,15 @@ let[@rejlint.hot] head_spt t i = Pqueue.Iheap.min_id t.by_spt.(i)
    pending sets and flip it live.  The rebuilt layout differs from the
    always-incremental one, but the only observable — the minimum under a
    strict total order — does not depend on layout. *)
-let wake t aux ~less =
-  Array.iter (fun h -> Pqueue.Iheap.reserve h t.stride) aux;
+let wake t aux ~less ~pos =
   for i = 0 to t.m - 1 do
-    let base = i * t.stride in
-    Pqueue.Iheap.iter t.by_spt.(i) ~f:(fun s -> Pqueue.Iheap.add aux.(i) ~less t base ~id:s)
+    Pqueue.Iheap.iter t.by_spt.(i) ~f:(fun s -> Pqueue.Iheap.add aux.(i) ~less t ~pos ~id:s)
   done
 
 (* First query of a dormant index: the same fill, into the treaps. *)
 let wake_index t =
   for i = 0 to t.m - 1 do
-    let base = i * t.stride in
-    Pqueue.Iheap.iter t.by_spt.(i) ~f:(fun s ->
-        t.ix_root.(i) <- ix_insert t base s t.ix_root.(i))
+    Pqueue.Iheap.iter t.by_spt.(i) ~f:(fun s -> t.ix_root.(i) <- ix_insert t s t.ix_root.(i))
   done;
   t.live_index <- true
 
@@ -877,7 +884,7 @@ let[@rejlint.hot] pend_split t i ~job =
   if not t.live_index then wake_index t;
   let s = t.split in
   s.work_before <- 0.;
-  s.count_after <- float_of_int (ix_split t (i * t.stride) job t.ix_root.(i) 0);
+  s.count_after <- float_of_int (ix_split t t.jobs.(job).Job.sizes i job t.ix_root.(i) 0);
   s
 
 let[@rejlint.hot] index_min t i =
@@ -892,21 +899,21 @@ let[@rejlint.hot] index_max t i =
 
 let[@rejlint.hot] head_density t i =
   if not t.live_density then begin
-    wake t t.by_density ~less:less_density;
+    wake t t.by_density ~less:less_density ~pos:t.pos_density;
     t.live_density <- true
   end;
   Pqueue.Iheap.min_id t.by_density.(i)
 
 let[@rejlint.hot] head_size_id t i =
   if not t.live_size_id then begin
-    wake t t.by_size_id ~less:less_size_id;
+    wake t t.by_size_id ~less:less_size_id ~pos:t.pos_size_id;
     t.live_size_id <- true
   end;
   Pqueue.Iheap.min_id t.by_size_id.(i)
 
 let[@rejlint.hot] head_fifo t i =
   if not t.live_fifo then begin
-    wake t t.by_fifo ~less:less_fifo;
+    wake t t.by_fifo ~less:less_fifo ~pos:t.pos_fifo;
     t.live_fifo <- true
   end;
   Pqueue.Iheap.min_id t.by_fifo.(i)
@@ -1105,7 +1112,6 @@ let to_schedule t =
    breaks the heap order on priorities or carries a count/work that
    differs from the one recomputed from its children. *)
 let index_check t i =
-  let base = i * t.stride in
   let ok = ref true in
   let rec walk node acc =
     if node < 0 then acc
@@ -1115,7 +1121,7 @@ let index_check t i =
       let work_of c = if c < 0 then 0. else t.ix_work.(c) in
       if (l >= 0 && above t l node) || (r >= 0 && above t r node) then ok := false;
       if t.ix_count.(node) <> count_of l + 1 + count_of r then ok := false;
-      if not (Float.equal t.ix_work.(node) (work_of l +. t.size_col.(base + node) +. work_of r))
+      if not (Float.equal t.ix_work.(node) (work_of l +. t.psize.(node) +. work_of r))
       then ok := false;
       walk l (node :: walk r acc)
     end
@@ -1127,7 +1133,7 @@ let index_check t i =
    held by exactly one id in [ids] or on the free list, never both. *)
 let slots_check t =
   let held = Array.make (max 1 t.slots) 0 in
-  let ok = ref (t.ids.Idmap.len + t.nfree = t.slots && t.slots <= t.stride) in
+  let ok = ref (t.ids.Idmap.len + t.nfree = t.slots && t.slots <= t.cap) in
   Array.iter
     (fun k ->
       if k >= 0 then begin
@@ -1147,13 +1153,18 @@ let slots_check t =
 
 let invariant t =
   let ok = ref (slots_check t) in
+  (* Each order's heaps share one position column, which registers
+     exactly the slots they hold between them. *)
+  let heaps_ok heaps ~less ~pos = Pqueue.Iheap.invariant heaps ~less t ~pos in
+  if not (heaps_ok t.by_spt ~less:less_spt ~pos:t.pos_spt) then ok := false;
+  if not (heaps_ok t.by_density ~less:less_density ~pos:t.pos_density) then ok := false;
+  if not (heaps_ok t.by_size_id ~less:less_size_id ~pos:t.pos_size_id) then ok := false;
+  if not (heaps_ok t.by_fifo ~less:less_fifo ~pos:t.pos_fifo) then ok := false;
   for i = 0 to t.m - 1 do
-    let base = i * t.stride in
-    if not (Pqueue.Iheap.invariant t.by_spt.(i) ~less:less_spt t base) then ok := false;
-    if not (Pqueue.Iheap.invariant t.by_density.(i) ~less:less_density t base) then ok := false;
-    if not (Pqueue.Iheap.invariant t.by_size_id.(i) ~less:less_size_id t base) then ok := false;
-    if not (Pqueue.Iheap.invariant t.by_fifo.(i) ~less:less_fifo t base) then ok := false;
     let k = Pqueue.Iheap.size t.by_spt.(i) in
+    (* A slot pending on [i] carries its size there as its order key. *)
+    Pqueue.Iheap.iter t.by_spt.(i) ~f:(fun s ->
+        if not (Float.equal t.psize.(s) (size t ~machine:i ~job:s)) then ok := false);
     (* A live auxiliary order mirrors [by_spt] exactly; a dormant one
        holds nothing at all. *)
     let aux_ok live aux = Pqueue.Iheap.size aux = if live then k else 0 in
@@ -1167,10 +1178,11 @@ let invariant t =
     | None -> ok := false
     | Some slots ->
         if List.length slots <> (if t.live_index then k else 0) then ok := false;
-        if not (List.for_all (fun s -> Pqueue.Iheap.mem t.by_spt.(i) ~id:s) slots) then
+        if not (List.for_all (fun s -> Pqueue.Iheap.mem t.by_spt.(i) ~pos:t.pos_spt ~id:s) slots)
+        then
           ok := false;
         let rec sorted = function
-          | a :: (b :: _ as rest) -> less_spt t base a b && sorted rest
+          | a :: (b :: _ as rest) -> less_spt t a b && sorted rest
           | _ -> true
         in
         if not (sorted slots) then ok := false

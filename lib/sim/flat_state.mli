@@ -12,9 +12,12 @@
     {b Slots and external ids.}  Each job fed gets a dense {e slot}, and
     every per-job accessor below takes the slot, not the job's id.  A
     retiring state ({!set_retire}) hands a settled job's slot back for
-    the next arrival, so the columns — and the per-(machine, slot) size
-    matrix, whose stride is the slot capacity — grow to the peak number
-    of jobs in flight, whatever the ids.  A state that does not retire
+    the next arrival, so the columns grow to the peak number of jobs in
+    flight, whatever the ids.  No column is per (machine, slot): a job's
+    sizes are read off its own handle, and since a slot is pending on at
+    most one machine at a time, the pending sets keep its size there and
+    its heap positions in one slot-indexed column each, shared by all
+    machines.  A state that does not retire
     never hands a slot back: its slots number the jobs in feed order.
     The external id is a column ({!ext}); {!slot_of} goes the other way.
     Every order the pending sets and the index keep breaks its ties on
@@ -43,8 +46,8 @@ type t
 
 val of_instance : Instance.t -> t
 (** Builds the flat mirror of the instance: every job registered at the
-    slot equal to its id, a size column per machine, empty
-    pending/running/event state, no arrival queued.
+    slot equal to its id, empty pending/running/event state, no arrival
+    queued.
     Raises [Invalid_argument] if the machine count exceeds the event-key
     range ({!Pqueue.Events.Key.max_machine}). *)
 
@@ -52,7 +55,7 @@ val of_instance : Instance.t -> t
 
     A session-mode state starts from the machine fleet alone and learns
     its jobs one {!add_job} at a time; when no slot is free, the job
-    columns (and the per-(machine, slot) size matrix) double.  The pending
+    columns double.  The pending
     heaps and the index hold slots only and read the columns through the
     state on every comparison, so growth touches nothing but the
     columns, and the state is plain data that marshals without
@@ -124,8 +127,7 @@ val ext : t -> int -> Job.id
 (** The external id of the job at a slot. *)
 
 val capacity : t -> int
-(** The slot capacity: the length of every job column, and the row
-    stride of the per-(machine, slot) size matrix. *)
+(** The slot capacity: the length of every job column. *)
 
 val settle : t -> int -> unit
 (** Marks the job at the slot settled (completed or rejected).  In a
@@ -166,6 +168,9 @@ val release : t -> int -> float
 val weight : t -> int -> float
 val min_size : t -> int -> float
 val size : t -> machine:int -> job:int -> float
+(** [p_ij], read off the job's handle: valid while the slot holds the
+    job (a retiring state drops the handle at {!settle}). *)
+
 val eligible : t -> machine:int -> job:int -> bool
 
 val cand_mask : t -> job:int -> int
@@ -196,7 +201,8 @@ val account_restart : t -> unit
     empties. *)
 
 val pend_add : t -> int -> int -> unit
-(** [pend_add t i slot] — raises [Invalid_argument] if already present. *)
+(** [pend_add t i slot] — raises [Invalid_argument] if the slot is
+    already pending, on [i] or on any other machine. *)
 
 val pend_remove : t -> int -> int -> bool
 (** [pend_remove t i slot] — [false] when [slot] is not pending on [i]. *)
@@ -339,7 +345,10 @@ val to_schedule : t -> Schedule.t
 val invariant : t -> bool
 (** Structural check, for tests: every slot below the high-water mark
     held by exactly one mapped id or free, never both; all four heaps
-    consistent and equal-sized per machine, and the index (when live) a
+    consistent and equal-sized per machine, each order's shared position
+    column registering exactly the slots its heaps hold, every pending
+    slot's order key equal to its size on its machine, and the index
+    (when live) a
     search tree
     over exactly the SPT heap's slots, heap-ordered on its priorities,
     whose every count and sum equals the one recomputed from the node's

@@ -181,15 +181,18 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Iheap = struct
-  (* The elements ARE the ids, so nothing is boxed: the heap and position
-     tables are plain [int array]s and every operation is allocation-free
-     once they have grown to size.
+  (* The elements ARE the ids, so nothing is boxed: the heap is a plain
+     [int array] and every operation is allocation-free.
 
-     The heap stores no order.  Every call that compares takes it as
-     [~less ctx base]: a top-level function applied to the caller's state
-     and a row offset, so the heap never captures the arrays the order
-     reads — they can be reallocated between calls, and the heap stays
-     plain data.
+     The heap stores neither its order nor its position table.  Every
+     call that compares takes the order as [~less ctx]: a top-level
+     function applied to the caller's state, so the heap never captures
+     the arrays the order reads — they can be reallocated between calls,
+     and the heap stays plain data.  The position table ([~pos], id ->
+     heap position, [-1] when absent) is the caller's column too, and
+     several heaps may share one as long as an id sits in at most one of
+     them at a time: a heap then knows its own ids by checking that the
+     position recorded for an id holds that id in its array.
 
      Add appends and sifts up; remove moves the last element into the
      hole and sifts up then down.  The resulting slot layout is
@@ -198,60 +201,51 @@ module Iheap = struct
      algorithm can change schedules (the corpus x policy goldens pin
      it). *)
 
-  type t = {
-    mutable hdata : int array;
-    mutable hlen : int;
-    mutable hpos : int array;  (* id -> heap position, -1 when absent *)
-  }
+  type t = { mutable hdata : int array; mutable hlen : int }
 
-  let create () = { hdata = [||]; hlen = 0; hpos = [||] }
+  let create () = { hdata = [||]; hlen = 0 }
   let size t = t.hlen
   let is_empty t = t.hlen = 0
-  let mem t ~id = id >= 0 && id < Array.length t.hpos && t.hpos.(id) >= 0
 
-  let set t slot id =
+  let mem t ~pos ~id =
+    id >= 0
+    && id < Array.length pos
+    &&
+    let p = pos.(id) in
+    p >= 0 && p < t.hlen && t.hdata.(p) = id
+
+  let set t pos slot id =
     t.hdata.(slot) <- id;
-    t.hpos.(id) <- slot
+    pos.(id) <- slot
 
-  let rec sift_up t less ctx base slot =
+  let rec sift_up t less ctx pos slot =
     if slot > 0 then begin
       let parent = (slot - 1) / 2 in
-      if less ctx base t.hdata.(slot) t.hdata.(parent) then begin
+      if less ctx t.hdata.(slot) t.hdata.(parent) then begin
         let a = t.hdata.(slot) and b = t.hdata.(parent) in
-        set t slot b;
-        set t parent a;
-        sift_up t less ctx base parent
+        set t pos slot b;
+        set t pos parent a;
+        sift_up t less ctx pos parent
       end
     end
 
-  let rec sift_down t less ctx base slot =
+  let rec sift_down t less ctx pos slot =
     let l = (2 * slot) + 1 and r = (2 * slot) + 2 in
     let smallest = ref slot in
-    if l < t.hlen && less ctx base t.hdata.(l) t.hdata.(!smallest) then smallest := l;
-    if r < t.hlen && less ctx base t.hdata.(r) t.hdata.(!smallest) then smallest := r;
+    if l < t.hlen && less ctx t.hdata.(l) t.hdata.(!smallest) then smallest := l;
+    if r < t.hlen && less ctx t.hdata.(r) t.hdata.(!smallest) then smallest := r;
     if !smallest <> slot then begin
       let a = t.hdata.(slot) and b = t.hdata.(!smallest) in
-      set t slot b;
-      set t !smallest a;
-      sift_down t less ctx base !smallest
+      set t pos slot b;
+      set t pos !smallest a;
+      sift_down t less ctx pos !smallest
     end
 
-  let reserve t n =
-    let len = Array.length t.hpos in
-    if n > len then begin
-      let npos = Array.make n (-1) in
-      Array.blit t.hpos 0 npos 0 len;
-      t.hpos <- npos
-    end
-
-  let ensure_pos t id =
-    let len = Array.length t.hpos in
-    if id >= len then reserve t (max 16 (max (id + 1) (2 * len)))
-
-  let add t ~less ctx base ~id =
+  let add t ~less ctx ~pos ~id =
     if id < 0 then invalid_arg "Pqueue.Iheap.add: negative id";
-    ensure_pos t id;
-    if t.hpos.(id) >= 0 then
+    if id >= Array.length pos then
+      invalid_arg (Printf.sprintf "Pqueue.Iheap.add: id %d outside the position table" id);
+    if pos.(id) >= 0 then
       invalid_arg (Printf.sprintf "Pqueue.Iheap.add: id %d already present" id);
     let cap = Array.length t.hdata in
     if t.hlen = cap then begin
@@ -259,23 +253,22 @@ module Iheap = struct
       Array.blit t.hdata 0 ndata 0 t.hlen;
       t.hdata <- ndata
     end;
-    t.hdata.(t.hlen) <- id;
-    t.hpos.(id) <- t.hlen;
+    set t pos t.hlen id;
     t.hlen <- t.hlen + 1;
-    sift_up t less ctx base (t.hlen - 1)
+    sift_up t less ctx pos (t.hlen - 1)
 
-  let remove t ~less ctx base ~id =
-    if not (mem t ~id) then false
+  let remove t ~less ctx ~pos ~id =
+    if not (mem t ~pos ~id) then false
     else begin
-      let slot = t.hpos.(id) in
-      t.hpos.(id) <- -1;
+      let slot = pos.(id) in
+      pos.(id) <- -1;
       t.hlen <- t.hlen - 1;
       if slot < t.hlen then begin
-        set t slot t.hdata.(t.hlen);
+        set t pos slot t.hdata.(t.hlen);
         (* The moved element may violate the invariant in either direction;
            exactly one of the two sifts does work. *)
-        sift_up t less ctx base slot;
-        sift_down t less ctx base slot
+        sift_up t less ctx pos slot;
+        sift_down t less ctx pos slot
       end;
       true
     end
@@ -287,23 +280,31 @@ module Iheap = struct
       f t.hdata.(slot)
     done
 
-  let clear t =
-    t.hdata <- [||];
-    t.hlen <- 0;
-    t.hpos <- [||]
-
-  let invariant t ~less ctx base =
-    let ok = ref (t.hlen >= 0 && t.hlen <= Array.length t.hdata) in
-    for slot = 1 to t.hlen - 1 do
-      let parent = (slot - 1) / 2 in
-      if less ctx base t.hdata.(slot) t.hdata.(parent) then ok := false
-    done;
+  let clear t ~pos =
     for slot = 0 to t.hlen - 1 do
-      let id = t.hdata.(slot) in
-      if id < 0 || id >= Array.length t.hpos || t.hpos.(id) <> slot then ok := false
+      pos.(t.hdata.(slot)) <- -1
     done;
+    t.hdata <- [||];
+    t.hlen <- 0
+
+  let invariant heaps ~less ctx ~pos =
+    let ok = ref true and held = ref 0 in
+    Array.iter
+      (fun t ->
+        if t.hlen < 0 || t.hlen > Array.length t.hdata then ok := false
+        else begin
+          held := !held + t.hlen;
+          for slot = 1 to t.hlen - 1 do
+            let parent = (slot - 1) / 2 in
+            if less ctx t.hdata.(slot) t.hdata.(parent) then ok := false
+          done;
+          for slot = 0 to t.hlen - 1 do
+            let id = t.hdata.(slot) in
+            if id < 0 || id >= Array.length pos || pos.(id) <> slot then ok := false
+          done
+        end)
+      heaps;
     let registered = ref 0 in
-    Array.iter (fun p -> if p >= 0 then incr registered) t.hpos;
-    if !registered <> t.hlen then ok := false;
-    !ok
+    Array.iter (fun p -> if p >= 0 then incr registered) pos;
+    !ok && !registered = !held
 end

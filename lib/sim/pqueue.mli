@@ -89,17 +89,26 @@ end
     tracks the heap slot of every id, giving O(log n) removal of
     {e arbitrary} elements — the operation mid-run rejection needs — on
     top of the usual O(log n) insert/extract-min.  The elements {e are}
-    the ids, held in plain [int array]s, so add/remove/min are
-    allocation-free once the arrays have grown.
+    the ids, held in a plain [int array], so add/remove/min are
+    allocation-free once the array has grown.
 
     The heap stores no order.  Each call that compares takes it as
-    [~less ctx base]: [less ctx base a b] is a strict total order over
-    the ids present (break ties on the id itself), read from the
-    caller's state [ctx] at row offset [base].  Pass a top-level
-    function, not a closure: the heap then holds nothing but ints, so it
-    marshals as plain data, and the arrays the order reads may be
-    reallocated between calls.  Every call on one heap must pass the
-    same order, or the heap invariant silently breaks.
+    [~less ctx]: [less ctx a b] is a strict total order over the ids
+    present (break ties on the id itself), read from the caller's state
+    [ctx].  Pass a top-level function, not a closure: the heap then
+    holds nothing but ints, so it marshals as plain data, and the arrays
+    the order reads may be reallocated between calls.  Every call on one
+    heap must pass the same order, or the heap invariant silently
+    breaks.
+
+    Nor does the heap own its position table.  Each call that reads or
+    moves ids takes it as [~pos], an id-indexed [int array] holding the
+    id's heap position or [-1], covering every id ever added.  Several
+    heaps may share one table as long as an id is in at most one of them
+    at a time; a heap recognizes its own ids by the position recorded
+    for an id holding that id, so {!mem} and {!remove} on a heap that
+    does not hold the id answer [false] and leave the table alone.  Each
+    heap must be passed the same table on every call.
 
     The slot layout is load-bearing: [Driver.pending_iter] exposes
     heap-array order to policies, some of which fold floats over it, so
@@ -111,20 +120,18 @@ module Iheap : sig
   val create : unit -> t
   val size : t -> int
   val is_empty : t -> bool
-  val mem : t -> id:int -> bool
 
-  val reserve : t -> int -> unit
-  (** [reserve t n] sizes the position table for ids [0..n-1] exactly, so
-      an owner that knows its id range (the flat state's slot capacity)
-      pays no doubling slack.  Ids beyond it still grow the table by
-      doubling.  Never shrinks. *)
+  val mem : t -> pos:int array -> id:int -> bool
+  (** Whether this heap holds the id. *)
 
-  val add : t -> less:('c -> int -> int -> int -> bool) -> 'c -> int -> id:int -> unit
-  (** Raises [Invalid_argument] if [id] is negative or already present. *)
+  val add : t -> less:('c -> int -> int -> bool) -> 'c -> pos:int array -> id:int -> unit
+  (** Raises [Invalid_argument] if [id] is negative, outside [pos], or
+      already registered in [pos] (by this heap or another sharing
+      it). *)
 
-  val remove : t -> less:('c -> int -> int -> int -> bool) -> 'c -> int -> id:int -> bool
+  val remove : t -> less:('c -> int -> int -> bool) -> 'c -> pos:int array -> id:int -> bool
   (** Removes the element with the given id in O(log n); [false] when
-      absent. *)
+      this heap does not hold it. *)
 
   val min_id : t -> int
   (** Smallest id under the order, or [-1] when empty. *)
@@ -133,9 +140,12 @@ module Iheap : sig
   (** Iterates in heap-array order: deterministic for a given operation
       history, but {e not} sorted. *)
 
-  val clear : t -> unit
+  val clear : t -> pos:int array -> unit
+  (** Empties the heap and unregisters its ids from [pos]. *)
 
-  val invariant : t -> less:('c -> int -> int -> int -> bool) -> 'c -> int -> bool
-  (** Structural check (heap property + position-table consistency), for
-      tests. *)
+  val invariant : t array -> less:('c -> int -> int -> bool) -> 'c -> pos:int array -> bool
+  (** Structural check, for tests, over all the heaps sharing [pos]:
+      each has the heap property and every id it holds is recorded at
+      its position, and [pos] registers exactly as many ids as the heaps
+      hold between them. *)
 end

@@ -194,11 +194,11 @@ let prop_events_sorted_model =
 (* Named comparators (RJL002 trusts audited named functions, and the
    primitive float comparisons are deliberate: this is the driver's
    comparison semantics). *)
-let keyed_less (keys : float array) _base a b =
+let keyed_less (keys : float array) a b =
   let ka = keys.(a) and kb = keys.(b) in
   if ka < kb then true else if ka > kb then false else a < b
 
-let int_less () _base (a : int) (b : int) = a < b
+let int_less () (a : int) (b : int) = a < b
 
 let prop_iheap_model =
   QCheck.Test.make ~name:"Iheap min_id/iter/invariant agree with a present-set model"
@@ -209,7 +209,7 @@ let prop_iheap_model =
       let nids = 2 + Rng.int rng 40 in
       (* Keys from a coarse dyadic grid: collisions are the interesting case. *)
       let keys = Array.init nids (fun _ -> float_of_int (Rng.int rng 8) /. 4.) in
-      let h = Pqueue.Iheap.create () in
+      let h = Pqueue.Iheap.create () and pos = Array.make nids (-1) in
       let present = Array.make nids false in
       let agrees () =
         let visits = Array.make nids 0 in
@@ -219,29 +219,29 @@ let prop_iheap_model =
           (fun id p ->
             if p then begin
               incr count;
-              if !expected_min < 0 || keyed_less keys 0 id !expected_min then expected_min := id
+              if !expected_min < 0 || keyed_less keys id !expected_min then expected_min := id
             end)
           present;
         let ok = ref (Pqueue.Iheap.size h = !count) in
         Array.iteri
           (fun id p ->
-            if visits.(id) <> (if p then 1 else 0) || Pqueue.Iheap.mem h ~id <> p then
+            if visits.(id) <> (if p then 1 else 0) || Pqueue.Iheap.mem h ~pos ~id <> p then
               ok := false)
           present;
         !ok
         && Pqueue.Iheap.min_id h = !expected_min
-        && Pqueue.Iheap.invariant h ~less:keyed_less keys 0
+        && Pqueue.Iheap.invariant [| h |] ~less:keyed_less keys ~pos
       in
       let steps = 30 + Rng.int rng 200 in
       let ok = ref (agrees ()) in
       for _ = 1 to steps do
         let id = Rng.int rng nids in
         if present.(id) then begin
-          assert (Pqueue.Iheap.remove h ~less:keyed_less keys 0 ~id);
+          assert (Pqueue.Iheap.remove h ~less:keyed_less keys ~pos ~id);
           present.(id) <- false
         end
         else begin
-          Pqueue.Iheap.add h ~less:keyed_less keys 0 ~id;
+          Pqueue.Iheap.add h ~less:keyed_less keys ~pos ~id;
           present.(id) <- true
         end;
         if not (agrees ()) then ok := false
@@ -249,16 +249,19 @@ let prop_iheap_model =
       !ok)
 
 let test_iheap_errors () =
-  let h = Pqueue.Iheap.create () in
-  Pqueue.Iheap.add h ~less:int_less () 0 ~id:3;
-  (match Pqueue.Iheap.add h ~less:int_less () 0 ~id:3 with
+  let h = Pqueue.Iheap.create () and pos = Array.make 8 (-1) in
+  Pqueue.Iheap.add h ~less:int_less () ~pos ~id:3;
+  (match Pqueue.Iheap.add h ~less:int_less () ~pos ~id:3 with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "duplicate add accepted");
-  (match Pqueue.Iheap.add h ~less:int_less () 0 ~id:(-1) with
+  (match Pqueue.Iheap.add h ~less:int_less () ~pos ~id:(-1) with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "negative id accepted");
-  Alcotest.(check bool) "absent remove" false (Pqueue.Iheap.remove h ~less:int_less () 0 ~id:7);
-  Alcotest.(check bool) "present remove" true (Pqueue.Iheap.remove h ~less:int_less () 0 ~id:3);
+  (match Pqueue.Iheap.add h ~less:int_less () ~pos ~id:8 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "id outside the position table accepted");
+  Alcotest.(check bool) "absent remove" false (Pqueue.Iheap.remove h ~less:int_less () ~pos ~id:7);
+  Alcotest.(check bool) "present remove" true (Pqueue.Iheap.remove h ~less:int_less () ~pos ~id:3);
   Alcotest.(check int) "empty min" (-1) (Pqueue.Iheap.min_id h)
 
 (* --- Flat_state pending aggregates pin to zero --------------------------- *)
@@ -272,6 +275,15 @@ let test_pending_zero_pin () =
   Flat_state.pend_add fs 0 1;
   Alcotest.(check int) "count" 2 (Flat_state.pend_count fs 0);
   Alcotest.(check (float 0.)) "work" 1.5 (Flat_state.pend_work fs 0);
+  (* Machine 1's heaps share machine 0's position columns: they must not
+     answer for a job pending on machine 0, nor take it a second time. *)
+  Alcotest.(check bool) "remove on the wrong machine" false (Flat_state.pend_remove fs 1 0);
+  (match Flat_state.pend_add fs 1 0 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a job pending on machine 0 was added to machine 1");
+  Alcotest.(check int) "count kept" 2 (Flat_state.pend_count fs 0);
+  Alcotest.(check (float 0.)) "work kept" 1.5 (Flat_state.pend_work fs 0);
+  Alcotest.(check bool) "invariant kept" true (Flat_state.invariant fs);
   Alcotest.(check bool) "remove" true (Flat_state.pend_remove fs 0 1);
   Alcotest.(check bool) "remove" true (Flat_state.pend_remove fs 0 0);
   (* Emptying the queue pins work/weight to exactly 0., not a rounding
@@ -532,6 +544,39 @@ let test_capacity_tracks_in_flight () =
         Alcotest.failf "%s: capacity %d for a peak of %d jobs in flight (n = %d)" what cap peak n)
     [ ("dense ids", Fun.id); ("ids up to 10^15", fun k -> k * 50_000_000_000) ]
 
+(* The state holds nothing per (machine, slot).  One stream of [n] jobs
+   is fed at m = 1, 64 and 512 machines, every job left pending on
+   machine [k mod m] with all four orders and the index awake; the
+   state's reachable words, less the jobs' own size vectors, must fit
+   [a * capacity + b * m].  Any column of [m * capacity] cells would
+   overshoot that at m = 512 several times over. *)
+let state_words_excluding_sizes ~m ~n =
+  let fs = Flat_state.of_stream ~machines:(Machine.fleet m) in
+  ignore (Flat_state.head_density fs 0);
+  ignore (Flat_state.head_size_id fs 0);
+  ignore (Flat_state.head_fifo fs 0);
+  ignore (Flat_state.index_min fs 0);
+  let size_words = ref 0 in
+  for k = 0 to n - 1 do
+    let sizes = Array.init m (fun i -> float_of_int (1 + ((k + i) mod 7))) in
+    size_words := !size_words + Obj.reachable_words (Obj.repr sizes);
+    let j = Job.create ~id:k ~release:(float_of_int k) ~sizes () in
+    Flat_state.add_job fs j;
+    Flat_state.pend_add fs (k mod m) (Flat_state.slot_of fs k)
+  done;
+  if not (Flat_state.invariant fs) then Alcotest.failf "m = %d: invariant broken" m;
+  (Obj.reachable_words (Obj.repr fs) - !size_words, Flat_state.capacity fs)
+
+let test_state_words_linear () =
+  let n = 2_000 in
+  List.iter
+    (fun m ->
+      let words, cap = state_words_excluding_sizes ~m ~n in
+      let bound = (48 * cap) + (128 * m) + 4096 in
+      if words > bound then
+        Alcotest.failf "m = %d: %d words for capacity %d, over %d" m words cap bound)
+    [ 1; 64; 512 ]
+
 (* The index's priorities hash the external id, not the slot: the same
    pending jobs, at the same slots reversed, give the same treap, so even
    sums of non-dyadic sizes (where any regrouping shows in the last
@@ -641,6 +686,7 @@ let suite =
     Alcotest.test_case "index survives freeze/thaw" `Quick test_index_survives_freeze_thaw;
     Alcotest.test_case "slot capacity tracks the jobs in flight" `Quick
       test_capacity_tracks_in_flight;
+    Alcotest.test_case "state words are O(capacity + m)" `Quick test_state_words_linear;
     Alcotest.test_case "index shape ignores slot assignment" `Quick
       test_index_shape_ignores_slots;
     qtest prop_ids_refused_once_fed;

@@ -194,6 +194,10 @@ let test_hot_annotations_guarded () =
          prefix query behind lambda_ij, min and max. *)
       "prio"; "ix_fix"; "ix_insert"; "ix_merge"; "ix_remove"; "ix_split"; "ix_leftmost";
       "ix_rightmost"; "pend_split"; "index_min"; "index_max";
+      (* The pending orders, which read the shared pending-size column,
+         and the prefix query's probe, which reads the arrival's own
+         size vector. *)
+      "less_spt"; "less_density"; "less_size_id"; "less_fifo"; "before_release"; "before_probe";
       (* Slots: resolving an external id (the arrival by one comparison,
          any other through the id map), and handing a slot back. *)
       "slot_of"; "arrive"; "offer"; "settle"; "above"; "find"; "probe"; "remove"; "shift" ];

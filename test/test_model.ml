@@ -110,6 +110,82 @@ let test_instance_horizon () =
   let inst = Test_util.instance [ (10., [| 2. |]); (0., [| 3. |]) ] in
   Alcotest.(check bool) "horizon covers everything" true (Instance.horizon inst >= 15.)
 
+(* Jobs with the ids [0..n-1] handed out in a random order, random
+   releases (ties included) and random sizes: some forbidden, some
+   non-dyadic, spanning several orders of magnitude. *)
+let random_jobs rng ~n ~m =
+  let ids = Array.init n Fun.id in
+  Sched_stats.Rng.shuffle rng ids;
+  Array.to_list
+    (Array.map
+       (fun id ->
+         let sizes =
+           Array.init m (fun _ ->
+               if Sched_stats.Rng.int rng 4 = 0 then Float.infinity
+               else Sched_stats.Rng.float_range rng 1e-3 1e3)
+         in
+         sizes.(Sched_stats.Rng.int rng m) <- Sched_stats.Rng.float_range rng 0.1 10.;
+         Job.create ~id ~release:(float_of_int (Sched_stats.Rng.int rng 20)) ~sizes ())
+       ids)
+
+let prop_instance_job_by_id =
+  QCheck.Test.make ~name:"Instance.job finds every id under random id permutations" ~count:100
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Sched_stats.Rng.create seed in
+      let n = 1 + Sched_stats.Rng.int rng 60 and m = 1 + Sched_stats.Rng.int rng 4 in
+      let jobs = random_jobs rng ~n ~m in
+      let inst = Instance.create ~machines:(Machine.fleet m) ~jobs () in
+      List.for_all (fun (j : Job.t) -> Instance.job inst j.Job.id == j) jobs
+      && raises_invalid (fun () -> Instance.job inst n)
+      && raises_invalid (fun () -> Instance.job inst (-1)))
+  |> QCheck_alcotest.to_alcotest
+
+(* The [Float.min] definitions the plain [<] scans replaced.  Sizes are
+   positive and never NaN and speeds positive and finite, so the two must
+   agree bit for bit. *)
+let float_min_size (j : Job.t) = Array.fold_left Float.min Float.infinity j.Job.sizes
+
+let float_min_volume inst =
+  let total = ref 0. in
+  Array.iter
+    (fun (j : Job.t) ->
+      let mn = ref Float.infinity in
+      for i = 0 to Instance.m inst - 1 do
+        if Job.eligible j i then begin
+          let speed = (Instance.machine inst i).Machine.speed in
+          mn := Float.min !mn (Job.size j i /. speed)
+        end
+      done;
+      total := !total +. !mn)
+    (Instance.jobs_by_release inst);
+  !total
+
+let float_total_min_volume inst =
+  Array.fold_left (fun acc j -> acc +. float_min_size j) 0. (Instance.jobs_by_release inst)
+
+let prop_folds_match_float_min =
+  QCheck.Test.make ~name:"min-size and volume scans equal their Float.min folds bit for bit"
+    ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Sched_stats.Rng.create seed in
+      let n = 1 + Sched_stats.Rng.int rng 40 and m = 1 + Sched_stats.Rng.int rng 9 in
+      let machines =
+        Array.init m (fun id ->
+            Machine.create ~id ~speed:(Sched_stats.Rng.float_range rng 0.05 20.) ())
+      in
+      let inst = Instance.create ~machines ~jobs:(random_jobs rng ~n ~m) () in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      Array.for_all
+        (fun j -> same (Job.min_size j) (float_min_size j))
+        (Instance.jobs_by_release inst)
+      && same (Instance.total_min_volume inst) (float_total_min_volume inst)
+      && same
+           (Sched_baselines.Lower_bounds.volume inst).Sched_baselines.Lower_bounds.value
+           (float_min_volume inst))
+  |> QCheck_alcotest.to_alcotest
+
 (* --- Time --- *)
 
 let test_time () =
@@ -143,6 +219,8 @@ let suite =
     Alcotest.test_case "instance basics" `Quick test_instance_basics;
     Alcotest.test_case "instance validation" `Quick test_instance_validation;
     Alcotest.test_case "instance horizon" `Quick test_instance_horizon;
+    prop_instance_job_by_id;
+    prop_folds_match_float_min;
     Alcotest.test_case "time comparisons" `Quick test_time;
     Alcotest.test_case "outcome" `Quick test_outcome;
   ]
