@@ -616,11 +616,12 @@ let serve_schema = "rejsched.serve/1"
 
 (* One arrival per line:
      {"job": 0, "release": 1.5, "sizes": [2.0, 3.0], "weight": 1.0, "deadline": 4.0}
-   weight and deadline are optional; a size may be the quoted token
-   "Infinity" (a forbidden machine), matching what the NDJSON writers
-   emit for non-finite floats.  The job id must be a non-negative
-   integer that fits an int: a fraction, a negative or an out-of-range
-   number is a bad arrival, not a silently truncated id. *)
+   weight and deadline are optional, but a present one must be a number
+   (a string or null is a bad arrival, not a default); a size may be the
+   quoted token "Infinity" (a forbidden machine), matching what the
+   NDJSON writers emit for non-finite floats.  The job id must be a
+   non-negative integer that fits an int: a fraction, a negative or an
+   out-of-range number is a bad arrival, not a silently truncated id. *)
 let job_of_line line =
   let module N = Sched_obs.Ndjson in
   match N.parse line with
@@ -629,10 +630,17 @@ let job_of_line line =
       let num name =
         match N.member name j with Some (N.Jnum v) -> Some v | _ -> None
       in
-      match (num "job", num "release", N.member "sizes" j) with
-      | Some id, _, _ when not (Float.is_integer id && id >= 0. && id < float_of_int max_int) ->
+      let optional name =
+        match N.member name j with
+        | None -> Ok None
+        | Some (N.Jnum v) -> Ok (Some v)
+        | Some _ -> Error (Printf.sprintf "\"%s\" must be a number" name)
+      in
+      match (num "job", num "release", N.member "sizes" j, optional "weight", optional "deadline") with
+      | Some id, _, _, _, _ when not (Float.is_integer id && id >= 0. && id < float_of_int max_int) ->
           Error "\"job\" must be a non-negative integer"
-      | Some id, Some release, Some (N.Jarr raw) -> (
+      | _, _, _, Error msg, _ | _, _, _, _, Error msg -> Error msg
+      | Some id, Some release, Some (N.Jarr raw), Ok weight, Ok deadline -> (
           let size = function
             | N.Jnum v -> v
             | N.Jstr "Infinity" -> infinity
@@ -642,8 +650,7 @@ let job_of_line line =
           if Array.exists Float.is_nan sizes then Error "sizes must be numbers"
           else
             match
-              Job.create ~id:(int_of_float id) ~release ?weight:(num "weight")
-                ?deadline:(num "deadline") ~sizes ()
+              Job.create ~id:(int_of_float id) ~release ?weight ?deadline ~sizes ()
             with
             | job -> Ok job
             | exception Invalid_argument msg -> Error msg)

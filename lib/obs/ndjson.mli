@@ -26,8 +26,14 @@ val escape : string -> string
 (** JSON string-body escaping. *)
 
 val float_repr : float -> string
-(** Shortest round-tripping decimal; integral values print without a
-    fraction.  Non-finite values print as the JSON string tokens
+(** Integral values up to 1e15 in magnitude print as [%.0f]; any other
+    finite value as [%.12g] when that reads back exactly, else as
+    [%.17g].  The result always reads back as the same float, but it is
+    not always the shortest string that does: [4996.2489642590317] is
+    printed where [4996.248964259032] would read back too.  The bytes
+    are [Printf]'s for every input; non-integral values with
+    [1e-4 <= |v| < 1e11] are formatted in OCaml, all others by the C
+    runtime.  Non-finite values print as the JSON string tokens
     ["\"NaN\""], ["\"Infinity\""] and ["\"-Infinity\""] — the returned
     token includes the quotes, so splicing it raw into a JSON document
     (as {!Export.json} does) stays valid JSON. *)

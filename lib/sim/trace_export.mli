@@ -1,9 +1,10 @@
 (** NDJSON export of a {!Trace.t}.
 
     Each event becomes one JSON object per line, tagged with {!schema} so
-    downstream consumers can dispatch on record versions.  Floats use the
-    shortest round-tripping decimal form, so exports are deterministic and
-    byte-identical across equal traces. *)
+    downstream consumers can dispatch on record versions.  Floats print
+    as {!Sched_obs.Ndjson.float_repr} writes them, a form that reads back
+    exactly, so exports are deterministic and byte-identical across equal
+    traces. *)
 
 val schema : string
 (** Current record schema tag, ["rejsched.trace/1"].  Every emitted line

@@ -395,6 +395,51 @@ let test_serve_settled_id_refed () =
   Sys.remove input;
   Sys.remove err
 
+(* serve-smoke's values are dyadic (0.5, 2.25, ...), so they never need
+   more than 12 digits.  snapshots/serve-nondyadic.ndjson is 200 arrivals
+   on 3 machines with releases and weights like k/10 and sizes like k/7,
+   overloaded enough that flow-reject rejects 51 of them, 12 mid-run:
+   its decisions, [remaining] volumes and closing totals print in the
+   17-digit form about as often as in the 12-digit one (478 and 430
+   values).  The expected stdout was written by the %.12g/%.17g printf
+   formatter. *)
+let test_serve_nondyadic () =
+  let out = temp ".out" in
+  let code =
+    shell
+      (Printf.sprintf "%s serve -p flow-reject -m 3 --batch 1 --input %s > %s" exe
+         "snapshots/serve-nondyadic.ndjson" out)
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  let text = read_file out in
+  Sys.remove out;
+  Alcotest.(check string) "stdout matches snapshots/serve-nondyadic.expected"
+    (read_file "snapshots/serve-nondyadic.expected") text
+
+(* An optional field that is present must be a number: a string or a
+   null weight or deadline is a bad arrival, not the default. *)
+let test_serve_non_number_optional_rejected () =
+  List.iter
+    (fun (line, field) ->
+      let input = temp ".ndjson" and err = temp ".txt" in
+      write_lines input [ line ];
+      let code =
+        shell (Printf.sprintf "%s serve -m 2 --input %s > /dev/null 2> %s" exe input err)
+      in
+      Alcotest.(check int) (line ^ " exit code") 1 code;
+      Alcotest.(check string) (line ^ " stderr")
+        (Printf.sprintf "rejsched: bad arrival: \"%s\" must be a number\n" field)
+        (read_file err);
+      Sys.remove input;
+      Sys.remove err)
+    [
+      ({|{"job":0,"release":0,"sizes":[1,2],"weight":"5"}|}, "weight");
+      ({|{"job":0,"release":0,"sizes":[1,2],"weight":null}|}, "weight");
+      ({|{"job":0,"release":0,"sizes":[1,2],"deadline":"4"}|}, "deadline");
+      ({|{"job":0,"release":0,"sizes":[1,2],"deadline":null}|}, "deadline");
+      ({|{"job":0,"release":0,"sizes":[1,2],"weight":[1]}|}, "weight");
+    ]
+
 (* A file that cannot be opened or created is a usage error: exit 2 with
    the path on stderr, not an uncaught exception. *)
 let test_unopenable_files_exit_2 () =
@@ -506,4 +551,7 @@ let suite =
     Alcotest.test_case "serve ids up to 10^15" `Quick test_serve_huge_ids;
     Alcotest.test_case "serve settled id fed again exits 1" `Quick test_serve_settled_id_refed;
     Alcotest.test_case "unopenable files exit 2" `Quick test_unopenable_files_exit_2;
+    Alcotest.test_case "serve non-dyadic stream matches its golden" `Quick test_serve_nondyadic;
+    Alcotest.test_case "serve non-number weight/deadline exits 1" `Quick
+      test_serve_non_number_optional_rejected;
   ]

@@ -1,9 +1,9 @@
 (* Tests for the telemetry layer (lib/obs/) and its driver wiring.
 
    The exporter goldens are exact byte-for-byte strings: the registry
-   iterates deterministically and floats print in shortest round-tripping
-   form, so any drift in the exposition formats is a real change.  All
-   histogram inputs are dyadic so sums are exact.
+   iterates deterministically and floats print as %.12g when that reads
+   back and %.17g otherwise, so any drift in the exposition formats is a
+   real change.  All histogram inputs are dyadic so sums are exact.
 
    The differential tests are the layer's core contract: schedules and
    traces are byte-identical with telemetry off, with counters only, and
@@ -254,27 +254,59 @@ let reference_escape s =
     s;
   Buffer.contents buf
 
-(* QCheck's floats, arbitrary bit patterns (NaNs, infinities,
-   subnormals), subnormals on their own, and the edges: the 1e15 switch
-   between the integral and the general form, and the signed zeros. *)
+(* [float_repr] has an exact OCaml path for non-integral values with
+   1e-4 <= |v| < 1e11 and falls back to printf elsewhere and on exact
+   halves, so besides QCheck's floats, arbitrary bit patterns (NaNs,
+   infinities, subnormals) and subnormals on their own — which almost
+   never land in that range — the generators aim at it: log-uniform
+   magnitudes of both signs, serve-burst's quarter grid, decimals of at
+   most 12 digits, the neighbours of powers of ten (the range's ends
+   among them), 12-digit carries (9.9999999999995 rounds up into the
+   next decade), and dyadic values i + 2^-j, some of which sit exactly
+   half-way at the 12th or 17th digit (1 + 2^-12 = 1.000244140625).
+   The edges add the 1e15 switch between the integral and the general
+   form and the signed zeros. *)
 let arb_repr_float =
+  let pow10 d = float_of_string ("1e" ^ string_of_int d) in
+  let signed = QCheck.Gen.(map2 (fun v neg -> if neg then -.v else v)) in
+  let rec step f n v = if n = 0 then v else step f (n - 1) (f v) in
+  let nudge v n = if n < 0 then step Float.pred (-n) v else step Float.succ n v in
   let edges =
     [ 1e15; -1e15; Float.pred 1e15; Float.succ 1e15; 1e15 +. 1.; 1e15 +. 2.; -0.0; 0.0;
       Float.min_float; Float.pred Float.min_float; 5e-324; Float.max_float; 0.1; 1e-7;
-      123456789012.5 ]
+      123456789012.5; 1e-4; Float.pred 1e-4; Float.succ 1e-4; Float.pred 1e11;
+      9.9999999999995; Float.pred 9.9999999999995; Float.succ 9.9999999999995;
+      99999.9999999995; Float.pred 99999.9999999995; Float.succ 99999.9999999995;
+      1. +. 0x1p-12; 4996.2489642590317 ]
   in
   QCheck.(
-    set_print string_of_float
+    set_print (Printf.sprintf "%h")
       (oneof
          [
            float;
            make Gen.(map Int64.float_of_bits ui64);
            make Gen.(map (fun b -> Int64.(float_of_bits (logand b 0x800F_FFFF_FFFF_FFFFL))) ui64);
            oneofl edges;
+           make (signed Gen.(map (fun x -> 10. ** x) (float_range (-4.) 11.)) Gen.bool);
+           make Gen.(map (fun k -> 0.25 *. float_of_int k) (int_range 0 4_000_000));
+           make
+             (signed
+                Gen.(map2 (fun k d -> float_of_int k /. pow10 d) (int_range 1 999_999_999_999) (int_range 0 16))
+                Gen.bool);
+           make Gen.(map2 (fun d n -> nudge (pow10 d) n) (int_range (-5) 12) (int_range (-3) 3));
+           make
+             Gen.(
+               map2
+                 (fun d n -> nudge (float_of_string (Printf.sprintf "9.9999999999995e%d" d)) n)
+                 (int_range (-5) 10) (int_range (-3) 3));
+           make
+             (signed
+                Gen.(map2 (fun i j -> float_of_int i +. Float.ldexp 1. (-j)) (int_range 0 1_000_000) (int_range 1 45))
+                Gen.bool);
          ]))
 
 let test_float_repr_matches_printf =
-  QCheck.Test.make ~name:"float_repr equals the Printf definition" ~count:20000 arb_repr_float
+  QCheck.Test.make ~name:"float_repr equals the Printf definition" ~count:200_000 arb_repr_float
     (fun v -> String.equal (J.float_repr v) (reference_float_repr v))
   |> QCheck_alcotest.to_alcotest
 
