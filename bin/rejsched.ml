@@ -641,13 +641,20 @@ let job_of_line line =
           Error "\"job\" must be a non-negative integer"
       | _, _, _, Error msg, _ | _, _, _, _, Error msg -> Error msg
       | Some id, Some release, Some (N.Jarr raw), Ok weight, Ok deadline -> (
-          let size = function
-            | N.Jnum v -> v
-            | N.Jstr "Infinity" -> infinity
-            | _ -> nan
+          (* The sizes in one pass over the list; false at the first
+             one that is not a number. *)
+          let sizes = Array.make (List.length raw) 0. in
+          let rec fill k = function
+            | [] -> true
+            | N.Jnum v :: rest ->
+                sizes.(k) <- v;
+                fill (k + 1) rest
+            | N.Jstr "Infinity" :: rest ->
+                sizes.(k) <- infinity;
+                fill (k + 1) rest
+            | _ -> false
           in
-          let sizes = Array.of_list (List.map size raw) in
-          if Array.exists Float.is_nan sizes then Error "sizes must be numbers"
+          if not (fill 0 raw) then Error "sizes must be numbers"
           else
             match
               Job.create ~id:(int_of_float id) ~release ?weight ?deadline ~sizes ()
@@ -751,14 +758,17 @@ let serve_cmd =
       Buffer.add_string out (N.line ~schema:serve_schema fields);
       Buffer.add_char out '\n'
     in
+    (* One progress record per batch, so per arrival at --batch 1: its
+       fields go straight into [out]. *)
+    let progress_head = "{\"schema\":\"" ^ serve_schema ^ "\",\"type\":\"progress\",\"fed\":" in
     let progress drained =
-      emit
-        [
-          ("type", N.String "progress");
-          ("fed", N.Int (session.PR.ss_fed ()));
-          ("drained", N.Float drained);
-          ("next_key", N.Float (session.PR.ss_next_key ()));
-        ]
+      Buffer.add_string out progress_head;
+      Buffer.add_string out (N.int_repr (session.PR.ss_fed ()));
+      Buffer.add_string out ",\"drained\":";
+      Buffer.add_string out (N.float_repr drained);
+      Buffer.add_string out ",\"next_key\":";
+      Buffer.add_string out (N.float_repr (session.PR.ss_next_key ()));
+      Buffer.add_string out "}\n"
     in
     let summary kind (live : Sched_sim.Driver.live_metrics) =
       emit

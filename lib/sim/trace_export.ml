@@ -17,9 +17,9 @@ let add_line buf ~time ~(kind : R.kind) ~job ~machine ~was_running ~value =
   Buffer.add_string buf ",\"event\":\"";
   Buffer.add_string buf (R.kind_to_string kind);
   Buffer.add_string buf "\",\"job\":";
-  Buffer.add_string buf (string_of_int job);
+  Buffer.add_string buf (J.int_repr job);
   Buffer.add_string buf ",\"machine\":";
-  Buffer.add_string buf (string_of_int machine);
+  Buffer.add_string buf (J.int_repr machine);
   (match kind with
   | R.Dispatch | R.Complete -> ()
   | R.Start ->

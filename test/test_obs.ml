@@ -221,6 +221,10 @@ let test_ndjson_primitives () =
   Alcotest.(check string) "inf" "\"Infinity\"" (J.float_repr Float.infinity);
   Alcotest.(check string) "neg-inf" "\"-Infinity\"" (J.float_repr Float.neg_infinity);
   Alcotest.(check string) "tenth" "0.1" (J.float_repr 0.1);
+  Alcotest.(check string) "negative zero" "-0" (J.float_repr (-0.));
+  Alcotest.(check string) "1e15" "1000000000000000" (J.float_repr 1e15);
+  Alcotest.(check string) "-1e15" "-1000000000000000" (J.float_repr (-1e15));
+  Alcotest.(check string) "min_int" (string_of_int min_int) (J.int_repr min_int);
   Alcotest.(check string) "line"
     "{\"schema\":\"s/1\",\"a\":1,\"b\":\"x\\\"y\",\"c\":null,\"d\":true}"
     (J.line ~schema:"s/1"
@@ -308,6 +312,38 @@ let arb_repr_float =
 let test_float_repr_matches_printf =
   QCheck.Test.make ~name:"float_repr equals the Printf definition" ~count:200_000 arb_repr_float
     (fun v -> String.equal (J.float_repr v) (reference_float_repr v))
+  |> QCheck_alcotest.to_alcotest
+
+(* [int_repr] writes [string_of_int]'s digits in OCaml, and
+   [float_repr]'s integral branch (|v| <= 1e15) is the same digit writer,
+   so both are held to the C formatters: any int, the ends of the int
+   range, powers of ten and their neighbours (digit-count boundaries),
+   and the integral floats up to the 1e15 switch (-0 is pinned in
+   "ndjson primitives"). *)
+let arb_int_repr =
+  let edges =
+    [ 0; 1; -1; 9; 10; -10; min_int; max_int; min_int + 1; max_int - 1; 1_000_000_000_000_000;
+      -1_000_000_000_000_000; 999_999_999_999_999; 1_000_000_000_000_001 ]
+  in
+  let rec pow10 d = if d = 0 then 1 else 10 * pow10 (d - 1) in
+  QCheck.(
+    make ~print:string_of_int
+      Gen.(
+        oneof
+          [
+            int;
+            int_range (-1000) 1000;
+            oneofl edges;
+            map3 (fun d delta neg -> (if neg then -1 else 1) * (pow10 d + delta)) (int_range 0 18) (int_range (-1) 1) bool;
+            int_range (-1_000_000_000_000_000) 1_000_000_000_000_000;
+          ]))
+
+let test_int_repr_matches_printf =
+  QCheck.Test.make ~name:"int_repr and integral float_repr equal string_of_int and %.0f"
+    ~count:100_000 arb_int_repr (fun i ->
+      let v = float_of_int i in
+      String.equal (J.int_repr i) (string_of_int i)
+      && (Float.abs v > 1e15 || String.equal (J.float_repr v) (Printf.sprintf "%.0f" v)))
   |> QCheck_alcotest.to_alcotest
 
 let test_escape_matches_reference =
@@ -617,6 +653,7 @@ let suite =
     Alcotest.test_case "json golden" `Quick test_json_golden;
     Alcotest.test_case "ndjson primitives" `Quick test_ndjson_primitives;
     test_float_repr_matches_printf;
+    test_int_repr_matches_printf;
     test_escape_matches_reference;
     Alcotest.test_case "json snapshot carries non-finite gauges" `Quick
       test_json_non_finite_gauge;
