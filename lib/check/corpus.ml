@@ -39,6 +39,14 @@ let seed_coords =
     ( "clustered-stream-flow-reject",
       "flow-reject",
       { Scenario.family = "clustered"; seed = 29; n = 24; m = 3 } );
+    (* Wide fleets for flow-reject's dispatch scan: with every size equal
+       and every release at zero, every lambda_ij ties and the leftmost
+       minimum decides; restricted eligibility puts infinite sizes on
+       about half of 64 machines. *)
+    ("ties-wide-flow-reject", "flow-reject", { Scenario.family = "ties"; seed = 31; n = 256; m = 64 });
+    ( "restricted-wide-flow-reject",
+      "flow-reject",
+      { Scenario.family = "restricted"; seed = 37; n = 400; m = 64 } );
   ]
 
 let seeds () =
