@@ -121,8 +121,10 @@ let run_cmd =
   let telemetry_arg =
     Arg.(value & opt (some string) None
          & info [ "telemetry" ] ~docv:"FILE"
-             ~doc:"Record run telemetry (decision counters, per-machine queue gauges, phase \
-                   spans) and write the JSON snapshot to FILE, or to stdout when FILE is '-'.")
+             ~doc:"Record run telemetry and write the JSON snapshot to FILE, or to stdout when \
+                   FILE is '-'.  The snapshot holds the decision counters (dispatch, start, \
+                   complete, reject, mid-run reject, restart), the flat loop's event and \
+                   minor-word counters, and per-machine gauges of in-flight and pending jobs.")
   in
   let trace_ndjson_arg =
     Arg.(value & opt (some string) None

@@ -36,6 +36,9 @@ let precede i (a : Job.t) (b : Job.t) =
   else if a.release <> b.release then a.release < b.release
   else a.id < b.id
 
+let[@inline] greedy_load_cost view i (j : Job.t) =
+  Driver.remaining_time view i +. Driver.pending_work view i +. Job.size j i
+
 (* lambda_ij = (1/eps) p_ij + sum_{l <= j} p_il + sum_{l > j} p_ij, where l
    ranges over the pending set of machine i plus j itself ("l <= j" includes
    l = j, contributing p_ij).  The pending set does not yet contain j; the
@@ -49,28 +52,94 @@ let precede i (a : Job.t) (b : Job.t) =
    grouping is exact, so lambda_ij is bit-identical to the scan's; on
    other sizes the two can differ in the last place, and the seed
    cross-check in the differential suite pins that no dispatch decision
-   flips on the uniform [1, 10] family. *)
-let[@inline] lambda_ij eps view i (j : Job.t) =
-  let pij = Job.size j i in
-  let s = Driver.pending_split view i j in
-  let before = s.Driver.work_before and after = s.Driver.count_after in
-  (pij /. eps) +. before +. pij +. (after *. pij)
+   flips on the uniform [1, 10] family.
 
-let[@inline] greedy_load_cost view i (j : Job.t) =
-  Driver.remaining_time view i +. Driver.pending_work view i +. Job.size j i
+   A lower bound on [lambda_ij] from the size [h] of the SPT head of
+   machine [i]'s non-empty pending set, with [q = p/eps]:
 
-(* Argmin over eligible machines of lambda_ij ([dual]) or of the greedy
-   load cost: the leftmost strict minimum, since a later machine replaces
-   the incumbent only when [not (best <= c)].  Returns the machine and
-   leaves the minimum cost in [st.lambda.(slot)].  The incumbent lives in
-   two local refs that never escape (the native compiler keeps both
-   unboxed) and the cost is chosen by a branch, not a closure, so a
-   dispatch allocates nothing per machine. *)
-let argmin_machine st view (j : Job.t) slot ~dual =
+   - [h < p]: the head precedes [j], and [work_before] is a float sum of
+     non-negative terms that includes [h], so it is at least [h];
+   - [h > p]: every pending job follows [j], so [count_after >= 1] and
+     the last term is at least [p];
+   - [h = p]: both pending terms are at least [+0.].
+
+   Round-to-nearest is monotone, so [lambda_ij] is at least the same
+   sum with each term replaced by its bound. *)
+let[@inline] lambda_bound q p h =
+  if h < p then q +. h +. p else if h > p then q +. p +. p else q +. p
+
+(* The dispatch rule: the eligible machine with the least lambda_ij,
+   leftmost among equals, with the minimum left in [st.lambda.(slot)].
+
+   Pass 1 walks the eligible machines once.  On an empty pending set
+   both pending terms of [lambda_ij] are [+0.], so it is
+   [fl(fl(p/eps) + p)], the full formula's bits, in O(1); on a non-empty
+   one it takes [lambda_bound] and keeps the lowest.  A machine whose
+   [(bound, i)] does not precede the incumbent's [(lambda, i)]
+   lexicographically cannot win, so when even the lowest bound does not,
+   no pending set is split at all.  Otherwise pass 2 splits exactly the
+   non-empty machines whose bound still precedes the incumbent, reusing
+   the bound's [q] in the formula above (written out, so [q] stays
+   unboxed).  The
+   result is the lexicographic minimum of [(lambda_ij, i)], which is the
+   leftmost strict minimum an index-order scan keeps.  Costs are never
+   NaN (sizes are positive, [eps > 0]).  The incumbents live in local
+   refs that never escape (kept unboxed), and the comparisons are written
+   out because a helper taking the floats as arguments boxed them, so the
+   scan allocates nothing. *)
+let argmin_lambda st view (j : Job.t) slot =
+  let eps = st.eps_eff and m = Instance.m st.instance in
+  let best = ref (-1) and best_c = ref 0. in
+  let low = ref (-1) and low_b = ref 0. in
+  for i = 0 to m - 1 do
+    if Job.eligible j i then begin
+      let p = Job.size j i and h = Driver.pending_head_size view i in
+      let q = p /. eps in
+      if h < infinity then begin
+        let b = lambda_bound q p h in
+        if !low < 0 || b < !low_b then begin
+          low := i;
+          low_b := b
+        end
+      end
+      else begin
+        let c = q +. p in
+        if !best < 0 || c < !best_c then begin
+          best := i;
+          best_c := c
+        end
+      end
+    end
+  done;
+  if !low >= 0 && (!best < 0 || !low_b < !best_c || (!low_b <= !best_c && !low < !best)) then
+    for i = 0 to m - 1 do
+      let h = Driver.pending_head_size view i in
+      if h < infinity && Job.eligible j i then begin
+        let p = Job.size j i in
+        let q = p /. eps in
+        let b = lambda_bound q p h in
+        if !best < 0 || b < !best_c || (b <= !best_c && i < !best) then begin
+          let s = Driver.pending_split view i j in
+          let c = q +. s.Driver.work_before +. p +. (s.Driver.count_after *. p) in
+          if !best < 0 || c < !best_c || (c <= !best_c && i < !best) then begin
+            best := i;
+            best_c := c
+          end
+        end
+      end
+    done;
+  assert (!best >= 0);
+  st.lambda.(slot) <- !best_c;
+  !best
+
+(* The greedy ablation's rule: the leftmost strict minimum of the load
+   cost, in one index-order scan (a later machine replaces the incumbent
+   only when [not (best <= c)]). *)
+let argmin_greedy st view (j : Job.t) =
   let best = ref (-1) and best_c = ref 0. in
   for i = 0 to Instance.m st.instance - 1 do
     if Job.eligible j i then begin
-      let c = if dual then lambda_ij st.eps_eff view i j else greedy_load_cost view i j in
+      let c = greedy_load_cost view i j in
       if !best < 0 || not (!best_c <= c) then begin
         best := i;
         best_c := c
@@ -78,7 +147,6 @@ let argmin_machine st view (j : Job.t) slot ~dual =
     end
   done;
   assert (!best >= 0);
-  st.lambda.(slot) <- !best_c;
   !best
 
 let largest_pending view i (j_new : Job.t) =
@@ -132,12 +200,12 @@ let on_arrival st view (j : Job.t) =
   st.ids.(slot) <- j.id;
   let target =
     match st.cfg.dispatch with
-    | Dual_lambda -> argmin_machine st view j slot ~dual:true
+    | Dual_lambda -> argmin_lambda st view j slot
     | Greedy_load ->
-        let i = argmin_machine st view j slot ~dual:false in
+        let i = argmin_greedy st view j in
         (* The dual variable is defined from lambda_ij regardless of how we
            dispatched, so the instrumentation stays meaningful in E8. *)
-        ignore (argmin_machine st view j slot ~dual:true);
+        ignore (argmin_lambda st view j slot);
         i
   in
   st.lambda.(slot) <- eps /. (1. +. eps) *. st.lambda.(slot);

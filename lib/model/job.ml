@@ -8,26 +8,33 @@ type t = {
   deadline : Time.t option;
 }
 
-let validate_sizes sizes =
-  if Array.length sizes = 0 then invalid_arg "Job.create: empty size vector";
+(* Validates a size vector and returns a copy, in one loop that reads
+   each size unboxed ([Array.iter]'s closure would box every one).
+   [not (p > 0.)] also catches NaN; [p -. p = 0.] is [Float.is_finite]. *)
+let copy_sizes sizes =
+  let n = Array.length sizes in
+  if n = 0 then invalid_arg "Job.create: empty size vector";
+  let copy = Array.make n 0. in
   let finite = ref false in
-  Array.iter
-    (fun p ->
-      if Float.is_nan p || p <= 0. then invalid_arg "Job.create: sizes must be positive";
-      if Float.is_finite p then finite := true)
-    sizes;
-  if not !finite then invalid_arg "Job.create: no eligible machine (all sizes infinite)"
+  for k = 0 to n - 1 do
+    let p = sizes.(k) in
+    if not (p > 0.) then invalid_arg "Job.create: sizes must be positive";
+    if p -. p = 0. then finite := true;
+    copy.(k) <- p
+  done;
+  if not !finite then invalid_arg "Job.create: no eligible machine (all sizes infinite)";
+  copy
 
 let create ~id ~release ?(weight = 1.) ?deadline ~sizes () =
   if not (Time.nonneg release) then invalid_arg "Job.create: negative release";
   if not (Float.is_finite release) then invalid_arg "Job.create: release must be finite";
   if weight <= 0. || not (Float.is_finite weight) then
     invalid_arg "Job.create: weight must be positive and finite";
-  validate_sizes sizes;
+  let sizes = copy_sizes sizes in
   (match deadline with
   | Some d when not (Time.gt d release) -> invalid_arg "Job.create: deadline <= release"
   | _ -> ());
-  { id; release; weight; sizes = Array.copy sizes; deadline }
+  { id; release; weight; sizes; deadline }
 
 let size j i = j.sizes.(i)
 let eligible j i = Float.is_finite j.sizes.(i)
@@ -51,9 +58,7 @@ let best_machine j =
 
 let span j = Option.map (fun d -> d -. j.release) j.deadline
 
-let with_sizes j sizes =
-  validate_sizes sizes;
-  { j with sizes = Array.copy sizes }
+let with_sizes j sizes = { j with sizes = copy_sizes sizes }
 
 let compare_by_release a b =
   match Float.compare a.release b.release with 0 -> Int.compare a.id b.id | c -> c

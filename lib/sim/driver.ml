@@ -38,6 +38,7 @@ let pending fs i =
 
 let pending_iter fs i f = Flat_state.pend_iter fs i ~f:(fun id -> f (Flat_state.job fs id))
 let pending_count fs i = Flat_state.pend_count fs i
+let[@rejlint.hot] pending_head_size fs i = Flat_state.pend_head fs i
 let pending_work fs i = Flat_state.pend_work fs i
 let pending_weight fs i = Flat_state.pend_weight fs i
 let head fs slot = if slot < 0 then None else Some (Flat_state.offer fs slot)

@@ -63,6 +63,12 @@ val pending_iter : view -> Machine.id -> (Job.t -> unit) -> unit
 val pending_count : view -> Machine.id -> int
 (** O(1). *)
 
+val pending_head_size : view -> Machine.id -> float
+(** [p_ij] of {!pending_shortest}'s job — the smallest pending size on
+    machine [i] — or [infinity] when nothing is pending there; O(1),
+    allocation-free.  A lower bound on every pending job's size there,
+    which lets a scan skip a machine without querying its pending set. *)
+
 val pending_work : view -> Machine.id -> float
 (** Sum of [p_ij] over jobs pending on machine [i]; O(1), maintained
     incrementally (exactly [0.] when the queue is empty). *)

@@ -286,6 +286,11 @@ type t = {
   ix_root : int array;
   mutable live_index : bool;
   split : split;
+  p_head : float array;
+      (* Per machine, the size of the SPT head of its pending set —
+         the smallest pending size there — or [infinity] when the set is
+         empty: an O(1) lower bound on the pending sizes, which
+         flow-reject's dispatch scan prunes with. *)
   p_work : float array;
   p_weight : float array;
   (* Running slot per machine; [run_job.(i) = -1] when idle. *)
@@ -411,6 +416,7 @@ let create instance =
     ix_root = Array.make m (-1);
     live_index = false;
     split = { work_before = 0.; count_after = 0. };
+    p_head = Array.make m infinity;
     p_work = Array.make m 0.;
     p_weight = Array.make m 0.;
     run_job = Array.make m (-1);
@@ -818,6 +824,11 @@ let[@rejlint.hot] rec ix_rightmost t node =
   let r = t.ix_right.(node) in
   if r < 0 then node else ix_rightmost t r
 
+(* Re-reads machine [i]'s SPT head into [p_head] after a change. *)
+let[@rejlint.hot] set_head t i =
+  let h = Pqueue.Iheap.min_id t.by_spt.(i) in
+  t.p_head.(i) <- (if h < 0 then infinity else t.psize.(h))
+
 let[@rejlint.hot] pend_add t i s =
   (* [psize.(s)] is the order key of a pending slot, so it may only be
      overwritten while the slot is pending nowhere. *)
@@ -826,6 +837,7 @@ let[@rejlint.hot] pend_add t i s =
     [@rejlint.cold]);
   t.psize.(s) <- size t ~machine:i ~job:s;
   Pqueue.Iheap.add t.by_spt.(i) ~less:less_spt t ~pos:t.pos_spt ~id:s;
+  set_head t i;
   if t.live_density then
     Pqueue.Iheap.add t.by_density.(i) ~less:less_density t ~pos:t.pos_density ~id:s;
   if t.live_size_id then
@@ -838,6 +850,7 @@ let[@rejlint.hot] pend_add t i s =
 let[@rejlint.hot] pend_remove t i s =
   if not (Pqueue.Iheap.remove t.by_spt.(i) ~less:less_spt t ~pos:t.pos_spt ~id:s) then false
   else begin
+    set_head t i;
     if t.live_density then
       ignore (Pqueue.Iheap.remove t.by_density.(i) ~less:less_density t ~pos:t.pos_density ~id:s);
     if t.live_size_id then
@@ -859,6 +872,7 @@ let[@rejlint.hot] pend_remove t i s =
   end
 
 let[@rejlint.hot] pend_count t i = Pqueue.Iheap.size t.by_spt.(i)
+let[@rejlint.hot] pend_head t i = t.p_head.(i)
 let[@rejlint.hot] pend_work t i = t.p_work.(i)
 let[@rejlint.hot] pend_weight t i = t.p_weight.(i)
 let[@rejlint.hot] pend_iter t i ~f = Pqueue.Iheap.iter t.by_spt.(i) ~f
@@ -1165,6 +1179,9 @@ let invariant t =
     (* A slot pending on [i] carries its size there as its order key. *)
     Pqueue.Iheap.iter t.by_spt.(i) ~f:(fun s ->
         if not (Float.equal t.psize.(s) (size t ~machine:i ~job:s)) then ok := false);
+    (* The head column holds the SPT head's size, [infinity] when empty. *)
+    let h = Pqueue.Iheap.min_id t.by_spt.(i) in
+    if not (Float.equal t.p_head.(i) (if h < 0 then infinity else t.psize.(h))) then ok := false;
     (* A live auxiliary order mirrors [by_spt] exactly; a dormant one
        holds nothing at all. *)
     let aux_ok live aux = Pqueue.Iheap.size aux = if live then k else 0 in

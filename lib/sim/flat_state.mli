@@ -208,6 +208,13 @@ val pend_remove : t -> int -> int -> bool
 (** [pend_remove t i slot] — [false] when [slot] is not pending on [i]. *)
 
 val pend_count : t -> int -> int
+
+val pend_head : t -> int -> float
+(** The size on the machine of its SPT head ({!head_spt}) — the smallest
+    pending size there — or [infinity] when nothing is pending.  A
+    machine-indexed column kept by {!pend_add} and {!pend_remove}, so the
+    read is O(1). *)
+
 val pend_work : t -> int -> float
 val pend_weight : t -> int -> float
 
@@ -347,7 +354,9 @@ val invariant : t -> bool
     held by exactly one mapped id or free, never both; all four heaps
     consistent and equal-sized per machine, each order's shared position
     column registering exactly the slots its heaps hold, every pending
-    slot's order key equal to its size on its machine, and the index
+    slot's order key equal to its size on its machine, every machine's
+    {!pend_head} equal to its SPT head's size ([infinity] when empty),
+    and the index
     (when live) a
     search tree
     over exactly the SPT heap's slots, heap-ordered on its priorities,

@@ -313,7 +313,7 @@ let serve_lines (s : P.stream_session) jobs ~close =
   end
   else fed
 
-(* A tripwire for the snapshot layout.  [snapshots/serve-smoke-v4.snap] is
+(* A tripwire for the snapshot layout.  [snapshots/serve-smoke-v5.snap] is
    serve's checkpoint after the smoke stream's first two arrivals, written
    by an earlier build.  It must unwrap under the current [Snapshot.version]
    and thaw, and its continuation spliced after the first half's decisions
@@ -337,7 +337,7 @@ let test_checked_in_snapshot_restores () =
     serve_lines (open_serve ()) (List.filteri (fun k _ -> k < 2) smoke_jobs) ~close:false
   in
   let policy, payload =
-    match Snapshot.unwrap (Snapshot.read_file "snapshots/serve-smoke-v4.snap") with
+    match Snapshot.unwrap (Snapshot.read_file "snapshots/serve-smoke-v5.snap") with
     | Ok pp -> pp
     | Error err -> Alcotest.failf "checked-in snapshot: %s" (Snapshot.error_to_string err)
   in
@@ -350,8 +350,9 @@ let test_checked_in_snapshot_restores () =
 (* The previous formats' tripwires stay checked in, and each payload
    must be refused by the container before it reaches [Marshal], not
    thawed into the current layout: version 2 laid the job columns out by
-   external id, and version 3 kept a per-(machine, slot) size matrix and
-   a position table per pending heap. *)
+   external id, version 3 kept a per-(machine, slot) size matrix and
+   a position table per pending heap, and version 4 had no column of
+   pending-head sizes. *)
 let old_snapshot_fails_closed v () =
   match Snapshot.unwrap (Snapshot.read_file (Printf.sprintf "snapshots/serve-smoke-v%d.snap" v)) with
   | Error (Snapshot.Bad_version v') when v' = v -> ()
@@ -378,6 +379,7 @@ let suite =
     Alcotest.test_case "checked-in snapshot restores" `Quick test_checked_in_snapshot_restores;
     Alcotest.test_case "v2 snapshot fails closed" `Quick (old_snapshot_fails_closed 2);
     Alcotest.test_case "v3 snapshot fails closed" `Quick (old_snapshot_fails_closed 3);
+    Alcotest.test_case "v4 snapshot fails closed" `Quick (old_snapshot_fails_closed 4);
     Alcotest.test_case "suspend at every boundary, every registry policy" `Slow
       test_suspend_every_boundary_registry;
   ]

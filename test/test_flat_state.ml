@@ -271,8 +271,13 @@ let test_pending_zero_pin () =
     Test_util.instance ~machines:2 [ (0., [| 0.25; 0.5 |]); (0., [| 1.25; 0.75 |]) ]
   in
   let fs = Flat_state.of_instance instance in
-  Flat_state.pend_add fs 0 0;
+  let head i = Flat_state.pend_head fs i in
+  Alcotest.(check (float 0.)) "empty head" infinity (head 0);
   Flat_state.pend_add fs 0 1;
+  Alcotest.(check (float 0.)) "only job heads" 1.25 (head 0);
+  Flat_state.pend_add fs 0 0;
+  Alcotest.(check (float 0.)) "shorter job takes the head" 0.25 (head 0);
+  Alcotest.(check (float 0.)) "other machine empty" infinity (head 1);
   Alcotest.(check int) "count" 2 (Flat_state.pend_count fs 0);
   Alcotest.(check (float 0.)) "work" 1.5 (Flat_state.pend_work fs 0);
   (* Machine 1's heaps share machine 0's position columns: they must not
@@ -284,8 +289,10 @@ let test_pending_zero_pin () =
   Alcotest.(check int) "count kept" 2 (Flat_state.pend_count fs 0);
   Alcotest.(check (float 0.)) "work kept" 1.5 (Flat_state.pend_work fs 0);
   Alcotest.(check bool) "invariant kept" true (Flat_state.invariant fs);
-  Alcotest.(check bool) "remove" true (Flat_state.pend_remove fs 0 1);
   Alcotest.(check bool) "remove" true (Flat_state.pend_remove fs 0 0);
+  Alcotest.(check (float 0.)) "head falls back" 1.25 (head 0);
+  Alcotest.(check bool) "remove" true (Flat_state.pend_remove fs 0 1);
+  Alcotest.(check (float 0.)) "emptied head" infinity (head 0);
   (* Emptying the queue pins work/weight to exactly 0., not a rounding
      residue. *)
   Alcotest.(check bool) "work pinned" true (Float.equal 0. (Flat_state.pend_work fs 0));
@@ -334,7 +341,10 @@ let index_agrees inst fs model =
       let first = match sorted with [] -> -1 | l :: _ -> l in
       let last = match List.rev sorted with [] -> -1 | l :: _ -> l in
       if Flat_state.index_min fs i <> first || Flat_state.index_max fs i <> last then ok := false;
-      if Flat_state.head_spt fs i <> first then ok := false)
+      if Flat_state.head_spt fs i <> first then ok := false;
+      (* The head column: the first job's size, [infinity] when empty. *)
+      let head = if first < 0 then infinity else Job.size (Instance.job inst first) i in
+      if not (Float.equal (Flat_state.pend_head fs i) head) then ok := false)
     model;
   !ok
 

@@ -1,5 +1,7 @@
 open Sched_model
+open Sched_sim
 module FR = Rejection.Flow_reject
+module Rng = Sched_stats.Rng
 
 let run ?(eps = 0.25) ?(rule1 = true) ?(rule2 = true) ?(dispatch = FR.Dual_lambda) inst =
   let cfg = FR.config ~eps ~rule1 ~rule2 ~dispatch () in
@@ -195,6 +197,124 @@ let test_config_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* --- The pruned dispatch scan against the exhaustive one ------------------ *)
+
+(* Theorem 1's dispatch rule the long way: lambda_ij from a pending split
+   of every eligible machine, in the policy's formula and operation order,
+   and the leftmost strict minimum. *)
+let exhaustive_argmin eps view (j : Job.t) =
+  let best = ref (-1) and best_c = ref 0. in
+  for i = 0 to Array.length j.Job.sizes - 1 do
+    if Job.eligible j i then begin
+      let p = Job.size j i in
+      let s = Driver.pending_split view i j in
+      let c = (p /. eps) +. s.Driver.work_before +. p +. (s.Driver.count_after *. p) in
+      if !best < 0 || not (!best_c <= c) then begin
+        best := i;
+        best_c := c
+      end
+    end
+  done;
+  (!best, !best_c)
+
+(* Flow-reject with the exhaustive rule run beside its own at every
+   arrival, on the view the policy decides from.  A Dual_lambda dispatch
+   must pick the exhaustive machine; under either rule the dual variable
+   the policy keeps must have the bits [eps/(1+eps)] times the exhaustive
+   minimum gives, recorded in [expected] by job id. *)
+let scan_probe cfg ~mismatches ~expected =
+  let inner = FR.policy cfg in
+  let on_arrival st view (j : Job.t) =
+    let eps = FR.effective_eps st in
+    let i, c = exhaustive_argmin eps view j in
+    let d = inner.Driver.on_arrival st view j in
+    (match cfg.FR.dispatch with
+    | FR.Dual_lambda when d.Driver.dispatch_to <> i ->
+        mismatches :=
+          Printf.sprintf "job %d: machine %d, exhaustive scan %d" j.Job.id d.Driver.dispatch_to i
+          :: !mismatches
+    | FR.Dual_lambda | FR.Greedy_load -> ());
+    expected.(j.Job.id) <- eps /. (1. +. eps) *. c;
+    d
+  in
+  { inner with Driver.name = "flow-reject-scan-probe"; on_arrival }
+
+(* Random instances for the probe: dyadic sizes on a small grid, so
+   lambdas tie exactly; releases in bursts on a coarse grid, so queues
+   grow deep; about one machine in five ineligible per job; up to 64
+   machines; and in one instance in four, sizes of 2^1015 whose p/eps
+   overflows to infinity at eps = 0.001. *)
+let scan_instance salt =
+  let rng = Rng.create salt in
+  let m = 1 + Rng.int rng 64 and n = 10 + Rng.int rng 150 in
+  let huge = Rng.int rng 4 = 0 in
+  let t = ref 0. in
+  let jobs =
+    List.init n (fun _ ->
+        if Rng.int rng 4 = 0 then t := !t +. (float_of_int (Rng.int rng 4) /. 2.);
+        let sizes =
+          Array.init m (fun _ ->
+              if Rng.int rng 5 = 0 then infinity
+              else if huge && Rng.int rng 6 = 0 then 0x1p1015
+              else float_of_int (1 + Rng.int rng 8) /. 4.)
+        in
+        let k = Rng.int rng m in
+        if not (Float.is_finite sizes.(k)) then sizes.(k) <- 1.;
+        (!t, sizes))
+  in
+  (Test_util.instance ~machines:m jobs, huge)
+
+let prop_pruned_scan_exact dispatch name =
+  QCheck.Test.make ~name ~count:120
+    QCheck.(int_bound 1_000_000)
+    (fun salt ->
+      let inst, huge = scan_instance salt in
+      let eps = if huge then 0.001 else [| 0.1; 0.25; 0.3; 0.5 |].(salt mod 4) in
+      let cfg = FR.config ~eps ~dispatch () in
+      let mismatches = ref [] and expected = Array.make (Instance.n inst) Float.nan in
+      let _, st, _ = Driver.run (scan_probe cfg ~mismatches ~expected) inst in
+      let lambdas = FR.lambdas st in
+      Array.iteri
+        (fun id e ->
+          if not (String.equal (Printf.sprintf "%h" e) (Printf.sprintf "%h" lambdas.(id))) then
+            mismatches :=
+              Printf.sprintf "job %d: lambda %h, exhaustive scan %h" id lambdas.(id) e
+              :: !mismatches)
+        expected;
+      match !mismatches with
+      | [] -> true
+      | ms -> QCheck.Test.fail_reportf "%s" (String.concat "; " (List.rev ms)))
+  |> QCheck_alcotest.to_alcotest
+
+(* Every lambda infinite: the leftmost eligible machine wins, whether
+   its pending set is empty or not, and every dual variable is
+   infinite. *)
+let test_infinite_lambda_leftmost () =
+  let big = 0x1p1015 and inf = infinity in
+  let inst =
+    Test_util.instance ~machines:3
+      [
+        (0., [| inf; big; big |]);
+        (0., [| inf; big; big |]);
+        (0., [| big; big; big |]);
+        (0., [| big; inf; inf |]);
+        (0., [| big; big; big |]);
+      ]
+  in
+  let s, st = run ~eps:0.001 ~rule1:false ~rule2:false inst in
+  let machine id =
+    match Schedule.outcome s id with
+    | Outcome.Completed c -> c.Outcome.machine
+    | Outcome.Rejected _ -> -1
+  in
+  (* Jobs 0 and 1 take machine 1 (job 1 queues there), job 2 takes the
+     idle machine 0 and job 3 can only queue behind it; job 4 then finds
+     machine 2 empty, but machine 0 ties it and lies further left. *)
+  Alcotest.(check (list int)) "machines" [ 1; 1; 0; 0; 0 ] (List.map machine [ 0; 1; 2; 3; 4 ]);
+  Array.iter
+    (fun l -> Alcotest.(check bool) "infinite lambda" true (Float.equal l infinity))
+    (FR.lambdas st)
+
 let suite =
   [
     Alcotest.test_case "SPT service order" `Quick test_spt_service_order;
@@ -213,4 +333,7 @@ let suite =
     Alcotest.test_case "greedy dispatch variant" `Quick test_greedy_dispatch_variant;
     Alcotest.test_case "restricted eligibility respected" `Quick test_restricted_eligibility_respected;
     Alcotest.test_case "config validation" `Quick test_config_validation;
+    prop_pruned_scan_exact FR.Dual_lambda "pruned scan = exhaustive scan (dispatch, lambda bits)";
+    prop_pruned_scan_exact FR.Greedy_load "greedy dispatch keeps the exhaustive lambda bits";
+    Alcotest.test_case "infinite lambdas: leftmost eligible" `Quick test_infinite_lambda_leftmost;
   ]

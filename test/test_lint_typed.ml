@@ -177,7 +177,7 @@ let test_hot_annotations_guarded () =
     (fun name ->
       Alcotest.(check bool) ("driver hot: " ^ name) true (List.mem name driver_hot))
     [ "loop"; "try_start"; "reject_job"; "restart_job"; "commit_arrival"; "commit_finish";
-      "popcount"; "slot"; "pending_split" ];
+      "popcount"; "slot"; "pending_split"; "pending_head_size" ];
   let flat_hot =
     RL.Typed_lint.hot_functions_of_cmt
       (cmt "lib/sim/.sched_sim.objs/byte/sched_sim__Flat_state.cmt")
@@ -200,7 +200,10 @@ let test_hot_annotations_guarded () =
       "less_spt"; "less_density"; "less_size_id"; "less_fifo"; "before_release"; "before_probe";
       (* Slots: resolving an external id (the arrival by one comparison,
          any other through the id map), and handing a slot back. *)
-      "slot_of"; "arrive"; "offer"; "settle"; "above"; "find"; "probe"; "remove"; "shift" ];
+      "slot_of"; "arrive"; "offer"; "settle"; "above"; "find"; "probe"; "remove"; "shift";
+      (* The pending-head column flow-reject's dispatch scan bounds with:
+         its maintenance in [pend_add]/[pend_remove] and its read. *)
+      "set_head"; "pend_head" ];
   Alcotest.(check bool) "flat_state hot coverage >= 25" true (List.length flat_hot >= 25);
   (* The recorder's whole write path must stay inside the static proof:
      un-annotating any of these drops RJL103 coverage exactly where an
