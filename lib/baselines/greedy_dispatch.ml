@@ -1,7 +1,7 @@
 open Sched_model
 open Sched_sim
 
-let estimated_completion view i (j : Job.t) =
+let[@inline] estimated_completion view i (j : Job.t) =
   Driver.remaining_time view i +. Driver.pending_work view i +. Job.size j i
 
 (* [head] picks the next job to serve: one of the driver's O(1) indexed
@@ -9,19 +9,23 @@ let estimated_completion view i (j : Job.t) =
 let make name head =
   let init _ = () in
   let on_arrival () view (j : Job.t) =
-    (* [view] lacks the instance; recover machine count from the job. *)
+    (* [view] lacks the instance; recover machine count from the job.
+       The leftmost strict minimum of the estimated completion: a later
+       machine replaces the incumbent only when [not (best_c <= c)].
+       [best]/[best_c] are plain refs, so the scan allocates nothing. *)
     let m = Array.length j.Job.sizes in
-    let best = ref None in
+    let best = ref (-1) and best_c = ref 0. in
     for i = 0 to m - 1 do
       if Job.eligible j i then begin
         let c = estimated_completion view i j in
-        match !best with
-        | Some (_, c') when c' <= c -> ()
-        | _ -> best := Some (i, c)
+        if !best < 0 || not (!best_c <= c) then begin
+          best := i;
+          best_c := c
+        end
       end
     done;
-    let target = match !best with Some (i, _) -> i | None -> assert false in
-    Driver.dispatch target
+    assert (!best >= 0);
+    Driver.dispatch !best
   in
   let select () view i =
     match head view i with

@@ -6,20 +6,31 @@ type bound = { value : float; source : string }
    never NaN and speeds positive and finite, so every quotient is a
    positive non-NaN, an ineligible machine's is [infinity] and never
    wins, and the sum has the bits of the [Float.min] fold over eligible
-   machines. *)
+   machines.  On a fleet of one speed [s] no job is scanned: rounding is
+   monotone, so [min_i fl(p_ij / s) = fl((min_i p_ij) / s)], and
+   [Job.min_size] (O(1), its leftmost minimal machine's size) gives the
+   same bits. *)
 let volume instance =
-  let speeds = Array.map (fun (mc : Machine.t) -> mc.Machine.speed) instance.Instance.machines in
+  let machines = instance.Instance.machines in
+  let jobs = Instance.jobs_by_release instance in
+  let s = machines.(0).Machine.speed in
   let total = ref 0. in
-  Array.iter
-    (fun (j : Job.t) ->
-      let sizes = j.Job.sizes in
+  if Array.for_all (fun (mc : Machine.t) -> Float.equal mc.Machine.speed s) machines then
+    for k = 0 to Array.length jobs - 1 do
+      total := !total +. (Job.min_size jobs.(k) /. s)
+    done
+  else begin
+    let speeds = Array.map (fun (mc : Machine.t) -> mc.Machine.speed) machines in
+    for k = 0 to Array.length jobs - 1 do
+      let sizes = jobs.(k).Job.sizes in
       let mn = ref Float.infinity in
       for i = 0 to Array.length sizes - 1 do
         let q = sizes.(i) /. speeds.(i) in
         if q < !mn then mn := q
       done;
-      total := !total +. !mn)
-    (Instance.jobs_by_release instance);
+      total := !total +. !mn
+    done
+  end;
   { value = !total; source = "volume" }
 
 let srpt instance =

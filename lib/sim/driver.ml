@@ -27,7 +27,9 @@ let running_on fs i =
         finish = Flat_state.run_finish fs i;
       }
 
-let remaining_time fs i =
+(* Inlined, so a policy's per-machine scan adds the result unboxed; a
+   call would box it, two words per machine per arrival. *)
+let[@inline] remaining_time fs i =
   if Flat_state.run_job fs i < 0 then 0.
   else Float.max 0. (Flat_state.run_finish fs i -. Flat_state.clock fs)
 
@@ -108,13 +110,6 @@ type 'a policy = {
   on_arrival : 'a -> view -> Job.t -> decision;
   select : 'a -> view -> Machine.id -> start option;
 }
-
-(* Kernighan popcount: when [m <= 62] no candidate-mask bit is shared,
-   so the candidate count is the mask's popcount and the second
-   eligibility scan is skipped; the saturated bit-62 case falls back to
-   [Flat_state.cand_count]. *)
-let[@rejlint.hot] rec popcount x acc =
-  if x = 0 then acc else popcount (x land (x - 1)) (acc + 1)
 
 (* Post-run oracle audit for [?check].  The oracle re-derives every
    invariant from scratch (independent of [Schedule.validate] and of the
@@ -328,13 +323,15 @@ let make_handlers ?rows fs policy pstate =
          (Printf.sprintf "Driver: policy %s dispatched job %d to ineligible machine %d"
             policy.name id i) [@rejlint.cold]);
     (* Decision provenance: the candidate machine set behind the
-       dispatch, as a count and an eligibility bitmask. *)
+       dispatch, as a count and an eligibility bitmask, both summarized
+       when the job was created. *)
     (match rows with
     | None -> ()
     | Some rc ->
-        let mask = Flat_state.cand_mask fs ~job:slot in
-        let cands = if m <= 62 then popcount mask 0 else Flat_state.cand_count fs ~job:slot in
-        let s = Rec.reserve_dispatch rc ~job:id ~machine:i ~cands ~mask in
+        let s =
+          Rec.reserve_dispatch rc ~job:id ~machine:i ~cands:j.Job.eligible_count
+            ~mask:j.Job.eligible_mask
+        in
         let work = Flat_state.pend_work fs i in
         let rem =
           if Flat_state.run_job fs i < 0 then 0.

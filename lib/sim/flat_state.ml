@@ -243,7 +243,6 @@ type t = {
   mutable jobs : Job.t array;
   mutable release : float array;
   mutable weight : float array;
-  mutable min_size : float array;
   (* Pending sets: four heap orders per machine over bare slots, the
      order-statistic index below, and the incremental work/weight
      aggregates.  Only [by_spt] is observable as a *layout* (through
@@ -252,9 +251,10 @@ type t = {
      heap shape.  They — and the index — are therefore maintained
      lazily: dormant until a policy first queries them, then rebuilt
      from [by_spt] and kept incremental from that point on.  Policies
-     that never consult an order never pay for it.  The heaps hold slots
-     only; each call passes its order ([less_spt] and friends below) with
-     [t], and its position column.
+     that never consult an order never pay for it, in time or in memory:
+     a dormant order's position column stays empty until it wakes.  The
+     heaps hold slots only; each call passes its order ([less_spt] and
+     friends below) with [t], and its position column.
 
      A slot is pending on at most one machine at a time, so every
      per-slot column of the pending sets is shared by all machines:
@@ -396,7 +396,6 @@ let create instance =
     jobs = [||];
     release = [||];
     weight = [||];
-    min_size = [||];
     psize = [||];
     by_spt = heap ();
     by_density = heap ();
@@ -464,12 +463,11 @@ let grow_columns t need =
     t.ext <- grow_i (-1) t.ext;
     t.release <- grow_f t.release;
     t.weight <- grow_f t.weight;
-    t.min_size <- grow_f t.min_size;
     t.psize <- grow_f t.psize;
     t.pos_spt <- grow_i (-1) t.pos_spt;
-    t.pos_density <- grow_i (-1) t.pos_density;
-    t.pos_size_id <- grow_i (-1) t.pos_size_id;
-    t.pos_fifo <- grow_i (-1) t.pos_fifo;
+    if t.live_density then t.pos_density <- grow_i (-1) t.pos_density;
+    if t.live_size_id then t.pos_size_id <- grow_i (-1) t.pos_size_id;
+    if t.live_fifo then t.pos_fifo <- grow_i (-1) t.pos_fifo;
     t.loc <- grow_i loc_unreleased t.loc;
     t.ix_left <- grow_i (-1) t.ix_left;
     t.ix_right <- grow_i (-1) t.ix_right;
@@ -513,7 +511,6 @@ let admit t (j : Job.t) =
   t.jobs.(s) <- j;
   t.release.(s) <- j.Job.release;
   t.weight.(s) <- j.Job.weight;
-  t.min_size.(s) <- Job.min_size j;
   t.loc.(s) <- loc_unreleased;
   t.out_kind.(s) <- out_none;
   t.out_running.(s) <- false;
@@ -604,37 +601,11 @@ let[@rejlint.hot] m t = t.m
 let[@rejlint.hot] job t s = t.jobs.(s)
 let[@rejlint.hot] release t s = t.release.(s)
 let[@rejlint.hot] weight t s = t.weight.(s)
-let[@rejlint.hot] min_size t s = t.min_size.(s)
 (* A job's sizes are read off its own handle: one contiguous vector per
    job, which the instance (or the stream's arrival) already holds. *)
 let[@rejlint.hot] size t ~machine ~job = t.jobs.(job).Job.sizes.(machine)
 let[@rejlint.hot] eligible t ~machine ~job = Float.is_finite (size t ~machine ~job)
 
-(* Candidate-set provenance for the flight recorder: how many machines a
-   job is eligible for, and their bitmask (bit [k] for machine [k] up to
-   61; higher machines saturate into bit 62).  Accumulator recursion over
-   the job's size vector, kept in this module on purpose: the compiler
-   does not inline calls inside recursive bodies, so a cross-module
-   accessor would box its float result on every probe, while the direct
-   array read here stays allocation-free.  [p -. p = 0.] is
-   [Float.is_finite] unfolded for the same reason. *)
-let[@rejlint.hot] rec cand_mask_from sizes k acc =
-  if k >= Array.length sizes then acc
-  else begin
-    let p = sizes.(k) in
-    cand_mask_from sizes (k + 1)
-      (if p -. p = 0. then acc lor (1 lsl (if k <= 61 then k else 62)) else acc)
-  end
-
-let[@rejlint.hot] rec cand_count_from sizes k acc =
-  if k >= Array.length sizes then acc
-  else begin
-    let p = sizes.(k) in
-    cand_count_from sizes (k + 1) (if p -. p = 0. then acc + 1 else acc)
-  end
-
-let[@rejlint.hot] cand_mask t ~job = cand_mask_from t.jobs.(job).Job.sizes 0 0 [@@inline]
-let[@rejlint.hot] cand_count t ~job = cand_count_from t.jobs.(job).Job.sizes 0 0 [@@inline]
 let[@rejlint.hot] total_weight t = t.facc.(f_total_weight)
 let[@rejlint.hot] alpha t i = (Instance.machine t.instance i).Machine.alpha
 let[@rejlint.hot] mach_speed t i = (Instance.machine t.instance i).Machine.speed
@@ -878,14 +849,17 @@ let[@rejlint.hot] pend_weight t i = t.p_weight.(i)
 let[@rejlint.hot] pend_iter t i ~f = Pqueue.Iheap.iter t.by_spt.(i) ~f
 let[@rejlint.hot] head_spt t i = Pqueue.Iheap.min_id t.by_spt.(i)
 
-(* First head lookup on a dormant order: fill its heaps from the current
-   pending sets and flip it live.  The rebuilt layout differs from the
+(* First head lookup on a dormant order: allocate its position column,
+   fill its heaps from the current pending sets and return the column;
+   the caller flips the order live.  The rebuilt layout differs from the
    always-incremental one, but the only observable — the minimum under a
    strict total order — does not depend on layout. *)
-let wake t aux ~less ~pos =
+let wake t aux ~less =
+  let pos = Array.make t.cap (-1) in
   for i = 0 to t.m - 1 do
     Pqueue.Iheap.iter t.by_spt.(i) ~f:(fun s -> Pqueue.Iheap.add aux.(i) ~less t ~pos ~id:s)
-  done
+  done;
+  pos
 
 (* First query of a dormant index: the same fill, into the treaps. *)
 let wake_index t =
@@ -913,21 +887,21 @@ let[@rejlint.hot] index_max t i =
 
 let[@rejlint.hot] head_density t i =
   if not t.live_density then begin
-    wake t t.by_density ~less:less_density ~pos:t.pos_density;
+    t.pos_density <- wake t t.by_density ~less:less_density;
     t.live_density <- true
   end;
   Pqueue.Iheap.min_id t.by_density.(i)
 
 let[@rejlint.hot] head_size_id t i =
   if not t.live_size_id then begin
-    wake t t.by_size_id ~less:less_size_id ~pos:t.pos_size_id;
+    t.pos_size_id <- wake t t.by_size_id ~less:less_size_id;
     t.live_size_id <- true
   end;
   Pqueue.Iheap.min_id t.by_size_id.(i)
 
 let[@rejlint.hot] head_fifo t i =
   if not t.live_fifo then begin
-    wake t t.by_fifo ~less:less_fifo ~pos:t.pos_fifo;
+    t.pos_fifo <- wake t t.by_fifo ~less:less_fifo;
     t.live_fifo <- true
   end;
   Pqueue.Iheap.min_id t.by_fifo.(i)
@@ -1027,7 +1001,8 @@ let[@rejlint.hot] account_completion t s finish =
   t.facc.(f_flow) <- t.facc.(f_flow) +. f;
   t.facc.(f_wflow) <- t.facc.(f_wflow) +. (t.weight.(s) *. f);
   if f > t.facc.(f_max_flow) then t.facc.(f_max_flow) <- f;
-  let stretch = f /. t.min_size.(s) in
+  let j = t.jobs.(s) in
+  let stretch = f /. j.Job.sizes.(j.Job.best_machine) in
   if stretch > t.facc.(f_max_stretch) then t.facc.(f_max_stretch) <- stretch
 
 let[@rejlint.hot] account_rejection t s time ~was_running =

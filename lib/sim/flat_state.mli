@@ -166,20 +166,11 @@ val job : t -> int -> Job.t
 
 val release : t -> int -> float
 val weight : t -> int -> float
-val min_size : t -> int -> float
 val size : t -> machine:int -> job:int -> float
 (** [p_ij], read off the job's handle: valid while the slot holds the
     job (a retiring state drops the handle at {!settle}). *)
 
 val eligible : t -> machine:int -> job:int -> bool
-
-val cand_mask : t -> job:int -> int
-(** Eligibility bitmask over machines — bit [k] for machine [k] up to
-    61, machines beyond that saturate into bit 62.  Flight-recorder
-    dispatch provenance; allocation-free. *)
-
-val cand_count : t -> job:int -> int
-(** Number of machines the job is eligible for.  Allocation-free. *)
 
 val total_weight : t -> float
 val alpha : t -> int -> float

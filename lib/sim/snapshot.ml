@@ -27,7 +27,7 @@ type error =
   | Checksum_mismatch
 
 let magic = "rejsched-snap"
-let version = 5
+let version = 6
 
 let error_to_string = function
   | Bad_magic -> "not a rejsched snapshot (bad magic)"

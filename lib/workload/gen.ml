@@ -112,10 +112,12 @@ let instance t ~seed =
   let weight_rng = Rng.split rng in
   let deadline_rng = Rng.split rng in
   let releases = release_times t arrival_rng in
+  (* One size vector, refilled for every job: [Job.create] copies it. *)
+  let sizes = Array.make t.m 0. in
   let jobs =
     List.init t.n (fun id ->
         let base = Dist.sample t.sizes size_rng in
-        let sizes = Shape.sizes t.shape shape_rng ~base ~m:t.m in
+        Shape.fill t.shape shape_rng ~base sizes;
         let weight = match t.weights with None -> 1. | Some d -> Dist.sample d weight_rng in
         let release, deadline =
           match t.deadlines with

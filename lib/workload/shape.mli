@@ -16,6 +16,12 @@ val sizes : t -> Rng.t -> base:float -> m:int -> float array
     size [base] on [m] machines.  Entries are positive; [infinity] marks an
     ineligible machine (at least one entry is always finite). *)
 
+val fill : t -> Rng.t -> base:float -> float array -> unit
+(** [fill shape rng ~base v] overwrites [v] with what [sizes shape rng
+    ~base ~m:(Array.length v)] would return, making the same draws, so a
+    generator can reuse one vector for every job ([Job.create]
+    copies it). *)
+
 val identical : t
 (** [p_ij = base] everywhere. *)
 

@@ -59,13 +59,15 @@ let parse ?max_jobs ?(m = 4) ?shape ?rng text =
       let base_time =
         List.fold_left (fun acc r -> Float.min acc r.submit) Float.infinity raws
       in
+      (* One size vector, refilled for every job: [Job.create] copies it. *)
+      let sizes = Array.make m 0. in
       let jobs =
         List.mapi
           (fun id r ->
             (* Serial-machine model: total demand runtime * procs spread
                over the fleet. *)
             let base = r.runtime *. r.procs /. float_of_int m in
-            let sizes = Shape.sizes shape rng ~base ~m in
+            Shape.fill shape rng ~base sizes;
             Job.create ~id ~release:(r.submit -. base_time) ~sizes ())
           raws
       in

@@ -313,46 +313,83 @@ let serve_lines (s : P.stream_session) jobs ~close =
   end
   else fed
 
-(* A tripwire for the snapshot layout.  [snapshots/serve-smoke-v5.snap] is
+(* A tripwire for the snapshot layout.  [snapshots/serve-smoke-v6.snap] is
    serve's checkpoint after the smoke stream's first two arrivals, written
    by an earlier build.  It must unwrap under the current [Snapshot.version]
    and thaw, and its continuation spliced after the first half's decisions
    must equal the uninterrupted run's.  A change to the frozen session's
-   layout breaks this: bump [Snapshot.version] and regenerate the file from
-   the repository root with
+   layout breaks the byte-for-byte test below: bump [Snapshot.version] and
+   regenerate the file from the repository root with
 
      printf '%s\n' '{"job": 0, "release": 0.0, "sizes": [1.0, 2.0]}' \
        '{"job": 1, "release": 0.5, "sizes": [2.0, 1.0], "weight": 2.0}' \
        | dune exec bin/rejsched.exe -- serve -m 2 \
            --checkpoint test/snapshots/serve-smoke-vN.snap
 
-   (N the new version), then point this test at it. *)
-let test_checked_in_snapshot_restores () =
+   (N the new version), then point both tests at it. *)
+let checked_in_snapshot = "snapshots/serve-smoke-v6.snap"
+
+let checked_in_payload () =
+  match Snapshot.unwrap (Snapshot.read_file checked_in_snapshot) with
+  | Ok pp -> pp
+  | Error err -> Alcotest.failf "checked-in snapshot: %s" (Snapshot.error_to_string err)
+
+let open_smoke_serve () =
   let e = Option.get (P.find "flow-reject") in
-  let open_serve () =
-    e.P.open_stream ~trace:(Trace.create ()) ~retire:true ~machines:(Machine.fleet 2) ()
-  in
-  let full = serve_lines (open_serve ()) smoke_jobs ~close:true in
+  (e, e.P.open_stream ~trace:(Trace.create ()) ~retire:true ~machines:(Machine.fleet 2) ())
+
+let test_checked_in_snapshot_restores () =
+  let e, full_session = open_smoke_serve () in
+  let full = serve_lines full_session smoke_jobs ~close:true in
   let first =
-    serve_lines (open_serve ()) (List.filteri (fun k _ -> k < 2) smoke_jobs) ~close:false
+    serve_lines (snd (open_smoke_serve ())) (List.filteri (fun k _ -> k < 2) smoke_jobs)
+      ~close:false
   in
-  let policy, payload =
-    match Snapshot.unwrap (Snapshot.read_file "snapshots/serve-smoke-v5.snap") with
-    | Ok pp -> pp
-    | Error err -> Alcotest.failf "checked-in snapshot: %s" (Snapshot.error_to_string err)
-  in
+  let policy, payload = checked_in_payload () in
   Alcotest.(check string) "policy" e.P.name policy;
   let r = e.P.restore_stream payload in
   Alcotest.(check int) "fed count" 2 (r.P.ss_fed ());
   let rest = serve_lines r (List.filteri (fun k _ -> k >= 2) smoke_jobs) ~close:true in
   Alcotest.(check (list string)) "spliced decisions = uninterrupted run's" full (first @ rest)
 
+(* A payload of an older layout can still thaw into the current one and
+   replay the same decisions (a new field the smoke run never reads
+   goes unnoticed), so restoring is no proof that the layout is
+   unchanged.  This test is: the payload this build freezes after the
+   same two arrivals must equal the checked-in one byte for byte.  The
+   one value that differs between builds is the drains' [Gc.minor_words]
+   total (a release build allocates differently), which the comparison
+   zeroes on both sides: it is the 11th field ([z_minor]) of
+   [Driver]'s frozen record.  Unmarshaling as [Obj.t] is safe on any
+   intact payload, whatever its layout. *)
+let minor_words_field = 10
+
+let normalize_minor_words payload =
+  let z : Obj.t = Marshal.from_string payload 0 in
+  if
+    Obj.is_int z
+    || Obj.size z <= minor_words_field
+    || Obj.tag (Obj.field z minor_words_field) <> Obj.double_tag
+  then Alcotest.fail "payload's minor-words field is not where this test expects it";
+  Obj.set_field z minor_words_field (Obj.repr 0.);
+  Marshal.to_string z []
+
+let test_checked_in_snapshot_bytes () =
+  let _, s = open_smoke_serve () in
+  ignore (serve_lines s (List.filteri (fun k _ -> k < 2) smoke_jobs) ~close:false);
+  let _, payload = checked_in_payload () in
+  Alcotest.(check bool)
+    "this build's freeze = the checked-in payload (bump Snapshot.version if not)" true
+    (String.equal (normalize_minor_words (s.P.ss_freeze ())) (normalize_minor_words payload))
+
 (* The previous formats' tripwires stay checked in, and each payload
    must be refused by the container before it reaches [Marshal], not
    thawed into the current layout: version 2 laid the job columns out by
    external id, version 3 kept a per-(machine, slot) size matrix and
-   a position table per pending heap, and version 4 had no column of
-   pending-head sizes. *)
+   a position table per pending heap, version 4 had no column of
+   pending-head sizes, and version 5 kept a per-slot column of minimum
+   sizes, a job record without its size summaries and a position
+   column for every pending order, dormant or not. *)
 let old_snapshot_fails_closed v () =
   match Snapshot.unwrap (Snapshot.read_file (Printf.sprintf "snapshots/serve-smoke-v%d.snap" v)) with
   | Error (Snapshot.Bad_version v') when v' = v -> ()
@@ -377,9 +414,12 @@ let suite =
     Alcotest.test_case "snapshot carries only unread trace rows" `Quick
       test_snapshot_carries_unread_rows;
     Alcotest.test_case "checked-in snapshot restores" `Quick test_checked_in_snapshot_restores;
+    Alcotest.test_case "checked-in snapshot matches this build's freeze" `Quick
+      test_checked_in_snapshot_bytes;
     Alcotest.test_case "v2 snapshot fails closed" `Quick (old_snapshot_fails_closed 2);
     Alcotest.test_case "v3 snapshot fails closed" `Quick (old_snapshot_fails_closed 3);
     Alcotest.test_case "v4 snapshot fails closed" `Quick (old_snapshot_fails_closed 4);
+    Alcotest.test_case "v5 snapshot fails closed" `Quick (old_snapshot_fails_closed 5);
     Alcotest.test_case "suspend at every boundary, every registry policy" `Slow
       test_suspend_every_boundary_registry;
   ]

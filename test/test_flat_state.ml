@@ -34,7 +34,9 @@ let prop_of_instance_round_trip =
           assert (Flat_state.ext fs id = id && Flat_state.slot_of fs id = id);
           assert (Float.equal (Flat_state.release fs id) j.Job.release);
           assert (Float.equal (Flat_state.weight fs id) j.Job.weight);
-          assert (Float.equal (Flat_state.min_size fs id) (Job.min_size j));
+          (* The job column holds the instance's own handle, whose cached
+             summaries (min size, eligibility) the core reads. *)
+          assert (Flat_state.job fs id == j);
           for i = 0 to m - 1 do
             let p = Job.size j i in
             assert (Float.equal (Flat_state.size fs ~machine:i ~job:id) p);

@@ -177,7 +177,7 @@ let test_hot_annotations_guarded () =
     (fun name ->
       Alcotest.(check bool) ("driver hot: " ^ name) true (List.mem name driver_hot))
     [ "loop"; "try_start"; "reject_job"; "restart_job"; "commit_arrival"; "commit_finish";
-      "popcount"; "slot"; "pending_split"; "pending_head_size" ];
+      "slot"; "pending_split"; "pending_head_size" ];
   let flat_hot =
     RL.Typed_lint.hot_functions_of_cmt
       (cmt "lib/sim/.sched_sim.objs/byte/sched_sim__Flat_state.cmt")
@@ -187,9 +187,6 @@ let test_hot_annotations_guarded () =
       Alcotest.(check bool) ("flat_state hot: " ^ name) true (List.mem name flat_hot))
     [ "clock"; "set_clock"; "pend_add"; "pend_remove"; "next_event_before"; "lay_segment";
       "account_completion"; "account_rejection"; "outcome_completed"; "outcome_rejected";
-      (* The flight recorder's dispatch-provenance scans: same-module reads
-         so the release build boxes nothing. *)
-      "cand_mask"; "cand_count"; "cand_mask_from"; "cand_count_from";
       (* The pending sets' order-statistic index: insert, remove, the
          prefix query behind lambda_ij, min and max. *)
       "prio"; "ix_fix"; "ix_insert"; "ix_merge"; "ix_remove"; "ix_split"; "ix_leftmost";

@@ -186,6 +186,84 @@ let prop_folds_match_float_min =
            (float_min_volume inst))
   |> QCheck_alcotest.to_alcotest
 
+(* [Job.create]'s cached summaries against a fresh scan of the same
+   vector: the [Float.min] fold for the minimum (compared bit for bit)
+   and the first machine holding it, and the count and mask of finite
+   entries, bit [k] for machine [k] up to 61 and bit 62 for every
+   machine beyond.  The widths straddle the saturation point; infinite
+   entries come at a random rate per case, half the cases draw from
+   three sizes so the minimum ties, and [with_sizes] must re-summarize.
+   The caller's array is overwritten after [create], which must not
+   reach the job's copy. *)
+let fresh_summary sizes =
+  let count = ref 0 and mask = ref 0 in
+  Array.iteri
+    (fun k p ->
+      if Float.is_finite p then begin
+        incr count;
+        mask := !mask lor (1 lsl min k 62)
+      end)
+    sizes;
+  let mn = Array.fold_left Float.min Float.infinity sizes in
+  let rec first k = if Float.equal sizes.(k) mn then k else first (k + 1) in
+  (mn, first 0, !count, !mask)
+
+let prop_job_summaries_match_scan =
+  QCheck.Test.make ~name:"Job.create's cached min size, eligible count and mask equal a fresh scan"
+    ~count:300
+    QCheck.(pair (int_bound 1_000_000) (int_bound 4))
+    (fun (seed, which) ->
+      let m = [| 1; 61; 62; 63; 130 |].(which) in
+      let rng = Sched_stats.Rng.create seed in
+      let p_inf = Sched_stats.Rng.float rng and ties = Sched_stats.Rng.int rng 2 = 0 in
+      let draw () =
+        let v =
+          Array.init m (fun _ ->
+              if Sched_stats.Rng.float rng < p_inf then Float.infinity
+              else if ties then float_of_int (1 + Sched_stats.Rng.int rng 3)
+              else Sched_stats.Rng.float_range rng 1e-3 1e3)
+        in
+        if not (Array.exists Float.is_finite v) then
+          v.(Sched_stats.Rng.int rng m) <- Sched_stats.Rng.float_range rng 0.1 10.;
+        v
+      in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let agrees (j : Job.t) expected =
+        let mn, best, count, mask = fresh_summary expected in
+        same (Job.min_size j) mn && j.Job.best_machine = best
+        && j.Job.eligible_count = count && j.Job.eligible_mask = mask
+        && Array.for_all2 same j.Job.sizes expected
+      in
+      let input = draw () in
+      let expected = Array.copy input in
+      let j = Job.create ~id:0 ~release:0. ~sizes:input () in
+      Array.fill input 0 m 7.;
+      let resized = draw () in
+      agrees j expected && agrees (Job.with_sizes j resized) resized)
+  |> QCheck_alcotest.to_alcotest
+
+(* On a fleet of one speed [volume] sums the cached minima divided by the
+   speed instead of scanning; rounding is monotone, so it must equal the
+   scan's [Float.min] fold bit for bit, at speed 1 and at any other. *)
+let prop_volume_equal_speeds =
+  QCheck.Test.make ~name:"volume's one-speed sum equals the per-machine scan bit for bit"
+    ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Sched_stats.Rng.create seed in
+      let n = 1 + Sched_stats.Rng.int rng 40 and m = 1 + Sched_stats.Rng.int rng 9 in
+      let speed =
+        if Sched_stats.Rng.int rng 3 = 0 then 1. else Sched_stats.Rng.float_range rng 0.05 20.
+      in
+      let inst =
+        Instance.create ~machines:(Machine.fleet ~speed m) ~jobs:(random_jobs rng ~n ~m) ()
+      in
+      Int64.equal
+        (Int64.bits_of_float
+           (Sched_baselines.Lower_bounds.volume inst).Sched_baselines.Lower_bounds.value)
+        (Int64.bits_of_float (float_min_volume inst)))
+  |> QCheck_alcotest.to_alcotest
+
 (* --- Time --- *)
 
 let test_time () =
@@ -221,6 +299,8 @@ let suite =
     Alcotest.test_case "instance horizon" `Quick test_instance_horizon;
     prop_instance_job_by_id;
     prop_folds_match_float_min;
+    prop_job_summaries_match_scan;
+    prop_volume_equal_speeds;
     Alcotest.test_case "time comparisons" `Quick test_time;
     Alcotest.test_case "outcome" `Quick test_outcome;
   ]

@@ -225,6 +225,92 @@ let test_swf_runs_end_to_end () =
       let r = Rejection.Api.run_flow ~eps:0.25 inst in
       Alcotest.(check bool) "positive flow" true (r.Rejection.Api.flow.Metrics.total > 0.)
 
+(* Saved-instance goldens: the MD5 of [Serialize.save_instance]'s file for
+   every [Suite] family and for SWF imports under every shape, at seed 7
+   (SWF: the example trace, shape draws from seed 5).  A seed names an
+   instance, so the shapes' fills must make the same draws in the same
+   order for as long as these digests stand.  m = 70 takes the
+   restricted draws past machine 62; m = 3 reaches its forced-eligible
+   redraw. *)
+let saved_instance_goldens =
+  [
+    ("uniform", 40, 3, "378e584ec678654f9589d4560ed26c78");
+    ("pareto-unrelated", 40, 3, "72e39bdc4004a9acbf5bad5860686092");
+    ("bimodal-batched", 40, 3, "f08dd51e61702043832c714cae1a16d7");
+    ("restricted", 40, 3, "def7b168f5b92d1caf75267c8b2104cb");
+    ("related", 40, 3, "0023b9016e7bfefd7530fe3a8ad606bd");
+    ("clustered", 40, 3, "cf2a8ae35c63494c11b3f0cd1c3ffe4e");
+    ("diurnal", 40, 3, "ef267321251018c1bffcfba5dfec755d");
+    ("weighted-energy", 40, 3, "9de49745fb2953408431f4e63e491e85");
+    ("deadline-energy", 40, 3, "b7447798967da645abfdc596de020878");
+    ("swf-identical", 40, 3, "7dd5d190374c133d7e94e3e7186d719d");
+    ("swf-unrelated", 40, 3, "5cbaaf22b3c01581cc82ae39a24eef40");
+    ("swf-restricted", 40, 3, "177321b88138d15a1d58c83b299eb0c9");
+    ("swf-clustered", 40, 3, "2f3e4dde29f2ea5afc83fe91b825d0da");
+    ("swf-related", 40, 3, "0d452b44030850d6e70ec91d333012d1");
+    ("uniform", 60, 70, "b734c88213b49bce55ce7e60e7b6349b");
+    ("pareto-unrelated", 60, 70, "c99f51fabc637cbc6ea48073f78b9930");
+    ("bimodal-batched", 60, 70, "a716dfbd0eb2d57de16902b45eafb357");
+    ("restricted", 60, 70, "a7035572e3a3aac5d943c448e813dd92");
+    ("related", 60, 70, "5c0dc8a54ab1bb8da8ba5b0227d5b35e");
+    ("clustered", 60, 70, "825e09d5edf3033ccaaa4e08f0d9880c");
+    ("diurnal", 60, 70, "4bc9ec0d18cea8d619c3055034ac1440");
+    ("weighted-energy", 60, 70, "f8e9391a5fb17210af2d97b60bd48962");
+    ("deadline-energy", 60, 70, "d8d6170d3ff483da858d09b0da9b1bd2");
+    ("swf-identical", 60, 70, "060b6618447ba67b1d0a7847abd65f0b");
+    ("swf-unrelated", 60, 70, "78d7d8bed285a6c9bd865a0fc502afdd");
+    ("swf-restricted", 60, 70, "cc2b6df24059640c4146021979f68e9c");
+    ("swf-clustered", 60, 70, "2317ca984a15f18cb27e3ff9b3cda101");
+    ("swf-related", 60, 70, "1fd11779e33384f40563d6f4ac0f30d5");
+  ]
+
+let saved_text inst =
+  let path = Filename.temp_file "rejsched-instance" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Serialize.save_instance ~path inst;
+      In_channel.with_open_bin path In_channel.input_all)
+
+let test_saved_instances_pinned () =
+  let generated (n, m) =
+    [
+      ("uniform", Suite.flow_uniform ~n ~m);
+      ("pareto-unrelated", Suite.flow_pareto ~n ~m);
+      ("bimodal-batched", Suite.flow_bimodal ~n ~m);
+      ("restricted", Suite.flow_restricted ~n ~m);
+      ("related", Suite.flow_related ~n ~m);
+      ("clustered", Suite.flow_clustered ~n ~m);
+      ("diurnal", Suite.flow_diurnal ~n ~m);
+      ("weighted-energy", Suite.weighted_energy ~n ~m ~alpha:3.);
+      ("deadline-energy", Suite.deadline_energy ~n ~m ~alpha:2.5);
+    ]
+    |> List.map (fun (name, g) -> ((name, n, m), Gen.instance g ~seed:7))
+  in
+  let imported (n, m) =
+    [
+      ("identical", Shape.identical);
+      ("unrelated", Shape.unrelated ~spread:2.);
+      ("restricted", Shape.restricted ~eligible_prob:0.3);
+      ("clustered", Shape.clustered ~clusters:3 ~penalty:2.);
+      ("related", Shape.related ~speeds:[| 1.; 1.5; 3. |]);
+    ]
+    |> List.map (fun (name, shape) ->
+           match Swf.parse ~m ~shape ~rng:(Rng.create 5) Swf.example with
+           | Ok inst -> (("swf-" ^ name, n, m), inst)
+           | Error e -> Alcotest.failf "swf %s: %s" name e)
+  in
+  let cases = List.concat_map (fun nm -> generated nm @ imported nm) [ (40, 3); (60, 70) ] in
+  Alcotest.(check int) "one golden per case" (List.length saved_instance_goldens) (List.length cases);
+  List.iter2
+    (fun (name, n, m, digest) ((name', n', m'), inst) ->
+      Alcotest.(check (triple string int int)) "case order" (name, n, m) (name', n', m');
+      Alcotest.(check string)
+        (Printf.sprintf "%s n=%d m=%d saved text" name n m)
+        digest
+        (Digest.to_hex (Digest.string (saved_text inst))))
+    saved_instance_goldens cases
+
 let suite =
   suite
   @ [
@@ -232,4 +318,5 @@ let suite =
       Alcotest.test_case "swf max_jobs" `Quick test_swf_max_jobs;
       Alcotest.test_case "swf malformed" `Quick test_swf_malformed;
       Alcotest.test_case "swf end-to-end" `Quick test_swf_runs_end_to_end;
+      Alcotest.test_case "saved instances match their digests" `Quick test_saved_instances_pinned;
     ]
