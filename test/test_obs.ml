@@ -562,6 +562,114 @@ let test_timed_obs_counters_only () =
     (export (O.Obs.create ()))
     (export (O.Obs.timed ~clock:(Clock.ticker ()) ()))
 
+(* The snapshots `run --telemetry` (driver counters and gauges) and
+   `fuzz --telemetry` (oracle verdicts through [Check_obs.record]) write,
+   pinned byte for byte on a fixed instance.  The flat loop's minor-words
+   counter differs between dev and release builds, so its line is
+   dropped before the comparison. *)
+let telemetry_json reg =
+  String.split_on_char '\n' (O.Export.json reg)
+  |> List.filter (fun l -> not (Test_util.contains l "sched_flat_loop_minor_words_total"))
+  |> String.concat "\n"
+
+let pin_instance () = Test_util.random_instance ~weighted:true ~seed:2004 ~n:12 ~m:2 ()
+
+let run_telemetry_snapshot () =
+  let inst = pin_instance () in
+  let module FR = Rejection.Flow_reject in
+  let module RS = Sched_baselines.Restart_spt in
+  let snapshot policy =
+    let obs = O.Obs.create () in
+    ignore (Sched_sim.Driver.run ~obs policy inst);
+    telemetry_json (O.Obs.registry obs)
+  in
+  String.concat ""
+    [
+      snapshot (FR.policy (FR.config ~eps:0.25 ()));
+      snapshot Sched_baselines.Greedy_dispatch.spt;
+      snapshot (RS.policy (RS.config ~max_restarts:1 ()));
+    ]
+
+let oracle_telemetry_snapshot () =
+  let inst = pin_instance () in
+  let reg = Registry.create () in
+  let s = Test_util.schedule_of Sched_baselines.Greedy_dispatch.spt inst in
+  Sched_check.Check_obs.record reg (Sched_check.Oracle.check s);
+  let module V = Sched_check.Violation in
+  Sched_check.Check_obs.record reg
+    [ V.make V.Machine_overlap "x"; V.make ~job:3 V.Metric_drift "y"; V.make V.Machine_overlap "z" ];
+  telemetry_json reg
+
+let expected_run_telemetry =
+  {|{
+  "schema": "rejsched.metrics/1",
+  "metrics": [
+    { "name": "sched_complete_total", "type": "counter", "labels": {}, "value": 9 },
+    { "name": "sched_dispatch_total", "type": "counter", "labels": {}, "value": 12 },
+    { "name": "sched_flat_loop_events_total", "type": "counter", "labels": {}, "value": 22 },
+    { "name": "sched_inflight_jobs", "type": "gauge", "labels": {"machine":"0"}, "value": 0 },
+    { "name": "sched_inflight_jobs", "type": "gauge", "labels": {"machine":"1"}, "value": 0 },
+    { "name": "sched_pending_jobs", "type": "gauge", "labels": {"machine":"0"}, "value": 0 },
+    { "name": "sched_pending_jobs", "type": "gauge", "labels": {"machine":"1"}, "value": 0 },
+    { "name": "sched_reject_midrun_total", "type": "counter", "labels": {}, "value": 1 },
+    { "name": "sched_reject_total", "type": "counter", "labels": {}, "value": 3 },
+    { "name": "sched_restart_total", "type": "counter", "labels": {}, "value": 0 },
+    { "name": "sched_start_total", "type": "counter", "labels": {}, "value": 10 }
+  ]
+}
+{
+  "schema": "rejsched.metrics/1",
+  "metrics": [
+    { "name": "sched_complete_total", "type": "counter", "labels": {}, "value": 12 },
+    { "name": "sched_dispatch_total", "type": "counter", "labels": {}, "value": 12 },
+    { "name": "sched_flat_loop_events_total", "type": "counter", "labels": {}, "value": 24 },
+    { "name": "sched_inflight_jobs", "type": "gauge", "labels": {"machine":"0"}, "value": 0 },
+    { "name": "sched_inflight_jobs", "type": "gauge", "labels": {"machine":"1"}, "value": 0 },
+    { "name": "sched_pending_jobs", "type": "gauge", "labels": {"machine":"0"}, "value": 0 },
+    { "name": "sched_pending_jobs", "type": "gauge", "labels": {"machine":"1"}, "value": 0 },
+    { "name": "sched_reject_midrun_total", "type": "counter", "labels": {}, "value": 0 },
+    { "name": "sched_reject_total", "type": "counter", "labels": {}, "value": 0 },
+    { "name": "sched_restart_total", "type": "counter", "labels": {}, "value": 0 },
+    { "name": "sched_start_total", "type": "counter", "labels": {}, "value": 12 }
+  ]
+}
+{
+  "schema": "rejsched.metrics/1",
+  "metrics": [
+    { "name": "sched_complete_total", "type": "counter", "labels": {}, "value": 12 },
+    { "name": "sched_dispatch_total", "type": "counter", "labels": {}, "value": 12 },
+    { "name": "sched_flat_loop_events_total", "type": "counter", "labels": {}, "value": 26 },
+    { "name": "sched_inflight_jobs", "type": "gauge", "labels": {"machine":"0"}, "value": 0 },
+    { "name": "sched_inflight_jobs", "type": "gauge", "labels": {"machine":"1"}, "value": 0 },
+    { "name": "sched_pending_jobs", "type": "gauge", "labels": {"machine":"0"}, "value": 0 },
+    { "name": "sched_pending_jobs", "type": "gauge", "labels": {"machine":"1"}, "value": 0 },
+    { "name": "sched_reject_midrun_total", "type": "counter", "labels": {}, "value": 0 },
+    { "name": "sched_reject_total", "type": "counter", "labels": {}, "value": 0 },
+    { "name": "sched_restart_total", "type": "counter", "labels": {}, "value": 2 },
+    { "name": "sched_start_total", "type": "counter", "labels": {}, "value": 14 }
+  ]
+}
+|}
+
+let expected_oracle_telemetry =
+  {|{
+  "schema": "rejsched.metrics/1",
+  "metrics": [
+    { "name": "sched_check_clean_total", "type": "counter", "labels": {}, "value": 1 },
+    { "name": "sched_check_schedules_total", "type": "counter", "labels": {}, "value": 2 },
+    { "name": "sched_check_violations_total", "type": "counter", "labels": {"check":"machine-overlap"}, "value": 2 },
+    { "name": "sched_check_violations_total", "type": "counter", "labels": {"check":"metric-drift"}, "value": 1 }
+  ]
+}
+|}
+
+let test_run_telemetry_pin () =
+  Alcotest.(check string) "run --telemetry snapshot" expected_run_telemetry (run_telemetry_snapshot ())
+
+let test_oracle_telemetry_pin () =
+  Alcotest.(check string) "fuzz --telemetry snapshot" expected_oracle_telemetry
+    (oracle_telemetry_snapshot ())
+
 (* --- registry merge (parallel shard fold-back) ------------------------- *)
 
 let test_registry_merge () =
@@ -664,4 +772,6 @@ let suite =
     Alcotest.test_case "counters reconcile with metrics" `Quick test_counters_reconcile;
     Alcotest.test_case "restart counter mirrors trace" `Quick test_restart_counter;
     Alcotest.test_case "timed obs counters only" `Quick test_timed_obs_counters_only;
+    Alcotest.test_case "run telemetry snapshot pinned" `Quick test_run_telemetry_pin;
+    Alcotest.test_case "oracle telemetry snapshot pinned" `Quick test_oracle_telemetry_pin;
   ]
