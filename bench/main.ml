@@ -152,7 +152,7 @@ let () =
     s
   in
   let s_bare = schedule spt in
-  let obs = Sched_obs.Obs.timed () in
+  let obs = Sched_obs.Obs.create () in
   if to_string (schedule ~obs spt) <> to_string s_bare then
     fail "telemetry-instrumented greedy-spt diverges from the bare run";
   if to_string (schedule Sched_baselines.Seed_reference.greedy_spt) <> to_string s_bare then
@@ -162,7 +162,7 @@ let () =
   let spt_t =
     pairs ~n:7
       (fun () -> ignore (schedule spt))
-      (fun () -> ignore (schedule ~obs:(Sched_obs.Obs.timed ()) spt))
+      (fun () -> ignore (schedule ~obs:(Sched_obs.Obs.create ()) spt))
   in
   let eps_bare = per_sec events spt_t.a and eps_tel = per_sec events spt_t.b in
   let speedup = t_seed /. spt_t.a and tel_speedup = t_seed /. spt_t.b in

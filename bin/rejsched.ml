@@ -153,7 +153,7 @@ let run_cmd =
       | None, None -> Gen.instance gen ~seed
     in
     (match save with Some path -> Serialize.save_instance ~path inst | None -> ());
-    let obs = match telemetry with None -> None | Some _ -> Some (Sched_obs.Obs.timed ()) in
+    let obs = match telemetry with None -> None | Some _ -> Some (Sched_obs.Obs.create ()) in
     let trace = match trace_ndjson with None -> None | Some _ -> Some (Sched_sim.Trace.create ()) in
     let module FR = Rejection.Flow_reject in
     let module GD = Sched_baselines.Greedy_dispatch in

@@ -40,9 +40,9 @@ let banned_nondet path =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* RJL007: wall-clock/monotonic time reads, allowed only in the
-   telemetry clock module.  Checked before RJL001 so that the clock
-   paths that are also Unix.* report as the more specific rule. *)
+(* RJL007: wall-clock/monotonic time reads, banned everywhere in lib/.
+   Checked before RJL001 so that the clock paths that are also Unix.*
+   report as the more specific rule. *)
 
 let banned_wallclock path =
   match path with
@@ -286,9 +286,8 @@ let check ~(scope : Scope.t) ~file (str : structure) =
         (if in_lib then
            match banned_wallclock path with
            | Some why ->
-               if not (Scope.clock scope) then
-                 add ~rule:Rule.Wall_clock ~loc
-                   (Printf.sprintf "%s: %s; take an Obs.Clock.t instead" (String.concat "." (flatten txt)) why)
+               add ~rule:Rule.Wall_clock ~loc
+                 (Printf.sprintf "%s: %s; scheduling code never reads real time" (String.concat "." (flatten txt)) why)
            | None -> (
                match banned_nondet path with
                | Some why ->

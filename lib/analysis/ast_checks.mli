@@ -26,8 +26,8 @@ val banned_nondet : string list -> string option
 (** RJL001: nondeterminism sources banned in [lib/]. *)
 
 val banned_wallclock : string list -> string option
-(** RJL007: wall-clock/monotonic time reads, allowed only in the clock
-    module.  Checked before {!banned_nondet} so [Unix.gettimeofday]
+(** RJL007: wall-clock/monotonic time reads, banned everywhere in
+    [lib/].  Checked before {!banned_nondet} so [Unix.gettimeofday]
     reports as the more specific rule. *)
 
 val banned_concurrency : string list -> string option

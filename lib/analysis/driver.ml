@@ -21,7 +21,7 @@ let usage =
    the typed tier (RJL1xx: resolved-path, type-aware and call-graph rules\n\
    over the cmt files under --cmt-dir, default _build/default); both\n\
    tiers' findings land in one report.  --scope forces the rule scope\n\
-   (lib | policy | display | clock | pool | bin | bench | test |\n\
+   (lib | policy | display | pool | bin | bench | test |\n\
    examples | auto) instead of deriving it from each file's path.\n\
    Exit status: 0 clean, 1 error findings, 2 usage error.\n"
 

@@ -91,8 +91,7 @@ let describe = function
   | Stray_io -> "direct console I/O outside bin/, bench/ and the stats display modules"
   | Missing_mli -> "lib/ module without a .mli interface"
   | Wall_clock ->
-      "wall-clock/monotonic time read (Sys.time, Unix.gettimeofday/time/times, Mtime*) in lib/ \
-       outside Obs.Clock"
+      "wall-clock/monotonic time read (Sys.time, Unix.gettimeofday/time/times, Mtime*) in lib/"
   | Raw_concurrency ->
       "raw concurrency primitive (Domain.spawn/join, Atomic.*, Mutex.*, Condition.*) in lib/ \
        outside Stats.Pool"

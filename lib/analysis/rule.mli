@@ -15,8 +15,7 @@ type id =
   | Stray_io  (** RJL005: console I/O outside the display/driver layers. *)
   | Missing_mli  (** RJL006: [lib/] module without an interface. *)
   | Wall_clock
-      (** RJL007: wall-clock/monotonic time read in [lib/] outside the
-          telemetry clock module ([lib/obs/clock.ml]). *)
+      (** RJL007: wall-clock/monotonic time read anywhere in [lib/]. *)
   | Raw_concurrency
       (** RJL008: raw concurrency primitive ([Domain.spawn]/[join],
           [Atomic.*], [Mutex.*], [Condition.*]) in [lib/] outside the

@@ -1,14 +1,13 @@
 type kind = Lib | Bin | Bench | Test | Examples | Other
 
-type t = { kind : kind; policy : bool; display : bool; clock : bool; pool : bool }
+type t = { kind : kind; policy : bool; display : bool; pool : bool }
 
-let make ?(policy = false) ?(display = false) ?(clock = false) ?(pool = false) kind =
-  { kind; policy; display; clock; pool }
+let make ?(policy = false) ?(display = false) ?(pool = false) kind =
+  { kind; policy; display; pool }
 
 let kind t = t.kind
 let policy t = t.policy
 let display t = t.display
-let clock t = t.clock
 let pool t = t.pool
 
 (* Console I/O is the driver/display layers' job; in lib/ only the
@@ -22,10 +21,6 @@ let io_allowed t =
 (* The stats display modules are the one place in lib/ allowed to talk to
    the console (they exist to render tables and charts for humans). *)
 let display_modules = [ "lib/stats/table.ml"; "lib/stats/chart.ml" ]
-
-(* The telemetry clock module is the one place in lib/ allowed to read
-   wall/monotonic time (RJL007); everything else must take a Clock.t. *)
-let clock_modules = [ "lib/obs/clock.ml" ]
 
 (* The domain pool is the one place in lib/ allowed to touch raw
    concurrency primitives (RJL008); everything else submits to a Pool.t. *)
@@ -46,9 +41,8 @@ let classify path =
   if has_prefix ~prefix:"lib/" p then
     let policy = has_prefix ~prefix:"lib/core/" p || has_prefix ~prefix:"lib/baselines/" p in
     let display = List.mem p display_modules in
-    let clock = List.mem p clock_modules in
     let pool = List.mem p pool_modules in
-    { kind = Lib; policy; display; clock; pool }
+    { kind = Lib; policy; display; pool }
   else if has_prefix ~prefix:"bin/" p then make Bin
   else if has_prefix ~prefix:"bench/" p then make Bench
   else if has_prefix ~prefix:"test/" p then make Test
@@ -59,7 +53,6 @@ let of_string = function
   | "lib" -> Some (make Lib)
   | "policy" -> Some (make Lib ~policy:true)
   | "display" -> Some (make Lib ~display:true)
-  | "clock" -> Some (make Lib ~clock:true)
   | "pool" -> Some (make Lib ~pool:true)
   | "bin" -> Some (make Bin)
   | "bench" -> Some (make Bench)

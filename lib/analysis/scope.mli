@@ -6,7 +6,7 @@ type kind = Lib | Bin | Bench | Test | Examples | Other
 
 type t
 
-val make : ?policy:bool -> ?display:bool -> ?clock:bool -> ?pool:bool -> kind -> t
+val make : ?policy:bool -> ?display:bool -> ?pool:bool -> kind -> t
 
 val kind : t -> kind
 
@@ -17,11 +17,6 @@ val policy : t -> bool
 val display : t -> bool
 (** The stats display modules ([lib/stats/table.ml], [lib/stats/chart.ml])
     are exempt from the I/O rule. *)
-
-val clock : t -> bool
-(** The telemetry clock module ([lib/obs/clock.ml]) is exempt from the
-    wall-clock rule (RJL007) — it exists to encapsulate exactly those
-    reads. *)
 
 val io_allowed : t -> bool
 (** Whether console I/O is acceptable under this scope: true outside
@@ -36,5 +31,5 @@ val classify : string -> t
 (** Classify a repo-relative path ("lib/model/schedule.ml"). *)
 
 val of_string : string -> t option
-(** Parse a [--scope] CLI value: lib | policy | display | clock | pool |
+(** Parse a [--scope] CLI value: lib | policy | display | pool |
     bin | bench | test | examples | auto. *)

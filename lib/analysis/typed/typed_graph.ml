@@ -55,13 +55,11 @@ let rec top_mutable env (e : Typedtree.expression) =
   | _ -> false
 
 let hazard_of ~scope resolved =
-  let clock_ok = Scope.clock scope in
   let pool_ok = Scope.pool scope in
   let io_ok = Scope.io_allowed scope in
   let dotted = String.concat "." resolved in
   match Ast_checks.banned_wallclock resolved with
-  | Some why when not clock_ok -> Some (Printf.sprintf "%s (%s)" dotted why)
-  | Some _ -> None
+  | Some why -> Some (Printf.sprintf "%s (%s)" dotted why)
   | None -> (
       match Ast_checks.banned_nondet resolved with
       | Some why -> Some (Printf.sprintf "%s (%s)" dotted why)

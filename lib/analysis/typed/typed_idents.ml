@@ -12,8 +12,7 @@ let family_check ~scope resolved =
   let in_lib = Scope.kind scope = Scope.Lib in
   if in_lib then
     match Ast_checks.banned_wallclock resolved with
-    | Some why when not (Scope.clock scope) -> Some ("wall-clock", why, Ast_checks.banned_wallclock)
-    | Some _ -> None
+    | Some why -> Some ("wall-clock", why, Ast_checks.banned_wallclock)
     | None -> (
         match Ast_checks.banned_nondet resolved with
         | Some why -> Some ("nondeterminism", why, Ast_checks.banned_nondet)

@@ -1,74 +1,8 @@
-(* Registry exporters: Prometheus text exposition and a schema-versioned
-   JSON snapshot.  Both iterate [Registry.entries] (sorted by name,
-   labels, id), so two exports of equal registry contents are
-   byte-identical. *)
+(* The registry exporter: a schema-versioned JSON snapshot.  It iterates
+   [Registry.entries] (sorted by name, labels, id), so two exports of
+   equal registry contents are byte-identical. *)
 
-let json_schema = "rejsched.metrics/1"
-
-(* Prometheus floats allow +Inf/-Inf/NaN, unlike JSON. *)
-let prom_float v =
-  if v = Float.infinity then "+Inf"
-  else if v = Float.neg_infinity then "-Inf"
-  else if Float.is_nan v then "NaN"
-  else Ndjson.float_repr v
-
-let prom_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let label_block labels =
-  match labels with
-  | [] -> ""
-  | _ ->
-      "{"
-      ^ String.concat ","
-          (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (prom_escape v)) labels)
-      ^ "}"
-
-let prometheus registry =
-  let buf = Buffer.create 1024 in
-  let current_family = ref None in
-  let header (e : Registry.entry) =
-    if !current_family <> Some e.Registry.name then begin
-      current_family := Some e.Registry.name;
-      if e.Registry.help <> "" then
-        Printf.bprintf buf "# HELP %s %s\n" e.Registry.name (prom_escape e.Registry.help);
-      Printf.bprintf buf "# TYPE %s %s\n" e.Registry.name
-        (Registry.kind_name e.Registry.instrument)
-    end
-  in
-  List.iter
-    (fun (e : Registry.entry) ->
-      header e;
-      let name = e.Registry.name and labels = e.Registry.labels in
-      match e.Registry.instrument with
-      | Registry.Counter c ->
-          Printf.bprintf buf "%s%s %s\n" name (label_block labels)
-            (prom_float (Metric.Counter.value c))
-      | Registry.Gauge g ->
-          Printf.bprintf buf "%s%s %s\n" name (label_block labels)
-            (prom_float (Metric.Gauge.value g))
-      | Registry.Histogram h ->
-          List.iter
-            (fun (le, count) ->
-              Printf.bprintf buf "%s_bucket%s %d\n" name
-                (label_block (labels @ [ ("le", prom_float le) ]))
-                count)
-            (Metric.Histogram.cumulative h);
-          Printf.bprintf buf "%s_sum%s %s\n" name (label_block labels)
-            (prom_float (Metric.Histogram.sum h));
-          Printf.bprintf buf "%s_count%s %d\n" name (label_block labels)
-            (Metric.Histogram.count h))
-    (Registry.entries registry);
-  Buffer.contents buf
+let schema = "rejsched.metrics/1"
 
 let json_labels labels =
   "{"
@@ -83,36 +17,19 @@ let json_labels labels =
    document stays valid JSON and the three values stay distinguishable. *)
 let json registry =
   let buf = Buffer.create 1024 in
-  Printf.bprintf buf "{\n  \"schema\": \"%s\",\n  \"metrics\": [\n" json_schema;
-  let entries = Registry.entries registry in
+  Printf.bprintf buf "{\n  \"schema\": \"%s\",\n  \"metrics\": [\n" schema;
   List.iteri
     (fun k (e : Registry.entry) ->
       if k > 0 then Buffer.add_string buf ",\n";
-      let common =
-        Printf.sprintf "\"name\": \"%s\", \"type\": \"%s\", \"labels\": %s"
-          (Ndjson.escape e.Registry.name)
-          (Registry.kind_name e.Registry.instrument)
-          (json_labels e.Registry.labels)
+      let value =
+        match e.Registry.instrument with
+        | Registry.Counter c -> Metric.Counter.value c
+        | Registry.Gauge g -> Metric.Gauge.value g
       in
-      match e.Registry.instrument with
-      | Registry.Counter c ->
-          Printf.bprintf buf "    { %s, \"value\": %s }" common
-            (Ndjson.float_repr (Metric.Counter.value c))
-      | Registry.Gauge g ->
-          Printf.bprintf buf "    { %s, \"value\": %s }" common
-            (Ndjson.float_repr (Metric.Gauge.value g))
-      | Registry.Histogram h ->
-          let buckets =
-            String.concat ","
-              (List.map
-                 (fun (le, count) ->
-                   Printf.sprintf "{\"le\":\"%s\",\"count\":%d}" (prom_float le) count)
-                 (Metric.Histogram.cumulative h))
-          in
-          Printf.bprintf buf "    { %s, \"count\": %d, \"sum\": %s, \"buckets\": [%s] }" common
-            (Metric.Histogram.count h)
-            (Ndjson.float_repr (Metric.Histogram.sum h))
-            buckets)
-    entries;
+      Printf.bprintf buf "    { \"name\": \"%s\", \"type\": \"%s\", \"labels\": %s, \"value\": %s }"
+        (Ndjson.escape e.Registry.name)
+        (Registry.kind_name e.Registry.instrument)
+        (json_labels e.Registry.labels) (Ndjson.float_repr value))
+    (Registry.entries registry);
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf

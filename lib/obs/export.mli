@@ -1,22 +1,10 @@
-(** Registry exporters.
+(** The registry exporter.
 
-    Both renderers walk {!Registry.entries} (sorted by name, labels,
+    {!json} walks {!Registry.entries} (sorted by name, labels,
     registration id), so exports of equal registry contents are
     byte-identical — golden-testable and diff-friendly. *)
 
-val prometheus : Registry.t -> string
-(** Prometheus text exposition format: one [# HELP]/[# TYPE] header per
-    family, [name{labels} value] samples, histograms expanded into
-    cumulative [_bucket{le=...}] plus [_sum]/[_count]. *)
-
 val json : Registry.t -> string
-(** JSON snapshot, schema {!json_schema}: an object with a ["metrics"]
-    array of [{name, type, labels, ...}] records (counters and gauges
-    carry ["value"]; histograms carry ["count"], ["sum"] and cumulative
-    ["buckets"]). *)
-
-val json_schema : string
-(** Current snapshot schema tag, ["rejsched.metrics/1"]. *)
-
-val prom_float : float -> string
-(** Prometheus number formatting ([+Inf]/[-Inf]/[NaN] allowed). *)
+(** JSON snapshot, schema ["rejsched.metrics/1"]: an object with a
+    ["metrics"] array of [{name, type, labels, value}] records, one per
+    counter or gauge. *)

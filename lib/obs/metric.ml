@@ -26,65 +26,3 @@ module Gauge = struct
   let inc g = add g 1.
   let dec g = add g (-1.)
 end
-
-module Histogram = struct
-  type t = {
-    bounds : float array;  (* Strictly increasing upper bounds. *)
-    counts : int array;  (* Per bucket; last slot is the +inf overflow. *)
-    mutable sum : float;
-    mutable count : int;
-  }
-
-  let make ~buckets =
-    let bounds = Array.of_list buckets in
-    let n = Array.length bounds in
-    if n = 0 then invalid_arg "Obs.Histogram.make: no buckets";
-    for k = 0 to n - 1 do
-      if Float.is_nan bounds.(k) || (k > 0 && not (bounds.(k) > bounds.(k - 1))) then
-        invalid_arg "Obs.Histogram.make: bucket bounds must be strictly increasing"
-    done;
-    { bounds; counts = Array.make (n + 1) 0; sum = 0.; count = 0 }
-
-  let observe h x =
-    let n = Array.length h.bounds in
-    let k = ref 0 in
-    (* NaN lands in the overflow bucket and is kept out of [sum], so one
-       bad observation cannot poison the aggregate. *)
-    if Float.is_nan x then k := n
-    else begin
-      while !k < n && x > h.bounds.(!k) do incr k done;
-      h.sum <- h.sum +. x
-    end;
-    h.counts.(!k) <- h.counts.(!k) + 1;
-    h.count <- h.count + 1
-
-  let count h = h.count
-  let sum h = h.sum
-  let bounds h = Array.to_list h.bounds
-
-  (* Bucket-wise accumulation, used by Registry.merge to fold per-shard
-     registries together.  Only histograms with identical bounds can be
-     merged: resampling observations into different buckets would need
-     the raw values, which a histogram no longer has. *)
-  let merge ~into src =
-    let same =
-      Array.length into.bounds = Array.length src.bounds
-      && begin
-           let ok = ref true in
-           Array.iteri
-             (fun k b -> if not (Float.equal b src.bounds.(k)) then ok := false)
-             into.bounds;
-           !ok
-         end
-    in
-    if not same then invalid_arg "Obs.Histogram.merge: bucket bounds differ";
-    Array.iteri (fun k c -> into.counts.(k) <- into.counts.(k) + c) src.counts;
-    into.sum <- into.sum +. src.sum;
-    into.count <- into.count + src.count
-
-  let cumulative h =
-    let acc = ref 0 in
-    let cum = Array.map (fun c -> acc := !acc + c; !acc) h.counts in
-    List.init (Array.length h.bounds) (fun k -> (h.bounds.(k), cum.(k)))
-    @ [ (Float.infinity, cum.(Array.length cum - 1)) ]
-end

@@ -1,9 +1,7 @@
-(** Telemetry instruments: typed counters, gauges and fixed-bucket
-    histograms.
+(** Telemetry instruments: typed counters and gauges.
 
-    Each instrument is an anonymous mutable cell; recording is O(1)
-    (O(#buckets) for histograms, with the bucket list fixed at creation)
-    and never allocates.  Create instruments through {!Registry} so they
+    Each instrument is an anonymous mutable cell; recording is O(1) and
+    never allocates.  Create instruments through {!Registry} so they
     participate in export; the constructors here exist for tests and for
     ad-hoc unregistered use. *)
 
@@ -28,33 +26,4 @@ module Gauge : sig
   val add : t -> float -> unit
   val inc : t -> unit
   val dec : t -> unit
-end
-
-module Histogram : sig
-  type t
-
-  val make : buckets:float list -> t
-  (** [buckets] are upper bounds, strictly increasing, non-empty; an
-      implicit [+inf] overflow bucket is appended.  Raises
-      [Invalid_argument] otherwise. *)
-
-  val observe : t -> float -> unit
-  (** A value [x] lands in the first bucket with [x <= bound] (Prometheus
-      [le] semantics); NaN lands in the overflow bucket and is excluded
-      from {!sum}. *)
-
-  val count : t -> int
-  val sum : t -> float
-
-  val bounds : t -> float list
-  (** The creation-time upper bounds (without the implicit [+inf]). *)
-
-  val cumulative : t -> (float * int) list
-  (** Prometheus-style cumulative [(le, count)] pairs, ending with the
-      [+inf] bucket whose count equals {!count}. *)
-
-  val merge : into:t -> t -> unit
-  (** Adds [src]'s buckets, sum and count into [into].  Raises
-      [Invalid_argument] unless both histograms share identical bucket
-      bounds. *)
 end

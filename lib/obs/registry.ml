@@ -11,7 +11,6 @@
 type instrument =
   | Counter of Metric.Counter.t
   | Gauge of Metric.Gauge.t
-  | Histogram of Metric.Histogram.t
 
 type entry = {
   id : int;
@@ -25,10 +24,7 @@ type t = { mutable entries : entry list (* reverse creation order *); mutable ne
 
 let create () = { entries = []; next = 0 }
 
-let kind_name = function
-  | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
-  | Histogram _ -> "histogram"
+let kind_name = function Counter _ -> "counter" | Gauge _ -> "gauge"
 
 let valid_name n =
   String.length n > 0
@@ -88,11 +84,6 @@ let gauge t ?(help = "") ?(labels = []) name =
   | Gauge g -> g
   | _ -> invalid_arg (Printf.sprintf "Obs.Registry: %s is not a gauge" name)
 
-let histogram t ?(help = "") ?(labels = []) ~buckets name =
-  match register t ~name ~labels ~help (fun () -> Histogram (Metric.Histogram.make ~buckets)) with
-  | Histogram h -> h
-  | _ -> invalid_arg (Printf.sprintf "Obs.Registry: %s is not a histogram" name)
-
 let entries t =
   List.sort
     (fun a b ->
@@ -121,13 +112,7 @@ let merge ~into src =
       | Gauge g ->
           (* Last-merged-shard wins: the same "final value" semantics a
              shared registry would have shown sequentially. *)
-          Metric.Gauge.set (gauge into ~help:e.help ~labels:e.labels e.name) (Metric.Gauge.value g)
-      | Histogram h ->
-          Metric.Histogram.merge
-            ~into:
-              (histogram into ~help:e.help ~labels:e.labels
-                 ~buckets:(Metric.Histogram.bounds h) e.name)
-            h)
+          Metric.Gauge.set (gauge into ~help:e.help ~labels:e.labels e.name) (Metric.Gauge.value g))
     (entries src)
 
 let find t ~name ~labels =

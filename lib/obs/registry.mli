@@ -7,12 +7,11 @@
     [[A-Za-z_][A-Za-z0-9_]*]; labels are sorted by key at registration;
     one name is one instrument kind (a "family").  {!entries} iterates
     sorted by (name, labels, registration id) — byte-stable output for
-    the exporters regardless of registration order. *)
+    the exporter regardless of registration order. *)
 
 type instrument =
   | Counter of Metric.Counter.t
   | Gauge of Metric.Gauge.t
-  | Histogram of Metric.Histogram.t
 
 type entry = {
   id : int;  (** Registration order, the final tie-break. *)
@@ -29,10 +28,6 @@ val create : unit -> t
 val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> Metric.Counter.t
 val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> Metric.Gauge.t
 
-val histogram :
-  t -> ?help:string -> ?labels:(string * string) list -> buckets:float list -> string ->
-  Metric.Histogram.t
-
 val entries : t -> entry list
 (** Sorted by (name, labels, id); safe to export verbatim. *)
 
@@ -41,13 +36,12 @@ val merge : into:t -> t -> unit
     (get-or-create by (name, labels)), iterating in {!entries} order —
     sorted by metric name and labels — so a fixed sequence of merges is
     deterministic.  Counters add; gauges take the source value
-    (last-merged wins); histograms add bucket-wise and require identical
-    bounds.  Raises [Invalid_argument] on an instrument-kind or
-    histogram-bucket mismatch.  This is how per-task shard registries
+    (last-merged wins).  Raises [Invalid_argument] on an
+    instrument-kind mismatch.  This is how per-task shard registries
     from parallel runs fold back into one exportable snapshot. *)
 
 val find : t -> name:string -> labels:(string * string) list -> entry option
 val size : t -> int
 
 val kind_name : instrument -> string
-(** ["counter" | "gauge" | "histogram"]. *)
+(** ["counter" | "gauge"]. *)

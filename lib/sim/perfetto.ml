@@ -120,150 +120,17 @@ let to_chrome ~machines recorder =
 
 (* --- shape validation -------------------------------------------------- *)
 
-(* A minimal JSON reader, just enough to check the trace_event shape we
-   emit (and that CI smoke-runs gate on) without external dependencies. *)
-
-type json =
-  | Jobj of (string * json) list
-  | Jarr of json list
-  | Jstr of string
-  | Jnum of float
-  | Jbool of bool
-  | Jnull
-
-exception Bad of string
-
-let parse s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with ' ' | '\t' | '\n' | '\r' -> advance (); skip_ws () | _ -> ()
-  in
-  let expect c =
-    if peek () <> c then fail (Printf.sprintf "expected %c" c);
-    advance ()
-  in
-  let string_body () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | 'u' ->
-              (* Keep the escape verbatim; only shape matters here. *)
-              Buffer.add_string buf "\\u";
-              advance ()
-          | c ->
-              Buffer.add_char buf c;
-              advance ());
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      incr pos
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> v
-    | None -> fail "malformed number"
-  in
-  let literal word v =
-    let len = String.length word in
-    if !pos + len <= n && String.sub s !pos len = word then begin
-      pos := !pos + len;
-      v
-    end
-    else fail "malformed literal"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then begin
-          advance ();
-          Jobj []
-        end
-        else begin
-          let rec fields acc =
-            skip_ws ();
-            let k = string_body () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                fields ((k, v) :: acc)
-            | '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected , or } in object"
-          in
-          Jobj (fields [])
-        end
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then begin
-          advance ();
-          Jarr []
-        end
-        else begin
-          let rec items acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                items (v :: acc)
-            | ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ] in array"
-          in
-          Jarr (items [])
-        end
-    | '"' -> Jstr (string_body ())
-    | 't' -> Jbool (literal "true" true)
-    | 'f' -> Jbool (literal "false" false)
-    | 'n' -> literal "null" Jnull
-    | _ -> Jnum (number ())
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let field name = function Jobj kvs -> List.assoc_opt name kvs | _ -> None
+(* The document is read back with the library's one JSON reader,
+   [Ndjson.parse]; only the trace_event shape is checked here. *)
 
 let check_event k e =
   let where what = Error (Printf.sprintf "traceEvents[%d]: %s" k what) in
   match e with
-  | Jobj _ -> (
-      match field "ph" e with
-      | Some (Jstr ph) -> (
-          let has_str name = match field name e with Some (Jstr _) -> true | _ -> false in
-          let has_num name = match field name e with Some (Jnum _) -> true | _ -> false in
+  | J.Jobj _ -> (
+      match J.member "ph" e with
+      | Some (J.Jstr ph) -> (
+          let has_str name = match J.member name e with Some (J.Jstr _) -> true | _ -> false in
+          let has_num name = match J.member name e with Some (J.Jnum _) -> true | _ -> false in
           if not (has_str "name") then where "missing string \"name\""
           else if not (has_num "pid") then where "missing numeric \"pid\""
           else
@@ -283,11 +150,11 @@ let check_event k e =
   | _ -> where "not an object"
 
 let validate text =
-  match parse text with
-  | exception Bad msg -> Error ("invalid JSON: " ^ msg)
-  | j -> (
-      match field "traceEvents" j with
-      | Some (Jarr events) ->
+  match J.parse text with
+  | Error msg -> Error ("invalid JSON: " ^ msg)
+  | Ok j -> (
+      match J.member "traceEvents" j with
+      | Some (J.Jarr events) ->
           let rec go k = function
             | [] -> Ok ()
             | e :: rest -> ( match check_event k e with Ok () -> go (k + 1) rest | e -> e)

@@ -8,8 +8,8 @@
     carrying the provenance payload at every rejection and restart.
     One simulation time unit renders as one millisecond.
 
-    Pure string production and a dependency-free shape checker; callers
-    own the I/O. *)
+    Pure string production and a shape checker that reads the document
+    back with {!Sched_obs.Ndjson.parse}; callers own the I/O. *)
 
 val to_chrome : machines:int -> Sched_obs.Recorder.t -> string
 (** The whole recorder as one [{"traceEvents": [...]}] JSON document.
@@ -18,8 +18,9 @@ val to_chrome : machines:int -> Sched_obs.Recorder.t -> string
 
 val validate : string -> (unit, string) result
 (** Checks a document against the [trace_event] shape Perfetto expects:
-    valid JSON, a top-level ["traceEvents"] array, and per event a
-    string ["ph"]/["name"] plus numeric ["pid"], with ["ts"]/["tid"]
-    (and ["dur"] for ["X"]) on timed events.  Used by the tests and by
+    valid JSON (as {!Sched_obs.Ndjson.parse} reads it), a top-level
+    ["traceEvents"] array, and per event a string ["ph"]/["name"] plus
+    numeric ["pid"], with ["ts"]/["tid"] (and ["dur"] for ["X"]) on
+    timed events.  Used by the tests and by
     [rejsched trace]'s self-check; the error names the first offending
     event. *)

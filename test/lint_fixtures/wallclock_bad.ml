@@ -1,5 +1,5 @@
 (* Fixture: every banned time source fires RJL007 when linted under lib/
-   scope (and is exempt under the clock scope). *)
+   scope. *)
 
 let cpu () = Sys.time ()
 let wall () = Unix.gettimeofday ()

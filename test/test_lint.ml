@@ -127,23 +127,11 @@ let test_wallclock_bad () =
   check_all_rule RL.Rule.Wall_clock fs;
   Alcotest.(check (list int)) "lines" [ 4; 5; 6 ] (lines fs)
 
-let test_wallclock_clock_scope () =
-  (* The clock scope (lib/obs/clock.ml) is the one lib/ module allowed to
-     read time directly — and the reads must not fall through to RJL001. *)
-  Alcotest.(check int) "clock scope" 0
-    (List.length (lint ~scope_name:"clock" "wallclock_bad.ml"))
-
 let test_wallclock_ok () =
   Alcotest.(check int) "clean" 0 (List.length (lint "wallclock_ok.ml"))
 
 let test_wallclock_allow () =
   Alcotest.(check int) "suppressed" 0 (List.length (lint "wallclock_allow.ml"))
-
-let test_clock_module_classified () =
-  (* Path classification must allowlist exactly lib/obs/clock.ml. *)
-  Alcotest.(check bool) "clock.ml" true (RL.Scope.clock (RL.Scope.classify "lib/obs/clock.ml"));
-  Alcotest.(check bool) "sibling" false (RL.Scope.clock (RL.Scope.classify "lib/obs/sink.ml"));
-  Alcotest.(check bool) "driver" false (RL.Scope.clock (RL.Scope.classify "lib/sim/driver.ml"))
 
 let test_concurrency_bad () =
   let fs = lint "concurrency_bad.ml" in
@@ -481,10 +469,8 @@ let suite =
     Alcotest.test_case "io: clean fixture" `Quick test_io_ok;
     Alcotest.test_case "io: suppressed fixture" `Quick test_io_allow;
     Alcotest.test_case "wallclock: fixture fires" `Quick test_wallclock_bad;
-    Alcotest.test_case "wallclock: clock scope exempt" `Quick test_wallclock_clock_scope;
     Alcotest.test_case "wallclock: clean fixture" `Quick test_wallclock_ok;
     Alcotest.test_case "wallclock: suppressed fixture" `Quick test_wallclock_allow;
-    Alcotest.test_case "wallclock: lib/obs/clock.ml allowlisted" `Quick test_clock_module_classified;
     Alcotest.test_case "wallclock: more specific than nondet" `Quick test_wallclock_beats_nondet;
     Alcotest.test_case "concurrency: fixture fires" `Quick test_concurrency_bad;
     Alcotest.test_case "concurrency: pool scope exempt" `Quick test_concurrency_pool_scope;

@@ -2,19 +2,16 @@
 
    The exporter goldens are exact byte-for-byte strings: the registry
    iterates deterministically and floats print as %.12g when that reads
-   back and %.17g otherwise, so any drift in the exposition formats is a
-   real change.  All histogram inputs are dyadic so sums are exact.
+   back and %.17g otherwise, so any drift in the snapshot format is a
+   real change.
 
    The differential tests are the layer's core contract: schedules and
-   traces are byte-identical with telemetry off, with counters only, and
-   with span timing on. *)
+   traces are byte-identical with telemetry off and on. *)
 
 open Sched_model
 module O = Sched_obs
 module Metric = O.Metric
 module Registry = O.Registry
-module Sink = O.Sink
-module Clock = O.Clock
 module J = O.Ndjson
 
 (* --- instruments ------------------------------------------------------- *)
@@ -41,29 +38,6 @@ let test_gauge () =
   Metric.Gauge.dec g;
   Metric.Gauge.add g (-1.5);
   Alcotest.(check (float 0.)) "value" 2.5 (Metric.Gauge.value g)
-
-let test_histogram () =
-  let h = Metric.Histogram.make ~buckets:[ 0.125; 1.; 8. ] in
-  List.iter (Metric.Histogram.observe h) [ 0.125; 0.5; 2.; 100.; Float.nan ];
-  Alcotest.(check int) "count" 5 (Metric.Histogram.count h);
-  (* NaN contributes to the overflow bucket but poisons no finite sum:
-     it is excluded from [sum]. *)
-  Alcotest.(check (float 0.)) "sum" 102.625 (Metric.Histogram.sum h);
-  Alcotest.(check (list (pair (float 0.) int)))
-    "cumulative"
-    [ (0.125, 1); (1., 2); (8., 3); (Float.infinity, 5) ]
-    (Metric.Histogram.cumulative h)
-
-let test_histogram_validation () =
-  let invalid buckets =
-    match Metric.Histogram.make ~buckets with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "expected Invalid_argument"
-  in
-  invalid [];
-  invalid [ 1.; 1. ];
-  invalid [ 2.; 1. ];
-  invalid [ Float.nan ]
 
 (* --- registry ---------------------------------------------------------- *)
 
@@ -113,61 +87,6 @@ let test_registry_deterministic_order () =
   Alcotest.(check (list string)) "sorted" [ "alpha"; "mid"; "zeta" ] sorted;
   Alcotest.(check (list string)) "order independent" sorted (build [ "mid"; "zeta"; "alpha" ])
 
-(* --- clock ------------------------------------------------------------- *)
-
-let test_clocks () =
-  let f = Clock.frozen 5. in
-  Alcotest.(check (float 0.)) "frozen" 5. (f ());
-  Alcotest.(check (float 0.)) "frozen again" 5. (f ());
-  let t = Clock.ticker ~start:10. ~step:0.5 () in
-  let t1 = t () in
-  let t2 = t () in
-  let t3 = t () in
-  Alcotest.(check (list (float 0.))) "ticker" [ 10.; 10.5; 11. ] [ t1; t2; t3 ];
-  let counted, calls = Clock.calls (Clock.ticker ()) in
-  ignore (counted ());
-  ignore (counted ());
-  Alcotest.(check int) "calls" 2 (calls ());
-  let m = Clock.monotonic () in
-  let a = m () in
-  let b = m () in
-  Alcotest.(check bool) "monotonic" true (b >= a)
-
-(* --- sinks ------------------------------------------------------------- *)
-
-let test_null_sink_records_nothing () =
-  (* The null sink must neither touch a registry nor read any clock; it
-     returns the thunk's value and passes exceptions through. *)
-  Alcotest.(check int) "value" 7 (Sink.time Sink.null "phase" (fun () -> 7));
-  Alcotest.check_raises "exn" Exit (fun () -> Sink.time Sink.null "phase" (fun () -> raise Exit));
-  let obs = O.Obs.create () in
-  Alcotest.(check int) "registry untouched" 0 (Registry.size (O.Obs.registry obs))
-
-let test_spans_sink_aggregates () =
-  let reg = Registry.create () in
-  let clock, calls = Clock.calls (Clock.ticker ~start:0. ~step:0.25 ()) in
-  let sink = Sink.spans ~clock reg in
-  Alcotest.(check int) "result" 3 (Sink.time sink "select" (fun () -> 3));
-  ignore (Sink.time sink "select" (fun () -> 0));
-  ignore (Sink.time sink "heap" (fun () -> 0));
-  (* Two clock reads per span. *)
-  Alcotest.(check int) "clock reads" 6 (calls ());
-  match Registry.find reg ~name:"obs_phase_seconds" ~labels:[ ("phase", "select") ] with
-  | Some { Registry.instrument = Registry.Histogram h; _ } ->
-      Alcotest.(check int) "spans" 2 (Metric.Histogram.count h);
-      (* Ticker step 0.25: every span lasts exactly one step. *)
-      Alcotest.(check (float 0.)) "durations" 0.5 (Metric.Histogram.sum h)
-  | _ -> Alcotest.fail "expected select histogram"
-
-let test_spans_sink_records_on_exception () =
-  let reg = Registry.create () in
-  let sink = Sink.spans ~clock:(Clock.ticker ()) reg in
-  Alcotest.check_raises "exn" Exit (fun () -> Sink.time sink "boom" (fun () -> raise Exit));
-  match Registry.find reg ~name:"obs_phase_seconds" ~labels:[ ("phase", "boom") ] with
-  | Some { Registry.instrument = Registry.Histogram h; _ } ->
-      Alcotest.(check int) "recorded" 1 (Metric.Histogram.count h)
-  | _ -> Alcotest.fail "expected boom histogram"
-
 (* --- exporter goldens -------------------------------------------------- *)
 
 let golden_registry () =
@@ -176,35 +95,13 @@ let golden_registry () =
   Metric.Counter.add c 3.;
   let g = Registry.gauge reg ~labels:[ ("machine", "1") ] "queue_depth" in
   Metric.Gauge.set g 2.5;
-  let h = Registry.histogram reg ~help:"Latency" ~buckets:[ 0.125; 1. ] "latency_seconds" in
-  List.iter (Metric.Histogram.observe h) [ 0.0625; 0.5; 5. ];
   reg
-
-let test_prometheus_golden () =
-  let expected =
-    "# HELP latency_seconds Latency\n\
-     # TYPE latency_seconds histogram\n\
-     latency_seconds_bucket{le=\"0.125\"} 1\n\
-     latency_seconds_bucket{le=\"1\"} 2\n\
-     latency_seconds_bucket{le=\"+Inf\"} 3\n\
-     latency_seconds_sum 5.5625\n\
-     latency_seconds_count 3\n\
-     # TYPE queue_depth gauge\n\
-     queue_depth{machine=\"1\"} 2.5\n\
-     # HELP things_total Total things\n\
-     # TYPE things_total counter\n\
-     things_total 3\n"
-  in
-  Alcotest.(check string) "prometheus" expected (O.Export.prometheus (golden_registry ()))
 
 let test_json_golden () =
   let expected =
     "{\n\
     \  \"schema\": \"rejsched.metrics/1\",\n\
     \  \"metrics\": [\n\
-    \    { \"name\": \"latency_seconds\", \"type\": \"histogram\", \"labels\": {}, \"count\": 3, \
-     \"sum\": 5.5625, \"buckets\": \
-     [{\"le\":\"0.125\",\"count\":1},{\"le\":\"1\",\"count\":2},{\"le\":\"+Inf\",\"count\":3}] },\n\
     \    { \"name\": \"queue_depth\", \"type\": \"gauge\", \"labels\": {\"machine\":\"1\"}, \
      \"value\": 2.5 },\n\
     \    { \"name\": \"things_total\", \"type\": \"counter\", \"labels\": {}, \"value\": 3 }\n\
@@ -460,17 +357,12 @@ let test_obs_does_not_change_schedules () =
         (fun inst ->
           let bare_s, bare_t = run None inst in
           let counted_s, counted_t = run (Some (O.Obs.create ())) inst in
-          let timed_s, timed_t =
-            run (Some (O.Obs.timed ~clock:(Clock.ticker ()) ())) inst
-          in
           let check what a b =
             if a <> b then
               Alcotest.failf "%s: %s not byte-identical on %s" name what inst.Instance.name
           in
-          check "schedule (counters)" bare_s counted_s;
-          check "schedule (spans)" bare_s timed_s;
-          check "trace (counters)" bare_t counted_t;
-          check "trace (spans)" bare_t timed_t)
+          check "schedule" bare_s counted_s;
+          check "trace" bare_t counted_t)
         instances)
     [ ("greedy-spt", run_spt); ("flow-reject", run_fr); ("restart-spt", run_restart) ]
 
@@ -536,31 +428,27 @@ let test_restart_counter () =
     + counter_value reg "sched_reject_midrun_total"
     + counter_value reg "sched_restart_total")
 
-(* Counters are read out of the state at close, so a timed handle
-   exports exactly what an untimed one does: the driver times no
-   per-event phases (the layer ladder times each layer instead). *)
+(* [Obs.timed] is [create ()] under another name (the layer ladder
+   still calls it): it exports the same counters and gauges, nothing
+   else. *)
 let test_timed_obs_counters_only () =
   let inst = Test_util.random_instance ~seed:13 ~n:25 ~m:2 () in
   let export obs =
     ignore (Sched_sim.Driver.run ~obs Sched_baselines.Greedy_dispatch.spt inst);
     let reg = O.Obs.registry obs in
-    Alcotest.(check bool) "no phase histograms" true
-      (List.for_all (fun (e : Registry.entry) -> e.Registry.name <> "obs_phase_seconds")
-         (Registry.entries reg));
     Alcotest.(check int) "dispatch = n" (Instance.n inst) (counter_value reg "sched_dispatch_total");
     List.filter_map
       (fun (e : Registry.entry) ->
         match e.Registry.instrument with
         | _ when e.Registry.name = "sched_flat_loop_minor_words_total" -> None
         | Registry.Counter c -> Some (e.Registry.name, e.Registry.labels, Metric.Counter.value c)
-        | Registry.Gauge g -> Some (e.Registry.name, e.Registry.labels, Metric.Gauge.value g)
-        | Registry.Histogram _ -> Alcotest.failf "unexpected histogram %s" e.Registry.name)
+        | Registry.Gauge g -> Some (e.Registry.name, e.Registry.labels, Metric.Gauge.value g))
       (Registry.entries reg)
   in
   Alcotest.(check (list (triple string (list (pair string string)) (float 0.))))
     "same instruments and values"
     (export (O.Obs.create ()))
-    (export (O.Obs.timed ~clock:(Clock.ticker ()) ()))
+    (export (O.Obs.timed ()))
 
 (* The snapshots `run --telemetry` (driver counters and gauges) and
    `fuzz --telemetry` (oracle verdicts through [Check_obs.record]) write,
@@ -678,22 +566,12 @@ let test_registry_merge () =
   Metric.Counter.add (Registry.counter src "jobs_total") 3.;
   Metric.Gauge.set (Registry.gauge dst "queue_depth") 7.;
   Metric.Gauge.set (Registry.gauge src "queue_depth") 4.;
-  let hd = Registry.histogram dst ~buckets:[ 1.; 2. ] "latency" in
-  let hs = Registry.histogram src ~buckets:[ 1.; 2. ] "latency" in
-  List.iter (Metric.Histogram.observe hd) [ 0.5; 1.5 ];
-  List.iter (Metric.Histogram.observe hs) [ 1.5; 4. ];
   Metric.Counter.inc (Registry.counter src ~labels:[ ("experiment", "e9") ] "only_in_src");
   Registry.merge ~into:dst src;
   Alcotest.(check (float 0.)) "counters add" 5.
     (Metric.Counter.value (Registry.counter dst "jobs_total"));
   Alcotest.(check (float 0.)) "gauge: last-merged wins" 4.
     (Metric.Gauge.value (Registry.gauge dst "queue_depth"));
-  Alcotest.(check int) "histogram counts add" 4 (Metric.Histogram.count hd);
-  Alcotest.(check (float 0.)) "histogram sums add" 7.5 (Metric.Histogram.sum hd);
-  Alcotest.(check (list (pair (float 0.) int)))
-    "bucket-wise addition"
-    [ (1., 1); (2., 3); (Float.infinity, 4) ]
-    (Metric.Histogram.cumulative hd);
   Alcotest.(check (float 0.)) "source-only entries created" 1.
     (Metric.Counter.value (Registry.counter dst ~labels:[ ("experiment", "e9") ] "only_in_src"));
   (* The source shard is read-only to merge. *)
@@ -706,10 +584,6 @@ let test_registry_merge_mismatch () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s: expected Invalid_argument" what
   in
-  let a = Registry.create () and b = Registry.create () in
-  ignore (Registry.histogram a ~buckets:[ 1.; 2. ] "h");
-  ignore (Registry.histogram b ~buckets:[ 1.; 4. ] "h");
-  expect_invalid "bucket bounds differ" (fun () -> Registry.merge ~into:a b);
   let c = Registry.create () and d = Registry.create () in
   ignore (Registry.counter c "x");
   Metric.Gauge.set (Registry.gauge d "x") 1.;
@@ -721,10 +595,7 @@ let test_merge_export_identity () =
      the property the pooled experiment suite relies on. *)
   let record reg k =
     Metric.Counter.add (Registry.counter reg ~help:"jobs" "jobs_total") (float_of_int k);
-    Metric.Gauge.set (Registry.gauge reg ~labels:[ ("machine", "0") ] "depth") (float_of_int k);
-    Metric.Histogram.observe
-      (Registry.histogram reg ~buckets:[ 1.; 8. ] "size")
-      (0.25 *. float_of_int k)
+    Metric.Gauge.set (Registry.gauge reg ~labels:[ ("machine", "0") ] "depth") (float_of_int k)
   in
   let tasks = [ 1; 2; 3; 4 ] in
   let direct = Registry.create () in
@@ -736,16 +607,12 @@ let test_merge_export_identity () =
       record shard k;
       Registry.merge ~into:merged shard)
     tasks;
-  Alcotest.(check string) "json identical" (O.Export.json direct) (O.Export.json merged);
-  Alcotest.(check string) "prometheus identical" (O.Export.prometheus direct)
-    (O.Export.prometheus merged)
+  Alcotest.(check string) "json identical" (O.Export.json direct) (O.Export.json merged)
 
 let suite =
   [
     Alcotest.test_case "counter semantics" `Quick test_counter;
     Alcotest.test_case "gauge semantics" `Quick test_gauge;
-    Alcotest.test_case "histogram le semantics" `Quick test_histogram;
-    Alcotest.test_case "histogram validates buckets" `Quick test_histogram_validation;
     Alcotest.test_case "registry: get-or-create" `Quick test_registry_get_or_create;
     Alcotest.test_case "registry: labels normalized" `Quick test_registry_label_normalization;
     Alcotest.test_case "registry: rejects bad input" `Quick test_registry_rejects_bad_input;
@@ -753,11 +620,6 @@ let suite =
     Alcotest.test_case "registry: merge semantics" `Quick test_registry_merge;
     Alcotest.test_case "registry: merge rejects mismatches" `Quick test_registry_merge_mismatch;
     Alcotest.test_case "registry: sharded export identity" `Quick test_merge_export_identity;
-    Alcotest.test_case "clocks: frozen/ticker/calls/monotonic" `Quick test_clocks;
-    Alcotest.test_case "null sink records nothing" `Quick test_null_sink_records_nothing;
-    Alcotest.test_case "spans sink aggregates" `Quick test_spans_sink_aggregates;
-    Alcotest.test_case "spans sink records on exception" `Quick test_spans_sink_records_on_exception;
-    Alcotest.test_case "prometheus golden" `Quick test_prometheus_golden;
     Alcotest.test_case "json golden" `Quick test_json_golden;
     Alcotest.test_case "ndjson primitives" `Quick test_ndjson_primitives;
     test_float_repr_matches_printf;
