@@ -9,7 +9,4 @@ val run : ?out:(string -> unit) -> string list -> int
     name) and returns the exit status: 0 clean, 1 at least one
     error-severity finding, 2 usage error. *)
 
-val default_paths : string list
-(** ["lib"; "bin"; "bench"; "test"] *)
-
 val usage : string

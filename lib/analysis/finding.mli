@@ -23,8 +23,6 @@ val order : t -> t -> int
     (errors first), then message — report output is independent of
     discovery order and tier interleaving, and every tie is broken. *)
 
-val severity_string : Rule.severity -> string
-
 val to_human : t -> string
 (** [file:line:col: [severity] rule (code): message] *)
 

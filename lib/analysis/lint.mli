@@ -6,11 +6,6 @@ val lint_source : scope:Scope.t -> file:string -> string -> Finding.t list
     text under a forced scope).  Runs the parsetree rules only — mli
     coverage is a property of the tree on disk, not of one buffer. *)
 
-val lint_source_raw : scope:Scope.t -> file:string -> string -> Finding.t list * Suppress.t
-(** As {!lint_source}, but returns the pre-suppression findings together
-    with the scanned suppressions, so a caller merging several tiers can
-    apply suppression once over the union and detect stale entries. *)
-
 val lint_file : ?check_mli:bool -> ?rel:string -> scope:Scope.t -> string -> Finding.t list
 (** Lint a file on disk.  [rel] is the repo-relative name used in
     findings (defaults to the path as given); [check_mli] (default true)
@@ -18,6 +13,8 @@ val lint_file : ?check_mli:bool -> ?rel:string -> scope:Scope.t -> string -> Fin
 
 val lint_file_raw :
   ?check_mli:bool -> ?rel:string -> scope:Scope.t -> string -> Finding.t list * Suppress.t
-(** As {!lint_file}, pre-suppression (see {!lint_source_raw}). *)
+(** As {!lint_file}, but returns the pre-suppression findings together
+    with the scanned suppressions, so a caller merging several tiers can
+    apply suppression once over the union and detect stale entries. *)
 
 val read_file : string -> string

@@ -18,8 +18,6 @@ type t
 val create : unit -> t
 val add_unit : t -> env:Typed_path.env -> Typed_load.unit_info -> unit
 
-val find_node : t -> string -> node option
-
 val resolve_ref : t -> from:node -> string list -> node option
 (** Resolve a recorded reference against the node table, trying the
     referencing node's ancestor prefixes innermost-first (local

@@ -13,7 +13,6 @@ type env
 (** Module bindings of one compilation unit, keyed by [Ident.t] (stamps
     are unique within a unit, so one flat table suffices). *)
 
-val empty_env : unit -> env
 val bind : env -> Ident.t -> target -> unit
 
 val build_env : Typedtree.structure -> env

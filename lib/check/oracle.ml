@@ -13,10 +13,6 @@ let mode ?(allow_parallel = false) ?(allow_restarts = false) ?check_deadlines ()
 
 type budget = Count_fraction of float | Weight_fraction of float
 
-let pp_budget ppf = function
-  | Count_fraction f -> Format.fprintf ppf "count-fraction <= %g" f
-  | Weight_fraction f -> Format.fprintf ppf "weight-fraction <= %g" f
-
 (* Same relative slack as the model-layer validator: simulation arithmetic
    is a handful of float operations per segment. *)
 let vol_close a b = Float.abs (a -. b) <= 1e-6 *. Float.max 1. (Float.max a b)

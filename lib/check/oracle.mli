@@ -40,8 +40,6 @@ type budget =
       (** At most this fraction of the total weight may be rejected
           (the weighted and flow+energy policies' [2 eps] / [eps]). *)
 
-val pp_budget : Format.formatter -> budget -> unit
-
 (** {1 Checkers}
 
     Each returns its violations sorted by {!Violation.compare}; an empty

@@ -15,9 +15,6 @@
 
 type t = { family : string; seed : int; n : int; m : int }
 
-val families : string list
-(** All family names, in a fixed order. *)
-
 val instance : t -> Sched_model.Instance.t
 (** Deterministic expansion; equal scenarios yield identical instances.
     Raises [Invalid_argument] on an unknown family. *)

@@ -45,8 +45,6 @@ val energy : Schedule.t -> float
     of the segments active on machine [i] at time [t] and
     [P_i(s) = s^alpha_i]. *)
 
-val energy_of_machine : Schedule.t -> Machine.id -> float
-
 val flow_plus_energy : Schedule.t -> float
 (** [flow.weighted + energy], the Section 3 objective. *)
 

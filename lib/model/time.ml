@@ -4,7 +4,6 @@ let tolerance = 1e-9
 let equal a b = Float.abs (a -. b) <= tolerance
 let leq a b = a -. b <= tolerance
 let lt a b = b -. a > tolerance
-let geq a b = b -. a <= tolerance
 let gt a b = a -. b > tolerance
 let nonneg t = t >= -.tolerance
 let max = Float.max

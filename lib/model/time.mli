@@ -12,7 +12,6 @@ val tolerance : float
 val equal : t -> t -> bool
 val leq : t -> t -> bool
 val lt : t -> t -> bool
-val geq : t -> t -> bool
 val gt : t -> t -> bool
 
 val nonneg : t -> bool

@@ -993,8 +993,6 @@ let[@rejlint.hot] lay_segment t ~job ~machine ~start ~stop ~speed =
   t.facc.(f_energy) <- t.facc.(f_energy) +. ((stop -. start) *. (speed ** alpha t machine));
   if stop > t.facc.(f_makespan) then t.facc.(f_makespan) <- stop
 
-let[@rejlint.hot] seg_count t = t.seg_len
-
 let[@rejlint.hot] account_completion t s finish =
   let f = finish -. t.release.(s) in
   t.a_completed <- t.a_completed + 1;

@@ -305,7 +305,6 @@ val lay_segment :
 (** Appends the segment, under the job's external id, and folds it into
     the energy/makespan accumulators. *)
 
-val seg_count : t -> int
 val account_completion : t -> int -> float -> unit
 val account_rejection : t -> int -> float -> was_running:bool -> unit
 

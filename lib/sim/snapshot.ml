@@ -123,10 +123,6 @@ let unwrap s =
     end
   end
 
-let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect

@@ -30,8 +30,5 @@ val unwrap : string -> (string * string, error) result
 (** [(policy, payload)] from an intact container.  Total: every byte
     string yields [Ok] or [Error], never raises. *)
 
-val write_file : string -> string -> unit
-(** [write_file path contents] — binary, whole-file. *)
-
 val read_file : string -> string
 (** Binary whole-file read; raises [Sys_error] as [open_in] does. *)
