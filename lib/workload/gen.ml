@@ -104,6 +104,19 @@ let release_times t rng =
       Array.sort Float.compare times;
       times
 
+(* The smallest size, by a [<] scan that reads each size unboxed
+   ([Array.fold_left Float.min infinity] boxes every one through its
+   closure).  Sizes are positive and never NaN, so the result has the
+   bits the fold would give; all-infinite sizes give infinity, as the
+   fold does. *)
+let min_size sizes =
+  let mn = ref Float.infinity in
+  for k = 0 to Array.length sizes - 1 do
+    let p = sizes.(k) in
+    if p < !mn then mn := p
+  done;
+  !mn
+
 let instance t ~seed =
   let rng = Rng.create seed in
   let arrival_rng = Rng.split rng in
@@ -124,12 +137,12 @@ let instance t ~seed =
           | No_deadlines -> (releases.(id), None)
           | Laxity d ->
               let lax = Float.max 1.01 (Dist.sample d deadline_rng) in
-              let pmin = Array.fold_left Float.min Float.infinity sizes in
+              let pmin = min_size sizes in
               (releases.(id), Some (releases.(id) +. (lax *. pmin)))
           | Slot_laxity { min_slots; max_slots } ->
               assert (0 < min_slots && min_slots <= max_slots);
               let r = Float.of_int (int_of_float releases.(id)) in
-              let pmin = Array.fold_left Float.min Float.infinity sizes in
+              let pmin = min_size sizes in
               let need = max min_slots (int_of_float (Float.ceil pmin)) in
               let span = need + Rng.int deadline_rng (max 1 (max_slots - need + 1)) in
               (r, Some (r +. float_of_int span))
