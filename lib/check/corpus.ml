@@ -47,6 +47,13 @@ let seed_coords =
     ( "restricted-wide-flow-reject",
       "flow-reject",
       { Scenario.family = "restricted"; seed = 37; n = 400; m = 64 } );
+    (* The greedy baselines' tie rule: identical machines and batches of
+       2m simultaneous arrivals, so equal estimated completions are
+       common and Greedy_dispatch's leftmost strict minimum decides the
+       machine. *)
+    ( "bimodal-greedy-fifo",
+      "greedy-fifo",
+      { Scenario.family = "bimodal"; seed = 41; n = 48; m = 4 } );
   ]
 
 let seeds () =

@@ -22,7 +22,7 @@ let corpus_files () =
 
 let test_seed_list () =
   let seeds = Corpus.seeds () in
-  Alcotest.(check int) "twelve seed cases" 12 (List.length seeds);
+  Alcotest.(check int) "thirteen seed cases" 13 (List.length seeds);
   let names = List.map (fun c -> c.Corpus.name) seeds in
   Alcotest.(check int) "names distinct" (List.length names)
     (List.length (List.sort_uniq String.compare names));

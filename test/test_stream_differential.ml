@@ -115,7 +115,7 @@ let check_stream ~what (e : P.entry) instance =
    exactly where a horizon or ordering bug in the session would show. *)
 let test_corpus_all_policies () =
   let cases = Corpus.seeds () in
-  Alcotest.(check int) "twelve corpus cases" 12 (List.length cases);
+  Alcotest.(check int) "thirteen corpus cases" 13 (List.length cases);
   List.iter
     (fun (c : Corpus.case) ->
       List.iter
