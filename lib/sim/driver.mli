@@ -205,8 +205,9 @@ type 'a policy = {
       allocations-per-event figure the bench and the allocation-regression
       test gate on.
 
-    Nothing is recorded per event and no phase is timed.  Telemetry is
-    strictly observational: the schedule, policy state and trace are
+    These counters and gauges are all the handle holds: nothing is
+    recorded per event and no clock is read.  Telemetry is strictly
+    observational: the schedule, policy state and trace are
     byte-identical with and without [?obs].
 
     {b Flight recorder.}  Passing [?recorder] (a {!Sched_obs.Recorder.t})
