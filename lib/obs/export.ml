@@ -2,8 +2,6 @@
    [Registry.entries] (sorted by name, labels, id), so two exports of
    equal registry contents are byte-identical. *)
 
-let schema = "rejsched.metrics/1"
-
 let json_labels labels =
   "{"
   ^ String.concat ","
@@ -17,7 +15,7 @@ let json_labels labels =
    document stays valid JSON and the three values stay distinguishable. *)
 let json registry =
   let buf = Buffer.create 1024 in
-  Printf.bprintf buf "{\n  \"schema\": \"%s\",\n  \"metrics\": [\n" schema;
+  Buffer.add_string buf "{\n  \"schema\": \"rejsched.metrics/1\",\n  \"metrics\": [\n";
   List.iteri
     (fun k (e : Registry.entry) ->
       if k > 0 then Buffer.add_string buf ",\n";

@@ -432,6 +432,8 @@ let test_restart_counter () =
    still calls it): it exports the same counters and gauges, nothing
    else. *)
 let test_timed_obs_counters_only () =
+  Alcotest.(check int) "a fresh handle records nothing" 0
+    (Registry.size (O.Obs.registry (O.Obs.create ())));
   let inst = Test_util.random_instance ~seed:13 ~n:25 ~m:2 () in
   let export obs =
     ignore (Sched_sim.Driver.run ~obs Sched_baselines.Greedy_dispatch.spt inst);
