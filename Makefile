@@ -12,10 +12,11 @@ test:
 
 # Static determinism checks (rejlint) over lib/ bin/ bench/ test/, both
 # tiers: the syntactic pass (@lint alias, RJL001-009) and the typed pass
-# (--typed, RJL100-103 over the .cmt files the build just produced).
+# (--typed, RJL100-104 over the .cmt files the build just produced;
+# @check writes the executables' .cmt files, which @all does not).
 # Exits nonzero on any error-severity finding.  See DESIGN.md section 7.
 lint:
-	dune build @lint @all
+	dune build @lint @all @check
 	dune exec bin/rejlint.exe -- --typed
 
 # Deterministic fuzz smoke (~30s): the coverage-guided scenario fuzzer

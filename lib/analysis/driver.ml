@@ -192,11 +192,15 @@ let run ?(out = fun _ -> ()) args =
               (fun m -> out (Printf.sprintf "rejlint: warning: %s\n" m))
               r.Typed_lint.load_errors;
             (* Every source file under the requested paths got typed
-               coverage, findings or not — mark them so RJL009 can judge
-               typed-rule suppressions there. *)
+               coverage, findings or not — interfaces too, for RJL104 —
+               so mark them: RJL009 can then judge typed-rule
+               suppressions there. *)
             List.iter
               (fun (rel, acc) ->
-                if Filename.check_suffix rel ".ml" && in_requested rel then acc.typed_ran <- true)
+                if
+                  (Filename.check_suffix rel ".ml" || Filename.check_suffix rel ".mli")
+                  && in_requested rel
+                then acc.typed_ran <- true)
               !files;
             List.iter
               (fun (rel, fs) -> if in_requested rel then merge_typed rel fs)

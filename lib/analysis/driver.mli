@@ -8,5 +8,3 @@ val run : ?out:(string -> unit) -> string list -> int
 (** [run ~out args] executes the CLI on [args] (argv minus the program
     name) and returns the exit status: 0 clean, 1 at least one
     error-severity finding, 2 usage error. *)
-
-val usage : string

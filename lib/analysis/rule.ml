@@ -13,6 +13,7 @@ type id =
   | Typed_poly_compare
   | Policy_purity
   | Hot_alloc
+  | Test_only_export
 
 type severity = Error | Warning
 
@@ -34,6 +35,7 @@ let all =
     Typed_poly_compare;
     Policy_purity;
     Hot_alloc;
+    Test_only_export;
   ]
 
 let to_string = function
@@ -51,6 +53,7 @@ let to_string = function
   | Typed_poly_compare -> "typed-poly-compare"
   | Policy_purity -> "policy-purity"
   | Hot_alloc -> "hot-alloc"
+  | Test_only_export -> "test-only-export"
 
 let code = function
   | Parse_error -> "RJL000"
@@ -67,9 +70,10 @@ let code = function
   | Typed_poly_compare -> "RJL101"
   | Policy_purity -> "RJL102"
   | Hot_alloc -> "RJL103"
+  | Test_only_export -> "RJL104"
 
 let tier = function
-  | Typed_nondet | Typed_poly_compare | Policy_purity | Hot_alloc -> Typed
+  | Typed_nondet | Typed_poly_compare | Policy_purity | Hot_alloc | Test_only_export -> Typed
   | _ -> Syntactic
 
 let of_string s =
@@ -110,6 +114,9 @@ let describe = function
   | Hot_alloc ->
       "allocating construct (closure, tuple/constructor/record, partial application, fresh \
        float box) inside a [@rejlint.hot] function (typed tier static zero-alloc proof)"
+  | Test_only_export ->
+      "lib/ .mli value with no caller outside its own module and test/ (typed tier; a \
+       deliberate test oracle carries an allow comment with its reason)"
 
 (* Rule ids are ordered by their catalog position so reports are stable. *)
 let index r =

@@ -54,6 +54,12 @@ type id =
           deliberately not flagged: boundary boxing is governed by the
           dynamic minor-words ceiling, this rule proves the steady-state
           loop allocates no structures. *)
+  | Test_only_export
+      (** RJL104: a [val] in a [lib/] interface whose every use outside
+          its own compilation unit lies in [test/] (or that has none).
+          Callers in [lib/], [bin/], [bench/] and [examples/] count;
+          an oracle that tests use to check other code is kept with an
+          allow comment saying why. *)
 
 type severity = Error | Warning
 

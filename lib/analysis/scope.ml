@@ -7,7 +7,6 @@ let make ?(policy = false) ?(display = false) ?(pool = false) kind =
 
 let kind t = t.kind
 let policy t = t.policy
-let display t = t.display
 let pool t = t.pool
 
 (* Console I/O is the driver/display layers' job; in lib/ only the

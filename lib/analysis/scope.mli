@@ -6,17 +6,11 @@ type kind = Lib | Bin | Bench | Test | Examples | Other
 
 type t
 
-val make : ?policy:bool -> ?display:bool -> ?pool:bool -> kind -> t
-
 val kind : t -> kind
 
 val policy : t -> bool
 (** Policy modules ([lib/core/], [lib/baselines/]) additionally ban
     toplevel mutable state. *)
-
-val display : t -> bool
-(** The stats display modules ([lib/stats/table.ml], [lib/stats/chart.ml])
-    are exempt from the I/O rule. *)
 
 val io_allowed : t -> bool
 (** Whether console I/O is acceptable under this scope: true outside

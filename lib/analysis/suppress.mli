@@ -9,9 +9,6 @@ type t
 val scan : string -> t
 (** Scan raw source text for suppression comments. *)
 
-val active : t -> line:int -> Rule.id -> bool
-(** Is [rule] suppressed for a finding on [line]? *)
-
 val filter : t -> Finding.t list -> Finding.t list
 (** Drop suppressed findings. *)
 

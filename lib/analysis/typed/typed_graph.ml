@@ -23,9 +23,13 @@ type node = {
   mutable refs : (string list * int * int) list;  (* resolved path, line, col *)
 }
 
-type t = { nodes : (string, node) Hashtbl.t; mutable entries : node list }
+type t = {
+  nodes : (string, node) Hashtbl.t;
+  mutable entries : node list;
+  uses : (string, string list) Hashtbl.t;  (* dotted path -> referencing unit sources *)
+}
 
-let create () = { nodes = Hashtbl.create 512; entries = [] }
+let create () = { nodes = Hashtbl.create 512; entries = []; uses = Hashtbl.create 4096 }
 
 let find_node t key = Hashtbl.find_opt t.nodes key
 
@@ -144,3 +148,42 @@ let add_unit t ~env (u : Typed_load.unit_info) =
   walk_structure u.prefix u.structure
 
 let entries t = List.rev t.entries
+
+(* The use table is unit-grained and covers every unit, not only lib/:
+   a value counts as used by a unit when the unit names it, and a whole
+   module counts as used when the unit hands it over as a module (a
+   functor argument, a packed first-class module, an include), since
+   then its values are reached through a signature, not by name.  A
+   plain alias ([module P = M]) is no use: its members are resolved
+   through the alias where they are named. *)
+let add_uses t ~env (u : Typed_load.unit_info) =
+  let add p =
+    let key = String.concat "." (Typed_path.resolve env p) in
+    let users = Option.value (Hashtbl.find_opt t.uses key) ~default:[] in
+    if not (List.mem u.source users) then Hashtbl.replace t.uses key (u.source :: users)
+  in
+  let rec module_use (m : Typedtree.module_expr) =
+    match m.mod_desc with
+    | Tmod_ident (p, _) -> add p
+    | Tmod_constraint (m, _, _, _) -> module_use m
+    | _ -> ()
+  in
+  let expr sub (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Texp_ident (p, _, _) -> add p
+    | Texp_pack m -> module_use m
+    | _ -> ());
+    Tast_iterator.default_iterator.expr sub e
+  in
+  let module_expr sub (m : Typedtree.module_expr) =
+    (match m.mod_desc with Tmod_apply (_, arg, _) -> module_use arg | _ -> ());
+    Tast_iterator.default_iterator.module_expr sub m
+  in
+  let structure_item sub (item : Typedtree.structure_item) =
+    (match item.str_desc with Tstr_include incl -> module_use incl.incl_mod | _ -> ());
+    Tast_iterator.default_iterator.structure_item sub item
+  in
+  let it = { Tast_iterator.default_iterator with expr; module_expr; structure_item } in
+  it.structure it u.structure
+
+let users t path = Option.value (Hashtbl.find_opt t.uses (String.concat "." path)) ~default:[]

@@ -1,6 +1,6 @@
 (* The typed tier orchestrator: load cmts, build the project-wide type
-   table and call graph, run RJL100/101/103 per unit and RJL102 over the
-   graph.  Returns raw (pre-suppression) findings keyed by the units'
+   table, call graph and use table, run RJL100/101/103 per unit and
+   RJL102/104 over the graph.  Returns raw (pre-suppression) findings keyed by the units'
    source-relative paths; the Driver merges them with the syntactic
    tier, applies suppressions once over the union, and detects stale
    suppression entries. *)
@@ -22,6 +22,7 @@ let analyze units =
       (fun (u : Typed_load.unit_info) ->
         let env = Typed_path.build_env u.structure in
         if Scope.kind u.scope = Scope.Lib then Typed_graph.add_unit graph ~env u;
+        Typed_graph.add_uses graph ~env u;
         (u, env))
       units
   in
@@ -39,7 +40,8 @@ let analyze units =
         rjl100 @ rjl101 @ rjl103)
       envs
   in
-  List.sort Finding.order (per_unit @ Typed_purity.check graph)
+  List.sort Finding.order
+    (per_unit @ Typed_purity.check graph @ Typed_exports.check graph units)
 
 let run ?(cmt_dir = Filename.concat "_build" "default") () =
   let cmts = Typed_load.discover cmt_dir in

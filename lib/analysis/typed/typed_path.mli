@@ -13,8 +13,6 @@ type env
 (** Module bindings of one compilation unit, keyed by [Ident.t] (stamps
     are unique within a unit, so one flat table suffices). *)
 
-val bind : env -> Ident.t -> target -> unit
-
 val build_env : Typedtree.structure -> env
 (** Collect every module alias / functor application / structure binding
     in the unit, at the structure toplevel (with true nested prefixes)

@@ -6,5 +6,3 @@
 val ml_files : string -> string list
 (** All source files under a directory, depth-first, lexicographic.
     Returns [[]] when the directory does not exist. *)
-
-val excluded_dirs : string list

@@ -13,14 +13,7 @@ type bound = { value : float; source : string }
 val volume : Instance.t -> bound
 (** [sum_j min_i p_ij / speed_i]: every job must at least be processed. *)
 
-val srpt : Instance.t -> bound option
-(** Preemptive SRPT optimum; only valid (and returned) for [m = 1]. *)
-
-val lp : ?max_variables:int -> Instance.t -> bound option
-(** Half the discretized time-indexed LP value (see {!Sched_lp.Flow_lp}). *)
-
-val brute : ?max_n:int -> Instance.t -> bound option
-(** Exact OPT for tiny instances — the tightest possible bound. *)
-
 val best_flow : ?lp_max_variables:int -> ?brute_max_n:int -> Instance.t -> bound
-(** The largest available bound among the above. *)
+(** The largest available bound: {!volume}, the preemptive SRPT optimum
+    (only for [m = 1]), half the discretized time-indexed LP value (see
+    {!Sched_lp.Flow_lp}) and exact OPT for tiny instances. *)

@@ -7,10 +7,6 @@
 
 open Sched_model
 
-val augment_instance : factor:int -> Instance.t -> Instance.t
-(** [factor >= 1] copies of each machine; job size vectors are tiled
-    accordingly. *)
-
 val run : factor:int -> Instance.t -> Schedule.t
 (** Greedy SPT (no rejection) on the augmented fleet.  Flow metrics remain
     comparable to the original instance (same jobs and releases). *)

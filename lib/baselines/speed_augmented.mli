@@ -19,6 +19,3 @@ val run :
 (** The returned schedule's instance is the sped-up copy; its job ids and
     releases match the original, so flow metrics are directly
     comparable. *)
-
-val speedup_instance : float -> Instance.t -> Instance.t
-(** Scales every machine's speed factor by [1 + eps_s]. *)

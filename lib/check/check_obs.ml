@@ -17,14 +17,3 @@ let record registry violations =
                ~labels:[ ("check", Violation.check_name v.Violation.check) ]
                violations_total))
         vs
-
-let violation_totals registry =
-  List.filter_map
-    (fun (e : Sched_obs.Registry.entry) ->
-      match e.Sched_obs.Registry.instrument with
-      | Sched_obs.Registry.Counter c when e.Sched_obs.Registry.name = violations_total -> (
-          match List.assoc_opt "check" e.Sched_obs.Registry.labels with
-          | Some check -> Some (check, Sched_obs.Metric.Counter.value c)
-          | None -> None)
-      | _ -> None)
-    (Sched_obs.Registry.entries registry)

@@ -10,7 +10,3 @@ val record : Sched_obs.Registry.t -> Violation.t list -> unit
     [sched_check_violations_total{check="<name>"}] once per violation.
     Registration is get-or-create, so repeated calls accumulate into the
     same cells. *)
-
-val violation_totals : Sched_obs.Registry.t -> (string * float) list
-(** The recorded per-check counts, sorted by check label — a convenience
-    for tests and report rendering. *)

@@ -92,6 +92,7 @@ val report_to_string : report -> string
 (** Human-readable summary: totals plus one block per failure (shrunk
     instances are rendered separately via {!Sched_model.Serialize}). *)
 
+(* rejlint: allow test-only-export — tests check the fuzzer's verdicts with it *)
 val property_fails :
   Sched_experiments.Policy_registry.entry -> string -> Instance.t -> string option
 (** [property_fails entry prop inst] re-evaluates one named property;

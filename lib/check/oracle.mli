@@ -24,9 +24,6 @@ type mode = {
       (** [None] (default) checks iff the instance carries deadlines. *)
 }
 
-val strict : mode
-(** No parallelism, no restarts, deadlines per instance. *)
-
 val mode :
   ?allow_parallel:bool -> ?allow_restarts:bool -> ?check_deadlines:bool -> unit -> mode
 
@@ -45,11 +42,13 @@ type budget =
     Each returns its violations sorted by {!Violation.compare}; an empty
     list is a pass. *)
 
+(* rejlint: allow test-only-export — tests run this one checker alone on a planted fault *)
 val structural : ?mode:mode -> Schedule.t -> Violation.t list
 (** Segment sanity, release respect, per-machine disjointness,
     non-preemption, outcome/segment consistency, exactly-once coverage
     and (per [mode]) deadlines. *)
 
+(* rejlint: allow test-only-export — tests run this one checker alone on a planted fault *)
 val budget_check : budget -> Schedule.t -> Violation.t list
 (** Recounts rejections from the outcome array and compares against the
     budget (with 1e-9 absolute slack on the fraction, matching the
@@ -65,6 +64,7 @@ type snapshot = {
     incremental {!Sched_sim.Driver.live_metrics}, mirrored here so this
     library stays below the simulator in the dependency order. *)
 
+(* rejlint: allow test-only-export — tests run this one checker alone on a planted fault *)
 val reconcile : ?tol:float -> snapshot -> Schedule.t -> Violation.t list
 (** Recomputes every metric from scratch ({!Sched_model.Metrics}) and
     compares field by field.  [tol] is a relative tolerance (default

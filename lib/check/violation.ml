@@ -35,7 +35,6 @@ let check_name = function
   | Rejection_budget -> "rejection-budget"
   | Metric_drift -> "metric-drift"
 
-let check_of_name name = List.find_opt (fun c -> check_name c = name) all_checks
 
 let check_rank c =
   let rec go k = function
@@ -81,8 +80,6 @@ let pp ppf v =
   (match v.machine with Some m -> Format.fprintf ppf " machine %d" m | None -> ());
   (match v.at with Some t -> Format.fprintf ppf " at %g" t | None -> ());
   Format.fprintf ppf ": %s" v.detail
-
-let to_string v = Format.asprintf "%a" pp v
 
 let pp_list ppf vs =
   Format.fprintf ppf "%d violation%s" (List.length vs) (if List.length vs = 1 then "" else "s");

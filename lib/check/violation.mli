@@ -30,8 +30,7 @@ type check =
 val check_name : check -> string
 (** Stable kebab-case label, e.g. ["machine-overlap"]. *)
 
-val check_of_name : string -> check option
-
+(* rejlint: allow test-only-export — tests check with it that check labels are distinct *)
 val all_checks : check list
 (** Every constructor, in a fixed order (the order counters export in). *)
 
@@ -48,9 +47,6 @@ val make : ?job:Job.id -> ?machine:Machine.id -> ?at:Time.t -> check -> string -
 val compare : t -> t -> int
 (** Total order: check, then job, machine, time and finally detail — so a
     sorted violation list is a canonical artifact. *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 val pp_list : Format.formatter -> t list -> unit
 (** One violation per line, prefixed with a count header. *)

@@ -23,58 +23,3 @@ let run_flow ?(eps = 0.25) instance =
     competitive_bound = Bounds.flow_competitive ~eps:eps_eff;
     rejection_budget = Bounds.flow_rejection_budget ~eps;
   }
-
-type flow_energy_result = {
-  schedule : Schedule.t;
-  objective : float;
-  weighted_flow : float;
-  energy : float;
-  rejection : Metrics.rejection;
-  competitive_bound : float;
-  weight_budget : float;
-}
-
-let run_flow_energy ?(eps = 0.25) instance =
-  let cfg = Flow_energy_reject.config ~eps () in
-  let schedule, _state = Flow_energy_reject.run cfg instance in
-  Schedule.assert_valid ~check_deadlines:false schedule;
-  let flow = Metrics.flow schedule in
-  let energy = Metrics.energy schedule in
-  let alpha_max =
-    let a = ref 1. in
-    for i = 0 to Instance.m instance - 1 do
-      a := Float.max !a (Instance.machine instance i).Machine.alpha
-    done;
-    !a
-  in
-  {
-    schedule;
-    objective = flow.Metrics.weighted +. energy;
-    weighted_flow = flow.Metrics.weighted;
-    energy;
-    rejection = Metrics.rejection schedule;
-    competitive_bound = Bounds.flow_energy_competitive ~eps ~alpha:alpha_max;
-    weight_budget = eps;
-  }
-
-type energy_result = {
-  schedule : Schedule.t;
-  energy : float;
-  competitive_bound : float;
-}
-
-let run_energy_min instance =
-  let result = Energy_config_greedy.run instance in
-  Schedule.assert_valid ~allow_parallel:true result.Energy_config_greedy.schedule;
-  let alpha_max =
-    let a = ref 1. in
-    for i = 0 to Instance.m instance - 1 do
-      a := Float.max !a (Instance.machine instance i).Machine.alpha
-    done;
-    !a
-  in
-  {
-    schedule = result.Energy_config_greedy.schedule;
-    energy = result.Energy_config_greedy.energy;
-    competitive_bound = Bounds.energy_competitive ~alpha:alpha_max;
-  }

@@ -1,8 +1,8 @@
-(** One-call entry points for the three algorithms of the paper.
+(** The one-call entry point for Theorem 1's algorithm.
 
-    Each runner returns the validated schedule together with the metrics a
-    caller typically wants and the theoretical guarantee it should be
-    checked against.  The examples and the CLI are built on this module;
+    The runner returns the validated schedule together with the metrics a
+    caller typically wants and the guarantee it should be checked
+    against.  The examples are built on this module; the CLI and the
     experiments use the underlying modules directly for instrumentation. *)
 
 open Sched_model
@@ -21,26 +21,3 @@ type flow_result = {
 val run_flow : ?eps:float -> Instance.t -> flow_result
 (** Theorem 1 algorithm; [eps] defaults to [0.25].  The returned schedule
     has been checked by {!Sched_model.Schedule.validate}. *)
-
-type flow_energy_result = {
-  schedule : Schedule.t;
-  objective : float;  (** Weighted flow-time plus energy. *)
-  weighted_flow : float;
-  energy : float;
-  rejection : Metrics.rejection;
-  competitive_bound : float;  (** Theorem 2's constant at the best gamma. *)
-  weight_budget : float;  (** [eps] fraction of total weight. *)
-}
-
-val run_flow_energy : ?eps:float -> Instance.t -> flow_energy_result
-(** Theorem 2 algorithm; [eps] defaults to [0.25].  Machine [alpha]s come
-    from the instance. *)
-
-type energy_result = {
-  schedule : Schedule.t;
-  energy : float;
-  competitive_bound : float;  (** [alpha^alpha] (Theorem 3). *)
-}
-
-val run_energy_min : Instance.t -> energy_result
-(** Theorem 3 greedy; requires deadline-carrying, slot-aligned jobs. *)

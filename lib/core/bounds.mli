@@ -20,6 +20,7 @@ val rule2_threshold : eps:float -> int
 (** Rejection Rule 2 trips at [1 + 1/eps]; integralized as
     [ceil(1 + 1/eps)]. *)
 
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val immediate_rejection_lb : delta:float -> float
 (** Lemma 1: [sqrt delta], the growth rate (up to constants) any
     immediate-rejection policy must suffer. *)
@@ -32,6 +33,7 @@ val gamma : eps:float -> alpha:float -> float
     fall back to the first factor alone (see DESIGN.md).  Requires
     [alpha > 1]. *)
 
+(* rejlint: allow test-only-export — tests check gamma_best against this objective *)
 val flow_energy_ratio : eps:float -> alpha:float -> gamma:float -> float
 (** Theorem 2's proof, before the choice of [gamma]: the ratio
     [(2 + alpha/(gamma (alpha-1)) + gamma^alpha) / D(gamma)] with

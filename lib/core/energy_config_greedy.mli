@@ -73,5 +73,6 @@ val continuous : ?grid:int -> alpha:float -> unit -> continuous
 val continuous_place : continuous -> release:float -> deadline:float -> volume:float -> float * float
 (** Greedily commits the job and returns [(start, speed)]. *)
 
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val continuous_energy : continuous -> float
 (** Total energy of the speed profile committed so far. *)

@@ -148,7 +148,6 @@ let lambdas st =
   Array.iteri (fun slot id -> if id >= 0 then out.(id) <- st.lambda.(slot)) st.ids;
   out
 
-let rejections st = st.rej
 let gamma_of_machine st i = st.gammas.(i)
 
 let run ?trace cfg instance =

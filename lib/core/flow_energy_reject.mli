@@ -47,8 +47,6 @@ val lambdas : state -> float array
     retiring session reuses slots and keeps only the jobs that hold
     one. *)
 
-val rejections : state -> int
-
 val gamma_of_machine : state -> Machine.id -> float
 (** The speed constant actually used on a machine. *)
 

@@ -113,7 +113,6 @@ let select st view i =
 
 let policy cfg = { Driver.name = "flow-reject-weighted"; init = init cfg; on_arrival; select }
 
-let rejections st = (st.rej1, st.rej2)
 
 let run ?trace cfg instance =
   let schedule, st, _ = Driver.run ?trace (policy cfg) instance in

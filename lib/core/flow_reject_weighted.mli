@@ -31,7 +31,4 @@ type state
 
 val policy : config -> state Driver.policy
 
-val rejections : state -> int * int
-(** (Rule 1w, Rule 2w) counts. *)
-
 val run : ?trace:Trace.t -> config -> Instance.t -> Schedule.t * state

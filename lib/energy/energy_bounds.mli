@@ -3,6 +3,7 @@
 
 open Sched_model
 
+(* rejlint: allow test-only-export — tests hold schedules' energy against this lower bound *)
 val deadline_energy_lb : Instance.t -> float
 (** Non-preemptive (indeed even preemptive, non-migratory) energy
     minimization with deadlines: since [P(s) = s^alpha] is convex with
@@ -11,10 +12,12 @@ val deadline_energy_lb : Instance.t -> float
     (constant speed over its whole window, by Jensen).  Returns
     [sum_j min_i] of that quantity. *)
 
+(* rejlint: allow test-only-export — tests hold schedules' energy against this lower bound *)
 val yds_lb : Instance.t -> float option
 (** For single-machine instances: the exact preemptive optimum (YDS), a
     tighter lower bound.  [None] when [m > 1]. *)
 
+(* rejlint: allow test-only-export — tests hold schedules' energy against this lower bound *)
 val assignment_yds_lb : ?max_n:int -> Instance.t -> float option
 (** Exact lower bound for small multi-machine instances: minimum over all
     job-to-machine assignments of the sum of per-machine YDS (preemptive)

@@ -40,10 +40,6 @@ let piecewise steps =
   in
   { name = Printf.sprintf "piecewise(%d)" (List.length steps); eval }
 
-let energy t ~speed ~duration =
-  if duration < 0. then invalid_arg "Power.energy: negative duration";
-  eval t speed *. duration
-
 let optimal_speed_for_flow ~alpha ~weight =
   if alpha <= 1. then invalid_arg "Power.optimal_speed_for_flow: alpha must exceed 1";
   if weight <= 0. then invalid_arg "Power.optimal_speed_for_flow: weight must be positive";

@@ -23,9 +23,6 @@ val piecewise : (float * float) list -> t
     [(s_(k-1), s_k]]; speeds must be increasing and powers
     non-decreasing. *)
 
-val energy : t -> speed:float -> duration:float -> float
-(** [eval p speed * duration]. *)
-
 val optimal_speed_for_flow : alpha:float -> weight:float -> float
 (** The speed [s* = (weight / (alpha - 1))^(1/alpha)] minimizing
     [weight/s + s^(alpha-1)] — the per-job cost rate of the Section 3

@@ -53,6 +53,3 @@ let required_lambda ?(trials = 2000) ?(n = 8) p ~mu rng =
     consider (a, b')
   done;
   !worst
-
-let check ?trials ?n p ~lambda ~mu rng =
-  required_lambda ?trials ?n p ~mu rng <= lambda +. 1e-9

@@ -16,9 +16,11 @@
 
 open Sched_stats
 
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val lhs : Power.t -> a:float array -> b:float array -> float
 (** The left-hand side of the smooth inequality. *)
 
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val violates : Power.t -> lambda:float -> mu:float -> a:float array -> b:float array -> bool
 (** True when the pair [(a, b)] breaks the inequality (beyond 1e-9
     slack). *)
@@ -29,6 +31,3 @@ val required_lambda :
     sequences of length up to [n] (default 2000 trials, n = 8), plus
     structured adversarial patterns (equal blocks, single spike,
     geometric). *)
-
-val check : ?trials:int -> ?n:int -> Power.t -> lambda:float -> mu:float -> Rng.t -> bool
-(** True when no tried pair violates [(lambda, mu)]-smoothness. *)

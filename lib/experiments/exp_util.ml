@@ -7,7 +7,8 @@ let seeds ~quick = if quick then [ 11; 42 ] else Sched_workload.Suite.default_se
    Registry.run_all the enclosing experiment task's pool, so experiments
    and seeds share one fixed set of domains; standalone (single
    experiment from the CLI) the process-wide default pool. *)
-let per_seed ~quick f = Sched_stats.Parallel.map_list f (seeds ~quick)
+let per_seed ~quick f =
+  Sched_stats.Pool.parallel_map_list (Sched_stats.Pool.ambient ()) f (seeds ~quick)
 
 (* Telemetry-aware variant: each seed records into its own shard registry
    (seeds may run on different domains concurrently), and the shards are
@@ -58,8 +59,5 @@ let measure_flow schedule =
     rejected_weight_fraction = r.Metrics.weight_fraction;
     max_flow = f.Metrics.max_flow;
   }
-
-let flow_ratio schedule ~lb =
-  if lb <= 0. then Float.infinity else (measure_flow schedule).total_flow /. lb
 
 let eps_grid = [ 0.1; 0.2; 1. /. 3.; 0.5 ]

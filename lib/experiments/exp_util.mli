@@ -41,8 +41,5 @@ type flow_measurement = {
 
 val measure_flow : Schedule.t -> flow_measurement
 
-val flow_ratio : Schedule.t -> lb:float -> float
-(** [total_flow / lb]. *)
-
 val eps_grid : float list
 (** The [eps] values experiments sweep: [0.1; 0.2; 1/3; 0.5]. *)

@@ -62,4 +62,5 @@ type report = {
 val certify :
   eps:float -> lambdas:float array -> Instance.t -> Trace.t -> Schedule.t -> report
 
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val pp_report : Format.formatter -> report -> unit

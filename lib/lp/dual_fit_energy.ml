@@ -214,10 +214,3 @@ let certify ~eps ~gammas ~lambdas instance trace schedule =
     constraints_checked = !checked;
     primal_over_dual = (if dual_objective > 0. then primal /. dual_objective else Float.infinity);
   }
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "dual-fit-energy: eps=%g alpha=%g sum(lambda)=%.4g int(u^a)=%.4g dual=%.4g primal=%.4g@ \
-     min-slack=%.3e checked=%d primal/dual=%.3f"
-    r.eps r.alpha r.lambda_sum r.u_alpha_integral r.dual_objective r.primal
-    r.min_constraint_slack r.constraints_checked r.primal_over_dual

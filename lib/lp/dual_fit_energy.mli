@@ -50,5 +50,3 @@ val certify :
 (** [gammas] are the per-machine speed constants actually used (from
     {!Rejection.Flow_energy_reject.gamma_of_machine}); [lambdas] the dual
     variables fixed at each arrival. *)
-
-val pp_report : Format.formatter -> report -> unit

@@ -34,10 +34,6 @@ val total_min_volume : t -> float
 (** [sum_j min_i p_ij] — the volume lower bound on any schedule's total
     flow-time. *)
 
-val delta : t -> float
-(** Max-over-min finite processing time, the [Delta] of the paper's
-    Lemma 1. *)
-
 val has_deadlines : t -> bool
 (** True when every job carries a deadline (energy-minimization
     instances). *)

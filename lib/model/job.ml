@@ -65,7 +65,6 @@ let create ~id ~release ?(weight = 1.) ?deadline ~sizes () =
 let size j i = j.sizes.(i)
 let eligible j i = Float.is_finite j.sizes.(i)
 let min_size j = j.sizes.(j.best_machine)
-let best_machine j = j.best_machine
 
 let span j = Option.map (fun d -> d -. j.release) j.deadline
 

@@ -44,9 +44,7 @@ val min_size : t -> float
 (** Minimum size over machines (finite by construction):
     [sizes.(best_machine)], O(1). *)
 
-val best_machine : t -> int
-(** The leftmost machine achieving [min_size], O(1). *)
-
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val span : t -> Time.t option
 (** [deadline - release] when a deadline is present. *)
 

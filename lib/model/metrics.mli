@@ -19,6 +19,7 @@ type flow = {
 
 val flow : Schedule.t -> flow
 
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val flow_time_of : Schedule.t -> Job.id -> float
 (** Flow time of one job (completion or rejection minus release). *)
 
@@ -30,6 +31,7 @@ val flow_values : ?include_rejected:bool -> Schedule.t -> float array
 val makespan : Schedule.t -> float
 (** Latest segment end (0 for an empty schedule). *)
 
+(* rejlint: allow test-only-export — tests hold Flow_lp's optimum against it *)
 val fractional_flow : ?include_rejected:bool -> Schedule.t -> float
 (** [sum_j integral (q_j(t) / p_j) dt] — the fractional flow-time of the
     paper's Section 2 LP: each job contributes its waiting time at weight 1
@@ -45,6 +47,7 @@ val energy : Schedule.t -> float
     of the segments active on machine [i] at time [t] and
     [P_i(s) = s^alpha_i]. *)
 
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val flow_plus_energy : Schedule.t -> float
 (** [flow.weighted + energy], the Section 3 objective. *)
 
@@ -58,8 +61,10 @@ type rejection = {
 
 val rejection : Schedule.t -> rejection
 
+(* rejlint: allow test-only-export — tests check that schedules conserve work with it *)
 val busy_time : Schedule.t -> Machine.id -> float
 (** Total time machine [i] has at least one active segment. *)
 
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val utilization : Schedule.t -> Machine.id -> float
 (** [busy_time / makespan] (0 for an empty schedule). *)

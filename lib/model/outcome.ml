@@ -13,8 +13,6 @@ type rejection = {
 
 type t = Completed of completion | Rejected of rejection
 
-let is_completed = function Completed _ -> true | Rejected _ -> false
-let is_rejected = function Rejected _ -> true | Completed _ -> false
 let end_time = function Completed c -> c.finish | Rejected r -> r.time
 let flow_time (j : Job.t) t = end_time t -. j.release
 

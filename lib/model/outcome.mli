@@ -20,9 +20,6 @@ type rejection = {
 
 type t = Completed of completion | Rejected of rejection
 
-val is_completed : t -> bool
-val is_rejected : t -> bool
-
 val end_time : t -> Time.t
 (** Completion time, or rejection time for rejected jobs. *)
 

@@ -52,18 +52,6 @@ let segments_of_machine t m =
   |> List.sort (fun a b ->
          match Float.compare a.start b.start with 0 -> Int.compare a.job b.job | c -> c)
 
-let partition_jobs t =
-  Array.fold_left
-    (fun (compl_, rej) (j : Job.t) ->
-      match t.outcomes.(j.id) with
-      | Outcome.Completed _ -> (j :: compl_, rej)
-      | Outcome.Rejected _ -> (compl_, j :: rej))
-    ([], [])
-    (Instance.jobs_by_release t.instance)
-
-let completed_jobs t = List.rev (fst (partition_jobs t))
-let rejected_jobs t = List.rev (snd (partition_jobs t))
-
 (* Relative tolerance for volume/size comparisons: simulation arithmetic is
    a handful of float operations, so 1e-6 relative slack is ample. *)
 let vol_close a b = Float.abs (a -. b) <= 1e-6 *. Float.max 1. (Float.max a b)

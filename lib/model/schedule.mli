@@ -40,11 +40,9 @@ val outcome : t -> Job.id -> Outcome.t
 val segments_of_machine : t -> Machine.id -> segment list
 (** Sorted by start time. *)
 
-val completed_jobs : t -> Job.t list
-val rejected_jobs : t -> Job.t list
-
 (** {1 Validation} *)
 
+(* rejlint: allow test-only-export — tests assert schedules with it (production: assert_valid) *)
 val validate :
   ?allow_parallel:bool ->
   ?allow_restarts:bool ->

@@ -6,6 +6,7 @@
     partial executions hatched in red and a time axis below.  No external
     assets; the output is a complete [<svg>] document. *)
 
+(* rejlint: allow test-only-export — tests check the document save writes with it *)
 val render : ?width:int -> ?lane_height:int -> Schedule.t -> string
 (** [render ~width ~lane_height s] (defaults 900 and 34 pixels). *)
 

@@ -22,7 +22,4 @@ module Gauge = struct
   let make () = { value = 0. }
   let value g = g.value
   let set g x = g.value <- x
-  let add g x = g.value <- g.value +. x
-  let inc g = add g 1.
-  let dec g = add g (-1.)
 end

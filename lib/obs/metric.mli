@@ -23,7 +23,4 @@ module Gauge : sig
   val make : unit -> t
   val value : t -> float
   val set : t -> float -> unit
-  val add : t -> float -> unit
-  val inc : t -> unit
-  val dec : t -> unit
 end

@@ -72,7 +72,6 @@ let capacity t = Ring.capacity t.ring
 let total t = Ring.total t.ring
 let length t = Ring.length t.ring
 let dropped t = Ring.total t.ring - Ring.length t.ring
-let clear t = Ring.clear t.ring
 
 (* The int half of every write.  The float cells are deliberately not
    zeroed here: every writer stores [time] and [value], and the decode

@@ -49,8 +49,6 @@ val length : t -> int
 val dropped : t -> int
 (** Events overwritten and lost: [total t - length t]. *)
 
-val clear : t -> unit
-
 (** {1 Hot write path}
 
     Each [reserve_*] claims the next row, stamps its int cells and

@@ -121,4 +121,3 @@ let find t ~name ~labels =
     (fun e -> String.equal e.name name && compare_labels e.labels labels = 0)
     t.entries
 
-let size t = List.length t.entries

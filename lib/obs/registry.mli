@@ -40,8 +40,8 @@ val merge : into:t -> t -> unit
     instrument-kind mismatch.  This is how per-task shard registries
     from parallel runs fold back into one exportable snapshot. *)
 
+(* rejlint: allow test-only-export — tests read the driver's and the oracle's counters with it *)
 val find : t -> name:string -> labels:(string * string) list -> entry option
-val size : t -> int
 
 val kind_name : instrument -> string
 (** ["counter" | "gauge"]. *)

@@ -7,7 +7,8 @@
    lines, which is most of an attached recorder's steady-state cost.
 
    Everything is preallocated in [create]; the write path ([append] +
-   the column setters) touches only existing arrays and one mutable int,
+   stores into the backing arrays) touches only existing arrays and one
+   mutable int,
    so the flat core can call it from its [@rejlint.hot] loop and
    RJL103's static proof goes through unchanged.
 
@@ -57,19 +58,12 @@ let capacity t = t.cap
 let total t = t.total
 let first_seq t = max t.floor (t.total - t.cap)
 let length t = t.total - first_seq t
-let int_cols t = t.int_cols
-let float_cols t = t.float_cols
 let held t = if t.grow_at = max_int then None else Some (t.grow_at - t.cap)
 
 let hold t seq =
   if seq < first_seq t || seq > t.total then
     invalid_arg (Printf.sprintf "Ring.hold: entry %d is not retained" seq);
   t.grow_at <- seq + t.cap
-
-let clear t =
-  t.total <- 0;
-  t.floor <- 0;
-  if Option.is_some (held t) then t.grow_at <- t.cap
 
 (* Re-lays the entries [first ..] into [cap] fresh slots, each at its
    sequence number's slot.  Cold, and it swaps the backing arrays:
@@ -105,11 +99,6 @@ let[@rejlint.hot] append t =
   in
   t.total <- t.total + 1;
   slot
-[@@inline]
-
-let[@rejlint.hot] set_int t ~col ~slot v = t.ints.((slot * t.int_cols) + col) <- v [@@inline]
-
-let[@rejlint.hot] set_float t ~col ~slot v = t.floats.((slot * t.float_cols) + col) <- v
 [@@inline]
 
 (* Row escape hatch: hand the caller the backing arrays so its hot loop

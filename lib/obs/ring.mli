@@ -33,12 +33,6 @@ val first_seq : t -> int
 (** Absolute sequence number of the oldest retained entry, i.e.
     [total t - length t] entries have been overwritten and lost. *)
 
-val int_cols : t -> int
-val float_cols : t -> int
-
-val clear : t -> unit
-(** Forgets all entries (storage is retained); a hold moves to 0. *)
-
 val hold : t -> int -> unit
 (** [hold t seq]: entries [seq] and later survive (replacing any earlier
     hold).  Raises [Invalid_argument] unless [first_seq t <= seq <= total t]. *)
@@ -53,25 +47,16 @@ val append : t -> int
 (** Claims the next slot and returns its index.  Allocation-free except
     when it grows past a hold (cold, amortized O(1)). *)
 
-val set_int : t -> col:int -> slot:int -> int -> unit
-(** Stores into an int column at a slot returned by {!append}.
-    Allocation-free; column bounds are the caller's contract (an
-    out-of-range column corrupts the neighbouring cell of the same row
-    or raises via the array bounds check at the ends). *)
-
-val set_float : t -> col:int -> slot:int -> float -> unit
-(** Float-column counterpart of {!set_int}. *)
-
 val ints : t -> int array
 (** The row-major int backing array: slot [s]'s cells live at
-    [s * int_cols t + col].  Hoist it once and store directly when even
-    the setter call is too expensive — on the non-flambda compiler a
-    float argument crossing a function boundary is boxed, a direct array
-    store is not.  Writers must still claim slots through {!append},
+    [s * int_cols + col], with [int_cols] as given to {!create}.  Writers
+    hoist it and store directly — on the non-flambda compiler a float
+    argument crossing a function boundary is boxed, a direct array
+    store is not — and claim slots through {!append},
     and re-read it after one: a held ring grows into a new array. *)
 
 val floats : t -> float array
-(** Row-major float counterpart of {!ints}, stride [float_cols t]. *)
+(** Row-major float counterpart of {!ints}, stride [float_cols]. *)
 
 val get_int : t -> col:int -> int -> int
 (** [get_int t ~col k] reads retained entry [k] (oldest-first,

@@ -13,7 +13,6 @@ type running = { job : Job.t; started : Time.t; rate : float; finish : Time.t }
 (* The read-only window a policy looks through. *)
 type view = Flat_state.t
 
-let now fs = Flat_state.clock fs
 
 let running_on fs i =
   let slot = Flat_state.run_job fs i in

@@ -40,8 +40,6 @@ open Sched_model
 
 type view
 
-val now : view -> Time.t
-
 type running = { job : Job.t; started : Time.t; rate : float; finish : Time.t }
 (** [rate] is volume processed per unit time (execution speed times the
     machine's nominal speed factor). *)
@@ -146,11 +144,6 @@ type live_metrics = {
     corresponding {!Sched_model.Metrics} recomputation up to float rounding
     (the accumulation order differs); the differential tests pin the
     agreement at 1e-9 relative error. *)
-
-val live : view -> live_metrics
-(** Snapshot of the incremental metrics at the current instant.  Counts only
-    what has happened so far: jobs still pending or running contribute
-    nothing yet. *)
 
 (** {1 Policy interface} *)
 

@@ -9,7 +9,7 @@ open Sched_model
    ([Pqueue.Events]) and the metric accumulators.  Once the growable
    arrays have warmed up, none of the mutators here allocates on the
    minor heap — the only boxed structures are built at the edges
-   ([of_instance], [to_schedule], and the [Job.t] handles policies read
+   ([add_job], [to_schedule], and the [Job.t] handles policies read
    through the driver's view accessors.
 
    A job's columns sit at its slot, a dense index handed out when the job
@@ -238,7 +238,7 @@ type t = {
   mutable offer_id : int;
   mutable offer_slot : int;
   (* Job columns, indexed by slot; written when the job is fed
-     ([of_instance] or [add_job]), read-only until the slot is reused. *)
+     ([add_job]), read-only until the slot is reused. *)
   mutable ext : int array;  (* the external job id *)
   mutable jobs : Job.t array;
   mutable release : float array;
@@ -517,20 +517,6 @@ let admit t (j : Job.t) =
   t.n <- t.n + 1;
   s
 
-let of_instance instance =
-  let t = create instance in
-  let n = Instance.n instance in
-  grow_columns t n;
-  Idmap.reserve t.ids n;
-  (* Ids are dense 0..n-1 (instance construction validates it), so
-     admitting them in id order puts every job at the slot equal to its
-     id. *)
-  for id = 0 to n - 1 do
-    ignore (admit t (Instance.job instance id))
-  done;
-  t.facc.(f_total_weight) <- Instance.total_weight instance;
-  t
-
 (* ------------------------------------------------------------------ *)
 (* Streaming construction: a state over the machine fleet alone, whose
    jobs arrive one [add_job] at a time. *)
@@ -787,10 +773,6 @@ let[@rejlint.hot] rec ix_split t sizes i job node after =
     ix_split t sizes i job t.ix_left.(node) (after + 1 + if r < 0 then 0 else t.ix_count.(r))
   end
 
-let[@rejlint.hot] rec ix_leftmost t node =
-  let l = t.ix_left.(node) in
-  if l < 0 then node else ix_leftmost t l
-
 let[@rejlint.hot] rec ix_rightmost t node =
   let r = t.ix_right.(node) in
   if r < 0 then node else ix_rightmost t r
@@ -874,11 +856,6 @@ let[@rejlint.hot] pend_split t i ~job =
   s.work_before <- 0.;
   s.count_after <- float_of_int (ix_split t t.jobs.(job).Job.sizes i job t.ix_root.(i) 0);
   s
-
-let[@rejlint.hot] index_min t i =
-  if not t.live_index then wake_index t;
-  let r = t.ix_root.(i) in
-  if r < 0 then -1 else ix_leftmost t r
 
 let[@rejlint.hot] index_max t i =
   if not t.live_index then wake_index t;

@@ -5,7 +5,7 @@
     unboxed [float array]s and [int array]s indexed by job slot or
     machine id, so the steady state allocates nothing on the minor heap
     once the growable arrays have warmed up.  Heap-allocated values
-    appear only at the edges: {!of_instance} (once, at the start),
+    appear only at the edges: {!add_job} (once per job),
     {!to_schedule} (once, at the end), and the [Job.t] handles policies
     obtain through the driver's read-only view.
 
@@ -44,13 +44,6 @@ open Sched_model
 
 type t
 
-val of_instance : Instance.t -> t
-(** Builds the flat mirror of the instance: every job registered at the
-    slot equal to its id, empty pending/running/event state, no arrival
-    queued.
-    Raises [Invalid_argument] if the machine count exceeds the event-key
-    range ({!Pqueue.Events.Key.max_machine}). *)
-
 (** {1 Streaming construction}
 
     A session-mode state starts from the machine fleet alone and learns
@@ -66,7 +59,8 @@ val of_instance : Instance.t -> t
 val of_stream : machines:Machine.t array -> t
 (** An empty state over the fleet ([Invalid_argument] on an invalid
     fleet — ids must be dense 0..m-1 — exactly as instance construction
-    validates).  {!instance} returns a machines-only stand-in until
+    validates — or on more machines than the event keys encode,
+    {!Pqueue.Events.Key.max_machine}).  {!instance} returns a machines-only stand-in until
     {!set_instance}. *)
 
 val add_job : t -> Job.t -> unit
@@ -126,6 +120,7 @@ val offer : t -> int -> Job.t
 val ext : t -> int -> Job.id
 (** The external id of the job at a slot. *)
 
+(* rejlint: allow test-only-export — tests bound the retiring state's memory by it *)
 val capacity : t -> int
 (** The slot capacity: the length of every job column. *)
 
@@ -156,7 +151,7 @@ val loc_machine : int -> int
 
 val instance : t -> Instance.t
 val n : t -> int
-(** Jobs fed (or, for {!of_instance}, registered) so far. *)
+(** Jobs fed so far. *)
 
 val m : t -> int
 
@@ -165,6 +160,7 @@ val job : t -> int -> Job.t
     search. *)
 
 val release : t -> int -> float
+(* rejlint: allow test-only-export — tests check the weight column against each job fed *)
 val weight : t -> int -> float
 val size : t -> machine:int -> job:int -> float
 (** [p_ij], read off the job's handle: valid while the slot holds the
@@ -173,7 +169,6 @@ val size : t -> machine:int -> job:int -> float
 val eligible : t -> machine:int -> job:int -> bool
 
 val total_weight : t -> float
-val alpha : t -> int -> float
 val mach_speed : t -> int -> float
 
 (** {1 Clock and status} *)
@@ -247,10 +242,6 @@ val pend_split : t -> int -> job:int -> split
     itself, if pending, counts on neither side.  [job] must be the slot
     of a job in flight (its columns are read).  Returns the state's one answer cell,
     overwritten by the next query. *)
-
-val index_min : t -> int -> int
-(** The SPT-first pending slot on the machine, [-1] when empty (the same
-    slot as {!head_spt}). *)
 
 val index_max : t -> int -> int
 (** The SPT-last pending slot — largest size, then latest release, then
@@ -339,6 +330,7 @@ val to_schedule : t -> Schedule.t
     [Invalid_argument] if some job has no outcome.  The one deliberately
     boxing step, run once per simulation. *)
 
+(* rejlint: allow test-only-export — the structural oracle tests run after mutations *)
 val invariant : t -> bool
 (** Structural check, for tests: every slot below the high-water mark
     held by exactly one mapped id or free, never both; all four heaps

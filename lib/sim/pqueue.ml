@@ -73,7 +73,6 @@ module Events = struct
       cur_pay = 0;
     }
 
-  let size t = t.elen
   let is_empty t = t.elen = 0
 
   let eless t i j =

@@ -22,24 +22,28 @@ module Events : sig
       raise [Invalid_argument] out of range; within range, encode/decode
       is a bijection (property-tested). *)
   module Key : sig
+    (* rejlint: allow test-only-export — tests probe the key encoders' range edges with it *)
     val max_seq : int
     (** Largest encodable sequence number, [2^40 - 1]. *)
 
     val max_machine : int
     (** Largest encodable machine id, [2^20 - 1]. *)
 
+    (* rejlint: allow test-only-export — tests probe the key encoders' range edges with it *)
     val max_epoch : int
     (** Largest encodable epoch, [2^42 - 1]. *)
 
     val finish_tag : seq:int -> int
     val arrival_tag : seq:int -> int
     val is_arrival : tag:int -> bool
+    (* rejlint: allow test-only-export — tests probe the key encoders' range edges with it *)
     val seq_of : tag:int -> int
 
     val finish_payload : machine:int -> epoch:int -> int
     val machine_of : payload:int -> int
     val epoch_of : payload:int -> int
 
+    (* rejlint: allow test-only-export — tests model-check the queue's pop order against it *)
     val compare : float -> int -> float -> int -> int
     (** [compare k1 t1 k2 t2] is the total order the queue realizes over
         [(key, tag)] pairs with finite keys and unique tags: keys first
@@ -50,7 +54,6 @@ module Events : sig
   type t
 
   val create : unit -> t
-  val size : t -> int
   val is_empty : t -> bool
   val push : t -> key:float -> tag:int -> payload:int -> unit
 
@@ -82,6 +85,7 @@ module Events : sig
       caller that knows the arrival count up front pays one allocation
       instead of a doubling cascade.  Never shrinks. *)
 
+  (* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
   val clear : t -> unit
 end
 
@@ -140,6 +144,7 @@ module Iheap : sig
   (** Iterates in heap-array order: deterministic for a given operation
       history, but {e not} sorted. *)
 
+  (* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
   val clear : t -> pos:int array -> unit
   (** Empties the heap and unregisters its ids from [pos]. *)
 

@@ -27,6 +27,9 @@ type error =
   | Checksum_mismatch
 
 let magic = "rejsched-snap"
+(* Bump on any layout change of the container or of the frozen session
+   it carries: the version is the only guard against a payload of the
+   old shape. *)
 let version = 6
 
 let error_to_string = function

@@ -16,11 +16,6 @@ type error =
   | Truncated  (** Cut short (or carrying trailing garbage). *)
   | Checksum_mismatch  (** Framing intact but the bytes rotted. *)
 
-val version : int
-(** Current format version.  Bump on any layout change of the container
-    {e or} of the frozen session it carries: the version is the only
-    guard against a payload of the old shape. *)
-
 val error_to_string : error -> string
 
 val wrap : policy:string -> payload:string -> string

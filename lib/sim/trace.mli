@@ -35,6 +35,7 @@ type t
 
 val create : unit -> t
 
+(* rejlint: allow test-only-export — tests build traces of every event kind by hand with it *)
 val record : t -> Time.t -> event -> unit
 (** Appends one event (the driver writes its rows directly). *)
 
@@ -66,11 +67,13 @@ val unread : t -> t
 (** A copy holding only the unreleased entries — what a checkpoint
     carries. *)
 
+(* rejlint: allow test-only-export — tests check with it that live runs drain every queue *)
 val queue_profile : t -> machines:int -> (Machine.id * (Time.t * int) list) list
 (** Per machine, the step function of [|U_i(t)|] (dispatched, not yet
     completed or rejected): a list of [(time, new value)] changes, starting
     implicitly from 0. *)
 
+(* rejlint: allow test-only-export — tests check with it that live runs drain every pending set *)
 val pending_profile : t -> machines:int -> (Machine.id * (Time.t * int) list) list
 (** Per machine, the step function of the {e pending} population
     (dispatched, not yet started): +1 on [Dispatch], -1 on [Start], -1 on a
@@ -78,4 +81,5 @@ val pending_profile : t -> machines:int -> (Machine.id * (Time.t * int) list) li
     re-enters the queue).  A mid-run [Reject] and a [Complete] leave it
     unchanged — the job already left the pending set at its [Start]. *)
 
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val pp_entry : Format.formatter -> entry -> unit

@@ -1,14 +1,11 @@
 (** NDJSON export of a {!Trace.t}.
 
-    Each event becomes one JSON object per line, tagged with {!schema} so
+    Each event becomes one JSON object per line, tagged with the schema
+    ["rejsched.trace/1"] in its ["schema"] field so
     downstream consumers can dispatch on record versions.  Floats print
     as {!Sched_obs.Ndjson.float_repr} writes them, a form that reads back
     exactly, so exports are deterministic and byte-identical across equal
     traces. *)
-
-val schema : string
-(** Current record schema tag, ["rejsched.trace/1"].  Every emitted line
-    carries it as its ["schema"] field. *)
 
 val add_lines : Buffer.t -> Trace.t -> unit
 (** Appends the unreleased entries ({!Trace.events}), one line per
@@ -32,21 +29,14 @@ val to_ndjson : Trace.t -> string
     ["size"] on start, ["flow"] on complete, the budget counters
     (["rejected_total"]/["rejected_weight"]) on reject. *)
 
-val schema_v2 : string
-(** ["rejsched.trace/2"], the flight-recorder record schema. *)
-
-val recorder_entry_line : Sched_obs.Recorder.entry -> string
-(** One recorder entry as a single JSON object (no trailing newline). *)
-
-val recorder_lines : ?last:int -> Sched_obs.Recorder.t -> string list
-(** Retained entries oldest-first, one line each; [?last] keeps only the
-    newest [n] (the forensics tail). *)
-
 val recorder_to_ndjson : ?last:int -> Sched_obs.Recorder.t -> string
-(** {!recorder_lines} joined, each line newline-terminated. *)
+(** Retained entries oldest-first, one ["rejsched.trace/2"] line each,
+    newline-terminated; [?last] keeps only the newest [n] (the
+    forensics tail). *)
 
+(* rejlint: allow test-only-export — tests read serve's and the exporters' schema tags with it *)
 val schema_of_line : string -> string option
 (** Reads the schema tag back off an emitted line — the round-trip for
     the tagging convention: every line this module produces yields
-    [Some schema] / [Some schema_v2].  [None] if the line does not start
-    with a schema field. *)
+    [Some "rejsched.trace/1"] / [Some "rejsched.trace/2"].  [None] if
+    the line does not start with a schema field. *)

@@ -20,13 +20,6 @@ let exponential ~mean =
     mean = Some mean;
     sample = (fun rng -> Rng.exponential rng (1. /. mean)) }
 
-let pareto ~shape ~scale =
-  assert (shape > 0. && scale > 0.);
-  let mean = if shape > 1. then Some (shape *. scale /. (shape -. 1.)) else None in
-  { name = Printf.sprintf "pareto(%g,%g)" shape scale;
-    mean;
-    sample = (fun rng -> Rng.pareto rng ~shape ~scale) }
-
 let bounded_pareto ~shape ~lo ~hi =
   assert (shape > 0. && 0. < lo && lo < hi);
   (* Inverse CDF of the Pareto truncated to [lo, hi]. *)

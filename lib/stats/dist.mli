@@ -25,10 +25,6 @@ val uniform : lo:float -> hi:float -> t
 val exponential : mean:float -> t
 (** Exponential with the given mean ([mean > 0]). *)
 
-val pareto : shape:float -> scale:float -> t
-(** Pareto with tail index [shape] and minimum [scale]; heavy-tailed for
-    [shape <= 2]. *)
-
 val bounded_pareto : shape:float -> lo:float -> hi:float -> t
 (** Pareto truncated to [[lo, hi]] by inverse-CDF sampling; the standard
     heavy-tailed-but-bounded job-size model. *)
@@ -41,12 +37,15 @@ val lognormal : mu:float -> sigma:float -> t
 (** Log-normal with location [mu] and scale [sigma] of the underlying
     normal. *)
 
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val choice : (float * t) list -> t
 (** Finite mixture; weights must be positive and are normalized. *)
 
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val scaled : float -> t -> t
 (** [scaled c d] multiplies every sample of [d] by [c > 0]. *)
 
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val quantize : grid:float -> t -> t
 (** [quantize ~grid d] rounds samples up to the nearest positive multiple of
     [grid]; used to build discrete-time instances. *)

@@ -12,17 +12,6 @@ let build edges values =
     values;
   { edges; counts }
 
-let create ?(bins = 12) values =
-  if Array.length values = 0 then invalid_arg "Histogram.create: empty";
-  if bins < 1 then invalid_arg "Histogram.create: bins < 1";
-  let lo = Array.fold_left Float.min Float.infinity values in
-  let hi = Array.fold_left Float.max Float.neg_infinity values in
-  let hi = if hi <= lo then lo +. 1. else hi in
-  let edges =
-    Array.init (bins + 1) (fun k -> lo +. ((hi -. lo) *. float_of_int k /. float_of_int bins))
-  in
-  build edges values
-
 let log_bins ?(bins = 12) values =
   if Array.length values = 0 then invalid_arg "Histogram.log_bins: empty";
   Array.iter (fun v -> if v <= 0. then invalid_arg "Histogram.log_bins: non-positive value") values;

@@ -3,10 +3,6 @@
 
 type t
 
-val create : ?bins:int -> float array -> t
-(** [create ~bins values] (default 12 bins) over [min..max] of the data;
-    raises [Invalid_argument] on empty input. *)
-
 val log_bins : ?bins:int -> float array -> t
 (** Geometric bin edges — the right view for heavy-tailed flow times.  All
     values must be positive. *)
@@ -15,5 +11,6 @@ val render : ?width:int -> t -> string
 (** Bars scaled to [width] (default 50) characters, one line per bin with
     its range and count. *)
 
+(* rejlint: allow test-only-export — tests read the bins render draws with it *)
 val counts : t -> (float * float * int) list
 (** [(lo, hi, count)] per bin. *)

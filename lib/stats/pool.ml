@@ -189,7 +189,7 @@ let chunked_run ?chunk_size pool n body =
       with exn -> raise (Item_failure (!i, exn)))
 
 (* The inline degenerate cases still run under [run_task] so that nested
-   parallel regions (and the ambient-pool lookup in Parallel/Exp_util)
+   parallel regions (and the ambient-pool lookup in Exp_util)
    stay on *this* pool instead of escaping to the process default. *)
 let parallel_for ?chunk_size pool n f =
   if n > 0 then
@@ -206,7 +206,7 @@ let parallel_map ?chunk_size pool f a =
   else if pool.size = 1 || n = 1 then run_task pool (fun () -> Array.map f a)
   else begin
     let results = Array.make n None in
-    chunked_run ?chunk_size pool n (fun i -> results.(i) <- Some (f a.(i)));
+    parallel_for ?chunk_size pool n (fun i -> results.(i) <- Some (f a.(i)));
     Array.map (function Some v -> v | None -> assert false) results
   end
 

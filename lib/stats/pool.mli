@@ -1,8 +1,8 @@
 (** A persistent work-sharing domain pool: the substrate every parallel
     region in the repository runs on.
 
-    A pool spawns its worker domains once ([create]) and reuses them for
-    every subsequent [parallel_map]/[parallel_for], replacing the
+    A pool spawns its worker domains once, when it is created, and reuses
+    them for every subsequent [parallel_map], replacing the
     spawn-per-call scheme that left cores idle between regions.  The
     submitting domain always participates ("work sharing"): it pops and
     runs queued chunk tasks until its own batch completes.  That rule
@@ -21,25 +21,17 @@
 
 type t
 
-val default_domains : unit -> int
-(** [max 1 (recommended_domain_count - 1)], leaving a core for the
-    caller (who participates in every region anyway). *)
-
-val create : ?domains:int -> unit -> t
-(** Spawns [domains - 1] worker domains (default {!default_domains}).
-    [domains = 1] spawns none: every region runs inline in the caller.
-    Raises [Invalid_argument] when [domains < 1] — silent clamping hid
-    misconfigured widths from the CLI. *)
-
+(* rejlint: allow test-only-export — tests check which pool ambient resolves to with it *)
 val size : t -> int
 (** Total parallelism: spawned workers plus the submitting domain. *)
 
-val shutdown : t -> unit
-(** Drains queued tasks, stops and joins the workers.  Idempotent.
-    Submitting to a shut-down pool raises [Invalid_argument]. *)
-
 val with_pool : ?domains:int -> (t -> 'a) -> 'a
-(** [create], run, [shutdown] (also on exception). *)
+(** Spawns [domains - 1] worker domains (default {!default_domains};
+    [domains = 1] spawns none and every region runs inline), runs [f] on
+    the pool, then drains queued tasks and joins the workers, also on
+    exception.  Raises [Invalid_argument] when [domains < 1] (silent
+    clamping hid misconfigured widths from the CLI) and when a region is
+    submitted to the pool after [f] returned. *)
 
 val parallel_map : ?chunk_size:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** Chunked data-parallel map with input-ordered results.  [chunk_size]
@@ -50,14 +42,9 @@ val parallel_map : ?chunk_size:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 
 val parallel_map_list : ?chunk_size:int -> t -> ('a -> 'b) -> 'a list -> 'b list
 
-val parallel_for : ?chunk_size:int -> t -> int -> (int -> unit) -> unit
-(** [parallel_for pool n f] runs [f 0 .. f (n-1)]; each index is applied
-    exactly once.  [f] typically writes slot [i] of a preallocated
-    array — distinct indices only, per the concurrency-safety rule. *)
-
 (** {1 The process-wide default pool}
 
-    [Sched_stats.Parallel] (and through it [Exp_util.per_seed]) submits
+    [Exp_util.per_seed] submits
     to the {e ambient} pool: the pool whose task the calling domain is
     currently executing, falling back to a lazily created process-wide
     default.  The CLI's [--domains] flag resizes the default before

@@ -7,10 +7,6 @@ let mg1_mean_wait ~lambda ~es ~es2 =
 
 let mg1_mean_flow ~lambda ~es ~es2 = mg1_mean_wait ~lambda ~es ~es2 +. es
 
-let mm1_mean_flow ~lambda ~mu =
-  if mu <= lambda then invalid_arg "Queueing: unstable queue";
-  1. /. (mu -. lambda)
-
 let moments_uniform ~lo ~hi =
   if not (0. <= lo && lo < hi) then invalid_arg "Queueing.moments_uniform";
   let es = (lo +. hi) /. 2. in

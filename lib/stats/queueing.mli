@@ -5,17 +5,8 @@
     Pollaczek-Khinchine form — an independent ground truth the event-driven
     driver must reproduce. *)
 
-val mg1_mean_wait : lambda:float -> es:float -> es2:float -> float
-(** [mg1_mean_wait ~lambda ~es ~es2] is the Pollaczek-Khinchine mean
-    waiting time [lambda es2 / (2 (1 - rho))] with [rho = lambda es];
-    requires [rho < 1].  [es] and [es2] are the first two moments of the
-    service time. *)
-
 val mg1_mean_flow : lambda:float -> es:float -> es2:float -> float
 (** Mean flow (sojourn) time: waiting plus service. *)
-
-val mm1_mean_flow : lambda:float -> mu:float -> float
-(** The M/M/1 special case [1 / (mu - lambda)]. *)
 
 val moments_uniform : lo:float -> hi:float -> float * float
 (** First two moments of Uniform(lo, hi). *)

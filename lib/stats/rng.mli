@@ -17,11 +17,9 @@ val split : t -> t
     [t].  Used to give each machine/job/experiment arm its own stream so that
     changing the number of draws in one arm does not perturb the others. *)
 
+(* rejlint: allow test-only-export — tests replay a generator's stream with it *)
 val copy : t -> t
 (** [copy t] duplicates the current state (same future draws). *)
-
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
 
 val float : t -> float
 (** [float t] draws uniformly in [[0,1)]. *)
@@ -33,15 +31,14 @@ val float_range : t -> float -> float -> float
 val int : t -> int -> int
 (** [int t n] draws uniformly in [[0, n-1]].  Requires [n > 0]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val exponential : t -> float -> float
 (** [exponential t rate] draws from Exp(rate).  Requires [rate > 0]. *)
 
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val pareto : t -> shape:float -> scale:float -> float
 (** [pareto t ~shape ~scale] draws from a Pareto distribution with the given
     tail index [shape] and minimum value [scale]. *)
 
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -47,13 +47,6 @@ let of_array a =
     total;
   }
 
-let of_list l = of_array (Array.of_list l)
-
-let mean l =
-  match l with
-  | [] -> invalid_arg "Summary.mean: empty"
-  | _ -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
-
 let geometric_mean l =
   match l with
   | [] -> invalid_arg "Summary.geometric_mean: empty"

@@ -15,14 +15,9 @@ type t = {
 val of_array : float array -> t
 (** [of_array a] summarizes [a]; raises [Invalid_argument] when empty. *)
 
-val of_list : float list -> t
-
-val percentile : float array -> float -> float
-(** [percentile sorted q] with [q] in [[0,1]] over a sorted array, using
-    nearest-rank with linear interpolation. *)
-
-val mean : float list -> float
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val geometric_mean : float list -> float
 
+(* rejlint: allow test-only-export — tests compare runs' summaries through it *)
 val pp : Format.formatter -> t -> unit
 (** Compact one-line rendering. *)

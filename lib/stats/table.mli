@@ -26,6 +26,7 @@ val cell_float : float -> string
 val cell_int : int -> string
 val cell_bool : bool -> string
 
+(* rejlint: allow test-only-export — tests check the layout print writes with it *)
 val render : t -> string
 (** Render with a title line, a header, separators and aligned columns. *)
 

@@ -34,13 +34,6 @@ type result = {
 val build : eps:float -> l:float -> observed_start:float -> result
 (** The deterministic instance given the observed start [t0]. *)
 
-val big_jobs_only : eps:float -> l:float -> Instance.t
-(** Phase-one probe instance. *)
-
-val first_big_start : Schedule.t -> float
-(** Earliest execution start in a schedule of the probe instance
-    ([infinity] if nothing ever ran). *)
-
 val run_two_phase : run:(Instance.t -> Schedule.t) -> eps:float -> l:float -> result * Schedule.t
 (** Plays the full game against a deterministic policy: probes for [t0],
     builds the final instance, and returns it together with the policy's

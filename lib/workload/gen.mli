@@ -67,4 +67,5 @@ val make :
 val instance : t -> seed:int -> Instance.t
 (** Deterministic expansion; equal seeds yield identical instances. *)
 
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val describe : t -> string

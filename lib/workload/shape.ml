@@ -5,11 +5,6 @@ type t = { name : string; fill : Rng.t -> base:float -> float array -> unit }
 let name t = t.name
 let fill t rng ~base sizes = t.fill rng ~base sizes
 
-let sizes t rng ~base ~m =
-  let v = Array.make m 0. in
-  t.fill rng ~base v;
-  v
-
 (* Every fill writes (and draws for) machines 0..m-1 in index order: the
    draw order is part of what a seed means, and the saved-instance
    goldens in the workload tests pin it. *)

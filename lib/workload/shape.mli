@@ -11,11 +11,6 @@ type t
 
 val name : t -> string
 
-val sizes : t -> Rng.t -> base:float -> m:int -> float array
-(** [sizes shape rng ~base ~m] draws the size vector of one job with base
-    size [base] on [m] machines.  Entries are positive; [infinity] marks an
-    ineligible machine (at least one entry is always finite). *)
-
 val fill : t -> Rng.t -> base:float -> float array -> unit
 (** [fill shape rng ~base v] overwrites [v] with what [sizes shape rng
     ~base ~m:(Array.length v)] would return, making the same draws, so a

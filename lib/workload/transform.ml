@@ -18,14 +18,6 @@ let scale_time c instance =
         ~sizes:(Array.map (fun p -> c *. p) j.sizes)
         ())
 
-let scale_sizes c instance =
-  if c <= 0. || not (Float.is_finite c) then invalid_arg "Transform.scale_sizes: bad factor";
-  rebuild ~name:(instance.Instance.name ^ Printf.sprintf "(x%g sizes)" c) instance
-    (fun (j : Job.t) ->
-      Job.create ~id:j.id ~release:j.release ~weight:j.weight ?deadline:j.deadline
-        ~sizes:(Array.map (fun p -> c *. p) j.sizes)
-        ())
-
 let shift_releases delta instance =
   if delta < 0. then invalid_arg "Transform.shift_releases: negative shift";
   rebuild ~name:(instance.Instance.name ^ Printf.sprintf "(+%g)" delta) instance

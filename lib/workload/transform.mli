@@ -13,9 +13,7 @@ val scale_time : float -> Instance.t -> Instance.t
     time unit.  Flow-times of any scale-invariant policy scale by exactly
     [c]. *)
 
-val scale_sizes : float -> Instance.t -> Instance.t
-(** Multiply only the processing sizes (load knob). *)
-
+(* rejlint: allow test-only-export — the metamorphic suite's release-shift transform *)
 val shift_releases : float -> Instance.t -> Instance.t
 (** Add [delta >= 0] to every release (and deadline). *)
 
@@ -35,10 +33,12 @@ val relabel_machines : perm:int array -> Instance.t -> Instance.t
     runs on the relabeled instance are equivalent in metrics, not
     byte-identical. *)
 
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val subsample : Sched_stats.Rng.t -> keep:float -> Instance.t -> Instance.t
 (** Keep each job independently with probability [keep]; at least one job
     is always retained.  Job ids are renumbered [0..n'-1]. *)
 
+(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val concat : ?gap:float -> Instance.t -> Instance.t -> Instance.t
 (** Play instance [b] after instance [a]: [b]'s releases are shifted past
     [a]'s horizon plus [gap] (default 0).  Machine fleets must have equal

@@ -15,14 +15,18 @@ let test_flow_construction_shape () =
   Alcotest.(check (float 1e-6)) "adversary cost" (8. +. expected_big) r.AF.adversary_cost
 
 let test_flow_probe () =
-  let probe = AF.big_jobs_only ~eps:0.25 ~l:4. in
-  Alcotest.(check int) "probe has only big jobs" 4 (Instance.n probe);
+  (* The game's first run is the probe: the big jobs alone. *)
+  let runs = ref [] in
   let run inst =
+    runs := inst :: !runs;
     Test_util.schedule_of
       (Sched_baselines.Immediate_reject.policy ~eps:0.25 Sched_baselines.Immediate_reject.Never)
       inst
   in
-  Alcotest.(check (float 1e-9)) "non-idling starts at 0" 0. (AF.first_big_start (run probe))
+  let r, _ = AF.run_two_phase ~run ~eps:0.25 ~l:4. in
+  let probe = List.nth !runs (List.length !runs - 1) in
+  Alcotest.(check int) "probe has only big jobs" 4 (Instance.n probe);
+  Alcotest.(check (float 1e-9)) "non-idling starts at 0" 0. r.AF.observed_start
 
 let test_flow_game_ratio_ordering () =
   (* The immediate policy must fare worse than the paper's algorithm on the

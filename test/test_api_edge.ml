@@ -13,24 +13,6 @@ let test_api_run_flow () =
   Alcotest.(check bool) "budget respected" true
     (r.Rejection.Api.rejection.Metrics.fraction <= 0.5 +. 1e-9)
 
-let test_api_run_flow_energy () =
-  let gen = Sched_workload.Suite.weighted_energy ~n:30 ~m:2 ~alpha:3. in
-  let inst = Sched_workload.Gen.instance gen ~seed:2 in
-  let r = Rejection.Api.run_flow_energy ~eps:0.3 inst in
-  Alcotest.(check (float 1e-9)) "objective is sum"
-    (r.Rejection.Api.weighted_flow +. r.Rejection.Api.energy)
-    r.Rejection.Api.objective;
-  Alcotest.(check bool) "energy positive" true (r.Rejection.Api.energy > 0.);
-  Alcotest.(check bool) "weight budget" true
-    (r.Rejection.Api.rejection.Metrics.weight_fraction <= 0.3 +. 1e-9)
-
-let test_api_run_energy_min () =
-  let gen = Sched_workload.Suite.deadline_energy ~n:15 ~m:2 ~alpha:3. in
-  let inst = Sched_workload.Gen.instance gen ~seed:3 in
-  let r = Rejection.Api.run_energy_min inst in
-  Alcotest.(check bool) "energy positive" true (r.Rejection.Api.energy > 0.);
-  Alcotest.(check (float 1e-9)) "bound alpha^alpha" 27. r.Rejection.Api.competitive_bound
-
 (* --- edge cases --- *)
 
 let test_empty_instance () =
@@ -120,8 +102,6 @@ let test_work_conservation () =
 let suite =
   [
     Alcotest.test_case "api run_flow" `Quick test_api_run_flow;
-    Alcotest.test_case "api run_flow_energy" `Quick test_api_run_flow_energy;
-    Alcotest.test_case "api run_energy_min" `Quick test_api_run_energy_min;
     Alcotest.test_case "empty instance" `Quick test_empty_instance;
     Alcotest.test_case "single job" `Quick test_single_job_flow;
     Alcotest.test_case "extreme eps" `Quick test_extreme_eps;
@@ -147,6 +127,6 @@ let test_soak_large_instance () =
     true (elapsed < 30.);
   Alcotest.(check bool) "budget at scale" true (r.Metrics.fraction <= 0.5 +. 1e-9);
   Alcotest.(check int) "everything settled" 100_000
-    (List.length (Schedule.completed_jobs s) + r.Metrics.count)
+    (Test_util.completed_count s + r.Metrics.count)
 
 let suite = suite @ [ Alcotest.test_case "soak: 100k jobs" `Slow test_soak_large_instance ]

@@ -200,18 +200,16 @@ let test_assert_clean () =
 
 let test_violation_printing () =
   let v = Violation.make ~job:3 ~machine:1 ~at:1.5 Violation.Machine_overlap "jobs collide" in
-  let s = Violation.to_string v in
+  let s = Oracle.report [ v ] in
   Alcotest.(check bool) "label present" true (Test_util.contains s "machine-overlap");
   Alcotest.(check bool) "detail present" true (Test_util.contains s "jobs collide");
   let r = Oracle.report [ v; v ] in
   Alcotest.(check bool) "report counts" true (Test_util.contains r "2");
-  (* check_name/check_of_name round-trip over every constructor. *)
-  List.iter
-    (fun c ->
-      match Violation.check_of_name (Violation.check_name c) with
-      | Some c' when c' = c -> ()
-      | _ -> Alcotest.failf "check_of_name failed for %s" (Violation.check_name c))
-    Violation.all_checks
+  (* Every constructor has its own label: telemetry counters and reports
+     key on it. *)
+  let names = List.map Violation.check_name Violation.all_checks in
+  Alcotest.(check int) "distinct labels" (List.length names)
+    (List.length (List.sort_uniq String.compare names))
 
 let test_violation_order () =
   let a = Violation.make ~job:0 Violation.Segment_bounds "a" in
@@ -231,17 +229,19 @@ let test_check_obs () =
       Violation.make Violation.Machine_overlap "y";
       Violation.make Violation.Metric_drift "z";
     ];
-  let totals = Check_obs.violation_totals reg in
-  Alcotest.(check (list (pair string (float 0.))))
-    "per-check counters"
-    [ ("machine-overlap", 2.); ("metric-drift", 1.) ]
-    totals;
-  let counter name =
-    match Sched_obs.Registry.find reg ~name ~labels:[] with
+  let counter ?(labels = []) name =
+    match Sched_obs.Registry.find reg ~name ~labels with
     | Some { Sched_obs.Registry.instrument = Sched_obs.Registry.Counter c; _ } ->
         Sched_obs.Metric.Counter.value c
     | _ -> Alcotest.failf "missing counter %s" name
   in
+  let per_check check = counter ~labels:[ ("check", check) ] "sched_check_violations_total" in
+  Alcotest.(check (float 0.)) "machine-overlap" 2. (per_check "machine-overlap");
+  Alcotest.(check (float 0.)) "metric-drift" 1. (per_check "metric-drift");
+  Alcotest.(check bool) "no counter for a check that never fired" true
+    (Sched_obs.Registry.find reg ~name:"sched_check_violations_total"
+       ~labels:[ ("check", "deadline") ]
+     = None);
   Alcotest.(check (float 0.)) "schedules audited" 2. (counter "sched_check_schedules_total");
   Alcotest.(check (float 0.)) "clean schedules" 1. (counter "sched_check_clean_total")
 

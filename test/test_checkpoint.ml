@@ -327,7 +327,8 @@ let serve_lines (s : P.stream_session) jobs ~close =
            --checkpoint test/snapshots/serve-smoke-vN.snap
 
    (N the new version), then point both tests at it. *)
-let checked_in_snapshot = "snapshots/serve-smoke-v6.snap"
+let snapshot_file name = Filename.concat (Test_util.data_dir "snapshots") name
+let checked_in_snapshot = snapshot_file "serve-smoke-v6.snap"
 
 let checked_in_payload () =
   match Snapshot.unwrap (Snapshot.read_file checked_in_snapshot) with
@@ -391,7 +392,9 @@ let test_checked_in_snapshot_bytes () =
    sizes, a job record without its size summaries and a position
    column for every pending order, dormant or not. *)
 let old_snapshot_fails_closed v () =
-  match Snapshot.unwrap (Snapshot.read_file (Printf.sprintf "snapshots/serve-smoke-v%d.snap" v)) with
+  match
+    Snapshot.unwrap (Snapshot.read_file (snapshot_file (Printf.sprintf "serve-smoke-v%d.snap" v)))
+  with
   | Error (Snapshot.Bad_version v') when v' = v -> ()
   | Error err -> Alcotest.failf "v%d snapshot: wrong error %s" v (Snapshot.error_to_string err)
   | Ok _ -> Alcotest.failf "v%d snapshot unwrapped under the current version" v

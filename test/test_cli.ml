@@ -113,7 +113,7 @@ let test_trace_ndjson_matches_in_process () =
    byte-for-byte while the Chrome document passes the Perfetto shape
    check. *)
 let test_trace_subcommand_case () =
-  let case_path = Filename.concat "fuzz_corpus" "restricted-flow-reject.case" in
+  let case_path = Filename.concat (Test_util.data_dir "fuzz_corpus") "restricted-flow-reject.case" in
   let ndjson = temp ".ndjson" and chrome = temp ".json" in
   let code =
     shell
@@ -205,7 +205,8 @@ let test_serve_smoke () =
   Sys.remove input;
   Sys.remove out;
   Alcotest.(check string) "stdout matches snapshots/serve-smoke.expected"
-    (read_file "snapshots/serve-smoke.expected") text;
+    (read_file (Filename.concat (Test_util.data_dir "snapshots") "serve-smoke.expected"))
+    text;
   String.split_on_char '\n' text
   |> List.iter (fun l ->
          if String.trim l <> "" then
@@ -415,13 +416,15 @@ let test_serve_nondyadic () =
   let code =
     shell
       (Printf.sprintf "%s serve -p flow-reject -m 3 --batch 1 --input %s > %s" exe
-         "snapshots/serve-nondyadic.ndjson" out)
+         (Filename.concat (Test_util.data_dir "snapshots") "serve-nondyadic.ndjson")
+         out)
   in
   Alcotest.(check int) "exit code" 0 code;
   let text = read_file out in
   Sys.remove out;
   Alcotest.(check string) "stdout matches snapshots/serve-nondyadic.expected"
-    (read_file "snapshots/serve-nondyadic.expected") text
+    (read_file (Filename.concat (Test_util.data_dir "snapshots") "serve-nondyadic.expected"))
+    text
 
 (* An optional field that is present must be a number: a string or a
    null weight or deadline is a bad arrival, not the default. *)

@@ -10,7 +10,7 @@ module EG = Rejection.Energy_config_greedy
 
 let test_augment_structure () =
   let inst = Test_util.instance ~machines:2 [ (0., [| 2.; 3. |]); (1., [| 4.; 5. |]) ] in
-  let aug = MA.augment_instance ~factor:3 inst in
+  let aug = (MA.run ~factor:3 inst).Schedule.instance in
   Alcotest.(check int) "machines tripled" 6 (Instance.m aug);
   Alcotest.(check int) "jobs unchanged" 2 (Instance.n aug);
   let j = Instance.job aug 0 in

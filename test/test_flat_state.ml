@@ -10,45 +10,56 @@ module Key = Pqueue.Events.Key
 
 let qtest t = QCheck_alcotest.to_alcotest t
 
-(* --- of_instance / accessor round-trip ---------------------------------- *)
+(* The driver's construction: [of_stream] over the fleet, then one
+   [add_job] per job.  Fed in id order, every job's slot is its id. *)
+let state_of instance =
+  let fs = Flat_state.of_stream ~machines:instance.Instance.machines in
+  for id = 0 to Instance.n instance - 1 do
+    Flat_state.add_job fs (Instance.job instance id)
+  done;
+  fs
+
+(* --- of_stream + add_job / accessor round-trip ---------------------------- *)
 
 let random_instance_of seed =
   let weighted = seed land 1 = 1 and restricted = seed mod 3 = 0 in
   Test_util.random_instance ~weighted ~restricted ~seed ~n:(5 + (seed mod 40))
     ~m:(1 + (seed mod 5)) ()
 
-let prop_of_instance_round_trip =
-  QCheck.Test.make ~name:"of_instance mirrors every job/machine column" ~count:60
+let prop_stream_round_trip =
+  QCheck.Test.make ~name:"of_stream + add_job mirror every job/machine column" ~count:60
     QCheck.(int_bound 10_000)
     (fun seed ->
       let instance = random_instance_of seed in
-      let fs = Flat_state.of_instance instance in
+      (* Fed in release order, as the driver feeds: slots number the jobs
+         in feed order. *)
+      let fs = Flat_state.of_stream ~machines:instance.Instance.machines in
+      Array.iter (Flat_state.add_job fs) (Instance.jobs_by_release instance);
       let n = Instance.n instance and m = Instance.m instance in
       assert (Flat_state.n fs = n);
       assert (Flat_state.m fs = m);
       assert (Float.equal (Flat_state.total_weight fs) (Instance.total_weight instance));
-      Array.iter
-        (fun (j : Job.t) ->
+      Array.iteri
+        (fun k (j : Job.t) ->
           let id = j.Job.id in
-          assert ((Flat_state.job fs id).Job.id = id);
-          assert (Flat_state.ext fs id = id && Flat_state.slot_of fs id = id);
-          assert (Float.equal (Flat_state.release fs id) j.Job.release);
-          assert (Float.equal (Flat_state.weight fs id) j.Job.weight);
+          let s = Flat_state.slot_of fs id in
+          assert (s = k && Flat_state.ext fs s = id);
+          assert (Float.equal (Flat_state.release fs s) j.Job.release);
+          assert (Float.equal (Flat_state.weight fs s) j.Job.weight);
           (* The job column holds the instance's own handle, whose cached
              summaries (min size, eligibility) the core reads. *)
-          assert (Flat_state.job fs id == j);
+          assert (Flat_state.job fs s == j);
           for i = 0 to m - 1 do
             let p = Job.size j i in
-            assert (Float.equal (Flat_state.size fs ~machine:i ~job:id) p);
-            assert (Flat_state.eligible fs ~machine:i ~job:id = Job.eligible j i)
+            assert (Float.equal (Flat_state.size fs ~machine:i ~job:s) p);
+            assert (Flat_state.eligible fs ~machine:i ~job:s = Job.eligible j i)
           done;
           (* Before any event, every job is unreleased. *)
-          assert (Flat_state.loc fs id = Flat_state.loc_unreleased))
+          assert (Flat_state.loc fs s = Flat_state.loc_unreleased))
         (Instance.jobs_by_release instance);
       for i = 0 to m - 1 do
         let mc = Instance.machine instance i in
-        assert (Float.equal (Flat_state.mach_speed fs i) mc.Machine.speed);
-        assert (Float.equal (Flat_state.alpha fs i) mc.Machine.alpha)
+        assert (Float.equal (Flat_state.mach_speed fs i) mc.Machine.speed)
       done;
       Flat_state.invariant fs)
 
@@ -181,8 +192,7 @@ let prop_events_sorted_model =
           model := (key, tag, k) :: !model)
         order;
       let sorted = List.sort (fun (k1, t1, _) (k2, t2, _) -> Key.compare k1 t1 k2 t2) !model in
-      Pqueue.Events.size q = Array.length evs
-      && List.for_all
+      List.for_all
            (fun (k, t, p) ->
              Pqueue.Events.pop q
              && Float.equal (Pqueue.Events.key q) k
@@ -272,7 +282,7 @@ let test_pending_zero_pin () =
   let instance =
     Test_util.instance ~machines:2 [ (0., [| 0.25; 0.5 |]); (0., [| 1.25; 0.75 |]) ]
   in
-  let fs = Flat_state.of_instance instance in
+  let fs = state_of instance in
   let head i = Flat_state.pend_head fs i in
   Alcotest.(check (float 0.)) "empty head" infinity (head 0);
   Flat_state.pend_add fs 0 1;
@@ -342,7 +352,7 @@ let index_agrees inst fs model =
       done;
       let first = match sorted with [] -> -1 | l :: _ -> l in
       let last = match List.rev sorted with [] -> -1 | l :: _ -> l in
-      if Flat_state.index_min fs i <> first || Flat_state.index_max fs i <> last then ok := false;
+      if Flat_state.index_max fs i <> last then ok := false;
       if Flat_state.head_spt fs i <> first then ok := false;
       (* The head column: the first job's size, [infinity] when empty. *)
       let head = if first < 0 then infinity else Job.size (Instance.job inst first) i in
@@ -361,8 +371,8 @@ let prop_index_model =
       (* [live] is woken before the first operation and kept incremental;
          [late] stays dormant until a random step, then is built from the
          pending sets in one go.  Both must answer as the model does. *)
-      let live = Flat_state.of_instance inst and late = Flat_state.of_instance inst in
-      ignore (Flat_state.index_min live 0);
+      let live = state_of inst and late = state_of inst in
+      ignore (Flat_state.index_max live 0);
       let wake_at = Rng.int rng 100 in
       let model = Array.make m [] and on = Array.make nids (-1) in
       let ok = ref (index_agrees inst live model) in
@@ -395,12 +405,11 @@ let test_index_dormant_then_woken () =
     Test_util.instance ~machines:2
       [ (0., [| 0.5; 1. |]); (0., [| 0.5; 2. |]); (1., [| 0.25; 1. |]); (0., [| 2.; 0.5 |]) ]
   in
-  let fs = Flat_state.of_instance inst in
+  let fs = state_of inst in
   List.iter (fun (i, id) -> Flat_state.pend_add fs i id) [ (0, 0); (0, 1); (0, 2); (1, 3) ];
   Alcotest.(check bool) "dormant invariant" true (Flat_state.invariant fs);
   (* SPT on machine 0: job 2 (0.25), then jobs 0 and 1 (0.5, tie on
      release, smaller id first). *)
-  Alcotest.(check int) "min" 2 (Flat_state.index_min fs 0);
   Alcotest.(check int) "max" 1 (Flat_state.index_max fs 0);
   Alcotest.(check int) "other machine" 3 (Flat_state.index_max fs 1);
   let s = Flat_state.pend_split fs 0 ~job:3 in
@@ -411,7 +420,7 @@ let test_index_dormant_then_woken () =
   Alcotest.(check (float 0.)) "pending query: after" 1. s.Flat_state.count_after;
   Alcotest.(check bool) "woken invariant" true (Flat_state.invariant fs);
   List.iter (fun (i, id) -> assert (Flat_state.pend_remove fs i id)) [ (0, 2); (0, 0); (1, 3) ];
-  Alcotest.(check int) "after removes" 1 (Flat_state.index_min fs 0);
+  Alcotest.(check int) "after removes" 1 (Flat_state.index_max fs 0);
   Alcotest.(check int) "emptied" (-1) (Flat_state.index_max fs 1);
   Alcotest.(check bool) "invariant" true (Flat_state.invariant fs)
 
@@ -567,7 +576,7 @@ let state_words_excluding_sizes ~m ~n =
   ignore (Flat_state.head_density fs 0);
   ignore (Flat_state.head_size_id fs 0);
   ignore (Flat_state.head_fifo fs 0);
-  ignore (Flat_state.index_min fs 0);
+  ignore (Flat_state.index_max fs 0);
   let size_words = ref 0 in
   for k = 0 to n - 1 do
     let sizes = Array.init m (fun i -> float_of_int (1 + ((k + i) mod 7))) in
@@ -681,7 +690,7 @@ let prop_ids_refused_once_fed =
 
 let suite =
   [
-    qtest prop_of_instance_round_trip;
+    qtest prop_stream_round_trip;
     qtest prop_loc_codes;
     qtest prop_tag_round_trip;
     qtest prop_payload_round_trip;

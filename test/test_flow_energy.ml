@@ -65,8 +65,8 @@ let test_weighted_rejection_rule () =
     Test_util.weighted_instance ~alpha:3.
       [ (0., 1., [| 1000. |]); (0.1, 1.5, [| 1. |]); (0.2, 1.5, [| 1. |]) ]
   in
-  let s, st = run ~eps:0.5 ~gamma:1. inst in
-  Alcotest.(check int) "one rejection" 1 (FE.rejections st);
+  let s, _ = run ~eps:0.5 ~gamma:1. inst in
+  Alcotest.(check int) "one rejection" 1 (Metrics.rejection s).Metrics.count;
   match Schedule.outcome s 0 with
   | Outcome.Rejected r -> Alcotest.(check (float 1e-9)) "rejected at 0.2" 0.2 r.Outcome.time
   | Outcome.Completed _ -> Alcotest.fail "heavy-volume job should be rejected"

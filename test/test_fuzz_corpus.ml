@@ -7,7 +7,7 @@ module Corpus = Sched_fuzz.Corpus
 module Fuzz = Sched_fuzz.Fuzz
 module P = Sched_experiments.Policy_registry
 
-let corpus_dir = "fuzz_corpus"
+let corpus_dir = Test_util.data_dir "fuzz_corpus"
 
 let read_file path =
   let ic = open_in_bin path in
@@ -15,14 +15,11 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let corpus_files () =
-  Sys.readdir corpus_dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".case")
-  |> List.sort String.compare
-
 let test_seed_list () =
   let seeds = Corpus.seeds () in
-  Alcotest.(check int) "thirteen seed cases" 13 (List.length seeds);
+  Alcotest.(check int) "one seed per checked-in case"
+    (List.length (Test_util.corpus_files ()))
+    (List.length seeds);
   let names = List.map (fun c -> c.Corpus.name) seeds in
   Alcotest.(check int) "names distinct" (List.length names)
     (List.length (List.sort_uniq String.compare names));
@@ -48,7 +45,7 @@ let test_files_match_seeds () =
   let seeds = Corpus.seeds () in
   Alcotest.(check (list string)) "exactly the seed files on disk"
     (List.sort String.compare (List.map Corpus.filename seeds))
-    (corpus_files ());
+    (Test_util.corpus_files ());
   List.iter
     (fun c ->
       let path = Filename.concat corpus_dir (Corpus.filename c) in
@@ -70,7 +67,7 @@ let test_replay_clean () =
               match Fuzz.property_fails entry "oracle" c.Corpus.instance with
               | None -> ()
               | Some d -> Alcotest.failf "%s: %s is no longer oracle-clean: %s" file c.Corpus.policy d)))
-    (corpus_files ())
+    (Test_util.corpus_files ())
 
 let suite =
   [

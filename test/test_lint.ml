@@ -13,15 +13,7 @@ let scope name =
   | Some s -> s
   | None -> Alcotest.failf "unknown scope %S" name
 
-(* dune runtest runs with cwd _build/default/test; a direct
-   `dune exec test/test_main.exe` from the repo root must find the same
-   fixture tree (with its built .cmt files) inside _build. *)
-let fixture_base =
-  if Sys.file_exists "lint_fixtures" then "lint_fixtures"
-  else
-    Filename.concat
-      (Filename.concat "_build" "default")
-      (Filename.concat "test" "lint_fixtures")
+let fixture_base = Test_util.data_dir "lint_fixtures"
 
 let fixture name = Filename.concat fixture_base name
 
@@ -242,12 +234,14 @@ let test_suppress_scope_lines () =
                     let b () = Random.self_init ()\n"
   in
   let sup = RL.Suppress.scan src in
-  Alcotest.(check bool) "line below" true
-    (RL.Suppress.active sup ~line:2 RL.Rule.Nondet_source);
-  Alcotest.(check bool) "two below" false
-    (RL.Suppress.active sup ~line:3 RL.Rule.Nondet_source);
-  Alcotest.(check bool) "other rule" false
-    (RL.Suppress.active sup ~line:2 RL.Rule.Stray_io);
+  let silenced ~line rule =
+    RL.Suppress.filter sup
+      [ RL.Finding.make ~rule ~severity:RL.Rule.Error ~file:"inline.ml" ~line ~col:0 "" ]
+    = []
+  in
+  Alcotest.(check bool) "line below" true (silenced ~line:2 RL.Rule.Nondet_source);
+  Alcotest.(check bool) "two below" false (silenced ~line:3 RL.Rule.Nondet_source);
+  Alcotest.(check bool) "other rule" false (silenced ~line:2 RL.Rule.Stray_io);
   (* End to end: only the first violation is silenced. *)
   Alcotest.(check (list int)) "lines" [ 3 ] (lines (lint_src src))
 
@@ -382,8 +376,14 @@ let test_rule_roundtrip () =
     (fun id ->
       let name = RL.Rule.to_string id and code = RL.Rule.code id in
       Alcotest.(check bool) ("name " ^ name) true (RL.Rule.of_string name = Some id);
-      Alcotest.(check bool) ("code " ^ code) true (RL.Rule.of_string code = Some id))
+      Alcotest.(check bool) ("code " ^ code) true (RL.Rule.of_string code = Some id);
+      (* RJL1xx rules, RJL104 among them, run on the typed tier. *)
+      Alcotest.(check bool) ("tier " ^ code)
+        (String.compare code "RJL100" >= 0)
+        (RL.Rule.tier id = RL.Rule.Typed))
     RL.Rule.all;
+  Alcotest.(check bool) "test-only-export catalogued" true
+    (List.mem RL.Rule.Test_only_export RL.Rule.all);
   let codes = List.map RL.Rule.code RL.Rule.all in
   Alcotest.(check int) "codes unique"
     (List.length codes)

@@ -11,15 +11,7 @@
 
 module RL = Rejlint_lib
 
-(* See Test_lint.fixture_base: cwd is _build/default/test under dune
-   runtest, the repo root under a direct exec. *)
-let fixture_base =
-  let local = Filename.concat "lint_fixtures" "typed" in
-  if Sys.file_exists local then local
-  else
-    Filename.concat
-      (Filename.concat "_build" "default")
-      (Filename.concat "test" local)
+let fixture_base = Filename.concat (Test_util.data_dir "lint_fixtures") "typed"
 
 let fixture name = Filename.concat fixture_base name
 
@@ -113,6 +105,50 @@ let test_rjl103_ok () =
      branches are the allocation-free idiom the flat core uses. *)
   Alcotest.(check (list string)) "clean" [] (rules (lint "rjl103_ok.cmt"))
 
+(* --- RJL104: test-only exports ------------------------------------------ *)
+
+(* The fixture tree mirrors a repository: lib/ holds the exporting units
+   and a lib/ caller, test/ a test caller; each unit records its source
+   under that prefix, which is what the rule reads. *)
+let rjl104 ?(with_lib_caller = true) () =
+  let cmts =
+    [ "lib/rjl104_bad.cmt"; "lib/rjl104_allow.cmt"; "lib/rjl104_ord.cmt"; "test/rjl104_caller.cmt" ]
+    @ if with_lib_caller then [ "lib/rjl104_user.cmt" ] else []
+  in
+  let buf = Buffer.create 256 in
+  let code =
+    RL.Driver.run ~out:(Buffer.add_string buf) ("--root" :: fixture "rjl104" :: cmts)
+  in
+  let report = String.split_on_char '\n' (Buffer.contents buf) in
+  (code, List.filter (fun l -> Test_util.contains l "[error]") report, Buffer.contents buf)
+
+let test_rjl104 () =
+  let code, errors, out = rjl104 () in
+  Alcotest.(check int) "exit" 1 code;
+  (* The test-only value fires; the same value with an allow comment
+     does not. *)
+  Alcotest.(check (list string)) "one finding"
+    [
+      "lib/rjl104_bad.mli:4:0: [error] test-only-export (RJL104): exported value \
+       Rjl104_bad.test_only is used only by tests (test/rjl104_caller.ml)";
+    ]
+    errors;
+  (* An allow comment on a value lib/ calls is stale. *)
+  Alcotest.(check bool) "stale allow" true
+    (Test_util.contains out "lib/rjl104_allow.mli:7:0: [warning] stale-suppress (RJL009)")
+
+let test_rjl104_no_lib_caller () =
+  (* Without the lib/ caller, the value only the functor argument
+     reached has no caller at all, and the one the tests share with lib/
+     is test-only too. *)
+  let _, errors, _ = rjl104 ~with_lib_caller:false () in
+  Alcotest.(check int) "three findings" 3 (List.length errors);
+  Alcotest.(check bool) "no caller" true
+    (List.exists
+       (fun l ->
+         Test_util.contains l "Rjl104_ord.compare has no caller outside its own module")
+       errors)
+
 (* --- the repository under the typed tier ------------------------------- *)
 
 let repo_root () =
@@ -188,9 +224,9 @@ let test_hot_annotations_guarded () =
     [ "clock"; "set_clock"; "pend_add"; "pend_remove"; "next_event_before"; "lay_segment";
       "account_completion"; "account_rejection"; "outcome_completed"; "outcome_rejected";
       (* The pending sets' order-statistic index: insert, remove, the
-         prefix query behind lambda_ij, min and max. *)
-      "prio"; "ix_fix"; "ix_insert"; "ix_merge"; "ix_remove"; "ix_split"; "ix_leftmost";
-      "ix_rightmost"; "pend_split"; "index_min"; "index_max";
+         prefix query behind lambda_ij, and max. *)
+      "prio"; "ix_fix"; "ix_insert"; "ix_merge"; "ix_remove"; "ix_split"; "ix_rightmost";
+      "pend_split"; "index_max";
       (* The pending orders, which read the shared pending-size column,
          and the prefix query's probe, which reads the arrival's own
          size vector. *)
@@ -211,7 +247,7 @@ let test_hot_annotations_guarded () =
   in
   List.iter
     (fun name -> Alcotest.(check bool) ("ring hot: " ^ name) true (List.mem name ring_hot))
-    [ "append"; "set_int"; "set_float" ];
+    [ "append" ];
   let recorder_hot =
     RL.Typed_lint.hot_functions_of_cmt
       (cmt "lib/obs/.sched_obs.objs/byte/sched_obs__Recorder.cmt")
@@ -232,6 +268,8 @@ let suite =
     Alcotest.test_case "rjl102: pure registry clean" `Quick test_rjl102_ok;
     Alcotest.test_case "rjl103: boxed hot loop fires" `Quick test_rjl103_bad;
     Alcotest.test_case "rjl103: flat-core idiom clean" `Quick test_rjl103_ok;
+    Alcotest.test_case "rjl104: test-only export fires" `Quick test_rjl104;
+    Alcotest.test_case "rjl104: functor use and no caller" `Quick test_rjl104_no_lib_caller;
     Alcotest.test_case "meta: repository is typed-clean" `Quick test_repo_is_typed_clean;
     Alcotest.test_case "meta: hot annotations guarded" `Quick test_hot_annotations_guarded;
   ]

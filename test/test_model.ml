@@ -13,13 +13,13 @@ let test_job_create () =
   Alcotest.(check (float 0.)) "size 0" 3. (Job.size j 0);
   Alcotest.(check (float 0.)) "size 1" 5. (Job.size j 1);
   Alcotest.(check (float 0.)) "min size" 3. (Job.min_size j);
-  Alcotest.(check int) "best machine" 0 (Job.best_machine j);
+  Alcotest.(check int) "best machine" 0 j.Job.best_machine;
   Alcotest.(check bool) "eligible" true (Job.eligible j 1)
 
 let test_job_restricted () =
   let j = Job.create ~id:0 ~release:0. ~sizes:[| Float.infinity; 4. |] () in
   Alcotest.(check bool) "machine 0 ineligible" false (Job.eligible j 0);
-  Alcotest.(check int) "best machine" 1 (Job.best_machine j);
+  Alcotest.(check int) "best machine" 1 j.Job.best_machine;
   Alcotest.(check (float 0.)) "min size" 4. (Job.min_size j)
 
 let test_job_validation () =
@@ -74,7 +74,8 @@ let test_instance_basics () =
   Alcotest.(check int) "m" 2 (Instance.m inst);
   Alcotest.(check (float 1e-12)) "total weight" 3. (Instance.total_weight inst);
   Alcotest.(check (float 1e-12)) "min volume" (2. +. 1. +. 5.) (Instance.total_min_volume inst);
-  Alcotest.(check (float 1e-12)) "delta" 5. (Instance.delta inst);
+  Alcotest.(check bool) "delta" true
+    (Test_util.contains (Format.asprintf "%a" Instance.pp_stats inst) "delta=5 ");
   Alcotest.(check bool) "no deadlines" false (Instance.has_deadlines inst);
   (* Jobs sorted by release. *)
   let jobs = Instance.jobs_by_release inst in
@@ -270,7 +271,6 @@ let test_time () =
   Alcotest.(check bool) "equal with tolerance" true (Time.equal 1. (1. +. 1e-12));
   Alcotest.(check bool) "lt strict" true (Time.lt 1. 1.1);
   Alcotest.(check bool) "lt not for close" false (Time.lt 1. (1. +. 1e-12));
-  Alcotest.(check bool) "leq" true (Time.leq 1.1 1.1);
   Alcotest.(check bool) "nonneg tolerance" true (Time.nonneg (-1e-12));
   Alcotest.(check bool) "nonneg strict" false (Time.nonneg (-1.))
 
@@ -280,8 +280,6 @@ let test_outcome () =
   let j = Job.create ~id:0 ~release:2. ~sizes:[| 3. |] () in
   let completed = Outcome.Completed { machine = 0; start = 2.; speed = 1.; finish = 5. } in
   let rejected = Outcome.Rejected { time = 4.; assigned_to = Some 0; was_running = true } in
-  Alcotest.(check bool) "completed" true (Outcome.is_completed completed);
-  Alcotest.(check bool) "rejected" true (Outcome.is_rejected rejected);
   Alcotest.(check (float 0.)) "flow completed" 3. (Outcome.flow_time j completed);
   Alcotest.(check (float 0.)) "flow rejected" 2. (Outcome.flow_time j rejected);
   Alcotest.(check (float 0.)) "end time" 4. (Outcome.end_time rejected)

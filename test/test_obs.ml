@@ -33,11 +33,10 @@ let test_counter () =
 
 let test_gauge () =
   let g = Metric.Gauge.make () in
+  Alcotest.(check (float 0.)) "starts at 0" 0. (Metric.Gauge.value g);
   Metric.Gauge.set g 4.;
-  Metric.Gauge.inc g;
-  Metric.Gauge.dec g;
-  Metric.Gauge.add g (-1.5);
-  Alcotest.(check (float 0.)) "value" 2.5 (Metric.Gauge.value g)
+  Metric.Gauge.set g 2.5;
+  Alcotest.(check (float 0.)) "last set wins" 2.5 (Metric.Gauge.value g)
 
 (* --- registry ---------------------------------------------------------- *)
 
@@ -49,14 +48,14 @@ let test_registry_get_or_create () =
   Metric.Counter.inc b;
   (* Same cell: both increments visible through either handle. *)
   Alcotest.(check (float 0.)) "shared" 2. (Metric.Counter.value a);
-  Alcotest.(check int) "one entry" 1 (Registry.size reg)
+  Alcotest.(check int) "one entry" 1 (List.length (Registry.entries reg))
 
 let test_registry_label_normalization () =
   let reg = Registry.create () in
   let a = Registry.gauge reg ~labels:[ ("b", "2"); ("a", "1") ] "depth" in
   let b = Registry.gauge reg ~labels:[ ("a", "1"); ("b", "2") ] "depth" in
-  Metric.Gauge.inc a;
-  Metric.Gauge.inc b;
+  Metric.Gauge.set a 1.;
+  Metric.Gauge.set b 2.;
   Alcotest.(check (float 0.)) "same cell" 2. (Metric.Gauge.value a);
   match Registry.find reg ~name:"depth" ~labels:[ ("b", "2"); ("a", "1") ] with
   | None -> Alcotest.fail "find failed"
@@ -433,7 +432,7 @@ let test_restart_counter () =
    else. *)
 let test_timed_obs_counters_only () =
   Alcotest.(check int) "a fresh handle records nothing" 0
-    (Registry.size (O.Obs.registry (O.Obs.create ())));
+    (List.length (Registry.entries (O.Obs.registry (O.Obs.create ()))));
   let inst = Test_util.random_instance ~seed:13 ~n:25 ~m:2 () in
   let export obs =
     ignore (Sched_sim.Driver.run ~obs Sched_baselines.Greedy_dispatch.spt inst);

@@ -1,14 +1,17 @@
-(* Stats.Parallel: input-ordered results and worker-exception re-raise —
-   the contract the experiments and the bench harness lean on. *)
+(* Pool.parallel_map on pools of several widths: input-ordered results
+   and worker-exception re-raise — the contract the experiments and the
+   bench harness lean on. *)
 
-module P = Sched_stats.Parallel
+module Pool = Sched_stats.Pool
+
+let map_array ~domains f a = Pool.with_pool ~domains (fun pool -> Pool.parallel_map pool f a)
 
 let test_input_order () =
   let a = Array.init 101 (fun i -> i) in
   let expected = Array.map (fun x -> x * x) a in
   List.iter
     (fun domains ->
-      let got = P.map_array ~domains (fun x -> x * x) a in
+      let got = map_array ~domains (fun x -> x * x) a in
       Alcotest.(check (array int)) (Printf.sprintf "domains=%d" domains) expected got)
     [ 1; 2; 4; 8 ]
 
@@ -24,12 +27,12 @@ let test_uneven_work_still_ordered () =
     (x, !acc)
   in
   let seq = Array.map f a in
-  let par = P.map_array ~domains:4 f a in
+  let par = map_array ~domains:4 f a in
   Alcotest.(check bool) "ordered despite uneven work" true (seq = par)
 
 let test_empty_and_singleton () =
-  Alcotest.(check (array int)) "empty" [||] (P.map_array ~domains:4 (fun x -> x) [||]);
-  Alcotest.(check (array int)) "singleton" [| 9 |] (P.map_array ~domains:4 (fun x -> x * x) [| 3 |])
+  Alcotest.(check (array int)) "empty" [||] (map_array ~domains:4 (fun x -> x) [||]);
+  Alcotest.(check (array int)) "singleton" [| 9 |] (map_array ~domains:4 (fun x -> x * x) [| 3 |])
 
 let test_exception_reraised () =
   List.iter
@@ -39,7 +42,7 @@ let test_exception_reraised () =
         (Failure "boom-37")
         (fun () ->
           ignore
-            (P.map_array ~domains
+            (map_array ~domains
                (fun x -> if x = 37 then failwith "boom-37" else x)
                (Array.init 64 (fun i -> i)))))
     [ 1; 4 ]
@@ -47,7 +50,7 @@ let test_exception_reraised () =
 let test_map_list () =
   let l = List.init 33 (fun i -> i) in
   Alcotest.(check (list int)) "map_list ordered" (List.map (fun x -> x + 1) l)
-    (P.map_list ~domains:4 (fun x -> x + 1) l)
+    (Pool.with_pool ~domains:4 (fun pool -> Pool.parallel_map_list pool (fun x -> x + 1) l))
 
 let suite =
   [

@@ -19,13 +19,15 @@ let qcheck_map_equiv =
       Pool.with_pool ~domains (fun pool ->
           Pool.parallel_map ~chunk_size pool mix a = expected))
 
+(* parallel_map's chunked path is the pool's parallel_for: each index is
+   applied exactly once. *)
 let qcheck_for_equiv =
   QCheck.Test.make ~count:40 ~name:"parallel_for touches each index once"
     QCheck.(pair (int_bound 150) (int_range 1 5))
     (fun (n, domains) ->
       let hits = Array.make n 0 in
       Pool.with_pool ~domains (fun pool ->
-          Pool.parallel_for pool n (fun i -> hits.(i) <- hits.(i) + mix i));
+          ignore (Pool.parallel_map pool (fun i -> hits.(i) <- hits.(i) + mix i) (Array.init n Fun.id)));
       hits = Array.init n (fun i -> mix i))
 
 (* --- ordering and shapes ---------------------------------------------- *)
@@ -39,8 +41,7 @@ let test_map_list () =
 let test_empty_singleton () =
   Pool.with_pool ~domains:4 (fun pool ->
       Alcotest.(check (array int)) "empty" [||] (Pool.parallel_map pool mix [||]);
-      Alcotest.(check (array int)) "singleton" [| mix 5 |] (Pool.parallel_map pool mix [| 5 |]);
-      Pool.parallel_for pool 0 (fun _ -> Alcotest.fail "parallel_for 0 must not call f"))
+      Alcotest.(check (array int)) "singleton" [| mix 5 |] (Pool.parallel_map pool mix [| 5 |]))
 
 let test_uneven_work_ordered () =
   let a = Array.init 64 (fun i -> i) in
@@ -77,7 +78,7 @@ let test_nested_submission () =
                 (* Inner region without an explicit pool: must resolve to
                    the ambient pool, i.e. the enclosing one. *)
                 ambient_sizes.(i) <- Pool.size (Pool.ambient ());
-                Sched_stats.Parallel.map_array (fun j -> mix ((i * 16) + j))
+                Pool.parallel_map (Pool.ambient ()) (fun j -> mix ((i * 16) + j))
                   (Array.init 16 (fun j -> j)))
               (Array.init 8 (fun i -> i))
           in
@@ -108,10 +109,8 @@ let test_deep_nesting () =
 let test_create_validates_width () =
   List.iter
     (fun domains ->
-      match Pool.create ~domains () with
-      | pool ->
-          Pool.shutdown pool;
-          Alcotest.failf "domains=%d accepted" domains
+      match Pool.with_pool ~domains ignore with
+      | () -> Alcotest.failf "domains=%d accepted" domains
       | exception Invalid_argument _ -> ())
     [ 0; -4 ]
 
@@ -152,11 +151,9 @@ let test_pool_survives_failure () =
 (* --- lifecycle ---------------------------------------------------------- *)
 
 let test_shutdown_semantics () =
-  let pool = Pool.create ~domains:3 () in
+  (* with_pool shuts the pool down on the way out. *)
+  let pool = Pool.with_pool ~domains:3 Fun.id in
   Alcotest.(check int) "size" 3 (Pool.size pool);
-  Pool.shutdown pool;
-  Pool.shutdown pool;
-  (* Idempotent. *)
   Alcotest.check_raises "submit after shutdown" (Invalid_argument "Sched_stats.Pool: pool is shut down")
     (fun () -> ignore (Pool.parallel_map pool mix (Array.init 8 (fun i -> i))))
 
@@ -170,7 +167,7 @@ let test_default_pool_resize () =
   Pool.set_default_domains 3;
   Alcotest.(check int) "resized to 3" 3 (Pool.size (Pool.default ()));
   Alcotest.(check (array int)) "default pool maps" (Array.init 9 (fun i -> mix i))
-    (Sched_stats.Parallel.map_array mix (Array.init 9 (fun i -> i)));
+    (Pool.parallel_map (Pool.ambient ()) mix (Array.init 9 (fun i -> i)));
   Pool.set_default_domains saved;
   Alcotest.(check int) "restored" saved (Pool.size (Pool.default ()))
 

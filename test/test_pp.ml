@@ -27,7 +27,7 @@ let test_outcome_pp () =
   Alcotest.(check bool) "rejected mid-run" true (Test_util.contains (render Outcome.pp r) "mid-run")
 
 let test_summary_pp () =
-  let s = Sched_stats.Summary.of_list [ 1.; 2.; 3. ] in
+  let s = Sched_stats.Summary.of_array [| 1.; 2.; 3. |] in
   Alcotest.(check bool) "mean present" true
     (Test_util.contains (render Sched_stats.Summary.pp s) "mean=2")
 

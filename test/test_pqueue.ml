@@ -26,7 +26,6 @@ let test_peek () =
   let q = E.create () in
   E.push q ~key:1. ~tag:0 ~payload:42;
   Alcotest.(check (float 0.)) "key" 1. (E.peek_key q);
-  Alcotest.(check int) "size unchanged" 1 (E.size q);
   Alcotest.(check bool) "pop_before refuses a later key" false (E.pop_before q ~limit:0.5);
   Alcotest.(check bool) "pop_before takes an earlier key" true (E.pop_before q ~limit:1.);
   Alcotest.(check int) "value" 42 (E.payload q)

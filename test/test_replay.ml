@@ -88,13 +88,13 @@ let test_summary_order_independent () =
   let show s =
     Format.asprintf "%a" Sched_stats.Summary.pp s
   in
-  let reference = show (Sched_stats.Summary.of_list samples) in
+  let reference = show (Sched_stats.Summary.of_array (Array.of_list samples)) in
   List.iter
     (fun seed ->
       Alcotest.(check string)
         (Printf.sprintf "summary, permutation seed %d" seed)
         reference
-        (show (Sched_stats.Summary.of_list (permute ~seed samples))))
+        (show (Sched_stats.Summary.of_array (Array.of_list (permute ~seed samples)))))
     [ 3; 19; 71 ]
 
 let test_parallel_equals_sequential_runs () =
@@ -104,7 +104,10 @@ let test_parallel_equals_sequential_runs () =
   in
   let e = Option.get (PR.find "flow-reject") in
   let sequential = Array.map (dump e) insts in
-  let parallel = Sched_stats.Parallel.map_array ~domains:4 (dump e) insts in
+  let parallel =
+    Sched_stats.Pool.with_pool ~domains:4 (fun pool ->
+        Sched_stats.Pool.parallel_map pool (dump e) insts)
+  in
   Array.iteri
     (fun k s ->
       Alcotest.(check string) (Printf.sprintf "instance %d" k) s parallel.(k))

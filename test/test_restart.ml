@@ -86,7 +86,7 @@ let test_restart_policy_serves_everything () =
       | Ok () -> true
       | Error _ -> false)
       && (Metrics.rejection s).Metrics.count = 0
-      && List.length (Schedule.completed_jobs s) = 80)
+      && Test_util.completed_count s = 80)
   |> QCheck_alcotest.to_alcotest
 
 let test_restart_cap_respected () =

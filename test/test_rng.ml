@@ -3,12 +3,12 @@ open Sched_stats
 let test_determinism () =
   let a = Rng.create 42 and b = Rng.create 42 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Rng.int64 a) (Rng.int64 b)
+    Alcotest.(check (float 0.)) "same stream" (Rng.float a) (Rng.float b)
   done
 
 let test_seed_sensitivity () =
   let a = Rng.create 1 and b = Rng.create 2 in
-  Alcotest.(check bool) "different seeds differ" true (Rng.int64 a <> Rng.int64 b)
+  Alcotest.(check bool) "different seeds differ" true (Rng.float a <> Rng.float b)
 
 let test_float_range_unit () =
   let rng = Rng.create 7 in
@@ -38,15 +38,15 @@ let test_split_independence () =
   (* Consuming the child must not affect the parent's continuation. *)
   let parent' = Rng.copy parent in
   for _ = 1 to 10 do
-    ignore (Rng.int64 child)
+    ignore (Rng.float child)
   done;
-  Alcotest.(check int64) "parent unaffected by child" (Rng.int64 parent') (Rng.int64 parent)
+  Alcotest.(check (float 0.)) "parent unaffected by child" (Rng.float parent') (Rng.float parent)
 
 let test_copy () =
   let a = Rng.create 11 in
-  ignore (Rng.int64 a);
+  ignore (Rng.float a);
   let b = Rng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Rng.int64 a) (Rng.int64 b)
+  Alcotest.(check (float 0.)) "copy continues identically" (Rng.float a) (Rng.float b)
 
 let test_exponential_positive () =
   let rng = Rng.create 13 in
@@ -108,24 +108,27 @@ let test_parallel_map_matches_sequential () =
   let f x = x * x in
   Alcotest.(check (array int)) "same results"
     (Array.map f input)
-    (Parallel.map_array ~domains:4 f input)
+    (Pool.with_pool ~domains:4 (fun pool -> Pool.parallel_map pool f input))
 
 let test_parallel_map_order () =
   let l = [ 5; 1; 9; 3 ] in
   Alcotest.(check (list int)) "order preserved" [ 10; 2; 18; 6 ]
-    (Parallel.map_list ~domains:3 (fun x -> 2 * x) l)
+    (Pool.with_pool ~domains:3 (fun pool -> Pool.parallel_map_list pool (fun x -> 2 * x) l))
 
 let test_parallel_exception () =
   Alcotest.(check bool) "worker exception propagates" true
     (try
-       ignore (Parallel.map_array ~domains:2 (fun x -> if x = 7 then failwith "boom" else x)
-                 (Array.init 16 Fun.id));
+       ignore
+         (Pool.with_pool ~domains:2 (fun pool ->
+              Pool.parallel_map pool (fun x -> if x = 7 then failwith "boom" else x)
+                (Array.init 16 Fun.id)));
        false
      with Failure _ -> true)
 
 let test_parallel_empty_and_single () =
-  Alcotest.(check (array int)) "empty" [||] (Parallel.map_array (fun x -> x) [||]);
-  Alcotest.(check (list int)) "singleton" [ 4 ] (Parallel.map_list (fun x -> x + 1) [ 3 ])
+  let pool = Pool.ambient () in
+  Alcotest.(check (array int)) "empty" [||] (Pool.parallel_map pool (fun x -> x) [||]);
+  Alcotest.(check (list int)) "singleton" [ 4 ] (Pool.parallel_map_list pool (fun x -> x + 1) [ 3 ])
 
 let suite =
   suite

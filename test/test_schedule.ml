@@ -18,8 +18,8 @@ let test_valid_schedule () =
   (match Schedule.validate s with
   | Ok () -> ()
   | Error es -> Alcotest.failf "unexpected: %s" (String.concat "; " es));
-  Alcotest.(check int) "completed" 2 (List.length (Schedule.completed_jobs s));
-  Alcotest.(check int) "rejected" 0 (List.length (Schedule.rejected_jobs s))
+  Alcotest.(check int) "completed" 2 (Test_util.completed_count s);
+  Alcotest.(check int) "rejected" 0 (Metrics.rejection s).Metrics.count
 
 let test_missing_outcome () =
   let inst = two_job_instance () in

@@ -1,7 +1,7 @@
 open Sched_stats
 
 let test_summary_known () =
-  let s = Summary.of_list [ 1.; 2.; 3.; 4.; 5. ] in
+  let s = Summary.of_array [| 1.; 2.; 3.; 4.; 5. |] in
   Alcotest.(check int) "count" 5 s.Summary.count;
   Alcotest.(check (float 1e-9)) "mean" 3. s.Summary.mean;
   Alcotest.(check (float 1e-9)) "min" 1. s.Summary.min;
@@ -11,7 +11,7 @@ let test_summary_known () =
   Alcotest.(check (float 1e-9)) "stddev" (sqrt 2.5) s.Summary.stddev
 
 let test_summary_single () =
-  let s = Summary.of_list [ 7. ] in
+  let s = Summary.of_array [| 7. |] in
   Alcotest.(check (float 1e-9)) "p90 single" 7. s.Summary.p90;
   Alcotest.(check (float 1e-9)) "stddev single" 0. s.Summary.stddev
 
@@ -20,10 +20,10 @@ let test_summary_empty () =
       ignore (Summary.of_array [||]))
 
 let test_percentile_interpolation () =
-  let sorted = [| 0.; 10. |] in
-  Alcotest.(check (float 1e-9)) "p50 interp" 5. (Summary.percentile sorted 0.5);
-  Alcotest.(check (float 1e-9)) "p0" 0. (Summary.percentile sorted 0.);
-  Alcotest.(check (float 1e-9)) "p100" 10. (Summary.percentile sorted 1.)
+  let s = Summary.of_array [| 10.; 0. |] in
+  Alcotest.(check (float 1e-9)) "p50 interp" 5. s.Summary.p50;
+  Alcotest.(check (float 1e-9)) "p90 interp" 9. s.Summary.p90;
+  Alcotest.(check (float 1e-9)) "p99 interp" 9.9 s.Summary.p99
 
 let test_geometric_mean () =
   Alcotest.(check (float 1e-9)) "gm" 2. (Summary.geometric_mean [ 1.; 4. ]);
@@ -81,16 +81,16 @@ let suite =
   ]
 
 let test_histogram_counts () =
-  let h = Histogram.create ~bins:2 [| 0.; 1.; 2.; 3.; 4. |] in
+  let h = Histogram.log_bins ~bins:2 [| 1.; 2.; 4.; 8.; 16. |] in
   match Histogram.counts h with
   | [ (lo1, _, c1); (_, hi2, c2) ] ->
-      Alcotest.(check (float 1e-9)) "first lo" 0. lo1;
-      Alcotest.(check (float 1e-9)) "last hi" 4. hi2;
+      Alcotest.(check (float 1e-9)) "first lo" 1. lo1;
+      Alcotest.(check (float 1e-9)) "last hi" 16. hi2;
       Alcotest.(check int) "total count" 5 (c1 + c2)
   | _ -> Alcotest.fail "two bins"
 
 let test_histogram_render () =
-  let h = Histogram.create [| 1.; 1.; 5. |] in
+  let h = Histogram.log_bins [| 1.; 1.; 5. |] in
   let out = Histogram.render ~width:20 h in
   Alcotest.(check bool) "has bars" true (Test_util.contains out "#")
 
@@ -105,14 +105,13 @@ let test_queueing_formulas () =
   (* M/M/1 via the general M/G/1 form. *)
   let es, es2 = Queueing.moments_exponential ~mean:2. in
   let general = Queueing.mg1_mean_flow ~lambda:0.25 ~es ~es2 in
-  let special = Queueing.mm1_mean_flow ~lambda:0.25 ~mu:0.5 in
-  Alcotest.(check (float 1e-9)) "M/M/1 consistency" special general;
+  (* M/M/1: 1 / (mu - lambda) with mu = 1/2. *)
+  Alcotest.(check (float 1e-9)) "M/M/1 consistency" (1. /. (0.5 -. 0.25)) general;
   (* Deterministic service halves the waiting of exponential. *)
-  let wait_exp = Queueing.mg1_mean_wait ~lambda:0.25 ~es:2. ~es2:8. in
-  let wait_det = Queueing.mg1_mean_wait ~lambda:0.25 ~es:2. ~es2:4. in
-  Alcotest.(check (float 1e-9)) "P-K variance effect" (wait_exp /. 2.) wait_det;
+  let wait es2 = Queueing.mg1_mean_flow ~lambda:0.25 ~es:2. ~es2 -. 2. in
+  Alcotest.(check (float 1e-9)) "P-K variance effect" (wait 8. /. 2.) (wait 4.);
   Alcotest.(check bool) "unstable rejected" true
-    (try ignore (Queueing.mg1_mean_wait ~lambda:1. ~es:2. ~es2:4.); false
+    (try ignore (Queueing.mg1_mean_flow ~lambda:1. ~es:2. ~es2:4.); false
      with Invalid_argument _ -> true)
 
 let test_moments () =

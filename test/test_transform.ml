@@ -62,7 +62,15 @@ let test_scale_sizes_increases_flow () =
   let gen = Sched_workload.Suite.flow_uniform ~n:40 ~m:2 in
   let inst = Sched_workload.Gen.instance gen ~seed:3 in
   let base = flow_of Sched_baselines.Greedy_dispatch.spt inst in
-  let heavier = flow_of Sched_baselines.Greedy_dispatch.spt (T.scale_sizes 2. inst) in
+  let doubled =
+    Instance.create ~machines:inst.Instance.machines
+      ~jobs:
+        (List.map
+           (fun (j : Job.t) -> Job.with_sizes j (Array.map (fun p -> 2. *. p) j.Job.sizes))
+           (Array.to_list (Instance.jobs_by_release inst)))
+      ()
+  in
+  let heavier = flow_of Sched_baselines.Greedy_dispatch.spt doubled in
   Alcotest.(check bool) "doubling sizes at fixed arrivals increases flow" true (heavier > base)
 
 let test_energy_scaling_law () =

@@ -5,6 +5,22 @@ let contains haystack needle =
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+(* A directory of test data: fuzz_corpus, snapshots, lint_fixtures.
+   dune runtest runs with cwd _build/default/test; a suite run straight
+   from the repository root (dune exec test/test_main.exe -- test NAME)
+   finds the same tree, built fixture .cmt files included, under
+   _build/default/test. *)
+let data_dir name =
+  if Sys.file_exists name then name
+  else Filename.concat (Filename.concat "_build" "default") (Filename.concat "test" name)
+
+(* The checked-in corpus cases' file names, sorted. *)
+let corpus_files () =
+  Sys.readdir (data_dir "fuzz_corpus")
+  |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".case")
+  |> List.sort String.compare
+
 (* A tiny fixed instance: m machines, jobs given as (release, sizes). *)
 let instance ?(name = "fixture") ?(machines = 1) jobs =
   let jobs =
@@ -37,6 +53,14 @@ let deadline_instance ?(name = "fixture") ?(machines = 1) ?(alpha = 3.) jobs =
   Sched_model.Instance.create ~name
     ~machines:(Sched_model.Machine.fleet ~alpha machines)
     ~jobs ()
+
+let completed_count (s : Sched_model.Schedule.t) =
+  let open Sched_model in
+  Array.fold_left
+    (fun n (j : Job.t) ->
+      match Schedule.outcome s j.Job.id with Outcome.Completed _ -> n + 1 | Outcome.Rejected _ -> n)
+    0
+    (Instance.jobs_by_release s.Schedule.instance)
 
 let total_flow schedule =
   (Sched_model.Metrics.flow schedule).Sched_model.Metrics.total_with_rejected

@@ -85,12 +85,17 @@ let test_weights () =
 
 let rng () = Rng.create 77
 
+let shape_sizes shape rng ~base ~m =
+  let v = Array.make m 0. in
+  Shape.fill shape rng ~base v;
+  v
+
 let test_shape_identical () =
-  let v = Shape.sizes Shape.identical (rng ()) ~base:3. ~m:4 in
+  let v = shape_sizes Shape.identical (rng ()) ~base:3. ~m:4 in
   Array.iter (fun p -> Alcotest.(check (float 0.)) "identical" 3. p) v
 
 let test_shape_related () =
-  let v = Shape.sizes (Shape.related ~speeds:[| 1.; 2. |]) (rng ()) ~base:4. ~m:2 in
+  let v = shape_sizes (Shape.related ~speeds:[| 1.; 2. |]) (rng ()) ~base:4. ~m:2 in
   Alcotest.(check (float 1e-12)) "slow machine" 4. v.(0);
   Alcotest.(check (float 1e-12)) "fast machine" 2. v.(1)
 
@@ -98,7 +103,7 @@ let test_shape_unrelated_spread () =
   let shape = Shape.unrelated ~spread:2. in
   let r = rng () in
   for _ = 1 to 50 do
-    let v = Shape.sizes shape r ~base:10. ~m:3 in
+    let v = shape_sizes shape r ~base:10. ~m:3 in
     Array.iter (fun p -> Alcotest.(check bool) "within spread" true (p >= 5. && p <= 20.)) v
   done
 
@@ -106,7 +111,7 @@ let test_shape_restricted_always_eligible () =
   let shape = Shape.restricted ~eligible_prob:0.2 in
   let r = rng () in
   for _ = 1 to 100 do
-    let v = Shape.sizes shape r ~base:1. ~m:5 in
+    let v = shape_sizes shape r ~base:1. ~m:5 in
     Alcotest.(check bool) "one finite" true (Array.exists Float.is_finite v)
   done
 
@@ -114,7 +119,7 @@ let test_shape_clustered () =
   let shape = Shape.clustered ~clusters:2 ~penalty:3. in
   let r = rng () in
   for _ = 1 to 50 do
-    let v = Shape.sizes shape r ~base:2. ~m:4 in
+    let v = shape_sizes shape r ~base:2. ~m:4 in
     Array.iter
       (fun p -> Alcotest.(check bool) "base or penalized" true (p = 2. || p = 6.))
       v;
