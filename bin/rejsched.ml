@@ -10,7 +10,8 @@
      bounds      print the paper's theoretical constants for given eps/alpha
      list        list workloads, policies and experiments
 
-   Exit codes: 0 success, 2 usage error, 3 oracle violation found by fuzz. *)
+   Exit codes: 0 success, 2 usage error, 3 oracle violation (found by fuzz, or
+   in the schedule run makes). *)
 
 open Cmdliner
 open Sched_model
@@ -136,55 +137,114 @@ let run_cmd =
       trace_ndjson domains =
     apply_domains domains;
     let gen = apply_sizes (workload_of_name ~n ~m workload) sizes in
-    let inst =
-      match (load, swf) with
-      | Some path, _ -> (
+    (* A whole instance is held only when it is read from a file or saved
+       to one; otherwise the generator draws each job as it is fed. *)
+    let instance =
+      match (load, swf, save) with
+      | Some path, _, _ -> (
           match Serialize.load_instance ~path with
-          | Ok inst -> inst
+          | Ok inst -> Some inst
           | Error msg ->
               prerr_endline ("failed to load instance: " ^ msg);
               exit 1)
-      | None, Some path -> (
+      | None, Some path, _ -> (
           match Sched_workload.Swf.load ~path ~max_jobs:n ~m () with
-          | Ok inst -> inst
+          | Ok inst -> Some inst
           | Error msg ->
               prerr_endline ("failed to import SWF trace: " ^ msg);
               exit 1)
-      | None, None -> Gen.instance gen ~seed
+      | None, None, Some _ -> Some (Gen.instance gen ~seed)
+      | None, None, None -> None
     in
-    (match save with Some path -> Serialize.save_instance ~path inst | None -> ());
+    (match (save, instance) with
+    | Some path, Some inst -> Serialize.save_instance ~path inst
+    | _ -> ());
+    let name, machines, jobs =
+      match instance with
+      | Some inst ->
+          (inst.Instance.name, inst.Instance.machines, Array.to_seq (Instance.jobs_by_release inst))
+      | None -> (Gen.label gen ~seed, Gen.fleet gen, Gen.jobs gen ~seed)
+    in
+    let module D = Sched_sim.Driver in
+    let module Trace = Sched_sim.Trace in
+    let module Check = Sched_check.Stream_check in
     let obs = match telemetry with None -> None | Some _ -> Some (Sched_obs.Obs.create ()) in
-    let trace = match trace_ndjson with None -> None | Some _ -> Some (Sched_sim.Trace.create ()) in
+    (* The session's row sink.  Each arrival's rows go to the checker and
+       to --trace-ndjson, then are released, so the trace holds one
+       arrival's rows at a time. *)
+    let trace = Trace.create () in
+    let check = Check.create ~machines:(Array.length machines) () in
+    let lines = Buffer.create 65536 in
+    let sink =
+      match trace_ndjson with None -> None | Some "-" -> Some stdout | Some path -> Some (open_out path)
+    in
+    (* On stdout the trace lines follow the telemetry snapshot, which is
+       only known at close, so they wait when both go there. *)
+    let hold = trace_ndjson = Some "-" && telemetry = Some "-" in
+    let take_rows () =
+      Check.rows check (Trace.recorder trace) ~newest:(Trace.unreleased trace);
+      (match sink with
+      | Some oc ->
+          Sched_sim.Trace_export.add_lines lines trace;
+          if (not hold) && Buffer.length lines >= 65536 then begin
+            Buffer.output_buffer oc lines;
+            Buffer.clear lines
+          end
+      | None -> ());
+      Trace.release trace (Trace.length trace)
+    in
+    (* The volume bound, added up in feed order as Lower_bounds.volume
+       adds it up over a whole instance (on the fleet as given: esa's
+       speed-up is the algorithm's, not OPT's). *)
+    let min_time = Sched_baselines.Lower_bounds.min_time machines in
+    let lb = ref 0. in
+    (* Only the schedule-drawing flags need the schedule: otherwise the
+       session retires each job once it settles. *)
+    let retire = not (gantt || Option.is_some svg || Option.is_some segments) in
+    let drive policy fleet =
+      let s = D.Session.open_session ~trace ?obs ~retire ~name ~machines:fleet policy in
+      Seq.iter
+        (fun (j : Job.t) ->
+          D.Session.feed s j;
+          Check.feed check j;
+          lb := !lb +. min_time j;
+          D.Session.drain_until s j.Job.release;
+          take_rows ())
+        jobs;
+      let schedule, _, live = D.Session.close s in
+      take_rows ();
+      (schedule, live)
+    in
     let module FR = Rejection.Flow_reject in
     let module GD = Sched_baselines.Greedy_dispatch in
-    let schedule_of p =
-      let sch, _, _ = Sched_sim.Driver.run ?trace ?obs p inst in
-      sch
-    in
-    let schedule =
+    let module IR = Sched_baselines.Immediate_reject in
+    let module SA = Sched_baselines.Speed_augmented in
+    let schedule, live =
       match policy with
-      | "thm1" -> fst (FR.run ?trace ?obs (FR.config ~eps ()) inst)
-      | "thm1-rule1" -> fst (FR.run ?trace ?obs (FR.config ~eps ~rule2:false ()) inst)
-      | "thm1-rule2" -> fst (FR.run ?trace ?obs (FR.config ~eps ~rule1:false ()) inst)
-      | "fifo" -> schedule_of GD.fifo
-      | "spt" -> schedule_of GD.spt
-      | "immediate" ->
-          schedule_of
-            (Sched_baselines.Immediate_reject.policy ~eps
-               (Sched_baselines.Immediate_reject.Largest_over 2.))
-      | "esa" -> Sched_baselines.Speed_augmented.run ?trace ?obs ~eps_s:0.5 ~eps_r:eps inst
+      | "thm1" -> drive (FR.policy (FR.config ~eps ())) machines
+      | "thm1-rule1" -> drive (FR.policy (FR.config ~eps ~rule2:false ())) machines
+      | "thm1-rule2" -> drive (FR.policy (FR.config ~eps ~rule1:false ())) machines
+      | "fifo" -> drive GD.fifo machines
+      | "spt" -> drive GD.spt machines
+      | "immediate" -> drive (IR.policy ~eps (IR.Largest_over 2.)) machines
+      | "esa" -> drive (SA.policy ~eps_r:eps) (SA.fleet ~eps_s:0.5 machines)
       | other -> invalid_arg (Printf.sprintf "unknown policy %S" other)
     in
+    Check.close check;
     (match (telemetry, obs) with
     | Some target, Some o -> write_output target (Sched_obs.Export.json (Sched_obs.Obs.registry o))
     | _ -> ());
-    (match (trace_ndjson, trace) with
-    | Some target, Some t -> write_output target (Sched_sim.Trace_export.to_ndjson t)
-    | _ -> ());
-    Schedule.assert_valid ~check_deadlines:false schedule;
-    let f = Metrics.flow schedule in
-    let r = Metrics.rejection schedule in
-    let lb = Sched_baselines.Lower_bounds.volume inst in
+    (match sink with
+    | Some oc ->
+        Buffer.output_buffer oc lines;
+        if oc != stdout then close_out oc
+    | None -> ());
+    (match Check.violations check with
+    | [] -> ()
+    | vs ->
+        Format.eprintf "rejsched: invalid schedule: %a@." Sched_check.Violation.pp_list vs;
+        exit 3);
+    let f = live.D.flow and r = live.D.rejection in
     let table =
       Sched_stats.Table.create
         ~title:(Printf.sprintf "%s on %s (n=%d m=%d seed=%d)" policy workload n m seed)
@@ -199,22 +259,25 @@ let run_cmd =
         [ "max flow"; cell f.Metrics.max_flow ];
         [ "mean flow"; cell f.Metrics.mean_flow ];
         [ "max stretch"; cell f.Metrics.max_stretch ];
-        [ "makespan"; cell (Metrics.makespan schedule) ];
+        [ "makespan"; cell live.D.makespan ];
         [ "rejected jobs"; Sched_stats.Table.cell_int r.Metrics.count ];
         [ "rejected fraction"; cell r.Metrics.fraction ];
         [ "rejected mid-run"; Sched_stats.Table.cell_int r.Metrics.mid_run ];
-        [ "volume lower bound"; cell lb.Sched_baselines.Lower_bounds.value ];
-        [ "flow / volume-LB"; cell (f.Metrics.total_with_rejected /. lb.Sched_baselines.Lower_bounds.value) ];
+        [ "volume lower bound"; cell !lb ];
+        [ "flow / volume-LB"; cell (f.Metrics.total_with_rejected /. !lb) ];
         [ "Theorem 1 bound"; cell (Rejection.Bounds.flow_competitive ~eps) ];
       ];
     if csv then print_string (Sched_stats.Table.to_csv table) else Sched_stats.Table.print table;
-    if gantt then print_string (Gantt.render schedule);
-    (match svg with Some path -> Svg.save ~path schedule | None -> ());
-    match segments with
-    | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc (Serialize.segments_to_csv schedule))
+    match schedule with
     | None -> ()
+    | Some schedule -> (
+        if gantt then print_string (Gantt.render schedule);
+        (match svg with Some path -> Svg.save ~path schedule | None -> ());
+        match segments with
+        | Some path ->
+            Out_channel.with_open_text path (fun oc ->
+                Out_channel.output_string oc (Serialize.segments_to_csv schedule))
+        | None -> ())
   in
   let term =
     Term.(

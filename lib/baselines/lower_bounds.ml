@@ -2,35 +2,36 @@ open Sched_model
 
 type bound = { value : float; source : string }
 
-(* [sum_j min_i p_ij / s_i] as plain [<] scans: sizes are positive and
-   never NaN and speeds positive and finite, so every quotient is a
-   positive non-NaN, an ineligible machine's is [infinity] and never
-   wins, and the sum has the bits of the [Float.min] fold over eligible
-   machines.  On a fleet of one speed [s] no job is scanned: rounding is
-   monotone, so [min_i fl(p_ij / s) = fl((min_i p_ij) / s)], and
-   [Job.min_size] (O(1), its leftmost minimal machine's size) gives the
-   same bits. *)
-let volume instance =
-  let machines = instance.Instance.machines in
-  let jobs = Instance.jobs_by_release instance in
+(* [min_i p_ij / s_i] as a plain [<] scan: sizes are positive and never
+   NaN and speeds positive and finite, so every quotient is a positive
+   non-NaN, an ineligible machine's is [infinity] and never wins, and the
+   result has the bits of the [Float.min] fold over eligible machines.  On
+   a fleet of one speed [s] no size is scanned: rounding is monotone, so
+   [min_i fl(p_ij / s) = fl((min_i p_ij) / s)], and [Job.min_size] (O(1),
+   its leftmost minimal machine's size) gives the same bits. *)
+let min_time machines =
   let s = machines.(0).Machine.speed in
-  let total = ref 0. in
   if Array.for_all (fun (mc : Machine.t) -> Float.equal mc.Machine.speed s) machines then
-    for k = 0 to Array.length jobs - 1 do
-      total := !total +. (Job.min_size jobs.(k) /. s)
-    done
+    fun j -> Job.min_size j /. s
   else begin
     let speeds = Array.map (fun (mc : Machine.t) -> mc.Machine.speed) machines in
-    for k = 0 to Array.length jobs - 1 do
-      let sizes = jobs.(k).Job.sizes in
+    fun (j : Job.t) ->
+      let sizes = j.Job.sizes in
       let mn = ref Float.infinity in
       for i = 0 to Array.length sizes - 1 do
         let q = sizes.(i) /. speeds.(i) in
         if q < !mn then mn := q
       done;
-      total := !total +. !mn
-    done
-  end;
+      !mn
+  end
+
+let volume instance =
+  let time = min_time instance.Instance.machines in
+  let jobs = Instance.jobs_by_release instance in
+  let total = ref 0. in
+  for k = 0 to Array.length jobs - 1 do
+    total := !total +. time jobs.(k)
+  done;
   { value = !total; source = "volume" }
 
 let srpt instance =

@@ -14,6 +14,14 @@
 open Sched_model
 open Sched_sim
 
+val fleet : eps_s:float -> Machine.t array -> Machine.t array
+(** The machines sped up by [(1 + eps_s)]; raises [Invalid_argument]
+    unless [eps_s > 0]. *)
+
+val policy : eps_r:float -> Rejection.Flow_reject.state Driver.policy
+(** Theorem 1's dispatch with Rule 1 only, at rejection budget knob
+    [eps_r]: the algorithm to run on {!fleet}. *)
+
 val run :
   ?trace:Trace.t -> ?obs:Sched_obs.Obs.t -> eps_s:float -> eps_r:float -> Instance.t -> Schedule.t
 (** The returned schedule's instance is the sped-up copy; its job ids and

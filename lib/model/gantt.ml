@@ -8,27 +8,26 @@ let render ?(width = 72) (s : Schedule.t) =
   if horizon <= 0. then "(empty schedule)\n"
   else begin
     let buf = Buffer.create 1024 in
-    let m = Instance.m s.Schedule.instance in
     (* Time scale header. *)
     Buffer.add_string buf (Printf.sprintf "%-4s0%s%.6g\n" "" (String.make (width - 2) ' ') horizon);
     Buffer.add_string buf (Printf.sprintf "%-4s|%s|\n" "" (String.make (width - 2) '-'));
-    for i = 0 to m - 1 do
-      let segs = Schedule.segments_of_machine s i in
-      let row = Bytes.make width '.' in
-      for k = 0 to width - 1 do
-        let mid = (float_of_int k +. 0.5) /. float_of_int width *. horizon in
-        let covering =
-          List.filter
-            (fun (g : Schedule.segment) -> g.Schedule.start <= mid && mid < g.Schedule.stop)
-            segs
-        in
-        match covering with
-        | [] -> ()
-        | [ g ] -> Bytes.set row k (symbol g.Schedule.job)
-        | _ -> Bytes.set row k '+'
-      done;
-      Buffer.add_string buf (Printf.sprintf "m%-3d%s\n" i (Bytes.to_string row))
-    done;
+    Array.iteri
+      (fun i segs ->
+        let row = Bytes.make width '.' in
+        for k = 0 to width - 1 do
+          let mid = (float_of_int k +. 0.5) /. float_of_int width *. horizon in
+          let covering =
+            List.filter
+              (fun (g : Schedule.segment) -> g.Schedule.start <= mid && mid < g.Schedule.stop)
+              segs
+          in
+          match covering with
+          | [] -> ()
+          | [ g ] -> Bytes.set row k (symbol g.Schedule.job)
+          | _ -> Bytes.set row k '+'
+        done;
+        Buffer.add_string buf (Printf.sprintf "m%-3d%s\n" i (Bytes.to_string row)))
+      (Schedule.segments_by_machine s);
     (* Legend: list jobs in id order, flag rejected ones. *)
     Buffer.add_string buf "legend: ";
     let jobs = Instance.jobs_by_release s.Schedule.instance in

@@ -10,7 +10,3 @@ val render : ?width:int -> Schedule.t -> string
 (** [render ~width s] (default width 72 columns of timeline) returns a
     multi-line chart followed by a legend of job symbols (rejected jobs
     are marked in the legend).  Empty schedules render a note instead. *)
-
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val symbol : Job.id -> char
-(** The symbol used for a job: cycles through [0-9A-Za-z]. *)

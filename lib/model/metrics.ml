@@ -8,10 +8,6 @@ type flow = {
   max_stretch : float;
 }
 
-let flow_time_of (s : Schedule.t) id =
-  let j = Instance.job s.instance id in
-  Outcome.flow_time j (Schedule.outcome s id)
-
 let flow (s : Schedule.t) =
   let total = ref 0. and weighted = ref 0. in
   let rej_total = ref 0. and rej_weighted = ref 0. in
@@ -96,9 +92,8 @@ let makespan (s : Schedule.t) =
 (* Sweep the segment endpoints of one machine and integrate P(aggregate
    speed) over each elementary interval: O(k log k) via a sorted event list
    of speed deltas. *)
-let energy_of_machine (s : Schedule.t) i =
+let energy_of_machine (s : Schedule.t) i segs =
   let alpha = (Instance.machine s.instance i).Machine.alpha in
-  let segs = Schedule.segments_of_machine s i in
   match segs with
   | [] -> 0.
   | _ ->
@@ -121,12 +116,10 @@ let energy_of_machine (s : Schedule.t) i =
 
 let energy (s : Schedule.t) =
   let total = ref 0. in
-  for i = 0 to Instance.m s.instance - 1 do
-    total := !total +. energy_of_machine s i
-  done;
+  Array.iteri
+    (fun i segs -> total := !total +. energy_of_machine s i segs)
+    (Schedule.segments_by_machine s);
   !total
-
-let flow_plus_energy s = (flow s).weighted +. energy s
 
 type rejection = {
   count : int;
@@ -172,6 +165,3 @@ let busy_time (s : Schedule.t) i =
   in
   merge 0. None segs
 
-let utilization s i =
-  let ms = makespan s in
-  if ms <= 0. then 0. else busy_time s i /. ms

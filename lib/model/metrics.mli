@@ -19,10 +19,6 @@ type flow = {
 
 val flow : Schedule.t -> flow
 
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val flow_time_of : Schedule.t -> Job.id -> float
-(** Flow time of one job (completion or rejection minus release). *)
-
 val flow_values : ?include_rejected:bool -> Schedule.t -> float array
 (** Per-job flow-times of completed jobs in job-id order (rejected jobs'
     release-to-rejection times appended when [include_rejected], default
@@ -47,10 +43,6 @@ val energy : Schedule.t -> float
     of the segments active on machine [i] at time [t] and
     [P_i(s) = s^alpha_i]. *)
 
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val flow_plus_energy : Schedule.t -> float
-(** [flow.weighted + energy], the Section 3 objective. *)
-
 type rejection = {
   count : int;
   fraction : float;  (** Rejected jobs over all jobs. *)
@@ -64,7 +56,3 @@ val rejection : Schedule.t -> rejection
 (* rejlint: allow test-only-export — tests check that schedules conserve work with it *)
 val busy_time : Schedule.t -> Machine.id -> float
 (** Total time machine [i] has at least one active segment. *)
-
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val utilization : Schedule.t -> Machine.id -> float
-(** [busy_time / makespan] (0 for an empty schedule). *)

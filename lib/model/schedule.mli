@@ -38,7 +38,12 @@ val finalize : builder -> t
 
 val outcome : t -> Job.id -> Outcome.t
 val segments_of_machine : t -> Machine.id -> segment list
-(** Sorted by start time. *)
+(** Sorted by start time, ties by job id.  O(S): it filters the whole
+    segment list, so a loop over machines wants {!segments_by_machine}. *)
+
+val segments_by_machine : t -> segment list array
+(** Every machine's {!segments_of_machine}, indexed by machine, built in
+    one pass over the segments. *)
 
 (** {1 Validation} *)
 

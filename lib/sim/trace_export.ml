@@ -59,11 +59,6 @@ let entry_line ({ time; event } : Trace.entry) =
       add_line buf ~time ~kind:R.Restart ~job ~machine ~was_running:false ~value:wasted);
   Buffer.contents buf
 
-let to_ndjson t =
-  let buf = Buffer.create 4096 in
-  add_lines buf t;
-  Buffer.contents buf
-
 let ndjson lines =
   let buf = Buffer.create 4096 in
   List.iter

@@ -17,9 +17,6 @@ val entry_line : Trace.entry -> string
 (** One event as a single JSON object (no trailing newline), the same
     bytes {!add_lines} writes for its row. *)
 
-val to_ndjson : Trace.t -> string
-(** {!add_lines} into a fresh buffer. *)
-
 (** {1 Flight-recorder export ([rejsched.trace/2])}
 
     {!Sched_obs.Recorder} entries render under a bumped schema tag: /2

@@ -44,65 +44,72 @@ let make ?name ?arrivals ?(sizes = Dist.uniform ~lo:1. ~hi:10.) ?weights
   in
   { name; n; m; arrivals; sizes; weights; shape; deadlines; alpha }
 
-let release_times t rng =
+(* The arrival process as a generator: each call returns the next job's
+   release.  Every kind yields nondecreasing releases, so id order is
+   (release, id) order and the jobs can be handed out as they are drawn.
+   The draws are the ones an up-front array of all [n] releases would make,
+   in the same order: [arrival_rng] serves the arrival process alone. *)
+let next_release t rng =
   match t.arrivals with
-  | All_at_zero -> Array.make t.n 0.
+  | All_at_zero -> fun () -> 0.
   | Poisson rate ->
       assert (rate > 0.);
-      let times = Array.make t.n 0. in
       let clock = ref 0. in
-      for k = 0 to t.n - 1 do
+      fun () ->
         clock := !clock +. Rng.exponential rng rate;
-        times.(k) <- !clock
-      done;
-      times
+        !clock
   | Batched { every; size } ->
       assert (every > 0. && size > 0);
-      Array.init t.n (fun k -> float_of_int (k / size) *. every)
+      let k = ref 0 in
+      fun () ->
+        let r = float_of_int (!k / size) *. every in
+        incr k;
+        r
   | Diurnal { base_rate; amplitude; period } ->
       assert (base_rate > 0. && amplitude >= 0. && amplitude <= 1. && period > 0.);
       (* Thinning (Lewis-Shedler): draw from the envelope rate
          [base_rate * (1 + amplitude)] and accept with probability
          [intensity(t) / envelope]. *)
       let envelope = base_rate *. (1. +. amplitude) in
-      let times = Array.make t.n 0. in
-      let clock = ref 0. and filled = ref 0 in
-      while !filled < t.n do
+      let clock = ref 0. in
+      let rec next () =
         clock := !clock +. Rng.exponential rng envelope;
         let intensity =
           base_rate *. (1. +. (amplitude *. sin (2. *. Float.pi *. !clock /. period)))
         in
-        if Rng.float rng < intensity /. envelope then begin
-          times.(!filled) <- !clock;
-          incr filled
-        end
-      done;
-      times
+        if Rng.float rng < intensity /. envelope then !clock else next ()
+      in
+      next
   | Bursty { rate; burst_every; burst_size } ->
       assert (rate > 0. && burst_every > 0. && burst_size >= 0);
-      let times = Array.make t.n 0. in
-      let clock = ref 0. and filled = ref 0 in
-      let next_burst = ref burst_every in
-      while !filled < t.n do
-        let dt = Rng.exponential rng rate in
-        if !clock +. dt >= !next_burst && !filled + burst_size <= t.n then begin
-          clock := !next_burst;
-          next_burst := !next_burst +. burst_every;
-          for _ = 1 to min burst_size (t.n - !filled) do
-            times.(!filled) <- !clock;
-            incr filled
-          done
+      (* A burst fires when the next Poisson arrival would pass it and the
+         whole burst still fits in [n]; its jobs share the burst's time.
+         The clock never passes the next burst while bursts still fit, so
+         the releases come out sorted. *)
+      let clock = ref 0. and filled = ref 0 and next_burst = ref burst_every in
+      let burst_left = ref 0 in
+      let rec next () =
+        if !burst_left > 0 then begin
+          decr burst_left;
+          incr filled;
+          !clock
         end
         else begin
-          clock := !clock +. dt;
-          if !filled < t.n then begin
-            times.(!filled) <- !clock;
-            incr filled
+          let dt = Rng.exponential rng rate in
+          if !clock +. dt >= !next_burst && !filled + burst_size <= t.n then begin
+            clock := !next_burst;
+            next_burst := !next_burst +. burst_every;
+            burst_left := burst_size;
+            next ()
+          end
+          else begin
+            clock := !clock +. dt;
+            incr filled;
+            !clock
           end
         end
-      done;
-      Array.sort Float.compare times;
-      times
+      in
+      next
 
 (* The smallest size, by a [<] scan that reads each size unboxed
    ([Array.fold_left Float.min infinity] boxes every one through its
@@ -117,40 +124,48 @@ let min_size sizes =
   done;
   !mn
 
-let instance t ~seed =
+let fleet t = Machine.fleet ~alpha:t.alpha t.m
+let label t ~seed = Printf.sprintf "%s#%d" t.name seed
+
+let jobs t ~seed () =
   let rng = Rng.create seed in
   let arrival_rng = Rng.split rng in
   let size_rng = Rng.split rng in
   let shape_rng = Rng.split rng in
   let weight_rng = Rng.split rng in
   let deadline_rng = Rng.split rng in
-  let releases = release_times t arrival_rng in
+  let next_release = next_release t arrival_rng in
   (* One size vector, refilled for every job: [Job.create] copies it. *)
   let sizes = Array.make t.m 0. in
-  let jobs =
-    List.init t.n (fun id ->
-        let base = Dist.sample t.sizes size_rng in
-        Shape.fill t.shape shape_rng ~base sizes;
-        let weight = match t.weights with None -> 1. | Some d -> Dist.sample d weight_rng in
-        let release, deadline =
-          match t.deadlines with
-          | No_deadlines -> (releases.(id), None)
-          | Laxity d ->
-              let lax = Float.max 1.01 (Dist.sample d deadline_rng) in
-              let pmin = min_size sizes in
-              (releases.(id), Some (releases.(id) +. (lax *. pmin)))
-          | Slot_laxity { min_slots; max_slots } ->
-              assert (0 < min_slots && min_slots <= max_slots);
-              let r = Float.of_int (int_of_float releases.(id)) in
-              let pmin = min_size sizes in
-              let need = max min_slots (int_of_float (Float.ceil pmin)) in
-              let span = need + Rng.int deadline_rng (max 1 (max_slots - need + 1)) in
-              (r, Some (r +. float_of_int span))
-        in
-        Job.create ~id ~release ~weight ?deadline ~sizes ())
+  let rec from id () =
+    if id >= t.n then Seq.Nil
+    else begin
+      let release = next_release () in
+      let base = Dist.sample t.sizes size_rng in
+      Shape.fill t.shape shape_rng ~base sizes;
+      let weight = match t.weights with None -> 1. | Some d -> Dist.sample d weight_rng in
+      let release, deadline =
+        match t.deadlines with
+        | No_deadlines -> (release, None)
+        | Laxity d ->
+            let lax = Float.max 1.01 (Dist.sample d deadline_rng) in
+            let pmin = min_size sizes in
+            (release, Some (release +. (lax *. pmin)))
+        | Slot_laxity { min_slots; max_slots } ->
+            assert (0 < min_slots && min_slots <= max_slots);
+            let r = Float.of_int (int_of_float release) in
+            let pmin = min_size sizes in
+            let need = max min_slots (int_of_float (Float.ceil pmin)) in
+            let span = need + Rng.int deadline_rng (max 1 (max_slots - need + 1)) in
+            (r, Some (r +. float_of_int span))
+      in
+      Seq.Cons (Job.create ~id ~release ~weight ?deadline ~sizes (), from (id + 1))
+    end
   in
-  let machines = Machine.fleet ~alpha:t.alpha t.m in
-  Instance.create ~name:(Printf.sprintf "%s#%d" t.name seed) ~machines ~jobs ()
+  from 0 ()
+
+let instance t ~seed =
+  Instance.create ~name:(label t ~seed) ~machines:(fleet t) ~jobs:(List.of_seq (jobs t ~seed)) ()
 
 let describe t =
   let arr =

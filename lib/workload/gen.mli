@@ -64,8 +64,25 @@ val make :
     [uniform 1..10], unit weights, identical machines, no deadlines,
     [alpha = 3]. *)
 
+val jobs : t -> seed:int -> Job.t Seq.t
+(** The seed's jobs, ids [0..n-1], in release order: every arrival kind
+    releases in nondecreasing order, so id order is [(release, id)]
+    order.  Each job is drawn when the sequence reaches it, into one
+    refilled size vector that {!Sched_model.Job.create} copies, so a
+    consumer that drops settled jobs holds only the jobs it keeps.
+    Ephemeral: traverse it once (the draws share mutable generator
+    state; forcing the whole sequence again from its head restarts
+    them). *)
+
+val fleet : t -> Machine.t array
+(** The [m] machines, unit speed, power exponent [alpha]. *)
+
+val label : t -> seed:int -> string
+(** The name {!instance} gives the seed's instance. *)
+
 val instance : t -> seed:int -> Instance.t
-(** Deterministic expansion; equal seeds yield identical instances. *)
+(** {!jobs} collected over {!fleet}, named {!label}: deterministic,
+    equal seeds yield identical instances. *)
 
 (* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val describe : t -> string

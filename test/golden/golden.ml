@@ -18,6 +18,11 @@ module Obs = Sched_obs.Obs
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 let hex s = Digest.to_hex (Digest.string s)
 
+let trace_ndjson t =
+  let buf = Buffer.create 4096 in
+  Trace_export.add_lines buf t;
+  Buffer.contents buf
+
 let load dir =
   Sys.readdir dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".case")
@@ -47,7 +52,7 @@ let streamed (c : Corpus.case) (e : P.entry) =
     | _ -> failwith (Printf.sprintf "%s/%s: no sched_%s_total" c.Corpus.name e.P.name k)
   in
   Printf.sprintf "trace1=%s %s"
-    (hex (Trace_export.to_ndjson trace))
+    (hex (trace_ndjson trace))
     (String.concat " " (List.map counter counters))
 
 (* The in-driver audit checks deadlines whenever the instance carries

@@ -106,7 +106,7 @@ let test_trace_ndjson_matches_in_process () =
   let cli = read_file path in
   Sys.remove path;
   let _, trace = in_process ~n:80 ~m:2 ~seed:7 ~eps:0.25 in
-  Alcotest.(check string) "byte-identical trace" (Sched_sim.Trace_export.to_ndjson trace) cli
+  Alcotest.(check string) "byte-identical trace" (Test_util.trace_ndjson trace) cli
 
 (* The trace subcommand end-to-end: replay a corpus case under the flight
    recorder, and the exported NDJSON must match an in-process replay

@@ -108,9 +108,23 @@ let test_gantt_empty () =
   let s = Schedule.finalize b in
   Alcotest.(check string) "empty note" "(empty schedule)\n" (Gantt.render s)
 
+(* Job k runs alone on machine k over the whole horizon, so row k is job
+   k's symbol repeated: symbols are distinct for early ids and cycle
+   through the 62 of [0-9A-Za-z]. *)
 let test_gantt_symbols_cycle () =
-  Alcotest.(check bool) "distinct early symbols" true (Gantt.symbol 0 <> Gantt.symbol 1);
-  Alcotest.(check bool) "cycles" true (Gantt.symbol 0 = Gantt.symbol 62)
+  let m = 63 in
+  let inst = Test_util.instance ~machines:m (List.init m (fun _ -> (0., Array.make m 1.))) in
+  let b = Schedule.builder inst in
+  for k = 0 to m - 1 do
+    Schedule.add_segment b { Schedule.job = k; machine = k; start = 0.; stop = 1.; speed = 1. };
+    Schedule.set_outcome b k
+      (Outcome.Completed { machine = k; start = 0.; speed = 1.; finish = 1. })
+  done;
+  let rows = String.split_on_char '\n' (Gantt.render ~width:8 (Schedule.finalize b)) in
+  let row i = List.nth rows (i + 2) in
+  Alcotest.(check string) "machine 0 row" "m0  00000000" (row 0);
+  Alcotest.(check string) "machine 1 row" "m1  11111111" (row 1);
+  Alcotest.(check string) "job 62 cycles back to job 0's symbol" "m62 00000000" (row 62)
 
 (* --- serialization --- *)
 

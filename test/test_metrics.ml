@@ -28,11 +28,6 @@ let test_flow () =
   Alcotest.(check (float 1e-9)) "mean flow" 4. f.Metrics.mean_flow;
   Alcotest.(check (float 1e-9)) "max stretch" 1.5 f.Metrics.max_stretch
 
-let test_flow_time_of () =
-  let s = fixture () in
-  Alcotest.(check (float 1e-9)) "job 0" 2. (Metrics.flow_time_of s 0);
-  Alcotest.(check (float 1e-9)) "job 2 (rejected)" 2. (Metrics.flow_time_of s 2)
-
 let test_makespan () = Alcotest.(check (float 1e-9)) "makespan" 6. (Metrics.makespan (fixture ()))
 
 let test_rejection () =
@@ -71,15 +66,11 @@ let test_energy_parallel_superadditive () =
   (* [0,1): 1, [1,2): 4, [2,3): 1 -> 6. *)
   Alcotest.(check (float 1e-9)) "parallel energy" 6. (Metrics.energy s)
 
-let test_flow_plus_energy () =
-  let s = fixture () in
-  Alcotest.(check (float 1e-9)) "objective" ((Metrics.flow s).Metrics.weighted +. 6.)
-    (Metrics.flow_plus_energy s)
-
 let test_busy_and_utilization () =
   let s = fixture () in
   Alcotest.(check (float 1e-9)) "busy" 6. (Metrics.busy_time s 0);
-  Alcotest.(check (float 1e-9)) "utilization" 1. (Metrics.utilization s 0)
+  (* Utilization 1: the machine is busy over the whole makespan. *)
+  Alcotest.(check (float 1e-9)) "utilization" (Metrics.makespan s) (Metrics.busy_time s 0)
 
 let test_busy_merges_overlap () =
   let inst =
@@ -96,13 +87,11 @@ let test_busy_merges_overlap () =
 let suite =
   [
     Alcotest.test_case "flow metrics" `Quick test_flow;
-    Alcotest.test_case "flow_time_of" `Quick test_flow_time_of;
     Alcotest.test_case "makespan" `Quick test_makespan;
     Alcotest.test_case "rejection metrics" `Quick test_rejection;
     Alcotest.test_case "energy exclusive" `Quick test_energy_exclusive;
     Alcotest.test_case "energy speed^alpha" `Quick test_energy_speed;
     Alcotest.test_case "energy parallel superadditive" `Quick test_energy_parallel_superadditive;
-    Alcotest.test_case "flow plus energy" `Quick test_flow_plus_energy;
     Alcotest.test_case "busy time and utilization" `Quick test_busy_and_utilization;
     Alcotest.test_case "busy time merges overlap" `Quick test_busy_merges_overlap;
   ]

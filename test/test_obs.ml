@@ -278,7 +278,7 @@ let test_trace_ndjson_golden () =
      {\"schema\":\"rejsched.trace/1\",\"time\":3,\"event\":\"restart\",\"job\":2,\"machine\":0,\"wasted\":1.5}\n\
      {\"schema\":\"rejsched.trace/1\",\"time\":4,\"event\":\"complete\",\"job\":2,\"machine\":0}\n"
   in
-  Alcotest.(check string) "ndjson" expected (Sched_sim.Trace_export.to_ndjson t)
+  Alcotest.(check string) "ndjson" expected (Test_util.trace_ndjson t)
 
 (* --- trace profiles ---------------------------------------------------- *)
 
@@ -335,19 +335,19 @@ let instances =
 let run_spt obs inst =
   let trace = Sched_sim.Trace.create () in
   let s = Test_util.schedule_of ~trace ?obs Sched_baselines.Greedy_dispatch.spt inst in
-  (Serialize.schedule_to_string s, Sched_sim.Trace_export.to_ndjson trace)
+  (Serialize.schedule_to_string s, Test_util.trace_ndjson trace)
 
 let run_fr obs inst =
   let module FR = Rejection.Flow_reject in
   let trace = Sched_sim.Trace.create () in
   let s, _ = FR.run ~trace ?obs (FR.config ~eps:0.25 ()) inst in
-  (Serialize.schedule_to_string s, Sched_sim.Trace_export.to_ndjson trace)
+  (Serialize.schedule_to_string s, Test_util.trace_ndjson trace)
 
 let run_restart obs inst =
   let module RS = Sched_baselines.Restart_spt in
   let trace = Sched_sim.Trace.create () in
   let s, _, _ = Sched_sim.Driver.run ~trace ?obs (RS.policy (RS.config ~max_restarts:1 ())) inst in
-  (Serialize.schedule_to_string s, Sched_sim.Trace_export.to_ndjson trace)
+  (Serialize.schedule_to_string s, Test_util.trace_ndjson trace)
 
 let test_obs_does_not_change_schedules () =
   List.iter

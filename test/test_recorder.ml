@@ -311,7 +311,7 @@ let test_v1_fields_embedded_in_v2 () =
     (Sched_sim.Trace.Reject { job = 0; machine = 1; was_running = true; remaining = 0.75 });
   Sched_sim.Trace.record t 3. (Sched_sim.Trace.Restart { job = 2; machine = 0; wasted = 1.5 });
   Sched_sim.Trace.record t 4. (Sched_sim.Trace.Complete { job = 2; machine = 0 });
-  let v1_lines = String.split_on_char '\n' (String.trim (TE.to_ndjson t)) in
+  let v1_lines = String.split_on_char '\n' (String.trim (Test_util.trace_ndjson t)) in
   let v2_lines = recorder_lines (five_kinds_recorder ()) in
   Alcotest.(check int) "same event count" (List.length v1_lines) (List.length v2_lines);
   List.iter2

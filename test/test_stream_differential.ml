@@ -76,7 +76,7 @@ let check_stream ~what (e : P.entry) instance =
   let check = not (Instance.has_deadlines instance) in
   let tb = Trace.create () in
   let sb, lb = e.P.run ~recorder:(Trace.recorder tb) ~check instance in
-  let decisions = Trace_export.to_ndjson tb in
+  let decisions = Test_util.trace_ndjson tb in
   let cb = Serialize.schedule_to_canonical_string sb in
   let n = Array.length (Instance.jobs_by_release instance) in
   List.iter
@@ -102,7 +102,7 @@ let check_stream ~what (e : P.entry) instance =
       match stream_run ~trace:tr ~check:false ~retire:true e instance ~chunk with
       | None, lr ->
           compare_live what lb lr;
-          let df = Trace_export.to_ndjson tr in
+          let df = Test_util.trace_ndjson tr in
           if not (String.equal decisions df) then
             Alcotest.failf
               "%s: retired decisions diverge from batch:\n--- batch ---\n%s\n--- retired ---\n%s"

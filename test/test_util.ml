@@ -14,6 +14,12 @@ let data_dir name =
   if Sys.file_exists name then name
   else Filename.concat (Filename.concat "_build" "default") (Filename.concat "test" name)
 
+(* A trace's unreleased entries as trace/1 NDJSON, one line each. *)
+let trace_ndjson t =
+  let buf = Buffer.create 4096 in
+  Sched_sim.Trace_export.add_lines buf t;
+  Buffer.contents buf
+
 (* The checked-in corpus cases' file names, sorted. *)
 let corpus_files () =
   Sys.readdir (data_dir "fuzz_corpus")
