@@ -176,7 +176,10 @@ let run_cmd =
     let check = Check.create ~machines:(Array.length machines) () in
     let lines = Buffer.create 65536 in
     let sink =
-      match trace_ndjson with None -> None | Some "-" -> Some stdout | Some path -> Some (open_out path)
+      match trace_ndjson with
+      | None -> None
+      | Some "-" -> Some stdout
+      | Some path -> Some (open_out path)
     in
     (* On stdout the trace lines follow the telemetry snapshot, which is
        only known at close, so they wait when both go there. *)

@@ -5,7 +5,8 @@ let fleet ~eps_s machines =
   let factor = 1. +. eps_s in
   Array.map (fun (mc : Machine.t) -> Machine.with_speed mc (mc.Machine.speed *. factor)) machines
 
-let policy ~eps_r = Rejection.Flow_reject.policy (Rejection.Flow_reject.config ~rule2:false ~eps:eps_r ())
+let policy ~eps_r =
+  Rejection.Flow_reject.policy (Rejection.Flow_reject.config ~rule2:false ~eps:eps_r ())
 
 let run ?trace ?obs ~eps_s ~eps_r instance =
   let machines = fleet ~eps_s instance.Instance.machines in

@@ -6,7 +6,7 @@ module IM = Map.Make (Int)
 type job_state = {
   job : Job.t;
   mutable on : int;  (** machine running it, -1 when not running *)
-  mutable segments : int;  (** segments laid so far: aborted attempts *)
+  mutable segments : int;  (** segments laid so far *)
 }
 
 type t = {
@@ -52,12 +52,11 @@ let feed t (j : Job.t) =
   else t.jobs <- IM.add id { job = j; on = -1; segments = 0 } t.jobs
 
 let in_flight t id ~what ~at =
-  match IM.find_opt id t.jobs with
-  | Some js -> Some js
-  | None ->
-      add t ~job:id ~at Violation.Exactly_once "%s row for a job not in flight (settled or never fed)"
-        what;
-      None
+  let js = IM.find_opt id t.jobs in
+  if Option.is_none js then
+    add t ~job:id ~at Violation.Exactly_once "%s row for a job not in flight (settled or never fed)"
+      what;
+  js
 
 (* Closes the segment [js] has open at [time], records it as its
    machine's last and returns its volume.  The driver lays a completed
@@ -71,8 +70,8 @@ let stop_segment t js ~time ~always =
   t.run_job.(i) <- -1;
   if time > start || always then begin
     if not (time > start) then
-      add t ~job:id ~machine:i ~at:start Violation.Segment_bounds "empty or reversed segment [%g,%g]"
-        start time;
+      add t ~job:id ~machine:i ~at:start Violation.Segment_bounds
+        "empty or reversed segment [%g,%g]" start time;
     t.last_job.(i) <- id;
     t.last_start.(i) <- start;
     t.last_stop.(i) <- time;
@@ -121,7 +120,8 @@ let complete t ~id ~machine:i ~time =
   | None -> ()
   | Some js ->
       settle t id;
-      if js.on < 0 then add t ~job:id ~at:time Violation.Outcome_consistency "completed but laid no segment"
+      if js.on < 0 then
+        add t ~job:id ~at:time Violation.Outcome_consistency "completed but laid no segment"
       else begin
         let on = js.on in
         if on <> i then
@@ -135,8 +135,8 @@ let complete t ~id ~machine:i ~time =
               add t ~job:id ~machine:on Violation.Outcome_consistency
                 "processed volume %g but size is %g" volume size);
         if js.segments > 1 && not t.allow_restarts then
-          add t ~job:id Violation.Non_preemption "completed job split across %d segments (preempted?)"
-            js.segments
+          add t ~job:id Violation.Non_preemption
+            "completed job split across %d segments (preempted?)" js.segments
       end
 
 (* A partial segment closed by a reject or restart must have done strictly
@@ -144,8 +144,8 @@ let complete t ~id ~machine:i ~time =
 let check_partial t js ~machine ~volume ~what =
   let size = Job.size js.job machine in
   if volume >= size -. 1e-9 then
-    add t ~job:js.job.Job.id ~machine Violation.Outcome_consistency "%s after processing its full size %g"
-      what size
+    add t ~job:js.job.Job.id ~machine Violation.Outcome_consistency
+      "%s after processing its full size %g" what size
 
 let reject t ~id ~time ~was_running =
   match in_flight t id ~what:"reject" ~at:time with
@@ -163,18 +163,22 @@ let reject t ~id ~time ~was_running =
       match js.segments with
       | 0 ->
           if was_running then
-            add t ~job:id ~at:time Violation.Outcome_consistency "rejected mid-run but laid no segment"
+            add t ~job:id ~at:time Violation.Outcome_consistency
+              "rejected mid-run but laid no segment"
       | 1 ->
           if not (was_running || t.allow_restarts) then
             add t ~job:id Violation.Outcome_consistency
               "laid a segment but the rejection records was_running = false"
-      | k -> if not t.allow_restarts then add t ~job:id Violation.Exactly_once "rejected job has %d segments" k
+      | k ->
+          if not t.allow_restarts then
+            add t ~job:id Violation.Exactly_once "rejected job has %d segments" k
 
 let restart t ~id ~time =
   match in_flight t id ~what:"restart" ~at:time with
   | None -> ()
   | Some js ->
-      if js.on < 0 then add t ~job:id ~at:time Violation.Outcome_consistency "restarted but not running"
+      if js.on < 0 then
+        add t ~job:id ~at:time Violation.Outcome_consistency "restarted but not running"
       else begin
         let on = js.on in
         match stop_segment t js ~time ~always:false with

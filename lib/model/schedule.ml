@@ -59,7 +59,8 @@ let segments_by_machine t =
   let m = Instance.m t.instance in
   let buckets = Array.make m [] in
   List.iter
-    (fun s -> if s.machine >= 0 && s.machine < m then buckets.(s.machine) <- s :: buckets.(s.machine))
+    (fun s ->
+      if s.machine >= 0 && s.machine < m then buckets.(s.machine) <- s :: buckets.(s.machine))
     t.segments;
   Array.map (fun segs -> List.sort by_start (List.rev segs)) buckets
 

@@ -47,8 +47,8 @@ let make ?name ?arrivals ?(sizes = Dist.uniform ~lo:1. ~hi:10.) ?weights
 (* The arrival process as a generator: each call returns the next job's
    release.  Every kind yields nondecreasing releases, so id order is
    (release, id) order and the jobs can be handed out as they are drawn.
-   The draws are the ones an up-front array of all [n] releases would make,
-   in the same order: [arrival_rng] serves the arrival process alone. *)
+   [arrival_rng] serves the arrival process alone, so when the releases
+   are drawn does not change them. *)
 let next_release t rng =
   match t.arrivals with
   | All_at_zero -> fun () -> 0.

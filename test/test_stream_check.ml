@@ -148,7 +148,9 @@ let test_planted_faults () =
   (* Job 2's complete row is missing. *)
   expect ~what:"no terminal row" V.Exactly_once ~job:2
     (check_rows inst
-       (edit (function { Trace.event = Trace.Complete { job = 2; _ }; _ } -> [] | r -> [ r ]) rows));
+       (edit
+          (function { Trace.event = Trace.Complete { job = 2; _ }; _ } -> [] | r -> [ r ])
+          rows));
   (* Job 0's mid-run rejection comes at 100: it had done its whole size. *)
   let full = check_rows inst (retime 0 `Reject 100. rows) in
   expect ~what:"partial rejection did the full volume" V.Outcome_consistency ~job:0 full;

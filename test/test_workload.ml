@@ -19,19 +19,32 @@ let test_gen_seed_changes () =
   in
   Alcotest.(check bool) "different totals" true (total a <> total b)
 
+(* [Gen.jobs] hands jobs out as they are drawn, so id order must already
+   be release order, for every arrival kind. *)
 let test_releases_sorted_nonneg () =
   List.iter
     (fun gen ->
-      let inst = Gen.instance gen ~seed:3 in
-      let jobs = Instance.jobs_by_release inst in
-      let prev = ref (-1.) in
-      Array.iter
+      let prev = ref (-1.) and next_id = ref 0 in
+      Seq.iter
         (fun (j : Job.t) ->
+          Alcotest.(check int) "ids in order" !next_id j.Job.id;
           Alcotest.(check bool) "nonneg" true (j.Job.release >= 0.);
           Alcotest.(check bool) "sorted" true (j.Job.release >= !prev);
+          incr next_id;
           prev := j.Job.release)
-        jobs)
-    (Suite.all_flow ~n:50 ~m:3)
+        (Gen.jobs gen ~seed:3);
+      Alcotest.(check int) "all generated" gen.Gen.n !next_id)
+    (Suite.all_flow ~n:50 ~m:3
+    @ [
+        Gen.make ~arrivals:(Gen.Bursty { rate = 2.; burst_every = 3.; burst_size = 5 })
+          ~n:60 ~m:2 ();
+        Gen.make ~arrivals:(Gen.Bursty { rate = 1.; burst_every = 2.; burst_size = 0 })
+          ~n:20 ~m:2 ();
+        Gen.make ~arrivals:(Gen.Diurnal { base_rate = 1.; amplitude = 0.8; period = 50. })
+          ~n:60 ~m:2 ();
+        Gen.make ~arrivals:Gen.All_at_zero ~n:10 ~m:2 ();
+        Gen.make ~deadlines:(Gen.Slot_laxity { min_slots = 2; max_slots = 9 }) ~n:30 ~m:2 ();
+      ])
 
 let test_batched_arrivals () =
   let gen =
