@@ -17,23 +17,32 @@ open Cmdliner
 open Sched_model
 module Gen = Sched_workload.Gen
 module Suite = Sched_workload.Suite
+module PR = Sched_experiments.Policy_registry
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
 
-let workload_names = [ "uniform"; "pareto"; "bimodal"; "restricted"; "related"; "clustered" ]
+(* A typed name that names nothing (workload, size distribution,
+   policy, experiment, game) raises Invalid_argument, which the
+   top-level handler turns into stderr + exit 2. *)
+let named what menu name =
+  match List.assoc_opt name menu with
+  | Some v -> v
+  | None ->
+      invalid_arg
+        (Printf.sprintf "unknown %s %S (one of: %s)" what name
+           (String.concat ", " (List.map fst menu)))
 
-let workload_of_name ~n ~m = function
-  | "uniform" -> Suite.flow_uniform ~n ~m
-  | "pareto" -> Suite.flow_pareto ~n ~m
-  | "bimodal" -> Suite.flow_bimodal ~n ~m
-  | "restricted" -> Suite.flow_restricted ~n ~m
-  | "related" -> Suite.flow_related ~n ~m
-  | "clustered" -> Suite.flow_clustered ~n ~m
-  | other -> invalid_arg (Printf.sprintf "unknown workload %S" other)
+(* The registry entry for a name or alias, at [?eps] when given. *)
+let policy ?eps name =
+  match PR.find ?eps name with
+  | Some e -> e
+  | None -> invalid_arg (Printf.sprintf "unknown policy %S (see 'rejsched list')" name)
+
+let workload_of_name ~n ~m name = (named "workload" Suite.flow_menu name) ~n ~m
 
 let workload_arg =
-  let doc = "Workload family: " ^ String.concat ", " workload_names ^ "." in
+  let doc = "Workload family: " ^ String.concat ", " (List.map fst Suite.flow_menu) ^ "." in
   Arg.(value & opt string "uniform" & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
 
 let n_arg = Arg.(value & opt int 200 & info [ "n"; "jobs" ] ~docv:"N" ~doc:"Number of jobs.")
@@ -71,12 +80,7 @@ let sizes_arg =
 
 let apply_sizes gen = function
   | None -> gen
-  | Some name -> (
-      match List.assoc_opt name Suite.dist_menu with
-      | Some dist -> { gen with Gen.sizes = dist }
-      | None ->
-          prerr_endline ("unknown size distribution: " ^ name);
-          exit 1)
+  | Some name -> { gen with Gen.sizes = named "size distribution" Suite.dist_menu name }
 
 (* Single sink-resolution point: every FILE-taking output flag
    (--telemetry, --trace-ndjson, the trace subcommand's --out-ndjson and
@@ -89,12 +93,11 @@ let write_output target content =
 (* ------------------------------------------------------------------ *)
 (* run                                                                 *)
 
-let policy_names = [ "thm1"; "thm1-rule1"; "thm1-rule2"; "fifo"; "spt"; "immediate"; "esa" ]
-
 let run_cmd =
   let policy_arg =
-    let doc = "Policy: " ^ String.concat ", " policy_names ^ "." in
-    Arg.(value & opt string "thm1" & info [ "p"; "policy" ] ~docv:"POLICY" ~doc)
+    Arg.(value & opt string "thm1"
+         & info [ "p"; "policy" ] ~docv:"POLICY"
+             ~doc:"Registry policy or alias to run at --eps (see 'list').")
   in
   let gantt_arg = Arg.(value & flag & info [ "gantt" ] ~doc:"Draw an ASCII Gantt chart.") in
   let svg_arg =
@@ -133,9 +136,10 @@ let run_cmd =
              ~doc:"Stream the run's trace events to FILE as newline-delimited JSON (one \
                    schema-tagged object per event), or to stdout when FILE is '-'.")
   in
-  let action policy workload n m seed eps csv gantt svg load swf save segments sizes telemetry
-      trace_ndjson domains =
+  let action policy_name workload n m seed eps csv gantt svg load swf save segments sizes
+      telemetry trace_ndjson domains =
     apply_domains domains;
+    let entry = policy ~eps policy_name in
     let gen = apply_sizes (workload_of_name ~n ~m workload) sizes in
     (* A whole instance is held only when it is read from a file or saved
        to one; otherwise the generator draws each job as it is fed. *)
@@ -165,7 +169,6 @@ let run_cmd =
           (inst.Instance.name, inst.Instance.machines, Array.to_seq (Instance.jobs_by_release inst))
       | None -> (Gen.label gen ~seed, Gen.fleet gen, Gen.jobs gen ~seed)
     in
-    let module D = Sched_sim.Driver in
     let module Trace = Sched_sim.Trace in
     let module Check = Sched_check.Stream_check in
     let obs = match telemetry with None -> None | Some _ -> Some (Sched_obs.Obs.create ()) in
@@ -197,42 +200,24 @@ let run_cmd =
       Trace.release trace (Trace.length trace)
     in
     (* The volume bound, added up in feed order as Lower_bounds.volume
-       adds it up over a whole instance (on the fleet as given: esa's
-       speed-up is the algorithm's, not OPT's). *)
+       adds it up over a whole instance (on the fleet as given:
+       speed-augmented's speed-up is the algorithm's, not OPT's). *)
     let min_time = Sched_baselines.Lower_bounds.min_time machines in
     let lb = ref 0. in
     (* Only the schedule-drawing flags need the schedule: otherwise the
        session retires each job once it settles. *)
     let retire = not (gantt || Option.is_some svg || Option.is_some segments) in
-    let drive policy fleet =
-      let s = D.Session.open_session ~trace ?obs ~retire ~name ~machines:fleet policy in
-      Seq.iter
-        (fun (j : Job.t) ->
-          D.Session.feed s j;
-          Check.feed check j;
-          lb := !lb +. min_time j;
-          D.Session.drain_until s j.Job.release;
-          take_rows ())
-        jobs;
-      let schedule, _, live = D.Session.close s in
-      take_rows ();
-      (schedule, live)
-    in
-    let module FR = Rejection.Flow_reject in
-    let module GD = Sched_baselines.Greedy_dispatch in
-    let module IR = Sched_baselines.Immediate_reject in
-    let module SA = Sched_baselines.Speed_augmented in
-    let schedule, live =
-      match policy with
-      | "thm1" -> drive (FR.policy (FR.config ~eps ())) machines
-      | "thm1-rule1" -> drive (FR.policy (FR.config ~eps ~rule2:false ())) machines
-      | "thm1-rule2" -> drive (FR.policy (FR.config ~eps ~rule1:false ())) machines
-      | "fifo" -> drive GD.fifo machines
-      | "spt" -> drive GD.spt machines
-      | "immediate" -> drive (IR.policy ~eps (IR.Largest_over 2.)) machines
-      | "esa" -> drive (SA.policy ~eps_r:eps) (SA.fleet ~eps_s:0.5 machines)
-      | other -> invalid_arg (Printf.sprintf "unknown policy %S" other)
-    in
+    let s = entry.PR.open_stream ~trace ?obs ~retire ~name ~machines () in
+    Seq.iter
+      (fun (j : Job.t) ->
+        s.PR.ss_feed j;
+        Check.feed check j;
+        lb := !lb +. min_time j;
+        s.PR.ss_drain_until j.Job.release;
+        take_rows ())
+      jobs;
+    let schedule, live = s.PR.ss_close () in
+    take_rows ();
     Check.close check;
     (match (telemetry, obs) with
     | Some target, Some o -> write_output target (Sched_obs.Export.json (Sched_obs.Obs.registry o))
@@ -247,10 +232,10 @@ let run_cmd =
     | vs ->
         Format.eprintf "rejsched: invalid schedule: %a@." Sched_check.Violation.pp_list vs;
         exit 3);
-    let f = live.D.flow and r = live.D.rejection in
+    let f = live.Sched_sim.Driver.flow and r = live.Sched_sim.Driver.rejection in
     let table =
       Sched_stats.Table.create
-        ~title:(Printf.sprintf "%s on %s (n=%d m=%d seed=%d)" policy workload n m seed)
+        ~title:(Printf.sprintf "%s on %s (n=%d m=%d seed=%d)" policy_name workload n m seed)
         ~columns:[ "metric"; "value" ]
     in
     let cell = Sched_stats.Table.cell_float in
@@ -262,7 +247,7 @@ let run_cmd =
         [ "max flow"; cell f.Metrics.max_flow ];
         [ "mean flow"; cell f.Metrics.mean_flow ];
         [ "max stretch"; cell f.Metrics.max_stretch ];
-        [ "makespan"; cell live.D.makespan ];
+        [ "makespan"; cell live.Sched_sim.Driver.makespan ];
         [ "rejected jobs"; Sched_stats.Table.cell_int r.Metrics.count ];
         [ "rejected fraction"; cell r.Metrics.fraction ];
         [ "rejected mid-run"; Sched_stats.Table.cell_int r.Metrics.mid_run ];
@@ -359,9 +344,7 @@ let experiment_cmd =
     | id -> (
         match Sched_experiments.Registry.find id with
         | Some e -> emit id (e.Sched_experiments.Registry.run ~obs:None ~quick)
-        | None ->
-            prerr_endline ("unknown experiment: " ^ id);
-            exit 1));
+        | None -> invalid_arg (Printf.sprintf "unknown experiment %S (see 'rejsched list')" id)));
     match out with
     | Some dir when Buffer.length manifest > 0 ->
         Out_channel.with_open_text (Filename.concat dir "MANIFEST.csv") (fun oc ->
@@ -388,18 +371,9 @@ let adversary_cmd =
   let action game l eps alpha =
     match game with
     | "flow" ->
-        let run_imm inst =
-          let s, _, _ =
-            Sched_sim.Driver.run
-              (Sched_baselines.Immediate_reject.policy ~eps Sched_baselines.Immediate_reject.Never)
-              inst
-          in
-          s
-        in
-        let run_thm1 inst =
-          fst (Rejection.Flow_reject.run (Rejection.Flow_reject.config ~eps ()) inst)
-        in
-        let play name run =
+        let play name =
+          let entry = policy ~eps name in
+          let run inst = fst (entry.PR.run inst) in
           let result, schedule = Sched_workload.Adversary_flow.run_two_phase ~run ~eps ~l in
           Printf.printf
             "%-18s alg flow = %10.2f  adversary = %10.2f  ratio = %7.2f  (sqrt Delta = %.1f)\n"
@@ -410,8 +384,8 @@ let adversary_cmd =
             /. result.Sched_workload.Adversary_flow.adversary_cost)
             (sqrt result.Sched_workload.Adversary_flow.delta)
         in
-        play "immediate-never" run_imm;
-        play "thm1-reject" run_thm1
+        play "immediate-never";
+        play "flow-reject"
     | "energy" ->
         let st = Rejection.Energy_config_greedy.continuous ~alpha () in
         let alg =
@@ -431,9 +405,7 @@ let adversary_cmd =
           /. r.Sched_workload.Adversary_energy.adv_energy)
           (Rejection.Bounds.energy_lb ~alpha)
           (Rejection.Bounds.energy_competitive ~alpha)
-    | other ->
-        prerr_endline ("unknown game: " ^ other);
-        exit 1
+    | other -> invalid_arg (Printf.sprintf "unknown game %S (one of: flow, energy)" other)
   in
   let term = Term.(const action $ game_arg $ l_arg $ eps_arg $ alpha_arg) in
   Cmd.v (Cmd.info "adversary" ~doc:"Play a lower-bound game (Lemma 1 or Lemma 2).") term
@@ -570,8 +542,8 @@ let trace_cmd =
   let policy_arg =
     Arg.(value & opt (some string) None
          & info [ "p"; "policy" ] ~docv:"POLICY"
-             ~doc:"Registry policy to replay (see 'list').  Defaults to the case file's policy \
-                   with --case, to flow-reject otherwise.")
+             ~doc:"Registry policy or alias to replay (see 'list').  Defaults to the case \
+                   file's policy with --case, to flow-reject otherwise.")
   in
   let case_arg =
     Arg.(value & opt (some string) None
@@ -605,7 +577,7 @@ let trace_cmd =
              ~doc:"Write the Chrome trace_event JSON (load in Perfetto / chrome://tracing) to \
                    FILE, or to stdout when FILE is '-'.")
   in
-  let action policy case load workload n m seed sizes ring_cap last out_ndjson out_chrome =
+  let action policy_name case load workload n m seed sizes ring_cap last out_ndjson out_chrome =
     if ring_cap < 1 then begin
       prerr_endline "rejsched: --ring-cap must be >= 1";
       exit 2
@@ -628,21 +600,13 @@ let trace_cmd =
       | None, None ->
           (Gen.instance (apply_sizes (workload_of_name ~n ~m workload) sizes) ~seed, None)
     in
-    let policy_name =
-      match (policy, case_policy) with
-      | Some p, _ -> p
-      | None, Some p -> p
-      | None, None -> "flow-reject"
-    in
     let entry =
-      match Sched_experiments.Policy_registry.find policy_name with
-      | Some e -> e
-      | None ->
-          prerr_endline ("rejsched: unknown registry policy: " ^ policy_name);
-          exit 2
+      match (policy_name, case_policy) with
+      | Some p, _ | None, Some p -> policy p
+      | None, None -> policy "flow-reject"
     in
     let recorder = Sched_obs.Recorder.create ~capacity:ring_cap () in
-    ignore (entry.Sched_experiments.Policy_registry.run ~recorder inst);
+    ignore (entry.PR.run ~recorder inst);
     let ndjson = Sched_sim.Trace_export.recorder_to_ndjson ?last recorder in
     let chrome = Sched_sim.Perfetto.to_chrome ~machines:(Instance.m inst) recorder in
     (match Sched_sim.Perfetto.validate chrome with
@@ -656,7 +620,7 @@ let trace_cmd =
       (Sched_obs.Recorder.total recorder)
       (Sched_obs.Recorder.length recorder)
       (Sched_obs.Recorder.dropped recorder)
-      policy_name out_ndjson out_chrome
+      entry.PR.name out_ndjson out_chrome
   in
   let term =
     Term.(
@@ -732,12 +696,11 @@ let job_of_line line =
       | _ -> Error "need numeric \"job\", \"release\" and a \"sizes\" array")
 
 let serve_cmd =
-  let module PR = Sched_experiments.Policy_registry in
   let policy_arg =
     Arg.(value & opt string "flow-reject"
          & info [ "p"; "policy" ] ~docv:"POLICY"
-             ~doc:"Registry policy to serve under (see 'list').  Ignored with --restore: a \
-                   snapshot names the policy it was frozen under.")
+             ~doc:"Registry policy or alias to serve under (see 'list').  Ignored with \
+                   --restore: a snapshot names the policy it was frozen under.")
   in
   let input_arg =
     Arg.(value & opt string "-"
@@ -764,10 +727,10 @@ let serve_cmd =
              ~doc:"Resume from a snapshot written by --checkpoint.  Corrupt or truncated \
                    snapshots are rejected (exit 2) before any state is touched.")
   in
-  let action policy input batch checkpoint restore m =
+  let action policy_name input batch checkpoint restore m =
     if batch < 1 then invalid_arg (Printf.sprintf "--batch must be >= 1 (got %d)" batch);
     if m < 1 then invalid_arg (Printf.sprintf "--machines must be >= 1 (got %d)" m);
-    let policy_name, session =
+    let entry, session =
       match restore with
       | Some path -> (
           match Sched_sim.Snapshot.unwrap (Sched_sim.Snapshot.read_file path) with
@@ -783,22 +746,18 @@ let serve_cmd =
                   exit 2
               | Some entry -> (
                   match entry.PR.restore_stream payload with
-                  | s -> (pname, s)
+                  | s -> (entry, s)
                   | exception Invalid_argument msg ->
                       prerr_endline ("rejsched: cannot restore " ^ path ^ ": " ^ msg);
                       exit 2)))
-      | None -> (
-          match PR.find policy with
-          | None ->
-              prerr_endline ("rejsched: unknown registry policy: " ^ policy);
-              exit 2
-          | Some entry ->
-              (* Serve never reads the closing schedule, so it always
-                 retires: a settled job's slot goes to a later arrival,
-                 so memory tracks the jobs in flight and job ids may be
-                 any non-negative ints, dense or not. *)
-              let trace = Sched_sim.Trace.create () in
-              (policy, entry.PR.open_stream ~trace ~retire:true ~machines:(Machine.fleet m) ()))
+      | None ->
+          (* Serve never reads the closing schedule, so it always
+             retires: a settled job's slot goes to a later arrival, so
+             memory tracks the jobs in flight and job ids may be any
+             non-negative ints, dense or not. *)
+          let entry = policy policy_name in
+          let trace = Sched_sim.Trace.create () in
+          (entry, entry.PR.open_stream ~trace ~retire:true ~machines:(Machine.fleet m) ())
     in
     (* With '--checkpoint -' the snapshot bytes own stdout; every NDJSON
        line moves to stderr so the two streams never interleave.  Lines
@@ -842,7 +801,7 @@ let serve_cmd =
       emit
         [
           ("type", N.String kind);
-          ("policy", N.String policy_name);
+          ("policy", N.String entry.PR.name);
           ("fed", N.Int (session.PR.ss_fed ()));
           ("flow_total", N.Float live.flow.Metrics.total);
           ("flow_weighted", N.Float live.flow.Metrics.weighted);
@@ -896,7 +855,7 @@ let serve_cmd =
         (* Freeze, don't close: queued future events ride inside the
            snapshot and a later --restore picks up mid-stream. *)
         let payload = session.PR.ss_freeze () in
-        write_output target (Sched_sim.Snapshot.wrap ~policy:policy_name ~payload);
+        write_output target (Sched_sim.Snapshot.wrap ~policy:entry.PR.name ~payload);
         summary "suspended" (session.PR.ss_live ())
     | None ->
         let _schedule, live = session.PR.ss_close () in
@@ -946,9 +905,14 @@ let bounds_cmd =
 let list_cmd =
   let action () =
     print_endline "workloads:";
-    List.iter (fun w -> print_endline ("  " ^ w)) workload_names;
-    print_endline "policies:";
-    List.iter (fun p -> print_endline ("  " ^ p)) policy_names;
+    List.iter (fun (w, _) -> print_endline ("  " ^ w)) Suite.flow_menu;
+    print_endline "policies (aliases in parentheses):";
+    List.iter
+      (fun (e : PR.entry) ->
+        match List.filter_map (fun (a, p) -> if p = e.PR.name then Some a else None) PR.aliases with
+        | [] -> print_endline ("  " ^ e.PR.name)
+        | names -> Printf.printf "  %s (%s)\n" e.PR.name (String.concat ", " names))
+      PR.all;
     print_endline "experiments:";
     List.iter
       (fun e ->

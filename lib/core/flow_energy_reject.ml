@@ -18,7 +18,6 @@ type state = {
   mutable v : float array;  (** Weight counters of running jobs, by job slot. *)
   mutable lambda : float array;  (** Dual variables, by job slot. *)
   mutable ids : int array;  (** The job id at each slot, [-1] if none yet: [lambdas]'s key. *)
-  mutable rej : int;
 }
 
 (* Density order: higher w/p first, ties by earlier release then id. *)
@@ -85,7 +84,6 @@ let init cfg instance =
     v = Array.make n 0.;
     lambda = Array.make n 0.;
     ids = Array.make n (-1);
-    rej = 0;
   }
 
 (* Streaming sessions init with zero jobs; the per-job columns grow on
@@ -119,10 +117,7 @@ let on_arrival st view (j : Job.t) =
       let k = r.Driver.job in
       let ks = Driver.slot view k in
       st.v.(ks) <- st.v.(ks) +. j.weight;
-      if st.v.(ks) > k.Job.weight /. st.cfg.eps then begin
-        rejections := [ k.Job.id ];
-        st.rej <- st.rej + 1
-      end
+      if st.v.(ks) > k.Job.weight /. st.cfg.eps then rejections := [ k.Job.id ]
   | None -> ());
   { Driver.dispatch_to = target; reject = !rejections; restart = [] }
 

@@ -13,8 +13,6 @@ type state = {
   instance : Instance.t;
   mutable v : float array;  (** Weight accumulated against the running job, by slot. *)
   c : float array;  (** Weight accumulated per machine since last reset. *)
-  mutable rej1 : int;
-  mutable rej2 : int;
 }
 
 (* Highest density first; ties by release then id. *)
@@ -61,8 +59,6 @@ let init cfg instance =
     instance;
     v = Array.make (Instance.n instance) 0.;
     c = Array.make (Instance.m instance) 0.;
-    rej1 = 0;
-    rej2 = 0;
   }
 
 (* Streaming sessions init with zero jobs; the per-job counters grow on
@@ -87,17 +83,14 @@ let on_arrival st view (j : Job.t) =
       let k = r.Driver.job in
       let ks = Driver.slot view k in
       st.v.(ks) <- st.v.(ks) +. j.weight;
-      if st.cfg.rule1 && st.v.(ks) > k.Job.weight /. eps then begin
-        rejections := k.Job.id :: !rejections;
-        st.rej1 <- st.rej1 + 1
-      end
+      if st.cfg.rule1 && st.v.(ks) > k.Job.weight /. eps then
+        rejections := k.Job.id :: !rejections
   | None -> ());
   if st.cfg.rule2 then begin
     let victim = largest_pending view target j in
     if st.c.(target) >= (1. +. (1. /. eps)) *. victim.Job.weight then begin
       rejections := victim.Job.id :: !rejections;
-      st.c.(target) <- 0.;
-      st.rej2 <- st.rej2 + 1
+      st.c.(target) <- 0.
     end
   end;
   { Driver.dispatch_to = target; reject = List.rev !rejections; restart = [] }

@@ -52,50 +52,64 @@ let wrap_session s =
     ss_trace = (fun () -> Driver.Session.trace s);
   }
 
-let pack ?reference ?budget ?(allow_restarts = false) make_policy name =
+(* The instance as an entry runs it: the same jobs and name on the
+   entry's fleet, copied only when the fleet differs. *)
+let on_fleet fleet (instance : Instance.t) =
+  let machines = fleet instance.Instance.machines in
+  if machines == instance.Instance.machines then instance
+  else
+    Instance.create ~name:instance.Instance.name ~machines
+      ~jobs:(Array.to_list (Instance.jobs_by_release instance))
+      ()
+
+(* [fleet] is applied here, once, so [run], [open_stream] and
+   [reference] see the same machines; a restored session carries its
+   fleet in the payload. *)
+let pack ?reference ?budget ?(allow_restarts = false) ?(fleet = Fun.id) make_policy name =
   {
     name;
     allow_restarts;
     run =
       (fun ?recorder ?check instance ->
-        let s, _, live = Driver.run ?recorder ?check (make_policy ()) instance in
+        let s, _, live =
+          Driver.run ?recorder ?check (make_policy ()) (on_fleet fleet instance)
+        in
         (s, live));
     open_stream =
       (fun ?trace ?obs ?recorder ?check ?retire ?name ~machines () ->
         wrap_session
-          (Driver.Session.open_session ?trace ?obs ?recorder ?check ?retire ?name ~machines
-             (make_policy ())));
+          (Driver.Session.open_session ?trace ?obs ?recorder ?check ?retire ?name
+             ~machines:(fleet machines) (make_policy ())));
     restore_stream =
       (fun ?obs payload -> wrap_session (Driver.Session.thaw ?obs (make_policy ()) payload));
     reference =
       Option.map
         (fun mk instance ->
-          let s, _, _ = Driver.run (mk ()) instance in
+          let s, _, _ = Driver.run (mk ()) (on_fleet fleet instance) in
           s)
         reference;
     budget;
   }
 
-(* A fixed eps for registry/differential purposes; the experiments sweep
-   their own values. *)
+(* The [eps] of [all]; the experiments sweep their own values. *)
 let eps = 0.3
 
 let no_rejection = Sched_check.Oracle.Count_fraction 0.
 
-let all =
+(* Every entry at one [eps].  Policies are built when a run starts, so
+   an [eps] no policy accepts fails only the entries that read it. *)
+let entries ~eps =
+  let flow_reject ?dispatch ?rule1 ?rule2 ~budget name =
+    let cfg () = FR.config ?dispatch ?rule1 ?rule2 ~eps () in
+    pack
+      (fun () -> FR.policy (cfg ()))
+      ~reference:(fun () -> B.Seed_reference.flow_reject (cfg ()))
+      ~budget:(Sched_check.Oracle.Count_fraction budget)
+      name
+  in
   [
-    pack
-      (fun () -> FR.policy (FR.config ~eps ()))
-      ~reference:(fun () -> B.Seed_reference.flow_reject (FR.config ~eps ()))
-      ~budget:(Sched_check.Oracle.Count_fraction (2. *. eps))
-      "flow-reject";
-    pack
-      (fun () ->
-        FR.policy (FR.config ~dispatch:FR.Greedy_load ~eps ()))
-      ~reference:(fun () ->
-        B.Seed_reference.flow_reject (FR.config ~dispatch:FR.Greedy_load ~eps ()))
-      ~budget:(Sched_check.Oracle.Count_fraction (2. *. eps))
-      "flow-reject-greedy";
+    flow_reject ~budget:(2. *. eps) "flow-reject";
+    flow_reject ~dispatch:FR.Greedy_load ~budget:(2. *. eps) "flow-reject-greedy";
     pack
       (fun () -> FRW.policy (FRW.config ~eps ()))
       ~reference:(fun () ->
@@ -142,6 +156,32 @@ let all =
       ~reference:(fun () ->
         B.Seed_reference.restart_spt (B.Restart_spt.config ()))
       ~allow_restarts:true ~budget:no_rejection "restart-spt";
+    (* One rule alone charges each rejection to ceil(1/eps) dispatches
+       (Rule 1) or ceil(1+1/eps) (Rule 2), so eps bounds the fraction. *)
+    flow_reject ~rule2:false ~budget:eps "flow-reject-rule1";
+    flow_reject ~rule1:false ~budget:eps "flow-reject-rule2";
+    (* ESA'16 ([5] in the paper): Rule 1 alone on machines 1.5x as fast. *)
+    pack
+      (fun () -> B.Speed_augmented.policy ~eps_r:eps)
+      ~fleet:(B.Speed_augmented.fleet ~eps_s:0.5)
+      ~reference:(fun () -> B.Seed_reference.flow_reject (FR.config ~rule2:false ~eps ()))
+      ~budget:(Sched_check.Oracle.Count_fraction eps) "speed-augmented";
   ]
 
-let find name = List.find_opt (fun e -> e.name = name) all
+let all = entries ~eps
+
+let aliases =
+  [
+    ("thm1", "flow-reject");
+    ("thm1-rule1", "flow-reject-rule1");
+    ("thm1-rule2", "flow-reject-rule2");
+    ("fifo", "greedy-fifo");
+    ("spt", "greedy-spt");
+    ("immediate", "immediate-largest");
+    ("esa", "speed-augmented");
+  ]
+
+let find ?eps:at name =
+  let name = Option.value (List.assoc_opt name aliases) ~default:name in
+  let table = match at with None -> all | Some eps -> entries ~eps in
+  List.find_opt (fun e -> e.name = name) table

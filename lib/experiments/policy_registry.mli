@@ -2,9 +2,11 @@
     plain instance runner, with its validation mode and —
     where one exists — its scan-based seed-reference mirror.
 
-    The registry powers the cross-cutting test layers: the validator suite
-    runs every entry over a shared workload set, and the differential suite
-    checks each optimized entry against its [reference]. *)
+    It is the one policy table: the CLI resolves every policy name here
+    ({!find}, aliases included), and the cross-cutting test layers walk
+    {!all}: the validator suite runs every entry over a shared workload
+    set, and the differential suite checks each optimized entry against
+    its [reference]. *)
 
 open Sched_model
 open Sched_sim
@@ -67,7 +69,16 @@ type entry = {
 }
 
 val eps : float
-(** The rejection parameter every registry entry is instantiated with. *)
+(** The rejection parameter of {!all}'s entries. *)
 
 val all : entry list
-val find : string -> entry option
+(** Every entry at {!eps}. *)
+
+val aliases : (string * string) list
+(** [(alias, name)]: the short names [rejsched run] has always taken
+    ([thm1], [fifo], [esa], ...), each for one entry of {!all}. *)
+
+val find : ?eps:float -> string -> entry option
+(** The entry of that name or alias, instantiated at [?eps] (default
+    {!eps}).  An [eps] a policy rejects raises [Invalid_argument] when
+    that entry starts a run, not here. *)

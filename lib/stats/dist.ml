@@ -56,36 +56,6 @@ let lognormal ~mu ~sigma =
     mean = Some (exp (mu +. (sigma *. sigma /. 2.)));
     sample }
 
-let choice weighted =
-  assert (weighted <> []);
-  List.iter (fun (w, _) -> assert (w > 0.)) weighted;
-  let total = List.fold_left (fun acc (w, _) -> acc +. w) 0. weighted in
-  let mean =
-    List.fold_left
-      (fun acc (w, d) ->
-        match (acc, d.mean) with
-        | Some a, Some m -> Some (a +. (w /. total *. m))
-        | _ -> None)
-      (Some 0.) weighted
-  in
-  let sample rng =
-    let x = Rng.float rng *. total in
-    let rec pick acc = function
-      | [] -> assert false
-      | [ (_, d) ] -> d.sample rng
-      | (w, d) :: rest -> if x < acc +. w then d.sample rng else pick (acc +. w) rest
-    in
-    pick 0. weighted
-  in
-  let names = List.map (fun (w, d) -> Printf.sprintf "%g*%s" w d.name) weighted in
-  { name = "mix(" ^ String.concat "," names ^ ")"; mean; sample }
-
-let scaled c d =
-  assert (c > 0.);
-  { name = Printf.sprintf "%g*%s" c d.name;
-    mean = Option.map (fun m -> c *. m) d.mean;
-    sample = (fun rng -> c *. d.sample rng) }
-
 let quantize ~grid d =
   assert (grid > 0.);
   { name = Printf.sprintf "quantize(%g,%s)" grid d.name;

@@ -38,14 +38,6 @@ val lognormal : mu:float -> sigma:float -> t
     normal. *)
 
 (* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val choice : (float * t) list -> t
-(** Finite mixture; weights must be positive and are normalized. *)
-
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val scaled : float -> t -> t
-(** [scaled c d] multiplies every sample of [d] by [c > 0]. *)
-
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val quantize : grid:float -> t -> t
 (** [quantize ~grid d] rounds samples up to the nearest positive multiple of
     [grid]; used to build discrete-time instances. *)

@@ -47,11 +47,6 @@ let exponential t rate =
   let u = 1.0 -. float t in
   -.log u /. rate
 
-let pareto t ~shape ~scale =
-  assert (shape > 0. && scale > 0.);
-  let u = 1.0 -. float t in
-  scale /. (u ** (1.0 /. shape))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

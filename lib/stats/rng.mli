@@ -35,10 +35,5 @@ val exponential : t -> float -> float
 (** [exponential t rate] draws from Exp(rate).  Requires [rate > 0]. *)
 
 (* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val pareto : t -> shape:float -> scale:float -> float
-(** [pareto t ~shape ~scale] draws from a Pareto distribution with the given
-    tail index [shape] and minimum value [scale]. *)
-
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

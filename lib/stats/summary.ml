@@ -47,13 +47,6 @@ let of_array a =
     total;
   }
 
-let geometric_mean l =
-  match l with
-  | [] -> invalid_arg "Summary.geometric_mean: empty"
-  | _ ->
-      List.iter (fun x -> assert (x > 0.)) l;
-      exp (List.fold_left (fun acc x -> acc +. log x) 0. l /. float_of_int (List.length l))
-
 let pp ppf t =
   Format.fprintf ppf "n=%d mean=%.4g sd=%.3g min=%.4g p50=%.4g p90=%.4g p99=%.4g max=%.4g"
     t.count t.mean t.stddev t.min t.p50 t.p90 t.p99 t.max

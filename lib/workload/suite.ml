@@ -35,15 +35,17 @@ let flow_diurnal ~n ~m =
     ~sizes:(Dist.uniform ~lo:1. ~hi:10.)
     ~shape:(Shape.unrelated ~spread:1.5) ~n ~m ()
 
-let all_flow ~n ~m =
+let flow_menu =
   [
-    flow_uniform ~n ~m;
-    flow_pareto ~n ~m;
-    flow_bimodal ~n ~m;
-    flow_restricted ~n ~m;
-    flow_related ~n ~m;
-    flow_clustered ~n ~m;
+    ("uniform", flow_uniform);
+    ("pareto", flow_pareto);
+    ("bimodal", flow_bimodal);
+    ("restricted", flow_restricted);
+    ("related", flow_related);
+    ("clustered", flow_clustered);
   ]
+
+let all_flow ~n ~m = List.map (fun (_, make) -> make ~n ~m) flow_menu
 
 let weighted_energy ~n ~m ~alpha =
   Gen.make ~name:"weighted-energy"

@@ -30,8 +30,13 @@ val flow_diurnal : n:int -> m:int -> Gen.t
 (** Sinusoidal (day/night) arrival intensity with unrelated machines; not
     part of {!all_flow} so existing experiment tables stay stable. *)
 
+val flow_menu : (string * (n:int -> m:int -> Gen.t)) list
+(** The six flow workloads above by their CLI names ([uniform],
+    [pareto], [bimodal], [restricted], [related], [clustered]), in a
+    fixed order. *)
+
 val all_flow : n:int -> m:int -> Gen.t list
-(** The six workloads above, in a fixed order. *)
+(** {!flow_menu}'s workloads, in its order. *)
 
 val weighted_energy : n:int -> m:int -> alpha:float -> Gen.t
 (** Weighted jobs (Pareto weights), moderate load — the Section 3

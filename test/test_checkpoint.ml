@@ -313,7 +313,7 @@ let serve_lines (s : P.stream_session) jobs ~close =
   end
   else fed
 
-(* A tripwire for the snapshot layout.  [snapshots/serve-smoke-v6.snap] is
+(* A tripwire for the snapshot layout.  [snapshots/serve-smoke-v7.snap] is
    serve's checkpoint after the smoke stream's first two arrivals, written
    by an earlier build.  It must unwrap under the current [Snapshot.version]
    and thaw, and its continuation spliced after the first half's decisions
@@ -328,7 +328,7 @@ let serve_lines (s : P.stream_session) jobs ~close =
 
    (N the new version), then point both tests at it. *)
 let snapshot_file name = Filename.concat (Test_util.data_dir "snapshots") name
-let checked_in_snapshot = snapshot_file "serve-smoke-v6.snap"
+let checked_in_snapshot = snapshot_file "serve-smoke-v7.snap"
 
 let checked_in_payload () =
   match Snapshot.unwrap (Snapshot.read_file checked_in_snapshot) with
@@ -388,9 +388,10 @@ let test_checked_in_snapshot_bytes () =
    thawed into the current layout: version 2 laid the job columns out by
    external id, version 3 kept a per-(machine, slot) size matrix and
    a position table per pending heap, version 4 had no column of
-   pending-head sizes, and version 5 kept a per-slot column of minimum
+   pending-head sizes, version 5 kept a per-slot column of minimum
    sizes, a job record without its size summaries and a position
-   column for every pending order, dormant or not. *)
+   column for every pending order, dormant or not, and version 6 kept
+   rejection counters in the weighted and flow-energy policy states. *)
 let old_snapshot_fails_closed v () =
   match
     Snapshot.unwrap (Snapshot.read_file (snapshot_file (Printf.sprintf "serve-smoke-v%d.snap" v)))
@@ -423,6 +424,7 @@ let suite =
     Alcotest.test_case "v3 snapshot fails closed" `Quick (old_snapshot_fails_closed 3);
     Alcotest.test_case "v4 snapshot fails closed" `Quick (old_snapshot_fails_closed 4);
     Alcotest.test_case "v5 snapshot fails closed" `Quick (old_snapshot_fails_closed 5);
+    Alcotest.test_case "v6 snapshot fails closed" `Quick (old_snapshot_fails_closed 6);
     Alcotest.test_case "suspend at every boundary, every registry policy" `Slow
       test_suspend_every_boundary_registry;
   ]

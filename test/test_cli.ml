@@ -50,13 +50,28 @@ let in_process ~n ~m ~seed ~eps =
   let s, _ = FR.run ~trace (FR.config ~eps ()) inst in
   (s, trace)
 
-let test_unknown_policy_exits_2 () =
+(* An unknown name is a usage error: exit 2 with [needle] on stderr.
+   [args] starts with the subcommand. *)
+let check_unknown_name args needle =
   let err = temp ".txt" in
-  let code = shell (Printf.sprintf "%s run -p no-such-policy > /dev/null 2> %s" exe err) in
-  Alcotest.(check int) "exit code" 2 code;
-  Alcotest.(check bool) "message on stderr" true
-    (Test_util.contains (read_file err) "unknown policy");
+  let code = shell (Printf.sprintf "%s %s < /dev/null > /dev/null 2> %s" exe args err) in
+  Alcotest.(check int) (args ^ " exit code") 2 code;
+  Alcotest.(check bool) (args ^ " message on stderr") true
+    (Test_util.contains (read_file err) needle);
   Sys.remove err
+
+let test_unknown_policy_exits_2 () =
+  List.iter
+    (fun cmd -> check_unknown_name (cmd ^ " -p no-such-policy") "unknown policy")
+    [ "run"; "serve"; "trace" ]
+
+let test_unknown_sizes_exits_2 () =
+  check_unknown_name "run --sizes no-such-dist" "unknown size distribution"
+
+let test_unknown_experiment_exits_2 () =
+  check_unknown_name "experiment no-such-id" "unknown experiment"
+
+let test_unknown_game_exits_2 () = check_unknown_name "adversary no-such-game" "unknown game"
 
 let test_telemetry_reconciles_with_metrics () =
   let tel = temp ".json" in
@@ -240,6 +255,93 @@ let test_serve_checkpoint_restore_identical () =
     (lines_with {|"type":"closed"|} (read_file full))
     (lines_with {|"type":"closed"|} (read_file part2));
   List.iter Sys.remove [ input; full; part1; part2; snap; head2; tail2 ]
+
+(* The names 'list' prints under "policies": each line is a registry
+   name, then its aliases in parentheses. *)
+let listed_policies () =
+  let out = temp ".txt" in
+  Alcotest.(check int) "list exits 0" 0 (shell (Printf.sprintf "%s list > %s" exe out));
+  let lines = String.split_on_char '\n' (read_file out) in
+  Sys.remove out;
+  let rec section = function
+    | [] -> []
+    | l :: rest when String.starts_with ~prefix:"policies" l -> body rest
+    | _ :: rest -> section rest
+  and body = function
+    | l :: rest when String.starts_with ~prefix:"  " l -> l :: body rest
+    | _ -> []
+  in
+  section lines
+  |> List.concat_map (fun l ->
+         String.map (function '(' | ')' | ',' -> ' ' | c -> c) l
+         |> String.split_on_char ' '
+         |> List.filter (( <> ) ""))
+
+(* Every name 'list' prints is one that run, serve and trace accept,
+   and 'list' prints every name the registry resolves. *)
+let test_list_names_accepted () =
+  let module PR = Sched_experiments.Policy_registry in
+  let names = listed_policies () in
+  Alcotest.(check (list string)) "list prints the registry's names and aliases"
+    (List.sort String.compare
+       (List.map (fun (e : PR.entry) -> e.PR.name) PR.all @ List.map fst PR.aliases))
+    (List.sort String.compare names);
+  let input = temp ".ndjson" in
+  write_lines input
+    [
+      {|{"job": 0, "release": 0.0, "sizes": [2.0, 3.0]}|};
+      {|{"job": 1, "release": 0.5, "sizes": [1.0, 1.0]}|};
+    ];
+  List.iter
+    (fun name ->
+      List.iter
+        (fun args ->
+          let cmd = Printf.sprintf "%s %s > /dev/null 2> /dev/null" exe args in
+          Alcotest.(check int) args 0 (shell cmd))
+        [
+          Printf.sprintf "run -p %s -n 20 -m 2" name;
+          Printf.sprintf "serve -p %s -m 2 --input %s" name input;
+          Printf.sprintf "trace -p %s -n 20 -m 2 --out-ndjson - --out-chrome -" name;
+        ])
+    names;
+  Sys.remove input
+
+(* An alias runs its entry: the CSV is the same, and the table differs
+   only in its title line, which prints the name as given. *)
+let test_run_alias_matches_canonical () =
+  let run p flags =
+    let out = temp ".txt" in
+    Alcotest.(check int) (p ^ " exits 0") 0
+      (shell (Printf.sprintf "%s run -p %s -n 120 -m 3 --seed 4 %s > %s" exe p flags out));
+    let text = read_file out in
+    Sys.remove out;
+    text
+  in
+  Alcotest.(check string) "same CSV" (run "flow-reject" "--csv") (run "thm1" "--csv");
+  match
+    (String.split_on_char '\n' (run "flow-reject" ""), String.split_on_char '\n' (run "thm1" ""))
+  with
+  | title :: rows, title' :: rows' ->
+      Alcotest.(check bool) "titles name the policy as given" true
+        (Test_util.contains title "== flow-reject on"
+        && Test_util.contains title' "== thm1 on");
+      Alcotest.(check (list string)) "same rows" rows rows'
+  | _ -> Alcotest.fail "empty run output"
+
+(* Serve under an alias reports the entry's name: the snapshot it
+   writes and its summary both say flow-reject. *)
+let test_serve_alias_reports_name () =
+  let input = temp ".ndjson" and snap = temp ".snap" and out = temp ".out" in
+  write_lines input (List.filteri (fun k _ -> k < 2) arrival_lines);
+  Alcotest.(check int) "serve -p thm1 exits 0" 0
+    (shell
+       (Printf.sprintf "%s serve -p thm1 -m 2 --input %s --checkpoint %s > %s" exe input snap out));
+  (match Sched_sim.Snapshot.unwrap (Sched_sim.Snapshot.read_file snap) with
+  | Ok (policy, _) -> Alcotest.(check string) "snapshot policy" "flow-reject" policy
+  | Error e -> Alcotest.failf "snapshot: %s" (Sched_sim.Snapshot.error_to_string e));
+  Alcotest.(check int) "summary names flow-reject" 1
+    (List.length (lines_with {|"type":"suspended","policy":"flow-reject"|} (read_file out)));
+  List.iter Sys.remove [ input; snap; out ]
 
 let test_serve_checkpoint_stdout () =
   (* '--checkpoint -' puts the snapshot alone on stdout, and the NDJSON
@@ -535,6 +637,14 @@ let test_ill_typed_value_exits_2 () = check_parse_errors [ ("run -n abc", "-n") 
 let suite =
   [
     Alcotest.test_case "unknown policy exits 2" `Quick test_unknown_policy_exits_2;
+    Alcotest.test_case "unknown --sizes exits 2" `Quick test_unknown_sizes_exits_2;
+    Alcotest.test_case "unknown experiment exits 2" `Quick test_unknown_experiment_exits_2;
+    Alcotest.test_case "unknown adversary game exits 2" `Quick test_unknown_game_exits_2;
+    Alcotest.test_case "every listed policy runs, serves and traces" `Quick
+      test_list_names_accepted;
+    Alcotest.test_case "run alias = its registry entry" `Quick test_run_alias_matches_canonical;
+    Alcotest.test_case "serve alias reports the registry name" `Quick
+      test_serve_alias_reports_name;
     Alcotest.test_case "experiment output independent of --domains" `Slow
       test_experiment_domains_identical;
     Alcotest.test_case "--domains 0 rejected" `Quick test_domains_zero_rejected;

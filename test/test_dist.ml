@@ -63,22 +63,6 @@ let test_quantize_grid () =
       Alcotest.(check bool) "positive" true (x > 0.))
     (sample_many d 300)
 
-let test_scaled () =
-  let d = Dist.scaled 3. (Dist.constant 2.) in
-  List.iter (fun x -> Alcotest.(check (float 1e-12)) "scaled" 6. x) (sample_many d 10)
-
-let test_choice_members () =
-  let d = Dist.choice [ (1., Dist.constant 1.); (2., Dist.constant 7.) ] in
-  let values = sample_many d 2000 in
-  List.iter (fun x -> Alcotest.(check bool) "1 or 7" true (x = 1. || x = 7.)) values;
-  let sevens = List.length (List.filter (fun x -> x = 7.) values) in
-  Alcotest.(check bool) "weighting ~ 2/3" true
-    (Float.abs ((float_of_int sevens /. 2000.) -. (2. /. 3.)) < 0.05)
-
-let test_mixture_mean () =
-  let d = Dist.choice [ (1., Dist.constant 2.); (1., Dist.constant 4.) ] in
-  Alcotest.(check (option (float 1e-9))) "mixture mean" (Some 3.) (Dist.mean d)
-
 let test_invalid_args () =
   Alcotest.check_raises "uniform lo<=0" (Invalid_argument "assertion failed") (fun () ->
       try ignore (Dist.uniform ~lo:0. ~hi:1.) with Assert_failure _ -> raise (Invalid_argument "assertion failed"))
@@ -94,8 +78,5 @@ let suite =
     Alcotest.test_case "exponential positive" `Quick test_exponential_positive;
     Alcotest.test_case "lognormal positive" `Quick test_lognormal_positive;
     Alcotest.test_case "quantize grid" `Quick test_quantize_grid;
-    Alcotest.test_case "scaled" `Quick test_scaled;
-    Alcotest.test_case "choice members" `Quick test_choice_members;
-    Alcotest.test_case "mixture mean" `Quick test_mixture_mean;
     Alcotest.test_case "invalid args" `Quick test_invalid_args;
   ]

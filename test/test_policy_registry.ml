@@ -37,6 +37,13 @@ let test_names_unique_and_findable () =
       | Some e -> Alcotest.(check string) "find returns entry" name e.PR.name
       | None -> Alcotest.failf "registry find %s failed" name)
     names;
+  List.iter
+    (fun (alias, name) ->
+      Alcotest.(check bool) (alias ^ " is not also an entry name") false (List.mem alias names);
+      match PR.find alias with
+      | Some e -> Alcotest.(check string) ("alias " ^ alias) name e.PR.name
+      | None -> Alcotest.failf "alias %s resolves to nothing" alias)
+    PR.aliases;
   Alcotest.(check bool) "unknown name" true (PR.find "no-such-policy" = None)
 
 let test_validator_accepts_all_policies () =

@@ -64,12 +64,6 @@ let test_exponential_mean () =
   let mean = !sum /. float_of_int n in
   Alcotest.(check bool) "mean ~ 2" true (Float.abs (mean -. 2.) < 0.1)
 
-let test_pareto_scale () =
-  let rng = Rng.create 19 in
-  for _ = 1 to 200 do
-    Alcotest.(check bool) "at least scale" true (Rng.pareto rng ~shape:1.5 ~scale:3. >= 3.)
-  done
-
 let test_shuffle_permutation () =
   let rng = Rng.create 23 in
   let a = Array.init 20 Fun.id in
@@ -98,7 +92,6 @@ let suite =
     Alcotest.test_case "copy" `Quick test_copy;
     Alcotest.test_case "exponential positive" `Quick test_exponential_positive;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
-    Alcotest.test_case "pareto scale" `Quick test_pareto_scale;
     Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "uniform mean" `Quick test_uniform_mean;
   ]

@@ -25,10 +25,6 @@ let test_percentile_interpolation () =
   Alcotest.(check (float 1e-9)) "p90 interp" 9. s.Summary.p90;
   Alcotest.(check (float 1e-9)) "p99 interp" 9.9 s.Summary.p99
 
-let test_geometric_mean () =
-  Alcotest.(check (float 1e-9)) "gm" 2. (Summary.geometric_mean [ 1.; 4. ]);
-  Alcotest.(check (float 1e-9)) "gm3" 3. (Summary.geometric_mean [ 3.; 3.; 3. ])
-
 let test_table_render () =
   let t = Table.create ~title:"demo" ~columns:[ "name"; "value" ] in
   Table.add_row t [ "alpha"; "1.5" ];
@@ -72,7 +68,6 @@ let suite =
     Alcotest.test_case "summary single" `Quick test_summary_single;
     Alcotest.test_case "summary empty" `Quick test_summary_empty;
     Alcotest.test_case "percentile interpolation" `Quick test_percentile_interpolation;
-    Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table row mismatch" `Quick test_table_row_mismatch;
     Alcotest.test_case "table csv quoting" `Quick test_table_csv;
