@@ -637,14 +637,6 @@ let test_ill_typed_value_exits_2 () = check_parse_errors [ ("run -n abc", "-n") 
 let suite =
   [
     Alcotest.test_case "unknown policy exits 2" `Quick test_unknown_policy_exits_2;
-    Alcotest.test_case "unknown --sizes exits 2" `Quick test_unknown_sizes_exits_2;
-    Alcotest.test_case "unknown experiment exits 2" `Quick test_unknown_experiment_exits_2;
-    Alcotest.test_case "unknown adversary game exits 2" `Quick test_unknown_game_exits_2;
-    Alcotest.test_case "every listed policy runs, serves and traces" `Quick
-      test_list_names_accepted;
-    Alcotest.test_case "run alias = its registry entry" `Quick test_run_alias_matches_canonical;
-    Alcotest.test_case "serve alias reports the registry name" `Quick
-      test_serve_alias_reports_name;
     Alcotest.test_case "experiment output independent of --domains" `Slow
       test_experiment_domains_identical;
     Alcotest.test_case "--domains 0 rejected" `Quick test_domains_zero_rejected;
@@ -674,4 +666,12 @@ let suite =
     Alcotest.test_case "serve non-dyadic stream matches its golden" `Quick test_serve_nondyadic;
     Alcotest.test_case "serve non-number weight/deadline exits 1" `Quick
       test_serve_non_number_optional_rejected;
+    Alcotest.test_case "unknown --sizes exits 2" `Quick test_unknown_sizes_exits_2;
+    Alcotest.test_case "unknown experiment exits 2" `Quick test_unknown_experiment_exits_2;
+    Alcotest.test_case "unknown adversary game exits 2" `Quick test_unknown_game_exits_2;
+    Alcotest.test_case "every listed policy runs, serves and traces" `Quick
+      test_list_names_accepted;
+    Alcotest.test_case "run alias = its registry entry" `Quick test_run_alias_matches_canonical;
+    Alcotest.test_case "serve alias reports the registry name" `Quick
+      test_serve_alias_reports_name;
   ]
