@@ -176,7 +176,9 @@ let run_cmd =
        to --trace-ndjson, then are released, so the trace holds one
        arrival's rows at a time. *)
     let trace = Trace.create () in
-    let check = Check.create ~machines:(Array.length machines) () in
+    let check =
+      Check.create ~allow_restarts:entry.PR.allow_restarts ~machines:(Array.length machines) ()
+    in
     let lines = Buffer.create 65536 in
     let sink =
       match trace_ndjson with

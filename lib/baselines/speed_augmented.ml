@@ -9,11 +9,11 @@ let policy ~eps_r =
   Rejection.Flow_reject.policy (Rejection.Flow_reject.config ~rule2:false ~eps:eps_r ())
 
 let run ?trace ?obs ~eps_s ~eps_r instance =
-  let machines = fleet ~eps_s instance.Instance.machines in
   let fast =
-    Instance.create
+    Instance.with_machines
       ~name:(Printf.sprintf "%s(+speed %g)" instance.Instance.name (1. +. eps_s))
-      ~machines ~jobs:(Array.to_list (Instance.jobs_by_release instance)) ()
+      instance
+      (fleet ~eps_s instance.Instance.machines)
   in
   let schedule, _, _ = Sched_sim.Driver.run ?trace ?obs (policy ~eps_r) fast in
   schedule

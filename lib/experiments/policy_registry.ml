@@ -53,14 +53,9 @@ let wrap_session s =
   }
 
 (* The instance as an entry runs it: the same jobs and name on the
-   entry's fleet, copied only when the fleet differs. *)
+   entry's fleet (the instance itself under the identity fleet). *)
 let on_fleet fleet (instance : Instance.t) =
-  let machines = fleet instance.Instance.machines in
-  if machines == instance.Instance.machines then instance
-  else
-    Instance.create ~name:instance.Instance.name ~machines
-      ~jobs:(Array.to_list (Instance.jobs_by_release instance))
-      ()
+  Instance.with_machines instance (fleet instance.Instance.machines)
 
 (* [fleet] is applied here, once, so [run], [open_stream] and
    [reference] see the same machines; a restored session carries its

@@ -25,6 +25,11 @@ let create ?(name = "instance") ~machines ~jobs () =
   Array.sort Job.compare_by_release jobs;
   { name; machines; jobs; by_id }
 
+let with_machines ?name t machines =
+  if machines == t.machines && name = None then t
+  else
+    create ~name:(Option.value name ~default:t.name) ~machines ~jobs:(Array.to_list t.jobs) ()
+
 let n t = Array.length t.jobs
 let m t = Array.length t.machines
 

@@ -16,6 +16,11 @@ val create : ?name:string -> machines:Machine.t array -> jobs:Job.t list -> unit
     size vector has length [m], and job ids form [0..n-1] (ids need not be
     ordered by release).  Jobs are sorted by release internally. *)
 
+val with_machines : ?name:string -> t -> Machine.t array -> t
+(** The same jobs on another fleet of the same size, named [name]
+    (default: the instance's own name).  The instance itself when
+    [machines] is its own array and no [name] is given. *)
+
 val n : t -> int
 (** Number of jobs. *)
 

@@ -343,6 +343,19 @@ let test_serve_alias_reports_name () =
     (List.length (lines_with {|"type":"suspended","policy":"flow-reject"|} (read_file out)));
   List.iter Sys.remove [ input; snap; out ]
 
+(* run checks each entry under its own relaxation: restart-spt's
+   restarted jobs are valid, so a run that restarts some exits 0. *)
+let test_run_restart_spt_checked_with_restarts () =
+  let ndjson = temp ".ndjson" in
+  Alcotest.(check int) "run -p restart-spt exits 0" 0
+    (shell
+       (Printf.sprintf
+          "%s run -p restart-spt -w pareto -n 200 -m 4 --csv --trace-ndjson %s > /dev/null" exe
+          ndjson));
+  Alcotest.(check bool) "the run restarts a job" true
+    (lines_with {|"event":"restart"|} (read_file ndjson) <> []);
+  Sys.remove ndjson
+
 let test_serve_checkpoint_stdout () =
   (* '--checkpoint -' puts the snapshot alone on stdout, and the NDJSON
      a '--checkpoint FILE' run writes to stdout moves to stderr intact;
@@ -674,4 +687,6 @@ let suite =
     Alcotest.test_case "run alias = its registry entry" `Quick test_run_alias_matches_canonical;
     Alcotest.test_case "serve alias reports the registry name" `Quick
       test_serve_alias_reports_name;
+    Alcotest.test_case "run checks restart-spt with restarts allowed" `Quick
+      test_run_restart_spt_checked_with_restarts;
   ]
