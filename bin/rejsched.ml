@@ -138,6 +138,10 @@ let run_cmd =
   in
   let action policy_name workload n m seed eps csv gantt svg load swf save segments sizes
       telemetry trace_ndjson domains =
+    (* The table's last row is Theorem 1's bound at --eps: an eps it
+       rejects is a usage error before anything is generated or written. *)
+    if not (eps > 0. && eps < 1.) then
+      invalid_arg (Printf.sprintf "--eps must lie in (0,1) (got %g)" eps);
     apply_domains domains;
     let entry = policy ~eps policy_name in
     let gen = apply_sizes (workload_of_name ~n ~m workload) sizes in

@@ -1,8 +1,8 @@
 (** Oracle results as {!Sched_obs} telemetry.
 
-    Fuzz runs and [?check]-instrumented simulations record their oracle
-    verdicts here, so `--telemetry` snapshots show how many schedules
-    were audited and which checkers fired. *)
+    Fuzz runs record their oracle verdicts here, so `--telemetry`
+    snapshots show how many schedules were audited and which checkers
+    fired. *)
 
 val record : Sched_obs.Registry.t -> Violation.t list -> unit
 (** Bumps [sched_check_schedules_total]; on a clean list also bumps

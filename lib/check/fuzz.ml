@@ -49,23 +49,9 @@ type report = { evaluated : int; coverage : int; failures : failure list }
    registry entry, so scenario evaluations can fan out across pool domains
    and still merge deterministically. *)
 
-let oracle_mode (entry : P.entry) =
-  Oracle.mode ~allow_restarts:entry.P.allow_restarts ~check_deadlines:false ()
-
-let snapshot (lm : Sched_sim.Driver.live_metrics) =
-  {
-    Oracle.flow = lm.Sched_sim.Driver.flow;
-    energy = lm.Sched_sim.Driver.energy;
-    rejection = lm.Sched_sim.Driver.rejection;
-    makespan = lm.Sched_sim.Driver.makespan;
-  }
-
 let audit (entry : P.entry) inst =
   let sched, lm = entry.P.run inst in
-  let vs =
-    Oracle.check ~mode:(oracle_mode entry) ?budget:entry.P.budget ~live:(snapshot lm) sched
-  in
-  (sched, lm, vs)
+  (sched, lm, P.audit entry sched lm)
 
 let rel_close ~tol a b = Float.abs (a -. b) <= tol *. Float.max 1. (Float.max (Float.abs a) (Float.abs b))
 

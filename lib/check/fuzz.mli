@@ -4,9 +4,10 @@
     and every policy in the configured registry slice is run on it and
     audited five ways:
 
-    - {b oracle}: the full {!Oracle.check} — structural invariants, the
-      policy's theorem rejection budget, and reconciliation of the driver's
-      incremental metrics against a from-scratch recomputation;
+    - {b oracle}: {!Sched_experiments.Policy_registry.audit} — structural
+      invariants, the policy's theorem rejection budget, and
+      reconciliation of the driver's incremental metrics against a
+      from-scratch recomputation;
     - {b permute}: re-presenting the job list in a shuffled order must
       yield a byte-identical schedule dump (the instance is canonicalized
       on construction, so any difference is hidden input-order dependence);

@@ -188,14 +188,7 @@ let budget_check budget (s : Schedule.t) =
       if r.Metrics.weight_fraction <= f +. 1e-9 then []
       else fail f r.Metrics.weight_fraction "rejected weight fraction"
 
-type snapshot = {
-  flow : Metrics.flow;
-  energy : float;
-  rejection : Metrics.rejection;
-  makespan : Time.t;
-}
-
-let reconcile ?(tol = 1e-9) snap (s : Schedule.t) =
+let reconcile ?(tol = 1e-9) (live : Metrics.live) (s : Schedule.t) =
   let errs = ref [] in
   let close a b = Float.abs (a -. b) <= tol *. Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
   let num field claimed actual =
@@ -213,39 +206,28 @@ let reconcile ?(tol = 1e-9) snap (s : Schedule.t) =
           (Printf.sprintf "%s: incremental %d vs recomputed %d" field claimed actual)
         :: !errs
   in
-  let f = Metrics.flow s in
-  num "flow.total" snap.flow.Metrics.total f.Metrics.total;
-  num "flow.weighted" snap.flow.Metrics.weighted f.Metrics.weighted;
-  num "flow.total_with_rejected" snap.flow.Metrics.total_with_rejected
-    f.Metrics.total_with_rejected;
-  num "flow.weighted_with_rejected" snap.flow.Metrics.weighted_with_rejected
+  let f = Metrics.flow s and lf = live.Metrics.flow in
+  num "flow.total" lf.Metrics.total f.Metrics.total;
+  num "flow.weighted" lf.Metrics.weighted f.Metrics.weighted;
+  num "flow.total_with_rejected" lf.Metrics.total_with_rejected f.Metrics.total_with_rejected;
+  num "flow.weighted_with_rejected" lf.Metrics.weighted_with_rejected
     f.Metrics.weighted_with_rejected;
-  num "flow.max_flow" snap.flow.Metrics.max_flow f.Metrics.max_flow;
-  num "flow.mean_flow" snap.flow.Metrics.mean_flow f.Metrics.mean_flow;
-  num "flow.max_stretch" snap.flow.Metrics.max_stretch f.Metrics.max_stretch;
-  num "energy" snap.energy (Metrics.energy s);
-  num "makespan" snap.makespan (Metrics.makespan s);
-  let r = Metrics.rejection s in
-  int_field "rejection.count" snap.rejection.Metrics.count r.Metrics.count;
-  int_field "rejection.mid_run" snap.rejection.Metrics.mid_run r.Metrics.mid_run;
-  num "rejection.fraction" snap.rejection.Metrics.fraction r.Metrics.fraction;
-  num "rejection.weight" snap.rejection.Metrics.weight r.Metrics.weight;
-  num "rejection.weight_fraction" snap.rejection.Metrics.weight_fraction
-    r.Metrics.weight_fraction;
+  num "flow.max_flow" lf.Metrics.max_flow f.Metrics.max_flow;
+  num "flow.mean_flow" lf.Metrics.mean_flow f.Metrics.mean_flow;
+  num "flow.max_stretch" lf.Metrics.max_stretch f.Metrics.max_stretch;
+  num "energy" live.Metrics.energy (Metrics.energy s);
+  num "makespan" live.Metrics.makespan (Metrics.makespan s);
+  let r = Metrics.rejection s and lr = live.Metrics.rejection in
+  int_field "rejection.count" lr.Metrics.count r.Metrics.count;
+  int_field "rejection.mid_run" lr.Metrics.mid_run r.Metrics.mid_run;
+  num "rejection.fraction" lr.Metrics.fraction r.Metrics.fraction;
+  num "rejection.weight" lr.Metrics.weight r.Metrics.weight;
+  num "rejection.weight_fraction" lr.Metrics.weight_fraction r.Metrics.weight_fraction;
   List.sort Violation.compare !errs
 
 let check ?mode:(md = strict) ?budget ?live ?tol s =
   let vs = structural ~mode:md s in
   let vs = match budget with None -> vs | Some b -> vs @ budget_check b s in
-  match live with None -> vs | Some snap -> vs @ reconcile ?tol snap s
+  match live with None -> vs | Some lm -> vs @ reconcile ?tol lm s
 
 let report vs = Format.asprintf "%a" Violation.pp_list vs
-
-exception Violations of string * Violation.t list
-
-let () =
-  Printexc.register_printer (function
-    | Violations (what, vs) -> Some (Printf.sprintf "Oracle.Violations(%s): %s" what (report vs))
-    | _ -> None)
-
-let assert_clean ~what = function [] -> () | vs -> raise (Violations (what, vs))

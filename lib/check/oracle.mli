@@ -54,38 +54,23 @@ val budget_check : budget -> Schedule.t -> Violation.t list
     budget (with 1e-9 absolute slack on the fraction, matching the
     theorem-level tests). *)
 
-type snapshot = {
-  flow : Metrics.flow;
-  energy : float;
-  rejection : Metrics.rejection;
-  makespan : Time.t;
-}
-(** A claimed set of objective values — in practice the simulator's
-    incremental {!Sched_sim.Driver.live_metrics}, mirrored here so this
-    library stays below the simulator in the dependency order. *)
-
 (* rejlint: allow test-only-export — tests run this one checker alone on a planted fault *)
-val reconcile : ?tol:float -> snapshot -> Schedule.t -> Violation.t list
+val reconcile : ?tol:float -> Metrics.live -> Schedule.t -> Violation.t list
 (** Recomputes every metric from scratch ({!Sched_model.Metrics}) and
-    compares field by field.  [tol] is a relative tolerance (default
-    [1e-9]: float accumulation order differs between the incremental and
-    post-hoc passes); pass [~tol:0.] on dyadic instances to demand
-    bit-for-bit agreement.  Integer fields (rejection counts) are always
-    compared exactly. *)
+    compares it field by field with the claimed values — in practice
+    the simulator's incremental {!Sched_sim.Driver.live_metrics}.
+    [tol] is a relative tolerance (default [1e-9]: float accumulation
+    order differs between the incremental and post-hoc passes); pass
+    [~tol:0.] on dyadic instances to demand bit-for-bit agreement.
+    Integer fields (rejection counts) are always compared exactly. *)
 
 val check :
-  ?mode:mode -> ?budget:budget -> ?live:snapshot -> ?tol:float -> Schedule.t -> Violation.t list
+  ?mode:mode -> ?budget:budget -> ?live:Metrics.live -> ?tol:float -> Schedule.t -> Violation.t list
 (** The full suite: {!structural}, then {!budget_check} (when a budget is
-    given), then {!reconcile} (when a snapshot is given). *)
+    given), then {!reconcile} (when live metrics are given). *)
 
 (** {1 Reporting} *)
 
 val report : Violation.t list -> string
 (** Multi-line human-readable rendering (deterministic: input order is
     preserved, and the checkers sort). *)
-
-exception Violations of string * Violation.t list
-(** Carried by {!assert_clean}; the string names the run being checked. *)
-
-val assert_clean : what:string -> Violation.t list -> unit
-(** Raises {!Violations} when the list is non-empty. *)

@@ -24,12 +24,11 @@ type entry = {
   name : string;
   allow_restarts : bool;
   run :
-    ?recorder:Sched_obs.Recorder.t -> ?check:bool -> Instance.t -> Schedule.t * Driver.live_metrics;
+    ?recorder:Sched_obs.Recorder.t -> Instance.t -> Schedule.t * Driver.live_metrics;
   open_stream :
     ?trace:Trace.t ->
     ?obs:Sched_obs.Obs.t ->
     ?recorder:Sched_obs.Recorder.t ->
-    ?check:bool ->
     ?retire:bool ->
     ?name:string ->
     machines:Machine.t array ->
@@ -65,15 +64,13 @@ let pack ?reference ?budget ?(allow_restarts = false) ?(fleet = Fun.id) make_pol
     name;
     allow_restarts;
     run =
-      (fun ?recorder ?check instance ->
-        let s, _, live =
-          Driver.run ?recorder ?check (make_policy ()) (on_fleet fleet instance)
-        in
+      (fun ?recorder instance ->
+        let s, _, live = Driver.run ?recorder (make_policy ()) (on_fleet fleet instance) in
         (s, live));
     open_stream =
-      (fun ?trace ?obs ?recorder ?check ?retire ?name ~machines () ->
+      (fun ?trace ?obs ?recorder ?retire ?name ~machines () ->
         wrap_session
-          (Driver.Session.open_session ?trace ?obs ?recorder ?check ?retire ?name
+          (Driver.Session.open_session ?trace ?obs ?recorder ?retire ?name
              ~machines:(fleet machines) (make_policy ())));
     restore_stream =
       (fun ?obs payload -> wrap_session (Driver.Session.thaw ?obs (make_policy ()) payload));
@@ -175,6 +172,13 @@ let aliases =
     ("immediate", "immediate-largest");
     ("esa", "speed-augmented");
   ]
+
+(* Deadlines are not checked: most entries ignore them, and none
+   promises to meet them. *)
+let audit e schedule live =
+  Sched_check.Oracle.check
+    ~mode:(Sched_check.Oracle.mode ~allow_restarts:e.allow_restarts ~check_deadlines:false ())
+    ?budget:e.budget ~live schedule
 
 let find ?eps:at name =
   let name = Option.value (List.assoc_opt name aliases) ~default:name in

@@ -34,16 +34,15 @@ type entry = {
       (** Whether schedules need the validator's [allow_restarts]
           relaxation (the policy kills and re-runs jobs). *)
   run :
-    ?recorder:Sched_obs.Recorder.t -> ?check:bool -> Instance.t -> Schedule.t * Driver.live_metrics;
+    ?recorder:Sched_obs.Recorder.t -> Instance.t -> Schedule.t * Driver.live_metrics;
       (** {!Sched_sim.Driver.run} on a fresh policy value, returning the
-          schedule and the driver's incremental metrics.  [?check]
-          (default [false]) runs the oracle audit; [?recorder] attaches a
-          flight recorder — the replay path forensics capture rides on. *)
+          schedule and the driver's incremental metrics.  [?recorder]
+          attaches a flight recorder — the replay path forensics capture
+          rides on. *)
   open_stream :
     ?trace:Trace.t ->
     ?obs:Sched_obs.Obs.t ->
     ?recorder:Sched_obs.Recorder.t ->
-    ?check:bool ->
     ?retire:bool ->
     ?name:string ->
     machines:Machine.t array ->
@@ -64,9 +63,16 @@ type entry = {
       (** The rejection budget the policy's theorem guarantees at this
           [eps] ([Count_fraction 0.] for policies that never reject;
           [None] for heuristics with no bound, e.g. threshold-based
-          immediate rejection).  The oracle and fuzzer enforce it on every
-          audited run. *)
+          immediate rejection).  {!audit} enforces it. *)
 }
+
+val audit : entry -> Schedule.t -> Driver.live_metrics -> Sched_check.Violation.t list
+(** The one audit of a finished run: {!Sched_check.Oracle.check} under
+    the entry's [allow_restarts] relaxation, without deadlines (no
+    entry promises to meet them), against the entry's [budget], with
+    the live metrics reconciled against a recomputation from the
+    schedule.  [[]] is a pass.  The fuzzer's [oracle] property is this
+    audit; the tests apply it to batch, streamed and resumed runs. *)
 
 val eps : float
 (** The rejection parameter of {!all}'s entries. *)

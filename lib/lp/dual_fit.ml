@@ -239,11 +239,3 @@ let certify ~eps ~lambdas instance trace schedule =
     primal_over_dual = (if dual_objective > 0. then algo_flow /. dual_objective else Float.infinity);
     corollary1_max_ratio = !corollary1_max_ratio;
   }
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "dual-fit: eps=%g sum(lambda)=%.4g int(beta)=%.4g dual=%.4g sum(C~-r)=%.4g flow=%.4g@ \
-     min-slack=%.3e checked=%d primal/dual=%.3f (proof bound %.3f)"
-    r.eps r.lambda_sum r.beta_integral r.dual_objective r.ctilde_sum r.algo_flow
-    r.min_constraint_slack r.constraints_checked r.primal_over_dual
-    (((1. +. r.eps) /. r.eps) ** 2.)

@@ -13,5 +13,3 @@ let with_speed t speed = create ~id:t.id ~speed ~alpha:t.alpha ()
 let fleet ?(speed = 1.0) ?(alpha = 3.0) m =
   if m <= 0 then invalid_arg "Machine.fleet: need at least one machine";
   Array.init m (fun id -> create ~id ~speed ~alpha ())
-
-let pp ppf t = Format.fprintf ppf "machine#%d[speed=%g alpha=%g]" t.id t.speed t.alpha

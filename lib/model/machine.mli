@@ -17,6 +17,3 @@ val with_speed : t -> float -> t
 
 val fleet : ?speed:float -> ?alpha:float -> int -> t array
 (** [fleet m] is [m] identical machines with ids [0..m-1]. *)
-
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val pp : Format.formatter -> t -> unit

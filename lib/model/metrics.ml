@@ -150,6 +150,8 @@ let rejection (s : Schedule.t) =
     mid_run = !mid_run;
   }
 
+type live = { flow : flow; energy : float; rejection : rejection; makespan : Time.t }
+
 let busy_time (s : Schedule.t) i =
   let segs = Schedule.segments_of_machine s i in
   (* Merge sorted intervals. *)

@@ -53,6 +53,12 @@ type rejection = {
 
 val rejection : Schedule.t -> rejection
 
+type live = { flow : flow; energy : float; rejection : rejection; makespan : Time.t }
+(** The objective values a run claims for itself: the simulator's
+    incremental metrics ({!Sched_sim.Driver.live_metrics}), which the
+    oracle reconciles against {!flow}, {!energy}, {!rejection} and
+    {!makespan} recomputed from the schedule. *)
+
 (* rejlint: allow test-only-export — tests check that schedules conserve work with it *)
 val busy_time : Schedule.t -> Machine.id -> float
 (** Total time machine [i] has at least one active segment. *)

@@ -62,7 +62,7 @@ let[@rejlint.hot] slot fs (j : Job.t) =
 
 let[@rejlint.hot] pending_split fs i (j : Job.t) = Flat_state.pend_split fs i ~job:(slot fs j)
 
-type live_metrics = {
+type live_metrics = Metrics.live = {
   flow : Metrics.flow;
   energy : float;
   rejection : Metrics.rejection;
@@ -109,37 +109,6 @@ type 'a policy = {
   on_arrival : 'a -> view -> Job.t -> decision;
   select : 'a -> view -> Machine.id -> start option;
 }
-
-(* Post-run oracle audit for [?check].  The oracle re-derives every
-   invariant from scratch (independent of [Schedule.validate] and of the
-   incremental accumulators), so a pass here really is a second opinion. *)
-let audit ?obs ?recorder ~name ~saw_restart lm schedule =
-  let snap =
-    {
-      Sched_check.Oracle.flow = lm.flow;
-      energy = lm.energy;
-      rejection = lm.rejection;
-      makespan = lm.makespan;
-    }
-  in
-  let mode = Sched_check.Oracle.mode ~allow_restarts:saw_restart () in
-  let vs = Sched_check.Oracle.check ~mode ~live:snap schedule in
-  (match obs with
-  | Some o -> Sched_check.Check_obs.record (Sched_obs.Obs.registry o) vs
-  | None -> ());
-  (* With a flight recorder attached, a violation carries its forensics:
-     the last recorded decisions, as trace/2 NDJSON, appended to the
-     oracle's message. *)
-  match recorder with
-  | None -> Sched_check.Oracle.assert_clean ~what:name vs
-  | Some rc -> (
-      try Sched_check.Oracle.assert_clean ~what:name vs
-      with Sched_check.Oracle.Violations (what, vs) ->
-        raise
-          (Sched_check.Oracle.Violations
-             ( what ^ "\n-- flight recorder tail --\n"
-               ^ Trace_export.recorder_to_ndjson ~last:32 rc,
-               vs )))
 
 (* Telemetry, read out of the flat state when a session closes: its
    accumulators already count every event, so nothing runs per event.
@@ -409,7 +378,6 @@ type 'a session = {
   ss_trace : Trace.t option;
   ss_rows : Rec.t option;  (** the one row sink: [?recorder], or the trace's ring *)
   ss_obs : Sched_obs.Obs.t option;
-  ss_check : bool;
   ss_commit_arrival : int -> Job.t -> decision -> unit;
   ss_commit_finish : int -> int -> unit;
   (* Float cells live in one-slot arrays so updates never box. *)
@@ -445,7 +413,6 @@ type 'a frozen = {
   z_fed : Job.t list;
   z_trace : Trace.t option;  (** only the rows the reader has not released *)
   z_recorder : Rec.t option;  (** a [?recorder] sink; [None] when the trace is the sink *)
-  z_check : bool;
   z_minor : float;
   z_batch : Instance.t option;
   z_name : string;
@@ -454,7 +421,7 @@ type 'a frozen = {
 
 (* Wraps a state [fs] and policy state [pstate] in a session record, with
    the per-event handlers wired to them and to its one row sink. *)
-let session_of ?trace ?obs ?recorder ~check ~hwm ~last_rel ~last_id ~nfed ~fed ~minor ~batch
+let session_of ?trace ?obs ?recorder ~hwm ~last_rel ~last_id ~nfed ~fed ~minor ~batch
     ~name fs policy pstate =
   let rows =
     match (trace, recorder) with
@@ -471,7 +438,6 @@ let session_of ?trace ?obs ?recorder ~check ~hwm ~last_rel ~last_id ~nfed ~fed ~
     ss_trace = trace;
     ss_rows = rows;
     ss_obs = obs;
-    ss_check = check;
     ss_commit_arrival = commit_arrival;
     ss_commit_finish = commit_finish;
     ss_hwm = [| hwm |];
@@ -485,16 +451,14 @@ let session_of ?trace ?obs ?recorder ~check ~hwm ~last_rel ~last_id ~nfed ~fed ~
     ss_name = name;
   }
 
-let session_make ?trace ?obs ?recorder ~check ~retire ~batch ~name ~machines policy =
-  if check && retire then
-    invalid_arg "Driver.Session: cannot oracle-audit (check) a session that retires segments";
+let session_make ?trace ?obs ?recorder ~retire ~batch ~name ~machines policy =
   let fs = Flat_state.of_stream ~machines in
   if retire then Flat_state.set_retire fs true;
   (match batch with
   | Some instance -> Flat_state.reserve fs (Instance.n instance)
   | None -> ());
   let pstate = policy.init (match batch with Some i -> i | None -> Flat_state.instance fs) in
-  session_of ?trace ?obs ?recorder ~check ~hwm:neg_infinity ~last_rel:neg_infinity ~last_id:(-1)
+  session_of ?trace ?obs ?recorder ~hwm:neg_infinity ~last_rel:neg_infinity ~last_id:(-1)
     ~nfed:0 ~fed:[] ~minor:0. ~batch ~name fs policy pstate
 
 let session_feed s (j : Job.t) =
@@ -570,17 +534,12 @@ let session_close s =
     | Some instance -> Flat_state.set_instance fs instance
     | None ->
         (* Materialize the fed stream as a real instance so the schedule
-           (and the oracle) get the same boxed shape batch runs produce.
+           gets the same boxed shape batch runs produce.
            [Instance.create] re-validates — dense job ids included. *)
         let machines = (Flat_state.instance fs).Instance.machines in
         Flat_state.set_instance fs
           (Instance.create ~name:s.ss_name ~machines ~jobs:(List.rev s.ss_fed) ()));
-    let schedule = Flat_state.to_schedule fs in
-    let lm = live fs in
-    if s.ss_check then
-      audit ?obs:s.ss_obs ?recorder:s.ss_rows ~name:s.ss_policy.name
-        ~saw_restart:(Flat_state.restarts fs > 0) lm schedule;
-    (Some schedule, s.ss_pstate, lm)
+    (Some (Flat_state.to_schedule fs), s.ss_pstate, live fs)
   end
 
 let session_freeze s =
@@ -596,7 +555,6 @@ let session_freeze s =
       z_fed = s.ss_fed;
       z_trace = Option.map Trace.unread s.ss_trace;
       z_recorder = (if Option.is_none s.ss_trace then s.ss_rows else None);
-      z_check = s.ss_check;
       z_minor = s.ss_minor.(0);
       z_batch = s.ss_batch;
       z_name = s.ss_policy.name;
@@ -613,16 +571,16 @@ let session_thaw ?obs policy payload =
     invalid_arg
       (Printf.sprintf "Driver.Session: snapshot was taken under policy %s, not %s" z.z_name
          policy.name);
-  session_of ?trace:z.z_trace ?obs ?recorder:z.z_recorder ~check:z.z_check ~hwm:z.z_hwm
+  session_of ?trace:z.z_trace ?obs ?recorder:z.z_recorder ~hwm:z.z_hwm
     ~last_rel:z.z_last_rel ~last_id:z.z_last_id ~nfed:z.z_nfed ~fed:z.z_fed ~minor:z.z_minor
     ~batch:z.z_batch ~name:z.z_iname z.z_fs policy z.z_pstate
 
 module Session = struct
   type 'a t = 'a session
 
-  let open_session ?trace ?obs ?recorder ?(check = false) ?(retire = false) ?(name = "stream")
-      ~machines policy =
-    session_make ?trace ?obs ?recorder ~check ~retire ~batch:None ~name ~machines policy
+  let open_session ?trace ?obs ?recorder ?(retire = false) ?(name = "stream") ~machines
+      policy =
+    session_make ?trace ?obs ?recorder ~retire ~batch:None ~name ~machines policy
 
   let feed = session_feed
   let drain_until = session_drain_until
@@ -636,9 +594,9 @@ module Session = struct
   let thaw = session_thaw
 end
 
-let run ?trace ?obs ?recorder ?(check = false) policy instance =
+let run ?trace ?obs ?recorder policy instance =
   let s =
-    session_make ?trace ?obs ?recorder ~check ~retire:false ~batch:(Some instance)
+    session_make ?trace ?obs ?recorder ~retire:false ~batch:(Some instance)
       ~name:instance.Instance.name ~machines:instance.Instance.machines policy
   in
   let jobs = Instance.jobs_by_release instance in

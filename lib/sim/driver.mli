@@ -17,7 +17,9 @@
     restart/mid-run-rejection runs need its [allow_restarts] relaxation
     (partial segments of a job may precede its final run) — the registry test
     suite checks exactly this for every shipped policy, so all policies are
-    measured on equal terms.
+    measured on equal terms.  The driver does not audit its own runs: a
+    caller holding a schedule and its live metrics audits them with
+    [Sched_experiments.Policy_registry.audit].
 
     {b Performance.}  The state lives in {!Flat_state}'s struct-of-arrays
     columns, so the event loop's steady state allocates nothing on the
@@ -133,7 +135,7 @@ val slot : view -> Job.t -> int
 
 (** {1 Incremental metrics} *)
 
-type live_metrics = {
+type live_metrics = Metrics.live = {
   flow : Metrics.flow;
   energy : float;
   rejection : Metrics.rejection;
@@ -142,8 +144,9 @@ type live_metrics = {
 (** Objective values maintained incrementally as segments are laid down and
     outcomes recorded — no post-hoc pass over the schedule.  Agrees with the
     corresponding {!Sched_model.Metrics} recomputation up to float rounding
-    (the accumulation order differs); the differential tests pin the
-    agreement at 1e-9 relative error. *)
+    (the accumulation order differs); the oracle's reconciliation
+    ([Sched_check.Oracle.reconcile]) pins the agreement at 1e-9 relative
+    error. *)
 
 (** {1 Policy interface} *)
 
@@ -219,25 +222,10 @@ type 'a policy = {
     emits; with [?trace] the trace's ring is the sink ({!Trace.t}), and
     [?trace] with a different [?recorder] raises [Invalid_argument]. *)
 
-(** {b Oracle auditing.}  Passing [?check:true] runs the independent
-    {!Sched_check.Oracle} over the finished schedule before it is returned:
-    every structural invariant (non-preemption — relaxed automatically when
-    the run actually restarted a job — machine disjointness, release
-    respect, outcome consistency, deadlines) plus a reconciliation of the
-    incremental {!live_metrics} against a from-scratch
-    {!Sched_model.Metrics} recomputation at 1e-9 relative tolerance.  A
-    violation raises {!Sched_check.Oracle.Violations}; with [?obs] the
-    verdict is also recorded as [sched_check_*] counters; with
-    [?recorder] the violation message carries the recorder's last
-    entries as [rejsched.trace/2] NDJSON forensics.  Auditing never
-    influences the run — the schedule is byte-identical with and without
-    it. *)
-
 val run :
   ?trace:Trace.t ->
   ?obs:Sched_obs.Obs.t ->
   ?recorder:Sched_obs.Recorder.t ->
-  ?check:bool ->
   'a policy ->
   Instance.t ->
   Schedule.t * 'a * live_metrics
@@ -285,8 +273,7 @@ val run :
     job's slot (see {!slot}) to a later arrival, so resident memory — and
     a checkpoint — is bounded by the jobs in flight, whatever the stream's
     length or its ids; {!Session.close} then returns [None] instead of a
-    schedule (live metrics remain exact).  Retirement cannot be
-    combined with [~check] — the oracle needs the full schedule. *)
+    schedule (live metrics remain exact). *)
 
 module Session : sig
   type 'a t
@@ -296,7 +283,6 @@ module Session : sig
     ?trace:Trace.t ->
     ?obs:Sched_obs.Obs.t ->
     ?recorder:Sched_obs.Recorder.t ->
-    ?check:bool ->
     ?retire:bool ->
     ?name:string ->
     machines:Machine.t array ->
@@ -304,13 +290,11 @@ module Session : sig
     'a t
   (** Opens a session over the fleet.  The policy's [init] sees a
       machines-only instance (zero jobs): registry policies size their
-      per-job state lazily, so this is unobservable.  [?check] audits
-      the materialized schedule at {!close} with the oracle;
-      [?retire] enables segment retirement; [?name] (default
-      ["stream"]) names the instance {!close} materializes, letting a
-      streamed schedule serialize byte-identically to a batch run over a
-      same-named instance.  Raises [Invalid_argument] when [check] and
-      [retire] are both set, or on an invalid fleet. *)
+      per-job state lazily, so this is unobservable.  [?retire]
+      enables segment retirement; [?name] (default ["stream"]) names
+      the instance {!close} materializes, letting a streamed schedule
+      serialize byte-identically to a batch run over a same-named
+      instance.  Raises [Invalid_argument] on an invalid fleet. *)
 
   val feed : 'a t -> Job.t -> unit
   (** Queues one arrival.  Jobs must arrive in strictly increasing
@@ -349,11 +333,9 @@ module Session : sig
 
   val close : 'a t -> Schedule.t option * 'a * live_metrics
   (** Drains the queue dry, checks no machine was left with unfinished
-      work, materializes the schedule ([None] under retirement) and
-      audits it when the session was opened with [?check].  The
-      schedule is byte-identical to {!run}'s over the same jobs.
-      Raises [Invalid_argument] if already closed, and whatever the
-      audit raises on a violation. *)
+      work and materializes the schedule ([None] under retirement).
+      The schedule is byte-identical to {!run}'s over the same jobs.
+      Raises [Invalid_argument] if already closed. *)
 
   val freeze : 'a t -> string
   (** The session's complete state as a binary payload (callable at any

@@ -169,12 +169,6 @@ module Events = struct
       t.etag <- ntag;
       t.epay <- npay
     end
-
-  let clear t =
-    t.ekey <- [||];
-    t.etag <- [||];
-    t.epay <- [||];
-    t.elen <- 0
 end
 
 (* ------------------------------------------------------------------ *)
@@ -278,13 +272,6 @@ module Iheap = struct
     for slot = 0 to t.hlen - 1 do
       f t.hdata.(slot)
     done
-
-  let clear t ~pos =
-    for slot = 0 to t.hlen - 1 do
-      pos.(t.hdata.(slot)) <- -1
-    done;
-    t.hdata <- [||];
-    t.hlen <- 0
 
   let invariant heaps ~less ctx ~pos =
     let ok = ref true and held = ref 0 in

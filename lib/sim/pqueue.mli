@@ -84,9 +84,6 @@ module Events : sig
   (** Grows the backing arrays to hold at least [n] queued events, so a
       caller that knows the arrival count up front pays one allocation
       instead of a doubling cascade.  Never shrinks. *)
-
-  (* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-  val clear : t -> unit
 end
 
 (** Indexed min-heap over bare ids: a binary heap that additionally
@@ -143,10 +140,6 @@ module Iheap : sig
   val iter : t -> f:(int -> unit) -> unit
   (** Iterates in heap-array order: deterministic for a given operation
       history, but {e not} sorted. *)
-
-  (* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-  val clear : t -> pos:int array -> unit
-  (** Empties the heap and unregisters its ids from [pos]. *)
 
   val invariant : t array -> less:('c -> int -> int -> bool) -> 'c -> pos:int array -> bool
   (** Structural check, for tests, over all the heaps sharing [pos]:

@@ -93,16 +93,3 @@ let pending_profile t ~machines =
     | Restart { machine; _ } -> Some (machine, 1)
     | Reject { machine; was_running = false; _ } -> Some (machine, -1)
     | Reject { was_running = true; _ } | Complete _ -> None)
-
-let pp_entry ppf { time; event } =
-  match event with
-  | Dispatch { job; machine } -> Format.fprintf ppf "%a dispatch j%d -> m%d" Time.pp time job machine
-  | Start { job; machine; speed } ->
-      Format.fprintf ppf "%a start j%d on m%d speed=%g" Time.pp time job machine speed
-  | Complete { job; machine } -> Format.fprintf ppf "%a complete j%d on m%d" Time.pp time job machine
-  | Reject { job; machine; was_running; remaining } ->
-      Format.fprintf ppf "%a reject j%d on m%d%s rem=%g" Time.pp time job machine
-        (if was_running then " (running)" else "")
-        remaining
-  | Restart { job; machine; wasted } ->
-      Format.fprintf ppf "%a restart j%d on m%d wasted=%g" Time.pp time job machine wasted

@@ -80,6 +80,3 @@ val pending_profile : t -> machines:int -> (Machine.id * (Time.t * int) list) li
     pending-state [Reject], and +1 again on [Restart] (the killed job
     re-enters the queue).  A mid-run [Reject] and a [Complete] leave it
     unchanged — the job already left the pending set at its [Start]. *)
-
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val pp_entry : Format.formatter -> entry -> unit

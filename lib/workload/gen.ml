@@ -166,17 +166,3 @@ let jobs t ~seed () =
 
 let instance t ~seed =
   Instance.create ~name:(label t ~seed) ~machines:(fleet t) ~jobs:(List.of_seq (jobs t ~seed)) ()
-
-let describe t =
-  let arr =
-    match t.arrivals with
-    | Poisson r -> Printf.sprintf "poisson(%g)" r
-    | Batched { every; size } -> Printf.sprintf "batched(%g,%d)" every size
-    | Bursty { rate; burst_every; burst_size } ->
-        Printf.sprintf "bursty(%g,%g,%d)" rate burst_every burst_size
-    | Diurnal { base_rate; amplitude; period } ->
-        Printf.sprintf "diurnal(%g,%g,%g)" base_rate amplitude period
-    | All_at_zero -> "all-at-zero"
-  in
-  Printf.sprintf "%s: n=%d m=%d arrivals=%s sizes=%s shape=%s" t.name t.n t.m arr
-    (Dist.name t.sizes) (Shape.name t.shape)

@@ -83,6 +83,3 @@ val label : t -> seed:int -> string
 val instance : t -> seed:int -> Instance.t
 (** {!jobs} collected over {!fleet}, named {!label}: deterministic,
     equal seeds yield identical instances. *)
-
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val describe : t -> string

@@ -2,9 +2,11 @@
    policy, one line each — the canonical schedule's digest, the flight
    recorder's trace/2 NDJSON digest, every live-metrics field printed
    exactly ([%h] for floats), and from a second, streamed run of the same
-   jobs the trace/1 NDJSON digest and the six sched_*_total counters.  [golden.expected] is this program's output;
-   the dune rule next to it diffs a fresh run against it on every
-   [dune runtest].  Re-bless an intended change with [dune promote].
+   jobs the trace/1 NDJSON digest and the six sched_*_total counters.
+   Every batch run must pass [Policy_registry.audit], or the program
+   fails.  [golden.expected] is this program's output; the dune rule
+   next to it diffs a fresh run against it on every [dune runtest].
+   Re-bless an intended change with [dune promote].
 
    Usage: golden.exe CORPUS_DIR *)
 
@@ -55,16 +57,17 @@ let streamed (c : Corpus.case) (e : P.entry) =
     (hex (trace_ndjson trace))
     (String.concat " " (List.map counter counters))
 
-(* The in-driver audit checks deadlines whenever the instance carries
-   them, and most registry policies ignore deadlines, so deadline-bearing
-   instances run un-audited. *)
 let line (c : Corpus.case) (e : P.entry) =
   let inst = c.Corpus.instance in
-  let check = not (Instance.has_deadlines inst) in
   let recorder = Rec.create ~capacity:65536 () in
-  let s, lm = e.P.run ~recorder ~check inst in
+  let s, lm = e.P.run ~recorder inst in
   if Rec.dropped recorder <> 0 then
     failwith (Printf.sprintf "%s/%s: recorder dropped entries" c.Corpus.name e.P.name);
+  (match P.audit e s lm with
+  | [] -> ()
+  | vs ->
+      failwith
+        (Printf.sprintf "%s/%s: %s" c.Corpus.name e.P.name (Sched_check.Oracle.report vs)));
   let f = lm.Driver.flow and r = lm.Driver.rejection in
   Printf.sprintf
     "%s %s schedule=%s trace2=%s flow=%h wflow=%h flow_rej=%h wflow_rej=%h max_flow=%h \

@@ -76,12 +76,11 @@ let compare_live what (lb : Driver.live_metrics) (lf : Driver.live_metrics) =
 (* Run the stream with a freeze -> wrap -> unwrap -> thaw pause after
    [cut] jobs (draining up to the last fed release first, as the serve
    loop does before writing its checkpoint). *)
-let resumed_run ~check (e : P.entry) instance ~cut =
+let resumed_run (e : P.entry) instance ~cut =
   let jobs = Instance.jobs_by_release instance in
   let n = Array.length jobs in
   let s =
-    e.P.open_stream ~check ~name:instance.Instance.name
-      ~machines:instance.Instance.machines ()
+    e.P.open_stream ~name:instance.Instance.name ~machines:instance.Instance.machines ()
   in
   for i = 0 to cut - 1 do
     s.P.ss_feed jobs.(i)
@@ -103,14 +102,15 @@ let resumed_run ~check (e : P.entry) instance ~cut =
   r.P.ss_close ()
 
 let check_all_boundaries ~what (e : P.entry) instance =
-  let check = not (Instance.has_deadlines instance) in
-  let sb, lb = e.P.run ~check instance in
+  let sb, lb = e.P.run instance in
+  Test_util.assert_audit ~what e sb lb;
   let cb = Serialize.schedule_to_canonical_string sb in
   let n = Array.length (Instance.jobs_by_release instance) in
   for cut = 0 to n do
     let what = Printf.sprintf "%s/cut=%d" what cut in
-    match resumed_run ~check e instance ~cut with
+    match resumed_run e instance ~cut with
     | Some sf, lf ->
+        Test_util.assert_audit ~what e sf lf;
         let cf = Serialize.schedule_to_canonical_string sf in
         if not (String.equal cb cf) then
           Alcotest.failf "%s: resumed schedule diverges:\n--- batch ---\n%s\n--- resumed ---\n%s"
@@ -313,7 +313,7 @@ let serve_lines (s : P.stream_session) jobs ~close =
   end
   else fed
 
-(* A tripwire for the snapshot layout.  [snapshots/serve-smoke-v7.snap] is
+(* A tripwire for the snapshot layout.  [snapshots/serve-smoke-v8.snap] is
    serve's checkpoint after the smoke stream's first two arrivals, written
    by an earlier build.  It must unwrap under the current [Snapshot.version]
    and thaw, and its continuation spliced after the first half's decisions
@@ -328,7 +328,7 @@ let serve_lines (s : P.stream_session) jobs ~close =
 
    (N the new version), then point both tests at it. *)
 let snapshot_file name = Filename.concat (Test_util.data_dir "snapshots") name
-let checked_in_snapshot = snapshot_file "serve-smoke-v7.snap"
+let checked_in_snapshot = snapshot_file "serve-smoke-v8.snap"
 
 let checked_in_payload () =
   match Snapshot.unwrap (Snapshot.read_file checked_in_snapshot) with
@@ -360,10 +360,10 @@ let test_checked_in_snapshot_restores () =
    same two arrivals must equal the checked-in one byte for byte.  The
    one value that differs between builds is the drains' [Gc.minor_words]
    total (a release build allocates differently), which the comparison
-   zeroes on both sides: it is the 11th field ([z_minor]) of
+   zeroes on both sides: it is the 10th field ([z_minor]) of
    [Driver]'s frozen record.  Unmarshaling as [Obj.t] is safe on any
    intact payload, whatever its layout. *)
-let minor_words_field = 10
+let minor_words_field = 9
 
 let normalize_minor_words payload =
   let z : Obj.t = Marshal.from_string payload 0 in
@@ -390,8 +390,9 @@ let test_checked_in_snapshot_bytes () =
    a position table per pending heap, version 4 had no column of
    pending-head sizes, version 5 kept a per-slot column of minimum
    sizes, a job record without its size summaries and a position
-   column for every pending order, dormant or not, and version 6 kept
-   rejection counters in the weighted and flow-energy policy states. *)
+   column for every pending order, dormant or not, version 6 kept
+   rejection counters in the weighted and flow-energy policy states, and
+   version 7 carried the driver's own audit flag in the frozen session. *)
 let old_snapshot_fails_closed v () =
   match
     Snapshot.unwrap (Snapshot.read_file (snapshot_file (Printf.sprintf "serve-smoke-v%d.snap" v)))
@@ -427,4 +428,5 @@ let suite =
     Alcotest.test_case "v6 snapshot fails closed" `Quick (old_snapshot_fails_closed 6);
     Alcotest.test_case "suspend at every boundary, every registry policy" `Slow
       test_suspend_every_boundary_registry;
+    Alcotest.test_case "v7 snapshot fails closed" `Quick (old_snapshot_fails_closed 7);
   ]

@@ -356,6 +356,23 @@ let test_run_restart_spt_checked_with_restarts () =
     (lines_with {|"event":"restart"|} (read_file ndjson) <> []);
   Sys.remove ndjson
 
+(* An --eps outside (0,1) is a usage error caught before the run starts:
+   exit 2, and the --trace-ndjson file is never created. *)
+let test_run_bad_eps_fails_fast () =
+  List.iter
+    (fun eps ->
+      let ndjson = temp ".ndjson" and err = temp ".txt" in
+      Sys.remove ndjson;
+      Alcotest.(check int) (Printf.sprintf "--eps %s exits 2" eps) 2
+        (shell
+           (Printf.sprintf "%s run -p fifo --eps %s -n 50 -m 2 --trace-ndjson %s > /dev/null 2> %s"
+              exe eps ndjson err));
+      Alcotest.(check bool) (Printf.sprintf "--eps %s writes no trace" eps) false
+        (Sys.file_exists ndjson);
+      Alcotest.(check bool) "message names --eps" true (Test_util.contains (read_file err) "--eps");
+      Sys.remove err)
+    [ "5"; "0"; "1" ]
+
 let test_serve_checkpoint_stdout () =
   (* '--checkpoint -' puts the snapshot alone on stdout, and the NDJSON
      a '--checkpoint FILE' run writes to stdout moves to stderr intact;
@@ -689,4 +706,6 @@ let suite =
       test_serve_alias_reports_name;
     Alcotest.test_case "run checks restart-spt with restarts allowed" `Quick
       test_run_restart_spt_checked_with_restarts;
+    Alcotest.test_case "run rejects --eps outside (0,1) before writing" `Quick
+      test_run_bad_eps_fails_fast;
   ]

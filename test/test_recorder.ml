@@ -399,7 +399,8 @@ let test_run_reconciles_no_rejection () =
   let n = Instance.n inst in
   let entry = match P.find "greedy-spt" with Some e -> e | None -> Alcotest.fail "registry" in
   let rc = Rec.create ~capacity:1024 () in
-  ignore (entry.P.run ~recorder:rc ~check:true inst);
+  let s, lm = entry.P.run ~recorder:rc inst in
+  Test_util.assert_audit ~what:"greedy-spt" entry s lm;
   let es = Rec.entries rc in
   Alcotest.(check int) "dispatches = n" n (count Rec.Dispatch es);
   Alcotest.(check int) "starts = n" n (count Rec.Start es);
@@ -439,9 +440,8 @@ let test_reject_budget_matches_metrics () =
     | None -> Alcotest.fail "case policy not registered"
   in
   let rc = Rec.create ~capacity:4096 () in
-  let _, live =
-    entry.P.run ~recorder:rc ~check:true case.Sched_fuzz.Corpus.instance
-  in
+  let s, live = entry.P.run ~recorder:rc case.Sched_fuzz.Corpus.instance in
+  Test_util.assert_audit ~what:case.Sched_fuzz.Corpus.name entry s live;
   let rejects = List.filter (fun e -> e.Rec.kind = Rec.Reject) (Rec.entries rc) in
   Alcotest.(check bool) "case rejects" true (rejects <> []);
   Alcotest.(check int) "reject entries = metric count"

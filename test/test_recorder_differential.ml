@@ -1,7 +1,8 @@
 (* Recorder differential layer: attaching a flight recorder must be
    strictly observational.  For every corpus case x registry policy, the
    canonical schedule dump with a recorder attached must be
-   byte-identical to the recorder-off run.  The recorder's own contents
+   byte-identical to the recorder-off run, and both runs must pass the
+   registry audit.  The recorder's own contents
    are pinned by the corpus x policy goldens (test/golden/). *)
 
 open Sched_model
@@ -13,13 +14,14 @@ module TE = Sched_sim.Trace_export
 let canonical s = Serialize.schedule_to_canonical_string s
 
 let check_case ~what (e : P.entry) instance =
-  (* Deadline-bearing instances skip the in-driver audit: most policies
-     legitimately ignore deadlines, and byte-identity is the property
-     under test. *)
-  let check = not (Instance.has_deadlines instance) in
-  let off = canonical (fst (e.P.run ~check instance)) in
+  let audited ?recorder () =
+    let s, lm = e.P.run ?recorder instance in
+    Test_util.assert_audit ~what e s lm;
+    canonical s
+  in
+  let off = audited () in
   let rc = Rec.create ~capacity:4096 () in
-  let on = canonical (fst (e.P.run ~recorder:rc ~check instance)) in
+  let on = audited ~recorder:rc () in
   if not (String.equal off on) then Alcotest.failf "%s: recorder perturbed the schedule" what;
   Alcotest.(check bool) (what ^ ": events recorded") true (Rec.total rc > 0)
 

@@ -2,8 +2,8 @@
    incremental Driver.Session — in arrival batches of 1, of 7 and of all
    at once — must produce a schedule byte-identical (canonical
    serialization) to the one-shot batch run, with bit-identical live
-   metrics, for every corpus case x registry policy, with the oracle
-   auditing both sides wherever the instance carries no deadlines.
+   metrics, for every corpus case x registry policy, with the registry
+   audit passing both sides.
    Retire-mode passes over the same stream, in batches of 1 and of 7,
    recycle job slots and never materialize a schedule, and must still
    agree on the live metrics and on every decision line. *)
@@ -50,9 +50,9 @@ let compare_live what (lb : Driver.live_metrics) (lf : Driver.live_metrics) =
 (* Stream the instance's jobs in [chunk]-sized arrival batches, draining
    up to the last fed release after each batch — the serve loop's exact
    cadence. *)
-let stream_run ?trace ~check ~retire (e : P.entry) instance ~chunk =
+let stream_run ?trace ~retire (e : P.entry) instance ~chunk =
   let s =
-    e.P.open_stream ?trace ~check ~retire ~name:instance.Instance.name
+    e.P.open_stream ?trace ~retire ~name:instance.Instance.name
       ~machines:instance.Instance.machines ()
   in
   let jobs = Instance.jobs_by_release instance in
@@ -70,20 +70,18 @@ let stream_run ?trace ~check ~retire (e : P.entry) instance ~chunk =
   s.P.ss_close ()
 
 let check_stream ~what (e : P.entry) instance =
-  (* Deadline-bearing instances are compared un-audited, exactly as the
-     goldens are generated: the in-driver audit has no check_deadlines
-     knob and most registry policies ignore deadlines. *)
-  let check = not (Instance.has_deadlines instance) in
   let tb = Trace.create () in
-  let sb, lb = e.P.run ~recorder:(Trace.recorder tb) ~check instance in
+  let sb, lb = e.P.run ~recorder:(Trace.recorder tb) instance in
+  Test_util.assert_audit ~what e sb lb;
   let decisions = Test_util.trace_ndjson tb in
   let cb = Serialize.schedule_to_canonical_string sb in
   let n = Array.length (Instance.jobs_by_release instance) in
   List.iter
     (fun chunk ->
       let what = Printf.sprintf "%s/batch=%d" what chunk in
-      match stream_run ~check ~retire:false e instance ~chunk with
+      match stream_run ~retire:false e instance ~chunk with
       | Some sf, lf ->
+          Test_util.assert_audit ~what e sf lf;
           let cf = Serialize.schedule_to_canonical_string sf in
           if not (String.equal cb cf) then
             Alcotest.failf "%s: streamed schedule diverges from batch:\n--- batch ---\n%s\n--- stream ---\n%s"
@@ -99,7 +97,7 @@ let check_stream ~what (e : P.entry) instance =
     (fun chunk ->
       let what = Printf.sprintf "%s/retire/batch=%d" what chunk in
       let tr = Trace.create () in
-      match stream_run ~trace:tr ~check:false ~retire:true e instance ~chunk with
+      match stream_run ~trace:tr ~retire:true e instance ~chunk with
       | None, lr ->
           compare_live what lb lr;
           let df = Test_util.trace_ndjson tr in

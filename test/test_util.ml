@@ -108,6 +108,12 @@ let random_instance ?(weighted = false) ?(restricted = false) ?(alpha = 3.) ~see
     ~machines ~jobs ()
 
 (* [Driver.run] keeping only the schedule. *)
-let schedule_of ?trace ?obs ?check policy instance =
-  let s, _, _ = Sched_sim.Driver.run ?trace ?obs ?check policy instance in
+let schedule_of ?trace ?obs policy instance =
+  let s, _, _ = Sched_sim.Driver.run ?trace ?obs policy instance in
   s
+
+(* Fails the test unless [Policy_registry.audit] passes the run. *)
+let assert_audit ~what entry schedule live =
+  match Sched_experiments.Policy_registry.audit entry schedule live with
+  | [] -> ()
+  | vs -> Alcotest.failf "%s: %s" what (Sched_check.Oracle.report vs)
