@@ -46,11 +46,13 @@ bench-check:
 	dune runtest
 	dune exec --profile release bench/main.exe -- --out BENCH_pr16.json
 
+# Every example, each run audited (a failed audit exits non-zero).
 examples:
 	dune exec examples/quickstart.exe
 	dune exec examples/datacenter_flow.exe
 	dune exec examples/energy_cluster.exe
 	dune exec examples/adversarial_demo.exe
+	dune exec examples/trace_replay.exe
 
 # Regenerate every experiment CSV into results/.
 experiments:

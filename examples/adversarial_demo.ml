@@ -24,19 +24,11 @@ let () =
   in
   List.iter
     (fun l ->
-      let run_immediate inst =
-        let s, _, _ =
-          Sched_sim.Driver.run
-            (Sched_baselines.Immediate_reject.policy ~eps Sched_baselines.Immediate_reject.Never)
-            inst
-        in
-        s
-      in
-      let run_thm1 inst =
-        fst (Rejection.Flow_reject.run (Rejection.Flow_reject.config ~eps ()) inst)
-      in
-      let ratio run =
-        let result, schedule = AF.run_two_phase ~run ~eps ~l in
+      (* Each player is a policy-registry entry; [Exp_util.run] audits
+         every run it makes and raises on a violation. *)
+      let ratio name =
+        let module E = Sched_experiments.Exp_util in
+        let result, schedule = AF.run_two_phase ~run:(E.run (E.entry ~eps name)) ~eps ~l in
         (Sched_model.Metrics.flow schedule).Sched_model.Metrics.total_with_rejected
         /. result.AF.adversary_cost
       in
@@ -44,8 +36,8 @@ let () =
         [
           Table.cell_float l;
           Table.cell_float l;
-          Table.cell_float (ratio run_immediate);
-          Table.cell_float (ratio run_thm1);
+          Table.cell_float (ratio "immediate-never");
+          Table.cell_float (ratio "flow-reject");
         ])
     [ 8.; 16.; 32.; 64. ];
   Table.print t;

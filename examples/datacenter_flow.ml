@@ -16,10 +16,12 @@ module Shape = Sched_workload.Shape
 let n = 400
 let m = 8
 
-let run_policy policy inst =
-  let s, _, _ = Sched_sim.Driver.run policy inst in
-  Schedule.assert_valid ~check_deadlines:false s;
-  s
+(* Runs the policy-registry entry of that name at [eps] and audits the
+   run: a valid schedule within the entry's rejection budget, or a
+   [Failure] naming the violations. *)
+let run ?(eps = 0.2) name inst =
+  let module E = Sched_experiments.Exp_util in
+  E.run (E.entry ~eps name) inst
 
 let () =
   let table =
@@ -38,17 +40,10 @@ let () =
       in
       let policies =
         [
-          ("greedy-fifo", fun inst -> run_policy Sched_baselines.Greedy_dispatch.fifo inst);
-          ("greedy-spt", fun inst -> run_policy Sched_baselines.Greedy_dispatch.spt inst);
-          ( "immediate-reject",
-            fun inst ->
-              run_policy
-                (Sched_baselines.Immediate_reject.policy ~eps:0.4
-                   (Sched_baselines.Immediate_reject.Largest_over 2.))
-                inst );
-          ( "thm1 eps=0.2",
-            fun inst ->
-              fst (Rejection.Flow_reject.run (Rejection.Flow_reject.config ~eps:0.2 ()) inst) );
+          ("greedy-fifo", run "greedy-fifo");
+          ("greedy-spt", run "greedy-spt");
+          ("immediate-reject", run ~eps:0.4 "immediate-largest");
+          ("thm1 eps=0.2", run ~eps:0.2 "flow-reject");
         ]
       in
       List.iter
@@ -93,8 +88,8 @@ let () =
       ~shape:(Shape.unrelated ~spread:2.) ~n ~m ()
   in
   let inst = Gen.instance gen ~seed:3 in
-  let spt = run_policy Sched_baselines.Greedy_dispatch.spt inst in
-  let rej = fst (Rejection.Flow_reject.run (Rejection.Flow_reject.config ~eps:0.2 ()) inst) in
+  let spt = run "greedy-spt" inst in
+  let rej = run ~eps:0.2 "flow-reject" inst in
   print_endline "Flow-time distribution at 95% load (log-scale bins):";
   print_endline "- greedy-spt:";
   print_string (Histogram.render ~width:40 (Histogram.log_bins (Sched_model.Metrics.flow_values spt)));

@@ -26,9 +26,13 @@ let () =
     (fun alpha ->
       let gen = Suite.weighted_energy ~n:120 ~m:4 ~alpha in
       let inst = Gen.instance gen ~seed:42 in
-      let cfg = Rejection.Flow_energy_reject.config ~eps:0.25 () in
-      let s, st = Rejection.Flow_energy_reject.run cfg inst in
-      Schedule.assert_valid ~check_deadlines:false s;
+      (* The driver returns the policy's final state, which holds the
+         per-machine speed constant gamma; the run is audited against
+         the policy-registry entry of the same policy. *)
+      let module FER = Rejection.Flow_energy_reject in
+      let module E = Sched_experiments.Exp_util in
+      let s, st, live = Sched_sim.Driver.run (FER.policy (FER.config ~eps:0.25 ())) inst in
+      E.assert_audit (E.entry ~eps:0.25 "flow-energy-reject") s live;
       let f = Metrics.flow s in
       let e = Metrics.energy s in
       let obj = f.Metrics.weighted_with_rejected +. e in
@@ -36,7 +40,7 @@ let () =
       Table.add_row t1
         [
           Table.cell_float alpha;
-          Table.cell_float (Rejection.Flow_energy_reject.gamma_of_machine st 0);
+          Table.cell_float (FER.gamma_of_machine st 0);
           Table.cell_float f.Metrics.weighted;
           Table.cell_float e;
           Table.cell_float obj;

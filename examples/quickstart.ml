@@ -1,10 +1,11 @@
 (* Quickstart: build a small unrelated-machines instance by hand, run the
-   paper's Theorem 1 algorithm through the one-call API, and inspect the
-   schedule it produced.
+   paper's Theorem 1 algorithm as a policy-registry entry, audit the run,
+   and inspect the schedule it produced.
 
    Run with: dune exec examples/quickstart.exe *)
 
 open Sched_model
+module PR = Sched_experiments.Policy_registry
 
 let () =
   (* Two machines; five jobs with machine-dependent processing times.
@@ -24,28 +25,40 @@ let () =
 
   (* Run the Theorem 1 algorithm with eps = 0.25: at most 2*eps = 50%% of
      jobs may be rejected, and the total flow-time is guaranteed within
-     2((1+eps)/eps)^2 = 50x of the offline optimum. *)
-  let result = Rejection.Api.run_flow ~eps:0.25 instance in
+     2((1+eps)/eps)^2 = 50x of the offline optimum.  Every policy is an
+     entry of the registry, found by name at an [eps]. *)
+  let eps = 0.25 in
+  let entry = Option.get (PR.find ~eps "flow-reject") in
+  let schedule, live = entry.PR.run instance in
+  (* The audit re-checks the run from scratch: a valid non-preemptive
+     schedule, rejections within the 2*eps budget, and the driver's live
+     metrics equal to a recomputation.  An empty list is a pass. *)
+  (match PR.audit entry schedule live with
+  | [] -> ()
+  | violations -> failwith (Sched_check.Oracle.report violations));
 
   Format.printf "@.Per-job outcomes:@.";
   Array.iter
     (fun (j : Job.t) ->
-      Format.printf "  %a -> %a@." Job.pp j Outcome.pp
-        (Schedule.outcome result.Rejection.Api.schedule j.Job.id))
+      Format.printf "  %a -> %a@." Job.pp j Outcome.pp (Schedule.outcome schedule j.Job.id))
     (Instance.jobs_by_release instance);
 
-  let flow = result.Rejection.Api.flow in
-  let rejection = result.Rejection.Api.rejection in
+  (* The counters realize eps_eff = 1/ceil(1/eps) <= eps, so the ratio the
+     theorem proves for this run is the one at eps_eff. *)
+  let eps_eff = 1. /. float_of_int (Rejection.Bounds.rule1_threshold ~eps) in
+  let competitive_bound = Rejection.Bounds.flow_competitive ~eps:eps_eff in
+  let flow = Metrics.flow schedule in
+  let rejection = Metrics.rejection schedule in
   Format.printf "@.total flow-time (completed jobs): %.2f@." flow.Metrics.total;
   Format.printf "total flow-time (incl. rejected):  %.2f@." flow.Metrics.total_with_rejected;
   Format.printf "max flow: %.2f   mean flow: %.2f@." flow.Metrics.max_flow flow.Metrics.mean_flow;
   Format.printf "rejected: %d jobs (%.0f%% of the %.0f%% budget)@." rejection.Metrics.count
     (100. *. rejection.Metrics.fraction)
-    (100. *. result.Rejection.Api.rejection_budget);
-  Format.printf "theoretical competitive bound: %.1f@." result.Rejection.Api.competitive_bound;
+    (100. *. Rejection.Bounds.flow_rejection_budget ~eps);
+  Format.printf "theoretical competitive bound: %.1f@." competitive_bound;
 
   (* The schedule at a glance. *)
-  Format.printf "@.%s@." (Gantt.render ~width:64 result.Rejection.Api.schedule);
+  Format.printf "@.%s@." (Gantt.render ~width:64 schedule);
 
   (* Compare against the exact offline optimum (the instance is tiny). *)
   match Sched_baselines.Brute_force.optimal_flow instance with
@@ -53,5 +66,5 @@ let () =
       Format.printf "offline OPT (all jobs, brute force): %.2f@." opt;
       Format.printf "empirical ratio: %.2f  (bound %.1f)@."
         (flow.Metrics.total_with_rejected /. opt)
-        result.Rejection.Api.competitive_bound
+        competitive_bound
   | None -> ()

@@ -1,6 +1,6 @@
 open Sched_model
 
-let augment_instance ~factor instance =
+let augment ~factor instance =
   if factor < 1 then invalid_arg "Machine_augmented: factor must be >= 1";
   let m = Instance.m instance in
   let machines =
@@ -18,9 +18,3 @@ let augment_instance ~factor instance =
   Instance.create
     ~name:(Printf.sprintf "%s(x%d machines)" instance.Instance.name factor)
     ~machines ~jobs ()
-
-let run ~factor instance =
-  let augmented = augment_instance ~factor instance in
-  let schedule, _, _ = Sched_sim.Driver.run Greedy_dispatch.spt augmented in
-  Schedule.assert_valid ~check_deadlines:false schedule;
-  schedule

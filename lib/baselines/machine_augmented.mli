@@ -7,6 +7,9 @@
 
 open Sched_model
 
-val run : factor:int -> Instance.t -> Schedule.t
-(** Greedy SPT (no rejection) on the augmented fleet.  Flow metrics remain
-    comparable to the original instance (same jobs and releases). *)
+val augment : factor:int -> Instance.t -> Instance.t
+(** The instance on [factor] copies of every machine: machine [i] of the
+    result copies machine [i mod m], and so does every job's size there.
+    Jobs, releases and weights are unchanged, so flow metrics of a
+    schedule on it compare directly with the original's.  Raises
+    [Invalid_argument] unless [factor >= 1]. *)

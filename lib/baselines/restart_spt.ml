@@ -73,11 +73,6 @@ let policy cfg = { Driver.name = "restart-spt"; init = init cfg; on_arrival; sel
 
 let restarts st = st.total_restarts
 
-let run ?trace cfg instance =
-  let schedule, st, _ = Driver.run ?trace (policy cfg) instance in
-  Schedule.assert_valid ~allow_restarts:true ~check_deadlines:false schedule;
-  (schedule, st)
-
 let wasted_work (s : Schedule.t) =
   (* Volume of every segment except each completed job's final one. *)
   let final : (Job.id, Schedule.segment) Hashtbl.t = Hashtbl.create 64 in

@@ -29,7 +29,6 @@ type state
 
 val policy : config -> state Driver.policy
 val restarts : state -> int
-val run : ?trace:Trace.t -> config -> Instance.t -> Schedule.t * state
 
 val wasted_work : Schedule.t -> float
 (** Total volume of aborted attempts (work done and thrown away). *)

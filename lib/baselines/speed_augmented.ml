@@ -7,13 +7,3 @@ let fleet ~eps_s machines =
 
 let policy ~eps_r =
   Rejection.Flow_reject.policy (Rejection.Flow_reject.config ~rule2:false ~eps:eps_r ())
-
-let run ?trace ?obs ~eps_s ~eps_r instance =
-  let fast =
-    Instance.with_machines
-      ~name:(Printf.sprintf "%s(+speed %g)" instance.Instance.name (1. +. eps_s))
-      instance
-      (fleet ~eps_s instance.Instance.machines)
-  in
-  let schedule, _, _ = Sched_sim.Driver.run ?trace ?obs (policy ~eps_r) fast in
-  schedule

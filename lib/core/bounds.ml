@@ -17,8 +17,6 @@ let rule2_threshold ~eps =
   check_eps eps;
   int_of_float (Float.ceil (1. +. (1. /. eps)))
 
-let immediate_rejection_lb ~delta = sqrt delta
-
 (* alpha - 1 + ln(alpha - 1) > 0 iff alpha - 1 > W, where W + ln W = 0
    (W ~ 0.5671, the omega constant). *)
 let gamma_term_positive alpha =

@@ -20,11 +20,6 @@ val rule2_threshold : eps:float -> int
 (** Rejection Rule 2 trips at [1 + 1/eps]; integralized as
     [ceil(1 + 1/eps)]. *)
 
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val immediate_rejection_lb : delta:float -> float
-(** Lemma 1: [sqrt delta], the growth rate (up to constants) any
-    immediate-rejection policy must suffer. *)
-
 val gamma : eps:float -> alpha:float -> float
 (** Theorem 2's speed constant
     [(eps/(1+eps))^(1/(alpha-1)) * (1/(alpha-1)) *

@@ -200,7 +200,3 @@ let continuous_place st ~release ~deadline ~volume =
   | Some (start, dur, v, _) ->
       add_load st start (start +. dur) v;
       (start, v)
-
-let continuous_energy st =
-  integrate st.breakpoints Float.neg_infinity Float.infinity (fun s ->
-      if s = 0. then 0. else s ** st.alpha)

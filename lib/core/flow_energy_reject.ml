@@ -144,7 +144,3 @@ let lambdas st =
   out
 
 let gamma_of_machine st i = st.gammas.(i)
-
-let run ?trace cfg instance =
-  let schedule, st, _ = Driver.run ?trace (policy cfg) instance in
-  (schedule, st)

@@ -49,5 +49,3 @@ val lambdas : state -> float array
 
 val gamma_of_machine : state -> Machine.id -> float
 (** The speed constant actually used on a machine. *)
-
-val run : ?trace:Trace.t -> config -> Instance.t -> Schedule.t * state

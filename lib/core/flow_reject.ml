@@ -252,7 +252,3 @@ let lambdas st =
 let effective_eps st = st.eps_eff
 let rule1_rejections st = st.rej1
 let rule2_rejections st = st.rej2
-
-let run ?trace ?obs cfg instance =
-  let schedule, st, _ = Driver.run ?trace ?obs (policy cfg) instance in
-  (schedule, st)

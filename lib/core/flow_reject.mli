@@ -25,7 +25,6 @@
     rule can be disabled and the dual-fitting dispatch can be swapped for a
     naive greedy-completion-time dispatch. *)
 
-open Sched_model
 open Sched_sim
 
 type dispatch_rule =
@@ -64,8 +63,3 @@ val effective_eps : state -> float
 
 val rule1_rejections : state -> int
 val rule2_rejections : state -> int
-
-val run :
-  ?trace:Trace.t -> ?obs:Sched_obs.Obs.t -> config -> Instance.t -> Schedule.t * state
-(** Convenience: build the policy and run it ([?obs] as in
-    {!Sched_sim.Driver.run}). *)

@@ -106,7 +106,3 @@ let select st view i =
 
 let policy cfg = { Driver.name = "flow-reject-weighted"; init = init cfg; on_arrival; select }
 
-
-let run ?trace cfg instance =
-  let schedule, st, _ = Driver.run ?trace (policy cfg) instance in
-  (schedule, st)

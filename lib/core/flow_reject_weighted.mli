@@ -20,7 +20,6 @@
     weight at most [2 eps] of the total weight (verified by property tests
     and experiment E11); no competitive-ratio claim is made. *)
 
-open Sched_model
 open Sched_sim
 
 type config = { eps : float; rule1 : bool; rule2 : bool }
@@ -30,5 +29,3 @@ val config : ?rule1:bool -> ?rule2:bool -> eps:float -> unit -> config
 type state
 
 val policy : config -> state Driver.policy
-
-val run : ?trace:Trace.t -> config -> Instance.t -> Schedule.t * state

@@ -1,5 +1,6 @@
 open Sched_stats
 
+(* The left-hand side of the smooth inequality. *)
 let lhs p ~a ~b =
   let n = Array.length a in
   if Array.length b <> n then invalid_arg "Smooth.lhs: length mismatch";
@@ -9,12 +10,6 @@ let lhs p ~a ~b =
     acc := !acc +. (Power.eval p (b.(i) +. !prefix) -. Power.eval p !prefix)
   done;
   !acc
-
-let rhs p ~lambda ~mu ~a ~b =
-  let sum = Array.fold_left ( +. ) 0. in
-  (lambda *. Power.eval p (sum b)) +. (mu *. Power.eval p (sum a))
-
-let violates p ~lambda ~mu ~a ~b = lhs p ~a ~b > rhs p ~lambda ~mu ~a ~b +. 1e-9
 
 (* Structured candidates that are known to be near-extremal for s^alpha:
    all-equal blocks, a single large b against a ramp of a's, geometric

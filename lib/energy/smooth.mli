@@ -16,15 +16,6 @@
 
 open Sched_stats
 
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val lhs : Power.t -> a:float array -> b:float array -> float
-(** The left-hand side of the smooth inequality. *)
-
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val violates : Power.t -> lambda:float -> mu:float -> a:float array -> b:float array -> bool
-(** True when the pair [(a, b)] breaks the inequality (beyond 1e-9
-    slack). *)
-
 val required_lambda :
   ?trials:int -> ?n:int -> Power.t -> mu:float -> Rng.t -> float
 (** Empirical worst-case [lambda] for the given [mu] over [trials] random

@@ -1,7 +1,6 @@
 open Sched_stats
 open Sched_model
 module FRW = Rejection.Flow_reject_weighted
-module FR = Rejection.Flow_reject
 
 (* Weighted volume bound: every job's weighted flow is at least
    w_j min_i p_ij. *)
@@ -28,30 +27,25 @@ let run ~obs:_ ~quick =
   in
   List.iter
     (fun eps ->
+      let hdf =
+        Policy_registry.pack
+          (fun () -> FRW.policy (FRW.config ~eps ~rule1:false ~rule2:false ()))
+          ~budget:(Sched_check.Oracle.Count_fraction 0.) "hdf-no-reject"
+      in
       let policies =
         [
-          ( "weighted-reject",
-            fun inst ->
-              let s, _ = FRW.run (FRW.config ~eps ()) inst in
-              s );
-          ( "hdf-no-reject",
-            fun inst ->
-              let s, _ = FRW.run (FRW.config ~eps ~rule1:false ~rule2:false ()) inst in
-              s );
-          ( "thm1-unweighted",
-            fun inst ->
-              let s, _ = FR.run (FR.config ~eps ()) inst in
-              s );
+          ("weighted-reject", Exp_util.entry ~eps "flow-reject-weighted");
+          ("hdf-no-reject", hdf);
+          ("thm1-unweighted", Exp_util.entry ~eps "flow-reject");
         ]
       in
       List.iter
-        (fun (name, runner) ->
+        (fun (name, entry) ->
           let ratios = ref [] and rejws = ref [] and wflows = ref [] in
           List.iter
             (fun seed ->
               let inst = Sched_workload.Gen.instance gen ~seed in
-              let s = runner inst in
-              Schedule.assert_valid ~check_deadlines:false s;
+              let s = Exp_util.run entry inst in
               let f = Metrics.flow s in
               let lb = weighted_volume_lb inst in
               ratios := (f.Metrics.weighted_with_rejected /. lb) :: !ratios;

@@ -1,6 +1,5 @@
 open Sched_stats
 open Sched_model
-module FR = Rejection.Flow_reject
 
 let run ~obs:_ ~quick =
   let n = Exp_util.scale ~quick 300 and m = 4 in
@@ -27,25 +26,20 @@ let run ~obs:_ ~quick =
   in
   let policies =
     [
-      ("thm1-reject", fun inst -> Exp_util.run_policy (FR.policy (FR.config ~eps ())) inst);
-      ("greedy-spt", fun inst -> Exp_util.run_policy Sched_baselines.Greedy_dispatch.spt inst);
-      ("greedy-fifo", fun inst -> Exp_util.run_policy Sched_baselines.Greedy_dispatch.fifo inst);
-      ( "immediate",
-        fun inst ->
-          Exp_util.run_policy
-            (Sched_baselines.Immediate_reject.policy ~eps
-               (Sched_baselines.Immediate_reject.Largest_over 2.))
-            inst );
+      ("thm1-reject", Exp_util.entry ~eps "flow-reject");
+      ("greedy-spt", Exp_util.entry ~eps "greedy-spt");
+      ("greedy-fifo", Exp_util.entry ~eps "greedy-fifo");
+      ("immediate", Exp_util.entry ~eps "immediate-largest");
     ]
   in
   List.iter
     (fun gen ->
       List.iter
-        (fun (name, runner) ->
+        (fun (name, entry) ->
           let stats =
             Exp_util.per_seed ~quick (fun seed ->
                 let inst = Sched_workload.Gen.instance gen ~seed in
-                let s = runner inst in
+                let s = Exp_util.run entry inst in
                 let values = Metrics.flow_values s in
                 let summary = Summary.of_array values in
                 ( summary.Summary.p50,

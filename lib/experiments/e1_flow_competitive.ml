@@ -1,6 +1,5 @@
 open Sched_stats
 module LB = Sched_baselines.Lower_bounds
-module FR = Rejection.Flow_reject
 
 let standard_table ~obs ~quick =
   let n = Exp_util.scale ~quick 150 and m = 4 in
@@ -16,7 +15,7 @@ let standard_table ~obs ~quick =
           let per_seed =
             Exp_util.per_seed_obs ?obs ~quick (fun ~obs seed ->
                 let inst = Sched_workload.Gen.instance gen ~seed in
-                let schedule = Exp_util.run_policy ?obs (FR.policy (FR.config ~eps ())) inst in
+                let schedule = Exp_util.run ?obs (Exp_util.entry ~eps "flow-reject") inst in
                 let lb = (LB.volume inst).LB.value in
                 let msr = Exp_util.measure_flow schedule in
                 ( msr.Exp_util.total_flow /. lb,
@@ -54,7 +53,7 @@ let exact_table ~quick =
   List.iter
     (fun (n, m, eps, seed) ->
       let inst = Sched_workload.Suite.tiny ~seed ~n ~m in
-      let schedule = Exp_util.run_policy (FR.policy (FR.config ~eps ())) inst in
+      let schedule = Exp_util.run (Exp_util.entry ~eps "flow-reject") inst in
       let opt = Option.get (Sched_baselines.Brute_force.optimal_flow inst) in
       let lp =
         match Sched_lp.Flow_lp.solve inst with
@@ -96,7 +95,7 @@ let bracket_table ~obs ~quick =
       let stats =
         Exp_util.per_seed_obs ?obs ~quick (fun ~obs seed ->
             let inst = Sched_workload.Gen.instance gen ~seed in
-            let schedule = Exp_util.run_policy ?obs (FR.policy (FR.config ~eps ())) inst in
+            let schedule = Exp_util.run ?obs (Exp_util.entry ~eps "flow-reject") inst in
             let alg = (Exp_util.measure_flow schedule).Exp_util.total_flow in
             let lb = (LB.volume inst).LB.value in
             let ub = (Sched_baselines.Local_search.improve inst).Sched_baselines.Local_search.cost in

@@ -1,7 +1,5 @@
 open Sched_stats
 module AF = Sched_workload.Adversary_flow
-module IR = Sched_baselines.Immediate_reject
-module FR = Rejection.Flow_reject
 
 let eps = 0.2
 
@@ -25,24 +23,19 @@ let run ~obs:_ ~quick =
   in
   List.iter
     (fun l ->
-      let imm h i =
-        let s, _, _ = Sched_sim.Driver.run (IR.policy ~eps h) i in
-        s
-      in
-      let rej i = fst (FR.run (FR.config ~eps ()) i) in
-      (* Rule 1 (mid-run revocation) alone suffices against this adversary:
-         the blocking elephant is the running job. *)
-      let rej1 i = fst (FR.run (FR.config ~eps ~rule2:false ()) i) in
+      let ratio name = ratio_of ~run:(Exp_util.run (Exp_util.entry ~eps name)) ~l in
       Table.add_row table
         [
           Table.cell_float l;
           Table.cell_float (l *. l);
           Table.cell_float l;
-          Table.cell_float (ratio_of ~run:(imm IR.Never) ~l);
-          Table.cell_float (ratio_of ~run:(imm (IR.Load_threshold 3.)) ~l);
-          Table.cell_float (ratio_of ~run:(imm (IR.Largest_over 2.)) ~l);
-          Table.cell_float (ratio_of ~run:rej ~l);
-          Table.cell_float (ratio_of ~run:rej1 ~l);
+          Table.cell_float (ratio "immediate-never");
+          Table.cell_float (ratio "immediate-load");
+          Table.cell_float (ratio "immediate-largest");
+          Table.cell_float (ratio "flow-reject");
+          (* Rule 1 (mid-run revocation) alone suffices against this
+             adversary: the blocking elephant is the running job. *)
+          Table.cell_float (ratio "flow-reject-rule1");
         ])
     ls;
   [ table ]

@@ -1,6 +1,5 @@
 open Sched_stats
 open Sched_model
-module FE = Rejection.Flow_energy_reject
 
 let run ~obs:_ ~quick =
   let n = Exp_util.scale ~quick 100 and m = 3 in
@@ -20,8 +19,7 @@ let run ~obs:_ ~quick =
           List.iter
             (fun seed ->
               let inst = Sched_workload.Gen.instance gen ~seed in
-              let schedule, _ = FE.run (FE.config ~eps ()) inst in
-              Schedule.assert_valid ~check_deadlines:false schedule;
+              let schedule = Exp_util.run (Exp_util.entry ~eps "flow-energy-reject") inst in
               let f = Metrics.flow schedule in
               let e = Metrics.energy schedule in
               let lb = Sched_energy.Energy_bounds.flow_energy_lb inst in

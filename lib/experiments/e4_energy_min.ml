@@ -25,8 +25,13 @@ let main_table ~quick =
             (fun seed ->
               let inst = Sched_workload.Gen.instance gen ~seed in
               let result = EG.run inst in
-              Sched_model.Schedule.assert_valid ~allow_parallel:true
-                result.EG.schedule;
+              (match
+                 Sched_check.Oracle.check
+                   ~mode:(Sched_check.Oracle.mode ~allow_parallel:true ())
+                   result.EG.schedule
+               with
+              | [] -> ()
+              | vs -> failwith ("E4 config greedy: " ^ Sched_check.Oracle.report vs));
               let lb, s = Sched_energy.Energy_bounds.best_deadline_energy inst in
               src := s;
               energies := result.EG.energy :: !energies;

@@ -4,7 +4,8 @@ module DF = Sched_lp.Dual_fit
 
 let certify_on inst eps =
   let trace = Sched_sim.Trace.create () in
-  let schedule, st = FR.run ~trace (FR.config ~eps ()) inst in
+  let schedule, st, live = Sched_sim.Driver.run ~trace (FR.policy (FR.config ~eps ())) inst in
+  Exp_util.assert_audit (Exp_util.entry ~eps "flow-reject") schedule live;
   (* Certify at the effective (integral-threshold) epsilon of the run. *)
   DF.certify ~eps:(FR.effective_eps st) ~lambdas:(FR.lambdas st) inst trace schedule
 
@@ -101,7 +102,8 @@ let energy_table ~quick =
       let gen = Sched_workload.Suite.weighted_energy ~n ~m ~alpha in
       let inst = Sched_workload.Gen.instance gen ~seed:42 in
       let trace = Sched_sim.Trace.create () in
-      let schedule, st = FE.run ~trace (FE.config ~eps ()) inst in
+      let schedule, st, live = Sched_sim.Driver.run ~trace (FE.policy (FE.config ~eps ())) inst in
+      Exp_util.assert_audit (Exp_util.entry ~eps "flow-energy-reject") schedule live;
       let gammas = Array.init m (FE.gamma_of_machine st) in
       let r = DFE.certify ~eps ~gammas ~lambdas:(FE.lambdas st) inst trace schedule in
       Table.add_row table

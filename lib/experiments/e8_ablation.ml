@@ -1,5 +1,4 @@
 open Sched_stats
-module FR = Rejection.Flow_reject
 
 let eps = 0.25
 
@@ -18,29 +17,25 @@ let run ~obs:_ ~quick =
     Table.create ~title:"E8: ablation of Theorem 1 (mean ratio vs volume LB)"
       ~columns:[ "workload"; "variant"; "ratio"; "max-flow"; "rej%" ]
   in
-  let cfgs =
+  let variants =
     [
-      ("both rules", Some (FR.config ~eps ()));
-      ("rule1 only", Some (FR.config ~eps ~rule2:false ()));
-      ("rule2 only", Some (FR.config ~eps ~rule1:false ()));
-      ("no rejection", Some (FR.config ~eps ~rule1:false ~rule2:false ()));
-      ("greedy dispatch", Some (FR.config ~eps ~dispatch:FR.Greedy_load ()));
-      ("baseline fifo", None);
+      ("both rules", Exp_util.entry ~eps "flow-reject");
+      ("rule1 only", Exp_util.entry ~eps "flow-reject-rule1");
+      ("rule2 only", Exp_util.entry ~eps "flow-reject-rule2");
+      ("no rejection", Exp_util.flow_reject_no_rules ~eps);
+      ("greedy dispatch", Exp_util.entry ~eps "flow-reject-greedy");
+      ("baseline fifo", Exp_util.entry ~eps "greedy-fifo");
     ]
   in
   List.iter
     (fun gen ->
       List.iter
-        (fun (label, cfg) ->
+        (fun (label, entry) ->
           let ratios = ref [] and rejs = ref [] and maxf = ref [] in
           List.iter
             (fun seed ->
               let inst = Sched_workload.Gen.instance gen ~seed in
-              let schedule =
-                match cfg with
-                | Some cfg -> Exp_util.run_policy (FR.policy cfg) inst
-                | None -> Exp_util.run_policy Sched_baselines.Greedy_dispatch.fifo inst
-              in
+              let schedule = Exp_util.run entry inst in
               let lb = (Sched_baselines.Lower_bounds.volume inst).Sched_baselines.Lower_bounds.value in
               let msr = Exp_util.measure_flow schedule in
               ratios := (msr.Exp_util.total_flow /. lb) :: !ratios;
@@ -55,6 +50,6 @@ let run ~obs:_ ~quick =
               Table.cell_float (Exp_util.mean !maxf);
               Table.cell_float (100. *. Exp_util.mean !rejs);
             ])
-        cfgs)
+        variants)
     workloads;
   [ table ]

@@ -1,11 +1,21 @@
 open Sched_stats
 open Sched_model
-module FR = Rejection.Flow_reject
 module SA = Sched_baselines.Speed_augmented
 
 let run ~obs:_ ~quick =
   let n = Exp_util.scale ~quick 150 and m = 4 in
   let eps_r = 0.2 in
+  (* The registry's speed-augmented entry runs at eps_s = 0.5; the other
+     two speeds are packed here on their own fleets. *)
+  let esa eps_s =
+    if eps_s = 0.5 then Exp_util.entry ~eps:eps_r "speed-augmented"
+    else
+      Policy_registry.pack
+        (fun () -> SA.policy ~eps_r)
+        ~fleet:(SA.fleet ~eps_s)
+        ~budget:(Sched_check.Oracle.Count_fraction eps_r)
+        (Printf.sprintf "speed-augmented(%g)" eps_s)
+  in
   let table =
     Table.create
       ~title:
@@ -28,12 +38,11 @@ let run ~obs:_ ~quick =
           let inst = Sched_workload.Gen.instance gen ~seed in
           let lb = (Sched_baselines.Lower_bounds.volume inst).Sched_baselines.Lower_bounds.value in
           let ratio s = (Metrics.flow s).Metrics.total_with_rejected /. lb in
-          let thm1 = Exp_util.run_policy (FR.policy (FR.config ~eps:eps_r ())) inst in
+          let thm1 = Exp_util.run (Exp_util.entry ~eps:eps_r "flow-reject") inst in
           [ ("thm1", ratio thm1); ("thm1rej", (Metrics.rejection thm1).Metrics.fraction) ]
           @ List.concat_map
               (fun eps_s ->
-                let s = SA.run ~eps_s ~eps_r inst in
-                Schedule.assert_valid ~check_deadlines:false s;
+                let s = Exp_util.run (esa eps_s) inst in
                 (Printf.sprintf "esa%.1f" eps_s, ratio s)
                 ::
                 (if eps_s = 0.5 then [ ("esarej", (Metrics.rejection s).Metrics.fraction) ]
@@ -41,7 +50,10 @@ let run ~obs:_ ~quick =
               [ 0.2; 0.5; 1.0 ]
           @ List.map
               (fun factor ->
-                let s = Sched_baselines.Machine_augmented.run ~factor inst in
+                let s =
+                  Exp_util.run (Exp_util.entry ~eps:eps_r "greedy-spt")
+                    (Sched_baselines.Machine_augmented.augment ~factor inst)
+                in
                 (Printf.sprintf "maug%d" factor, ratio s))
               [ 2; 4 ])
       |> List.iter (List.iter push);

@@ -1,5 +1,4 @@
 open Sched_model
-open Sched_sim
 
 let seeds ~quick = if quick then [ 11; 42 ] else Sched_workload.Suite.default_seeds
 
@@ -36,10 +35,30 @@ let mean = function
   | [] -> invalid_arg "Exp_util.mean: empty"
   | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 
-let run_policy ?obs policy instance =
-  let schedule, _, _ = Driver.run ?obs policy instance in
-  Schedule.assert_valid ~check_deadlines:false schedule;
+let assert_audit entry (schedule : Schedule.t) live =
+  match Policy_registry.audit entry schedule live with
+  | [] -> ()
+  | vs ->
+      failwith
+        (Printf.sprintf "%s on %s: audit failed (%d violations):\n%s" entry.Policy_registry.name
+           schedule.Schedule.instance.Instance.name (List.length vs)
+           (Sched_check.Oracle.report vs))
+
+let run ?obs entry instance =
+  let schedule, live = entry.Policy_registry.run ?obs instance in
+  assert_audit entry schedule live;
   schedule
+
+let entry ~eps name =
+  match Policy_registry.find ~eps name with
+  | Some e -> e
+  | None -> invalid_arg ("Exp_util.entry: unknown policy " ^ name)
+
+let flow_reject_no_rules ~eps =
+  let module FR = Rejection.Flow_reject in
+  Policy_registry.pack
+    (fun () -> FR.policy (FR.config ~eps ~rule1:false ~rule2:false ()))
+    ~budget:(Sched_check.Oracle.Count_fraction 0.) "flow-reject-no-rules"
 
 type flow_measurement = {
   completed_flow : float;

@@ -1,7 +1,6 @@
 (** Shared plumbing for the experiment suite. *)
 
 open Sched_model
-open Sched_sim
 
 val seeds : quick:bool -> int list
 (** Five seeds normally, two in quick mode. *)
@@ -27,9 +26,24 @@ val scale : quick:bool -> int -> int
 
 val mean : float list -> float
 
-val run_policy : ?obs:Sched_obs.Obs.t -> 'a Driver.policy -> Instance.t -> Schedule.t
-(** Runs and validates (deadlines not enforced — flow instances may carry
-    none).  [?obs] as in {!Sched_sim.Driver.run}. *)
+val assert_audit : Policy_registry.entry -> Schedule.t -> Sched_sim.Driver.live_metrics -> unit
+(** Raises [Failure] listing the violations unless
+    {!Policy_registry.audit} passes the run: for a caller that runs the
+    entry's policy through {!Sched_sim.Driver.run} itself to keep its
+    final state. *)
+
+val run : ?obs:Sched_obs.Obs.t -> Policy_registry.entry -> Instance.t -> Schedule.t
+(** Runs the entry and checks the run with {!assert_audit} (the entry's
+    budget and restart relaxation, live metrics reconciled, deadlines
+    not enforced).  [?obs] as in {!Sched_sim.Driver.run}. *)
+
+val entry : eps:float -> string -> Policy_registry.entry
+(** {!Policy_registry.find} at [eps]; raises [Invalid_argument] on an
+    unknown name. *)
+
+val flow_reject_no_rules : eps:float -> Policy_registry.entry
+(** Theorem 1's dispatch with both rejection rules off, so with budget
+    [Count_fraction 0.]: the "no rejection" ablation of E8 and E14. *)
 
 type flow_measurement = {
   completed_flow : float;

@@ -24,7 +24,10 @@ type entry = {
   name : string;
   allow_restarts : bool;
   run :
-    ?recorder:Sched_obs.Recorder.t -> Instance.t -> Schedule.t * Driver.live_metrics;
+    ?obs:Sched_obs.Obs.t ->
+    ?recorder:Sched_obs.Recorder.t ->
+    Instance.t ->
+    Schedule.t * Driver.live_metrics;
   open_stream :
     ?trace:Trace.t ->
     ?obs:Sched_obs.Obs.t ->
@@ -64,8 +67,8 @@ let pack ?reference ?budget ?(allow_restarts = false) ?(fleet = Fun.id) make_pol
     name;
     allow_restarts;
     run =
-      (fun ?recorder instance ->
-        let s, _, live = Driver.run ?recorder (make_policy ()) (on_fleet fleet instance) in
+      (fun ?obs ?recorder instance ->
+        let s, _, live = Driver.run ?obs ?recorder (make_policy ()) (on_fleet fleet instance) in
         (s, live));
     open_stream =
       (fun ?trace ?obs ?recorder ?retire ?name ~machines () ->

@@ -2,11 +2,14 @@
     plain instance runner, with its validation mode and —
     where one exists — its scan-based seed-reference mirror.
 
-    It is the one policy table: the CLI resolves every policy name here
-    ({!find}, aliases included), and the cross-cutting test layers walk
-    {!all}: the validator suite runs every entry over a shared workload
-    set, and the differential suite checks each optimized entry against
-    its [reference]. *)
+    It is the one policy table and the one way to run a policy: the CLI
+    resolves every policy name here ({!find}, aliases included); the
+    experiments and examples run an entry's [run] and check the result
+    with {!audit} (an ablation variant outside {!all} is built with
+    {!pack}); and the cross-cutting test layers walk {!all}: the
+    validator suite runs every entry over a shared workload set, and
+    the differential suite checks each optimized entry against its
+    [reference]. *)
 
 open Sched_model
 open Sched_sim
@@ -34,11 +37,14 @@ type entry = {
       (** Whether schedules need the validator's [allow_restarts]
           relaxation (the policy kills and re-runs jobs). *)
   run :
-    ?recorder:Sched_obs.Recorder.t -> Instance.t -> Schedule.t * Driver.live_metrics;
+    ?obs:Sched_obs.Obs.t ->
+    ?recorder:Sched_obs.Recorder.t ->
+    Instance.t ->
+    Schedule.t * Driver.live_metrics;
       (** {!Sched_sim.Driver.run} on a fresh policy value, returning the
-          schedule and the driver's incremental metrics.  [?recorder]
-          attaches a flight recorder — the replay path forensics capture
-          rides on. *)
+          schedule and the driver's incremental metrics.  [?obs] records
+          telemetry as in {!Sched_sim.Driver.run}; [?recorder] attaches a
+          flight recorder — the replay path forensics capture rides on. *)
   open_stream :
     ?trace:Trace.t ->
     ?obs:Sched_obs.Obs.t ->
@@ -65,6 +71,22 @@ type entry = {
           [None] for heuristics with no bound, e.g. threshold-based
           immediate rejection).  {!audit} enforces it. *)
 }
+
+val pack :
+  ?reference:(unit -> 'r Driver.policy) ->
+  ?budget:Sched_check.Oracle.budget ->
+  ?allow_restarts:bool ->
+  ?fleet:(Machine.t array -> Machine.t array) ->
+  (unit -> 'a Driver.policy) ->
+  string ->
+  entry
+(** [pack make_policy name]: the entry that runs a fresh [make_policy ()]
+    per run or session.  [?fleet] (default the identity) maps the
+    caller's machines to the ones the policy runs on, for [run],
+    [open_stream] and [reference] alike — speed augmentation is a fleet.
+    [?allow_restarts] defaults to [false]; without [?budget], {!audit}
+    checks no rejection bound.  {!all} is built with it; experiments
+    build their ablation variants with it. *)
 
 val audit : entry -> Schedule.t -> Driver.live_metrics -> Sched_check.Violation.t list
 (** The one audit of a finished run: {!Sched_check.Oracle.check} under

@@ -37,7 +37,9 @@ let test_flow_game_ratio_ordering () =
       (Sched_baselines.Immediate_reject.policy ~eps Sched_baselines.Immediate_reject.Never)
       i
   in
-  let run_rej i = fst (Rejection.Flow_reject.run (Rejection.Flow_reject.config ~eps ()) i) in
+  let run_rej i =
+    Test_util.schedule_of (Rejection.Flow_reject.policy (Rejection.Flow_reject.config ~eps ())) i
+  in
   let res_i, s_i = AF.run_two_phase ~run:run_imm ~eps ~l in
   let res_r, s_r = AF.run_two_phase ~run:run_rej ~eps ~l in
   let ratio res s = Test_util.total_flow s /. res.AF.adversary_cost in
@@ -59,7 +61,9 @@ let test_flow_blowup_grows () =
 
 let test_flow_schedules_validate () =
   let eps = 0.2 in
-  let run i = fst (Rejection.Flow_reject.run (Rejection.Flow_reject.config ~eps ()) i) in
+  let run i =
+    Test_util.schedule_of (Rejection.Flow_reject.policy (Rejection.Flow_reject.config ~eps ())) i
+  in
   let _, s = AF.run_two_phase ~run ~eps ~l:8. in
   Schedule.assert_valid ~check_deadlines:false s
 

@@ -1,26 +1,39 @@
-(* Tests for the one-call API and model/driver edge cases. *)
+(* Tests for running Theorem 1's registry entry end to end, and
+   model/driver edge cases. *)
 
 open Sched_model
+module PR = Sched_experiments.Policy_registry
 
-(* --- Api --- *)
+(* --- the flow-reject entry --- *)
+
+(* Runs the flow-reject entry at [eps] and fails the test unless
+   [Policy_registry.audit] passes the run: a valid schedule, rejections
+   within 2 eps, live metrics equal to a recomputation. *)
+let run_flow ?(eps = 0.25) inst =
+  let e = Option.get (PR.find ~eps "flow-reject") in
+  let s, live = e.PR.run inst in
+  Test_util.assert_audit ~what:(Printf.sprintf "flow-reject eps=%g" eps) e s live;
+  s
 
 let test_api_run_flow () =
   let inst = Sched_workload.Suite.tiny ~seed:1 ~n:20 ~m:2 in
-  let r = Rejection.Api.run_flow ~eps:0.25 inst in
-  Alcotest.(check bool) "flow positive" true (r.Rejection.Api.flow.Metrics.total > 0.);
-  Alcotest.(check (float 1e-9)) "bound" 50. r.Rejection.Api.competitive_bound;
-  Alcotest.(check (float 1e-9)) "budget" 0.5 r.Rejection.Api.rejection_budget;
+  let s = run_flow ~eps:0.25 inst in
+  Alcotest.(check bool) "flow positive" true ((Metrics.flow s).Metrics.total > 0.);
+  Alcotest.(check (float 1e-9)) "bound" 50. (Rejection.Bounds.flow_competitive ~eps:0.25);
+  Alcotest.(check bool) "budget" true
+    ((Option.get (PR.find ~eps:0.25 "flow-reject")).PR.budget
+    = Some (Sched_check.Oracle.Count_fraction 0.5));
   Alcotest.(check bool) "budget respected" true
-    (r.Rejection.Api.rejection.Metrics.fraction <= 0.5 +. 1e-9)
+    ((Metrics.rejection s).Metrics.fraction <= 0.5 +. 1e-9)
 
 (* --- edge cases --- *)
 
 let test_empty_instance () =
   let inst = Instance.create ~machines:(Machine.fleet 2) ~jobs:[] () in
   Alcotest.(check int) "n = 0" 0 (Instance.n inst);
-  let r = Rejection.Api.run_flow inst in
-  Alcotest.(check (float 0.)) "zero flow" 0. r.Rejection.Api.flow.Metrics.total;
-  Alcotest.(check int) "no rejections" 0 r.Rejection.Api.rejection.Metrics.count;
+  let s = run_flow inst in
+  Alcotest.(check (float 0.)) "zero flow" 0. (Metrics.flow s).Metrics.total;
+  Alcotest.(check int) "no rejections" 0 (Metrics.rejection s).Metrics.count;
   (* Energy greedy also accepts the empty (deadline-free) instance is
      invalid — it requires deadlines; but an empty job list has all jobs
      carrying deadlines vacuously false per Instance.has_deadlines. *)
@@ -28,8 +41,8 @@ let test_empty_instance () =
 
 let test_single_job_flow () =
   let inst = Test_util.instance [ (5., [| 3. |]) ] in
-  let r = Rejection.Api.run_flow ~eps:0.1 inst in
-  Alcotest.(check (float 1e-9)) "flow = p" 3. r.Rejection.Api.flow.Metrics.total;
+  let s = run_flow ~eps:0.1 inst in
+  Alcotest.(check (float 1e-9)) "flow = p" 3. (Metrics.flow s).Metrics.total;
   Alcotest.(check (float 1e-9)) "ratio 1 vs opt" 3.
     (Option.get (Sched_baselines.Brute_force.optimal_flow inst))
 
@@ -37,16 +50,12 @@ let test_extreme_eps () =
   let gen = Sched_workload.Suite.flow_pareto ~n:60 ~m:2 in
   let inst = Sched_workload.Gen.instance gen ~seed:4 in
   (* Very small eps: thresholds huge, nothing rejected in a 60-job run. *)
-  let tiny = Rejection.Api.run_flow ~eps:0.01 inst in
+  let tiny = run_flow ~eps:0.01 inst in
   Alcotest.(check bool) "tiny eps rejects nothing here" true
-    (tiny.Rejection.Api.rejection.Metrics.fraction <= 0.02 +. 1e-9);
+    ((Metrics.rejection tiny).Metrics.fraction <= 0.02 +. 1e-9);
   (* Near-1 eps: aggressive; budget 2*eps is nearly 2 so trivially ok, but
-     schedule must stay valid. *)
-  let big = Rejection.Api.run_flow ~eps:0.99 inst in
-  Alcotest.(check bool) "valid at eps ~ 1" true
-    (match Schedule.validate ~check_deadlines:false big.Rejection.Api.schedule with
-    | Ok () -> true
-    | Error _ -> false)
+     the schedule must stay valid (run_flow's audit). *)
+  ignore (run_flow ~eps:0.99 inst)
 
 let test_simultaneous_releases () =
   (* Many jobs at the same instant; event ordering must stay deterministic
@@ -55,28 +64,21 @@ let test_simultaneous_releases () =
     Test_util.instance ~machines:2
       (List.init 12 (fun k -> (0., [| 1. +. float_of_int (k mod 3); 2. |])))
   in
-  let r1 = Rejection.Api.run_flow ~eps:0.3 inst in
-  let r2 = Rejection.Api.run_flow ~eps:0.3 inst in
-  Alcotest.(check (float 0.)) "deterministic" r1.Rejection.Api.flow.Metrics.total
-    r2.Rejection.Api.flow.Metrics.total
+  let r1 = run_flow ~eps:0.3 inst in
+  let r2 = run_flow ~eps:0.3 inst in
+  Alcotest.(check (float 0.)) "deterministic" (Metrics.flow r1).Metrics.total
+    (Metrics.flow r2).Metrics.total
 
+(* The next two are checked by run_flow's audit alone. *)
 let test_identical_sizes_ties () =
   let inst = Test_util.instance (List.init 8 (fun _ -> (0., [| 2. |]))) in
-  let r = Rejection.Api.run_flow ~eps:0.45 inst in
-  Alcotest.(check bool) "valid with all ties" true
-    (match Schedule.validate ~check_deadlines:false r.Rejection.Api.schedule with
-    | Ok () -> true
-    | Error _ -> false)
+  ignore (run_flow ~eps:0.45 inst)
 
 let test_huge_size_spread () =
   let inst =
     Test_util.instance [ (0., [| 1e-6 |]); (0., [| 1e6 |]); (1., [| 1. |]) ]
   in
-  let r = Rejection.Api.run_flow ~eps:0.4 inst in
-  Alcotest.(check bool) "valid with 12 orders of magnitude" true
-    (match Schedule.validate ~check_deadlines:false r.Rejection.Api.schedule with
-    | Ok () -> true
-    | Error _ -> false)
+  ignore (run_flow ~eps:0.4 inst)
 
 let test_driver_empty_instance () =
   let inst = Instance.create ~machines:(Machine.fleet 1) ~jobs:[] () in
@@ -90,7 +92,11 @@ let test_work_conservation () =
   let gen = Sched_workload.Suite.flow_uniform ~n:50 ~m:2 in
   let inst = Sched_workload.Gen.instance gen ~seed:9 in
   let trace = Sched_sim.Trace.create () in
-  let s, _ = Rejection.Flow_reject.run ~trace (Rejection.Flow_reject.config ~eps:0.25 ()) inst in
+  let s =
+    Test_util.schedule_of ~trace
+      (Rejection.Flow_reject.policy (Rejection.Flow_reject.config ~eps:0.25 ()))
+      inst
+  in
   let processed =
     List.fold_left
       (fun acc (g : Schedule.segment) -> acc +. ((g.Schedule.stop -. g.Schedule.start) *. g.Schedule.speed))
@@ -113,13 +119,12 @@ let suite =
   ]
 
 let test_soak_large_instance () =
-  (* 100k jobs on 16 machines: the full Theorem 1 run plus full schedule
-     validation must finish in seconds and respect the budget. *)
+  (* 100k jobs on 16 machines: the full Theorem 1 run plus its audit
+     must finish in seconds and respect the budget. *)
   let gen = Sched_workload.Suite.flow_pareto ~n:100_000 ~m:16 in
   let inst = Sched_workload.Gen.instance gen ~seed:7 in
   let t0 = Sys.time () in
-  let s, _ = Rejection.Flow_reject.run (Rejection.Flow_reject.config ~eps:0.25 ()) inst in
-  Schedule.assert_valid ~check_deadlines:false s;
+  let s = run_flow ~eps:0.25 inst in
   let elapsed = Sys.time () -. t0 in
   let r = Metrics.rejection s in
   Alcotest.(check bool)

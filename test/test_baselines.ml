@@ -70,12 +70,15 @@ let test_immediate_rejections_at_arrival_only () =
 let test_speed_augmented_faster_machines () =
   let gen = Sched_workload.Suite.flow_uniform ~n:60 ~m:2 in
   let inst = Sched_workload.Gen.instance gen ~seed:8 in
-  let s = Sched_baselines.Speed_augmented.run ~eps_s:0.5 ~eps_r:0.2 inst in
+  (* The registry's speed-augmented entry: Rule 1 at eps_r = 0.2 on the
+     fleet sped up by 1 + eps_s = 1.5. *)
+  let e = Option.get (Sched_experiments.Policy_registry.find ~eps:0.2 "speed-augmented") in
+  let s, live = e.Sched_experiments.Policy_registry.run inst in
   for i = 0 to Instance.m inst - 1 do
     Alcotest.(check (float 1e-12)) "speed scaled" 1.5
       (Instance.machine s.Schedule.instance i).Machine.speed
   done;
-  Schedule.assert_valid ~check_deadlines:false s
+  Test_util.assert_audit ~what:"speed-augmented" e s live
 
 let test_srpt_known_value () =
   (* Jobs (r=0, p=3), (r=1, p=1): SRPT preempts -> flows: job1 completes at

@@ -72,9 +72,6 @@ let test_smooth_constants () =
   Alcotest.(check (float 1e-12)) "mu" (2. /. 3.) (B.smooth_mu ~alpha:3.);
   Alcotest.(check (float 1e-9)) "lambda" 9. (B.smooth_lambda ~alpha:3.)
 
-let test_immediate_lb () =
-  Alcotest.(check (float 1e-9)) "sqrt" 8. (B.immediate_rejection_lb ~delta:64.)
-
 let suite =
   [
     Alcotest.test_case "flow competitive" `Quick test_flow_competitive;
@@ -88,5 +85,4 @@ let suite =
     Alcotest.test_case "flow-energy bound growth" `Quick test_flow_energy_competitive_grows_as_envelope;
     Alcotest.test_case "energy bounds" `Quick test_energy_bounds;
     Alcotest.test_case "smooth constants" `Quick test_smooth_constants;
-    Alcotest.test_case "immediate-rejection lb" `Quick test_immediate_lb;
   ]

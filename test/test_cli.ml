@@ -47,7 +47,7 @@ let in_process ~n ~m ~seed ~eps =
   let inst = Sched_workload.Gen.instance (Sched_workload.Suite.flow_uniform ~n ~m) ~seed in
   let module FR = Rejection.Flow_reject in
   let trace = Sched_sim.Trace.create () in
-  let s, _ = FR.run ~trace (FR.config ~eps ()) inst in
+  let s = Test_util.schedule_of ~trace (FR.policy (FR.config ~eps ())) inst in
   (s, trace)
 
 (* An unknown name is a usage error: exit 2 with [needle] on stderr.

@@ -97,19 +97,6 @@ let test_flow_energy_lb_formula () =
   Alcotest.(check (float 1e-9)) "per-job flow+energy lb" 12.
     (Energy_bounds.flow_energy_lb inst)
 
-let test_smooth_lhs_known () =
-  let p = Power.polynomial ~alpha:2. in
-  (* a = [1], b = [1]: (1+1)^2 - 1^2 = 3. *)
-  Alcotest.(check (float 1e-9)) "lhs" 3. (Smooth.lhs p ~a:[| 1. |] ~b:[| 1. |])
-
-let test_smooth_violation_detection () =
-  let p = Power.polynomial ~alpha:2. in
-  (* lambda = 0.1, mu = 0: clearly violated by a=b=[1]. *)
-  Alcotest.(check bool) "violates" true
-    (Smooth.violates p ~lambda:0.1 ~mu:0. ~a:[| 1. |] ~b:[| 1. |]);
-  Alcotest.(check bool) "not violated with big lambda" false
-    (Smooth.violates p ~lambda:10. ~mu:0. ~a:[| 1. |] ~b:[| 1. |])
-
 let test_required_lambda_alpha2 () =
   (* For s^2 with mu = 1/2 the worst case over our generators should land
      near 3 (single spike against a ramp) and certainly within [2, 6]. *)
@@ -138,8 +125,6 @@ let suite =
     Alcotest.test_case "deadline energy lb" `Quick test_deadline_energy_lb;
     Alcotest.test_case "yds lb tighter" `Quick test_yds_lb_tighter;
     Alcotest.test_case "flow+energy lb formula" `Quick test_flow_energy_lb_formula;
-    Alcotest.test_case "smooth lhs" `Quick test_smooth_lhs_known;
-    Alcotest.test_case "smooth violation detection" `Quick test_smooth_violation_detection;
     Alcotest.test_case "required lambda alpha=2" `Quick test_required_lambda_alpha2;
     Alcotest.test_case "smooth check" `Quick test_smooth_check;
   ]

@@ -10,7 +10,7 @@ module EG = Rejection.Energy_config_greedy
 
 let test_augment_structure () =
   let inst = Test_util.instance ~machines:2 [ (0., [| 2.; 3. |]); (1., [| 4.; 5. |]) ] in
-  let aug = (MA.run ~factor:3 inst).Schedule.instance in
+  let aug = MA.augment ~factor:3 inst in
   Alcotest.(check int) "machines tripled" 6 (Instance.m aug);
   Alcotest.(check int) "jobs unchanged" 2 (Instance.n aug);
   let j = Instance.job aug 0 in
@@ -25,7 +25,7 @@ let test_augment_helps () =
   let base =
     Test_util.schedule_of Sched_baselines.Greedy_dispatch.spt inst
   in
-  let aug = MA.run ~factor:4 inst in
+  let aug = Test_util.schedule_of Sched_baselines.Greedy_dispatch.spt (MA.augment ~factor:4 inst) in
   Alcotest.(check bool) "augmentation reduces flow" true
     (Test_util.total_flow aug <= Test_util.total_flow base +. 1e-9)
 
@@ -33,7 +33,7 @@ let test_augment_factor_one_identity () =
   let gen = Sched_workload.Suite.flow_uniform ~n:40 ~m:2 in
   let inst = Sched_workload.Gen.instance gen ~seed:6 in
   let base = Test_util.schedule_of Sched_baselines.Greedy_dispatch.spt inst in
-  let one = MA.run ~factor:1 inst in
+  let one = Test_util.schedule_of Sched_baselines.Greedy_dispatch.spt (MA.augment ~factor:1 inst) in
   Alcotest.(check (float 1e-9)) "factor 1 is identity" (Test_util.total_flow base)
     (Test_util.total_flow one)
 
@@ -95,8 +95,10 @@ let test_gantt_renders () =
 
 let test_gantt_marks_rejection () =
   let inst = Test_util.instance [ (0., [| 100. |]); (1., [| 1. |]); (2., [| 1. |]) ] in
-  let s, _ =
-    Rejection.Flow_reject.run (Rejection.Flow_reject.config ~eps:0.5 ~rule2:false ()) inst
+  let s =
+    Test_util.schedule_of
+      (Rejection.Flow_reject.policy (Rejection.Flow_reject.config ~eps:0.5 ~rule2:false ()))
+      inst
   in
   let out = Gantt.render s in
   Alcotest.(check bool) "rejected marked with !" true (Test_util.contains out "0=j0!")
@@ -214,7 +216,7 @@ let certify_energy seed eps alpha =
   let gen = Sched_workload.Suite.weighted_energy ~n:50 ~m:2 ~alpha in
   let inst = Sched_workload.Gen.instance gen ~seed in
   let trace = Sched_sim.Trace.create () in
-  let schedule, st = FE.run ~trace (FE.config ~eps ()) inst in
+  let schedule, st, _ = Sched_sim.Driver.run ~trace (FE.policy (FE.config ~eps ())) inst in
   let gammas = Array.init 2 (FE.gamma_of_machine st) in
   Sched_lp.Dual_fit_energy.certify ~eps ~gammas ~lambdas:(FE.lambdas st) inst trace schedule
 
@@ -272,8 +274,10 @@ let test_svg_renders () =
 
 let test_svg_marks_rejection () =
   let inst = Test_util.instance [ (0., [| 100. |]); (1., [| 1. |]); (2., [| 1. |]) ] in
-  let s, _ =
-    Rejection.Flow_reject.run (Rejection.Flow_reject.config ~eps:0.5 ~rule2:false ()) inst
+  let s =
+    Test_util.schedule_of
+      (Rejection.Flow_reject.policy (Rejection.Flow_reject.config ~eps:0.5 ~rule2:false ()))
+      inst
   in
   let out = Svg.render s in
   Alcotest.(check bool) "rejected segment colored" true (Test_util.contains out "(rejected)")

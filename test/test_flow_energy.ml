@@ -3,7 +3,7 @@ module FE = Rejection.Flow_energy_reject
 
 let run ?(eps = 0.25) ?gamma inst =
   let cfg = FE.config ?gamma ~eps () in
-  let s, st = FE.run cfg inst in
+  let s, st, _ = Sched_sim.Driver.run (FE.policy cfg) inst in
   Schedule.assert_valid ~check_deadlines:false s;
   (s, st)
 
@@ -136,7 +136,7 @@ let test_speed_formula_invariant () =
   let gen = Sched_workload.Suite.weighted_energy ~n:60 ~m:2 ~alpha in
   let inst = Sched_workload.Gen.instance gen ~seed:21 in
   let trace = Sched_sim.Trace.create () in
-  let _, st = FE.run ~trace (FE.config ~eps:0.25 ()) inst in
+  let _, st, _ = Sched_sim.Driver.run ~trace (FE.policy (FE.config ~eps:0.25 ())) inst in
   let open Sched_sim in
   let alive = Array.make 2 [] in
   List.iter
@@ -171,7 +171,7 @@ let test_heterogeneous_alpha () =
           ())
   in
   let inst = Instance.create ~machines ~jobs () in
-  let s, st = FE.run (FE.config ~eps:0.25 ()) inst in
+  let s, st, _ = Sched_sim.Driver.run (FE.policy (FE.config ~eps:0.25 ())) inst in
   Schedule.assert_valid ~check_deadlines:false s;
   Alcotest.(check bool) "gammas differ across alphas" true
     (FE.gamma_of_machine st 0 <> FE.gamma_of_machine st 1)

@@ -5,7 +5,7 @@ module Rng = Sched_stats.Rng
 
 let run ?(eps = 0.25) ?(rule1 = true) ?(rule2 = true) ?(dispatch = FR.Dual_lambda) inst =
   let cfg = FR.config ~eps ~rule1 ~rule2 ~dispatch () in
-  let s, st = FR.run cfg inst in
+  let s, st, _ = Sched_sim.Driver.run (FR.policy cfg) inst in
   Schedule.assert_valid ~check_deadlines:false s;
   (s, st)
 

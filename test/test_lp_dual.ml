@@ -36,7 +36,7 @@ let certify seed eps =
   let gen = Sched_workload.Suite.flow_pareto ~n:80 ~m:3 in
   let inst = Sched_workload.Gen.instance gen ~seed in
   let trace = Sched_sim.Trace.create () in
-  let schedule, st = FR.run ~trace (FR.config ~eps ()) inst in
+  let schedule, st, _ = Sched_sim.Driver.run ~trace (FR.policy (FR.config ~eps ())) inst in
   (* The certificate is stated at the effective (integral-threshold)
      epsilon the run actually realizes. *)
   DF.certify ~eps:(FR.effective_eps st) ~lambdas:(FR.lambdas st) inst trace schedule
@@ -90,7 +90,7 @@ let test_dual_below_lp () =
      discretization slack. *)
   let inst = Sched_workload.Suite.tiny ~seed:3 ~n:6 ~m:2 in
   let trace = Sched_sim.Trace.create () in
-  let schedule, st = FR.run ~trace (FR.config ~eps:0.25 ()) inst in
+  let schedule, st, _ = Sched_sim.Driver.run ~trace (FR.policy (FR.config ~eps:0.25 ())) inst in
   let r = DF.certify ~eps:(FR.effective_eps st) ~lambdas:(FR.lambdas st) inst trace schedule in
   match Sched_lp.Flow_lp.solve inst with
   | Some sol ->

@@ -111,7 +111,11 @@ let test_fractional_below_integral () =
 
 let test_flow_values_shapes () =
   let inst = Test_util.instance [ (0., [| 2. |]); (0., [| 50. |]); (1., [| 1. |]) ] in
-  let s, _ = Rejection.Flow_reject.run (Rejection.Flow_reject.config ~eps:0.5 ~rule2:false ()) inst in
+  let s =
+    Test_util.schedule_of
+      (Rejection.Flow_reject.policy (Rejection.Flow_reject.config ~eps:0.5 ~rule2:false ()))
+      inst
+  in
   let completed = Metrics.flow_values s in
   let all = Metrics.flow_values ~include_rejected:true s in
   Alcotest.(check bool) "rejected excluded by default" true

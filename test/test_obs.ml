@@ -340,7 +340,7 @@ let run_spt obs inst =
 let run_fr obs inst =
   let module FR = Rejection.Flow_reject in
   let trace = Sched_sim.Trace.create () in
-  let s, _ = FR.run ~trace ?obs (FR.config ~eps:0.25 ()) inst in
+  let s = Test_util.schedule_of ~trace ?obs (FR.policy (FR.config ~eps:0.25 ())) inst in
   (Serialize.schedule_to_string s, Test_util.trace_ndjson trace)
 
 let run_restart obs inst =
@@ -381,7 +381,7 @@ let test_counters_reconcile () =
     (fun inst ->
       let module FR = Rejection.Flow_reject in
       let obs = O.Obs.create () in
-      let s, _ = FR.run ~obs (FR.config ~eps:0.25 ()) inst in
+      let s = Test_util.schedule_of ~obs (FR.policy (FR.config ~eps:0.25 ())) inst in
       let reg = O.Obs.registry obs in
       let r = Metrics.rejection s in
       let n = Instance.n inst in

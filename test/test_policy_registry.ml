@@ -73,6 +73,28 @@ let test_strict_validation_without_restarts () =
               (String.concat "; " msgs))
     PR.all
 
+(* [entry.run ~obs] is [Driver.run ~obs] on the entry's policy: the same
+   telemetry snapshot, byte for byte (E1 relies on it to merge per-seed
+   telemetry). *)
+let test_run_obs_matches_driver () =
+  let module FR = Rejection.Flow_reject in
+  let module RS = Sched_baselines.Restart_spt in
+  let inst = Test_util.random_instance ~weighted:true ~seed:2004 ~n:40 ~m:3 () in
+  let export run =
+    let obs = Sched_obs.Obs.create () in
+    run obs;
+    Sched_obs.Export.json (Sched_obs.Obs.registry obs)
+  in
+  let same name policy =
+    let e = Option.get (PR.find name) in
+    Alcotest.(check string) name
+      (export (fun obs -> ignore (Sched_sim.Driver.run ~obs policy inst)))
+      (export (fun obs -> ignore (e.PR.run ~obs inst)))
+  in
+  same "flow-reject" (FR.policy (FR.config ~eps:PR.eps ()));
+  same "greedy-spt" Sched_baselines.Greedy_dispatch.spt;
+  same "restart-spt" (RS.policy (RS.config ()))
+
 let suite =
   [
     Alcotest.test_case "names unique, find works" `Quick test_names_unique_and_findable;
@@ -80,4 +102,6 @@ let suite =
       test_validator_accepts_all_policies;
     Alcotest.test_case "strict validation where no restarts" `Quick
       test_strict_validation_without_restarts;
+    Alcotest.test_case "entry run ~obs exports Driver.run's snapshot" `Quick
+      test_run_obs_matches_driver;
   ]

@@ -81,7 +81,7 @@ let test_restart_policy_serves_everything () =
     (fun seed ->
       let gen = Sched_workload.Suite.flow_bimodal ~n:80 ~m:2 in
       let inst = Sched_workload.Gen.instance gen ~seed in
-      let s, _ = RS.run (RS.config ()) inst in
+      let s = Test_util.schedule_of (RS.policy (RS.config ())) inst in
       (match Schedule.validate ~allow_restarts:true ~check_deadlines:false s with
       | Ok () -> true
       | Error _ -> false)
@@ -117,8 +117,11 @@ let test_restart_helps_on_elephants () =
     Test_util.instance
       ((0., [| 100. |]) :: List.init 30 (fun k -> (1. +. (0.5 *. float_of_int k), [| 1. |])))
   in
-  let with_restart, st = RS.run (RS.config ~kill_factor:3. ~max_restarts:1 ()) inst in
-  let without, _ = RS.run (RS.config ~kill_factor:1e12 ()) inst in
+  let with_restart, st, _ =
+    Sched_sim.Driver.run (RS.policy (RS.config ~kill_factor:3. ~max_restarts:1 ())) inst
+  in
+  let without = Test_util.schedule_of (RS.policy (RS.config ~kill_factor:1e12 ())) inst in
+  List.iter (Schedule.assert_valid ~allow_restarts:true ~check_deadlines:false) [ with_restart; without ];
   Alcotest.(check bool) "the elephant was killed" true (RS.restarts st >= 1);
   Alcotest.(check bool)
     (Printf.sprintf "flow with restarts (%.0f) well below without (%.0f)"

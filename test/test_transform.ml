@@ -30,7 +30,11 @@ let test_scale_time_metamorphic_thm1 () =
     (fun (seed, c) ->
       let gen = Sched_workload.Suite.flow_bimodal ~n:60 ~m:2 in
       let inst = Sched_workload.Gen.instance gen ~seed in
-      let run i = fst (Rejection.Flow_reject.run (Rejection.Flow_reject.config ~eps:0.25 ()) i) in
+      let run i =
+        Test_util.schedule_of
+          (Rejection.Flow_reject.policy (Rejection.Flow_reject.config ~eps:0.25 ()))
+          i
+      in
       let base = Test_util.total_flow (run inst) in
       let after = Test_util.total_flow (run (T.scale_time c inst)) in
       Float.abs (after -. (c *. base)) <= 1e-6 *. Float.max 1. (c *. base))

@@ -2,7 +2,7 @@ open Sched_model
 module FRW = Rejection.Flow_reject_weighted
 
 let run ?(eps = 0.25) ?(rule1 = true) ?(rule2 = true) inst =
-  let s, st = FRW.run (FRW.config ~eps ~rule1 ~rule2 ()) inst in
+  let s, st, _ = Sched_sim.Driver.run (FRW.policy (FRW.config ~eps ~rule1 ~rule2 ())) inst in
   Schedule.assert_valid ~check_deadlines:false s;
   (s, st)
 

@@ -240,8 +240,10 @@ let test_swf_runs_end_to_end () =
   match Swf.parse ~m:2 Swf.example with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok inst ->
-      let r = Rejection.Api.run_flow ~eps:0.25 inst in
-      Alcotest.(check bool) "positive flow" true (r.Rejection.Api.flow.Metrics.total > 0.)
+      let e = Option.get (Sched_experiments.Policy_registry.find ~eps:0.25 "flow-reject") in
+      let s, live = e.Sched_experiments.Policy_registry.run inst in
+      Test_util.assert_audit ~what:"flow-reject on the SWF example" e s live;
+      Alcotest.(check bool) "positive flow" true ((Metrics.flow s).Metrics.total > 0.)
 
 (* Saved-instance goldens: the MD5 of [Serialize.save_instance]'s file for
    every [Suite] family and for SWF imports under every shape, at seed 7
