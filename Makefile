@@ -29,8 +29,9 @@ fuzz-smoke:
 
 # Regression gate: tier-1 tests plus the speed and memory claims that
 # neither the tests nor the layer ladder check (bench/main.ml).  Writes
-# BENCH_pr16.json (telemetry counter snapshot and pool scaling curve
-# embedded) and fails if greedy-spt's indexed driver events, bare or
+# bench-check.json (telemetry counter snapshot and pool scaling curve
+# embedded; outside the BENCH_prN.json pattern, so the newest recorded
+# baseline is compared against, not overwritten) and fails if greedy-spt's indexed driver events, bare or
 # with telemetry, fall below 2x the scan-based seed reference; if the
 # bare events/sec fall below 2x the PR-4 recorded figure or more than
 # 2x below the newest previous BENCH_prN.json; if the flight recorder
@@ -44,7 +45,7 @@ fuzz-smoke:
 bench-check:
 	dune build @all
 	dune runtest
-	dune exec --profile release bench/main.exe -- --out BENCH_pr16.json
+	dune exec --profile release bench/main.exe -- --out bench-check.json
 
 # Every example, each run audited (a failed audit exits non-zero).
 examples:

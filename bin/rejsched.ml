@@ -180,9 +180,7 @@ let run_cmd =
        to --trace-ndjson, then are released, so the trace holds one
        arrival's rows at a time. *)
     let trace = Trace.create () in
-    let check =
-      Check.create ~allow_restarts:entry.PR.allow_restarts ~machines:(Array.length machines) ()
-    in
+    let check = Check.create ~mode:(PR.check_mode entry) ~machines:(Array.length machines) () in
     let lines = Buffer.create 65536 in
     let sink =
       match trace_ndjson with
@@ -236,7 +234,7 @@ let run_cmd =
     (match Check.violations check with
     | [] -> ()
     | vs ->
-        Format.eprintf "rejsched: invalid schedule: %a@." Sched_check.Violation.pp_list vs;
+        Format.eprintf "rejsched: invalid schedule: %a@." Violation.pp_list vs;
         exit 3);
     let f = live.Sched_sim.Driver.flow and r = live.Sched_sim.Driver.rejection in
     let table =

@@ -1,3 +1,5 @@
+open Sched_model
+
 let schedules_total = "sched_check_schedules_total"
 let clean_total = "sched_check_clean_total"
 let violations_total = "sched_check_violations_total"

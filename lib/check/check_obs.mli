@@ -4,7 +4,7 @@
     snapshots show how many schedules were audited and which checkers
     fired. *)
 
-val record : Sched_obs.Registry.t -> Violation.t list -> unit
+val record : Sched_obs.Registry.t -> Sched_model.Violation.t list -> unit
 (** Bumps [sched_check_schedules_total]; on a clean list also bumps
     [sched_check_clean_total]; otherwise bumps
     [sched_check_violations_total{check="<name>"}] once per violation.

@@ -1,7 +1,6 @@
 open Sched_model
 module P = Sched_experiments.Policy_registry
 module Oracle = Sched_check.Oracle
-module Violation = Sched_check.Violation
 module Check_obs = Sched_check.Check_obs
 module SSet = Set.Make (String)
 

@@ -1,31 +1,15 @@
-(** The schedule oracle: pure, from-scratch validation of a
+(** The schedule oracle: from-scratch validation of a
     {!Sched_model.Schedule.t} against its instance.
 
-    Every checker re-derives the property it guards from the raw segment
-    list and outcome array — independently of the incremental bookkeeping
-    in the simulator — and reports structured {!Violation.t} records.  An
-    empty list means the schedule is oracle-clean.
-
-    The structural checkers deliberately re-implement (rather than call)
-    {!Sched_model.Schedule.validate}: the oracle is the second opinion
-    that keeps the fast path honest, so it must not share code with the
-    layer it audits. *)
+    The structural rules are {!Sched_model.Validator}'s, replayed over
+    the schedule by {!Sched_model.Schedule.violations}; the oracle adds
+    the theorem's rejection budget and a recomputation of every metric.
+    Each reports structured {!Sched_model.Violation.t} records, and an
+    empty list means the schedule is oracle-clean.  The validator shares
+    no code with the simulator it audits, so the oracle stays the second
+    opinion that keeps the fast path honest. *)
 
 open Sched_model
-
-(** {1 Validation mode} *)
-
-type mode = {
-  allow_parallel : bool;  (** Section 4 model: segments on one machine may overlap. *)
-  allow_restarts : bool;
-      (** Restart relaxation: jobs may carry aborted partial segments
-          before their final run. *)
-  check_deadlines : bool option;
-      (** [None] (default) checks iff the instance carries deadlines. *)
-}
-
-val mode :
-  ?allow_parallel:bool -> ?allow_restarts:bool -> ?check_deadlines:bool -> unit -> mode
 
 (** {1 Rejection budgets} *)
 
@@ -41,12 +25,6 @@ type budget =
 
     Each returns its violations sorted by {!Violation.compare}; an empty
     list is a pass. *)
-
-(* rejlint: allow test-only-export — tests run this one checker alone on a planted fault *)
-val structural : ?mode:mode -> Schedule.t -> Violation.t list
-(** Segment sanity, release respect, per-machine disjointness,
-    non-preemption, outcome/segment consistency, exactly-once coverage
-    and (per [mode]) deadlines. *)
 
 (* rejlint: allow test-only-export — tests run this one checker alone on a planted fault *)
 val budget_check : budget -> Schedule.t -> Violation.t list
@@ -65,9 +43,13 @@ val reconcile : ?tol:float -> Metrics.live -> Schedule.t -> Violation.t list
     Integer fields (rejection counts) are always compared exactly. *)
 
 val check :
-  ?mode:mode -> ?budget:budget -> ?live:Metrics.live -> ?tol:float -> Schedule.t -> Violation.t list
-(** The full suite: {!structural}, then {!budget_check} (when a budget is
-    given), then {!reconcile} (when live metrics are given). *)
+  ?mode:Validator.mode -> ?budget:budget -> ?live:Metrics.live -> ?tol:float -> Schedule.t ->
+  Violation.t list
+(** The full suite: {!Sched_model.Schedule.violations} under [mode]
+    (default {!Sched_model.Validator.mode} [()]), sorted by
+    {!Violation.compare} with duplicates dropped, then {!budget_check}
+    (when a budget is given), then {!reconcile} (when live metrics are
+    given). *)
 
 (** {1 Reporting} *)
 

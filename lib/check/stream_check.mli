@@ -1,43 +1,34 @@
-(** The schedule checks of {!Sched_model.Schedule.validate}, made row by
-    row over a run's decision stream instead of over a whole schedule.
+(** {!Sched_model.Validator}'s rules over a run's decision stream, row by
+    row, instead of over a whole schedule.
 
-    A retiring session never materializes a schedule, so the batch
-    validator cannot see it.  This checker re-derives each segment from
-    the flight-recorder rows the driver emits (a start opens one on its
-    machine; the job's complete, reject or restart closes it) and checks
-    it against the jobs it was fed:
+    A retiring session never materializes a schedule.  This adapter
+    decodes the flight-recorder rows the driver emits into the validator:
+    a start opens a segment on its machine; the job's complete, reject or
+    restart row closes it and lays it whole (a reject or restart at the
+    start's instant, within {!Sched_model.Time}'s tolerance, lays none, as
+    the driver does); complete and reject rows settle the job.  It keeps
+    the checks only rows can fail:
 
-    - a row's machine is in the fleet, a segment has [start < stop] and a
-      positive finite rate ({!Violation.Segment_bounds});
-    - no job starts before its release ({!Violation.Release_respect});
-    - no start on a machine that is running a job or before the machine's
-      last segment stops ({!Violation.Machine_overlap});
-    - a completed job ran as one segment ({!Violation.Non_preemption},
-      unless restarts are allowed), on the machine its complete row names,
-      processing its size there within the validator's relative 1e-6; a
-      rejection comes at or after release, a rejected or restarted job's
-      segments do strictly partial work, and the mid-run flag matches the
-      segments laid ({!Violation.Outcome_consistency});
-    - every fed job gets exactly one terminal row (complete or reject),
-      every row names a job in flight, and nothing is left running at
-      {!close} ({!Violation.Exactly_once}).
+    - a row names a machine of the fleet ({!Violation.Segment_bounds});
+    - a start lands on an idle machine ({!Violation.Machine_overlap});
+    - a complete row names the machine running its job and a restart row
+      a running job ({!Violation.Outcome_consistency});
+    - a dispatch row names a job in flight, and no machine is still
+      running a job at {!close} ({!Violation.Exactly_once}).
 
-    Deadlines are not checked.  State is O(m) per-machine cells plus one
-    entry per job in flight, dropped at its terminal row.  Like
-    {!Oracle}, it shares no code with the simulator it audits. *)
+    State is the validator's plus three cells per machine: O(m + jobs in
+    flight). *)
 
 open Sched_model
 
 type t
 
-val create : ?allow_restarts:bool -> machines:int -> unit -> t
-(** A checker over a fleet of [machines].  [allow_restarts] (default
-    [false]) is the validator's relaxation: a job may carry strictly
-    partial aborted attempts before its final run. *)
+val create : ?mode:Validator.mode -> machines:int -> unit -> t
+(** A checker over a fleet of [machines], validating under [mode]
+    (default {!Validator.mode} [()]). *)
 
 val feed : t -> Job.t -> unit
-(** The job enters the stream: its rows may follow.  Feeding an id that
-    is still in flight is an {!Violation.Exactly_once} violation. *)
+(** The job enters the stream: its rows may follow ({!Validator.feed}). *)
 
 val rows : t -> Sched_obs.Recorder.t -> newest:int -> unit
 (** Checks the recorder's [newest] retained rows, oldest first.  Rows
@@ -45,8 +36,8 @@ val rows : t -> Sched_obs.Recorder.t -> newest:int -> unit
     {!feed} of its job. *)
 
 val close : t -> unit
-(** The stream has ended: every fed job must have had its terminal row
-    and no machine may still be running one. *)
+(** The stream has ended: no machine may still be running a job, and
+    every fed job must be settled. *)
 
 val violations : t -> Violation.t list
 (** Everything found so far, in the order found. *)

@@ -27,7 +27,7 @@ let main_table ~quick =
               let result = EG.run inst in
               (match
                  Sched_check.Oracle.check
-                   ~mode:(Sched_check.Oracle.mode ~allow_parallel:true ())
+                   ~mode:(Sched_model.Validator.mode ~allow_parallel:true ())
                    result.EG.schedule
                with
               | [] -> ()

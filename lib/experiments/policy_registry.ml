@@ -178,10 +178,10 @@ let aliases =
 
 (* Deadlines are not checked: most entries ignore them, and none
    promises to meet them. *)
+let check_mode e = Validator.mode ~allow_restarts:e.allow_restarts ~check_deadlines:false ()
+
 let audit e schedule live =
-  Sched_check.Oracle.check
-    ~mode:(Sched_check.Oracle.mode ~allow_restarts:e.allow_restarts ~check_deadlines:false ())
-    ?budget:e.budget ~live schedule
+  Sched_check.Oracle.check ~mode:(check_mode e) ?budget:e.budget ~live schedule
 
 let find ?eps:at name =
   let name = Option.value (List.assoc_opt name aliases) ~default:name in

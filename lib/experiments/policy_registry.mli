@@ -88,10 +88,14 @@ val pack :
     checks no rejection bound.  {!all} is built with it; experiments
     build their ablation variants with it. *)
 
-val audit : entry -> Schedule.t -> Driver.live_metrics -> Sched_check.Violation.t list
+val check_mode : entry -> Validator.mode
+(** The entry's [allow_restarts] relaxation, without deadlines (no entry
+    promises to meet them): the mode of {!audit} and of [rejsched run]'s
+    stream check. *)
+
+val audit : entry -> Schedule.t -> Driver.live_metrics -> Violation.t list
 (** The one audit of a finished run: {!Sched_check.Oracle.check} under
-    the entry's [allow_restarts] relaxation, without deadlines (no
-    entry promises to meet them), against the entry's [budget], with
+    {!check_mode}, against the entry's [budget], with
     the live metrics reconciled against a recomputation from the
     schedule.  [[]] is a pass.  The fuzzer's [oracle] property is this
     audit; the tests apply it to batch, streamed and resumed runs. *)

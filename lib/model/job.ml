@@ -66,8 +66,6 @@ let size j i = j.sizes.(i)
 let eligible j i = Float.is_finite j.sizes.(i)
 let min_size j = j.sizes.(j.best_machine)
 
-let span j = Option.map (fun d -> d -. j.release) j.deadline
-
 let with_sizes j sizes =
   build ~id:j.id ~release:j.release ~weight:j.weight ~deadline:j.deadline sizes
 

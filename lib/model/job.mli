@@ -44,10 +44,6 @@ val min_size : t -> float
 (** Minimum size over machines (finite by construction):
     [sizes.(best_machine)], O(1). *)
 
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val span : t -> Time.t option
-(** [deadline - release] when a deadline is present. *)
-
 val with_sizes : t -> float array -> t
 (** Copy with replaced (re-validated, re-summarized) size vector. *)
 

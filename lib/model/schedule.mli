@@ -2,9 +2,9 @@
 
     A schedule pairs a per-job outcome with the exact execution segments laid
     down on each machine — including the partial segment of a job that was
-    interrupted and rejected mid-run.  The {!validate} checker is the
-    arbiter used by every test: any policy, the paper's or a baseline, must
-    produce a schedule this module accepts. *)
+    interrupted and rejected mid-run.  Every schedule, from any policy, the
+    paper's or a baseline, must pass {!violations}: the model's rules, which
+    {!Validator} holds. *)
 
 type segment = {
   job : Job.id;
@@ -47,30 +47,13 @@ val segments_by_machine : t -> segment list array
 
 (** {1 Validation} *)
 
-(* rejlint: allow test-only-export — tests assert schedules with it (production: assert_valid) *)
-val validate :
-  ?allow_parallel:bool ->
-  ?allow_restarts:bool ->
-  ?check_deadlines:bool ->
-  t ->
-  (unit, string list) result
-(** Checks, returning all violations found:
-    - segments lie on existing machines, have [start < stop], positive speed,
-      and never begin before the job's release;
-    - unless [allow_parallel] (the Section 4 model), segments on one machine
-      never overlap;
-    - a completed job has exactly one segment (non-preemption!) matching its
-      recorded machine/start/finish, whose processed volume equals its size
-      on that machine;
-    - a rejected job has at most one (partial) segment, ending no later than
-      the rejection time, processing strictly less than its size;
-    - with [check_deadlines], completed jobs finish by their deadline.
-    With [allow_restarts] (the restart relaxation), a job may carry extra
-    {e aborted} segments — strictly partial executions killed before the
-    final run — in addition to the rules above.
-    Defaults: [allow_parallel = false], [allow_restarts = false],
-    [check_deadlines] = instance {!Instance.has_deadlines}. *)
+val violations : ?mode:Validator.mode -> t -> Violation.t list
+(** Replays the schedule into a {!Validator}: feeds every job, lays the
+    segments in start order, settles each job by its outcome and closes.
+    Returns what the validator found, in the order found; [[]] is a
+    valid schedule. *)
 
 val assert_valid :
   ?allow_parallel:bool -> ?allow_restarts:bool -> ?check_deadlines:bool -> t -> unit
-(** Raises [Failure] with the violation list when invalid. *)
+(** {!violations} under {!Validator.mode} of the same arguments; raises
+    [Failure] with the violation list when there is one. *)

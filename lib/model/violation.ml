@@ -1,5 +1,3 @@
-open Sched_model
-
 type check =
   | Segment_bounds
   | Release_respect

@@ -1,16 +1,13 @@
-(** Structured oracle violations.
+(** Structured rule violations.
 
-    Every checker in {!Oracle} reports failures as a list of these records
-    instead of booleans or bare strings, so callers can aggregate by check
-    (telemetry counters), sort deterministically (shrinker fixpoints,
-    byte-identical fuzz reports at any pool width) and still print a
-    human-readable diagnosis. *)
+    {!Validator} and the oracle's budget and metric checks report failures
+    as a list of these records instead of booleans or bare strings, so
+    callers can aggregate by check (telemetry counters), sort
+    deterministically (shrinker fixpoints, byte-identical fuzz reports at
+    any pool width) and still print a human-readable diagnosis. *)
 
-open Sched_model
-
-(** The invariant families the oracle enforces.  One constructor per
-    checker; {!check_name} gives the stable label used for telemetry
-    counters and corpus metadata. *)
+(** The invariant families the checks enforce; {!check_name} gives the
+    stable label used for telemetry counters and corpus metadata. *)
 type check =
   | Segment_bounds  (** Segment on a known machine, [start < stop], finite positive speed. *)
   | Release_respect  (** No segment begins before its job's release. *)

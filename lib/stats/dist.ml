@@ -55,13 +55,3 @@ let lognormal ~mu ~sigma =
   { name = Printf.sprintf "lognormal(%g,%g)" mu sigma;
     mean = Some (exp (mu +. (sigma *. sigma /. 2.)));
     sample }
-
-let quantize ~grid d =
-  assert (grid > 0.);
-  { name = Printf.sprintf "quantize(%g,%s)" grid d.name;
-    mean = None;
-    sample =
-      (fun rng ->
-        let v = d.sample rng in
-        let q = Float.ceil (v /. grid) *. grid in
-        if q <= 0. then grid else q) }

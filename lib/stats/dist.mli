@@ -36,8 +36,3 @@ val bimodal : lo:float -> hi:float -> p_hi:float -> t
 val lognormal : mu:float -> sigma:float -> t
 (** Log-normal with location [mu] and scale [sigma] of the underlying
     normal. *)
-
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val quantize : grid:float -> t -> t
-(** [quantize ~grid d] rounds samples up to the nearest positive multiple of
-    [grid]; used to build discrete-time instances. *)

@@ -46,11 +46,3 @@ let exponential t rate =
   assert (rate > 0.);
   let u = 1.0 -. float t in
   -.log u /. rate
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -33,7 +33,3 @@ val int : t -> int -> int
 
 val exponential : t -> float -> float
 (** [exponential t rate] draws from Exp(rate).  Requires [rate > 0]. *)
-
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

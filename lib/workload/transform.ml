@@ -26,26 +26,6 @@ let shift_releases delta instance =
         ?deadline:(Option.map (fun d -> d +. delta) j.deadline)
         ~sizes:j.sizes ())
 
-let subsample rng ~keep instance =
-  if not (keep > 0. && keep <= 1.) then invalid_arg "Transform.subsample: keep must be in (0,1]";
-  let kept =
-    Array.to_list (Instance.jobs_by_release instance)
-    |> List.filter (fun _ -> Sched_stats.Rng.float rng < keep)
-  in
-  let kept =
-    match kept with
-    | [] -> [ (Instance.jobs_by_release instance).(0) ]
-    | l -> l
-  in
-  let jobs =
-    List.mapi
-      (fun id (j : Job.t) ->
-        Job.create ~id ~release:j.release ~weight:j.weight ?deadline:j.deadline ~sizes:j.sizes ())
-      kept
-  in
-  let machines = Array.init (Instance.m instance) (Instance.machine instance) in
-  Instance.create ~name:(instance.Instance.name ^ "(sub)") ~machines ~jobs ()
-
 let permute_jobs rng instance =
   let jobs = Array.copy (Instance.jobs_by_release instance) in
   (* Fisher–Yates on the presentation order only: ids and attributes are
@@ -86,21 +66,3 @@ let relabel_machines ~perm instance =
            Job.create ~id:j.id ~release:j.release ~weight:j.weight ?deadline:j.deadline ~sizes ())
   in
   Instance.create ~name:(instance.Instance.name ^ "(relabeled)") ~machines ~jobs ()
-
-let concat ?(gap = 0.) a b =
-  if Instance.m a <> Instance.m b then invalid_arg "Transform.concat: fleet sizes differ";
-  if gap < 0. then invalid_arg "Transform.concat: negative gap";
-  let offset = Instance.horizon a +. gap in
-  let na = Instance.n a in
-  let jobs_a = Array.to_list (Instance.jobs_by_release a) in
-  let jobs_b =
-    Array.to_list (Instance.jobs_by_release b)
-    |> List.map (fun (j : Job.t) ->
-           Job.create ~id:(na + j.id) ~release:(j.release +. offset) ~weight:j.weight
-             ?deadline:(Option.map (fun d -> d +. offset) j.deadline)
-             ~sizes:j.sizes ())
-  in
-  let machines = Array.init (Instance.m a) (Instance.machine a) in
-  Instance.create
-    ~name:(a.Instance.name ^ "++" ^ b.Instance.name)
-    ~machines ~jobs:(jobs_a @ jobs_b) ()

@@ -32,14 +32,3 @@ val relabel_machines : perm:int array -> Instance.t -> Instance.t
     note policies may legitimately break argmin ties by machine id, so
     runs on the relabeled instance are equivalent in metrics, not
     byte-identical. *)
-
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val subsample : Sched_stats.Rng.t -> keep:float -> Instance.t -> Instance.t
-(** Keep each job independently with probability [keep]; at least one job
-    is always retained.  Job ids are renumbered [0..n'-1]. *)
-
-(* rejlint: allow test-only-export — only its own test calls it (ROADMAP item 5) *)
-val concat : ?gap:float -> Instance.t -> Instance.t -> Instance.t
-(** Play instance [b] after instance [a]: [b]'s releases are shifted past
-    [a]'s horizon plus [gap] (default 0).  Machine fleets must have equal
-    size; [a]'s machines are kept. *)

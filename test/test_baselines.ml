@@ -35,7 +35,7 @@ let test_immediate_budget_property () =
       let gen = Sched_workload.Suite.flow_pareto ~n:80 ~m:2 in
       let inst = Sched_workload.Gen.instance gen ~seed in
       let s = Test_util.schedule_of (Sched_baselines.Immediate_reject.policy ~eps h) inst in
-      (match Schedule.validate ~check_deadlines:false s with Ok () -> true | Error _ -> false)
+      (Test_util.valid ~check_deadlines:false s)
       && float_of_int (Metrics.rejection s).Metrics.count <= (eps *. 80.) +. 1e-9)
   |> QCheck_alcotest.to_alcotest
 

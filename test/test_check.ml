@@ -5,7 +5,6 @@
 
 open Sched_model
 module Oracle = Sched_check.Oracle
-module Violation = Sched_check.Violation
 module Check_obs = Sched_check.Check_obs
 
 let seg job machine start stop speed = { Schedule.job; machine; start; stop; speed }
@@ -38,7 +37,7 @@ let check_clean name vs =
 let test_clean () =
   let inst = Test_util.instance ~machines:1 [ (0., [| 2. |]) ] in
   let s = build inst [ seg 0 0 0. 2. 1. ] [ (0, completed 0 0. 1. 2.) ] in
-  check_clean "one-job schedule" (Oracle.structural s)
+  check_clean "one-job schedule" (Oracle.check s)
 
 let test_overlap () =
   let inst = Test_util.instance ~machines:1 [ (0., [| 2. |]); (0., [| 2. |]) ] in
@@ -47,7 +46,7 @@ let test_overlap () =
       [ seg 0 0 0. 2. 1.; seg 1 0 1. 3. 1. ]
       [ (0, completed 0 0. 1. 2.); (1, completed 0 1. 1. 3.) ]
   in
-  check_has "overlapping segments" Violation.Machine_overlap (Oracle.structural s)
+  check_has "overlapping segments" Violation.Machine_overlap (Oracle.check s)
 
 let test_preemption () =
   let inst = Test_util.instance ~machines:1 [ (0., [| 2. |]) ] in
@@ -55,73 +54,85 @@ let test_preemption () =
   let s =
     build inst [ seg 0 0 0. 1. 1.; seg 0 0 3. 5. 1. ] [ (0, completed 0 3. 1. 5.) ]
   in
-  check_has "split completed job" Violation.Non_preemption (Oracle.structural s);
+  check_has "split completed job" Violation.Non_preemption (Oracle.check s);
   (* The same schedule is legal under the restart relaxation. *)
   check_clean "restart relaxation"
-    (Oracle.structural ~mode:(Oracle.mode ~allow_restarts:true ()) s)
+    (Oracle.check ~mode:(Validator.mode ~allow_restarts:true ()) s)
 
 let test_release () =
   let inst = Test_util.instance ~machines:1 [ (1., [| 1. |]) ] in
   let s = build inst [ seg 0 0 0.5 1.5 1. ] [ (0, completed 0 0.5 1. 1.5) ] in
-  check_has "early start" Violation.Release_respect (Oracle.structural s)
+  check_has "early start" Violation.Release_respect (Oracle.check s)
 
 let test_unknown_machine () =
   let inst = Test_util.instance ~machines:1 [ (0., [| 2. |]) ] in
   let s = build inst [ seg 0 5 0. 2. 1. ] [ (0, completed 5 0. 1. 2.) ] in
-  check_has "unknown machine" Violation.Segment_bounds (Oracle.structural s)
+  check_has "unknown machine" Violation.Segment_bounds (Oracle.check s)
 
 let test_reversed_segment () =
   let inst = Test_util.instance ~machines:1 [ (0., [| 1. |]) ] in
   let s = build inst [ seg 0 0 2. 1. 1. ] [ (0, completed 0 2. 1. 1.) ] in
-  check_has "reversed segment" Violation.Segment_bounds (Oracle.structural s)
+  check_has "reversed segment" Violation.Segment_bounds (Oracle.check s)
 
 let test_bad_speed () =
   let inst = Test_util.instance ~machines:1 [ (0., [| 2. |]) ] in
   let s = build inst [ seg 0 0 0. 2. 0. ] [ (0, completed 0 0. 0. 2.) ] in
-  check_has "zero speed" Violation.Segment_bounds (Oracle.structural s)
+  check_has "zero speed" Violation.Segment_bounds (Oracle.check s)
 
 let test_missing_segment () =
   let inst = Test_util.instance ~machines:1 [ (0., [| 2. |]) ] in
   let s = build inst [] [ (0, completed 0 0. 1. 2.) ] in
-  check_has "completed without segment" Violation.Exactly_once (Oracle.structural s)
+  check_has "completed without segment" Violation.Exactly_once (Oracle.check s)
 
 let test_unknown_job () =
   let inst = Test_util.instance ~machines:1 [ (0., [| 2. |]) ] in
   let s = build inst [ seg 7 0 0. 1. 1. ] [ (0, rejected 0.) ] in
-  check_has "segment of unknown job" Violation.Exactly_once (Oracle.structural s)
+  check_has "segment of unknown job" Violation.Exactly_once (Oracle.check s)
 
 let test_outcome_mismatch () =
   let inst = Test_util.instance ~machines:1 [ (0., [| 2. |]) ] in
   let s = build inst [ seg 0 0 0. 2. 1. ] [ (0, completed 0 0. 1. 2.5) ] in
-  check_has "outcome interval mismatch" Violation.Outcome_consistency (Oracle.structural s)
+  check_has "outcome interval mismatch" Violation.Outcome_consistency (Oracle.check s)
 
 let test_volume_mismatch () =
   let inst = Test_util.instance ~machines:1 [ (0., [| 3. |]) ] in
   let s = build inst [ seg 0 0 0. 2. 1. ] [ (0, completed 0 0. 1. 2.) ] in
-  check_has "short volume" Violation.Outcome_consistency (Oracle.structural s)
+  check_has "short volume" Violation.Outcome_consistency (Oracle.check s)
 
 let test_reject_before_release () =
   let inst = Test_util.instance ~machines:1 [ (1., [| 1. |]) ] in
   let s = build inst [] [ (0, rejected 0.5) ] in
-  check_has "acausal rejection" Violation.Outcome_consistency (Oracle.structural s)
+  check_has "acausal rejection" Violation.Outcome_consistency (Oracle.check s)
 
 let test_reject_segment_after_time () =
   let inst = Test_util.instance ~machines:1 [ (0., [| 4. |]) ] in
   let s = build inst [ seg 0 0 0. 2. 1. ] [ (0, rejected ~was_running:true 1.) ] in
-  check_has "segment past rejection" Violation.Outcome_consistency (Oracle.structural s)
+  check_has "segment past rejection" Violation.Outcome_consistency (Oracle.check s)
 
 let test_reject_full_size () =
   let inst = Test_util.instance ~machines:1 [ (0., [| 2. |]) ] in
   let s = build inst [ seg 0 0 0. 2. 1. ] [ (0, rejected ~was_running:true 2.) ] in
-  check_has "rejected yet fully processed" Violation.Outcome_consistency (Oracle.structural s)
+  check_has "rejected yet fully processed" Violation.Outcome_consistency (Oracle.check s)
+
+(* The mid-run flag must match the segments laid: a segment means the
+   job was running when rejected (unless restarts allow an aborted
+   attempt), and a mid-run rejection needs its partial segment. *)
+let test_reject_running_flag () =
+  let inst = Test_util.instance ~machines:1 [ (0., [| 4. |]) ] in
+  let s = build inst [ seg 0 0 0. 1. 1. ] [ (0, rejected 1.) ] in
+  check_has "segment but not running" Violation.Outcome_consistency (Oracle.check s);
+  check_clean "an aborted attempt under the restart relaxation"
+    (Oracle.check ~mode:(Validator.mode ~allow_restarts:true ()) s);
+  let s = build inst [] [ (0, rejected ~was_running:true 1.) ] in
+  check_has "running but no segment" Violation.Outcome_consistency (Oracle.check s)
 
 let test_deadline () =
   let inst = Test_util.deadline_instance ~machines:1 [ (0., 1., [| 2. |]) ] in
   let s = build inst [ seg 0 0 0. 2. 1. ] [ (0, completed 0 0. 1. 2.) ] in
-  (* The default mode infers deadline checking from the instance. *)
-  check_has "deadline miss" Violation.Deadline (Oracle.structural s);
+  (* The default mode checks the deadline a completed job carries. *)
+  check_has "deadline miss" Violation.Deadline (Oracle.check s);
   check_clean "deadline checking disabled"
-    (Oracle.structural ~mode:(Oracle.mode ~check_deadlines:false ()) s)
+    (Oracle.check ~mode:(Validator.mode ~check_deadlines:false ()) s)
 
 (* Rejection budgets recount from the outcome array. *)
 let budget_fixture () =
@@ -134,7 +145,7 @@ let budget_fixture () =
 
 let test_budget_count () =
   let s = budget_fixture () in
-  check_clean "structural part" (Oracle.structural s);
+  check_clean "structural part" (Oracle.check s);
   check_has "half rejected vs quarter budget" Violation.Rejection_budget
     (Oracle.budget_check (Oracle.Count_fraction 0.25) s);
   check_clean "half rejected vs half budget" (Oracle.budget_check (Oracle.Count_fraction 0.5) s)
@@ -236,7 +247,7 @@ let test_restart_relaxation_needed () =
   let module P = Sched_experiments.Policy_registry in
   let module Rec = Sched_obs.Recorder in
   let e = Option.get (P.find "restart-spt") in
-  let strict = Oracle.mode ~check_deadlines:false () in
+  let strict = Validator.mode ~check_deadlines:false () in
   let wasteful, strict_clean =
     List.fold_left
       (fun (w, c) (case : Sched_fuzz.Corpus.case) ->
@@ -286,4 +297,5 @@ let suite =
     Alcotest.test_case "telemetry counters" `Quick test_check_obs;
     Alcotest.test_case "restart relaxation needed exactly where work is wasted" `Quick
       test_restart_relaxation_needed;
+    Alcotest.test_case "rejection's mid-run flag" `Quick test_reject_running_flag;
   ]

@@ -664,6 +664,14 @@ let test_removed_flags_exit_2 () =
 
 let test_ill_typed_value_exits_2 () = check_parse_errors [ ("run -n abc", "-n") ]
 
+(* speed-augmented runs Rule 1 on a 1.5-speed fleet; on this seed it
+   rejects a job within Time's tolerance of its start, which the driver
+   records as not running.  run's stream check compares that instant
+   through the same tolerance, so the run exits 0. *)
+let test_run_esa_rejection_at_start () =
+  Alcotest.(check int) "run -p esa -w bimodal -n 2000 -m 4 --seed 4 exits 0" 0
+    (shell (Printf.sprintf "%s run -p esa -w bimodal -n 2000 -m 4 --seed 4 > /dev/null" exe))
+
 let suite =
   [
     Alcotest.test_case "unknown policy exits 2" `Quick test_unknown_policy_exits_2;
@@ -708,4 +716,6 @@ let suite =
       test_run_restart_spt_checked_with_restarts;
     Alcotest.test_case "run rejects --eps outside (0,1) before writing" `Quick
       test_run_bad_eps_fails_fast;
+    Alcotest.test_case "run -p esa rejecting at a start's instant exits 0" `Quick
+      test_run_esa_rejection_at_start;
   ]

@@ -54,15 +54,6 @@ let test_bimodal_proportion () =
 let test_exponential_positive () = check_all_positive "exp" (Dist.exponential ~mean:3.)
 let test_lognormal_positive () = check_all_positive "lognormal" (Dist.lognormal ~mu:0.5 ~sigma:1.)
 
-let test_quantize_grid () =
-  let d = Dist.quantize ~grid:0.5 (Dist.uniform ~lo:0.1 ~hi:3.) in
-  List.iter
-    (fun x ->
-      let q = x /. 0.5 in
-      Alcotest.(check bool) "multiple of grid" true (Float.abs (q -. Float.round q) < 1e-9);
-      Alcotest.(check bool) "positive" true (x > 0.))
-    (sample_many d 300)
-
 let test_invalid_args () =
   Alcotest.check_raises "uniform lo<=0" (Invalid_argument "assertion failed") (fun () ->
       try ignore (Dist.uniform ~lo:0. ~hi:1.) with Assert_failure _ -> raise (Invalid_argument "assertion failed"))
@@ -77,6 +68,5 @@ let suite =
     Alcotest.test_case "bimodal proportion" `Quick test_bimodal_proportion;
     Alcotest.test_case "exponential positive" `Quick test_exponential_positive;
     Alcotest.test_case "lognormal positive" `Quick test_lognormal_positive;
-    Alcotest.test_case "quantize grid" `Quick test_quantize_grid;
     Alcotest.test_case "invalid args" `Quick test_invalid_args;
   ]

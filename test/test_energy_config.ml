@@ -32,9 +32,7 @@ let test_deadlines_respected () =
   let gen = Sched_workload.Suite.deadline_energy ~n:30 ~m:2 ~alpha:3. in
   let inst = Sched_workload.Gen.instance gen ~seed:13 in
   let r = EG.run inst in
-  match Schedule.validate ~allow_parallel:true ~check_deadlines:true r.EG.schedule with
-  | Ok () -> ()
-  | Error es -> Alcotest.failf "violations: %s" (String.concat "; " es)
+  Schedule.assert_valid ~allow_parallel:true ~check_deadlines:true r.EG.schedule
 
 let test_greedy_avoids_contention () =
   (* Two identical jobs with disjoint feasible halves of a window would

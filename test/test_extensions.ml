@@ -54,9 +54,7 @@ let test_grid_feasible_and_bounded () =
       let yds =
         Sched_energy.Yds.optimal_energy ~alpha (Sched_energy.Yds.of_instance inst ~machine:0)
       in
-      (match Schedule.validate ~allow_parallel:true ~check_deadlines:true r.EG.schedule with
-      | Ok () -> true
-      | Error _ -> false)
+      (Test_util.valid ~allow_parallel:true ~check_deadlines:true r.EG.schedule)
       && r.EG.energy >= yds -. 1e-9
       && r.EG.energy <= ((alpha ** alpha) *. yds) +. 1e-6)
   |> QCheck_alcotest.to_alcotest

@@ -182,7 +182,7 @@ let prop_events_sorted_model =
       let evs = Array.of_list evs in
       let rng = Rng.create salt in
       let order = Array.init (Array.length evs) Fun.id in
-      Rng.shuffle rng order;
+      Test_util.shuffle rng order;
       let q = Pqueue.Events.create () in
       let model = ref [] in
       Array.iteri

@@ -88,7 +88,7 @@ let test_schedules_valid_property () =
       let gen = Sched_workload.Suite.weighted_energy ~n:50 ~m:3 ~alpha in
       let inst = Sched_workload.Gen.instance gen ~seed in
       let s, _ = run inst in
-      match Schedule.validate ~check_deadlines:false s with Ok () -> true | Error _ -> false)
+      Test_util.valid ~check_deadlines:false s)
   |> QCheck_alcotest.to_alcotest
 
 let test_objective_vs_lb_property () =

@@ -145,7 +145,7 @@ let test_schedules_valid_property () =
       let gen = Sched_workload.Suite.flow_bimodal ~n:60 ~m:3 in
       let inst = Sched_workload.Gen.instance gen ~seed in
       let s, _ = run ~eps inst in
-      match Schedule.validate ~check_deadlines:false s with Ok () -> true | Error _ -> false)
+      Test_util.valid ~check_deadlines:false s)
   |> QCheck_alcotest.to_alcotest
 
 let test_competitive_vs_opt_property () =
@@ -171,7 +171,7 @@ let test_greedy_dispatch_variant () =
   let inst = Sched_workload.Gen.instance gen ~seed:10 in
   let s, _ = run ~dispatch:FR.Greedy_load inst in
   Alcotest.(check bool) "valid" true
-    (match Schedule.validate ~check_deadlines:false s with Ok () -> true | Error _ -> false)
+    (Test_util.valid ~check_deadlines:false s)
 
 let test_restricted_eligibility_respected () =
   let gen = Sched_workload.Suite.flow_restricted ~n:60 ~m:4 in

@@ -38,10 +38,6 @@ let test_job_validation () =
   Alcotest.(check bool) "deadline before release" true
     (raises_invalid (fun () -> Job.create ~id:0 ~release:5. ~deadline:5. ~sizes:[| 1. |] ()))
 
-let test_job_span () =
-  let j = Job.create ~id:0 ~release:2. ~deadline:10. ~sizes:[| 1. |] () in
-  Alcotest.(check (option (float 1e-12))) "span" (Some 8.) (Job.span j)
-
 let test_job_order () =
   let a = Job.create ~id:0 ~release:1. ~sizes:[| 1. |] () in
   let b = Job.create ~id:1 ~release:1. ~sizes:[| 1. |] () in
@@ -116,7 +112,7 @@ let test_instance_horizon () =
    non-dyadic, spanning several orders of magnitude. *)
 let random_jobs rng ~n ~m =
   let ids = Array.init n Fun.id in
-  Sched_stats.Rng.shuffle rng ids;
+  Test_util.shuffle rng ids;
   Array.to_list
     (Array.map
        (fun id ->
@@ -289,7 +285,6 @@ let suite =
     Alcotest.test_case "job create" `Quick test_job_create;
     Alcotest.test_case "job restricted" `Quick test_job_restricted;
     Alcotest.test_case "job validation" `Quick test_job_validation;
-    Alcotest.test_case "job span" `Quick test_job_span;
     Alcotest.test_case "job order" `Quick test_job_order;
     Alcotest.test_case "machine" `Quick test_machine;
     Alcotest.test_case "instance basics" `Quick test_instance_basics;

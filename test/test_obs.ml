@@ -484,7 +484,7 @@ let oracle_telemetry_snapshot () =
   let reg = Registry.create () in
   let s = Test_util.schedule_of Sched_baselines.Greedy_dispatch.spt inst in
   Sched_check.Check_obs.record reg (Sched_check.Oracle.check s);
-  let module V = Sched_check.Violation in
+  let module V = Sched_model.Violation in
   Sched_check.Check_obs.record reg
     [ V.make V.Machine_overlap "x"; V.make ~job:3 V.Metric_drift "y"; V.make V.Machine_overlap "z" ];
   telemetry_json reg

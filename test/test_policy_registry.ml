@@ -52,11 +52,11 @@ let test_validator_accepts_all_policies () =
       List.iter
         (fun inst ->
           let s = fst (e.PR.run inst) in
-          match Schedule.validate ~allow_restarts:e.PR.allow_restarts s with
-          | Ok () -> ()
-          | Error msgs ->
-              Alcotest.failf "%s invalid on %s:\n%s" e.PR.name inst.Instance.name
-                (String.concat "\n" msgs))
+          match Schedule.violations ~mode:(Validator.mode ~allow_restarts:e.PR.allow_restarts ()) s with
+          | [] -> ()
+          | vs ->
+              Alcotest.failf "%s invalid on %s: %a" e.PR.name inst.Instance.name Violation.pp_list
+                vs)
         shared_workloads)
     PR.all
 
@@ -66,11 +66,9 @@ let test_strict_validation_without_restarts () =
   List.iter
     (fun (e : PR.entry) ->
       if not e.PR.allow_restarts then
-        match Schedule.validate (fst (e.PR.run inst)) with
-        | Ok () -> ()
-        | Error msgs ->
-            Alcotest.failf "%s fails strict validation: %s" e.PR.name
-              (String.concat "; " msgs))
+        match Schedule.violations (fst (e.PR.run inst)) with
+        | [] -> ()
+        | vs -> Alcotest.failf "%s fails strict validation: %a" e.PR.name Violation.pp_list vs)
     PR.all
 
 (* [entry.run ~obs] is [Driver.run ~obs] on the entry's policy: the same

@@ -46,7 +46,7 @@ let test_driver_restart_mechanics () =
   Alcotest.(check (float 1e-9)) "wasted work" 2. (RS.wasted_work s);
   (* The plain validator must reject this schedule. *)
   Alcotest.(check bool) "strict validation fails" true
-    (match Schedule.validate s with Ok () -> false | Error _ -> true);
+    (not (Test_util.valid s));
   (* Trace carries the Restart event. *)
   let wasted =
     List.find_map
@@ -82,9 +82,7 @@ let test_restart_policy_serves_everything () =
       let gen = Sched_workload.Suite.flow_bimodal ~n:80 ~m:2 in
       let inst = Sched_workload.Gen.instance gen ~seed in
       let s = Test_util.schedule_of (RS.policy (RS.config ())) inst in
-      (match Schedule.validate ~allow_restarts:true ~check_deadlines:false s with
-      | Ok () -> true
-      | Error _ -> false)
+      (Test_util.valid ~allow_restarts:true ~check_deadlines:false s)
       && (Metrics.rejection s).Metrics.count = 0
       && Test_util.completed_count s = 80)
   |> QCheck_alcotest.to_alcotest

@@ -64,14 +64,6 @@ let test_exponential_mean () =
   let mean = !sum /. float_of_int n in
   Alcotest.(check bool) "mean ~ 2" true (Float.abs (mean -. 2.) < 0.1)
 
-let test_shuffle_permutation () =
-  let rng = Rng.create 23 in
-  let a = Array.init 20 Fun.id in
-  Rng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort Int.compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 20 Fun.id) sorted
-
 let test_uniform_mean () =
   let rng = Rng.create 29 in
   let n = 20000 in
@@ -92,7 +84,6 @@ let suite =
     Alcotest.test_case "copy" `Quick test_copy;
     Alcotest.test_case "exponential positive" `Quick test_exponential_positive;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
-    Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "uniform mean" `Quick test_uniform_mean;
   ]
 

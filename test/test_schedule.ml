@@ -15,9 +15,7 @@ let completed_schedule () =
 
 let test_valid_schedule () =
   let s = completed_schedule () in
-  (match Schedule.validate s with
-  | Ok () -> ()
-  | Error es -> Alcotest.failf "unexpected: %s" (String.concat "; " es));
+  Schedule.assert_valid s;
   Alcotest.(check int) "completed" 2 (Test_util.completed_count s);
   Alcotest.(check int) "rejected" 0 (Metrics.rejection s).Metrics.count
 
@@ -47,7 +45,7 @@ let invalid_with mutate =
   let b = Schedule.builder inst in
   mutate b;
   let s = Schedule.finalize b in
-  match Schedule.validate s with Ok () -> false | Error _ -> true
+  not (Test_util.valid s)
 
 let test_detects_overlap () =
   Alcotest.(check bool) "overlap detected" true
@@ -68,7 +66,7 @@ let test_allows_parallel_when_asked () =
   Schedule.set_outcome b 1 (Outcome.Completed { machine = 0; start = 1.; speed = 1.; finish = 4. });
   let s = Schedule.finalize b in
   Alcotest.(check bool) "parallel ok" true
-    (match Schedule.validate ~allow_parallel:true s with Ok () -> true | Error _ -> false)
+    (Test_util.valid ~allow_parallel:true s)
 
 let test_detects_preemption () =
   (* Job 0 split into two segments: non-preemption violated. *)
@@ -110,7 +108,7 @@ let test_speed_scales_volume () =
   Schedule.set_outcome b 1 (Outcome.Rejected { time = 1.; assigned_to = None; was_running = false });
   let s = Schedule.finalize b in
   Alcotest.(check bool) "speed-2 execution valid" true
-    (match Schedule.validate s with Ok () -> true | Error _ -> false)
+    (Test_util.valid s)
 
 let test_rejected_partial_segment () =
   let inst = two_job_instance () in
@@ -121,7 +119,7 @@ let test_rejected_partial_segment () =
   Schedule.set_outcome b 1 (Outcome.Rejected { time = 1.; assigned_to = Some 1; was_running = false });
   let s = Schedule.finalize b in
   Alcotest.(check bool) "partial segment valid" true
-    (match Schedule.validate s with Ok () -> true | Error _ -> false)
+    (Test_util.valid s)
 
 let test_rejected_overrun_detected () =
   (* Rejected job processed its full size: should have completed instead. *)
@@ -140,9 +138,9 @@ let test_deadline_check () =
   Schedule.set_outcome b 0 (Outcome.Completed { machine = 0; start = 0.; speed = 1.; finish = 3. });
   let s = Schedule.finalize b in
   Alcotest.(check bool) "deadline violation detected" true
-    (match Schedule.validate ~check_deadlines:true s with Ok () -> false | Error _ -> true);
+    (not (Test_util.valid ~check_deadlines:true s));
   Alcotest.(check bool) "ignorable" true
-    (match Schedule.validate ~check_deadlines:false s with Ok () -> true | Error _ -> false)
+    (Test_util.valid ~check_deadlines:false s)
 
 let test_segments_of_machine_sorted () =
   let s = completed_schedule () in

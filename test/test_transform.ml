@@ -50,7 +50,7 @@ let test_shift_metamorphic () =
       let gen =
         Sched_workload.Gen.make
           ~arrivals:(Sched_workload.Gen.Batched { every = 4.; size = 3 })
-          ~sizes:(Sched_stats.Dist.quantize ~grid:0.25 (Sched_stats.Dist.uniform ~lo:1. ~hi:8.))
+          ~sizes:(Sched_stats.Dist.bimodal ~lo:1.25 ~hi:7.5 ~p_hi:0.3)
           ~n:40 ~m:2 ()
       in
       let inst = Sched_workload.Gen.instance gen ~seed in
@@ -97,33 +97,6 @@ let test_energy_scaling_law () =
     (3. *. Sched_energy.Yds.optimal_energy ~alpha:3. jobs)
     (Sched_energy.Yds.optimal_energy ~alpha:3. scaled)
 
-let test_subsample () =
-  let gen = Sched_workload.Suite.flow_uniform ~n:100 ~m:2 in
-  let inst = Sched_workload.Gen.instance gen ~seed:1 in
-  let rng = Sched_stats.Rng.create 9 in
-  let sub = T.subsample rng ~keep:0.5 inst in
-  Alcotest.(check bool) "fewer jobs" true (Instance.n sub < 100 && Instance.n sub > 0);
-  (* Ids renumbered compactly. *)
-  let jobs = Instance.jobs_by_release sub in
-  let ids = Array.to_list (Array.map (fun (j : Job.t) -> j.Job.id) jobs) in
-  Alcotest.(check (list int)) "compact ids"
-    (List.init (Instance.n sub) Fun.id)
-    (List.sort Int.compare ids)
-
-let test_concat () =
-  let a = Test_util.instance ~machines:2 [ (0., [| 2.; 2. |]) ] in
-  let b = Test_util.instance ~machines:2 [ (0., [| 3.; 3. |]); (1., [| 1.; 1. |]) ] in
-  let c = T.concat ~gap:5. a b in
-  Alcotest.(check int) "job count" 3 (Instance.n c);
-  let jobs = Instance.jobs_by_release c in
-  Alcotest.(check bool) "b's jobs after a's horizon" true
-    (jobs.(1).Job.release >= Instance.horizon a +. 5. -. 1e-9);
-  Alcotest.(check bool) "fleet mismatch raises" true
-    (try
-       ignore (T.concat a (Test_util.instance [ (0., [| 1. |]) ]));
-       false
-     with Invalid_argument _ -> true)
-
 let suite =
   [
     test_scale_time_metamorphic ();
@@ -131,6 +104,4 @@ let suite =
     test_shift_metamorphic ();
     Alcotest.test_case "scaling sizes increases flow" `Quick test_scale_sizes_increases_flow;
     Alcotest.test_case "yds energy scaling law" `Quick test_energy_scaling_law;
-    Alcotest.test_case "subsample" `Quick test_subsample;
-    Alcotest.test_case "concat" `Quick test_concat;
   ]

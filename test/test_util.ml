@@ -27,6 +27,20 @@ let corpus_files () =
   |> List.filter (fun f -> Filename.check_suffix f ".case")
   |> List.sort String.compare
 
+(* Whether the schedule passes the validator under the given mode. *)
+let valid ?allow_parallel ?allow_restarts ?check_deadlines s =
+  let mode = Sched_model.Validator.mode ?allow_parallel ?allow_restarts ?check_deadlines () in
+  match Sched_model.Schedule.violations ~mode s with [] -> true | _ :: _ -> false
+
+(* In-place Fisher-Yates shuffle. *)
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Sched_stats.Rng.int rng (i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done
+
 (* A tiny fixed instance: m machines, jobs given as (release, sizes). *)
 let instance ?(name = "fixture") ?(machines = 1) jobs =
   let jobs =

@@ -72,7 +72,7 @@ let test_valid_schedules_property () =
       let gen = Sched_workload.Suite.weighted_energy ~n:60 ~m:3 ~alpha:3. in
       let inst = Sched_workload.Gen.instance gen ~seed in
       let s, _ = run inst in
-      match Schedule.validate ~check_deadlines:false s with Ok () -> true | Error _ -> false)
+      Test_util.valid ~check_deadlines:false s)
   |> QCheck_alcotest.to_alcotest
 
 let test_beats_no_rejection_on_heavy_tail () =
