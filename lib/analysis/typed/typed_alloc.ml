@@ -15,6 +15,10 @@
      an arrow: a closure is built at runtime)
    - float arithmetic in return position — the fresh float is boxed at
      the function boundary
+   - [Float.min]/[Float.max] anywhere: each compiles to an out-of-line
+     [caml_signbit] call (two per site), and under ocamlopt without
+     flambda every register is caller-saved, so the call spills the
+     loop's live floats around it.  Write [if a > b then a else b].
 
    Deliberately NOT flagged: reading an already-stored float
    ([st.clock.(0)] in an accessor).  The unavoidable boundary box of a
@@ -39,9 +43,12 @@ let float_arith = function
       true
   | [ "Float";
       ( "add" | "sub" | "mul" | "div" | "neg" | "abs" | "rem" | "fma" | "sqrt" | "pow"
-      | "of_int" | "min" | "max" ) ] ->
+      | "of_int" ) ] ->
       true
   | _ -> false
+
+let float_min_max = function [ "Float"; ("min" | "max") ] -> true | _ -> false
+let signbit_call path = String.concat "." path ^ " (an out-of-line caml_signbit call)"
 
 (* Names bound by a binding pattern (a hot binding is normally a single
    [Tpat_var], but aliases and constraints are peeled for robustness). *)
@@ -127,6 +134,7 @@ let check ~file ~env (structure : Typedtree.structure) =
                 (match Ast_checks.mutable_ctor resolved with
                 | Some what -> flag e.exp_loc (what ^ " allocation")
                 | None -> ());
+                if float_min_max resolved then flag e.exp_loc (signbit_call resolved);
                 if tail && float_arith resolved then
                   flag e.exp_loc "float arithmetic in return position (fresh box at the boundary)")
             | _ -> body ~tail:false head);
@@ -170,7 +178,10 @@ let check ~file ~env (structure : Typedtree.structure) =
         | Texp_open (_, b) -> body ~tail b
         | Texp_letmodule (_, _, _, _, b) -> body ~tail b
         | Texp_letexception (_, b) -> body ~tail b
-        | Texp_ident _ | Texp_constant _ | Texp_unreachable | Texp_extension_constructor _
+        | Texp_ident (p, _, _) ->
+            let resolved = Typed_path.resolve env p in
+            if float_min_max resolved then flag e.exp_loc (signbit_call resolved)
+        | Texp_constant _ | Texp_unreachable | Texp_extension_constructor _
         | Texp_instvar _ | Texp_variant (_, None) | Texp_construct (_, _, []) ->
             ()
         | Texp_setinstvar _ | Texp_override _ | Texp_send _ | Texp_new _ ->

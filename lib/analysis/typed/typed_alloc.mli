@@ -1,7 +1,8 @@
 (** RJL103: static zero-alloc proof.  Flags structurally-allocating
     constructs (closures, tuples/constructors/records/arrays, mutable
     constructors, partial applications, float arithmetic in return
-    position) inside the body of any binding annotated
+    position), and every [Float.min]/[Float.max] call (out of line to
+    [caml_signbit]), inside the body of any binding annotated
     [let[@rejlint.hot] f ...], toplevel or local.  Subtrees marked
     [@rejlint.cold] (instrumentation branches, off in the steady state)
     are exempt.  Reading an already-stored float is deliberately not

@@ -11,13 +11,16 @@ type t = {
   eligible_mask : int;
 }
 
-(* Validates a size vector and builds the job around a copy of it, in one
-   loop that reads each size unboxed ([Array.iter]'s closure would box
-   every one) and summarizes the vector on the way: the only scan of a
-   job's sizes the simulator needs besides the policies' own.  [not (p >
-   0.)] also catches NaN; [p -. p = 0.] is [Float.is_finite].  The
-   minimum is a plain [<] scan that keeps the leftmost minimal machine:
-   sizes are positive and never NaN, so its size has the bits
+(* Validates a size vector and builds the job around a copy of it,
+   summarizing the vector in one loop that reads each size unboxed
+   ([Array.iter]'s closure would box every one).  The loop holds no call
+   and no raise: under ocamlopt without flambda every register is
+   caller-saved, so one [invalid_arg] inside it kept every accumulator on
+   the stack.  It folds validity into a flag instead, and the raise comes
+   after it; a bad size makes the summaries moot, so they may read it.
+   [not (p > 0.)] also catches NaN; [p -. p = 0.] is [Float.is_finite].
+   The minimum is a plain [<] scan that keeps the leftmost minimal
+   machine: sizes are positive and never NaN, so its size has the bits
    [Array.fold_left Float.min infinity] would, without the sign test
    [Float.min] pays per element.  The job keeps the machine, not the
    size: an int field costs one word, a float field three (OCaml boxes
@@ -25,11 +28,12 @@ type t = {
 let build ~id ~release ~weight ~deadline sizes =
   let n = Array.length sizes in
   if n = 0 then invalid_arg "Job.create: empty size vector";
-  let copy = Array.make n 0. in
+  let copy = Array.sub sizes 0 n in
+  let positive = ref true in
   let mn = ref Float.infinity and best = ref 0 and count = ref 0 and mask = ref 0 in
   for k = 0 to n - 1 do
-    let p = sizes.(k) in
-    if not (p > 0.) then invalid_arg "Job.create: sizes must be positive";
+    let p = copy.(k) in
+    if not (p > 0.) then positive := false;
     if p -. p = 0. then begin
       incr count;
       mask := !mask lor (1 lsl if k <= 61 then k else 62)
@@ -37,9 +41,9 @@ let build ~id ~release ~weight ~deadline sizes =
     if p < !mn then begin
       mn := p;
       best := k
-    end;
-    copy.(k) <- p
+    end
   done;
+  if not !positive then invalid_arg "Job.create: sizes must be positive";
   if !count = 0 then invalid_arg "Job.create: no eligible machine (all sizes infinite)";
   (match deadline with
   | Some d when not (Time.gt d release) -> invalid_arg "Job.create: deadline <= release"
@@ -63,7 +67,9 @@ let create ~id ~release ?(weight = 1.) ?deadline ~sizes () =
   build ~id ~release ~weight ~deadline sizes
 
 let size j i = j.sizes.(i)
-let eligible j i = Float.is_finite j.sizes.(i)
+(* Inlined: every policy calls it once per machine per arrival, and an
+   out-of-line call there spills the scan's incumbents around it. *)
+let[@inline] eligible j i = Float.is_finite j.sizes.(i)
 let min_size j = j.sizes.(j.best_machine)
 
 let with_sizes j sizes =

@@ -1,4 +1,4 @@
-module IM = Map.Make (Int)
+module Tbl = Hashtbl.Make (Int)
 
 type mode = { allow_parallel : bool; allow_restarts : bool; check_deadlines : bool }
 
@@ -13,13 +13,20 @@ type job_state = {
   job : Job.t;
   mutable segments : int;  (** segments laid so far *)
   mutable on : int;  (** machine of the last segment *)
+  mutable at : int;  (** index of its id in [flight] *)
   last : last;
 }
 
 type t = {
   mode : mode;
   m : int;
-  mutable jobs : job_state IM.t;
+  (* The jobs in flight: their states by id, and their ids packed into
+     [flight.(0 .. live-1)] (a settled id's cell takes the last one), so
+     [close] can list them without iterating the table, whose order
+     depends on hashing. *)
+  jobs : job_state Tbl.t;
+  mutable flight : int array;
+  mutable live : int;
   (* Per machine, the laid segment that stops latest, for the overlap
      check: its job (-1 before any), start and stop. *)
   last_job : int array;
@@ -41,7 +48,9 @@ let create ?(mode = mode ()) ~machines () =
   {
     mode;
     m = machines;
-    jobs = IM.empty;
+    jobs = Tbl.create 16;
+    flight = Array.make 16 0;
+    live = 0;
     last_job = Array.make machines (-1);
     last_start = Array.make machines 0.;
     last_stop = Array.make machines neg_infinity;
@@ -53,17 +62,30 @@ let report t ?job ?machine ?at check fmt =
 
 let feed t (j : Job.t) =
   let id = j.Job.id in
-  if IM.mem id t.jobs then report t ~job:id Violation.Exactly_once "fed again while still in flight"
-  else
-    t.jobs <-
-      IM.add id
-        { job = j; segments = 0; on = -1; last = { l_start = 0.; l_stop = 0.; l_volume = 0. } }
-        t.jobs
+  if Tbl.mem t.jobs id then
+    report t ~job:id Violation.Exactly_once "fed again while still in flight"
+  else begin
+    if t.live = Array.length t.flight then begin
+      let bigger = Array.make (2 * t.live) 0 in
+      Array.blit t.flight 0 bigger 0 t.live;
+      t.flight <- bigger
+    end;
+    t.flight.(t.live) <- id;
+    Tbl.replace t.jobs id
+      {
+        job = j;
+        segments = 0;
+        on = -1;
+        at = t.live;
+        last = { l_start = 0.; l_stop = 0.; l_volume = 0. };
+      };
+    t.live <- t.live + 1
+  end
 
-let in_flight t id = IM.mem id t.jobs
+let in_flight t id = Tbl.mem t.jobs id
 
 let find t id ~what ~at =
-  let js = IM.find_opt id t.jobs in
+  let js = Tbl.find_opt t.jobs id in
   if Option.is_none js then
     report t ~job:id ~at Violation.Exactly_once "%s of a job not in flight (settled or never fed)"
       what;
@@ -118,8 +140,14 @@ let lay t ~job:id ~machine:i ~start ~stop ~rate =
 let settle t ~job:id ~what ~at =
   match find t id ~what ~at with
   | None -> None
-  | Some _ as js ->
-      t.jobs <- IM.remove id t.jobs;
+  | Some settled as js ->
+      Tbl.remove t.jobs id;
+      t.live <- t.live - 1;
+      let moved = t.flight.(t.live) in
+      if not (Int.equal moved id) then begin
+        t.flight.(settled.at) <- moved;
+        (Tbl.find t.jobs moved).at <- settled.at
+      end;
       js
 
 let complete t ~job:id ~machine ~start ~finish =
@@ -179,9 +207,12 @@ let reject t ~job:id ~time ~was_running =
             report t ~job:id Violation.Exactly_once "rejected job has %d segments" k)
 
 let close t =
-  IM.iter
-    (fun id _ -> report t ~job:id Violation.Exactly_once "fed but never completed or rejected")
-    t.jobs;
-  t.jobs <- IM.empty
+  let left = Array.sub t.flight 0 t.live in
+  Array.sort Int.compare left;
+  Array.iter
+    (fun id -> report t ~job:id Violation.Exactly_once "fed but never completed or rejected")
+    left;
+  Tbl.reset t.jobs;
+  t.live <- 0
 
 let violations t = List.rev t.found

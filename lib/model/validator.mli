@@ -30,8 +30,13 @@
 
     Every time is compared through {!Time}'s tolerance, every processed
     volume against its size through one relative tolerance, and "did its
-    full size" through one absolute slack.  State is O(m) per-machine
-    cells plus one entry per job in flight, dropped when it settles.  The
+    full size" through one absolute slack.  {!feed}, {!lay} and each
+    settlement cost O(1) expected: the jobs in flight sit in a hash table
+    keyed by id, their ids packed in an array that {!close} sorts, so
+    [close] costs O(k log k) for k jobs left unsettled and reports them
+    in ascending id order.  State is O(m) per-machine cells plus one
+    entry per job in flight, dropped when it settles, and the id array,
+    as long as the most jobs ever in flight at once.  The
     validator is the simulator's independent second opinion: it shares no
     code with the driver or its flat state. *)
 

@@ -30,7 +30,9 @@ let running_on fs i =
    call would box it, two words per machine per arrival. *)
 let[@inline] remaining_time fs i =
   if Flat_state.run_job fs i < 0 then 0.
-  else Float.max 0. (Flat_state.run_finish fs i -. Flat_state.clock fs)
+  else
+    let r = Flat_state.run_finish fs i -. Flat_state.clock fs in
+    if r > 0. then r else 0.
 
 let pending fs i =
   let acc = ref [] in
@@ -197,7 +199,8 @@ let make_handlers ?rows fs policy pstate =
       let was_running = Time.gt t started in
       if was_running then
         Flat_state.lay_segment fs ~job:slot ~machine:i ~start:started ~stop:t ~speed:rate;
-      let remaining = Float.max 0. ((fin -. t) *. rate) in
+      let remaining = (fin -. t) *. rate in
+      let remaining = if remaining > 0. then remaining else 0. in
       Flat_state.outcome_rejected fs ~job:slot ~machine:i ~time:t ~was_running;
       Flat_state.account_rejection fs slot t ~was_running;
       (match rows with
@@ -230,7 +233,8 @@ let make_handlers ?rows fs policy pstate =
       Flat_state.bump_epoch fs i;
       if Time.gt t started then
         Flat_state.lay_segment fs ~job:slot ~machine:i ~start:started ~stop:t ~speed:rate;
-      let wasted = Float.max 0. ((t -. started) *. rate) in
+      let wasted = (t -. started) *. rate in
+      let wasted = if wasted > 0. then wasted else 0. in
       Flat_state.account_restart fs;
       (match rows with
       | None -> ()
@@ -489,7 +493,8 @@ let session_drain s ~limit =
   let commit_arrival = s.ss_commit_arrival and commit_finish = s.ss_commit_finish in
   let[@rejlint.hot] rec loop () =
     if Flat_state.next_event_before fs ~limit then begin
-      Flat_state.set_clock fs (Float.max (Flat_state.clock fs) (Flat_state.ev_time fs));
+      (let now = Flat_state.ev_time fs in
+       if now > Flat_state.clock fs then Flat_state.set_clock fs now);
       let tag = Flat_state.ev_tag fs in
       (if Pqueue.Events.Key.is_arrival ~tag then begin
          let slot = Flat_state.ev_payload fs in

@@ -1,6 +1,7 @@
 (* Fixture: the allocation-free flat-core idiom — stored-float reads,
-   in-place float arithmetic, int returns, and a [@rejlint.cold] branch
-   that is allowed to allocate. *)
+   in-place float arithmetic, int returns, a clamp written as a
+   comparison rather than [Float.max], and a [@rejlint.cold] branch that
+   is allowed to allocate. *)
 
 type st = { mutable clock : float; mutable hits : int; q : float array }
 
@@ -13,3 +14,5 @@ let[@rejlint.hot] count st =
   st.hits
 
 let[@rejlint.hot] sample st i = if st.clock > 0.0 then (Some i [@rejlint.cold]) else None
+
+let[@rejlint.hot] advance st t = if t > st.clock then st.clock <- t

@@ -7,6 +7,9 @@
    [--telemetry -] and [--trace-ndjson -] and checks that stdout is the
    telemetry snapshot, then the trace lines, then the table; and per
    family it round-trips the instance through [--save] and [--load].
+   Last comes one wide fleet, uniform x {thm1, fifo} at m = 512,
+   n = 2000: the per-arrival scans over every machine at the width
+   [rejsched run] is benchmarked at.
    [run.expected] is this program's output; the dune rule next to it
    diffs a fresh run against it on every [dune runtest].
 
@@ -16,6 +19,9 @@ let families = [ "uniform"; "pareto"; "bimodal"; "restricted"; "related"; "clust
 let policies = [ "thm1"; "thm1-rule1"; "thm1-rule2"; "fifo"; "spt"; "immediate"; "esa" ]
 let machines = [ 3; 70 ]
 let n = 200
+let wide_policies = [ "thm1"; "fifo" ]
+let wide_m = 512
+let wide_n = 2000
 let seed = 11
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -48,24 +54,24 @@ let drop_minor_words text =
             has 0))
   |> String.concat "\n"
 
-let base ~w ~p ~m =
+let base ~n ~w ~p ~m =
   [ "run"; "-w"; w; "-p"; p; "-n"; string_of_int n; "-m"; string_of_int m; "--seed";
     string_of_int seed; "--csv" ]
 
-let config exe ~w ~p ~m =
+let config exe ~n ~w ~p ~m =
   Printf.printf "== %s %s m=%d\n" w p m;
   let trace = tmp ".ndjson" in
-  let code, csv = run exe (base ~w ~p ~m @ [ "--trace-ndjson"; trace ]) in
+  let code, csv = run exe (base ~n ~w ~p ~m @ [ "--trace-ndjson"; trace ]) in
   let tr = read_file trace in
   Printf.printf "exit %d\n%strace1 %s %d\n" code csv (hex tr) (lines tr);
   let segs = tmp ".csv" in
-  let code', csv' = run exe (base ~w ~p ~m @ [ "--trace-ndjson"; trace; "--segments"; segs ]) in
+  let code', csv' = run exe (base ~n ~w ~p ~m @ [ "--trace-ndjson"; trace; "--segments"; segs ]) in
   let tr' = read_file trace in
   if code' <> code || csv' <> csv || tr' <> tr then print_endline "MISMATCH with --segments";
   Printf.printf "segments %s\n" (hex (read_file segs));
   Sys.remove segs;
   if m = 3 then begin
-    let code'', out = run exe (base ~w ~p ~m @ [ "--telemetry"; "-"; "--trace-ndjson"; "-" ]) in
+    let code'', out = run exe (base ~n ~w ~p ~m @ [ "--telemetry"; "-"; "--trace-ndjson"; "-" ]) in
     let tl = String.length tr and cl = String.length csv and ol = String.length out in
     let ordered =
       code'' = code && ol >= tl + cl
@@ -95,7 +101,8 @@ let () =
     (fun m ->
       List.iter
         (fun w ->
-          List.iter (fun p -> config exe ~w ~p ~m) policies;
+          List.iter (fun p -> config exe ~n ~w ~p ~m) policies;
           round_trip exe ~w ~m)
         families)
-    machines
+    machines;
+  List.iter (fun p -> config exe ~n:wide_n ~w:"uniform" ~p ~m:wide_m) wide_policies

@@ -38,6 +38,28 @@ let test_job_validation () =
   Alcotest.(check bool) "deadline before release" true
     (raises_invalid (fun () -> Job.create ~id:0 ~release:5. ~deadline:5. ~sizes:[| 1. |] ()))
 
+(* Every non-positive or NaN size is refused with the one message,
+   wherever it sits in the vector and whatever else the vector holds: a
+   bad size next to infinite ones is a bad size, not a vector with no
+   eligible machine. *)
+let test_job_bad_size_message () =
+  let expected = Invalid_argument "Job.create: sizes must be positive" in
+  List.iter
+    (fun (name, bad) ->
+      List.iter
+        (fun (where, sizes) ->
+          Alcotest.check_raises (Printf.sprintf "%s at %s" name where) expected (fun () ->
+              ignore (Job.create ~id:0 ~release:0. ~sizes ())))
+        [
+          ("first", [| bad; 1.; 2.; 3.; 4. |]);
+          ("middle", [| 1.; 2.; bad; 3.; 4. |]);
+          ("last", [| 1.; 2.; 3.; 4.; bad |]);
+          ("the only size", [| bad |]);
+          ("among infinities", [| Float.infinity; bad; Float.infinity |]);
+          ("after infinities", [| Float.infinity; Float.infinity; bad |]);
+        ])
+    [ ("NaN", Float.nan); ("-0.", -0.); ("0.", 0.); ("-1.", -1.); ("-inf", Float.neg_infinity) ]
+
 let test_job_order () =
   let a = Job.create ~id:0 ~release:1. ~sizes:[| 1. |] () in
   let b = Job.create ~id:1 ~release:1. ~sizes:[| 1. |] () in
@@ -285,6 +307,7 @@ let suite =
     Alcotest.test_case "job create" `Quick test_job_create;
     Alcotest.test_case "job restricted" `Quick test_job_restricted;
     Alcotest.test_case "job validation" `Quick test_job_validation;
+    Alcotest.test_case "job bad size: one message at any index" `Quick test_job_bad_size_message;
     Alcotest.test_case "job order" `Quick test_job_order;
     Alcotest.test_case "machine" `Quick test_machine;
     Alcotest.test_case "instance basics" `Quick test_instance_basics;

@@ -173,9 +173,28 @@ let test_planted_faults () =
   Alcotest.(check bool) "the full-volume message" true
     (List.exists (fun (v : V.t) -> Test_util.contains v.V.detail "full size") full)
 
+(* Jobs fed out of id order (serve numbers nothing) and never settled:
+   close reports each, in ascending id order, whatever order they came
+   in.  [rejsched run] prints these lines before exiting 3. *)
+let test_close_reports_in_id_order () =
+  let check = Check.create ~machines:2 () in
+  List.iter
+    (fun id -> Check.feed check (Job.create ~id ~release:0. ~sizes:[| 1.; 2. |] ()))
+    [ 5; 2; 9 ];
+  Check.close check;
+  let vs = Check.violations check in
+  Alcotest.(check (list (pair string (option int))))
+    "never settled, by id"
+    [ ("exactly-once", Some 2); ("exactly-once", Some 5); ("exactly-once", Some 9) ]
+    (List.map (fun (v : V.t) -> (V.check_name v.V.check, v.V.job)) vs);
+  List.iter
+    (fun (v : V.t) ->
+      Alcotest.(check string) "detail" "fed but never completed or rejected" v.V.detail)
+    vs
+
 (* 10^5 jobs through a retiring session: the checker's reachable heap,
    sampled at every arrival, stays within a fixed multiple of the jobs in
-   flight at that moment (each in-flight job costs a map node, a state
+   flight at that moment (each in-flight job costs a table entry, a state
    record and the fed job; the per-machine cells are fixed), so it does
    not grow with the jobs fed. *)
 let test_tables_track_in_flight () =
@@ -230,6 +249,8 @@ let suite =
     Alcotest.test_case "a real stream checks clean" `Quick test_real_stream_clean;
     Alcotest.test_case "planted faults, one per check class" `Quick test_planted_faults;
     Alcotest.test_case "tables track the jobs in flight" `Quick test_tables_track_in_flight;
+    Alcotest.test_case "close reports unsettled jobs in id order" `Quick
+      test_close_reports_in_id_order;
     Alcotest.test_case "speed-augmented bimodal: stream and batch replay agree" `Quick
       test_speed_augmented_bimodal;
   ]
