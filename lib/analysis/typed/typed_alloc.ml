@@ -10,7 +10,8 @@
    - tuples, non-constant constructors (incl. [Some]/[::]), records,
      array literals, polymorphic variants with payload, lazy/object/
      first-class modules, let-ops
-   - mutable-state constructors ([ref], [Array.make], [Hashtbl.create])
+   - mutable-state constructors ([ref], [Array.make], [Hashtbl.create]),
+     except a local [let x = ref e] that stays local (below)
    - partial applications (the result type of the application is still
      an arrow: a closure is built at runtime)
    - float arithmetic in return position — the fresh float is boxed at
@@ -26,6 +27,14 @@
    loop builds no structures.  Float arithmetic whose result is consumed
    in place ([a.(i) <- a.(i) +. x], [if t < u +. eps ...]) compiles
    unboxed and is accepted.
+
+   A local ref that stays local is not flagged: when [x] in
+   [let x = ref e in body] is only ever the operand of [!], [:=] (the
+   cell, not the value), [incr] or [decr], outside any closure, ocamlopt
+   turns the cell into a mutable variable (Simplif's ref elimination),
+   kept in a register, unboxed even for a float.  Any other use of [x] —
+   passed, stored, returned, captured — makes it a real heap cell, and
+   the [ref] is flagged.
 
    An expression marked [@rejlint.cold] (and everything beneath it) is
    exempt — the annotation marks instrumentation/trace branches that are
@@ -58,6 +67,44 @@ let rec pattern_names : type k. k Typedtree.general_pattern -> string list =
   | Tpat_var (id, _) -> [ Ident.name id ]
   | Tpat_alias (p, id, _) -> Ident.name id :: pattern_names p
   | _ -> []
+
+(* [!], [:=], [incr] and [decr] on the cell [x]: the uses ref
+   elimination rewrites. *)
+let ref_op = function [ ("!" | ":=" | "incr" | "decr") ] -> true | _ -> false
+
+let is_var id (e : Typedtree.expression) =
+  match e.exp_desc with Texp_ident (Path.Pident v, _, _) -> Ident.same v id | _ -> false
+
+(* Whether the cell bound to [id] stays local in [scope]: every use is
+   the first operand of a [ref_op], and none sits inside a closure. *)
+let stays_local ~env id (scope : Typedtree.expression) =
+  let escapes = ref false and in_closure = ref false in
+  let expr (sub : Tast_iterator.iterator) (e : Typedtree.expression) =
+    match e.exp_desc with
+    | _ when !escapes -> ()
+    | Texp_ident _ when is_var id e -> escapes := true
+    | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, (_, Some cell) :: rest)
+      when is_var id cell && ref_op (Typed_path.resolve env p) ->
+        if !in_closure then escapes := true;
+        List.iter (fun (_, a) -> Option.iter (sub.expr sub) a) rest
+    | Texp_function _ ->
+        let outer = !in_closure in
+        in_closure := true;
+        Tast_iterator.default_iterator.expr sub e;
+        in_closure := outer
+    | _ -> Tast_iterator.default_iterator.expr sub e
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.expr it scope;
+  not !escapes
+
+(* [let x = ref e]: the initial value [e]. *)
+let ref_init ~env (vb : Typedtree.value_binding) =
+  match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
+  | Tpat_var (id, _), Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, [ (_, Some init) ])
+    -> (
+      match Typed_path.resolve env p with [ "ref" ] -> Some (id, init) | _ -> None)
+  | _ -> None
 
 let binding_name vb =
   match pattern_names vb.Typedtree.vb_pat with name :: _ -> name | [] -> "<pattern>"
@@ -139,8 +186,14 @@ let check ~file ~env (structure : Typedtree.structure) =
                   flag e.exp_loc "float arithmetic in return position (fresh box at the boundary)")
             | _ -> body ~tail:false head);
             List.iter (fun (_, a) -> Option.iter (body ~tail:false) a) args
-        | Texp_let (_, vbs, b) ->
-            List.iter (fun vb -> body ~tail:false vb.Typedtree.vb_expr) vbs;
+        | Texp_let (rec_flag, vbs, b) ->
+            List.iter
+              (fun vb ->
+                match (rec_flag, ref_init ~env vb) with
+                | Asttypes.Nonrecursive, Some (id, init) when stays_local ~env id b ->
+                    body ~tail:false init
+                | _ -> body ~tail:false vb.Typedtree.vb_expr)
+              vbs;
             body ~tail b
         | Texp_sequence (a, b) ->
             body ~tail:false a;

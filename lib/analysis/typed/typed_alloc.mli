@@ -3,7 +3,10 @@
     constructors, partial applications, float arithmetic in return
     position), and every [Float.min]/[Float.max] call (out of line to
     [caml_signbit]), inside the body of any binding annotated
-    [let[@rejlint.hot] f ...], toplevel or local.  Subtrees marked
+    [let[@rejlint.hot] f ...], toplevel or local.  A [let x = ref e]
+    whose [x] is only the cell operand of [!], [:=], [incr] or [decr],
+    outside any closure, is not flagged: ocamlopt makes it a mutable
+    local.  Subtrees marked
     [@rejlint.cold] (instrumentation branches, off in the steady state)
     are exempt.  Reading an already-stored float is deliberately not
     flagged — boundary boxing is the dynamic ceiling's job; this rule

@@ -86,16 +86,30 @@ let[@inline] lambda_bound q p h =
    NaN (sizes are positive, [eps > 0]).  The incumbents live in local
    refs that never escape (kept unboxed), and the comparisons are written
    out because a helper taking the floats as arguments boxed them, so the
-   scan allocates nothing. *)
-let argmin_lambda st view (j : Job.t) slot =
+   scan allocates nothing.
+
+   Pass 1 runs once per machine per arrival, so it reads the job's sizes
+   and the driver's pending-head column as hoisted arrays, guarded once:
+   both have length [m] (the driver admits no job whose vector does not),
+   and after the guard the loop's loads need no bounds check.  Sizes are
+   positive or [infinity] ([Job.create] refuses the rest), so [p < inf]
+   is [Job.eligible]; [inf] is hoisted so the loop does not reload
+   [Stdlib.infinity] through its module block. *)
+let[@rejlint.hot] argmin_lambda st view (j : Job.t) slot =
   let eps = st.eps_eff and m = Instance.m st.instance in
+  let sizes = j.Job.sizes and heads = Driver.pending_heads view in
+  if Array.length sizes < m || Array.length heads < m then
+    (invalid_arg "Flow_reject: size vector or pending-head column shorter than m"
+    [@rejlint.cold]);
   let best = ref (-1) and best_c = ref 0. in
   let low = ref (-1) and low_b = ref 0. in
+  let inf = Float.infinity in
   for i = 0 to m - 1 do
-    if Job.eligible j i then begin
-      let p = Job.size j i and h = Driver.pending_head_size view i in
+    let p = Array.unsafe_get sizes i in
+    if p < inf then begin
+      let h = Array.unsafe_get heads i in
       let q = p /. eps in
-      if h < infinity then begin
+      if h < inf then begin
         let b = lambda_bound q p h in
         if !low < 0 || b < !low_b then begin
           low := i;
@@ -128,7 +142,7 @@ let argmin_lambda st view (j : Job.t) slot =
         end
       end
     done;
-  assert (!best >= 0);
+  (assert (!best >= 0) [@rejlint.cold]);
   st.lambda.(slot) <- !best_c;
   !best
 

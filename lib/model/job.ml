@@ -11,24 +11,32 @@ type t = {
   eligible_mask : int;
 }
 
-(* Validates a size vector and builds the job around a copy of it,
-   summarizing the vector in one loop that reads each size unboxed
-   ([Array.iter]'s closure would box every one).  The loop holds no call
-   and no raise: under ocamlopt without flambda every register is
-   caller-saved, so one [invalid_arg] inside it kept every accumulator on
-   the stack.  It folds validity into a flag instead, and the raise comes
-   after it; a bad size makes the summaries moot, so they may read it.
-   [not (p > 0.)] also catches NaN; [p -. p = 0.] is [Float.is_finite].
-   The minimum is a plain [<] scan that keeps the leftmost minimal
-   machine: sizes are positive and never NaN, so its size has the bits
-   [Array.fold_left Float.min infinity] would, without the sign test
-   [Float.min] pays per element.  The job keeps the machine, not the
-   size: an int field costs one word, a float field three (OCaml boxes
-   it). *)
-let build ~id ~release ~weight ~deadline sizes =
-  let n = Array.length sizes in
-  if n = 0 then invalid_arg "Job.create: empty size vector";
-  let copy = Array.sub sizes 0 n in
+let record ~id ~release ~weight ~deadline sizes ~best ~count ~mask =
+  (match deadline with
+  | Some d when not (Time.gt d release) -> invalid_arg "Job.create: deadline <= release"
+  | _ -> ());
+  {
+    id;
+    release;
+    weight;
+    sizes;
+    deadline;
+    best_machine = best;
+    eligible_count = count;
+    eligible_mask = mask;
+  }
+
+(* The full check and summary of a copied size vector, for one that
+   failed [build]'s fast pass: an infinite size, or a bad one.  One loop
+   reads each size unboxed ([Array.iter]'s closure would box every one)
+   and holds no call and no raise: under ocamlopt without flambda every
+   register is caller-saved, so one [invalid_arg] inside it kept every
+   accumulator on the stack.  It folds validity into a flag instead, and
+   the raise comes after it; a bad size makes the summaries moot, so
+   they may read it.  [not (p > 0.)] also catches NaN; [p -. p = 0.] is
+   [Float.is_finite]. *)
+let summarize ~id ~release ~weight ~deadline copy =
+  let n = Array.length copy in
   let positive = ref true in
   let mn = ref Float.infinity and best = ref 0 and count = ref 0 and mask = ref 0 in
   for k = 0 to n - 1 do
@@ -45,19 +53,40 @@ let build ~id ~release ~weight ~deadline sizes =
   done;
   if not !positive then invalid_arg "Job.create: sizes must be positive";
   if !count = 0 then invalid_arg "Job.create: no eligible machine (all sizes infinite)";
-  (match deadline with
-  | Some d when not (Time.gt d release) -> invalid_arg "Job.create: deadline <= release"
-  | _ -> ());
-  {
-    id;
-    release;
-    weight;
-    sizes = copy;
-    deadline;
-    best_machine = !best;
-    eligible_count = !count;
-    eligible_mask = !mask;
-  }
+  record ~id ~release ~weight ~deadline copy ~best:!best ~count:!count ~mask:!mask
+
+(* Validates a size vector and builds the job around a copy of it.  Most
+   vectors are all finite and positive (every family but restricted), so
+   a fast pass tests only that, two compares per size, and keeps the
+   leftmost minimum with a plain [<]: on such sizes it has the bits
+   [Array.fold_left Float.min infinity] would, without the sign test
+   [Float.min] pays per element.  The flag is sticky: NaN, -0., 0., a
+   negative size or an infinity anywhere fails it, whatever follows.
+   When it holds, every machine is eligible, so the count is [n] and the
+   mask is [n] low bits, saturated into bit 62 past machine 61, with no
+   per-size work; otherwise {!summarize} redoes the whole vector.  [k]
+   never leaves [0 .. n - 1], so the loads skip the bounds check, and
+   [inf] is hoisted so the loop does not reload [Stdlib.infinity]
+   through its module block.  The job keeps the machine, not the size:
+   an int field costs one word, a float field three (OCaml boxes it). *)
+let build ~id ~release ~weight ~deadline sizes =
+  let n = Array.length sizes in
+  if n = 0 then invalid_arg "Job.create: empty size vector";
+  let copy = Array.sub sizes 0 n in
+  let inf = Float.infinity in
+  let ok = ref true and mn = ref inf and best = ref 0 in
+  for k = 0 to n - 1 do
+    let p = Array.unsafe_get copy k in
+    if not (p > 0. && p < inf) then ok := false;
+    if p < !mn then begin
+      mn := p;
+      best := k
+    end
+  done;
+  if !ok then
+    record ~id ~release ~weight ~deadline copy ~best:!best ~count:n
+      ~mask:(if n <= 62 then (1 lsl n) - 1 else -1)
+  else summarize ~id ~release ~weight ~deadline copy
 
 let create ~id ~release ?(weight = 1.) ?deadline ~sizes () =
   if not (Time.nonneg release) then invalid_arg "Job.create: negative release";

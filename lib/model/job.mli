@@ -22,9 +22,11 @@ type t = private {
       (** Eligibility bitmask: bit [k] for machine [k] up to 61; machines
           beyond that saturate into bit 62. *)
 }
-(** The last three fields summarize [sizes].  {!create} computes them in
-    the same loop that validates and copies the vector, so reading them
-    costs O(1) and no code rescans a job's sizes for them. *)
+(** The last three fields summarize [sizes].  {!create} computes them
+    while it validates the copied vector, so reading them costs O(1) and
+    no code rescans a job's sizes for them.  An all-finite vector costs
+    one pass of two compares and a minimum test per size (count and mask
+    follow from its length); any other vector costs a second, full pass. *)
 
 val create :
   id:id -> release:Time.t -> ?weight:float -> ?deadline:Time.t -> sizes:float array -> unit -> t

@@ -69,6 +69,13 @@ val pending_head_size : view -> Machine.id -> float
     allocation-free.  A lower bound on every pending job's size there,
     which lets a scan skip a machine without querying its pending set. *)
 
+val pending_heads : view -> float array
+(** Every machine's {!pending_head_size} as one machine-indexed column
+    of length [m]; O(1), allocation-free.  It is the driver's own array,
+    current for as long as the view is, and read-only: a policy must
+    never write it.  An O(m) scan hoists it and reads it behind one
+    length guard instead of making m calls. *)
+
 val pending_work : view -> Machine.id -> float
 (** Sum of [p_ij] over jobs pending on machine [i]; O(1), maintained
     incrementally (exactly [0.] when the queue is empty). *)

@@ -201,6 +201,14 @@ val pend_head : t -> int -> float
     machine-indexed column kept by {!pend_add} and {!pend_remove}, so the
     read is O(1). *)
 
+val pend_heads : t -> float array
+(** The column {!pend_head} reads: machine [i]'s head size at index
+    [i], of length {!m}.  The array is the state's own, fixed for its
+    life, and kept current by {!pend_add} and {!pend_remove}; readers
+    must not write it.  A scan over every machine hoists it and reads
+    it behind one length guard, with no per-machine accessor call or
+    bounds check. *)
+
 val pend_work : t -> int -> float
 val pend_weight : t -> int -> float
 

@@ -1,9 +1,10 @@
 (* Fixture: a deliberately boxed variant of the flat event loop's
    shapes.  Every hot body below allocates structurally or calls
    [Float.min]/[Float.max] (out of line to caml_signbit); RJL103 flags
-   each construct. *)
+   each construct.  The last one's ref cell outlives the call (it is
+   stored), so it is a real heap cell, not a mutable local. *)
 
-type st = { mutable clock : float; q : float array }
+type st = { mutable clock : float; q : float array; mutable last : int ref }
 
 let[@rejlint.hot] step st i =
   let pair = (st.q.(i), i) in
@@ -21,3 +22,9 @@ let[@rejlint.hot] advance st t =
   0
 
 let[@rejlint.hot] lowest st = Array.fold_left Float.min infinity st.q
+
+let[@rejlint.hot] escaping st =
+  let count = ref 0 in
+  st.last <- count;
+  incr count;
+  !count

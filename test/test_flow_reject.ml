@@ -241,22 +241,27 @@ let scan_probe cfg ~mismatches ~expected =
 
 (* Random instances for the probe: dyadic sizes on a small grid, so
    lambdas tie exactly; releases in bursts on a coarse grid, so queues
-   grow deep; about one machine in five ineligible per job; up to 64
-   machines; and in one instance in four, sizes of 2^1015 whose p/eps
-   overflows to infinity at eps = 0.001. *)
+   grow deep; up to 130 machines, so fleets straddle the 62-bit mask;
+   in one instance in four, sizes of 2^1015 whose p/eps overflows to
+   infinity at eps = 0.001.  In one instance in four every job has one
+   size on all machines, so every empty machine ties and only the
+   index order breaks it; in the others about one machine in five is
+   ineligible per job. *)
 let scan_instance salt =
   let rng = Rng.create salt in
-  let m = 1 + Rng.int rng 64 and n = 10 + Rng.int rng 150 in
+  let m = 1 + Rng.int rng 130 and n = 10 + Rng.int rng 150 in
   let huge = Rng.int rng 4 = 0 in
+  let flat = Rng.int rng 4 = 0 in
+  let size () =
+    if huge && Rng.int rng 6 = 0 then 0x1p1015 else float_of_int (1 + Rng.int rng 8) /. 4.
+  in
   let t = ref 0. in
   let jobs =
     List.init n (fun _ ->
         if Rng.int rng 4 = 0 then t := !t +. (float_of_int (Rng.int rng 4) /. 2.);
         let sizes =
-          Array.init m (fun _ ->
-              if Rng.int rng 5 = 0 then infinity
-              else if huge && Rng.int rng 6 = 0 then 0x1p1015
-              else float_of_int (1 + Rng.int rng 8) /. 4.)
+          if flat then Array.make m (size ())
+          else Array.init m (fun _ -> if Rng.int rng 5 = 0 then infinity else size ())
         in
         let k = Rng.int rng m in
         if not (Float.is_finite sizes.(k)) then sizes.(k) <- 1.;

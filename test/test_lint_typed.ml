@@ -88,7 +88,7 @@ let test_rjl102_ok () =
 
 let test_rjl103_bad () =
   let fs = lint "rjl103_bad.cmt" in
-  Alcotest.(check int) "findings" 6 (List.length fs);
+  Alcotest.(check int) "findings" 7 (List.length fs);
   check_rule RL.Rule.Hot_alloc fs;
   let msgs = String.concat "\n" (List.map (fun f -> f.RL.Finding.message) fs) in
   List.iter
@@ -100,11 +100,13 @@ let test_rjl103_bad () =
       "closure allocation";
       "Float.max (an out-of-line caml_signbit call)";
       "Float.min (an out-of-line caml_signbit call)";
+      "ref cell allocation";
     ]
 
 let test_rjl103_ok () =
-  (* Stored-float reads, in-place arithmetic and [@rejlint.cold]
-     branches are the allocation-free idiom the flat core uses. *)
+  (* Stored-float reads, in-place arithmetic, [@rejlint.cold] branches
+     and ref cells that stay local are the allocation-free idiom the flat
+     core and flow-reject's dispatch scan use. *)
   Alcotest.(check (list string)) "clean" [] (rules (lint "rjl103_ok.cmt"))
 
 (* --- RJL104: test-only exports ------------------------------------------ *)
@@ -215,7 +217,7 @@ let test_hot_annotations_guarded () =
     (fun name ->
       Alcotest.(check bool) ("driver hot: " ^ name) true (List.mem name driver_hot))
     [ "loop"; "try_start"; "reject_job"; "restart_job"; "commit_arrival"; "commit_finish";
-      "slot"; "pending_split"; "pending_head_size" ];
+      "slot"; "pending_split"; "pending_head_size"; "pending_heads" ];
   let flat_hot =
     RL.Typed_lint.hot_functions_of_cmt
       (cmt "lib/sim/.sched_sim.objs/byte/sched_sim__Flat_state.cmt")
@@ -238,7 +240,9 @@ let test_hot_annotations_guarded () =
       "slot_of"; "arrive"; "offer"; "settle"; "above"; "find"; "probe"; "remove"; "shift";
       (* The pending-head column flow-reject's dispatch scan bounds with:
          its maintenance in [pend_add]/[pend_remove] and its read. *)
-      "set_head"; "pend_head" ];
+      "set_head"; "pend_head";
+      (* The same column, handed whole to flow-reject's dispatch scan. *)
+      "pend_heads" ];
   Alcotest.(check bool) "flat_state hot coverage >= 25" true (List.length flat_hot >= 25);
   (* The recorder's whole write path must stay inside the static proof:
      un-annotating any of these drops RJL103 coverage exactly where an
@@ -258,7 +262,15 @@ let test_hot_annotations_guarded () =
     (fun name ->
       Alcotest.(check bool) ("recorder hot: " ^ name) true (List.mem name recorder_hot))
     [ "reserve"; "reserve_dispatch"; "reserve_start"; "reserve_complete"; "reserve_reject";
-      "reserve_restart" ]
+      "reserve_restart" ];
+  (* Flow-reject's dispatch scan, once per machine per arrival: RJL103
+     proves its incumbents stay local and its pass allocates nothing. *)
+  let flow_reject_hot =
+    RL.Typed_lint.hot_functions_of_cmt
+      (cmt "lib/core/.rejection.objs/byte/rejection__Flow_reject.cmt")
+  in
+  Alcotest.(check bool) "flow_reject hot: argmin_lambda" true
+    (List.mem "argmin_lambda" flow_reject_hot)
 
 let suite =
   [

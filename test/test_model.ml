@@ -38,6 +38,10 @@ let test_job_validation () =
   Alcotest.(check bool) "deadline before release" true
     (raises_invalid (fun () -> Job.create ~id:0 ~release:5. ~deadline:5. ~sizes:[| 1. |] ()))
 
+(* 511 distinct valid sizes, for a bad or infinite 512th: [create]'s
+   fast pass fails only at the last element. *)
+let valid_511 = Array.init 511 (fun k -> float_of_int (1 + (k * 37 mod 101)) /. 8.)
+
 (* Every non-positive or NaN size is refused with the one message,
    wherever it sits in the vector and whatever else the vector holds: a
    bad size next to infinite ones is a bad size, not a vector with no
@@ -57,6 +61,7 @@ let test_job_bad_size_message () =
           ("the only size", [| bad |]);
           ("among infinities", [| Float.infinity; bad; Float.infinity |]);
           ("after infinities", [| Float.infinity; Float.infinity; bad |]);
+          ("the end of 512", Array.append valid_511 [| bad |]);
         ])
     [ ("NaN", Float.nan); ("-0.", -0.); ("0.", 0.); ("-1.", -1.); ("-inf", Float.neg_infinity) ]
 
@@ -209,11 +214,13 @@ let prop_folds_match_float_min =
    vector: the [Float.min] fold for the minimum (compared bit for bit)
    and the first machine holding it, and the count and mask of finite
    entries, bit [k] for machine [k] up to 61 and bit 62 for every
-   machine beyond.  The widths straddle the saturation point; infinite
-   entries come at a random rate per case, half the cases draw from
-   three sizes so the minimum ties, and [with_sizes] must re-summarize.
-   The caller's array is overwritten after [create], which must not
-   reach the job's copy. *)
+   machine beyond.  The widths straddle the saturation point and reach
+   run-cluster's 512; in half the cases every entry is finite, which
+   takes [create]'s fast pass, and in the others infinite entries come
+   at a random rate per case.  Half the cases draw from three sizes so
+   the minimum ties, and [with_sizes] must re-summarize.  The caller's
+   array is overwritten after [create], which must not reach the job's
+   copy. *)
 let fresh_summary sizes =
   let count = ref 0 and mask = ref 0 in
   Array.iteri
@@ -230,11 +237,12 @@ let fresh_summary sizes =
 let prop_job_summaries_match_scan =
   QCheck.Test.make ~name:"Job.create's cached min size, eligible count and mask equal a fresh scan"
     ~count:300
-    QCheck.(pair (int_bound 1_000_000) (int_bound 4))
-    (fun (seed, which) ->
-      let m = [| 1; 61; 62; 63; 130 |].(which) in
+    QCheck.(triple (int_bound 1_000_000) (int_bound 5) bool)
+    (fun (seed, which, all_finite) ->
+      let m = [| 1; 61; 62; 63; 130; 512 |].(which) in
       let rng = Sched_stats.Rng.create seed in
-      let p_inf = Sched_stats.Rng.float rng and ties = Sched_stats.Rng.int rng 2 = 0 in
+      let p_inf = if all_finite then 0. else Sched_stats.Rng.float rng in
+      let ties = Sched_stats.Rng.int rng 2 = 0 in
       let draw () =
         let v =
           Array.init m (fun _ ->
@@ -260,6 +268,21 @@ let prop_job_summaries_match_scan =
       let resized = draw () in
       agrees j expected && agrees (Job.with_sizes j resized) resized)
   |> QCheck_alcotest.to_alcotest
+
+(* An infinite size after 511 finite ones fails [create]'s fast pass
+   only at the last element; the full summary must then agree with a
+   fresh scan: 511 eligible machines, the mask saturated. *)
+let test_job_infinite_last_of_512 () =
+  let sizes = Array.append valid_511 [| Float.infinity |] in
+  let j = Job.create ~id:0 ~release:0. ~sizes () in
+  let mn, best, count, mask = fresh_summary sizes in
+  Alcotest.(check int64) "min size bits" (Int64.bits_of_float mn)
+    (Int64.bits_of_float (Job.min_size j));
+  Alcotest.(check int) "best machine" best j.Job.best_machine;
+  Alcotest.(check int) "eligible count" 511 j.Job.eligible_count;
+  Alcotest.(check int) "eligible count = scan" count j.Job.eligible_count;
+  Alcotest.(check int) "eligible mask" mask j.Job.eligible_mask;
+  Alcotest.(check int) "mask saturated" (-1) j.Job.eligible_mask
 
 (* On a fleet of one speed [volume] sums the cached minima divided by the
    speed instead of scanning; rounding is monotone, so it must equal the
@@ -316,6 +339,8 @@ let suite =
     prop_instance_job_by_id;
     prop_folds_match_float_min;
     prop_job_summaries_match_scan;
+    Alcotest.test_case "job create: infinite last size of 512" `Quick
+      test_job_infinite_last_of_512;
     prop_volume_equal_speeds;
     Alcotest.test_case "time comparisons" `Quick test_time;
     Alcotest.test_case "outcome" `Quick test_outcome;
