@@ -29,12 +29,14 @@
    unboxed and is accepted.
 
    A local ref that stays local is not flagged: when [x] in
-   [let x = ref e in body] is only ever the operand of [!], [:=] (the
-   cell, not the value), [incr] or [decr], outside any closure, ocamlopt
-   turns the cell into a mutable variable (Simplif's ref elimination),
-   kept in a register, unboxed even for a float.  Any other use of [x] —
-   passed, stored, returned, captured — makes it a real heap cell, and
-   the [ref] is flagged.
+   [let x = ref e in body] is only ever the operand of Stdlib's [!],
+   [:=] (the cell, not the value), [incr] or [decr], fully applied and
+   outside any closure, [lazy], let-op body or object, ocamlopt turns
+   the cell into a mutable variable (Simplif's ref elimination), kept in
+   a register, unboxed even for a float.  Any other use of [x] — passed,
+   stored, returned, captured, partially applied — makes it a real heap
+   cell, and the [ref] is flagged, even when the capturing construct is
+   in a cold subtree.
 
    An expression marked [@rejlint.cold] (and everything beneath it) is
    exempt — the annotation marks instrumentation/trace branches that are
@@ -68,15 +70,33 @@ let rec pattern_names : type k. k Typedtree.general_pattern -> string list =
   | Tpat_alias (p, id, _) -> Ident.name id :: pattern_names p
   | _ -> []
 
+(* The name of the Stdlib value at [p], if that is where it leads.  A
+   Stdlib value is reached through the initially opened [Stdlib] (or an
+   alias of it), so its path is never a bare [Pident]: one that is names
+   the unit's own binding, such as a local [(!)] or [incr]. *)
+let stdlib_value ~env (p : Path.t) =
+  match p with
+  | Pident _ -> None
+  | _ -> ( match Typed_path.resolve env p with [ name ] -> Some name | _ -> None)
+
 (* [!], [:=], [incr] and [decr] on the cell [x]: the uses ref
    elimination rewrites. *)
-let ref_op = function [ ("!" | ":=" | "incr" | "decr") ] -> true | _ -> false
+let ref_op = function Some ("!" | ":=" | "incr" | "decr") -> true | _ -> false
+
+(* [(:=) x] without the value: the one partial application of a ref op,
+   a closure over the cell. *)
+let partial_set op rest = op = Some ":=" && rest = []
 
 let is_var id (e : Typedtree.expression) =
   match e.exp_desc with Texp_ident (Path.Pident v, _, _) -> Ident.same v id | _ -> false
 
 (* Whether the cell bound to [id] stays local in [scope]: every use is
-   the first operand of a [ref_op], and none sits inside a closure. *)
+   the first operand of a full application of a [ref_op], and none sits
+   inside a construct that compiles to a function — a closure, [lazy], a
+   let-op body or an object.  A partial application such as [(:=) x] is
+   a closure too.  Ref elimination gives up on a cell any such function
+   captures, so the cell is a real heap block, and it is flagged even
+   when the capturing construct is cold. *)
 let stays_local ~env id (scope : Typedtree.expression) =
   let escapes = ref false and in_closure = ref false in
   let expr (sub : Tast_iterator.iterator) (e : Typedtree.expression) =
@@ -84,10 +104,10 @@ let stays_local ~env id (scope : Typedtree.expression) =
     | _ when !escapes -> ()
     | Texp_ident _ when is_var id e -> escapes := true
     | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, (_, Some cell) :: rest)
-      when is_var id cell && ref_op (Typed_path.resolve env p) ->
-        if !in_closure then escapes := true;
+      when is_var id cell && ref_op (stdlib_value ~env p) ->
+        if !in_closure || partial_set (stdlib_value ~env p) rest then escapes := true;
         List.iter (fun (_, a) -> Option.iter (sub.expr sub) a) rest
-    | Texp_function _ ->
+    | Texp_function _ | Texp_lazy _ | Texp_letop _ | Texp_object _ ->
         let outer = !in_closure in
         in_closure := true;
         Tast_iterator.default_iterator.expr sub e;
@@ -103,7 +123,7 @@ let ref_init ~env (vb : Typedtree.value_binding) =
   match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
   | Tpat_var (id, _), Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, [ (_, Some init) ])
     -> (
-      match Typed_path.resolve env p with [ "ref" ] -> Some (id, init) | _ -> None)
+      match stdlib_value ~env p with Some "ref" -> Some (id, init) | _ -> None)
   | _ -> None
 
 let binding_name vb =

@@ -4,8 +4,9 @@
     position), and every [Float.min]/[Float.max] call (out of line to
     [caml_signbit]), inside the body of any binding annotated
     [let[@rejlint.hot] f ...], toplevel or local.  A [let x = ref e]
-    whose [x] is only the cell operand of [!], [:=], [incr] or [decr],
-    outside any closure, is not flagged: ocamlopt makes it a mutable
+    whose [x] is only the cell operand of a full application of
+    Stdlib's [!], [:=], [incr] or [decr], outside any closure, [lazy],
+    let-op body or object, is not flagged: ocamlopt makes it a mutable
     local.  Subtrees marked
     [@rejlint.cold] (instrumentation branches, off in the steady state)
     are exempt.  Reading an already-stored float is deliberately not

@@ -88,13 +88,13 @@ let[@inline] lambda_bound q p h =
    out because a helper taking the floats as arguments boxed them, so the
    scan allocates nothing.
 
-   Pass 1 runs once per machine per arrival, so it reads the job's sizes
-   and the driver's pending-head column as hoisted arrays, guarded once:
-   both have length [m] (the driver admits no job whose vector does not),
-   and after the guard the loop's loads need no bounds check.  Sizes are
-   positive or [infinity] ([Job.create] refuses the rest), so [p < inf]
-   is [Job.eligible]; [inf] is hoisted so the loop does not reload
-   [Stdlib.infinity] through its module block. *)
+   Pass 1 runs once per machine per arrival, so both passes read the
+   job's sizes and the driver's pending-head column as hoisted arrays,
+   guarded once: both have length [m] (the driver admits no job whose
+   vector does not), and after the guard the loops' loads need no bounds
+   check.  Sizes are positive or [infinity] ([Job.create] refuses the
+   rest), so [p < inf] is [Job.eligible]; [inf] is hoisted so the loops
+   do not reload [Stdlib.infinity] through its module block. *)
 let[@rejlint.hot] argmin_lambda st view (j : Job.t) slot =
   let eps = st.eps_eff and m = Instance.m st.instance in
   let sizes = j.Job.sizes and heads = Driver.pending_heads view in
@@ -127,9 +127,8 @@ let[@rejlint.hot] argmin_lambda st view (j : Job.t) slot =
   done;
   if !low >= 0 && (!best < 0 || !low_b < !best_c || (!low_b <= !best_c && !low < !best)) then
     for i = 0 to m - 1 do
-      let h = Driver.pending_head_size view i in
-      if h < infinity && Job.eligible j i then begin
-        let p = Job.size j i in
+      let p = Array.unsafe_get sizes i and h = Array.unsafe_get heads i in
+      if p < inf && h < inf then begin
         let q = p /. eps in
         let b = lambda_bound q p h in
         if !best < 0 || b < !best_c || (b <= !best_c && i < !best) then begin

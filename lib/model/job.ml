@@ -26,20 +26,25 @@ let record ~id ~release ~weight ~deadline sizes ~best ~count ~mask =
     eligible_mask = mask;
   }
 
-(* The full check and summary of a copied size vector, for one that
-   failed [build]'s fast pass: an infinite size, or a bad one.  One loop
-   reads each size unboxed ([Array.iter]'s closure would box every one)
-   and holds no call and no raise: under ocamlopt without flambda every
+(* The full check and summary of a copied size vector from index
+   [from] on, for one that [build]'s fast pass stopped at: [copy.(from)]
+   is infinite or bad.  Sizes [0 .. from - 1] passed that pass, so they
+   are valid and finite: the count starts at [from], the mask at their
+   [from] low bits (saturated into bit 62 past machine 61), and the
+   leftmost minimum at the fast pass's [mn] and [best].  One loop reads
+   each size unboxed ([Array.iter]'s closure would box every one) and
+   holds no call and no raise: under ocamlopt without flambda every
    register is caller-saved, so one [invalid_arg] inside it kept every
    accumulator on the stack.  It folds validity into a flag instead, and
    the raise comes after it; a bad size makes the summaries moot, so
    they may read it.  [not (p > 0.)] also catches NaN; [p -. p = 0.] is
    [Float.is_finite]. *)
-let summarize ~id ~release ~weight ~deadline copy =
+let summarize ~id ~release ~weight ~deadline copy ~from ~mn ~best =
   let n = Array.length copy in
   let positive = ref true in
-  let mn = ref Float.infinity and best = ref 0 and count = ref 0 and mask = ref 0 in
-  for k = 0 to n - 1 do
+  let mn = ref mn and best = ref best and count = ref from in
+  let mask = ref (if from <= 62 then (1 lsl from) - 1 else -1) in
+  for k = from to n - 1 do
     let p = copy.(k) in
     if not (p > 0.) then positive := false;
     if p -. p = 0. then begin
@@ -60,33 +65,37 @@ let summarize ~id ~release ~weight ~deadline copy =
    a fast pass tests only that, two compares per size, and keeps the
    leftmost minimum with a plain [<]: on such sizes it has the bits
    [Array.fold_left Float.min infinity] would, without the sign test
-   [Float.min] pays per element.  The flag is sticky: NaN, -0., 0., a
-   negative size or an infinity anywhere fails it, whatever follows.
-   When it holds, every machine is eligible, so the count is [n] and the
-   mask is [n] low bits, saturated into bit 62 past machine 61, with no
-   per-size work; otherwise {!summarize} redoes the whole vector.  [k]
-   never leaves [0 .. n - 1], so the loads skip the bounds check, and
-   [inf] is hoisted so the loop does not reload [Stdlib.infinity]
-   through its module block.  The job keeps the machine, not the size:
-   an int field costs one word, a float field three (OCaml boxes it). *)
+   [Float.min] pays per element.  It stops at the first size that fails
+   the test (NaN, -0., 0., a negative size or an infinity), and
+   {!summarize} resumes there, so every vector costs one pass.  When it
+   reaches the end, every machine is eligible, so the count is [n] and
+   the mask is [n] low bits, saturated into bit 62 past machine 61, with
+   no per-size work.  [k] never leaves [0 .. n - 1] inside the loop, so
+   the loads skip the bounds check, and [inf] is hoisted so the loop does
+   not reload [Stdlib.infinity] through its module block.  The job keeps
+   the machine, not the size: an int field costs one word, a float field
+   three (OCaml boxes it). *)
 let build ~id ~release ~weight ~deadline sizes =
   let n = Array.length sizes in
   if n = 0 then invalid_arg "Job.create: empty size vector";
   let copy = Array.sub sizes 0 n in
   let inf = Float.infinity in
-  let ok = ref true and mn = ref inf and best = ref 0 in
-  for k = 0 to n - 1 do
-    let p = Array.unsafe_get copy k in
-    if not (p > 0. && p < inf) then ok := false;
-    if p < !mn then begin
-      mn := p;
-      best := k
+  let k = ref 0 and stop = ref n and mn = ref inf and best = ref 0 in
+  while !k < !stop do
+    let p = Array.unsafe_get copy !k in
+    if p > 0. && p < inf then begin
+      if p < !mn then begin
+        mn := p;
+        best := !k
+      end;
+      incr k
     end
+    else stop := !k
   done;
-  if !ok then
+  if !k = n then
     record ~id ~release ~weight ~deadline copy ~best:!best ~count:n
       ~mask:(if n <= 62 then (1 lsl n) - 1 else -1)
-  else summarize ~id ~release ~weight ~deadline copy
+  else summarize ~id ~release ~weight ~deadline copy ~from:!k ~mn:!mn ~best:!best
 
 let create ~id ~release ?(weight = 1.) ?deadline ~sizes () =
   if not (Time.nonneg release) then invalid_arg "Job.create: negative release";

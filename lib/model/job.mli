@@ -24,9 +24,10 @@ type t = private {
 }
 (** The last three fields summarize [sizes].  {!create} computes them
     while it validates the copied vector, so reading them costs O(1) and
-    no code rescans a job's sizes for them.  An all-finite vector costs
-    one pass of two compares and a minimum test per size (count and mask
-    follow from its length); any other vector costs a second, full pass. *)
+    no code rescans a job's sizes for them.  Every vector costs one pass:
+    two compares and a minimum test per size up to its first infinite or
+    bad size (an all-finite vector's count and mask follow from its
+    length), and the full count-and-mask test per size from there on. *)
 
 val create :
   id:id -> release:Time.t -> ?weight:float -> ?deadline:Time.t -> sizes:float array -> unit -> t

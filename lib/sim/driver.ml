@@ -41,7 +41,6 @@ let pending fs i =
 
 let pending_iter fs i f = Flat_state.pend_iter fs i ~f:(fun id -> f (Flat_state.job fs id))
 let pending_count fs i = Flat_state.pend_count fs i
-let[@rejlint.hot] pending_head_size fs i = Flat_state.pend_head fs i
 let[@rejlint.hot] pending_heads fs = Flat_state.pend_heads fs
 let pending_work fs i = Flat_state.pend_work fs i
 let pending_weight fs i = Flat_state.pend_weight fs i

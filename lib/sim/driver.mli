@@ -63,18 +63,15 @@ val pending_iter : view -> Machine.id -> (Job.t -> unit) -> unit
 val pending_count : view -> Machine.id -> int
 (** O(1). *)
 
-val pending_head_size : view -> Machine.id -> float
-(** [p_ij] of {!pending_shortest}'s job — the smallest pending size on
-    machine [i] — or [infinity] when nothing is pending there; O(1),
-    allocation-free.  A lower bound on every pending job's size there,
-    which lets a scan skip a machine without querying its pending set. *)
-
 val pending_heads : view -> float array
-(** Every machine's {!pending_head_size} as one machine-indexed column
-    of length [m]; O(1), allocation-free.  It is the driver's own array,
-    current for as long as the view is, and read-only: a policy must
-    never write it.  An O(m) scan hoists it and reads it behind one
-    length guard instead of making m calls. *)
+(** The pending-head column, of length [m]: at index [i], [p_ij] of
+    machine [i]'s {!pending_shortest} job — the smallest pending size
+    there — or [infinity] when nothing is pending; O(1),
+    allocation-free.  A lower bound on every pending job's size on the
+    machine, which lets a scan skip it without querying its pending set.
+    It is the driver's own array, current for as long as the view is, and
+    read-only: a policy must never write it.  An O(m) scan hoists it and
+    reads it behind one length guard instead of making m calls. *)
 
 val pending_work : view -> Machine.id -> float
 (** Sum of [p_ij] over jobs pending on machine [i]; O(1), maintained

@@ -825,7 +825,6 @@ let[@rejlint.hot] pend_remove t i s =
   end
 
 let[@rejlint.hot] pend_count t i = Pqueue.Iheap.size t.by_spt.(i)
-let[@rejlint.hot] pend_head t i = t.p_head.(i)
 let[@rejlint.hot] pend_heads t = t.p_head
 let[@rejlint.hot] pend_work t i = t.p_work.(i)
 let[@rejlint.hot] pend_weight t i = t.p_weight.(i)

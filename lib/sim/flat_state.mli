@@ -195,19 +195,14 @@ val pend_remove : t -> int -> int -> bool
 
 val pend_count : t -> int -> int
 
-val pend_head : t -> int -> float
-(** The size on the machine of its SPT head ({!head_spt}) — the smallest
-    pending size there — or [infinity] when nothing is pending.  A
-    machine-indexed column kept by {!pend_add} and {!pend_remove}, so the
-    read is O(1). *)
-
 val pend_heads : t -> float array
-(** The column {!pend_head} reads: machine [i]'s head size at index
-    [i], of length {!m}.  The array is the state's own, fixed for its
-    life, and kept current by {!pend_add} and {!pend_remove}; readers
-    must not write it.  A scan over every machine hoists it and reads
-    it behind one length guard, with no per-machine accessor call or
-    bounds check. *)
+(** The pending-head column, of length {!m}: at index [i], the size on
+    machine [i] of its SPT head ({!head_spt}) — the smallest pending size
+    there — or [infinity] when nothing is pending.  The array is the
+    state's own, fixed for its life, and kept current by {!pend_add} and
+    {!pend_remove}; readers must not write it.  A scan over every machine
+    hoists it and reads it behind one length guard, with no per-machine
+    accessor call or bounds check. *)
 
 val pend_work : t -> int -> float
 val pend_weight : t -> int -> float
@@ -345,7 +340,7 @@ val invariant : t -> bool
     consistent and equal-sized per machine, each order's shared position
     column registering exactly the slots its heaps hold, every pending
     slot's order key equal to its size on its machine, every machine's
-    {!pend_head} equal to its SPT head's size ([infinity] when empty),
+    {!pend_heads} entry equal to its SPT head's size ([infinity] when empty),
     and the index
     (when live) a
     search tree

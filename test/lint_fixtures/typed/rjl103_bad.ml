@@ -1,8 +1,9 @@
 (* Fixture: a deliberately boxed variant of the flat event loop's
    shapes.  Every hot body below allocates structurally or calls
    [Float.min]/[Float.max] (out of line to caml_signbit); RJL103 flags
-   each construct.  The last one's ref cell outlives the call (it is
-   stored), so it is a real heap cell, not a mutable local. *)
+   each construct.  From [escaping] on, each ref cell outlives the call
+   or is handed to a function, so it is a real heap cell, not a mutable
+   local. *)
 
 type st = { mutable clock : float; q : float array; mutable last : int ref }
 
@@ -28,3 +29,33 @@ let[@rejlint.hot] escaping st =
   st.last <- count;
   incr count;
   !count
+
+(* Each cell below is captured by a construct that compiles to a
+   function, so ref elimination keeps it a heap block: flagged even
+   though the capturing construct is cold. *)
+let[@rejlint.hot] lazy_capture st =
+  let x = ref 0 in
+  ignore (lazy (incr x) [@rejlint.cold]);
+  !x + Array.length st.q
+
+let[@rejlint.hot] closure_capture st =
+  let x = ref 0 in
+  ignore ((fun () -> incr x) [@rejlint.cold]);
+  !x + Array.length st.q
+
+let[@rejlint.hot] partial_capture st =
+  let x = ref 0 in
+  let set = (( := ) x [@rejlint.cold]) in
+  set 1;
+  !x + Array.length st.q
+
+(* A unit's own [(!)] is an ordinary call that receives the cell. *)
+let kept : int ref list ref = ref []
+
+let ( ! ) r =
+  kept := r :: Stdlib.( ! ) kept;
+  Stdlib.( ! ) r
+
+let[@rejlint.hot] shadowed st =
+  let x = ref 0 in
+  !x + Array.length st.q

@@ -283,7 +283,7 @@ let test_pending_zero_pin () =
     Test_util.instance ~machines:2 [ (0., [| 0.25; 0.5 |]); (0., [| 1.25; 0.75 |]) ]
   in
   let fs = state_of instance in
-  let head i = Flat_state.pend_head fs i in
+  let head i = (Flat_state.pend_heads fs).(i) in
   Alcotest.(check (float 0.)) "empty head" infinity (head 0);
   Flat_state.pend_add fs 0 1;
   Alcotest.(check (float 0.)) "only job heads" 1.25 (head 0);
@@ -356,7 +356,7 @@ let index_agrees inst fs model =
       if Flat_state.head_spt fs i <> first then ok := false;
       (* The head column: the first job's size, [infinity] when empty. *)
       let head = if first < 0 then infinity else Job.size (Instance.job inst first) i in
-      if not (Float.equal (Flat_state.pend_head fs i) head) then ok := false)
+      if not (Float.equal (Flat_state.pend_heads fs).(i) head) then ok := false)
     model;
   !ok
 

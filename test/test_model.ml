@@ -269,20 +269,30 @@ let prop_job_summaries_match_scan =
       agrees j expected && agrees (Job.with_sizes j resized) resized)
   |> QCheck_alcotest.to_alcotest
 
-(* An infinite size after 511 finite ones fails [create]'s fast pass
-   only at the last element; the full summary must then agree with a
-   fresh scan: 511 eligible machines, the mask saturated. *)
-let test_job_infinite_last_of_512 () =
-  let sizes = Array.append valid_511 [| Float.infinity |] in
-  let j = Job.create ~id:0 ~release:0. ~sizes () in
-  let mn, best, count, mask = fresh_summary sizes in
-  Alcotest.(check int64) "min size bits" (Int64.bits_of_float mn)
-    (Int64.bits_of_float (Job.min_size j));
-  Alcotest.(check int) "best machine" best j.Job.best_machine;
-  Alcotest.(check int) "eligible count" 511 j.Job.eligible_count;
-  Alcotest.(check int) "eligible count = scan" count j.Job.eligible_count;
-  Alcotest.(check int) "eligible mask" mask j.Job.eligible_mask;
-  Alcotest.(check int) "mask saturated" (-1) j.Job.eligible_mask
+(* [create]'s fast pass stops at the first infinite size and the full
+   summary resumes there from the prefix's count, mask and minimum.  The
+   prefix lengths straddle the mask's saturation point (bit 62) and reach
+   511 of 512, where only the last size fails the fast pass; the rest of
+   the vector is all infinite, so a resumed mask that claimed bit 62 too
+   early would show. *)
+let test_job_finite_prefix_then_infinite () =
+  List.iter
+    (fun k ->
+      List.iter
+        (fun m ->
+          let sizes =
+            Array.init m (fun i -> if i < k then valid_511.(i) else Float.infinity)
+          in
+          let j = Job.create ~id:0 ~release:0. ~sizes () in
+          let mn, best, count, mask = fresh_summary sizes in
+          let what = Printf.sprintf "%d finite of %d: " k m in
+          Alcotest.(check int64) (what ^ "min size bits") (Int64.bits_of_float mn)
+            (Int64.bits_of_float (Job.min_size j));
+          Alcotest.(check int) (what ^ "best machine") best j.Job.best_machine;
+          Alcotest.(check int) (what ^ "eligible count") count j.Job.eligible_count;
+          Alcotest.(check int) (what ^ "eligible mask") mask j.Job.eligible_mask)
+        [ k + 1; 512 ])
+    [ 1; 2; 61; 62; 63; 64; 130; 511 ]
 
 (* On a fleet of one speed [volume] sums the cached minima divided by the
    speed instead of scanning; rounding is monotone, so it must equal the
@@ -339,8 +349,8 @@ let suite =
     prop_instance_job_by_id;
     prop_folds_match_float_min;
     prop_job_summaries_match_scan;
-    Alcotest.test_case "job create: infinite last size of 512" `Quick
-      test_job_infinite_last_of_512;
+    Alcotest.test_case "job create: finite prefix, infinite rest" `Quick
+      test_job_finite_prefix_then_infinite;
     prop_volume_equal_speeds;
     Alcotest.test_case "time comparisons" `Quick test_time;
     Alcotest.test_case "outcome" `Quick test_outcome;
