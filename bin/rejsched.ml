@@ -586,6 +586,10 @@ let trace_cmd =
       prerr_endline "rejsched: --ring-cap must be >= 1";
       exit 2
     end;
+    if Option.fold ~none:false ~some:(fun k -> k < 0) last then begin
+      prerr_endline "rejsched: --last must be >= 0";
+      exit 2
+    end;
     let inst, case_policy =
       match (case, load) with
       | Some path, _ -> (
@@ -884,6 +888,10 @@ let serve_cmd =
 let bounds_cmd =
   let action eps alpha =
     let module B = Rejection.Bounds in
+    (* Every row depends on eps or alpha: check both before printing any. *)
+    if not (eps > 0. && eps < 1.) then
+      invalid_arg (Printf.sprintf "--eps must lie in (0,1) (got %g)" eps);
+    if not (alpha > 1.) then invalid_arg (Printf.sprintf "--alpha must exceed 1 (got %g)" alpha);
     Printf.printf "Theorem 1 (flow-time):\n";
     Printf.printf "  competitive ratio bound  2((1+e)/e)^2 = %.3f\n" (B.flow_competitive ~eps);
     Printf.printf "  rejection budget         2e           = %.3f\n" (B.flow_rejection_budget ~eps);

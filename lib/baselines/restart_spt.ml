@@ -10,16 +10,15 @@ let config ?(kill_factor = 4.) ?(max_restarts = 2) () =
 
 type state = {
   cfg : config;
-  instance : Instance.t;
+  m : int;  (** Machines in the fleet. *)
   mutable restarted : int array;  (** Times each job has been killed, by job slot. *)
   mutable total_restarts : int;
 }
 
-let init cfg instance =
-  { cfg; instance; restarted = Array.make (Instance.n instance) 0; total_restarts = 0 }
+let init cfg machines =
+  { cfg; m = Array.length machines; restarted = [||]; total_restarts = 0 }
 
-(* Streaming sessions init with zero jobs; the per-job counters grow on
-   first sight of a higher slot (batch runs pre-size to n). *)
+(* The per-job counters grow on first sight of a higher slot. *)
 let ensure st slot =
   let len = Array.length st.restarted in
   if slot >= len then begin
@@ -37,7 +36,7 @@ let on_arrival st view (j : Job.t) =
   st.restarted.(slot) <- 0;
   (* Greedy estimated-completion dispatch, as the non-rejecting baselines. *)
   let best = ref None in
-  for i = 0 to Instance.m st.instance - 1 do
+  for i = 0 to st.m - 1 do
     if Job.eligible j i then begin
       let c = Driver.remaining_time view i +. Driver.pending_work view i +. Job.size j i in
       match !best with

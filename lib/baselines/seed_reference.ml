@@ -21,6 +21,11 @@ let argmin_machine m (j : Job.t) cost =
   done;
   match !best with Some ic -> ic | None -> assert false
 
+(* Per-job counters are keyed by external id and learnt one arrival at a
+   time, like the policies' own state: a table read only through
+   [find_opt] and written through [replace], never iterated. *)
+let counter tbl id ~zero = Option.value (Hashtbl.find_opt tbl id) ~default:zero
+
 (* ------------------------------------------------------------------ *)
 (* Theorem 1 (unweighted flow-time with rejections). *)
 
@@ -30,7 +35,7 @@ type fr_state = {
   fr_eps_eff : float;
   fr_thr1 : int;
   fr_thr2 : int;
-  fr_v : int array;
+  fr_v : (Job.id, int) Hashtbl.t;
   fr_c : int array;
 }
 
@@ -49,16 +54,17 @@ let fr_lambda eps i (j : Job.t) pending =
   (pij /. eps) +. !before +. pij +. (float_of_int !after *. pij)
 
 let flow_reject (cfg : Rejection.Flow_reject.config) =
-  let init instance =
+  let init machines =
+    let m = Array.length machines in
     let inv = Float.ceil (1. /. cfg.Rejection.Flow_reject.eps) in
     {
       fr_cfg = cfg;
-      fr_m = Instance.m instance;
+      fr_m = m;
       fr_eps_eff = 1. /. inv;
       fr_thr1 = int_of_float inv;
       fr_thr2 = int_of_float inv + 1;
-      fr_v = Array.make (Instance.n instance) 0;
-      fr_c = Array.make (max 1 (Instance.m instance)) 0;
+      fr_v = Hashtbl.create 64;
+      fr_c = Array.make m 0;
     }
   in
   let on_arrival st view (j : Job.t) =
@@ -77,8 +83,9 @@ let flow_reject (cfg : Rejection.Flow_reject.config) =
     (match Driver.running_on view target with
     | Some r ->
         let k = r.Driver.job.Job.id in
-        st.fr_v.(k) <- st.fr_v.(k) + 1;
-        if st.fr_cfg.Rejection.Flow_reject.rule1 && st.fr_v.(k) >= st.fr_thr1 then
+        let v = counter st.fr_v k ~zero:0 + 1 in
+        Hashtbl.replace st.fr_v k v;
+        if st.fr_cfg.Rejection.Flow_reject.rule1 && v >= st.fr_thr1 then
           rejections := k :: !rejections
     | None -> ());
     if st.fr_cfg.Rejection.Flow_reject.rule2 && st.fr_c.(target) >= st.fr_thr2 then begin
@@ -99,7 +106,7 @@ let flow_reject (cfg : Rejection.Flow_reject.config) =
         let shortest =
           List.fold_left (fun acc l -> if fr_precede i l acc then l else acc) first rest
         in
-        st.fr_v.(shortest.Job.id) <- 0;
+        Hashtbl.replace st.fr_v shortest.Job.id 0;
         Some { Driver.job = shortest.Job.id; speed = 1.0 }
   in
   { Driver.name = "ref-flow-reject"; init; on_arrival; select }
@@ -110,7 +117,7 @@ let flow_reject (cfg : Rejection.Flow_reject.config) =
 type frw_state = {
   frw_cfg : Rejection.Flow_reject_weighted.config;
   frw_m : int;
-  frw_v : float array;
+  frw_v : (Job.id, float) Hashtbl.t;
   frw_c : float array;
 }
 
@@ -131,13 +138,9 @@ let frw_lambda eps i (j : Job.t) pending =
   (j.weight *. ((pij /. eps) +. !before +. pij)) +. (!after_w *. pij)
 
 let flow_reject_weighted (cfg : Rejection.Flow_reject_weighted.config) =
-  let init instance =
-    {
-      frw_cfg = cfg;
-      frw_m = Instance.m instance;
-      frw_v = Array.make (Instance.n instance) 0.;
-      frw_c = Array.make (Instance.m instance) 0.;
-    }
+  let init machines =
+    let m = Array.length machines in
+    { frw_cfg = cfg; frw_m = m; frw_v = Hashtbl.create 64; frw_c = Array.make m 0. }
   in
   let on_arrival st view (j : Job.t) =
     let eps = st.frw_cfg.Rejection.Flow_reject_weighted.eps in
@@ -149,9 +152,10 @@ let flow_reject_weighted (cfg : Rejection.Flow_reject_weighted.config) =
     (match Driver.running_on view target with
     | Some r ->
         let k = r.Driver.job in
-        st.frw_v.(k.Job.id) <- st.frw_v.(k.Job.id) +. j.weight;
-        if st.frw_cfg.Rejection.Flow_reject_weighted.rule1 && st.frw_v.(k.Job.id) > k.Job.weight /. eps
-        then rejections := k.Job.id :: !rejections
+        let v = counter st.frw_v k.Job.id ~zero:0. +. j.weight in
+        Hashtbl.replace st.frw_v k.Job.id v;
+        if st.frw_cfg.Rejection.Flow_reject_weighted.rule1 && v > k.Job.weight /. eps then
+          rejections := k.Job.id :: !rejections
     | None -> ());
     if st.frw_cfg.Rejection.Flow_reject_weighted.rule2 then begin
       let bigger (a : Job.t) (b : Job.t) =
@@ -177,7 +181,7 @@ let flow_reject_weighted (cfg : Rejection.Flow_reject_weighted.config) =
         let head =
           List.fold_left (fun acc l -> if frw_precede i l acc then l else acc) first rest
         in
-        st.frw_v.(head.Job.id) <- 0.;
+        Hashtbl.replace st.frw_v head.Job.id 0.;
         Some { Driver.job = head.Job.id; speed = 1.0 }
   in
   { Driver.name = "ref-flow-reject-weighted"; init; on_arrival; select }
@@ -187,13 +191,13 @@ let flow_reject_weighted (cfg : Rejection.Flow_reject_weighted.config) =
 
 type fer_state = {
   fer_cfg : Rejection.Flow_energy_reject.config;
-  fer_instance : Instance.t;
+  fer_alphas : float array;
   fer_gammas : float array;
-  fer_v : float array;
+  fer_v : (Job.id, float) Hashtbl.t;
 }
 
 let fer_lambda st i (j : Job.t) pending =
-  let alpha = (Instance.machine st.fer_instance i).Machine.alpha in
+  let alpha = st.fer_alphas.(i) in
   let gamma = st.fer_gammas.(i) in
   let eps = st.fer_cfg.Rejection.Flow_energy_reject.eps in
   let seq = List.sort (fun a b -> if frw_precede i a b then -1 else 1) (j :: pending) in
@@ -216,35 +220,31 @@ let fer_lambda st i (j : Job.t) pending =
   +. (!after_w *. pij /. (gamma *. (!wj_prefix ** (1. /. alpha))))
 
 let flow_energy_reject (cfg : Rejection.Flow_energy_reject.config) =
-  let init instance =
+  let init machines =
+    let alphas = Array.map (fun (mc : Machine.t) -> mc.Machine.alpha) machines in
     let gammas =
       Array.map
-        (fun (mc : Machine.t) ->
+        (fun alpha ->
           match cfg.Rejection.Flow_energy_reject.gamma with
           | Some g -> g
-          | None ->
-              Rejection.Bounds.gamma_best ~eps:cfg.Rejection.Flow_energy_reject.eps ~alpha:mc.Machine.alpha)
-        (Array.init (Instance.m instance) (Instance.machine instance))
+          | None -> Rejection.Bounds.gamma_best ~eps:cfg.Rejection.Flow_energy_reject.eps ~alpha)
+        alphas
     in
-    {
-      fer_cfg = cfg;
-      fer_instance = instance;
-      fer_gammas = gammas;
-      fer_v = Array.make (Instance.n instance) 0.;
-    }
+    { fer_cfg = cfg; fer_alphas = alphas; fer_gammas = gammas; fer_v = Hashtbl.create 64 }
   in
   let on_arrival st view (j : Job.t) =
     let target =
       fst
-        (argmin_machine (Instance.m st.fer_instance) j (fun i ->
+        (argmin_machine (Array.length st.fer_alphas) j (fun i ->
              fer_lambda st i j (Driver.pending view i)))
     in
     let rejections = ref [] in
     (match Driver.running_on view target with
     | Some r ->
         let k = r.Driver.job in
-        st.fer_v.(k.Job.id) <- st.fer_v.(k.Job.id) +. j.weight;
-        if st.fer_v.(k.Job.id) > k.Job.weight /. st.fer_cfg.Rejection.Flow_energy_reject.eps then
+        let v = counter st.fer_v k.Job.id ~zero:0. +. j.weight in
+        Hashtbl.replace st.fer_v k.Job.id v;
+        if v > k.Job.weight /. st.fer_cfg.Rejection.Flow_energy_reject.eps then
           rejections := [ k.Job.id ]
     | None -> ());
     { Driver.dispatch_to = target; reject = !rejections; restart = [] }
@@ -256,12 +256,12 @@ let flow_energy_reject (cfg : Rejection.Flow_energy_reject.config) =
         let head =
           List.fold_left (fun acc l -> if frw_precede i l acc then l else acc) first rest
         in
-        let alpha = (Instance.machine st.fer_instance i).Machine.alpha in
+        let alpha = st.fer_alphas.(i) in
         let total_weight =
           List.fold_left (fun acc (l : Job.t) -> acc +. l.Job.weight) 0. pending
         in
         let speed = st.fer_gammas.(i) *. (total_weight ** (1. /. alpha)) in
-        st.fer_v.(head.Job.id) <- 0.;
+        Hashtbl.replace st.fer_v head.Job.id 0.;
         Some { Driver.job = head.Job.id; speed }
   in
   { Driver.name = "ref-flow-energy-reject"; init; on_arrival; select }
@@ -359,16 +359,12 @@ let immediate_reject ~eps heuristic =
 type rs_state = {
   rs_cfg : Restart_spt.config;
   rs_m : int;
-  rs_restarted : int array;
+  rs_restarted : (Job.id, int) Hashtbl.t;
 }
 
 let restart_spt (cfg : Restart_spt.config) =
-  let init instance =
-    {
-      rs_cfg = cfg;
-      rs_m = Instance.m instance;
-      rs_restarted = Array.make (Instance.n instance) 0;
-    }
+  let init machines =
+    { rs_cfg = cfg; rs_m = Array.length machines; rs_restarted = Hashtbl.create 64 }
   in
   let on_arrival st view (j : Job.t) =
     let target =
@@ -379,14 +375,15 @@ let restart_spt (cfg : Restart_spt.config) =
     let restart =
       match Driver.running_on view target with
       | Some r ->
-          let k = r.Driver.job in
+          let k = r.Driver.job.Job.id in
+          let restarted = counter st.rs_restarted k ~zero:0 in
           if
-            st.rs_restarted.(k.Job.id) < st.rs_cfg.Restart_spt.max_restarts
+            restarted < st.rs_cfg.Restart_spt.max_restarts
             && Driver.remaining_time view target
                > st.rs_cfg.Restart_spt.kill_factor *. Job.size j target
           then begin
-            st.rs_restarted.(k.Job.id) <- st.rs_restarted.(k.Job.id) + 1;
-            [ k.Job.id ]
+            Hashtbl.replace st.rs_restarted k (restarted + 1);
+            [ k ]
           end
           else []
       | None -> []

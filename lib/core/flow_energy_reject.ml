@@ -13,7 +13,7 @@ let config ?gamma ~eps () =
 
 type state = {
   cfg : config;
-  instance : Instance.t;
+  alphas : float array;  (** Power exponent per machine. *)
   gammas : float array;  (** Speed constant per machine. *)
   mutable v : float array;  (** Weight counters of running jobs, by job slot. *)
   mutable lambda : float array;  (** Dual variables, by job slot. *)
@@ -30,7 +30,7 @@ let precede i (a : Job.t) (b : Job.t) =
 (* lambda_ij over the density-sorted pending-plus-j sequence, using prefix
    weights W_l (inclusive of l). *)
 let lambda_ij st i (j : Job.t) pending =
-  let alpha = (Instance.machine st.instance i).Machine.alpha in
+  let alpha = st.alphas.(i) in
   let gamma = st.gammas.(i) in
   let eps = st.cfg.eps in
   let seq = List.sort (fun a b -> if precede i a b then -1 else 1) (j :: pending) in
@@ -55,9 +55,9 @@ let lambda_ij st i (j : Job.t) pending =
   (j.weight *. ((pij /. eps) +. !upto_j))
   +. (!after_w *. pij /. (gamma *. (!wj_prefix ** (1. /. alpha))))
 
-let argmin_machine instance (j : Job.t) cost =
+let argmin_machine m (j : Job.t) cost =
   let best = ref None in
-  for i = 0 to Instance.m instance - 1 do
+  for i = 0 to m - 1 do
     if Job.eligible j i then begin
       let c = cost i in
       match !best with
@@ -67,27 +67,17 @@ let argmin_machine instance (j : Job.t) cost =
   done;
   match !best with Some ic -> ic | None -> assert false
 
-let init cfg instance =
-  let n = Instance.n instance in
+let init cfg machines =
+  let alphas = Array.map (fun (mc : Machine.t) -> mc.Machine.alpha) machines in
   let gammas =
     Array.map
-      (fun (mc : Machine.t) ->
-        match cfg.gamma with
-        | Some g -> g
-        | None -> Bounds.gamma_best ~eps:cfg.eps ~alpha:mc.Machine.alpha)
-      (Array.init (Instance.m instance) (Instance.machine instance))
+      (fun alpha ->
+        match cfg.gamma with Some g -> g | None -> Bounds.gamma_best ~eps:cfg.eps ~alpha)
+      alphas
   in
-  {
-    cfg;
-    instance;
-    gammas;
-    v = Array.make n 0.;
-    lambda = Array.make n 0.;
-    ids = Array.make n (-1);
-  }
+  { cfg; alphas; gammas; v = [||]; lambda = [||]; ids = [||] }
 
-(* Streaming sessions init with zero jobs; the per-job columns grow on
-   first sight of a higher slot (batch runs pre-size to n). *)
+(* The per-job columns grow on first sight of a higher slot. *)
 let ensure st slot =
   let len = Array.length st.v in
   if slot >= len then begin
@@ -105,7 +95,7 @@ let ensure st slot =
 
 let on_arrival st view (j : Job.t) =
   let target, best =
-    argmin_machine st.instance j (fun i -> lambda_ij st i j (Driver.pending view i))
+    argmin_machine (Array.length st.alphas) j (fun i -> lambda_ij st i j (Driver.pending view i))
   in
   let slot = Driver.slot view j in
   ensure st slot;
@@ -125,7 +115,7 @@ let select st view i =
   match Driver.pending_densest view i with
   | None -> None
   | Some head ->
-      let alpha = (Instance.machine st.instance i).Machine.alpha in
+      let alpha = st.alphas.(i) in
       let total_weight = Driver.pending_weight view i in
       let speed = st.gammas.(i) *. (total_weight ** (1. /. alpha)) in
       (* A fresh counter for the execution about to begin (which also

@@ -43,9 +43,9 @@ val policy : config -> state Driver.policy
 
 val lambdas : state -> float array
 (** Dual variables [lambda_j = eps/(1+eps) min_i lambda_ij], by job id.
-    Complete for a run that does not retire ({!Sched_sim.Driver.run}); a
-    retiring session reuses slots and keeps only the jobs that hold
-    one. *)
+    Complete for a run that does not retire ({!Sched_sim.Driver.run} or
+    a non-retiring session, which leave the same bits); a retiring
+    session reuses slots and keeps only the jobs that hold one. *)
 
 val gamma_of_machine : state -> Machine.id -> float
 (** The speed constant actually used on a machine. *)

@@ -11,7 +11,7 @@ let config ?(rule1 = true) ?(rule2 = true) ?(dispatch = Dual_lambda) ~eps () =
 
 type state = {
   cfg : config;
-  instance : Instance.t;
+  m : int;  (** Machines in the fleet. *)
   eps_eff : float;
       (** The effective epsilon [1 / ceil(1/eps)]: integer counters cannot
           trip at a fractional [1/eps], so the algorithm {e is} the paper's
@@ -96,7 +96,7 @@ let[@inline] lambda_bound q p h =
    rest), so [p < inf] is [Job.eligible]; [inf] is hoisted so the loops
    do not reload [Stdlib.infinity] through its module block. *)
 let[@rejlint.hot] argmin_lambda st view (j : Job.t) slot =
-  let eps = st.eps_eff and m = Instance.m st.instance in
+  let eps = st.eps_eff and m = st.m in
   let sizes = j.Job.sizes and heads = Driver.pending_heads view in
   if Array.length sizes < m || Array.length heads < m then
     (invalid_arg "Flow_reject: size vector or pending-head column shorter than m"
@@ -150,7 +150,7 @@ let[@rejlint.hot] argmin_lambda st view (j : Job.t) slot =
    only when [not (best <= c)]). *)
 let argmin_greedy st view (j : Job.t) =
   let best = ref (-1) and best_c = ref 0. in
-  for i = 0 to Instance.m st.instance - 1 do
+  for i = 0 to st.m - 1 do
     if Job.eligible j i then begin
       let c = greedy_load_cost view i j in
       if !best < 0 || not (!best_c <= c) then begin
@@ -171,26 +171,24 @@ let largest_pending view i (j_new : Job.t) =
   | None -> j_new
   | Some w -> if precede i j_new w then w else j_new
 
-let init cfg instance =
-  let n = Instance.n instance in
+let init cfg machines =
+  let m = Array.length machines in
   let inv = Float.ceil (1. /. cfg.eps) in
   {
     cfg;
-    instance;
+    m;
     eps_eff = 1. /. inv;
     thr1 = int_of_float inv;
     thr2 = int_of_float inv + 1;
-    v = Array.make n 0;
-    c = Array.make (max 1 (Instance.m instance)) 0;
-    lambda = Array.make n 0.;
-    ids = Array.make n (-1);
+    v = [||];
+    c = Array.make m 0;
+    lambda = [||];
+    ids = [||];
     rej1 = 0;
     rej2 = 0;
   }
 
-(* Streaming sessions init with zero jobs; the per-job columns grow on
-   first sight of a higher slot (batch runs pre-size to n, so this never
-   fires there). *)
+(* The per-job columns grow on first sight of a higher slot. *)
 let ensure st slot =
   let len = Array.length st.v in
   if slot >= len then begin

@@ -50,7 +50,8 @@ val lambdas : state -> float array
 (** After a run: the dual variables [lambda_j = eps/(1+eps) min_i lambda_ij]
     fixed at each job's arrival (Lemma 4 instrumentation), indexed by job
     id.  Defined with {!effective_eps}.  Complete for a run that does not
-    retire ({!Sched_sim.Driver.run}); a retiring session reuses slots and
+    retire ({!Sched_sim.Driver.run} or a non-retiring session, which
+    leave the same bits); a retiring session reuses slots and
     keeps only the jobs that hold one. *)
 
 val effective_eps : state -> float

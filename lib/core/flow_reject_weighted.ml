@@ -10,7 +10,7 @@ let config ?(rule1 = true) ?(rule2 = true) ~eps () =
 
 type state = {
   cfg : config;
-  instance : Instance.t;
+  m : int;  (** Machines in the fleet. *)
   mutable v : float array;  (** Weight accumulated against the running job, by slot. *)
   c : float array;  (** Weight accumulated per machine since last reset. *)
 }
@@ -41,9 +41,9 @@ let lambda_ij eps view i (j : Job.t) =
       if precede i l j then before := !before +. Job.size l i else after_w := !after_w +. l.weight);
   (j.weight *. ((pij /. eps) +. !before +. pij)) +. (!after_w *. pij)
 
-let argmin_machine instance (j : Job.t) cost =
+let argmin_machine m (j : Job.t) cost =
   let best = ref None in
-  for i = 0 to Instance.m instance - 1 do
+  for i = 0 to m - 1 do
     if Job.eligible j i then begin
       let c = cost i in
       match !best with
@@ -53,16 +53,11 @@ let argmin_machine instance (j : Job.t) cost =
   done;
   match !best with Some (i, _) -> i | None -> assert false
 
-let init cfg instance =
-  {
-    cfg;
-    instance;
-    v = Array.make (Instance.n instance) 0.;
-    c = Array.make (Instance.m instance) 0.;
-  }
+let init cfg machines =
+  let m = Array.length machines in
+  { cfg; m; v = [||]; c = Array.make m 0. }
 
-(* Streaming sessions init with zero jobs; the per-job counters grow on
-   first sight of a higher slot (batch runs pre-size to n). *)
+(* The per-job counters grow on first sight of a higher slot. *)
 let ensure st slot =
   let len = Array.length st.v in
   if slot >= len then begin
@@ -73,7 +68,7 @@ let ensure st slot =
   end
 
 let on_arrival st view (j : Job.t) =
-  let target = argmin_machine st.instance j (fun i -> lambda_ij st.cfg.eps view i j) in
+  let target = argmin_machine st.m j (fun i -> lambda_ij st.cfg.eps view i j) in
   ensure st (Driver.slot view j);
   let eps = st.cfg.eps in
   st.c.(target) <- st.c.(target) +. j.weight;

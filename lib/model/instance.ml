@@ -1,12 +1,15 @@
 type t = { name : string; machines : Machine.t array; jobs : Job.t array; by_id : Job.t array }
 
-let create ?(name = "instance") ~machines ~jobs () =
-  let m = Array.length machines in
-  if m = 0 then invalid_arg "Instance.create: no machines";
+let check_fleet machines =
+  if Array.length machines = 0 then invalid_arg "Instance.create: no machines";
   Array.iteri
     (fun i (mc : Machine.t) ->
       if mc.id <> i then invalid_arg "Instance.create: machine ids must be 0..m-1")
-    machines;
+    machines
+
+let create ?(name = "instance") ~machines ~jobs () =
+  check_fleet machines;
+  let m = Array.length machines in
   let jobs = Array.of_list jobs in
   let n = Array.length jobs in
   let by_id = Array.copy jobs in

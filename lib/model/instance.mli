@@ -11,6 +11,11 @@ type t = private {
   by_id : Job.t array;  (** The same jobs, indexed by id. *)
 }
 
+val check_fleet : Machine.t array -> unit
+(** Raises [Invalid_argument] unless the fleet has at least one machine
+    and its ids are [0..m-1] — the fleet half of {!create}'s checks, for
+    a simulation state that starts from the machines alone. *)
+
 val create : ?name:string -> machines:Machine.t array -> jobs:Job.t list -> unit -> t
 (** Validates: at least one machine, machine ids are [0..m-1], every job's
     size vector has length [m], and job ids form [0..n-1] (ids need not be

@@ -107,7 +107,7 @@ type start = { job : Job.id; speed : float }
 
 type 'a policy = {
   name : string;
-  init : Instance.t -> 'a;
+  init : Machine.t array -> 'a;
   on_arrival : 'a -> view -> Job.t -> decision;
   select : 'a -> view -> Machine.id -> start option;
 }
@@ -359,9 +359,10 @@ let make_handlers ?rows fs policy pstate =
   (commit_arrival, commit_finish)
 
 (* ------------------------------------------------------------------ *)
-(* The incremental session: the one engine.  [run] below is a thin
-   wrapper — open, feed every job, close — so the batch path is literally
-   a replay of the session path.
+(* The incremental session: the one engine.  [run] below opens a plain
+   session, feeds every job of its instance and closes it against that
+   instance, so the batch path is literally a replay of the session
+   path.
 
    Why streaming is byte-identical to batch: arrival tags carry a high
    kind bit ([Pqueue.Events.Key.arrival_bit]), so cross-kind ordering at
@@ -396,7 +397,6 @@ type 'a session = {
           rolling-retirement memory bound the bench gates. *)
   mutable ss_closed : bool;
   ss_minor : float array;  (** minor words across all drains *)
-  ss_batch : Instance.t option;
   ss_name : string;  (** name the materialized instance carries *)
 }
 
@@ -418,15 +418,14 @@ type 'a frozen = {
   z_trace : Trace.t option;  (** only the rows the reader has not released *)
   z_recorder : Rec.t option;  (** a [?recorder] sink; [None] when the trace is the sink *)
   z_minor : float;
-  z_batch : Instance.t option;
   z_name : string;
   z_iname : string;
 }
 
 (* Wraps a state [fs] and policy state [pstate] in a session record, with
    the per-event handlers wired to them and to its one row sink. *)
-let session_of ?trace ?obs ?recorder ~hwm ~last_rel ~last_id ~nfed ~fed ~minor ~batch
-    ~name fs policy pstate =
+let session_of ?trace ?obs ?recorder ~hwm ~last_rel ~last_id ~nfed ~fed ~minor ~name fs
+    policy pstate =
   let rows =
     match (trace, recorder) with
     | Some t, Some rc when Trace.recorder t != rc ->
@@ -451,19 +450,14 @@ let session_of ?trace ?obs ?recorder ~hwm ~last_rel ~last_id ~nfed ~fed ~minor ~
     ss_fed = fed;
     ss_closed = false;
     ss_minor = [| minor |];
-    ss_batch = batch;
     ss_name = name;
   }
 
-let session_make ?trace ?obs ?recorder ~retire ~batch ~name ~machines policy =
-  let fs = Flat_state.of_stream ~machines in
-  if retire then Flat_state.set_retire fs true;
-  (match batch with
-  | Some instance -> Flat_state.reserve fs (Instance.n instance)
-  | None -> ());
-  let pstate = policy.init (match batch with Some i -> i | None -> Flat_state.instance fs) in
+let session_open ?trace ?obs ?recorder ?(retire = false) ?(name = "stream") ~machines policy =
+  let fs = Flat_state.of_stream ~retire ~machines in
+  let pstate = policy.init machines in
   session_of ?trace ?obs ?recorder ~hwm:neg_infinity ~last_rel:neg_infinity ~last_id:(-1)
-    ~nfed:0 ~fed:[] ~minor:0. ~batch ~name fs policy pstate
+    ~nfed:0 ~fed:[] ~minor:0. ~name fs policy pstate
 
 let session_feed s (j : Job.t) =
   if s.ss_closed then invalid_arg "Driver.Session: feed on a closed session";
@@ -521,7 +515,9 @@ let session_drain_until s horizon =
   session_drain s ~limit:horizon;
   if horizon > s.ss_hwm.(0) then s.ss_hwm.(0) <- horizon
 
-let session_close s =
+(* Drains the queue dry and closes the session; the caller builds the
+   schedule, if any, against the instance of the jobs fed. *)
+let session_end s =
   if s.ss_closed then invalid_arg "Driver.Session: close on a closed session";
   session_drain s ~limit:infinity;
   s.ss_closed <- true;
@@ -532,19 +528,21 @@ let session_close s =
       invalid_arg
         (Printf.sprintf "Driver: policy %s left work unfinished on machine %d" s.ss_policy.name
            i)
-  done;
+  done
+
+let session_close s =
+  session_end s;
+  let fs = s.ss_fs in
   if Flat_state.retire fs then (None, s.ss_pstate, live fs)
   else begin
-    (match s.ss_batch with
-    | Some instance -> Flat_state.set_instance fs instance
-    | None ->
-        (* Materialize the fed stream as a real instance so the schedule
-           gets the same boxed shape batch runs produce.
-           [Instance.create] re-validates — dense job ids included. *)
-        let machines = (Flat_state.instance fs).Instance.machines in
-        Flat_state.set_instance fs
-          (Instance.create ~name:s.ss_name ~machines ~jobs:(List.rev s.ss_fed) ()));
-    (Some (Flat_state.to_schedule fs), s.ss_pstate, live fs)
+    (* Materialize the fed stream as a real instance, so the schedule
+       gets the same boxed shape [run]'s does.  [Instance.create]
+       re-validates — dense job ids included. *)
+    let instance =
+      Instance.create ~name:s.ss_name ~machines:(Flat_state.machines fs)
+        ~jobs:(List.rev s.ss_fed) ()
+    in
+    (Some (Flat_state.to_schedule fs instance), s.ss_pstate, live fs)
   end
 
 let session_freeze s =
@@ -561,7 +559,6 @@ let session_freeze s =
       z_trace = Option.map Trace.unread s.ss_trace;
       z_recorder = (if Option.is_none s.ss_trace then s.ss_rows else None);
       z_minor = s.ss_minor.(0);
-      z_batch = s.ss_batch;
       z_name = s.ss_policy.name;
       z_iname = s.ss_name;
     }
@@ -578,15 +575,12 @@ let session_thaw ?obs policy payload =
          policy.name);
   session_of ?trace:z.z_trace ?obs ?recorder:z.z_recorder ~hwm:z.z_hwm
     ~last_rel:z.z_last_rel ~last_id:z.z_last_id ~nfed:z.z_nfed ~fed:z.z_fed ~minor:z.z_minor
-    ~batch:z.z_batch ~name:z.z_iname z.z_fs policy z.z_pstate
+    ~name:z.z_iname z.z_fs policy z.z_pstate
 
 module Session = struct
   type 'a t = 'a session
 
-  let open_session ?trace ?obs ?recorder ?(retire = false) ?(name = "stream") ~machines
-      policy =
-    session_make ?trace ?obs ?recorder ~retire ~batch:None ~name ~machines policy
-
+  let open_session = session_open
   let feed = session_feed
   let drain_until = session_drain_until
   let next_key s = Flat_state.next_key s.ss_fs
@@ -601,13 +595,13 @@ end
 
 let run ?trace ?obs ?recorder policy instance =
   let s =
-    session_make ?trace ?obs ?recorder ~retire:false ~batch:(Some instance)
-      ~name:instance.Instance.name ~machines:instance.Instance.machines policy
+    session_open ?trace ?obs ?recorder ~name:instance.Instance.name
+      ~machines:instance.Instance.machines policy
   in
+  Flat_state.reserve s.ss_fs (Instance.n instance);
   let jobs = Instance.jobs_by_release instance in
   for k = 0 to Array.length jobs - 1 do
     session_feed s jobs.(k)
   done;
-  match session_close s with
-  | Some schedule, pstate, lm -> (schedule, pstate, lm)
-  | None, _, _ -> assert false
+  session_end s;
+  (Flat_state.to_schedule s.ss_fs instance, s.ss_pstate, live s.ss_fs)

@@ -176,7 +176,13 @@ type start = { job : Job.id; speed : float }
 
 type 'a policy = {
   name : string;
-  init : Instance.t -> 'a;
+  init : Machine.t array -> 'a;
+      (** Builds the policy's state from the machine fleet alone — the
+          paper's online model: a policy knows only the jobs released so
+          far, so it learns each one at {!field-on_arrival}.  Per-job
+          state is keyed by {!slot} and grown on first sight of a higher
+          slot; every run, {!run} included, is a session, so there is no
+          job count to pre-size by. *)
   on_arrival : 'a -> view -> Job.t -> decision;
   select : 'a -> view -> Machine.id -> start option;
       (** Called whenever [machine] is idle and may start work (after an
@@ -233,8 +239,11 @@ val run :
   'a policy ->
   Instance.t ->
   Schedule.t * 'a * live_metrics
-(** Simulates the policy on the instance: opens a {!Session}, feeds every
-    job in release order and closes it.  Returns the schedule, the
+(** Simulates the policy on the instance: opens a plain {!Session} over
+    its fleet, feeds every job in release order and closes it,
+    materializing the schedule against [instance] itself.  The policy
+    sees the jobs only as they are released, exactly as a served
+    stream's.  Returns the schedule, the
     policy's final state (which instrumented policies use to expose
     analysis data, e.g. the dual variables of Lemma 4) and the final
     incremental-metrics snapshot.  Raises [Invalid_argument] on an
@@ -248,7 +257,9 @@ val run :
     fleet alone, feed arrivals as they become known, drain the event loop
     up to a horizon, and close to materialize the schedule.  {!run} {e is}
     a session — open, feed every job, close — so the batch path is a
-    verbatim replay of the session path.
+    verbatim replay of the session path, and the policy state it returns
+    equals a non-retiring session's over the same jobs, however they
+    were chunked.
 
     {b Byte-identity.}  Provided jobs are fed in strictly increasing
     [(release, id)] order (the order {!Sched_model.Instance.jobs_by_release}
@@ -292,10 +303,8 @@ module Session : sig
     machines:Machine.t array ->
     'a policy ->
     'a t
-  (** Opens a session over the fleet.  The policy's [init] sees a
-      machines-only instance (zero jobs): registry policies size their
-      per-job state lazily, so this is unobservable.  [?retire]
-      enables segment retirement; [?name] (default ["stream"]) names
+  (** Opens a session over the fleet, which is also all the policy's
+      [init] sees.  [?retire] enables segment retirement; [?name] (default ["stream"]) names
       the instance {!close} materializes, letting a streamed schedule
       serialize byte-identically to a batch run over a same-named
       instance.  Raises [Invalid_argument] on an invalid fleet. *)

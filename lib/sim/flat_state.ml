@@ -207,15 +207,13 @@ module Runs = struct
 end
 
 type t = {
-  mutable instance : Instance.t;
-      (* Batch: the full instance.  Streaming: a machines-only stand-in
-         until [set_instance] swaps the materialized one in at close. *)
+  machines : Machine.t array;
   mutable n : int;  (* jobs fed so far *)
   m : int;
   mutable cap : int;
       (* Slot capacity: the length of every job column.  Grows by
          doubling when every slot is taken. *)
-  mutable retire : bool;
+  retire : bool;
       (* Rolling-retirement mode: completed/rejected work is folded into
          the accumulators only — no segment store — and a settled job's
          slot goes back to the free list, so memory stays bounded by the
@@ -371,18 +369,22 @@ let[@rejlint.hot] less_fifo t a b = before_release t a b
    like any other job.) *)
 let retired_job = Job.create ~id:0 ~release:0. ~sizes:[| 1. |] ()
 
-(* An empty state over the instance's machines, with no slots. *)
-let create instance =
-  let m = Instance.m instance in
+(* ------------------------------------------------------------------ *)
+(* Construction: a state over the machine fleet alone, whose jobs arrive
+   one [add_job] at a time. *)
+
+let of_stream ~retire ~machines =
+  Instance.check_fleet machines;
+  let m = Array.length machines in
   if m > Pqueue.Events.Key.max_machine then
     invalid_arg (Printf.sprintf "Flat_state: %d machines exceed the event-key range" m);
   let heap () = Array.init m (fun _ -> Pqueue.Iheap.create ()) in
   {
-    instance;
+    machines = Array.copy machines;
     n = 0;
     m;
     cap = 0;
-    retire = false;
+    retire;
     slots = 0;
     free = [||];
     nfree = 0;
@@ -517,15 +519,6 @@ let admit t (j : Job.t) =
   t.n <- t.n + 1;
   s
 
-(* ------------------------------------------------------------------ *)
-(* Streaming construction: a state over the machine fleet alone, whose
-   jobs arrive one [add_job] at a time. *)
-
-let of_stream ~machines =
-  (* Machines-only stand-in: validates the fleet (ids 0..m-1) exactly as
-     a batch instance would; [set_instance] replaces it at close. *)
-  create (Instance.create ~name:"stream" ~machines:(Array.copy machines) ~jobs:[] ())
-
 let add_job t (j : Job.t) =
   let s = admit t j in
   t.facc.(f_total_weight) <- t.facc.(f_total_weight) +. j.Job.weight;
@@ -535,8 +528,8 @@ let add_job t (j : Job.t) =
     ~payload:s
 
 (* Pre-size for a known job count: one growth instead of a doubling
-   cascade, and the event queue holds all arrivals at once — how the
-   batch wrapper keeps its allocation profile flat. *)
+   cascade, and the event queue holds all arrivals at once — how
+   [Driver.run] keeps its allocation profile flat. *)
 let reserve t cap =
   if cap > 0 then begin
     grow_columns t cap;
@@ -544,18 +537,7 @@ let reserve t cap =
     Pqueue.Events.ensure_capacity t.events cap
   end
 
-let set_retire t on = t.retire <- on
 let retire t = t.retire
-
-let set_instance t instance =
-  if Instance.m instance <> t.m then
-    invalid_arg
-      (Printf.sprintf "Flat_state.set_instance: %d machines, state has %d" (Instance.m instance)
-         t.m);
-  if Instance.n instance <> t.n then
-    invalid_arg
-      (Printf.sprintf "Flat_state.set_instance: %d jobs, state has %d" (Instance.n instance) t.n);
-  t.instance <- instance
 
 (* ------------------------------------------------------------------ *)
 (* Slots. *)
@@ -581,7 +563,7 @@ let capacity t = t.cap
 (* ------------------------------------------------------------------ *)
 (* Immutable reads. *)
 
-let[@rejlint.hot] instance t = t.instance
+let machines t = t.machines
 let[@rejlint.hot] n t = t.n
 let[@rejlint.hot] m t = t.m
 let[@rejlint.hot] job t s = t.jobs.(s)
@@ -593,8 +575,8 @@ let[@rejlint.hot] size t ~machine ~job = t.jobs.(job).Job.sizes.(machine)
 let[@rejlint.hot] eligible t ~machine ~job = Float.is_finite (size t ~machine ~job)
 
 let[@rejlint.hot] total_weight t = t.facc.(f_total_weight)
-let[@rejlint.hot] alpha t i = (Instance.machine t.instance i).Machine.alpha
-let[@rejlint.hot] mach_speed t i = (Instance.machine t.instance i).Machine.speed
+let[@rejlint.hot] alpha t i = t.machines.(i).Machine.alpha
+let[@rejlint.hot] mach_speed t i = t.machines.(i).Machine.speed
 
 (* ------------------------------------------------------------------ *)
 (* Clock and status. *)
@@ -1036,10 +1018,15 @@ let[@rejlint.hot] rej_weight t = t.facc.(f_rej_weight)
    immaterial).  Without retirement no slot is ever reused, so every
    job's outcome is still at its slot. *)
 
-let to_schedule t =
+let to_schedule t instance =
   if t.retire then
     invalid_arg "Flat_state.to_schedule: segments were retired (rolling-retirement mode)";
-  let b = Schedule.builder t.instance in
+  if Instance.m instance <> t.m || Instance.n instance <> t.n then
+    invalid_arg
+      (Printf.sprintf
+         "Flat_state.to_schedule: instance has %d machines and %d jobs, state %d and %d"
+         (Instance.m instance) (Instance.n instance) t.m t.n);
+  let b = Schedule.builder instance in
   for s = 0 to t.seg_len - 1 do
     Schedule.add_segment b
       {

@@ -11,7 +11,7 @@
 
     {b Slots and external ids.}  Each job fed gets a dense {e slot}, and
     every per-job accessor below takes the slot, not the job's id.  A
-    retiring state ({!set_retire}) hands a settled job's slot back for
+    retiring state ([of_stream ~retire:true]) hands a settled job's slot back for
     the next arrival, so the columns grow to the peak number of jobs in
     flight, whatever the ids.  No column is per (machine, slot): a job's
     sizes are read off its own handle, and since a slot is pending on at
@@ -44,24 +44,27 @@ open Sched_model
 
 type t
 
-(** {1 Streaming construction}
+(** {1 Construction}
 
-    A session-mode state starts from the machine fleet alone and learns
-    its jobs one {!add_job} at a time; when no slot is free, the job
-    columns double.  The pending
-    heaps and the index hold slots only and read the columns through the
-    state on every comparison, so growth touches nothing but the
-    columns, and the state is plain data that marshals without
-    closures.  Feeding every job of
-    an instance in [jobs_by_release] order reproduces the batch state's
-    event tags — and therefore its schedule — byte for byte. *)
+    Every state starts from the machine fleet alone and learns its jobs
+    one {!add_job} at a time; when no slot is free, the job columns
+    double.  The pending heaps and the index hold slots only and read
+    the columns through the state on every comparison, so growth touches
+    nothing but the columns, and the state is plain data that marshals
+    without closures.  It holds no instance: {!to_schedule} is handed
+    one at the end. *)
 
-val of_stream : machines:Machine.t array -> t
-(** An empty state over the fleet ([Invalid_argument] on an invalid
-    fleet — ids must be dense 0..m-1 — exactly as instance construction
-    validates — or on more machines than the event keys encode,
-    {!Pqueue.Events.Key.max_machine}).  {!instance} returns a machines-only stand-in until
-    {!set_instance}. *)
+val of_stream : retire:bool -> machines:Machine.t array -> t
+(** An empty state over a copy of the fleet ([Invalid_argument] on an
+    invalid fleet, by {!Sched_model.Instance.check_fleet}, or on more
+    machines than the event keys encode,
+    {!Pqueue.Events.Key.max_machine}).
+
+    [~retire:true] fixes rolling retirement for the state's life:
+    segments are folded into the energy/makespan accumulators without
+    being stored, and {!settle} hands the job's slot back and drops its
+    boxed [Job.t] handle, so memory is bounded by the jobs in flight.
+    {!to_schedule} is then unavailable. *)
 
 val add_job : t -> Job.t -> unit
 (** Gives the job a slot, registers its columns and queues its arrival
@@ -82,20 +85,7 @@ val reserve : t -> int -> unit
     [cap] jobs — one reallocation instead of a doubling cascade when the
     count is known up front.  Never shrinks. *)
 
-val set_retire : t -> bool -> unit
-(** Toggles rolling retirement: segments are folded into the
-    energy/makespan accumulators without being stored, and {!settle}
-    hands the job's slot back and drops its boxed [Job.t] handle, so
-    memory is bounded by the jobs in flight.  {!to_schedule} becomes
-    unavailable.  Set before the first job is fed; never toggle
-    mid-run. *)
-
 val retire : t -> bool
-
-val set_instance : t -> Instance.t -> unit
-(** Swaps the materialized instance in at session close, so
-    {!to_schedule} can build against it.  Raises [Invalid_argument] when
-    its machine or job count disagrees with the state. *)
 
 (** {1 Slots} *)
 
@@ -149,7 +139,9 @@ val loc_machine : int -> int
 
 (** {1 Immutable reads} *)
 
-val instance : t -> Instance.t
+val machines : t -> Machine.t array
+(** The state's own copy of the fleet; do not mutate it. *)
+
 val n : t -> int
 (** Jobs fed so far. *)
 
@@ -327,10 +319,12 @@ val rej_weight : t -> float
 
 (** {1 Materialization} *)
 
-val to_schedule : t -> Schedule.t
-(** Builds the boxed schedule: segments in insertion order, outcomes by
-    external job id.  Raises
-    [Invalid_argument] if some job has no outcome.  The one deliberately
+val to_schedule : t -> Instance.t -> Schedule.t
+(** [to_schedule t instance] builds the boxed schedule of [instance] —
+    the jobs fed, which the caller holds: segments in insertion order,
+    outcomes by external job id.  Raises [Invalid_argument] on a
+    retiring state, when the instance's machine or job count disagrees
+    with the state, or if some job has no outcome.  The one deliberately
     boxing step, run once per simulation. *)
 
 (* rejlint: allow test-only-export — the structural oracle tests run after mutations *)

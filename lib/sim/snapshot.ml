@@ -30,7 +30,7 @@ let magic = "rejsched-snap"
 (* Bump on any layout change of the container or of the frozen session
    it carries: the version is the only guard against a payload of the
    old shape. *)
-let version = 8
+let version = 9
 
 let error_to_string = function
   | Bad_magic -> "not a rejsched snapshot (bad magic)"

@@ -313,7 +313,7 @@ let serve_lines (s : P.stream_session) jobs ~close =
   end
   else fed
 
-(* A tripwire for the snapshot layout.  [snapshots/serve-smoke-v8.snap] is
+(* A tripwire for the snapshot layout.  [snapshots/serve-smoke-v9.snap] is
    serve's checkpoint after the smoke stream's first two arrivals, written
    by an earlier build.  It must unwrap under the current [Snapshot.version]
    and thaw, and its continuation spliced after the first half's decisions
@@ -328,7 +328,7 @@ let serve_lines (s : P.stream_session) jobs ~close =
 
    (N the new version), then point both tests at it. *)
 let snapshot_file name = Filename.concat (Test_util.data_dir "snapshots") name
-let checked_in_snapshot = snapshot_file "serve-smoke-v8.snap"
+let checked_in_snapshot = snapshot_file "serve-smoke-v9.snap"
 
 let checked_in_payload () =
   match Snapshot.unwrap (Snapshot.read_file checked_in_snapshot) with
@@ -391,8 +391,11 @@ let test_checked_in_snapshot_bytes () =
    pending-head sizes, version 5 kept a per-slot column of minimum
    sizes, a job record without its size summaries and a position
    column for every pending order, dormant or not, version 6 kept
-   rejection counters in the weighted and flow-energy policy states, and
-   version 7 carried the driver's own audit flag in the frozen session. *)
+   rejection counters in the weighted and flow-energy policy states,
+   version 7 carried the driver's own audit flag in the frozen session,
+   and version 8 kept a machines-only stand-in instance in the flat state,
+   a batch-instance slot in the frozen session and an instance in the
+   policy states. *)
 let old_snapshot_fails_closed v () =
   match
     Snapshot.unwrap (Snapshot.read_file (snapshot_file (Printf.sprintf "serve-smoke-v%d.snap" v)))
@@ -429,4 +432,5 @@ let suite =
     Alcotest.test_case "suspend at every boundary, every registry policy" `Slow
       test_suspend_every_boundary_registry;
     Alcotest.test_case "v7 snapshot fails closed" `Quick (old_snapshot_fails_closed 7);
+    Alcotest.test_case "v8 snapshot fails closed" `Quick (old_snapshot_fails_closed 8);
   ]

@@ -668,6 +668,35 @@ let test_ill_typed_value_exits_2 () = check_parse_errors [ ("run -n abc", "-n") 
    rejects a job within Time's tolerance of its start, which the driver
    records as not running.  run's stream check compares that instant
    through the same tolerance, so the run exits 0. *)
+(* An out-of-range --eps or --alpha is a usage error before any row of
+   the table is printed. *)
+let test_bounds_bad_args_print_nothing () =
+  List.iter
+    (fun (args, flag) ->
+      let out = temp ".txt" and err = temp ".txt" in
+      Alcotest.(check int) (args ^ " exits 2") 2
+        (shell (Printf.sprintf "%s bounds %s > %s 2> %s" exe args out err));
+      Alcotest.(check string) (args ^ " prints nothing") "" (read_file out);
+      Alcotest.(check bool) ("message names " ^ flag) true
+        (Test_util.contains (read_file err) flag);
+      Sys.remove out;
+      Sys.remove err)
+    [ ("--eps 0", "--eps"); ("--eps 1", "--eps"); ("--alpha 1", "--alpha") ]
+
+(* A negative --last is a usage error before the replay: no export is
+   written. *)
+let test_trace_negative_last_rejected () =
+  let ndjson = temp ".ndjson" and err = temp ".txt" in
+  Sys.remove ndjson;
+  Alcotest.(check int) "exit code" 2
+    (shell
+       (Printf.sprintf
+          "%s trace -n 10 -m 2 --last=-3 --out-ndjson %s --out-chrome - > /dev/null 2> %s" exe
+          ndjson err));
+  Alcotest.(check bool) "no export written" false (Sys.file_exists ndjson);
+  Alcotest.(check bool) "message names --last" true (Test_util.contains (read_file err) "--last");
+  Sys.remove err
+
 let test_run_esa_rejection_at_start () =
   Alcotest.(check int) "run -p esa -w bimodal -n 2000 -m 4 --seed 4 exits 0" 0
     (shell (Printf.sprintf "%s run -p esa -w bimodal -n 2000 -m 4 --seed 4 > /dev/null" exe))
@@ -718,4 +747,7 @@ let suite =
       test_run_bad_eps_fails_fast;
     Alcotest.test_case "run -p esa rejecting at a start's instant exits 0" `Quick
       test_run_esa_rejection_at_start;
+    Alcotest.test_case "bounds rejects --eps/--alpha before printing" `Quick
+      test_bounds_bad_args_print_nothing;
+    Alcotest.test_case "trace --last negative rejected" `Quick test_trace_negative_last_rejected;
   ]

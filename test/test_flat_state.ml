@@ -13,7 +13,7 @@ let qtest t = QCheck_alcotest.to_alcotest t
 (* The driver's construction: [of_stream] over the fleet, then one
    [add_job] per job.  Fed in id order, every job's slot is its id. *)
 let state_of instance =
-  let fs = Flat_state.of_stream ~machines:instance.Instance.machines in
+  let fs = Flat_state.of_stream ~retire:false ~machines:instance.Instance.machines in
   for id = 0 to Instance.n instance - 1 do
     Flat_state.add_job fs (Instance.job instance id)
   done;
@@ -33,7 +33,7 @@ let prop_stream_round_trip =
       let instance = random_instance_of seed in
       (* Fed in release order, as the driver feeds: slots number the jobs
          in feed order. *)
-      let fs = Flat_state.of_stream ~machines:instance.Instance.machines in
+      let fs = Flat_state.of_stream ~retire:false ~machines:instance.Instance.machines in
       Array.iter (Flat_state.add_job fs) (Instance.jobs_by_release instance);
       let n = Instance.n instance and m = Instance.m instance in
       assert (Flat_state.n fs = n);
@@ -431,7 +431,7 @@ let test_index_survives_growth () =
   let m = 2 and nids = 100 in
   let rng = Rng.create 11 in
   let inst = Test_util.instance ~machines:m (grid_jobs rng ~nids ~m) in
-  let fs = Flat_state.of_stream ~machines:inst.Instance.machines in
+  let fs = Flat_state.of_stream ~retire:false ~machines:inst.Instance.machines in
   let model = Array.make m [] in
   ignore (Flat_state.index_max fs 0);
   for id = 0 to nids - 1 do
@@ -520,8 +520,7 @@ let test_index_survives_freeze_thaw () =
    live or settled, is refused.  Returns the peak in-flight count and the
    final slot capacity. *)
 let recycle_stream ~id_of ~n =
-  let fs = Flat_state.of_stream ~machines:(Machine.fleet 2) in
-  Flat_state.set_retire fs true;
+  let fs = Flat_state.of_stream ~retire:true ~machines:(Machine.fleet 2) in
   let due = Array.make (n + 100) [] in
   let live = ref 0 and peak = ref 0 in
   let resolves id = Flat_state.slot_of fs id >= 0 in
@@ -572,7 +571,7 @@ let test_capacity_tracks_in_flight () =
    [a * capacity + b * m].  Any column of [m * capacity] cells would
    overshoot that at m = 512 several times over. *)
 let state_words_excluding_sizes ~m ~n =
-  let fs = Flat_state.of_stream ~machines:(Machine.fleet m) in
+  let fs = Flat_state.of_stream ~retire:false ~machines:(Machine.fleet m) in
   ignore (Flat_state.head_density fs 0);
   ignore (Flat_state.head_size_id fs 0);
   ignore (Flat_state.head_fifo fs 0);
@@ -608,9 +607,7 @@ let test_index_shape_ignores_slots () =
   let sizes = Array.init n (fun _ -> 0.1 +. Rng.float rng) in
   let job id = Job.create ~id ~release:0. ~sizes:[| sizes.(id mod n) |] () in
   let fresh () =
-    let fs = Flat_state.of_stream ~machines:(Machine.fleet 1) in
-    Flat_state.set_retire fs true;
-    fs
+    Flat_state.of_stream ~retire:true ~machines:(Machine.fleet 1)
   in
   let a = fresh () and b = fresh () in
   (* In [b], placeholder jobs take slots 0..n-1 and settle in slot order;
@@ -659,8 +656,7 @@ let prop_ids_refused_once_fed =
     (fun salt ->
       let rng = Rng.create salt in
       let range = if salt mod 2 = 0 then 64 else max_int / 2 in
-      let fs = Flat_state.of_stream ~machines:(Machine.fleet 1) in
-      Flat_state.set_retire fs true;
+      let fs = Flat_state.of_stream ~retire:true ~machines:(Machine.fleet 1) in
       let fed = Hashtbl.create 64 and live = ref [] in
       let ok = ref true in
       for k = 0 to 200 + Rng.int rng 300 do

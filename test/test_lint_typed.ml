@@ -11,7 +11,7 @@
 
 module RL = Rejlint_lib
 
-let fixture_base = Filename.concat (Test_util.data_dir "lint_fixtures") "typed"
+let fixture_base = Filename.concat (Test_util.built_dir "lint_fixtures") "typed"
 
 let fixture name = Filename.concat fixture_base name
 

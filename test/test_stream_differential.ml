@@ -170,9 +170,59 @@ let test_feed_order_enforced () =
     (Invalid_argument "Flat_state.add_job: job 5 already added")
     (fun () -> s3.P.ss_feed (mk 5 10.0))
 
+(* The policy state does not depend on the path: [Driver.run] is a
+   plain session, so the dual variables a non-retiring session leaves
+   behind, however its stream was chunked, equal [run]'s bit for bit. *)
+let session_state policy instance ~chunk =
+  let s =
+    Driver.Session.open_session ~name:instance.Instance.name
+      ~machines:instance.Instance.machines policy
+  in
+  let jobs = Instance.jobs_by_release instance in
+  let n = Array.length jobs in
+  let k = ref 0 in
+  while !k < n do
+    let stop = min n (!k + chunk) in
+    for i = !k to stop - 1 do
+      Driver.Session.feed s jobs.(i)
+    done;
+    Driver.Session.drain_until s jobs.(stop - 1).Job.release;
+    k := stop
+  done;
+  let _, st, _ = Driver.Session.close s in
+  st
+
+let check_state ~what lambdas policy instance =
+  let bits st = Array.to_list (Array.map (Printf.sprintf "%h") (lambdas st)) in
+  let _, st, _ = Driver.run policy instance in
+  let batch = bits st in
+  Alcotest.(check int) (what ^ ": one lambda per job") (Instance.n instance) (List.length batch);
+  List.iter
+    (fun chunk ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s/batch=%d: lambdas" what chunk)
+        batch
+        (bits (session_state policy instance ~chunk)))
+    [ 1; 7; max 1 (Instance.n instance) ]
+
+let test_policy_state_path_independent () =
+  let module FR = Rejection.Flow_reject in
+  let module FER = Rejection.Flow_energy_reject in
+  List.iter
+    (fun (c : Corpus.case) ->
+      let what name = Printf.sprintf "%s/%s" c.Corpus.name name in
+      check_state ~what:(what "flow-reject") FR.lambdas
+        (FR.policy (FR.config ~eps:0.25 ()))
+        c.Corpus.instance;
+      check_state ~what:(what "flow-energy-reject") FER.lambdas
+        (FER.policy (FER.config ~eps:0.25 ()))
+        c.Corpus.instance)
+    (Corpus.seeds ())
+
 let suite =
   [
     ("corpus x all policies x batch {1,7,n}, byte-identical", `Slow, test_corpus_all_policies);
     ("dyadic random instances, byte-identical", `Slow, test_random_instances);
     ("feed order discipline enforced", `Quick, test_feed_order_enforced);
+    ("policy state: run = session at batch {1,7,n}", `Quick, test_policy_state_path_independent);
   ]

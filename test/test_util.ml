@@ -5,14 +5,17 @@ let contains haystack needle =
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-(* A directory of test data: fuzz_corpus, snapshots, lint_fixtures.
-   dune runtest runs with cwd _build/default/test; a suite run straight
-   from the repository root (dune exec test/test_main.exe -- test NAME)
-   finds the same tree, built fixture .cmt files included, under
-   _build/default/test. *)
-let data_dir name =
-  if Sys.file_exists name then name
-  else Filename.concat (Filename.concat "_build" "default") (Filename.concat "test" name)
+(* A directory of checked-in test data: fuzz_corpus, snapshots,
+   lint_fixtures.  dune runtest runs with cwd _build/default/test; a
+   suite run straight from the repository root (dune exec
+   test/test_main.exe -- test NAME), in any build dir and profile, reads
+   the checked-in tree under test/. *)
+let data_dir name = if Sys.file_exists name then name else Filename.concat "test" name
+
+(* A directory of test data the build writes (the typed lint fixtures'
+   .cmt files): next to the running test executable, whichever build dir
+   holds it. *)
+let built_dir name = Filename.concat (Filename.dirname Sys.executable_name) name
 
 (* A trace's unreleased entries as trace/1 NDJSON, one line each. *)
 let trace_ndjson t =
